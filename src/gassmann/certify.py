@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import SizeCapExceeded, SpecMismatch
+from .errors import SelfCheckFailed, SizeCapExceeded, SpecMismatch
 from .heisenberg import (
     ConjugacyClassTable,
     Heisenberg,
@@ -135,8 +135,10 @@ def are_conjugate_bruteforce(sub_h: TwistedSubgroup, sub_k: TwistedSubgroup,
     if group.order > limit:
         raise SizeCapExceeded(f"group order {group.order} exceeds cap {limit}")
     target = sub_k.elements
+    mul = group.mul
     for g in group.elements:
-        if frozenset(group.conjugate(g, h) for h in sub_h.elements) == target:
+        g_inv = group.inv(g)
+        if frozenset(mul(mul(g, h), g_inv) for h in sub_h.elements) == target:
             return True
     return False
 
@@ -176,8 +178,10 @@ def mult_subspace_echelon(spec: RingSpec) -> tuple[tuple[int, tuple[int, ...]], 
                 echelon[k] = (piv2, [(x - c * y) % p for x, y in zip(row2, vec)])
         echelon.append((pivot, vec))
     echelon.sort(key=lambda pr: pr[0])
-    assert len(echelon) == spec.dim, "multiplication matrices are dependent"
-    assert all(0 <= piv < n2 for piv, _ in echelon)
+    if len(echelon) != spec.dim:
+        raise SelfCheckFailed("multiplication matrices are dependent")
+    if not all(0 <= piv < n2 for piv, _ in echelon):
+        raise SelfCheckFailed("echelon pivot out of range")
     return tuple((piv, tuple(vec)) for piv, vec in echelon)
 
 

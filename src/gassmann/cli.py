@@ -20,7 +20,7 @@ from . import certify as cz
 from . import planner as pl
 from . import reports as rp
 from . import schreier as sg
-from .errors import GassmannError, NotGenerating, SpecMismatch
+from .errors import GassmannError, NotGenerating, SpecMismatch, UsageError
 from .heisenberg import Heisenberg, heisenberg_group, twisted_subgroup
 from .places import choose_modulus, residue_degree, residue_degree_subgroup, scan_places
 from .rings import make_field, make_trunc_ring, primes_up_to, size_cap
@@ -42,11 +42,13 @@ def _subgroup_family(spec, mode: str):
 
 def _bruteforce_subgroup_keys(group: Heisenberg, subgroups) -> list:
     """Canonical key per subgroup under elementwise conjugation by all of G."""
+    mul = group.mul
+    conjugators = [(g, group.inv(g)) for g in group.elements]
     keys = []
     for sub in subgroups:
         orbit = {
-            tuple(sorted(group.conjugate(g, h) for h in sub.elements))
-            for g in group.elements
+            tuple(sorted(mul(mul(g, h), g_inv) for h in sub.elements))
+            for g, g_inv in conjugators
         }
         keys.append(min(orbit))
     return keys
@@ -283,8 +285,27 @@ def _plan_item(op: str, inputs: dict, result: dict, checks=(), required=None) ->
     return item
 
 
+# Options each plan op needs that have no default.
+_PLAN_REQUIRED = {
+    "twisted-count": ("p", "ell0", "dim_g"),
+    "comm-classes": ("p", "ell0", "dim_g"),
+    "conjugates-bound": ("n_index", "group_order"),
+    "min-ell-sequence": ("dim_g",),
+    "min-ell-growth": ("dim_g",),
+    "nonarith-count": ("p", "ell"),
+    "volume-bound": ("p", "j"),
+    "growth-constant": ("p", "j_min", "j_max"),
+    "level-count": ("primes", "j", "ell0"),
+    "tower-min-k": ("primes", "j", "ell0", "dim_g"),
+}
+
+
 def cmd_plan(args: argparse.Namespace) -> dict:
     op = args.plan_op
+    missing = [name for name in _PLAN_REQUIRED[op] if getattr(args, name) is None]
+    if missing:
+        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
+        raise UsageError(f"plan {op} needs {flags}")
     if args.dim_g is not None:
         pl.PlannerParams(
             dim_g=args.dim_g, c=args.c, x=args.x, big_c=args.big_c,
@@ -518,6 +539,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     exports: dict[str, str] = {}
     try:
+        if args.format == "jsonl" and args.command != "places":
+            raise UsageError(f"--format jsonl applies to places only, not {args.command}")
         if args.command == "certify":
             report = cmd_certify(args.p, args.m, cap=args.cap)
         elif args.command == "graphs":
@@ -539,7 +562,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0 if not problems else 1
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
-    except (GassmannError, ValueError) as exc:
+    except (GassmannError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

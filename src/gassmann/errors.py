@@ -21,6 +21,18 @@ class SpecMismatch(GassmannError):
     pass
 
 
+class SelfCheckFailed(GassmannError):
+    """A computed result failed its own certificate check (internal).
+
+    Raised explicitly rather than by ``assert`` so that ``python -O``
+    cannot strip the check.
+    """
+
+
+class UsageError(GassmannError):
+    """Command-line options that do not fit together or are missing."""
+
+
 class NotClosed(GassmannError):
     """A candidate subgroup failed its closure self-check (internal)."""
 

@@ -2,9 +2,9 @@
 
 Group elements are coordinate triples (a, b, c) of ring elements standing
 for the matrix [[1, a, c], [0, 1, b], [0, 0, 1]]; the group law is
-evaluated directly on the triples and matrices exist only for export.
-Conjugacy classes are computed by full orbit expansion, trading speed for
-an argument-free notion of correctness at desk scale.
+evaluated directly on the triples.  Conjugacy classes come from a closed
+form in O(|G|) with no conjugation (see ``class_key``); the orbit
+expansion ``conjugacy_partition`` is kept as its oracle.
 """
 
 from __future__ import annotations
@@ -78,13 +78,6 @@ class Heisenberg:
         z = self.ring.zero()
         return tuple((z, z, c) for c in self.ring.elements)
 
-    def element_matrix(self, g: GroupElement):
-        """3x3 matrix form over the ring, for export and debugging."""
-        ring = self.ring
-        one, zero = ring.one(), ring.zero()
-        a, b, c = g
-        return ((one, a, c), (zero, one, b), (zero, zero, one))
-
     def conjugacy_classes(self, cap: Optional[int] = None) -> "ConjugacyClassTable":
         limit = size_cap() if cap is None else cap
         if self.order > limit:
@@ -152,10 +145,36 @@ class ConjugacyClassTable:
         }
 
 
+def class_key(ring: RingSpec, g: GroupElement) -> tuple:
+    """Closed-form conjugacy-class key of g = (a, b, c).
+
+    Conjugating by (x, y, z) sends g to (a, b, c + xb - ay), so the class
+    of g is (a, b, c + aR + bR).  The ideal aR + bR is the set of elements
+    whose first v = min(val a, val b) coefficients vanish (0 or R over a
+    field, t^v R over GF(p)[t]/t^j), so the coset is fixed by c[:v].
+    """
+    a, b, c = g
+    return a, b, c[: min(ring.val(a), ring.val(b))]
+
+
 @functools.lru_cache(maxsize=None)
 def _class_table_cached(group: Heisenberg) -> ConjugacyClassTable:
-    classes, index = conjugacy_partition(group.elements, group.mul, group.inv)
-    return ConjugacyClassTable(group, classes, index)
+    # Elements are walked in lex order and a class id opens at the first
+    # sighting of its key, so ids follow the class minima and each member
+    # tuple comes out sorted: the same table as conjugacy_partition.
+    ring = group.ring
+    ids: dict = {}
+    members: list[list] = []
+    index: dict = {}
+    for g in group.elements:
+        key = class_key(ring, g)
+        cid = ids.get(key)
+        if cid is None:
+            cid = ids[key] = len(members)
+            members.append([])
+        members[cid].append(g)
+        index[g] = cid
+    return ConjugacyClassTable(group, tuple(map(tuple, members)), index)
 
 
 # ---------------------------------------------------------------------------

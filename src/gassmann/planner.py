@@ -19,22 +19,11 @@ from .errors import (
     NoValidD,
     PrecisionExhausted,
     PrimesExhausted,
+    SelfCheckFailed,
 )
 from .rings import is_prime, next_prime
 
 Exact = Union[int, Fraction]
-
-# Standard dimensions for the ambient simple groups that appear as inputs.
-GROUP_DIMENSIONS = {
-    "SL2": 3,
-    "SL3": 8,
-    "SL4": 15,
-    "SU21": 8,
-    "SO31": 6,
-    "SO41": 10,
-    "SP4": 10,
-}
-
 
 def exact_power(p: int, exponent: int) -> Exact:
     """p^exponent as an exact rational; negative exponents allowed."""
@@ -229,8 +218,9 @@ def _min_prime_satisfying(label: str, lhs_at, rhs: Exact) -> MinEllResult:
                 else None
             )
             if failing is not None and failing.holds:
-                raise AssertionError("predecessor certificate unexpectedly passes")
-            assert passing.holds
+                raise SelfCheckFailed("predecessor certificate unexpectedly passes")
+            if not passing.holds:
+                raise SelfCheckFailed(f"{passing.label} does not hold")
             return MinEllResult(ell, passing, failing)
         prev = ell
         ell = next_prime(ell)
@@ -308,7 +298,8 @@ class RationalInterval:
 
 def _atanh_twice(x: Fraction, max_width: Fraction) -> RationalInterval:
     """Interval for 2*atanh(x), 0 <= x < 1, via the odd series with tail bound."""
-    assert 0 <= x < 1
+    if not 0 <= x < 1:
+        raise SelfCheckFailed(f"atanh series argument {x} outside [0, 1)")
     xx = x * x
     total = Fraction(0)
     power = x
@@ -519,7 +510,8 @@ def tower_min_k(primes: Sequence[int], j: int, ell0: int, dim_g: int,
         if acc > target:
             product_cond = IneqCheck(f"tower-product@k={k}", acc, ">", target)
             full = _tower_full_check(primes, j, k, ell0, dim_g, c_x, x, c)
-            assert product_cond.holds and full.holds
+            if not (product_cond.holds and full.holds):
+                raise SelfCheckFailed(f"tower certificate at k={k} does not hold")
             before_prod = before_full = None
             if k - 1 >= j:
                 prev_acc = acc // primes[k - 1] ** r
@@ -529,7 +521,8 @@ def tower_min_k(primes: Sequence[int], j: int, ell0: int, dim_g: int,
                 before_full = _tower_full_check(
                     primes, j, k - 1, ell0, dim_g, c_x, x, c
                 )
-                assert not before_prod.holds
+                if before_prod.holds:
+                    raise SelfCheckFailed(f"product condition already holds at k={k - 1}")
             return TowerKResult(
                 k=k,
                 product_condition=product_cond,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from .errors import SpecMismatch
 from .planner import verify_check_json
 
 SCHEMA_VERSION = 1
@@ -235,6 +236,9 @@ _VERIFIERS = {
 
 def verify_report(report: dict) -> list[str]:
     """Re-run every bundled certificate; returns problems (empty = verified)."""
+    if not (isinstance(report, dict) and isinstance(report.get("items"), list)
+            and isinstance(report.get("summary"), dict)):
+        raise SpecMismatch("a report is a JSON object with an items list and a summary")
     problems: list[str] = []
     if report.get("schema_version") != SCHEMA_VERSION:
         problems.append("unknown schema version")

@@ -215,6 +215,14 @@ class FieldSpec(_RingOps):
             prod[d] = 0
         return tuple(c % p for c in prod[:m])
 
+    def val(self, a: Element) -> int:
+        """0 for a unit, m for zero.
+
+        In both ring kinds aR is the set of elements whose first val(a)
+        coefficients vanish.
+        """
+        return 0 if any(a) else self.m
+
     def to_json(self) -> dict:
         return {"kind": "field", "p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
@@ -245,6 +253,10 @@ class TruncRingSpec(_RingOps):
                         break
                     prod[i + k] += x * y
         return tuple(c % p for c in prod)
+
+    def val(self, a: Element) -> int:
+        """t-adic valuation: index of the lowest nonzero coefficient, j for zero."""
+        return next((i for i, x in enumerate(a) if x), self.j)
 
     def to_json(self) -> dict:
         return {"kind": "trunc", "p": self.p, "j": self.j}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import EmptyGeneratorSet, SizeCapExceeded, SpecMismatch
+from .errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded, SpecMismatch
 from .heisenberg import GroupElement, Heisenberg
 
 DEFAULT_VERTEX_CAP = 4096
@@ -131,7 +131,8 @@ def build_coset_graph(sub, gens: Sequence[GroupElement],
         vertices.append(g)
         for h in members:
             coset_of[group.mul(h, g)] = vid
-    assert len(vertices) == index
+    if len(vertices) != index:
+        raise SelfCheckFailed(f"found {len(vertices)} cosets, expected {index}")
     rows = []
     for rep in vertices:
         row = [0] * index
@@ -423,7 +424,8 @@ def are_isomorphic(g1: CosetGraph, g2: CosetGraph,
 
     if backtrack(0):
         witness = tuple(mapping)  # type: ignore[arg-type]
-        assert verify_witness(adj1, adj2, witness)
+        if not verify_witness(adj1, adj2, witness):
+            raise SelfCheckFailed("isomorphism witness does not map edges onto edges")
         return IsomorphismResult(True, witness)
     return IsomorphismResult(False, None)
 
@@ -456,6 +458,7 @@ def are_isomorphic_bruteforce(g1: CosetGraph, g2: CosetGraph,
 
     if backtrack(0):
         witness = tuple(mapping)  # type: ignore[arg-type]
-        assert verify_witness(adj1, adj2, witness)
+        if not verify_witness(adj1, adj2, witness):
+            raise SelfCheckFailed("isomorphism witness does not map edges onto edges")
         return IsomorphismResult(True, witness)
     return IsomorphismResult(False, None)

@@ -23,6 +23,7 @@ from gassmann.certify import (
     tower_class_count,
     twist_orbit_count_bruteforce,
 )
+from gassmann.cli import _bruteforce_subgroup_keys
 from gassmann.errors import SizeCapExceeded, SpecMismatch
 from gassmann.heisenberg import (
     center_subgroup,
@@ -162,13 +163,7 @@ def test_structural_equals_bruteforce_exhaustive_at_scale(spec):
     table = group.conjugacy_classes()
     profiles = [intersection_profile(s, table) for s in subs]
     assert all(p == profiles[0] for p in profiles[1:])  # Gassmann, forward direction
-    keys = []
-    for s in subs:
-        orbit = {
-            tuple(sorted(group.conjugate(g, h) for h in s.elements))
-            for g in group.elements
-        }
-        keys.append(min(orbit))
+    keys = _bruteforce_subgroup_keys(group, subs)
     assert len(set(keys)) == spec.p ** (spec.m * (spec.m - 1))
     for i in range(len(maps)):
         for j in range(i + 1, len(maps)):

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from conftest import run_cli
 
 from gassmann.reports import render_table, verify_report
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _report(stdout: str) -> dict:
@@ -286,3 +293,55 @@ def test_reports_are_byte_identical_across_runs():
             chunks.append(out)
         runs.append("".join(chunks))
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# Operational errors: exit 2, one line on stderr, no traceback
+# ---------------------------------------------------------------------------
+
+
+def _one_line_error(err: str, name: str) -> None:
+    assert err.startswith(f"error: {name}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_plan_missing_required_option_exits_2():
+    code, out, err = run_cli("plan", "twisted-count", "--dim-g", "8")
+    assert code == 2 and out == ""
+    _one_line_error(err, "UsageError")
+    assert "--p" in err and "--ell0" in err
+
+
+def test_verify_json_list_exits_2(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, out, err = run_cli("verify", str(path))
+    assert code == 2 and out == ""
+    _one_line_error(err, "SpecMismatch")
+
+
+def test_verify_report_without_summary_exits_2(tmp_path):
+    _, out, _ = run_cli("certify", "--p", "2", "--m", "1")
+    report = json.loads(out)
+    del report["summary"]
+    path = tmp_path / "nosummary.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run_cli("verify", str(path))
+    assert code == 2 and out == ""
+    _one_line_error(err, "SpecMismatch")
+
+
+def test_jsonl_format_outside_places_exits_2():
+    code, out, err = run_cli("certify", "--p", "2", "--m", "1", "--format", "jsonl")
+    assert code == 2 and out == ""
+    _one_line_error(err, "UsageError")
+
+
+def test_optimized_interpreter_writes_identical_report():
+    # certificate checks raise explicitly, so python -O must not change a byte
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = ["-m", "gassmann.cli", "certify", "--p", "2", "--m", "2"]
+    plain = subprocess.run([sys.executable, *argv], env=env, capture_output=True, check=True)
+    optimized = subprocess.run([sys.executable, "-O", *argv], env=env,
+                               capture_output=True, check=True)
+    assert plain.stdout and optimized.stdout == plain.stdout

@@ -2,10 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gassmann.errors import DimensionMismatch, SizeCapExceeded, SpecMismatch
 from gassmann.heisenberg import (
     center_subgroup,
+    class_key,
+    conjugacy_partition,
     conjugate_subgroup,
     heisenberg_group,
     horizontal_subgroup,
@@ -97,6 +101,37 @@ def test_class_partition_properties():
         reps = table.representatives()
         assert list(reps) == sorted(reps)
         assert all(rep == min(cls) for rep, cls in zip(reps, table.classes))
+
+
+# Every ring whose orbit-expansion oracle runs in well under a second.
+ORACLE_RINGS = [
+    F2, F3, F4, make_field(5, 1), make_field(7, 1), make_field(2, 3), F9,
+    make_trunc_ring(2, 2), make_trunc_ring(2, 3), make_trunc_ring(3, 2),
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_RINGS, ids=repr)
+def test_closed_form_class_table_equals_orbit_oracle(spec):
+    group = heisenberg_group(spec)
+    table = group.conjugacy_classes()
+    classes, index = conjugacy_partition(group.elements, group.mul, group.inv)
+    # tuple equality also pins the class order and each class's member order
+    assert table.classes == classes
+    assert table.index == index
+    if spec.kind == "field":
+        q = spec.size
+        assert table.class_count == q * q + q - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ORACLE_RINGS + [make_field(2, 4), make_trunc_ring(2, 4)]),
+       st.data())
+def test_class_key_is_conjugation_invariant(spec, data):
+    els = spec.elements
+    triple = st.tuples(*[st.sampled_from(els)] * 3)
+    g, h = data.draw(triple), data.draw(triple)
+    group = heisenberg_group(spec)
+    assert class_key(spec, group.conjugate(h, g)) == class_key(spec, g)
 
 
 def test_class_table_size_cap():

@@ -7,6 +7,7 @@ from gassmann.errors import (
     NoValidD,
     PrecisionExhausted,
     PrimesExhausted,
+    SelfCheckFailed,
 )
 from gassmann.planner import (
     IneqCheck,
@@ -26,6 +27,7 @@ from gassmann.planner import (
     tower_volume_bound,
     twisted_count_bound,
     verify_check_json,
+    _atanh_twice,
 )
 
 
@@ -265,3 +267,8 @@ def test_count_bounds_monotone_on_grid():
             b = twisted_count_bound(2, ell0 + 1, dim_g)
             if not a.vacuous and not b.vacuous:
                 assert a.value <= b.value
+
+
+def test_atanh_guard_raises_instead_of_asserting():
+    with pytest.raises(SelfCheckFailed):
+        _atanh_twice(Fraction(1), Fraction(1, 100))

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
+from gassmann import schreier
 from gassmann.certify import enumerate_class_reps
-from gassmann.errors import EmptyGeneratorSet, SizeCapExceeded, SpecMismatch
+from gassmann.errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded, SpecMismatch
 from gassmann.heisenberg import (
     conjugate_subgroup,
     heisenberg_group,
@@ -255,3 +257,21 @@ def test_isomorphism_cap():
         are_isomorphic(big1, big1, cap=32)  # 64 vertices
     with pytest.raises(SizeCapExceeded):
         are_isomorphic_bruteforce(big1, big1)  # brute cap is 16
+
+
+@pytest.mark.parametrize("search", [are_isomorphic, are_isomorphic_bruteforce])
+def test_rejected_witness_raises_even_under_optimization(search, monkeypatch):
+    # a relabelled copy forces a real search; a witness that fails its
+    # check must raise, not be dropped the way python -O drops an assert
+    graph = _rep_graphs()[1]
+    shift = [(v + 1) % graph.n for v in range(graph.n)]
+    adjacency = tuple(
+        tuple(graph.adjacency[shift[u]][shift[w]] for w in range(graph.n))
+        for u in range(graph.n)
+    )
+    relabelled = dataclasses.replace(graph, adjacency=adjacency)
+    assert relabelled.adjacency != graph.adjacency
+    assert search(graph, relabelled).isomorphic
+    monkeypatch.setattr(schreier, "verify_witness", lambda *args: False)
+    with pytest.raises(SelfCheckFailed):
+        search(graph, relabelled)
