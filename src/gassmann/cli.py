@@ -103,7 +103,7 @@ def cmd_certify(p: int, m: int, cap: Optional[int] = None) -> dict:
     brute_work = group.order * spec.size * count
     brute_checked = brute_work <= _BRUTE_CONJ_WORK_LIMIT
     agreement = True
-    if brute_checked:
+    if brute_checked and count >= 2:  # with one subgroup there is no pair to compare
         keys = _bruteforce_subgroup_keys(group, subgroups)
         agreement = all(
             (keys[i] == keys[j]) == structural[(i, j)]

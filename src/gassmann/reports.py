@@ -14,6 +14,7 @@ from typing import Any
 
 from .errors import SpecMismatch
 from .planner import verify_check_json
+from .schreier import charpoly_modular
 
 SCHEMA_VERSION = 1
 
@@ -131,11 +132,8 @@ def _verify_graph(item: dict, problems: list[str]) -> bool:
     if not ok:
         problems.append("row sums do not match the generator count")
     coeffs = [decode_count(c) for c in item["charpoly"]]
-    if len(coeffs) != n + 1 or coeffs[0] != 1:
-        problems.append("characteristic polynomial has wrong shape")
-        ok = False
-    elif n and coeffs[1] != -sum(adj[i][i] for i in range(n)):
-        problems.append("t^(n-1) coefficient disagrees with the loop count")
+    if coeffs != list(charpoly_modular(adj).coefficients):
+        problems.append("characteristic polynomial disagrees with the one recomputed from the edges")
         ok = False
     if ok != item["holds"]:
         problems.append("graph holds flag is wrong")
@@ -244,14 +242,18 @@ def verify_report(report: dict) -> list[str]:
         problems.append("unknown schema version")
         return problems
     all_hold = True
-    for item in report["items"]:
-        verifier = _VERIFIERS.get(item.get("kind"))
+    for i, item in enumerate(report["items"]):
+        kind = item.get("kind") if isinstance(item, dict) else None
+        verifier = _VERIFIERS.get(kind)
         if verifier is None:
-            problems.append(f"no verifier for item kind {item.get('kind')!r}")
+            problems.append(f"no verifier for item kind {kind!r}")
             all_hold = False
             continue
-        if not verifier(item, problems):
-            all_hold = False
+        try:
+            if not verifier(item, problems):
+                all_hold = False
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            problems.append(f"item {i} ({kind}) is malformed: {type(exc).__name__}: {exc}")
         if not item.get("holds", True):
             all_hold = False
     verdict = report["summary"].get("verdict")

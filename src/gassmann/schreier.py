@@ -2,15 +2,22 @@
 
 Cosets are right cosets Hg acted on by g -> gs; vertex labels are the
 lexicographically minimal coset members, so graphs are deterministic.
-Characteristic polynomials are computed division-free (Berkowitz) and
-cross-checkable against a memoized cofactor expansion and against
-fraction-free integer determinants at sample points.
+Characteristic polynomials are computed by Hessenberg reduction modulo
+known primes and lifted by CRT past a bound on the coefficients; the
+division-free Berkowitz route, a memoized cofactor expansion and
+fraction-free integer determinants at sample points stay as oracles.
+Isomorphism compares canonical colour-refinement invariants, cached per
+graph, and searches by individualising and refining only when they agree;
+a plain permutation search is the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from math import comb
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded, SpecMismatch
@@ -81,6 +88,11 @@ class CosetGraph:
                     seen.add(v)
                     frontier.append(v)
         return len(seen) == self.n
+
+    @cached_property
+    def refinement(self) -> tuple[tuple, tuple[int, ...]]:
+        """(invariant, colours) of canonical colour refinement from a single colour."""
+        return _refine(self.adjacency, _neighbor_lists(self.adjacency), [0] * self.n)
 
     def edge_list(self) -> list[tuple[int, int, int]]:
         """(u, v, multiplicity) with u <= v, loops included."""
@@ -290,12 +302,104 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+# Known primes in increasing size (a test checks them): Mersenne primes
+# 2^e - 1, with the NIST P-192, P-224 and P-384 primes and 2^255 - 19 in the
+# gap between 2^127 and 2^521.  A smaller prime makes a cheaper pass, so a
+# charpoly takes the smallest prime that covers its bound alone, and only a
+# bound past the largest one needs CRT over several, largest first.
+_PRIMES = (
+    2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1,
+    2**192 - 2**64 - 1, 2**224 - 2**96 + 1, 2**255 - 19,
+    2**384 - 2**128 - 2**96 + 2**32 - 1,
+) + tuple((1 << e) - 1 for e in (521, 607, 1279, 2203, 2281, 3217, 4253, 4423))
+
+
+def _charpoly_mod(matrix: Sequence[Sequence[int]], p: int) -> list[int]:
+    """det(tI - A) mod p, t^n first.
+
+    Reduces A to upper Hessenberg form by similarity over GF(p), swapping a
+    nonzero pivot onto the subdiagonal, then runs the recurrence for the
+    charpoly of each leading block.  A similarity over a field is exact, so
+    every prime gives the true charpoly mod p.
+    """
+    n = len(matrix)
+    a = [[x % p for x in row] for row in matrix]
+    for j in range(n - 2):
+        k = j + 1
+        pivot_row = next((i for i in range(k, n) if a[i][j]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            for row in a:
+                row[k], row[pivot_row] = row[pivot_row], row[k]
+        inv = pow(a[k][j], -1, p)
+        # rows below k vanish left of column j, and so does the pivot row
+        pivot = a[k][k:]
+        factors = []
+        for i in range(k + 1, n):
+            row = a[i]
+            u = row[j] * inv % p
+            factors.append(u)
+            if u:
+                row[j] = 0
+                row[k:] = [(x - u * y) % p for x, y in zip(row[k:], pivot)]
+        if any(factors):
+            # the inverse transform on the right: column k += sum u_i column i
+            for row in a:
+                row[k] = (row[k] + sum(map(mul, factors, row[k + 1:]))) % p
+    # blocks[m] is the charpoly of the leading m x m block, low degree first
+    blocks = [[1]]
+    for m in range(n):
+        prev = blocks[m]
+        diag = a[m][m]
+        acc = [0] + prev
+        acc[:m + 1] = [x - diag * y for x, y in zip(acc, prev)]
+        sub = 1
+        for i in range(m - 1, -1, -1):
+            sub = sub * a[i + 1][i] % p
+            if not sub:
+                break
+            c = a[i][m] * sub % p
+            if c:
+                acc[:i + 1] = [x - c * y for x, y in zip(acc, blocks[i])]
+        blocks.append([x % p for x in acc])
+    return blocks[n][::-1]
+
+
+def charpoly_modular(matrix: Sequence[Sequence[int]]) -> SpectrumPolynomial:
+    """Characteristic polynomial of an integer matrix by Hessenberg mod primes and CRT.
+
+    Each coefficient of t^(n-k) is a signed sum of C(n,k) principal k x k
+    minors, each at most d^k in absolute value for d the largest absolute
+    row sum.  The primes' product must exceed twice that bound, and the
+    residues are lifted to the symmetric range.
+    """
+    n = len(matrix)
+    d = max((sum(abs(x) for x in row) for row in matrix), default=0)
+    bound = max(comb(n, k) * d**k for k in range(n + 1))
+    single = next((p for p in _PRIMES if p > 2 * bound), None)
+    lifted = [0] * (n + 1)
+    modulus = 1
+    for p in (single,) if single else reversed(_PRIMES):
+        inv = pow(modulus, -1, p)
+        lifted = [
+            x + modulus * ((r - x) * inv % p)
+            for x, r in zip(lifted, _charpoly_mod(matrix, p))
+        ]
+        modulus *= p
+        if modulus > 2 * bound:
+            half = modulus // 2
+            return SpectrumPolynomial(tuple(x - modulus if x > half else x for x in lifted))
+    raise SizeCapExceeded("characteristic polynomial coefficients exceed the known primes")
+
+
 def char_poly(graph: CosetGraph, cap: Optional[int] = None) -> SpectrumPolynomial:
     """Exact characteristic polynomial of the adjacency matrix."""
     limit = DEFAULT_VERTEX_CAP if cap is None else cap
     if graph.n > limit:
         raise SizeCapExceeded(f"{graph.n} vertices exceed cap {limit}")
-    return charpoly_berkowitz(graph.adjacency)
+    return charpoly_modular(graph.adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -328,26 +432,80 @@ def isospectral(sub_h, sub_k, gens: Sequence[GroupElement],
     return IsospectralResult(poly_h.coefficients == poly_k.coefficients, poly_h, poly_k)
 
 
-def _refine_colors(adj: Sequence[Sequence[int]]) -> list[int]:
-    """Stable 1-WL coloring with edge multiplicities; deterministic ids."""
-    n = len(adj)
-    colors = [0] * n
-    signature = [(adj[v][v], tuple(sorted(adj[v]))) for v in range(n)]
-    order = {sig: i for i, sig in enumerate(sorted(set(signature)))}
-    colors = [order[sig] for sig in signature]
+def _neighbor_lists(adj) -> list[list[tuple[int, int]]]:
+    """Per vertex, (vertex, multiplicity) for each nonzero adjacency entry, in vertex order."""
+    return [[(u, mult) for u, mult in enumerate(row) if mult] for row in adj]
+
+
+def _refine(adj, neighbors, colors: Sequence[int]) -> tuple[tuple, tuple[int, ...]]:
+    """Canonical colour refinement (1-WL with multiplicities and loops).
+
+    Each round colours a vertex by the index of its signature (own colour,
+    loop count, then its sorted (neighbour colour, multiplicity) pairs) in the
+    round's sorted list of distinct signatures, until no class splits.  Ids
+    depend on signatures alone, so when two graphs give equal invariants
+    (the per-round signature lists plus the final colour histogram) a
+    colour id means the same in both.  Returns (invariant, colours).
+    """
+    rounds = []
+    classes = len(set(colors))
     while True:
-        signature = [
-            (
-                colors[v],
-                tuple(sorted((adj[v][u], colors[u]) for u in range(n) if adj[v][u])),
-            )
-            for v in range(n)
-        ]
-        order = {sig: i for i, sig in enumerate(sorted(set(signature)))}
-        new_colors = [order[sig] for sig in signature]
-        if new_colors == colors:
-            return colors
-        colors = new_colors
+        signatures = []
+        for v, nbrs in enumerate(neighbors):
+            pairs = sorted([(colors[u], mult) for u, mult in nbrs])
+            # flat rather than nested pairs: a third of the memory kept per graph
+            signatures.append((colors[v], adj[v][v], *chain.from_iterable(pairs)))
+        distinct = sorted(set(signatures))
+        rounds.append(tuple(distinct))
+        ids = {sig: i for i, sig in enumerate(distinct)}
+        colors = [ids[sig] for sig in signatures]
+        if len(distinct) == classes:
+            break
+        classes = len(distinct)
+    histogram = [0] * classes
+    for c in colors:
+        histogram[c] += 1
+    return (tuple(rounds), tuple(histogram)), tuple(colors)
+
+
+def _individualize(colors: Sequence[int], v: int) -> list[int]:
+    """Split v off its colour class, keeping the order of the other classes."""
+    return [2 * c + (w == v) for w, c in enumerate(colors)]
+
+
+def _search(adj1, adj2, nbrs1, nbrs2, colors1: Sequence[int],
+            colors2: Sequence[int]) -> Optional[list[int]]:
+    """Individualise-and-refine search for an isomorphism respecting the colours.
+
+    The colourings come from refinements with equal invariants.  At a
+    discrete colouring the matching is forced and checked on the edges;
+    otherwise one vertex of the smallest non-singleton cell of g1 is
+    individualised against each vertex of the same cell of g2, and a branch
+    survives only if both refinements give the same invariant.
+    """
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colors1):
+        cells.setdefault(c, []).append(v)
+    if len(cells) == len(colors1):
+        position = {c: u for u, c in enumerate(colors2)}
+        witness = [position[c] for c in colors1]
+        if all(
+            sorted((witness[w], mult) for w, mult in nbrs1[v]) == nbrs2[witness[v]]
+            for v in range(len(witness))
+        ):
+            return witness
+        return None
+    _, target = min((len(cell), c) for c, cell in cells.items() if len(cell) > 1)
+    invariant, refined1 = _refine(adj1, nbrs1, _individualize(colors1, cells[target][0]))
+    for u, c in enumerate(colors2):
+        if c != target:
+            continue
+        other, refined2 = _refine(adj2, nbrs2, _individualize(colors2, u))
+        if other == invariant:
+            witness = _search(adj1, adj2, nbrs1, nbrs2, refined1, refined2)
+            if witness is not None:
+                return witness
+    return None
 
 
 def _permutation_matches(adj1, adj2, mapping, u, v) -> bool:
@@ -386,7 +544,7 @@ def verify_witness(adj1, adj2, witness: Sequence[int]) -> bool:
 
 def are_isomorphic(g1: CosetGraph, g2: CosetGraph,
                    cap: int = DEFAULT_ISO_CAP) -> IsomorphismResult:
-    """Exact isomorphism via color refinement plus backtracking."""
+    """Exact isomorphism: refinement invariants first, then individualise and refine."""
     if g1.n != g2.n:
         return IsomorphismResult(False, None)
     n = g1.n
@@ -395,39 +553,17 @@ def are_isomorphic(g1: CosetGraph, g2: CosetGraph,
     adj1, adj2 = g1.adjacency, g2.adjacency
     if adj1 == adj2:
         return IsomorphismResult(True, tuple(range(n)))
-    colors1 = _refine_colors(adj1)
-    colors2 = _refine_colors(adj2)
-    if sorted(colors1) != sorted(colors2):
+    invariant1, colors1 = g1.refinement
+    invariant2, colors2 = g2.refinement
+    if invariant1 != invariant2:
         return IsomorphismResult(False, None)
-    class_size = {c: colors1.count(c) for c in set(colors1)}
-    order = sorted(range(n), key=lambda v: (class_size[colors1[v]], colors1[v], v))
-    candidates = {
-        v: [u for u in range(n) if colors2[u] == colors1[v]] for v in range(n)
-    }
-    mapping: list[Optional[int]] = [None] * n
-    used = [False] * n
-
-    def backtrack(idx: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        for u in candidates[v]:
-            if used[u] or not _permutation_matches(adj1, adj2, mapping, v, u):
-                continue
-            mapping[v] = u
-            used[u] = True
-            if backtrack(idx + 1):
-                return True
-            mapping[v] = None
-            used[u] = False
-        return False
-
-    if backtrack(0):
-        witness = tuple(mapping)  # type: ignore[arg-type]
-        if not verify_witness(adj1, adj2, witness):
-            raise SelfCheckFailed("isomorphism witness does not map edges onto edges")
-        return IsomorphismResult(True, witness)
-    return IsomorphismResult(False, None)
+    found = _search(adj1, adj2, _neighbor_lists(adj1), _neighbor_lists(adj2), colors1, colors2)
+    if found is None:
+        return IsomorphismResult(False, None)
+    witness = tuple(found)
+    if not verify_witness(adj1, adj2, witness):
+        raise SelfCheckFailed("isomorphism witness does not map edges onto edges")
+    return IsomorphismResult(True, witness)
 
 
 def are_isomorphic_bruteforce(g1: CosetGraph, g2: CosetGraph,

@@ -6,6 +6,7 @@ from pathlib import Path
 
 from conftest import run_cli
 
+from gassmann import cli
 from gassmann.reports import render_table, verify_report
 
 
@@ -33,6 +34,18 @@ def test_certify_2_2_passes_and_self_verifies():
     assert family["mode"] == "all-twists"
     assert len(family["profiles"]) == 16 and family["pair_count"] == 120
     dichotomy = items["conjugacy-dichotomy"]
+    assert dichotomy["bruteforce_checked"] and dichotomy["structural_equals_bruteforce"]
+
+
+def test_certify_single_subgroup_skips_the_conjugator_oracle(monkeypatch):
+    # one subgroup leaves no pair to compare, so the oracle's keys are never needed
+    def refuse(*args):
+        raise AssertionError("conjugator oracle called with a single subgroup")
+
+    monkeypatch.setattr(cli, "_bruteforce_subgroup_keys", refuse)
+    report = cli.cmd_certify(17, 1)
+    assert report["summary"]["verdict"] == "pass"
+    dichotomy = report["items"][2]
     assert dichotomy["bruteforce_checked"] and dichotomy["structural_equals_bruteforce"]
 
 
@@ -331,6 +344,19 @@ def test_verify_report_without_summary_exits_2(tmp_path):
     _one_line_error(err, "SpecMismatch")
 
 
+def test_verify_malformed_item_reports_one_problem(tmp_path):
+    _, out, _ = run_cli("certify", "--p", "2", "--m", "1")
+    report = json.loads(out)
+    family = next(item for item in report["items"] if item["kind"] == "gassmann-family")
+    del family["profiles"]
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run_cli("verify", str(path))
+    assert code == 1 and out == "verification failed\n"
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("problem: item 1 (gassmann-family) is malformed: KeyError")
+
+
 def test_jsonl_format_outside_places_exits_2():
     code, out, err = run_cli("certify", "--p", "2", "--m", "1", "--format", "jsonl")
     assert code == 2 and out == ""
@@ -345,3 +371,19 @@ def test_optimized_interpreter_writes_identical_report():
     optimized = subprocess.run([sys.executable, "-O", *argv], env=env,
                                capture_output=True, check=True)
     assert plain.stdout and optimized.stdout == plain.stdout
+
+
+def test_graph_and_certify_commands_do_not_import_numpy():
+    # numpy would raise every process's peak RSS by about 11 MB
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = (
+        "import contextlib, io, sys\n"
+        "from gassmann import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['graphs', '--p', '2', '--m', '2']),\n"
+        "             cli.main(['certify', '--p', '2', '--m', '2'])]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[0, 0] False\n"

@@ -61,3 +61,15 @@ def test_verify_report_rejects_witness_tampering():
     witness = iso_items[0]["witness"]
     witness[0] = witness[1]  # no longer a permutation
     assert verify_report(report)
+
+
+def test_verify_report_recomputes_coset_graph_charpolys():
+    code, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
+    assert code == 0
+    report = json.loads(out)
+    graph = next(item for item in report["items"] if item["kind"] == "coset-graph")
+    coeffs = graph["charpoly"]
+    middle = len(coeffs) // 2
+    coeffs[middle] = int(coeffs[middle]) + 1  # shape and trace still look right
+    problems = verify_report(report)
+    assert any("recomputed from the edges" in problem for problem in problems)

@@ -2,6 +2,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gassmann import schreier
 from gassmann.certify import enumerate_class_reps
@@ -14,8 +16,9 @@ from gassmann.heisenberg import (
     twisted_subgroup,
     whole_group,
 )
-from gassmann.rings import LinearMap, make_field
+from gassmann.rings import LinearMap, make_field, make_trunc_ring
 from gassmann.schreier import (
+    CosetGraph,
     are_isomorphic,
     are_isomorphic_bruteforce,
     bareiss_determinant,
@@ -23,6 +26,7 @@ from gassmann.schreier import (
     char_poly,
     charpoly_berkowitz,
     charpoly_cofactor,
+    charpoly_modular,
     default_generators,
     isospectral,
     verify_witness,
@@ -35,9 +39,33 @@ G4 = heisenberg_group(F4)
 GENS4 = default_generators(G4)
 
 
-def _rep_graphs():
-    subs = [twisted_subgroup(f, G4) for f in enumerate_class_reps(F4).reps]
-    return [build_coset_graph(s, GENS4) for s in subs]
+def _rep_graphs(spec=F4):
+    group = heisenberg_group(spec)
+    gens = default_generators(group)
+    subs = [twisted_subgroup(f, group) for f in enumerate_class_reps(spec).reps]
+    return [build_coset_graph(s, gens) for s in subs]
+
+
+def _synthetic(adjacency):
+    """A CosetGraph carrying an arbitrary adjacency matrix (up to 64 vertices)."""
+    adjacency = tuple(tuple(row) for row in adjacency)
+    return CosetGraph(
+        group=G4,
+        subgroup_label="synthetic",
+        gens=GENS4[:2],
+        vertices=G4.elements[:len(adjacency)],
+        adjacency=adjacency,
+    )
+
+
+def _relabel(adjacency, perm):
+    """The adjacency of the graph whose vertex perm[u] is vertex u of the input."""
+    n = len(adjacency)
+    out = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for w in range(n):
+            out[perm[u]][perm[w]] = adjacency[u][w]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +182,80 @@ def test_charpoly_16_vertex_cross_checked_against_cofactor_oracle():
         assert char_poly(graph).coefficients == charpoly_cofactor(graph.adjacency).coefficients
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_modular_charpoly_equals_berkowitz_on_random_integer_matrices(matrix):
+    assert charpoly_modular(matrix).coefficients == charpoly_berkowitz(matrix).coefficients
+
+
+@pytest.mark.parametrize("matrix", [
+    [],
+    [[-3]],
+    [[0] * 5 for _ in range(5)],
+    # zero subdiagonal and nothing below it: no pivot in any column
+    [[1, 2, 3, 4], [0, 5, 6, 7], [0, 0, 8, 9], [0, 0, 0, -1]],
+    # zero subdiagonal with nonzeros further down: the pivot needs a swap
+    [[1, 2, 3, 4], [0, 5, 6, 7], [3, 0, 8, 9], [0, 2, 0, -1]],
+])
+def test_modular_charpoly_edge_cases(matrix):
+    assert charpoly_modular(matrix).coefficients == charpoly_berkowitz(matrix).coefficients
+
+
+@pytest.mark.parametrize("n, size, passes", [(20, 10**6, 1), (12, 2**400, 2)])
+def test_modular_charpoly_on_large_coefficients(n, size, passes, monkeypatch):
+    # 20 x 20 near 10^6 takes a single 521-bit prime; 12 x 12 near 2^400 has
+    # a bound past every prime, so it goes through CRT
+    rng = random.Random(20)
+    matrix = [[rng.choice((-1, 1)) * rng.randrange(size - 100, size + 100)
+               for _ in range(n)] for _ in range(n)]
+    primes = []
+    one_pass = schreier._charpoly_mod
+    monkeypatch.setattr(schreier, "_charpoly_mod",
+                        lambda m, p: primes.append(p) or one_pass(m, p))
+    poly = charpoly_modular(matrix)
+    assert len(primes) == passes
+    assert max(abs(c) for c in poly.coefficients) > 2**127
+    assert poly.coefficients == charpoly_berkowitz(matrix).coefficients
+
+
+@pytest.mark.parametrize("spec", [F4, make_trunc_ring(2, 2), make_field(3, 1)],
+                         ids=["GF4", "F2[t]/t^2", "GF3"])
+def test_modular_charpoly_equals_berkowitz_on_coset_graphs(spec):
+    for graph in _rep_graphs(spec):
+        assert char_poly(graph).coefficients == charpoly_berkowitz(graph.adjacency).coefficients
+
+
+def test_known_primes_are_prime():
+    for p in schreier._PRIMES:
+        if (p + 1) & p == 0:  # Mersenne 2^e - 1: Lucas-Lehmer
+            e = p.bit_length()
+            s = 4
+            for _ in range(e - 2):
+                s = (s * s - 2) % p
+            assert s == 0, e
+        else:  # strong probable prime to the first twelve prime bases
+            d, r = p - 1, 0
+            while d % 2 == 0:
+                d, r = d // 2, r + 1
+            for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+                x = pow(a, d, p)
+                if x in (1, p - 1):
+                    continue
+                for _ in range(r - 1):
+                    x = x * x % p
+                    if x == p - 1:
+                        break
+                assert x == p - 1, p
+
+
+def test_modular_charpoly_past_the_known_primes_raises():
+    big = 2 ** 2000
+    with pytest.raises(SizeCapExceeded):
+        charpoly_modular([[big] * 12 for _ in range(12)])
+
+
 def test_charpoly_cap():
     graph = build_coset_graph(horizontal_subgroup(G4), GENS4)
     with pytest.raises(SizeCapExceeded):
@@ -202,19 +304,8 @@ def test_identical_graphs_are_isomorphic_with_identity_witness():
 
 
 def test_different_loop_counts_not_isomorphic():
-    from gassmann.schreier import CosetGraph
-
-    def tiny(adjacency):
-        return CosetGraph(
-            group=G4,
-            subgroup_label="synthetic",
-            gens=GENS4[:2],
-            vertices=G4.elements[:2],
-            adjacency=adjacency,
-        )
-
-    with_loops = tiny(((2, 0), (0, 2)))  # 4 loops, 2-regular
-    mixed = tiny(((1, 1), (1, 1)))       # 2 loops, 2-regular
+    with_loops = _synthetic(((2, 0), (0, 2)))  # 4 loops, 2-regular
+    mixed = _synthetic(((1, 1), (1, 1)))       # 2 loops, 2-regular
     assert not are_isomorphic(with_loops, mixed).isomorphic
     assert not are_isomorphic_bruteforce(with_loops, mixed).isomorphic
 
@@ -246,6 +337,71 @@ def test_conjugate_subgroups_give_isomorphic_graphs():
         build_coset_graph(sub, GENS4), build_coset_graph(moved, GENS4)
     )
     assert res.isomorphic
+
+
+def _multigraphs(n):
+    """Symmetric adjacency matrices with loops and multiplicities up to 2."""
+    cells = n * (n + 1) // 2
+    return st.lists(st.integers(0, 2), min_size=cells, max_size=cells).map(
+        lambda flat: _symmetric(n, flat))
+
+
+def _symmetric(n, flat):
+    adj = [[0] * n for _ in range(n)]
+    cells = iter(flat)
+    for u in range(n):
+        for w in range(u, n):
+            adj[u][w] = adj[w][u] = next(cells)
+    return adj
+
+
+def _check_against_oracle(adj1, adj2):
+    g1, g2 = _synthetic(adj1), _synthetic(adj2)
+    fast = are_isomorphic(g1, g2)
+    slow = are_isomorphic_bruteforce(g1, g2)
+    assert fast.isomorphic == slow.isomorphic
+    if fast.isomorphic:
+        assert verify_witness(g1.adjacency, g2.adjacency, fast.witness)
+    return fast
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(_multigraphs(n), _multigraphs(n))))
+def test_isomorphism_equals_bruteforce_on_random_multigraphs(pair):
+    _check_against_oracle(*pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(_multigraphs(n), st.permutations(range(n)))))
+def test_isomorphism_finds_randomly_relabelled_copies(case):
+    adj, perm = case
+    assert _check_against_oracle(adj, _relabel(adj, perm)).isomorphic
+
+
+def _simple_graph(n, edges):
+    adj = [[0] * n for _ in range(n)]
+    for u, w in edges:
+        adj[u][w] = adj[w][u] = 1
+    return adj
+
+
+C6 = _simple_graph(6, [(i, (i + 1) % 6) for i in range(6)])
+TWO_TRIANGLES = _simple_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+PRISM = _simple_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                          (0, 3), (1, 4), (2, 5)])
+K33 = _simple_graph(6, [(u, w) for u in range(3) for w in range(3, 6)])
+
+
+@pytest.mark.parametrize("left, right", [(C6, TWO_TRIANGLES), (K33, PRISM)],
+                         ids=["C6-vs-2K3", "K33-vs-prism"])
+def test_equal_refinement_invariants_are_separated_by_the_search(left, right):
+    g1, g2 = _synthetic(left), _synthetic(right)
+    assert g1.refinement[0] == g2.refinement[0]  # refinement alone cannot tell them apart
+    assert not are_isomorphic(g1, g2).isomorphic
+    assert not are_isomorphic_bruteforce(g1, g2).isomorphic
+    perm = [3, 5, 0, 4, 1, 2]
+    assert are_isomorphic(g1, _synthetic(_relabel(left, perm))).isomorphic
 
 
 def test_isomorphism_cap():
