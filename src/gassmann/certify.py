@@ -125,22 +125,42 @@ def are_conjugate(f: LinearMap, g: LinearMap, spec: RingSpec) -> bool:
     return is_mult_map(f - g, spec) is not None
 
 
+def bruteforce_subgroup_keys(group: Heisenberg, subgroups) -> list:
+    """Conjugator oracle: per subgroup, the least sorted image of H under all of G.
+
+    Two subgroups get equal keys exactly when some g in G conjugates one
+    onto the other.  The union U of the subgroups' elements is conjugated
+    once by every g, through ``group.mul`` and ``group.inv`` alone, and the
+    distinct resulting actions on U are kept.  g H g^-1 depends only on how
+    g acts on H, a subset of U, so each key is the least sorted image of H
+    over those actions: |G|.|U| conjugations, never more than conjugating
+    every subgroup separately, and no structural shortcut.
+    """
+    pool = sorted(set().union(*(sub.elements for sub in subgroups)))
+    mul = group.mul
+    actions = set()
+    for g in group.elements:
+        g_inv = group.inv(g)
+        actions.add(tuple(mul(mul(g, u), g_inv) for u in pool))
+    position = {u: i for i, u in enumerate(pool)}
+    keys = []
+    for sub in subgroups:
+        slots = [position[h] for h in sub.elements]
+        keys.append(min(tuple(sorted(act[i] for i in slots)) for act in actions))
+    return keys
+
+
 def are_conjugate_bruteforce(sub_h: TwistedSubgroup, sub_k: TwistedSubgroup,
                              cap: Optional[int] = None) -> bool:
-    """Search every group element for one conjugating H_f onto H_g elementwise."""
+    """Conjugator oracle for one pair: do their ``bruteforce_subgroup_keys`` agree?"""
     if sub_h.group != sub_k.group:
         raise SpecMismatch("subgroups live in different groups")
     group = sub_h.group
     limit = size_cap() if cap is None else cap
     if group.order > limit:
         raise SizeCapExceeded(f"group order {group.order} exceeds cap {limit}")
-    target = sub_k.elements
-    mul = group.mul
-    for g in group.elements:
-        g_inv = group.inv(g)
-        if frozenset(mul(mul(g, h), g_inv) for h in sub_h.elements) == target:
-            return True
-    return False
+    key_h, key_k = bruteforce_subgroup_keys(group, [sub_h, sub_k])
+    return key_h == key_k
 
 
 # ---------------------------------------------------------------------------

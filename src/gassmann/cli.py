@@ -21,7 +21,7 @@ from . import planner as pl
 from . import reports as rp
 from . import schreier as sg
 from .errors import GassmannError, NotGenerating, SpecMismatch, UsageError
-from .heisenberg import Heisenberg, heisenberg_group, twisted_subgroup
+from .heisenberg import heisenberg_group, twisted_subgroup
 from .places import choose_modulus, residue_degree, residue_degree_subgroup, scan_places
 from .rings import make_field, make_trunc_ring, primes_up_to, size_cap
 
@@ -40,18 +40,9 @@ def _subgroup_family(spec, mode: str):
     return group, [twisted_subgroup(f, group) for f in maps]
 
 
-def _bruteforce_subgroup_keys(group: Heisenberg, subgroups) -> list:
-    """Canonical key per subgroup under elementwise conjugation by all of G."""
-    mul = group.mul
-    conjugators = [(g, group.inv(g)) for g in group.elements]
-    keys = []
-    for sub in subgroups:
-        orbit = {
-            tuple(sorted(mul(mul(g, h), g_inv) for h in sub.elements))
-            for g, g_inv in conjugators
-        }
-        keys.append(min(orbit))
-    return keys
+# The conjugator oracle of certify.bruteforce_subgroup_keys, bound here so that
+# cmd_certify looks it up through this module and a caller can replace it.
+_bruteforce_subgroup_keys = cz.bruteforce_subgroup_keys
 
 
 def cmd_certify(p: int, m: int, cap: Optional[int] = None) -> dict:
@@ -167,8 +158,10 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None,
     polys = [sg.char_poly(g) for g in graphs]
 
     exports: dict[str, str] = {}
+    edges = []  # [[u, v, mult], ...] per graph, shared by every item that lists it
     for k, (graph, poly) in enumerate(zip(graphs, polys)):
         item = graph.to_json()
+        edges.append(item["edges"])
         item.update(
             {
                 "kind": "coset-graph",
@@ -180,7 +173,7 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None,
         report["items"].append(item)
         exports[f"rep_{k}.dot"] = graph.to_dot(f"rep_{k}")
         exports[f"rep_{k}.edges"] = (
-            "\n".join(f"{u} {v} {mult}" for u, v, mult in graph.edge_list()) + "\n"
+            "\n".join(f"{u} {v} {mult}" for u, v, mult in edges[k]) + "\n"
         )
         exports[f"rep_{k}.charpoly.json"] = json.dumps(poly.to_json(), sort_keys=True) + "\n"
 
@@ -202,8 +195,8 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None,
                     "kind": "isomorphism",
                     "pair": [i, j],
                     "vertices": graphs[i].n,
-                    "edges_left": [[u, v, mult] for u, v, mult in graphs[i].edge_list()],
-                    "edges_right": [[u, v, mult] for u, v, mult in graphs[j].edge_list()],
+                    "edges_left": edges[i],
+                    "edges_right": edges[j],
                     "isomorphic": iso.isomorphic,
                     "witness": list(iso.witness) if iso.witness else None,
                     "holds": True,

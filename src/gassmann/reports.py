@@ -106,6 +106,14 @@ def _verify_class_count(item: dict, problems: list[str]) -> bool:
 
 
 def _verify_conjugacy(item: dict, problems: list[str]) -> bool:
+    conjugate_pairs = item["structural_conjugate_pairs"]
+    if not 0 <= conjugate_pairs <= item["pairs"]:
+        problems.append("structural_conjugate_pairs is outside [0, pairs]")
+        return False
+    if ("reps_pairwise_nonconjugate" in item
+            and item["reps_pairwise_nonconjugate"] != (conjugate_pairs == 0)):
+        problems.append("reps_pairwise_nonconjugate disagrees with structural_conjugate_pairs")
+        return False
     ok = item["structural_equals_bruteforce"] if item["bruteforce_checked"] else True
     if item.get("reps_pairwise_nonconjugate") is False:
         ok = False

@@ -10,6 +10,7 @@ from gassmann.certify import (
     ambient_class_count,
     are_conjugate,
     are_conjugate_bruteforce,
+    bruteforce_subgroup_keys,
     canonical_twist,
     enumerate_class_reps,
     gl3_conjugable_bruteforce,
@@ -23,14 +24,20 @@ from gassmann.certify import (
     tower_class_count,
     twist_orbit_count_bruteforce,
 )
-from gassmann.cli import _bruteforce_subgroup_keys
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gassmann import cli
 from gassmann.errors import SizeCapExceeded, SpecMismatch
 from gassmann.heisenberg import (
+    Heisenberg,
     center_subgroup,
     conjugate_subgroup,
     heisenberg_group,
     horizontal_subgroup,
+    trivial_subgroup,
     twisted_subgroup,
+    whole_group,
 )
 from gassmann.rings import LinearMap, make_field, make_trunc_ring, mult_matrix
 
@@ -163,7 +170,7 @@ def test_structural_equals_bruteforce_exhaustive_at_scale(spec):
     table = group.conjugacy_classes()
     profiles = [intersection_profile(s, table) for s in subs]
     assert all(p == profiles[0] for p in profiles[1:])  # Gassmann, forward direction
-    keys = _bruteforce_subgroup_keys(group, subs)
+    keys = bruteforce_subgroup_keys(group, subs)
     assert len(set(keys)) == spec.p ** (spec.m * (spec.m - 1))
     for i in range(len(maps)):
         for j in range(i + 1, len(maps)):
@@ -175,6 +182,70 @@ def test_bruteforce_cap():
     h0 = horizontal_subgroup(group)
     with pytest.raises(SizeCapExceeded):
         are_conjugate_bruteforce(h0, h0, cap=10)
+
+
+def test_cli_binds_the_one_conjugator_oracle():
+    assert cli._bruteforce_subgroup_keys is bruteforce_subgroup_keys
+
+
+@pytest.mark.parametrize(
+    "spec", [make_trunc_ring(2, 2), make_trunc_ring(2, 3), make_trunc_ring(3, 2)], ids=repr
+)
+def test_oracle_partition_equals_structural_on_truncated_rings(spec):
+    # the class reps plus one shifted copy of each, so the partition has
+    # conjugate pairs as well as non-conjugate ones
+    group = heisenberg_group(spec)
+    reps = list(enumerate_class_reps(spec).reps)
+    shift = mult_matrix(spec.elements[1], spec)
+    maps = reps + [f - shift for f in reps]
+    keys = bruteforce_subgroup_keys(group, [twisted_subgroup(f, group) for f in maps])
+    assert len(set(keys)) == len(reps)
+    for i in range(len(maps)):
+        for j in range(i + 1, len(maps)):
+            assert (keys[i] == keys[j]) == are_conjugate(maps[i], maps[j], spec)
+
+
+@pytest.mark.parametrize("spec", [F2, F4, make_trunc_ring(2, 2)], ids=repr)
+def test_oracle_keys_normal_subgroups_by_their_own_elements(spec):
+    group = heisenberg_group(spec)
+    subs = [center_subgroup(group), whole_group(group), trivial_subgroup(group)]
+    keys = bruteforce_subgroup_keys(group, subs)
+    assert keys == [sub.sorted_elements for sub in subs]
+
+
+_HYPOTHESIS_RINGS = [F4, F8, make_trunc_ring(2, 3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_HYPOTHESIS_RINGS), st.data())
+def test_oracle_key_is_conjugation_invariant(spec, data):
+    group = heisenberg_group(spec)
+    f = data.draw(st.sampled_from(list(all_linear_maps(spec))))
+    g = data.draw(st.sampled_from(group.elements))
+    sub = twisted_subgroup(f, group)
+    moved = conjugate_subgroup(g, sub)
+    assert bruteforce_subgroup_keys(group, [sub]) == bruteforce_subgroup_keys(group, [moved])
+
+
+def test_oracle_conjugates_the_union_once_per_group_element(monkeypatch):
+    # |G|.|U| conjugations at two products each, plus one inverse per g;
+    # conjugating each subgroup separately would cost |G|.sum|H| instead
+    group = heisenberg_group(F8)
+    subs = [twisted_subgroup(f, group) for f in enumerate_class_reps(F8).reps]
+    union = set().union(*(sub.elements for sub in subs))
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Heisenberg, "mul", counted(Heisenberg.mul))
+    monkeypatch.setattr(Heisenberg, "inv", counted(Heisenberg.inv))
+    keys = bruteforce_subgroup_keys(group, subs)
+    assert len(subs) == len(set(keys)) == 64
+    assert 0 < calls[0] <= 2 * group.order * len(union) + group.order
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,28 @@ def test_graphs_2_2_default_generators(tmp_path):
     assert verify_report(json.loads((out_dir / "report.json").read_text())) == []
 
 
+def test_graphs_lists_each_graph_edges_once(monkeypatch):
+    # the coset-graph item, the .edges export and every isomorphism item
+    # share one edge list per graph
+    calls = [0]
+    edge_list = cli.sg.CosetGraph.edge_list
+
+    def counted(graph):
+        calls[0] += 1
+        return edge_list(graph)
+
+    monkeypatch.setattr(cli.sg.CosetGraph, "edge_list", counted)
+    report, exports = cli.cmd_graphs(2, 2)
+    graphs = [item for item in report["items"] if item["kind"] == "coset-graph"]
+    assert len(graphs) == 4 and calls[0] <= 3 * len(graphs)
+    for item in report["items"]:
+        if item["kind"] == "isomorphism":
+            left, right = item["pair"]
+            assert item["edges_left"] == graphs[left]["edges"]
+            assert item["edges_right"] == graphs[right]["edges"]
+    assert exports["rep_1.edges"].splitlines()[0] == " ".join(map(str, graphs[1]["edges"][0]))
+
+
 def test_graphs_single_class_vacuous_pairwise():
     code, out, _ = run_cli("graphs", "--p", "2", "--m", "1")
     assert code == 0
@@ -277,6 +299,19 @@ def test_verify_subcommand_detects_tampering(tmp_path):
     bad.write_text(json.dumps(report))
     code, msg, err = run_cli("verify", str(bad))
     assert code == 1 and "failed" in msg
+
+
+def test_verify_rejects_tampered_structural_conjugate_pairs(tmp_path):
+    _, out, _ = run_cli("certify", "--p", "2", "--m", "3")
+    report = json.loads(out)
+    dichotomy = next(item for item in report["items"] if item["kind"] == "conjugacy-dichotomy")
+    assert dichotomy["structural_conjugate_pairs"] == 0
+    dichotomy["structural_conjugate_pairs"] = 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    code, msg, err = run_cli("verify", str(bad))
+    assert code == 1 and "failed" in msg
+    assert "reps_pairwise_nonconjugate" in err
 
 
 def test_table_format():

@@ -73,3 +73,17 @@ def test_verify_report_recomputes_coset_graph_charpolys():
     coeffs[middle] = int(coeffs[middle]) + 1  # shape and trace still look right
     problems = verify_report(report)
     assert any("recomputed from the edges" in problem for problem in problems)
+
+
+def test_verify_report_bounds_structural_conjugate_pairs():
+    code, out, _ = run_cli("certify", "--p", "2", "--m", "2")
+    assert code == 0
+    pairs = json.loads(out)["items"][2]["pairs"]
+    for tampered in (-1, pairs + 1):
+        report = json.loads(out)
+        dichotomy = report["items"][2]
+        assert dichotomy["kind"] == "conjugacy-dichotomy"
+        assert "reps_pairwise_nonconjugate" not in dichotomy  # all-twists mode
+        dichotomy["structural_conjugate_pairs"] = tampered
+        problems = verify_report(report)
+        assert any("outside [0, pairs]" in problem for problem in problems)
