@@ -1,10 +1,12 @@
 """Almost-conjugacy certificates for twisted subgroup families.
 
 Everything here is exact and brute-force checkable: intersection profiles
-against full conjugacy-class tables, the structural conjugacy test next
-to an independent conjugator search, canonical enumeration of subgroup
-classes, the truncated-ring class count, the ambient GL(3) collapse, and
-componentwise product certificates.
+against full conjugacy-class tables, the canonical twist as the one class
+key of a twisted subgroup (it names the class, enumerates the catalog and
+decides conjugacy), the truncated-ring class count, the ambient GL(3)
+collapse, and componentwise product certificates.  The pairwise
+structural test, the conjugator search and the orbit count are oracles
+for the class key.
 """
 
 from __future__ import annotations
@@ -121,7 +123,11 @@ def almost_conjugate(sub_h, sub_k, table: Optional[ConjugacyClassTable] = None,
 
 
 def are_conjugate(f: LinearMap, g: LinearMap, spec: RingSpec) -> bool:
-    """Structural test: H_f and H_g are conjugate iff f - g is a multiplication."""
+    """Pairwise oracle: H_f and H_g are conjugate iff f - g is a multiplication.
+
+    Production code compares ``canonical_twist`` keys instead; this test
+    stays as their independent check.
+    """
     return is_mult_map(f - g, spec) is not None
 
 
@@ -233,13 +239,22 @@ class ClassCatalog:
 
 
 def enumerate_class_reps(spec: RingSpec, cap: Optional[int] = None) -> ClassCatalog:
-    """Canonicalize every additive map; distinct results are the class reps."""
+    """The canonical twists, one per class, in flat lexicographic order.
+
+    ``canonical_twist`` zeroes every pivot of ``mult_subspace_echelon`` and
+    fixes every map that is already zero there, so the class reps are
+    exactly the maps supported on the free (non-pivot) coordinates.  They
+    are enumerated directly, at the cost of the output; the cap still
+    bounds the p^(n^2) maps they stand for.
+    """
     n2 = spec.dim * spec.dim
     limit = size_cap() if cap is None else cap
     if spec.p**n2 > limit:
         raise SizeCapExceeded(f"{spec.p}^{n2} additive maps exceed cap {limit}")
-    seen = {canonical_twist(f, spec).flatten() for f in all_linear_maps(spec)}
-    reps = tuple(LinearMap.from_flat(spec.p, flat, spec.dim) for flat in sorted(seen))
+    pivots = {pivot for pivot, _ in mult_subspace_echelon(spec)}
+    coords = [(0,) if i in pivots else range(spec.p) for i in range(n2)]
+    reps = tuple(LinearMap.from_flat(spec.p, flat, spec.dim)
+                 for flat in itertools.product(*coords))
     return ClassCatalog(ring=spec, reps=reps)
 
 
@@ -300,8 +315,9 @@ def tower_class_count(spec: TruncRingSpec, cap: Optional[int] = None) -> TowerCl
     """Count twisted-subgroup classes of the truncated-ring group exactly.
 
     The cited literature value p^(j(j-1)/2) is reported as a lower bound
-    only; the enumeration over all GF(p)-linear twists gives p^(j(j-1))
-    and the discrepancy is surfaced via the gap flag.
+    only; the class catalog, enumerated in closed form as the canonical
+    twists, has p^(j(j-1)) members and the discrepancy is surfaced via
+    the gap flag.
     """
     catalog = enumerate_class_reps(spec, cap=cap)
     cited = spec.p ** (spec.j * (spec.j - 1) // 2)

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -29,15 +30,6 @@ from .rings import make_field, make_trunc_ring, primes_up_to, size_cap
 _ALL_TWISTS_LIMIT = 16
 _BRUTE_ORBIT_LIMIT = 1 << 16
 _BRUTE_CONJ_WORK_LIMIT = 2_000_000
-
-
-def _subgroup_family(spec, mode: str):
-    group = heisenberg_group(spec)
-    if mode == "all-twists":
-        maps = list(cz.all_linear_maps(spec))
-    else:
-        maps = list(cz.enumerate_class_reps(spec).reps)
-    return group, [twisted_subgroup(f, group) for f in maps]
 
 
 # The conjugator oracle of certify.bruteforce_subgroup_keys, bound here so that
@@ -66,18 +58,20 @@ def cmd_certify(p: int, m: int, cap: Optional[int] = None) -> dict:
     )
 
     mode = "all-twists" if p ** (m * m) <= _ALL_TWISTS_LIMIT else "class-reps"
-    group, subgroups = _subgroup_family(spec, mode)
+    maps = cz.all_linear_maps(spec) if mode == "all-twists" else catalog.reps
+    subgroups = [twisted_subgroup(f, group) for f in maps]
     table = group.conjugacy_classes(cap=cap)
     profiles = [cz.intersection_profile(sub, table) for sub in subgroups]
     all_equal = all(prof == profiles[0] for prof in profiles[1:])
     count = len(subgroups)
+    pairs = count * (count - 1) // 2
     report["items"].append(
         {
             "kind": "gassmann-family",
             "mode": mode,
             "subgroups": [sub.label() for sub in subgroups],
             "subgroup_sizes": [sub.size for sub in subgroups],
-            "pair_count": count * (count - 1) // 2,
+            "pair_count": pairs,
             "identity_class": table.identity_class(),
             "class_sizes": list(table.sizes()),
             "profiles": [list(prof) for prof in profiles],
@@ -86,31 +80,27 @@ def cmd_certify(p: int, m: int, cap: Optional[int] = None) -> dict:
         }
     )
 
-    structural = {
-        (i, j): cz.are_conjugate(subgroups[i].f, subgroups[j].f, spec)
-        for i in range(count)
-        for j in range(i + 1, count)
-    }
+    # H_f and H_g are conjugate exactly when f and g share a canonical twist,
+    # so the key multiplicities count the conjugate pairs.
+    keys = [cz.canonical_twist(sub.f, spec) for sub in subgroups]
+    conjugate_pairs = sum(c * (c - 1) // 2 for c in Counter(keys).values())
     brute_work = group.order * spec.size * count
     brute_checked = brute_work <= _BRUTE_CONJ_WORK_LIMIT
     agreement = True
     if brute_checked and count >= 2:  # with one subgroup there is no pair to compare
-        keys = _bruteforce_subgroup_keys(group, subgroups)
-        agreement = all(
-            (keys[i] == keys[j]) == structural[(i, j)]
-            for i in range(count)
-            for j in range(i + 1, count)
-        )
+        brute = _bruteforce_subgroup_keys(group, subgroups)
+        # the two keyings agree on every pair exactly when they partition alike
+        agreement = len(set(zip(keys, brute))) == len(set(keys)) == len(set(brute))
     item = {
         "kind": "conjugacy-dichotomy",
-        "pairs": len(structural),
-        "structural_conjugate_pairs": sum(structural.values()),
+        "pairs": pairs,
+        "structural_conjugate_pairs": conjugate_pairs,
         "bruteforce_checked": brute_checked,
         "structural_equals_bruteforce": agreement,
         "holds": agreement,
     }
     if mode == "class-reps":
-        nonconjugate = not any(structural.values())
+        nonconjugate = conjugate_pairs == 0
         item["reps_pairwise_nonconjugate"] = nonconjugate
         item["holds"] = agreement and nonconjugate
     report["items"].append(item)

@@ -123,9 +123,6 @@ class ConjugacyClassTable:
     def class_count(self) -> int:
         return len(self.classes)
 
-    def class_of(self, g: GroupElement) -> int:
-        return self.index[g]
-
     def representatives(self) -> tuple[GroupElement, ...]:
         return tuple(cls[0] for cls in self.classes)
 

@@ -58,11 +58,19 @@ def finalize(report: dict) -> dict:
 
 
 def _verify_profiles(item: dict, problems: list[str]) -> bool:
+    labels = item["subgroups"]
     profiles = item["profiles"]
     sizes = item["subgroup_sizes"]
     identity_class = item["identity_class"]
+    n = len(labels)
     ok = True
-    for label, profile, size in zip(item["subgroups"], profiles, sizes):
+    if not len(profiles) == len(sizes) == n:
+        problems.append("subgroups, profiles and subgroup_sizes differ in length")
+        ok = False
+    if item["pair_count"] != n * (n - 1) // 2:
+        problems.append("pair_count is not n(n-1)/2 for the n subgroups")
+        ok = False
+    for label, profile, size in zip(labels, profiles, sizes):
         if sum(profile) != size:
             problems.append(f"profile of {label} does not sum to its order")
             ok = False
@@ -75,24 +83,6 @@ def _verify_profiles(item: dict, problems: list[str]) -> bool:
         problems.append("stored all_equal flag contradicts the profiles")
         ok = False
     return ok and item["all_equal"] == item["holds"]
-
-
-def _verify_pair_certificate(item: dict, problems: list[str]) -> bool:
-    prof_h, prof_k = item["profiles"]
-    equal = prof_h == prof_k
-    if equal != (item["verdict"] == "equal"):
-        problems.append("stored verdict contradicts the two profiles")
-        return False
-    if not equal:
-        witness = item["witness_class"]
-        if witness is None or prof_h[witness] == prof_k[witness]:
-            problems.append("witness class does not separate the profiles")
-            return False
-    expected = item.get("expected_verdict")
-    if expected is not None and expected != item["verdict"]:
-        problems.append("verdict differs from the expected one")
-        return False
-    return item["holds"] == (expected is None or expected == item["verdict"])
 
 
 def _verify_class_count(item: dict, problems: list[str]) -> bool:
@@ -228,7 +218,6 @@ def _verify_plan(item: dict, problems: list[str]) -> bool:
 
 _VERIFIERS = {
     "gassmann-family": _verify_profiles,
-    "pair-certificate": _verify_pair_certificate,
     "class-count": _verify_class_count,
     "conjugacy-dichotomy": _verify_conjugacy,
     "coset-graph": _verify_graph,

@@ -260,7 +260,11 @@ def test_catalog_counts(spec, count):
     assert twist_orbit_count_bruteforce(spec) == count
 
 
-@pytest.mark.parametrize("spec", [F4, F9, make_trunc_ring(2, 2)])
+@pytest.mark.parametrize(
+    "spec",
+    [F4, F9, make_trunc_ring(2, 2), F2, F3, make_field(5, 1), F8,
+     make_trunc_ring(2, 3), make_trunc_ring(3, 2)],
+)
 def test_catalog_invariants(spec):
     catalog = enumerate_class_reps(spec)
     reps = catalog.reps
@@ -268,15 +272,33 @@ def test_catalog_invariants(spec):
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             assert not are_conjugate(reps[i], reps[j], spec)
-    # every map reduces to exactly one representative
-    rep_set = {r.flatten() for r in reps}
-    for f in all_linear_maps(spec):
-        assert canonical_twist(f, spec).flatten() in rep_set
+    # the closed form equals the route it replaced: reduce all p^(n^2) maps
+    # and keep the distinct results, sorted
+    oracle = sorted({canonical_twist(f, spec).flatten() for f in all_linear_maps(spec)})
+    assert [r.flatten() for r in reps] == oracle
     # canonicalization is a projection and fixes the reps
     for r in reps:
         assert canonical_twist(r, spec) == r
     # the eliminated subspace has dimension equal to the ring dimension
     assert len(mult_subspace_echelon(spec)) == spec.dim
+
+
+_KEY_RINGS = [F4, F8, F9, make_trunc_ring(2, 3), make_trunc_ring(3, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_KEY_RINGS), st.booleans(), st.data())
+def test_canonical_twist_key_equals_structural_conjugacy(spec, shifted, data):
+    n2 = spec.dim * spec.dim
+    flat = st.tuples(*[st.integers(0, spec.p - 1)] * n2)
+    f = LinearMap.from_flat(spec.p, data.draw(flat), spec.dim)
+    if shifted:  # a conjugate of H_f, so both sides must say yes
+        g = f - mult_matrix(data.draw(st.sampled_from(spec.elements)), spec)
+    else:
+        g = LinearMap.from_flat(spec.p, data.draw(flat), spec.dim)
+    same_key = canonical_twist(f, spec) == canonical_twist(g, spec)
+    assert same_key == are_conjugate(f, g, spec)
+    assert same_key or not shifted
 
 
 def test_catalog_cap():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from conftest import run_cli
 
 from gassmann import cli
@@ -74,6 +75,73 @@ def test_cap_flag_and_env_override(monkeypatch):
     monkeypatch.setenv("GASSMANN_SIZE_CAP", "10")
     code, _, err = run_cli("certify", "--p", "2", "--m", "2")
     assert code == 2 and "SizeCapExceeded" in err
+
+
+def test_explicit_cap_overrides_a_smaller_env_cap(monkeypatch):
+    # 2^9 = 512 maps on GF(8): over the env cap, inside the explicit one
+    monkeypatch.setenv("GASSMANN_SIZE_CAP", "256")
+    code, _, err = run_cli("certify", "--p", "2", "--m", "3", "--cap", "1024")
+    assert code == 0, err
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_certify_builds_the_catalog_once_and_keys_each_subgroup_once(monkeypatch):
+    catalogs = _count_calls(monkeypatch, cli.cz, "enumerate_class_reps")
+    keyed = _count_calls(monkeypatch, cli.cz, "canonical_twist")
+    report = cli.cmd_certify(2, 3)
+    assert report["summary"]["verdict"] == "pass"
+    assert catalogs[0] == 1
+    assert keyed[0] == len(report["items"][1]["subgroups"]) == 64
+
+
+@pytest.mark.parametrize("p,m,conjugate_pairs,pairs", [(2, 1, 1, 1), (2, 2, 24, 120),
+                                                       (2, 3, 0, 2016)])
+def test_certify_dichotomy_needs_no_pairwise_test(monkeypatch, p, m, conjugate_pairs, pairs):
+    def refuse(*args):
+        raise AssertionError("pairwise conjugacy test called on the certify path")
+
+    monkeypatch.setattr(cli.cz, "are_conjugate", refuse)
+    report = cli.cmd_certify(p, m)
+    assert report["summary"]["verdict"] == "pass"
+    dichotomy = report["items"][2]
+    assert dichotomy["structural_conjugate_pairs"] == conjugate_pairs
+    assert dichotomy["pairs"] == pairs
+    assert dichotomy["bruteforce_checked"] and dichotomy["structural_equals_bruteforce"]
+
+
+def _merge_two_classes(keys):
+    other = next(k for k in keys if k != keys[0])
+    return [keys[0] if k == other else k for k in keys]
+
+
+def _move_one_subgroup(keys):
+    # the first class keeps three of its four members, so the class count holds
+    other = next(k for k in keys if k != keys[0])
+    return [other] + keys[1:]
+
+
+@pytest.mark.parametrize("tamper", [_merge_two_classes, _move_one_subgroup])
+def test_certify_fails_when_the_oracle_partition_differs(monkeypatch, tamper):
+    def tampered(group, subgroups):
+        return tamper(cli.cz.bruteforce_subgroup_keys(group, subgroups))
+
+    monkeypatch.setattr(cli, "_bruteforce_subgroup_keys", tampered)
+    code, out, _ = run_cli("certify", "--p", "2", "--m", "2")
+    assert code == 1
+    dichotomy = _report(out)["items"][2]
+    assert dichotomy["bruteforce_checked"]
+    assert not dichotomy["structural_equals_bruteforce"] and not dichotomy["holds"]
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +380,29 @@ def test_verify_rejects_tampered_structural_conjugate_pairs(tmp_path):
     code, msg, err = run_cli("verify", str(bad))
     assert code == 1 and "failed" in msg
     assert "reps_pairwise_nonconjugate" in err
+
+
+def _tampered_family_verify(tmp_path, tamper) -> tuple[int, str]:
+    _, out, _ = run_cli("certify", "--p", "2", "--m", "3")
+    report = json.loads(out)
+    tamper(next(item for item in report["items"] if item["kind"] == "gassmann-family"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    code, _, err = run_cli("verify", str(bad))
+    return code, err
+
+
+def test_verify_rejects_a_missing_profile(tmp_path):
+    code, err = _tampered_family_verify(tmp_path, lambda family: family["profiles"].pop())
+    assert code == 1 and "differ in length" in err
+
+
+def test_verify_rejects_a_wrong_pair_count(tmp_path):
+    def tamper(family):
+        family["pair_count"] = 5
+
+    code, err = _tampered_family_verify(tmp_path, tamper)
+    assert code == 1 and "pair_count" in err
 
 
 def test_table_format():
