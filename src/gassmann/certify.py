@@ -3,10 +3,11 @@
 Everything here is exact and brute-force checkable: intersection profiles
 against full conjugacy-class tables, the canonical twist as the one class
 key of a twisted subgroup (it names the class, enumerates the catalog and
-decides conjugacy), the truncated-ring class count, the ambient GL(3)
-collapse, and componentwise product certificates.  The pairwise
-structural test, the conjugator search and the orbit count are oracles
-for the class key.
+decides conjugacy), the truncated-ring class count in closed form, the
+ambient GL(3) collapse by one GL(2) orbit key per class, and
+componentwise product certificates.  The pairwise structural test, the
+conjugator search and the orbit count are oracles for the class key; the
+plain GL(3) conjugator scan is the oracle for the ambient key.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .heisenberg import (
     twisted_subgroup,
 )
 from .rings import (
-    Element,
     FieldSpec,
     LinearMap,
     RingSpec,
@@ -264,16 +264,16 @@ def twist_orbit_count_bruteforce(spec: RingSpec, cap: Optional[int] = None) -> i
     limit = size_cap() if cap is None else cap
     if spec.p**n2 > limit:
         raise SizeCapExceeded(f"{spec.p}^{n2} additive maps exceed cap {limit}")
-    translations = [mult_matrix(b, spec) for b in spec.elements]
+    p = spec.p
+    translations = [mult_matrix(b, spec).flatten() for b in spec.elements]
     seen: set = set()
     orbits = 0
-    for f in all_linear_maps(spec):
-        key = f.flatten()
-        if key in seen:
+    for flat in itertools.product(range(p), repeat=n2):  # all maps, flattened
+        if flat in seen:
             continue
         orbits += 1
         for t in translations:
-            seen.add((f - t).flatten())
+            seen.add(tuple((x - y) % p for x, y in zip(flat, t)))
     return orbits
 
 
@@ -311,17 +311,18 @@ class TowerClassCount:
         }
 
 
-def tower_class_count(spec: TruncRingSpec, cap: Optional[int] = None) -> TowerClassCount:
+def tower_class_count(spec: TruncRingSpec) -> TowerClassCount:
     """Count twisted-subgroup classes of the truncated-ring group exactly.
 
-    The cited literature value p^(j(j-1)/2) is reported as a lower bound
-    only; the class catalog, enumerated in closed form as the canonical
-    twists, has p^(j(j-1)) members and the discrepancy is surfaced via
-    the gap flag.
+    The classes are the canonical twists, the maps that vanish at the j
+    pivots of ``mult_subspace_echelon``, so the count is p^(j^2 - j) in
+    closed form, with the rank read off the echelon basis; no map is
+    enumerated.  The cited literature value p^(j(j-1)/2) is reported as a
+    lower bound only, and the discrepancy is surfaced via the gap flag.
     """
-    catalog = enumerate_class_reps(spec, cap=cap)
+    exact = spec.p ** (spec.j**2 - len(mult_subspace_echelon(spec)))
     cited = spec.p ** (spec.j * (spec.j - 1) // 2)
-    return TowerClassCount(p=spec.p, j=spec.j, exact=catalog.count, cited_lower=cited)
+    return TowerClassCount(p=spec.p, j=spec.j, exact=exact, cited_lower=cited)
 
 
 # ---------------------------------------------------------------------------
@@ -352,139 +353,36 @@ class AmbientClassReport:
         }
 
 
-def _encode(spec: FieldSpec, x: Element) -> int:
-    code = 0
-    for c in reversed(x):
-        code = code * spec.p + c
-    return code
+@functools.lru_cache(maxsize=None)
+def _gl2(spec: FieldSpec):
+    """The nonzero columns (a, c) over F_q, and the index pairs that make up GL(2, F_q)."""
+    zero, mul = spec.zero(), spec.mul
+    cols = tuple((a, c) for a in spec.elements for c in spec.elements if a != zero or c != zero)
+    pairs = tuple((i, j) for i, (a, c) in enumerate(cols) for j, (b, d) in enumerate(cols)
+                  if mul(a, d) != mul(c, b))
+    return cols, pairs
 
 
-def _heisenberg_matrix_codes(spec: FieldSpec, f: LinearMap) -> list[tuple[int, ...]]:
-    """H_f as flat 3x3 matrices over the field, entries integer-encoded."""
-    one = _encode(spec, spec.one())
-    out = []
-    for x in spec.elements:
-        xi = _encode(spec, x)
-        fx = _encode(spec, f.apply(x))
-        out.append((one, xi, fx, 0, one, 0, 0, 0, one))
-    return out
+def gl2_orbit_key(spec: FieldSpec, f: LinearMap) -> int:
+    """Ambient class key of H_f: the least image of W_f = {(x, f(x))} under GL(2, F_q).
 
-
-def _gl3_tables(spec: FieldSpec):
-    import numpy as np
-
-    q = spec.size
-    els = spec.elements
-    add_t = np.zeros((q, q), dtype=np.int64)
-    mul_t = np.zeros((q, q), dtype=np.int64)
-    sub_t = np.zeros((q, q), dtype=np.int64)
-    for a in els:
-        ia = _encode(spec, a)
-        for b in els:
-            ib = _encode(spec, b)
-            add_t[ia, ib] = _encode(spec, spec.add(a, b))
-            mul_t[ia, ib] = _encode(spec, spec.mul(a, b))
-            sub_t[ia, ib] = _encode(spec, spec.sub(a, b))
-    return add_t, mul_t, sub_t
-
-
-@functools.lru_cache(maxsize=4)
-def _gl3_batch(spec: FieldSpec):
-    """All invertible 3x3 matrices over the field, as an (N, 3, 3) array."""
-    import numpy as np
-
-    q = spec.size
-    add_t, mul_t, sub_t = _gl3_tables(spec)
-    count = q**9
-    idx = np.arange(count, dtype=np.int64)
-    entries = np.empty((count, 9), dtype=np.int64)
-    for k in range(9):
-        entries[:, k] = idx % q
-        idx //= q
-    a, b, c, d, e, f, g, h, i = (entries[:, k] for k in range(9))
-    m1 = sub_t[mul_t[e, i], mul_t[f, h]]
-    m2 = sub_t[mul_t[d, i], mul_t[f, g]]
-    m3 = sub_t[mul_t[d, h], mul_t[e, g]]
-    det = sub_t[add_t[mul_t[a, m1], mul_t[c, m3]], mul_t[b, m2]]
-    keep = entries[det != 0]
-    return keep.reshape(-1, 3, 3), add_t, mul_t
-
-
-def _matmul_batch_right(batch, single, add_t, mul_t):
-    """(N,3,3) @ (3,3) over the encoded field."""
-    import numpy as np
-
-    n = batch.shape[0]
-    out = np.zeros((n, 3, 3), dtype=np.int64)
-    for i in range(3):
-        for j in range(3):
-            acc = mul_t[batch[:, i, 0], single[0][j]]
-            acc = add_t[acc, mul_t[batch[:, i, 1], single[1][j]]]
-            acc = add_t[acc, mul_t[batch[:, i, 2], single[2][j]]]
-            out[:, i, j] = acc
-    return out
-
-
-def _matmul_batch_left(single, batch, add_t, mul_t):
-    """(3,3) @ (N,3,3) over the encoded field."""
-    import numpy as np
-
-    n = batch.shape[0]
-    out = np.zeros((n, 3, 3), dtype=np.int64)
-    for i in range(3):
-        for j in range(3):
-            acc = mul_t[single[i][0], batch[:, 0, j]]
-            acc = add_t[acc, mul_t[single[i][1], batch[:, 1, j]]]
-            acc = add_t[acc, mul_t[single[i][2], batch[:, 2, j]]]
-            out[:, i, j] = acc
-    return out
-
-
-def _codes(batch, q):
-    flat = batch.reshape(batch.shape[0], 9)
-    code = flat[:, 0].copy()
-    mult = 1
-    for k in range(1, 9):
-        mult *= q
-        code += flat[:, k] * mult
-    return code
-
-
-def _gl3_conjugable(spec: FieldSpec, f: LinearMap, g: LinearMap) -> bool:
-    """Does some element of GL(3, F_q) conjugate H_f onto H_g?
-
-    Uses the linear reformulation M h = k M: M conjugates H_f into H_g
-    exactly when every generator image lands in H_g, and equal orders
-    upgrade containment to equality.
+    H_f is the set of I + e_1 w^T with w = (0, x, f(x)), so any g in
+    GL(3, F_q) carrying H_f onto some H_g fixes the line F_q e_1 and acts
+    on the pairs (x, f(x)) through a 2x2 block.  Hence H_f and H_g are
+    GL(3)-conjugate exactly when W_f A = W_g for some A in GL(2, F_q),
+    that is, exactly when their keys agree.  An image is encoded as the
+    bitmask with bit u*q + v set for each of its pairs (u, v), elements
+    numbered by their position in ``spec.elements``.
     """
-    import numpy as np
-
     q = spec.size
-    batch, add_t, mul_t = _gl3_batch(spec)
-    gens = []
-    for e in spec.basis():
-        gens.append(
-            (
-                (_encode(spec, spec.one()), _encode(spec, e), _encode(spec, f.apply(e))),
-                (0, _encode(spec, spec.one()), 0),
-                (0, 0, _encode(spec, spec.one())),
-            )
-        )
-    target = _heisenberg_matrix_codes(spec, g)
-    target_codes = np.stack(
-        [
-            _codes(_matmul_batch_left(tuple(tuple(row) for row in
-                   (mat[0:3], mat[3:6], mat[6:9])), batch, add_t, mul_t), q)
-            for mat in target
-        ]
-    )
-    mask = np.ones(batch.shape[0], dtype=bool)
-    for h in gens:
-        prod_codes = _codes(_matmul_batch_right(batch, h, add_t, mul_t), q)
-        mask &= (target_codes == prod_codes[None, :]).any(axis=0)
-        if not mask.any():
-            return False
-    return bool(mask.any())
+    add, mul = spec.add, spec.mul
+    code = {x: i for i, x in enumerate(spec.elements)}
+    graph = [(x, f.apply(x)) for x in spec.elements]
+    cols, pairs = _gl2(spec)
+    # (x, y) A = (xa + yc, xb + yd) for A = [[a, b], [c, d]], one coordinate per column
+    coord = [[code[add(mul(x, a), mul(y, c))] for x, y in graph] for a, c in cols]
+    high = [[u * q for u in us] for us in coord]
+    return min(sum(1 << (u + v) for u, v in zip(high[i], coord[j])) for i, j in pairs)
 
 
 def gl3_conjugable_bruteforce(spec: FieldSpec, f: LinearMap, g: LinearMap) -> bool:
@@ -529,45 +427,32 @@ def gl3_conjugable_bruteforce(spec: FieldSpec, f: LinearMap, g: LinearMap) -> bo
     return False
 
 
-def ambient_class_count(
-    spec: FieldSpec,
-    catalog: ClassCatalog,
-    ambient: str = "GL3",
-    q_cap: int = 4,
-    override: bool = False,
-) -> AmbientClassReport:
+def ambient_class_count(spec: FieldSpec, catalog: ClassCatalog, ambient: str = "GL3",
+                        cap: Optional[int] = None) -> AmbientClassReport:
     """Count catalog classes that survive conjugation in the ambient group.
 
     ambient="N3" is the consistency case (no collapse possible, returns
-    the catalog count); ambient="GL3" runs an exhaustive conjugator scan
-    over GL(3, F_q), feasible for q <= 4 unless overridden.
+    the catalog count).  ambient="GL3" counts the distinct
+    ``gl2_orbit_key`` values of the catalog reps, with no pairwise test.
+    That forms count * |GL(2, F_q)| = count * (q^2 - 1)(q^2 - q) images
+    of q pairs each, and this image count must not exceed the cap
+    (default ``size_cap()``): every q <= 9 fits the default, GF(16)
+    (4,096 reps, 250M images) does not.
     """
     if catalog.ring != spec:
         raise SpecMismatch("catalog was built for a different ring")
     exponent = spec.m * (spec.m - 1) - 9
-    reported = max(1, spec.p**exponent) if exponent >= 0 else 1
+    reported = spec.p**exponent if exponent >= 0 else 1
     if ambient == "N3":
         return AmbientClassReport("N3", catalog.count, catalog.count, exponent, reported)
     if ambient != "GL3":
         raise SpecMismatch(f"unknown ambient {ambient!r}")
-    if spec.size > q_cap and not override:
-        raise SizeCapExceeded(f"q={spec.size} exceeds GL3 scan cap {q_cap}")
-    reps = list(catalog.reps)
-    parent = list(range(len(reps)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if find(i) == find(j):
-                continue
-            if _gl3_conjugable(spec, reps[i], reps[j]):
-                parent[find(j)] = find(i)
-    classes = len({find(i) for i in range(len(reps))})
+    q = spec.size
+    images = catalog.count * (q * q - 1) * (q * q - q)
+    limit = size_cap() if cap is None else cap
+    if images > limit:
+        raise SizeCapExceeded(f"{images} GL(2, F_{q}) images of the catalog exceed cap {limit}")
+    classes = len({gl2_orbit_key(spec, f) for f in catalog.reps})
     return AmbientClassReport("GL3", catalog.count, classes, exponent, reported)
 
 

@@ -199,7 +199,7 @@ def cmd_tower(p: int, j_max: int, cap: Optional[int] = None) -> dict:
     report = rp.new_report("tower", {"p": p, "j_max": j_max, "cap": cap or size_cap()})
     for j in range(1, j_max + 1):
         spec = make_trunc_ring(p, j, cap=cap)
-        result = cz.tower_class_count(spec, cap=cap)
+        result = cz.tower_class_count(spec)
         report["items"].append(
             {
                 "kind": "tower-count",

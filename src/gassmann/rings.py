@@ -437,7 +437,8 @@ def mult_matrix(beta: Element, spec: RingSpec) -> LinearMap:
             f"element of length {len(beta)} does not match ring dimension {spec.dim}"
         )
     spec.check(beta)
-    cols = [spec.mul(beta, e) for e in spec.basis()]
+    # n products do not pay for building the q^2 multiplication table
+    cols = [spec._mul_raw(beta, e) for e in spec.basis()]
     return LinearMap.from_columns(spec.p, cols)
 
 

@@ -13,8 +13,8 @@ from gassmann.certify import (
     bruteforce_subgroup_keys,
     canonical_twist,
     enumerate_class_reps,
+    gl2_orbit_key,
     gl3_conjugable_bruteforce,
-    _gl3_conjugable,
     intersection_profile,
     mult_subspace_echelon,
     product_certificate,
@@ -24,7 +24,7 @@ from gassmann.certify import (
     tower_class_count,
     twist_orbit_count_bruteforce,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gassmann import cli
@@ -46,6 +46,7 @@ F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 F9 = make_field(3, 2)
 F8 = make_field(2, 3)
+F16 = make_field(2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +325,27 @@ def test_tower_class_counts(p, j, exact, cited):
 
 
 def test_tower_count_matches_orbit_oracle():
-    spec = make_trunc_ring(2, 2)
-    assert tower_class_count(spec).exact == twist_orbit_count_bruteforce(spec)
+    # the closed form against both oracles wherever they reach: the
+    # catalog under the default cap, the orbit count under the CLI's limit
+    for p, j in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+                 (7, 2)):
+        spec = make_trunc_ring(p, j)
+        exact = tower_class_count(spec).exact
+        assert exact == p ** (j * j - j) == enumerate_class_reps(spec).count
+        if p ** (j * j) <= cli._BRUTE_ORBIT_LIMIT:
+            assert exact == twist_orbit_count_bruteforce(spec)
+
+
+def test_tower_count_enumerates_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tower count must not enumerate maps")
+
+    monkeypatch.setattr("gassmann.certify.enumerate_class_reps", refuse)
+    monkeypatch.setattr("gassmann.certify.twist_orbit_count_bruteforce", refuse)
+    report = cli.cmd_tower(2, 20)
+    assert report["summary"]["verdict"] == "pass"
+    assert report["items"][-1]["exact"] == str(2 ** (20 * 19))
+    assert tower_class_count(make_trunc_ring(3, 4)).exact == 3**12
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +360,10 @@ def test_ambient_within_group_is_consistency_case():
 
 
 def test_ambient_bound_formula():
-    # the lower bound for (p=2, m=5, n=3) is 2^(20-9) = 2^11 (formula only)
-    assert 2 ** (5 * 4 - 9) == 2**11
+    # the lower bound p^(m(m-1)-9) first bites at GF(16): 2^(12-9) = 8
+    report = ambient_class_count(F16, enumerate_class_reps(F16), ambient="N3")
+    assert report.reported_lower == 8
+    assert report.bound_holds
 
 
 def test_gl3_collapse_over_f4_frozen():
@@ -357,8 +379,48 @@ def test_gl3_collapse_over_f4_frozen():
         (0, 1): False, (0, 2): False, (0, 3): False,
         (1, 2): True, (1, 3): True, (2, 3): True,
     }
+    keys = [gl2_orbit_key(F4, f) for f in catalog.reps]
     for (i, j), verdict in expected.items():
-        assert _gl3_conjugable(F4, catalog.reps[i], catalog.reps[j]) == verdict
+        assert (keys[i] == keys[j]) == verdict
+
+
+@pytest.mark.parametrize(
+    "spec,classes",
+    [(F3, 1), (make_field(5, 1), 1), (make_field(7, 1), 1), (F8, 3), (F9, 2)],
+    ids=repr,
+)
+def test_gl3_class_counts(spec, classes):
+    catalog = enumerate_class_reps(spec)
+    report = ambient_class_count(spec, catalog, ambient="GL3")
+    assert report.ambient_classes == classes
+    assert report.reported_lower <= classes <= catalog.count
+
+
+def _graph_image(spec, f, matrix):
+    """The map whose graph is W_f A, or None when W_f A is not a graph."""
+    (a, b), (c, d) = matrix
+    image = {}
+    for x in spec.elements:
+        y = f.apply(x)
+        u = spec.add(spec.mul(x, a), spec.mul(y, c))
+        image[u] = spec.add(spec.mul(x, b), spec.mul(y, d))
+    if len(image) != spec.size:
+        return None
+    return LinearMap.from_columns(spec.p, [image[e] for e in spec.basis()])
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([F4, F8, F9]), st.data())
+def test_gl2_orbit_key_is_constant_on_ambient_images(spec, data):
+    flat = st.tuples(*[st.integers(0, spec.p - 1)] * (spec.dim * spec.dim))
+    f = LinearMap.from_flat(spec.p, data.draw(flat), spec.dim)
+    entry = st.sampled_from(spec.elements)
+    matrix = ((data.draw(entry), data.draw(entry)), (data.draw(entry), data.draw(entry)))
+    (a, b), (c, d) = matrix
+    assume(spec.mul(a, d) != spec.mul(c, b))
+    g = _graph_image(spec, f, matrix)
+    assume(g is not None)
+    assert gl2_orbit_key(spec, g) == gl2_orbit_key(spec, f)
 
 
 def test_gl3_python_oracle_agrees_on_a_positive_pair():
@@ -383,9 +445,13 @@ def test_gl3_trivial_field():
 
 
 def test_gl3_cap():
-    catalog = enumerate_class_reps(F9)
+    # 4,096 reps x |GL(2, F_16)| = 61,200 images is far past the default cap
     with pytest.raises(SizeCapExceeded):
-        ambient_class_count(F9, catalog, ambient="GL3")
+        ambient_class_count(F16, enumerate_class_reps(F16), ambient="GL3")
+    # 9 reps x |GL(2, F_9)| = 5,760 images is 51,840
+    with pytest.raises(SizeCapExceeded):
+        ambient_class_count(F9, enumerate_class_reps(F9), ambient="GL3", cap=51_839)
+    assert ambient_class_count(F9, enumerate_class_reps(F9), cap=51_840).ambient_classes == 2
 
 
 # ---------------------------------------------------------------------------

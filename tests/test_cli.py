@@ -504,12 +504,15 @@ def test_graph_and_certify_commands_do_not_import_numpy():
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     script = (
         "import contextlib, io, sys\n"
-        "from gassmann import cli\n"
+        "from gassmann import certify, cli, rings\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(['graphs', '--p', '2', '--m', '2']),\n"
         "             cli.main(['certify', '--p', '2', '--m', '2'])]\n"
-        "print(codes, 'numpy' in sys.modules)\n"
+        "f4 = rings.make_field(2, 2)\n"
+        "catalog = certify.enumerate_class_reps(f4)\n"
+        "report = certify.ambient_class_count(f4, catalog, ambient='GL3')\n"
+        "print(codes, report.ambient_classes, 'numpy' in sys.modules)\n"
     )
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout == "[0, 0] False\n"
+    assert done.stdout == "[0, 0] 2 False\n"

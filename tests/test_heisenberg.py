@@ -157,9 +157,15 @@ def test_identity_twist_is_closed():
     g4 = heisenberg_group(F4)
     sub = twisted_subgroup(LinearMap.identity(2, 2), g4)
     assert ((0, 1), (0, 0), (0, 1)) in sub.elements
-    for g in sub.elements:
-        for h in sub.elements:
-            assert g4.mul(g, h) in sub.elements
+    # closure is the oracle for twisted_subgroup, which does not check it
+    for spec in (F4, F3, make_trunc_ring(2, 2)):
+        group = heisenberg_group(spec)
+        for f in all_linear_maps(spec):
+            sub = twisted_subgroup(f, group)
+            assert len(sub.elements) == spec.size
+            for g in sub.elements:
+                for h in sub.elements:
+                    assert group.mul(g, h) in sub.elements
 
 
 def test_twisted_subgroup_dimension_mismatch():
