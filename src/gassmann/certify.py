@@ -233,10 +233,6 @@ class ClassCatalog:
     def count(self) -> int:
         return len(self.reps)
 
-    def to_json(self) -> dict:
-        return {"ring": self.ring.to_json(), "count": self.count,
-                "reps": [r.to_json() for r in self.reps]}
-
 
 def enumerate_class_reps(spec: RingSpec, cap: Optional[int] = None) -> ClassCatalog:
     """The canonical twists, one per class, in flat lexicographic order.
@@ -300,16 +296,6 @@ class TowerClassCount:
         """True when the exact count exceeds the cited value; never hidden."""
         return self.exact != self.cited_lower
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "j": self.j,
-            "exact": self.exact,
-            "cited_lower": self.cited_lower,
-            "bound_holds": self.bound_holds,
-            "gap": self.gap,
-        }
-
 
 def tower_class_count(spec: TruncRingSpec) -> TowerClassCount:
     """Count twisted-subgroup classes of the truncated-ring group exactly.
@@ -341,16 +327,6 @@ class AmbientClassReport:
     @property
     def bound_holds(self) -> bool:
         return self.ambient_classes >= self.reported_lower
-
-    def to_json(self) -> dict:
-        return {
-            "ambient": self.ambient,
-            "within_group_classes": self.within_group_classes,
-            "ambient_classes": self.ambient_classes,
-            "lower_bound_exponent": self.bound_exponent,
-            "reported_lower": self.reported_lower,
-            "bound_holds": self.bound_holds,
-        }
 
 
 @functools.lru_cache(maxsize=None)
@@ -386,43 +362,40 @@ def gl2_orbit_key(spec: FieldSpec, f: LinearMap) -> int:
 
 
 def gl3_conjugable_bruteforce(spec: FieldSpec, f: LinearMap, g: LinearMap) -> bool:
-    """Plain-Python conjugator scan over all of GL(3, F_q); small q only."""
-    els = spec.elements
-    zero, one = spec.zero(), spec.one()
+    """Plain-Python conjugator scan over all of GL(3, F_q); small q only.
 
-    def mat_mul(x, y):
+    Tries all q^9 matrices M with det M != 0, and accepts M when M h = k M
+    for every h in H_f and some k in H_g.  Matrices are flat 9-tuples of
+    integer codes, added and multiplied through tables of spec.add and spec.mul.
+    """
+    els = spec.elements
+    code = {x: i for i, x in enumerate(els)}
+    add = [[code[spec.add(x, y)] for y in els] for x in els]
+    mul = [[code[spec.mul(x, y)] for y in els] for x in els]
+    neg = [code[spec.neg(x)] for x in els]
+    zero, one = code[spec.zero()], code[spec.one()]
+
+    def mat_mul(a, b):
         return tuple(
-            tuple(
-                functools.reduce(
-                    spec.add, (spec.mul(x[i][k], y[k][j]) for k in range(3))
-                )
-                for j in range(3)
-            )
-            for i in range(3)
+            add[add[mul[a[r]][b[c]]][mul[a[r + 1]][b[c + 3]]]][mul[a[r + 2]][b[c + 6]]]
+            for r in (0, 3, 6)
+            for c in (0, 1, 2)
         )
 
     def det(m):
-        t1 = spec.mul(m[0][0], spec.sub(spec.mul(m[1][1], m[2][2]), spec.mul(m[1][2], m[2][1])))
-        t2 = spec.mul(m[0][1], spec.sub(spec.mul(m[1][0], m[2][2]), spec.mul(m[1][2], m[2][0])))
-        t3 = spec.mul(m[0][2], spec.sub(spec.mul(m[1][0], m[2][1]), spec.mul(m[1][1], m[2][0])))
-        return spec.add(spec.sub(t1, t2), t3)
+        a, b, c, d, e, f_, g_, h, i = m
+        t1 = mul[a][add[mul[e][i]][neg[mul[f_][h]]]]
+        t2 = mul[b][add[mul[d][i]][neg[mul[f_][g_]]]]
+        t3 = mul[c][add[mul[d][h]][neg[mul[e][g_]]]]
+        return add[add[t1][neg[t2]]][t3]
 
-    subgroup_f = [((one, x, f.apply(x)), (zero, one, zero), (zero, zero, one)) for x in els]
-    subgroup_g = {((one, x, g.apply(x)), (zero, one, zero), (zero, zero, one)) for x in els}
-    all_matrices = (
-        tuple(tuple(row) for row in (m[0:3], m[3:6], m[6:9]))
-        for m in itertools.product(els, repeat=9)
-    )
-    for mat in all_matrices:
+    subgroup_f = [(one, code[x], code[f.apply(x)], zero, one, zero, zero, zero, one) for x in els]
+    subgroup_g = [(one, code[x], code[g.apply(x)], zero, one, zero, zero, zero, one) for x in els]
+    for mat in itertools.product(range(len(els)), repeat=9):
         if det(mat) == zero:
             continue
-        ok = True
-        for h in subgroup_f:
-            mh = mat_mul(mat, h)
-            if not any(mat_mul(k, mat) == mh for k in subgroup_g):
-                ok = False
-                break
-        if ok:
+        images = {mat_mul(k, mat) for k in subgroup_g}
+        if all(mat_mul(mat, h) in images for h in subgroup_f):
             return True
     return False
 
@@ -508,14 +481,6 @@ class ProductCertificate:
             if x != y:
                 return i
         return None
-
-    def to_json(self) -> dict:
-        return {
-            "factors": [c.to_json() for c in self.factor_certificates],
-            "product_profiles": [list(self.profile_h), list(self.profile_k)],
-            "verdict": "equal" if self.equal else "unequal",
-            "witness_class": self.witness_class,
-        }
 
 
 def tensor_profiles(profiles: Sequence[tuple[int, ...]]) -> tuple[int, ...]:

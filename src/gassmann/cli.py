@@ -62,7 +62,9 @@ def cmd_certify(p: int, m: int, cap: Optional[int] = None) -> dict:
     subgroups = [twisted_subgroup(f, group) for f in maps]
     table = group.conjugacy_classes(cap=cap)
     profiles = [cz.intersection_profile(sub, table) for sub in subgroups]
-    all_equal = all(prof == profiles[0] for prof in profiles[1:])
+    # each distinct profile once, numbered in order of first appearance
+    index_of = {prof: i for i, prof in enumerate(dict.fromkeys(profiles))}
+    all_equal = len(index_of) == 1
     count = len(subgroups)
     pairs = count * (count - 1) // 2
     report["items"].append(
@@ -74,7 +76,8 @@ def cmd_certify(p: int, m: int, cap: Optional[int] = None) -> dict:
             "pair_count": pairs,
             "identity_class": table.identity_class(),
             "class_sizes": list(table.sizes()),
-            "profiles": [list(prof) for prof in profiles],
+            "distinct_profiles": [list(prof) for prof in index_of],
+            "profile_index": [index_of[prof] for prof in profiles],
             "all_equal": all_equal,
             "holds": all_equal,
         }
@@ -148,10 +151,8 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None,
     polys = [sg.char_poly(g) for g in graphs]
 
     exports: dict[str, str] = {}
-    edges = []  # [[u, v, mult], ...] per graph, shared by every item that lists it
     for k, (graph, poly) in enumerate(zip(graphs, polys)):
         item = graph.to_json()
-        edges.append(item["edges"])
         item.update(
             {
                 "kind": "coset-graph",
@@ -163,35 +164,29 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None,
         report["items"].append(item)
         exports[f"rep_{k}.dot"] = graph.to_dot(f"rep_{k}")
         exports[f"rep_{k}.edges"] = (
-            "\n".join(f"{u} {v} {mult}" for u, v, mult in edges[k]) + "\n"
+            "\n".join(f"{u} {v} {mult}" for u, v, mult in item["edges"]) + "\n"
         )
         exports[f"rep_{k}.charpoly.json"] = json.dumps(poly.to_json(), sort_keys=True) + "\n"
 
+    # both items below refer to the coset-graph items by their rep index
     all_equal = all(p2.coefficients == polys[0].coefficients for p2 in polys[1:])
     report["items"].append(
         {
             "kind": "cospectral",
             "pair_count": len(polys) * (len(polys) - 1) // 2,
-            "charpolys": [[rp.encode_count(c) for c in p2.coefficients] for p2 in polys],
             "all_equal": all_equal,
             "holds": all_equal,
         }
     )
-    for i in range(len(graphs)):
-        for j in range(i + 1, len(graphs)):
-            iso = sg.are_isomorphic(graphs[i], graphs[j])
-            report["items"].append(
-                {
-                    "kind": "isomorphism",
-                    "pair": [i, j],
-                    "vertices": graphs[i].n,
-                    "edges_left": edges[i],
-                    "edges_right": edges[j],
-                    "isomorphic": iso.isomorphic,
-                    "witness": list(iso.witness) if iso.witness else None,
-                    "holds": True,
-                }
-            )
+    class_of, witnesses = sg.isomorphism_classes(graphs)
+    report["items"].append(
+        {
+            "kind": "isomorphism-classes",
+            "class_of": class_of,
+            "witnesses": [list(w) if w is not None else None for w in witnesses],
+            "holds": True,
+        }
+    )
     return rp.finalize(report), exports
 
 

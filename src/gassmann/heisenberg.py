@@ -132,15 +132,6 @@ class ConjugacyClassTable:
     def identity_class(self) -> int:
         return self.index[self.group.identity()]
 
-    def to_json(self) -> dict:
-        return {
-            "ring": self.group.ring.to_json(),
-            "classes": [
-                {"representative": [list(x) for x in cls[0]], "size": len(cls)}
-                for cls in self.classes
-            ],
-        }
-
 
 def class_key(ring: RingSpec, g: GroupElement) -> tuple:
     """Closed-form conjugacy-class key of g = (a, b, c).

@@ -106,17 +106,6 @@ class ScanResult:
     def density_gap(self) -> Fraction:
         return abs(self.density - self.cebotarev_density)
 
-    def to_json(self) -> dict:
-        return {
-            "ell": self.ell,
-            "q": self.q,
-            "bound": self.bound,
-            "scanned": self.scanned,
-            "degree_ell_count": self.degree_ell_count,
-            "density": str(self.density),
-            "cebotarev_density": str(self.cebotarev_density),
-        }
-
 
 def scan_places(ell: int, q: int, bound: int) -> ScanResult:
     """All primes p <= bound of full residue degree ell, in increasing order.

@@ -198,13 +198,6 @@ class MinEllResult:
     passing: IneqCheck
     failing: Optional[IneqCheck]
 
-    def to_json(self) -> dict:
-        return {
-            "ell": self.ell,
-            "passing": self.passing.to_json(),
-            "failing": self.failing.to_json() if self.failing else None,
-        }
-
 
 def _min_prime_satisfying(label: str, lhs_at, rhs: Exact) -> MinEllResult:
     prev: Optional[int] = None
@@ -456,21 +449,6 @@ class TowerKResult:
     full_at_k: IneqCheck
     product_condition_before: Optional[IneqCheck]
     full_before: Optional[IneqCheck]
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "product_condition": self.product_condition.to_json(),
-            "full_inequality": self.full_at_k.to_json(),
-            "product_condition_at_k_minus_1": (
-                self.product_condition_before.to_json()
-                if self.product_condition_before
-                else None
-            ),
-            "full_inequality_at_k_minus_1": (
-                self.full_before.to_json() if self.full_before else None
-            ),
-        }
 
 
 def _tower_full_check(primes: Sequence[int], j: int, k: int, ell0: int,

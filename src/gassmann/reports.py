@@ -3,8 +3,10 @@
 JSON is the single source of truth; the table rendering is derived from
 it.  Reports carry enough substituted data (profiles, class sizes,
 inequality instances, witness permutations, edge lists) that
-verify_report can reproduce the verdict from the JSON alone.  Large
-integers travel as decimal strings.
+verify_report can reproduce the verdict from the JSON alone.  Each fact
+is stated once: only coset-graph items carry edges and charpolys, and
+other items refer to graphs and profiles by index.  Large integers travel
+as decimal strings.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from typing import Any
 
 from .errors import SpecMismatch
 from .planner import verify_check_json
-from .schreier import charpoly_modular
+from .schreier import charpoly_modular, colour_refinement, find_isomorphism, verify_witness
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def encode_count(v: int) -> Any:
@@ -59,27 +61,35 @@ def finalize(report: dict) -> dict:
 
 def _verify_profiles(item: dict, problems: list[str]) -> bool:
     labels = item["subgroups"]
-    profiles = item["profiles"]
+    distinct = item["distinct_profiles"]
+    index = item["profile_index"]
     sizes = item["subgroup_sizes"]
     identity_class = item["identity_class"]
     n = len(labels)
     ok = True
-    if not len(profiles) == len(sizes) == n:
-        problems.append("subgroups, profiles and subgroup_sizes differ in length")
+    if not len(index) == len(sizes) == n:
+        problems.append("subgroups, profile_index and subgroup_sizes differ in length")
         ok = False
     if item["pair_count"] != n * (n - 1) // 2:
         problems.append("pair_count is not n(n-1)/2 for the n subgroups")
         ok = False
-    for label, profile, size in zip(labels, profiles, sizes):
-        if sum(profile) != size:
+    if len({tuple(profile) for profile in distinct}) != len(distinct):
+        problems.append("distinct_profiles repeats a profile")
+        ok = False
+    if not all(isinstance(k, int) and 0 <= k < len(distinct) for k in index):
+        problems.append("profile_index is out of range of distinct_profiles")
+        return False
+    if list(dict.fromkeys(index)) != list(range(len(distinct))):
+        problems.append("distinct_profiles are not listed in order of first appearance")
+        ok = False
+    for label, k, size in zip(labels, index, sizes):
+        if sum(distinct[k]) != size:
             problems.append(f"profile of {label} does not sum to its order")
             ok = False
-        if profile[identity_class] != 1:
+        if distinct[k][identity_class] != 1:
             problems.append(f"profile of {label} misses the identity class")
             ok = False
-    first = profiles[0]
-    all_equal = all(p == first for p in profiles[1:])
-    if all_equal != item["all_equal"]:
+    if (len(distinct) == 1) != item["all_equal"]:
         problems.append("stored all_equal flag contradicts the profiles")
         ok = False
     return ok and item["all_equal"] == item["holds"]
@@ -139,33 +149,54 @@ def _verify_graph(item: dict, problems: list[str]) -> bool:
     return ok
 
 
-def _verify_cospectral(item: dict, problems: list[str]) -> bool:
-    polys = item["charpolys"]
-    first = polys[0]
-    all_equal = all(p == first for p in polys[1:])
+def _verify_cospectral(item: dict, graphs: list[dict], problems: list[str]) -> bool:
+    # _verify_graph recomputes each graph item's charpoly from its edges
+    polys = [[decode_count(c) for c in graph["charpoly"]] for graph in graphs]
+    k = len(polys)
+    if item["pair_count"] != k * (k - 1) // 2:
+        problems.append("cospectral pair_count is not k(k-1)/2 for the k coset graphs")
+        return False
+    all_equal = all(poly == polys[0] for poly in polys[1:])
     if all_equal != item["all_equal"] or item["holds"] != all_equal:
-        problems.append("cospectral flags contradict the stored polynomials")
+        problems.append("cospectral flags contradict the coset-graph charpolys")
         return False
     return True
 
 
-def _verify_isomorphism(item: dict, problems: list[str]) -> bool:
-    if not item["isomorphic"]:
-        return bool(item["holds"])
-    witness = item["witness"]
-    n = item["vertices"]
-    adj1 = _edges_to_adjacency(n, item["edges_left"])
-    adj2 = _edges_to_adjacency(n, item["edges_right"])
-    if sorted(witness) != list(range(n)):
-        problems.append("witness is not a permutation")
+def _verify_isomorphism_classes(item: dict, graphs: list[dict], problems: list[str]) -> bool:
+    """Witnesses map each graph onto its class's first member; first members are
+    pairwise non-isomorphic, by distinct refinement invariants or a re-run search."""
+    class_of = item["class_of"]
+    witnesses = item["witnesses"]
+    if not len(class_of) == len(witnesses) == len(graphs):
+        problems.append("class_of and witnesses do not give one entry per coset graph")
         return False
-    ok = all(
-        adj1[u][w] == adj2[witness[u]][witness[w]] for u in range(n) for w in range(n)
-    )
-    if not ok:
-        problems.append("witness does not conjugate the adjacency matrices")
+    adjacency = [_edges_to_adjacency(graph["vertices"], graph["edges"]) for graph in graphs]
+    leaders: dict[int, int] = {}
+    ok = True
+    for k, (c, witness) in enumerate(zip(class_of, witnesses)):
+        if c not in leaders:
+            if c != len(leaders) or witness is not None:
+                problems.append(f"graph {k} opens class {c} out of order or with a witness")
+                return False
+            leaders[c] = k
+        elif witness is None or not verify_witness(adjacency[k], adjacency[leaders[c]], witness):
+            problems.append(f"witness of graph {k} does not map it onto graph {leaders[c]}")
+            ok = False
+    refinements = {k: colour_refinement(adjacency[k]) for k in leaders.values()}
+    buckets: dict[tuple, list[int]] = {}
+    for k, refinement in refinements.items():
+        bucket = buckets.setdefault(refinement[0], [])
+        for other in bucket:
+            if find_isomorphism(adjacency[k], adjacency[other],
+                                refinement, refinements[other]) is not None:
+                problems.append(f"graphs {other} and {k} open two classes but are isomorphic")
+                ok = False
+        bucket.append(k)
+    if ok != item["holds"]:
+        problems.append("isomorphism-classes holds flag is wrong")
         return False
-    return bool(item["holds"])
+    return ok
 
 
 def _verify_tower_count(item: dict, problems: list[str]) -> bool:
@@ -221,11 +252,15 @@ _VERIFIERS = {
     "class-count": _verify_class_count,
     "conjugacy-dichotomy": _verify_conjugacy,
     "coset-graph": _verify_graph,
-    "cospectral": _verify_cospectral,
-    "isomorphism": _verify_isomorphism,
     "tower-count": _verify_tower_count,
     "place-scan": _verify_place_scan,
     "plan": _verify_plan,
+}
+
+# Verifiers that also read the report's coset-graph items, in rep order.
+_GRAPH_VERIFIERS = {
+    "cospectral": _verify_cospectral,
+    "isomorphism-classes": _verify_isomorphism_classes,
 }
 
 
@@ -238,16 +273,20 @@ def verify_report(report: dict) -> list[str]:
     if report.get("schema_version") != SCHEMA_VERSION:
         problems.append("unknown schema version")
         return problems
+    kinds = [item.get("kind") if isinstance(item, dict) else None for item in report["items"]]
+    graphs = [item for item, kind in zip(report["items"], kinds) if kind == "coset-graph"]
     all_hold = True
-    for i, item in enumerate(report["items"]):
-        kind = item.get("kind") if isinstance(item, dict) else None
-        verifier = _VERIFIERS.get(kind)
-        if verifier is None:
-            problems.append(f"no verifier for item kind {kind!r}")
-            all_hold = False
-            continue
+    for i, (item, kind) in enumerate(zip(report["items"], kinds)):
         try:
-            if not verifier(item, problems):
+            if kind in _GRAPH_VERIFIERS:
+                ok = _GRAPH_VERIFIERS[kind](item, graphs, problems)
+            elif kind in _VERIFIERS:
+                ok = _VERIFIERS[kind](item, problems)
+            else:
+                problems.append(f"no verifier for item kind {kind!r}")
+                all_hold = False
+                continue
+            if not ok:
                 all_hold = False
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             problems.append(f"item {i} ({kind}) is malformed: {type(exc).__name__}: {exc}")

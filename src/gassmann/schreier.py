@@ -7,8 +7,9 @@ known primes and lifted by CRT past a bound on the coefficients; the
 division-free Berkowitz route, a memoized cofactor expansion and
 fraction-free integer determinants at sample points stay as oracles.
 Isomorphism compares canonical colour-refinement invariants, cached per
-graph, and searches by individualising and refining only when they agree;
-a plain permutation search is the oracle.
+graph, and searches by individualising and refining, within a budget of
+refinement nodes, only when they agree; isomorphism classes bucket graphs
+by invariant.  A plain permutation search is the oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded, SpecMis
 from .heisenberg import GroupElement, Heisenberg
 
 DEFAULT_VERTEX_CAP = 4096
-DEFAULT_ISO_CAP = 64
+# Refinements per isomorphism search; one between GF(8) or GF(9) coset graphs runs 9 at most.
+DEFAULT_ISO_NODES = 1024
 
 
 def default_generators(group: Heisenberg) -> tuple[GroupElement, ...]:
@@ -91,8 +93,8 @@ class CosetGraph:
 
     @cached_property
     def refinement(self) -> tuple[tuple, tuple[int, ...]]:
-        """(invariant, colours) of canonical colour refinement from a single colour."""
-        return _refine(self.adjacency, _neighbor_lists(self.adjacency), [0] * self.n)
+        """colour_refinement of the adjacency, cached: (invariant, colours)."""
+        return colour_refinement(self.adjacency)
 
     def edge_list(self) -> list[tuple[int, int, int]]:
         """(u, v, multiplicity) with u <= v, loops included."""
@@ -413,12 +415,6 @@ class IsospectralResult:
     poly_h: SpectrumPolynomial
     poly_k: SpectrumPolynomial
 
-    def to_json(self) -> dict:
-        return {
-            "equal": self.equal,
-            "polynomials": [self.poly_h.to_json(), self.poly_k.to_json()],
-        }
-
 
 def isospectral(sub_h, sub_k, gens: Sequence[GroupElement],
                 cap: int = DEFAULT_VERTEX_CAP) -> IsospectralResult:
@@ -435,6 +431,15 @@ def isospectral(sub_h, sub_k, gens: Sequence[GroupElement],
 def _neighbor_lists(adj) -> list[list[tuple[int, int]]]:
     """Per vertex, (vertex, multiplicity) for each nonzero adjacency entry, in vertex order."""
     return [[(u, mult) for u, mult in enumerate(row) if mult] for row in adj]
+
+
+def colour_refinement(adj) -> tuple[tuple, tuple[int, ...]]:
+    """(invariant, colours) of canonical colour refinement from a single colour.
+
+    Isomorphic graphs have equal invariants, so distinct invariants prove
+    two graphs non-isomorphic.
+    """
+    return _refine(adj, _neighbor_lists(adj), [0] * len(adj))
 
 
 def _refine(adj, neighbors, colors: Sequence[int]) -> tuple[tuple, tuple[int, ...]]:
@@ -474,14 +479,15 @@ def _individualize(colors: Sequence[int], v: int) -> list[int]:
 
 
 def _search(adj1, adj2, nbrs1, nbrs2, colors1: Sequence[int],
-            colors2: Sequence[int]) -> Optional[list[int]]:
+            colors2: Sequence[int], refine) -> Optional[list[int]]:
     """Individualise-and-refine search for an isomorphism respecting the colours.
 
     The colourings come from refinements with equal invariants.  At a
     discrete colouring the matching is forced and checked on the edges;
     otherwise one vertex of the smallest non-singleton cell of g1 is
     individualised against each vertex of the same cell of g2, and a branch
-    survives only if both refinements give the same invariant.
+    survives only if both refinements give the same invariant.  ``refine``
+    is ``_refine`` behind the search's node budget.
     """
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors1):
@@ -496,13 +502,13 @@ def _search(adj1, adj2, nbrs1, nbrs2, colors1: Sequence[int],
             return witness
         return None
     _, target = min((len(cell), c) for c, cell in cells.items() if len(cell) > 1)
-    invariant, refined1 = _refine(adj1, nbrs1, _individualize(colors1, cells[target][0]))
+    invariant, refined1 = refine(adj1, nbrs1, _individualize(colors1, cells[target][0]))
     for u, c in enumerate(colors2):
         if c != target:
             continue
-        other, refined2 = _refine(adj2, nbrs2, _individualize(colors2, u))
+        other, refined2 = refine(adj2, nbrs2, _individualize(colors2, u))
         if other == invariant:
-            witness = _search(adj1, adj2, nbrs1, nbrs2, refined1, refined2)
+            witness = _search(adj1, adj2, nbrs1, nbrs2, refined1, refined2, refine)
             if witness is not None:
                 return witness
     return None
@@ -524,16 +530,10 @@ class IsomorphismResult:
     isomorphic: bool
     witness: Optional[tuple[int, ...]]
 
-    def to_json(self) -> dict:
-        return {
-            "isomorphic": self.isomorphic,
-            "witness": list(self.witness) if self.witness is not None else None,
-        }
-
 
 def verify_witness(adj1, adj2, witness: Sequence[int]) -> bool:
     n = len(adj1)
-    if sorted(witness) != list(range(n)):
+    if len(adj2) != n or sorted(witness) != list(range(n)):
         return False
     return all(
         adj1[u][w] == adj2[witness[u]][witness[w]]
@@ -542,28 +542,69 @@ def verify_witness(adj1, adj2, witness: Sequence[int]) -> bool:
     )
 
 
+def find_isomorphism(adj1, adj2, refinement1, refinement2,
+                     cap: int = DEFAULT_ISO_NODES) -> Optional[tuple[int, ...]]:
+    """A witness w with adj1[u][v] == adj2[w[u]][w[v]], or None if there is none.
+
+    The refinements are the colour_refinement of each matrix.  The search
+    runs at most ``cap`` refinements and raises SizeCapExceeded past them.
+    """
+    if adj1 == adj2:
+        return tuple(range(len(adj1)))
+    if refinement1[0] != refinement2[0]:
+        return None
+    spent = 0
+
+    def refine(adj, neighbors, colors):
+        nonlocal spent
+        spent += 1
+        if spent > cap:
+            raise SizeCapExceeded(f"isomorphism search exceeds {cap} refinement nodes")
+        return _refine(adj, neighbors, colors)
+
+    found = _search(adj1, adj2, _neighbor_lists(adj1), _neighbor_lists(adj2),
+                    refinement1[1], refinement2[1], refine)
+    if found is not None and not verify_witness(adj1, adj2, found):
+        raise SelfCheckFailed("isomorphism witness does not map edges onto edges")
+    return None if found is None else tuple(found)
+
+
 def are_isomorphic(g1: CosetGraph, g2: CosetGraph,
-                   cap: int = DEFAULT_ISO_CAP) -> IsomorphismResult:
+                   cap: int = DEFAULT_ISO_NODES) -> IsomorphismResult:
     """Exact isomorphism: refinement invariants first, then individualise and refine."""
     if g1.n != g2.n:
         return IsomorphismResult(False, None)
-    n = g1.n
-    if n > cap:
-        raise SizeCapExceeded(f"{n} vertices exceed isomorphism cap {cap}")
-    adj1, adj2 = g1.adjacency, g2.adjacency
-    if adj1 == adj2:
-        return IsomorphismResult(True, tuple(range(n)))
-    invariant1, colors1 = g1.refinement
-    invariant2, colors2 = g2.refinement
-    if invariant1 != invariant2:
-        return IsomorphismResult(False, None)
-    found = _search(adj1, adj2, _neighbor_lists(adj1), _neighbor_lists(adj2), colors1, colors2)
-    if found is None:
-        return IsomorphismResult(False, None)
-    witness = tuple(found)
-    if not verify_witness(adj1, adj2, witness):
-        raise SelfCheckFailed("isomorphism witness does not map edges onto edges")
-    return IsomorphismResult(True, witness)
+    witness = find_isomorphism(g1.adjacency, g2.adjacency, g1.refinement, g2.refinement, cap)
+    return IsomorphismResult(witness is not None, witness)
+
+
+def isomorphism_classes(graphs: Sequence[CosetGraph], cap: int = DEFAULT_ISO_NODES):
+    """(class_of, witnesses): isomorphism classes with no pairwise loop.
+
+    class_of[k] is the class id of graph k, ids in order of first
+    appearance; witnesses[k] maps graph k onto the first member of its
+    class, and is None for that first member.  Isomorphic graphs share
+    their refinement invariant, so the graphs are bucketed by it, and each
+    graph is searched only against the first members in its bucket.
+    """
+    buckets: dict[tuple, list[int]] = {}
+    class_of: list[int] = []
+    witnesses: list[Optional[tuple[int, ...]]] = []
+    classes = 0
+    for k, graph in enumerate(graphs):
+        leaders = buckets.setdefault(graph.refinement[0], [])
+        for leader in leaders:
+            result = are_isomorphic(graph, graphs[leader], cap)
+            if result.isomorphic:
+                class_of.append(class_of[leader])
+                witnesses.append(result.witness)
+                break
+        else:
+            leaders.append(k)
+            class_of.append(classes)
+            witnesses.append(None)
+            classes += 1
+    return class_of, witnesses
 
 
 def are_isomorphic_bruteforce(g1: CosetGraph, g2: CosetGraph,

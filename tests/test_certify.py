@@ -430,7 +430,8 @@ def test_gl3_python_oracle_agrees_on_a_positive_pair():
 
 @pytest.mark.skipif(
     not os.environ.get("GASSMANN_EXHAUSTIVE"),
-    reason="negative GL(3,F_4) scan takes ~25 s; set GASSMANN_EXHAUSTIVE=1",
+    reason="negative GL(3,F_4) scan walks all 4^9 matrices, about 4 s; "
+    "set GASSMANN_EXHAUSTIVE=1",
 )
 def test_gl3_python_oracle_agrees_on_a_negative_pair():
     catalog = enumerate_class_reps(F4)

@@ -33,7 +33,7 @@ def test_certify_2_2_passes_and_self_verifies():
     assert items["class-count"]["actual"] == 4
     family = items["gassmann-family"]
     assert family["mode"] == "all-twists"
-    assert len(family["profiles"]) == 16 and family["pair_count"] == 120
+    assert len(family["profile_index"]) == 16 and family["pair_count"] == 120
     dichotomy = items["conjugacy-dichotomy"]
     assert dichotomy["bruteforce_checked"] and dichotomy["structural_equals_bruteforce"]
 
@@ -168,8 +168,8 @@ def test_graphs_2_2_default_generators(tmp_path):
 
 
 def test_graphs_lists_each_graph_edges_once(monkeypatch):
-    # the coset-graph item, the .edges export and every isomorphism item
-    # share one edge list per graph
+    # the coset-graph item and the .edges export share one edge list per
+    # graph, and no other item carries edges
     calls = [0]
     edge_list = cli.sg.CosetGraph.edge_list
 
@@ -181,11 +181,7 @@ def test_graphs_lists_each_graph_edges_once(monkeypatch):
     report, exports = cli.cmd_graphs(2, 2)
     graphs = [item for item in report["items"] if item["kind"] == "coset-graph"]
     assert len(graphs) == 4 and calls[0] <= 3 * len(graphs)
-    for item in report["items"]:
-        if item["kind"] == "isomorphism":
-            left, right = item["pair"]
-            assert item["edges_left"] == graphs[left]["edges"]
-            assert item["edges_right"] == graphs[right]["edges"]
+    assert all("edges" not in item for item in report["items"] if item["kind"] != "coset-graph")
     assert exports["rep_1.edges"].splitlines()[0] == " ".join(map(str, graphs[1]["edges"][0]))
 
 
@@ -195,7 +191,29 @@ def test_graphs_single_class_vacuous_pairwise():
     report = _report(out)
     graphs = [item for item in report["items"] if item["kind"] == "coset-graph"]
     assert len(graphs) == 1
-    assert not [item for item in report["items"] if item["kind"] == "isomorphism"]
+    classes = next(item for item in report["items"] if item["kind"] == "isomorphism-classes")
+    assert classes["class_of"] == [0] and classes["witnesses"] == [None]
+
+
+def test_graphs_3_2_groups_isomorphic_graphs_into_classes():
+    # 81-vertex graphs: the search budget counts refinement nodes, not vertices
+    code, out, _ = run_cli("graphs", "--p", "3", "--m", "2")
+    assert code == 0
+    report = _report(out)
+    classes = next(item for item in report["items"] if item["kind"] == "isomorphism-classes")
+    assert classes["class_of"] == [0, 1, 1, 1, 2, 2, 1, 2, 2]
+    assert [k for k, w in enumerate(classes["witnesses"]) if w is None] == [0, 1, 4]
+    assert verify_report(report) == []
+
+
+def test_graphs_over_the_search_budget_exits_2(monkeypatch, capsys):
+    # graphs 1 and 2 of GF(4) share their refinement invariant and need a search
+    classes = cli.sg.isomorphism_classes
+    monkeypatch.setattr(cli.sg, "isomorphism_classes", lambda graphs: classes(graphs, cap=0))
+    assert cli.main(["graphs", "--p", "2", "--m", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: SizeCapExceeded: isomorphism search exceeds 0 refinement nodes\n"
 
 
 def test_graphs_non_generating_set_errors():
@@ -362,7 +380,7 @@ def test_verify_subcommand_detects_tampering(tmp_path):
     code, msg, _ = run_cli("verify", str(good))
     assert code == 0 and "verified" in msg
     report = json.loads(out)
-    report["items"][1]["profiles"][0][0] += 1
+    report["items"][1]["distinct_profiles"][0][0] += 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(report))
     code, msg, err = run_cli("verify", str(bad))
@@ -393,7 +411,7 @@ def _tampered_family_verify(tmp_path, tamper) -> tuple[int, str]:
 
 
 def test_verify_rejects_a_missing_profile(tmp_path):
-    code, err = _tampered_family_verify(tmp_path, lambda family: family["profiles"].pop())
+    code, err = _tampered_family_verify(tmp_path, lambda family: family["profile_index"].pop())
     assert code == 1 and "differ in length" in err
 
 
@@ -403,6 +421,27 @@ def test_verify_rejects_a_wrong_pair_count(tmp_path):
 
     code, err = _tampered_family_verify(tmp_path, tamper)
     assert code == 1 and "pair_count" in err
+
+
+@pytest.mark.parametrize("index", [1, -1])
+def test_verify_rejects_an_out_of_range_profile_index(tmp_path, index):
+    def tamper(family):
+        family["profile_index"][5] = index
+
+    code, err = _tampered_family_verify(tmp_path, tamper)
+    assert code == 1 and "out of range" in err
+
+
+def test_verify_rejects_a_repeated_distinct_profile(tmp_path):
+    # a second copy of the one profile, used by some subgroups, would make
+    # all_equal look false for equal profiles
+    def tamper(family):
+        family["distinct_profiles"].append(list(family["distinct_profiles"][0]))
+        family["profile_index"][5] = 1
+        family["all_equal"] = family["holds"] = False
+
+    code, err = _tampered_family_verify(tmp_path, tamper)
+    assert code == 1 and "repeats a profile" in err
 
 
 def test_table_format():
@@ -474,7 +513,7 @@ def test_verify_malformed_item_reports_one_problem(tmp_path):
     _, out, _ = run_cli("certify", "--p", "2", "--m", "1")
     report = json.loads(out)
     family = next(item for item in report["items"] if item["kind"] == "gassmann-family")
-    del family["profiles"]
+    del family["distinct_profiles"]
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(report))
     code, out, err = run_cli("verify", str(path))

@@ -2,7 +2,10 @@ import json
 
 from conftest import run_cli
 
+from gassmann.heisenberg import center_subgroup, heisenberg_group
 from gassmann.reports import canonical_json, encode_count, new_report, finalize, verify_report
+from gassmann.rings import make_field
+from gassmann.schreier import build_coset_graph, char_poly, default_generators
 
 
 def test_encode_count_thresholds():
@@ -50,17 +53,68 @@ def test_verify_report_replays_every_bundled_certificate():
         assert verify_report(json.loads(out)) == []
 
 
-def test_verify_report_rejects_witness_tampering():
+def _graphs_2_2() -> dict:
     code, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
     assert code == 0
     report = json.loads(out)
-    iso_items = [item for item in report["items"]
-                 if item["kind"] == "isomorphism" and item["isomorphic"]]
-    if not iso_items:  # all representative pairs non-isomorphic; nothing to tamper
-        return
-    witness = iso_items[0]["witness"]
+    classes = _item(report, "isomorphism-classes")
+    # graphs 1 and 2 are isomorphic; 0 and 3 are alone in their classes
+    assert classes["class_of"] == [0, 1, 1, 2] and classes["witnesses"][2] is not None
+    return report
+
+
+def _item(report: dict, kind: str) -> dict:
+    return next(item for item in report["items"] if item["kind"] == kind)
+
+
+def test_verify_report_rejects_witness_tampering():
+    report = _graphs_2_2()
+    witness = _item(report, "isomorphism-classes")["witnesses"][2]
     witness[0] = witness[1]  # no longer a permutation
-    assert verify_report(report)
+    assert any("witness of graph 2" in problem for problem in verify_report(report))
+
+
+def test_verify_report_rejects_a_corrupted_witness_permutation():
+    report = _graphs_2_2()
+    witness = _item(report, "isomorphism-classes")["witnesses"][2]
+    witness[0], witness[1] = witness[1], witness[0]  # a permutation, not an isomorphism
+    assert any("witness of graph 2" in problem for problem in verify_report(report))
+
+
+def test_verify_report_rejects_a_merged_class():
+    report = _graphs_2_2()
+    classes = _item(report, "isomorphism-classes")
+    classes["class_of"][3] = 0
+    classes["witnesses"][3] = list(range(16))
+    assert any("witness of graph 3" in problem for problem in verify_report(report))
+
+
+def test_verify_report_rejects_a_split_class():
+    # graphs 1 and 2 have equal refinement invariants, so verify re-runs the search
+    report = _graphs_2_2()
+    classes = _item(report, "isomorphism-classes")
+    classes["class_of"] = [0, 1, 2, 3]
+    classes["witnesses"][2] = None
+    problems = verify_report(report)
+    assert any("graphs 1 and 2 open two classes" in problem for problem in problems)
+
+
+def test_verify_report_ties_cospectral_to_the_graph_items():
+    # a 4-regular 16-vertex graph with another spectrum: the centre's coset graph
+    group = heisenberg_group(make_field(2, 2))
+    other = build_coset_graph(center_subgroup(group), default_generators(group))
+    code, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
+    assert code == 0
+    report = json.loads(out)
+    graph = _item(report, "coset-graph")
+    assert other.n == graph["vertices"] and other.degree == graph["generators"]
+    charpoly = [encode_count(c) for c in char_poly(other).coefficients]
+    assert charpoly != graph["charpoly"]
+    graph["edges"] = [list(edge) for edge in other.edge_list()]
+    graph["charpoly"] = charpoly
+    assert _item(report, "cospectral")["all_equal"]
+    problems = verify_report(report)
+    assert any("contradict the coset-graph charpolys" in problem for problem in problems)
 
 
 def test_verify_report_recomputes_coset_graph_charpolys():

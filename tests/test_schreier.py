@@ -27,7 +27,9 @@ from gassmann.schreier import (
     charpoly_berkowitz,
     charpoly_cofactor,
     charpoly_modular,
+    colour_refinement,
     default_generators,
+    isomorphism_classes,
     isospectral,
     verify_witness,
 )
@@ -408,11 +410,74 @@ def test_isomorphism_cap():
     g1 = build_coset_graph(trivial_subgroup(heisenberg_group(F2)), default_generators(heisenberg_group(F2)))
     g2 = build_coset_graph(trivial_subgroup(heisenberg_group(F2)), default_generators(heisenberg_group(F2)))
     assert are_isomorphic(g1, g2).isomorphic  # 8 vertices, inside the cap
+    # the cap counts refinements per search: separating K33 from the prism takes 7
+    k33, prism = _synthetic(K33), _synthetic(PRISM)
+    with pytest.raises(SizeCapExceeded):
+        are_isomorphic(k33, prism, cap=6)
+    assert not are_isomorphic(k33, prism, cap=7).isomorphic
     big1 = build_coset_graph(trivial_subgroup(G4), GENS4)
     with pytest.raises(SizeCapExceeded):
-        are_isomorphic(big1, big1, cap=32)  # 64 vertices
-    with pytest.raises(SizeCapExceeded):
         are_isomorphic_bruteforce(big1, big1)  # brute cap is 16
+
+
+def _partition(labels):
+    blocks = {}
+    for k, label in enumerate(labels):
+        blocks.setdefault(label, []).append(k)
+    return sorted(blocks.values())
+
+
+@pytest.mark.parametrize("gens", [None, "five"], ids=["default", "five-generators"])
+def test_isomorphism_classes_equal_the_pairwise_oracle(gens):
+    group = G4
+    if gens == "five":
+        basis = F4.basis()
+        zero = F4.zero()
+        gens = [(basis[0], zero, zero), (basis[1], zero, zero), (zero, basis[0], zero),
+                (zero, basis[1], zero), (zero, zero, basis[0])]
+    else:
+        gens = GENS4
+    subs = [twisted_subgroup(f, group) for f in enumerate_class_reps(F4).reps]
+    graphs = [build_coset_graph(sub, gens) for sub in subs]
+    class_of, witnesses = isomorphism_classes(graphs)
+    # union of the brute-force oracle's pairwise verdicts
+    root = list(range(len(graphs)))
+    for i in range(len(graphs)):
+        for j in range(i + 1, len(graphs)):
+            if are_isomorphic_bruteforce(graphs[i], graphs[j]).isomorphic:
+                root[j] = root[i]
+    assert _partition(class_of) == _partition(root)
+    for k, witness in enumerate(witnesses):
+        leader = class_of.index(class_of[k])
+        if k == leader:
+            assert witness is None
+        else:
+            assert verify_witness(graphs[k].adjacency, graphs[leader].adjacency, witness)
+
+
+def test_isomorphism_classes_search_only_leaders_of_their_bucket(monkeypatch):
+    graphs = _rep_graphs(make_field(3, 2))
+    calls = []
+    search = schreier.are_isomorphic
+
+    def recorded(g1, g2, cap):
+        calls.append((graphs.index(g1), graphs.index(g2)))
+        return search(g1, g2, cap)
+
+    monkeypatch.setattr(schreier, "are_isomorphic", recorded)
+    class_of, _ = isomorphism_classes(graphs)
+    assert class_of == [0, 1, 1, 1, 2, 2, 1, 2, 2]
+    leaders = {class_of.index(c) for c in class_of}
+    assert len(calls) == 6
+    for k, leader in calls:
+        assert leader in leaders and leader < k
+        assert graphs[k].refinement[0] == graphs[leader].refinement[0]
+
+
+def test_colour_refinement_is_the_cached_graph_refinement():
+    # verify recomputes the invariant from edge lists through the same helper
+    for graph in _rep_graphs():
+        assert colour_refinement([list(row) for row in graph.adjacency]) == graph.refinement
 
 
 @pytest.mark.parametrize("search", [are_isomorphic, are_isomorphic_bruteforce])
