@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import SpecMismatch
+from .errors import SizeCapExceeded, SpecMismatch
 from .planner import verify_check_json
 from .schreier import charpoly_modular, colour_refinement, find_isomorphism, verify_witness
 
@@ -166,8 +166,7 @@ def _verify_cospectral(item: dict, graphs: list[dict], problems: list[str]) -> b
 def _verify_isomorphism_classes(item: dict, graphs: list[dict], problems: list[str]) -> bool:
     """Witnesses map each graph onto its class's first member; first members are
     pairwise non-isomorphic, by distinct refinement invariants or a re-run search."""
-    class_of = item["class_of"]
-    witnesses = item["witnesses"]
+    class_of, witnesses = item["class_of"], item["witnesses"]
     if not len(class_of) == len(witnesses) == len(graphs):
         problems.append("class_of and witnesses do not give one entry per coset graph")
         return False
@@ -188,10 +187,14 @@ def _verify_isomorphism_classes(item: dict, graphs: list[dict], problems: list[s
     for k, refinement in refinements.items():
         bucket = buckets.setdefault(refinement[0], [])
         for other in bucket:
-            if find_isomorphism(adjacency[k], adjacency[other],
-                                refinement, refinements[other]) is not None:
+            try:
+                if find_isomorphism(adjacency[k], adjacency[other],
+                                    refinement, refinements[other]) is None:
+                    continue
                 problems.append(f"graphs {other} and {k} open two classes but are isomorphic")
-                ok = False
+            except SizeCapExceeded:
+                problems.append(f"graphs {other} and {k}: search exceeds the node budget")
+            ok = False
         bucket.append(k)
     if ok != item["holds"]:
         problems.append("isomorphism-classes holds flag is wrong")

@@ -578,7 +578,7 @@ def are_isomorphic(g1: CosetGraph, g2: CosetGraph,
     return IsomorphismResult(witness is not None, witness)
 
 
-def isomorphism_classes(graphs: Sequence[CosetGraph], cap: int = DEFAULT_ISO_NODES):
+def isomorphism_classes(graphs: Sequence[CosetGraph]):
     """(class_of, witnesses): isomorphism classes with no pairwise loop.
 
     class_of[k] is the class id of graph k, ids in order of first
@@ -590,20 +590,18 @@ def isomorphism_classes(graphs: Sequence[CosetGraph], cap: int = DEFAULT_ISO_NOD
     buckets: dict[tuple, list[int]] = {}
     class_of: list[int] = []
     witnesses: list[Optional[tuple[int, ...]]] = []
-    classes = 0
     for k, graph in enumerate(graphs):
         leaders = buckets.setdefault(graph.refinement[0], [])
         for leader in leaders:
-            result = are_isomorphic(graph, graphs[leader], cap)
+            result = are_isomorphic(graph, graphs[leader])
             if result.isomorphic:
                 class_of.append(class_of[leader])
                 witnesses.append(result.witness)
                 break
         else:
             leaders.append(k)
-            class_of.append(classes)
+            class_of.append(max(class_of, default=-1) + 1)
             witnesses.append(None)
-            classes += 1
     return class_of, witnesses
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from conftest import run_cli
 
-from gassmann import cli
+from gassmann import cli, reports
 from gassmann.reports import render_table, verify_report
 
 
@@ -208,8 +208,8 @@ def test_graphs_3_2_groups_isomorphic_graphs_into_classes():
 
 def test_graphs_over_the_search_budget_exits_2(monkeypatch, capsys):
     # graphs 1 and 2 of GF(4) share their refinement invariant and need a search
-    classes = cli.sg.isomorphism_classes
-    monkeypatch.setattr(cli.sg, "isomorphism_classes", lambda graphs: classes(graphs, cap=0))
+    search = cli.sg.are_isomorphic
+    monkeypatch.setattr(cli.sg, "are_isomorphic", lambda g1, g2: search(g1, g2, cap=0))
     assert cli.main(["graphs", "--p", "2", "--m", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -442,6 +442,24 @@ def test_verify_rejects_a_repeated_distinct_profile(tmp_path):
 
     code, err = _tampered_family_verify(tmp_path, tamper)
     assert code == 1 and "repeats a profile" in err
+
+
+def test_verify_lists_a_split_class_over_the_search_budget(tmp_path, monkeypatch):
+    # graphs 1 and 2 of GF(4) share their refinement invariant, so splitting
+    # their class makes verify re-run a search that the budget cuts off
+    _, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
+    report = json.loads(out)
+    classes = next(item for item in report["items"] if item["kind"] == "isomorphism-classes")
+    classes["class_of"] = [0, 1, 2, 3]
+    classes["witnesses"][2] = None
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    search = reports.find_isomorphism
+    monkeypatch.setattr(reports, "find_isomorphism",
+                        lambda adj1, adj2, r1, r2: search(adj1, adj2, r1, r2, cap=0))
+    code, msg, err = run_cli("verify", str(bad))
+    assert code == 1 and "failed" in msg
+    assert "graphs 1 and 2: search exceeds the node budget" in err
 
 
 def test_table_format():
