@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import SizeCapExceeded, SpecMismatch
+from .errors import GassmannError, SizeCapExceeded, SpecMismatch
 from .planner import verify_check_json
-from .schreier import charpoly_modular, colour_refinement, find_isomorphism, verify_witness
+from .schreier import charpoly_by_centre, colour_refinement, find_isomorphism, verify_witness
 
 SCHEMA_VERSION = 2
 
@@ -59,7 +59,7 @@ def finalize(report: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _verify_profiles(item: dict, problems: list[str]) -> bool:
+def _verify_profiles(item: dict, config: dict, problems: list[str]) -> bool:
     labels = item["subgroups"]
     distinct = item["distinct_profiles"]
     index = item["profile_index"]
@@ -95,7 +95,7 @@ def _verify_profiles(item: dict, problems: list[str]) -> bool:
     return ok and item["all_equal"] == item["holds"]
 
 
-def _verify_class_count(item: dict, problems: list[str]) -> bool:
+def _verify_class_count(item: dict, config: dict, problems: list[str]) -> bool:
     ok = decode_count(item["actual"]) == decode_count(item["expected"])
     if item.get("bruteforce_orbits") is not None:
         ok = ok and decode_count(item["bruteforce_orbits"]) == decode_count(item["actual"])
@@ -105,7 +105,7 @@ def _verify_class_count(item: dict, problems: list[str]) -> bool:
     return ok
 
 
-def _verify_conjugacy(item: dict, problems: list[str]) -> bool:
+def _verify_conjugacy(item: dict, config: dict, problems: list[str]) -> bool:
     conjugate_pairs = item["structural_conjugate_pairs"]
     if not 0 <= conjugate_pairs <= item["pairs"]:
         problems.append("structural_conjugate_pairs is outside [0, pairs]")
@@ -132,17 +132,35 @@ def _edges_to_adjacency(n: int, edges) -> list[list[int]]:
     return adj
 
 
-def _verify_graph(item: dict, problems: list[str]) -> bool:
+def _centre_action(config: dict, n: int) -> list[list[int]]:
+    """The centre's vertex permutations on a coset graph of a graphs report.
+
+    Vertex k is the coset of (0, b, c) with k = index(b)·q + index(c), ring
+    elements indexed in lexicographic coefficient order, so (0, 0, e_i)
+    adds 1 mod p to the digit of k of weight p^(m-1-i).  charpoly_by_centre
+    checks them on the edges, so a wrong labelling is a problem, not a
+    wrong polynomial.
+    """
+    p, m = config["p"], config["m"]
+    q = p**m
+    if n != q * q:
+        raise SpecMismatch(f"a coset graph over GF({q}) has {q * q} vertices, not {n}")
+    weights = [p ** (m - 1 - i) for i in range(m)]
+    return [[k + w * (1 - p if k // w % p == p - 1 else 1) for k in range(n)] for w in weights]
+
+
+def _verify_graph(item: dict, config: dict, problems: list[str]) -> bool:
     n = item["vertices"]
     adj = _edges_to_adjacency(n, item["edges"])
-    degree = item["generators"]
-    ok = all(sum(row) == degree for row in adj)
+    ok = all(sum(row) == item["generators"] for row in adj)
     if not ok:
         problems.append("row sums do not match the generator count")
-    coeffs = [decode_count(c) for c in item["charpoly"]]
-    if coeffs != list(charpoly_modular(adj).coefficients):
-        problems.append("characteristic polynomial disagrees with the one recomputed from the edges")
-        ok = False
+    else:
+        poly = charpoly_by_centre(adj, _centre_action(config, n), config["p"])
+        if [decode_count(c) for c in item["charpoly"]] != list(poly.coefficients):
+            problems.append("characteristic polynomial disagrees with the one recomputed "
+                            "from the edges")
+            ok = False
     if ok != item["holds"]:
         problems.append("graph holds flag is wrong")
         return False
@@ -202,9 +220,18 @@ def _verify_isomorphism_classes(item: dict, graphs: list[dict], problems: list[s
     return ok
 
 
-def _verify_tower_count(item: dict, problems: list[str]) -> bool:
+def _is_power(value: int, p: int, e: int) -> bool:
+    """value == p^e for p >= 2, without building a power longer than value."""
+    return 0 <= e < value.bit_length() and value == p**e
+
+
+def _verify_tower_count(item: dict, config: dict, problems: list[str]) -> bool:
+    p, j = config["p"], item["j"]
     exact = decode_count(item["exact"])
     cited = decode_count(item["cited_lower"])
+    if not (_is_power(exact, p, j * j - j) and _is_power(cited, p, j * (j - 1) // 2)):
+        problems.append("tower-count exact or cited_lower differs from p^(j^2-j) or p^(j(j-1)/2)")
+        return False
     ok = (exact >= cited) == item["bound_holds"] and (exact != cited) == item["gap"]
     if not ok or item["holds"] != item["bound_holds"]:
         problems.append("tower-count flags are inconsistent")
@@ -212,7 +239,7 @@ def _verify_tower_count(item: dict, problems: list[str]) -> bool:
     return True
 
 
-def _verify_place_scan(item: dict, problems: list[str]) -> bool:
+def _verify_place_scan(item: dict, config: dict, problems: list[str]) -> bool:
     records = item["records"]
     ps = [r["p"] for r in records]
     if ps != sorted(set(ps)):
@@ -235,7 +262,7 @@ def _verify_place_scan(item: dict, problems: list[str]) -> bool:
     return True
 
 
-def _verify_plan(item: dict, problems: list[str]) -> bool:
+def _verify_plan(item: dict, config: dict, problems: list[str]) -> bool:
     ok = True
     for check in item.get("checks", []):
         if not verify_check_json(check):
@@ -250,6 +277,7 @@ def _verify_plan(item: dict, problems: list[str]) -> bool:
     return ok
 
 
+# Verifiers of one item, given the report's config.
 _VERIFIERS = {
     "gassmann-family": _verify_profiles,
     "class-count": _verify_class_count,
@@ -276,6 +304,7 @@ def verify_report(report: dict) -> list[str]:
     if report.get("schema_version") != SCHEMA_VERSION:
         problems.append("unknown schema version")
         return problems
+    config = report.get("config")
     kinds = [item.get("kind") if isinstance(item, dict) else None for item in report["items"]]
     graphs = [item for item, kind in zip(report["items"], kinds) if kind == "coset-graph"]
     all_hold = True
@@ -284,7 +313,7 @@ def verify_report(report: dict) -> list[str]:
             if kind in _GRAPH_VERIFIERS:
                 ok = _GRAPH_VERIFIERS[kind](item, graphs, problems)
             elif kind in _VERIFIERS:
-                ok = _VERIFIERS[kind](item, problems)
+                ok = _VERIFIERS[kind](item, config, problems)
             else:
                 problems.append(f"no verifier for item kind {kind!r}")
                 all_hold = False
@@ -293,6 +322,8 @@ def verify_report(report: dict) -> list[str]:
                 all_hold = False
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             problems.append(f"item {i} ({kind}) is malformed: {type(exc).__name__}: {exc}")
+        except GassmannError as exc:
+            problems.append(f"item {i} ({kind}) fails its check: {type(exc).__name__}: {exc}")
         if not item.get("holds", True):
             all_hold = False
     verdict = report["summary"].get("verdict")

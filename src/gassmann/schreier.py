@@ -2,8 +2,13 @@
 
 Cosets are right cosets Hg acted on by g -> gs; vertex labels are the
 lexicographically minimal coset members, so graphs are deterministic.
-Characteristic polynomials are computed by Hessenberg reduction modulo
-known primes and lifted by CRT past a bound on the coefficients; the
+The centre Z = {(0, 0, c)} acts freely on the cosets of a subgroup that
+meets it trivially, by Hg -> Hgz, and commutes with every generator, so a
+coset graph is a regular cover and its characteristic polynomial is the
+product of small blocks, one per orbit of characters of Z under Galois
+conjugation (the voltage-graph factorisation).  Each block goes through
+Hessenberg reduction modulo known primes, lifted by CRT past a bound on
+the coefficients.  The dense polynomial of the full adjacency, the
 division-free Berkowitz route, a memoized cofactor expansion and
 fraction-free integer determinants at sample points stay as oracles.
 Isomorphism compares canonical colour-refinement invariants, cached per
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import comb
-from operator import mul
+from operator import itemgetter, mul
 from typing import Optional, Sequence
 
 from .errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded, SpecMismatch
@@ -58,13 +63,18 @@ def symmetrize_generators(group: Heisenberg, gens: Sequence[GroupElement]):
 
 @dataclass(frozen=True)
 class CosetGraph:
-    """Right-coset multigraph of a subgroup with respect to a generator set."""
+    """Right-coset multigraph of a subgroup with respect to a generator set.
+
+    ``centre_action`` holds one vertex permutation Hg -> Hg(0, 0, e) per
+    basis element e of the ring; graphs built by hand may leave it empty.
+    """
 
     group: Heisenberg
     subgroup_label: str
     gens: tuple[GroupElement, ...]
     vertices: tuple[GroupElement, ...]
     adjacency: tuple[tuple[int, ...], ...]
+    centre_action: tuple[tuple[int, ...], ...] = ()
 
     @property
     def n(self) -> int:
@@ -153,12 +163,19 @@ def build_coset_graph(sub, gens: Sequence[GroupElement],
         for s in gens:
             row[coset_of[group.mul(rep, s)]] += 1
         rows.append(tuple(row))
+    # (a, b, c) * (0, 0, e) = (a, b, c + e)
+    add = group.ring.add
+    centre_action = tuple(
+        tuple(coset_of[(a, b, add(c, e))] for a, b, c in vertices)
+        for e in group.ring.basis()
+    )
     return CosetGraph(
         group=group,
         subgroup_label=sub.label(),
         gens=gens,
         vertices=tuple(vertices),
         adjacency=tuple(rows),
+        centre_action=centre_action,
     )
 
 
@@ -396,12 +413,113 @@ def charpoly_modular(matrix: Sequence[Sequence[int]]) -> SpectrumPolynomial:
     raise SizeCapExceeded("characteristic polynomial coefficients exceed the known primes")
 
 
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def charpoly_by_centre(adjacency: Sequence[Sequence[int]], perms: Sequence[Sequence[int]],
+                       p: int) -> SpectrumPolynomial:
+    """det(tI - A) as a product of blocks over the characters of a free (Z/p)^r action.
+
+    A permutation in ``perms`` is kept when it moves vertex 0 out of the
+    orbit of the ones kept before it.  The kept ones must be automorphisms
+    of A that commute, have order p and act freely, every orbit having p^r
+    vertices; a failed check raises SelfCheckFailed.  They generate a group
+    Γ ≅ (Z/p)^r commuting with A, so A preserves each space of vectors
+    with f(σ^k v) = χ(σ^k) f(v) for a character χ_λ(σ^k) = ζ^(λ·k),
+    ζ = exp(2πi/p).  On it A acts on the values at the Q = n/p^r orbit
+    representatives by A_λ[s, t] = Σ_k A[s, σ^k t] ζ^(λ·k).  λ = 0 gives an
+    integer Q x Q block.  The p - 1 nonzero multiples of one λ give Galois
+    conjugate blocks, whose charpolys multiply to that of A_λ acting on
+    Z[ζ]^Q: an integer Q(p-1) x Q(p-1) matrix in the basis 1, ζ, ...,
+    ζ^(p-2), where ζ^(p-1) = -(1 + ζ + ... + ζ^(p-2)).  With no permutation
+    kept the whole matrix is the one block.
+    """
+    n = len(adjacency)
+    rows = [tuple(row) for row in adjacency]
+    kept: list[tuple[int, ...]] = []
+    orbit = {0}
+    for perm in perms:
+        if n and perm[0] not in orbit:
+            kept.append(tuple(perm))
+            frontier = list(orbit)
+            while frontier:
+                v = frontier.pop()
+                for sigma in kept:
+                    if sigma[v] not in orbit:
+                        orbit.add(sigma[v])
+                        frontier.append(sigma[v])
+    identity = list(range(n))
+    for i, sigma in enumerate(kept):
+        if sorted(sigma) != identity:
+            raise SelfCheckFailed(f"a centre action is not a permutation of the {n} vertices")
+        take = itemgetter(*sigma)
+        if any(take(rows[s]) != rows[u] for u, s in enumerate(sigma)):
+            raise SelfCheckFailed("a centre permutation is not an automorphism of the graph")
+        power = identity
+        for _ in range(p):
+            power = [sigma[v] for v in power]
+        if power != identity:
+            raise SelfCheckFailed(f"a centre permutation does not have order {p}")
+        if any([sigma[v] for v in other] != [other[v] for v in sigma] for other in kept[:i]):
+            raise SelfCheckFailed("two centre permutations do not commute")
+    # where[v] = (orbit, k) for v = σ^k of the orbit's representative, with
+    # k = Σ k_i p^i over the kept permutations σ_i
+    where: list = [None] * n
+    reps: list[int] = []
+    for s in range(n):
+        if where[s] is not None:
+            continue
+        points = [s]
+        for sigma in kept:
+            layer, points = points, []
+            for _ in range(p):
+                points += layer
+                layer = [sigma[v] for v in layer]
+        for k, v in enumerate(points):
+            if where[v] is not None:
+                raise SelfCheckFailed(f"the centre permutations do not act freely: an orbit "
+                                      f"has fewer than {len(points)} vertices")
+            where[v] = (len(reps), k)
+        reps.append(s)
+    size = len(reps)
+    voltages = [[(*where[v], mult) for v, mult in enumerate(rows[s]) if mult] for s in reps]
+    trivial = [[0] * size for _ in range(size)]
+    for a, entries in enumerate(voltages):
+        for t, _, mult in entries:
+            trivial[a][t] += mult
+    poly = list(charpoly_modular(trivial).coefficients)
+    digits = [[k // p**i % p for i in range(len(kept))] for k in range(p ** len(kept))]
+    for lam in digits:
+        if next((x for x in lam if x), None) != 1:  # one λ per line through 0, none for 0
+            continue
+        phase = [sum(map(mul, lam, d)) % p for d in digits]
+        coeffs = [[[0] * p for _ in range(size)] for _ in range(size)]
+        for a, entries in enumerate(voltages):
+            for t, k, mult in entries:
+                coeffs[a][t][phase[k]] += mult
+        # entry (a, j), (t, i): coordinate j of A_λ[a, t]·ζ^i
+        block = [[c[(j - i) % p] - c[(p - 1 - i) % p] for c in coeffs[a] for i in range(p - 1)]
+                 for a in range(size) for j in range(p - 1)]
+        poly = _poly_mul(poly, charpoly_modular(block).coefficients)
+    return SpectrumPolynomial(tuple(poly))
+
+
 def char_poly(graph: CosetGraph, cap: Optional[int] = None) -> SpectrumPolynomial:
-    """Exact characteristic polynomial of the adjacency matrix."""
+    """Exact characteristic polynomial of the adjacency matrix.
+
+    Factorised through the centre's free action on the cosets by
+    charpoly_by_centre; a graph with no centre action is one dense block.
+    """
     limit = DEFAULT_VERTEX_CAP if cap is None else cap
     if graph.n > limit:
         raise SizeCapExceeded(f"{graph.n} vertices exceed cap {limit}")
-    return charpoly_modular(graph.adjacency)
+    return charpoly_by_centre(graph.adjacency, graph.centre_action, graph.group.ring.p)
 
 
 # ---------------------------------------------------------------------------

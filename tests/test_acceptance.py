@@ -6,6 +6,7 @@ force, oracle expansion, direct enumeration, exact substitution) before
 asserting, and enforces the stated runtime budgets.
 """
 
+import json
 import time
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from gassmann.errors import NoValidD
 from gassmann.heisenberg import heisenberg_group
 from gassmann.places import residue_degree, residue_degree_subgroup, scan_places
 from gassmann.planner import min_ell_growth, min_ell_sequence, tower_growth_constant, tower_min_k
+from gassmann.reports import verify_report
 from gassmann.rings import LinearMap, make_field, primes_up_to
 from gassmann.schreier import charpoly_cofactor
 
@@ -104,6 +106,30 @@ def test_criterion_3_sunada_graph_analog():
         3,
         f"4 representative 16-vertex graphs share one integer characteristic "
         f"polynomial, cofactor oracle agrees ({elapsed:.2f}s < 5s)",
+        ok,
+    )
+
+
+def test_criterion_9_sunada_graph_analog_at_gf8_verified():
+    started = time.perf_counter()
+    code, out, _ = run_cli("graphs", "--p", "2", "--m", "3")
+    report = json.loads(out)
+    problems = verify_report(report)
+    elapsed = time.perf_counter() - started
+    graphs = [item for item in report["items"] if item["kind"] == "coset-graph"]
+    cospectral = next(item for item in report["items"] if item["kind"] == "cospectral")
+    ok = (
+        code == 0
+        and len(graphs) == 64
+        and all(item["vertices"] == 64 for item in graphs)
+        and cospectral["all_equal"]
+        and problems == []
+        and elapsed < 5.0
+    )
+    _criterion(
+        9,
+        f"64 representative 64-vertex GF(8) graphs share one characteristic "
+        f"polynomial, and verify re-derives the report ({elapsed:.2f}s < 5s)",
         ok,
     )
 

@@ -9,6 +9,7 @@ from conftest import run_cli
 
 from gassmann import cli, reports
 from gassmann.reports import render_table, verify_report
+from gassmann.schreier import charpoly_modular
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -460,6 +461,70 @@ def test_verify_lists_a_split_class_over_the_search_budget(tmp_path, monkeypatch
     code, msg, err = run_cli("verify", str(bad))
     assert code == 1 and "failed" in msg
     assert "graphs 1 and 2: search exceeds the node budget" in err
+
+
+def _tampered_graph_verify(tmp_path, tamper) -> tuple[int, str]:
+    _, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
+    report = json.loads(out)
+    tamper(next(item for item in report["items"] if item["kind"] == "coset-graph"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    code, msg, err = run_cli("verify", str(bad))
+    assert msg == ("verified\n" if code == 0 else "verification failed\n")
+    return code, err
+
+
+def test_verify_lists_a_huge_multiplicity(tmp_path):
+    def tamper(graph):
+        graph["edges"][0][2] = 10**1500
+
+    code, err = _tampered_graph_verify(tmp_path, tamper)
+    assert code == 1 and "row sums do not match" in err
+    assert "fails its check" not in err  # no charpoly is attempted
+
+
+def test_verify_lists_charpoly_coefficients_past_the_known_primes(tmp_path):
+    # row sums and the centre action still check, so the blocks' bound passes every prime
+    def tamper(graph):
+        for edge in graph["edges"]:
+            edge[2] *= 10**2000
+        graph["generators"] *= 10**2000
+
+    code, err = _tampered_graph_verify(tmp_path, tamper)
+    assert code == 1
+    assert "item 0 (coset-graph) fails its check: SizeCapExceeded" in err
+
+
+def test_verify_lists_a_relabelled_graph(tmp_path):
+    # swapping vertices 0 and 1 keeps the spectrum, but the centre's action
+    # on the canonical labels is no longer an automorphism
+    swap = {0: 1, 1: 0}
+
+    def tamper(graph):
+        edges = [sorted((swap.get(u, u), swap.get(v, v))) + [mult] for u, v, mult in graph["edges"]]
+        assert sorted(edges) != sorted(graph["edges"])
+        adjacency = reports._edges_to_adjacency(graph["vertices"], edges)
+        charpoly = charpoly_modular(adjacency).coefficients
+        assert [int(c) for c in graph["charpoly"]] == list(charpoly)
+        graph["edges"] = edges
+
+    code, err = _tampered_graph_verify(tmp_path, tamper)
+    assert code == 1
+    assert "item 0 (coset-graph) fails its check: SelfCheckFailed" in err
+    assert "not an automorphism" in err
+
+
+def test_verify_recomputes_the_tower_count(tmp_path):
+    _, out, _ = run_cli("tower", "--p", "2", "--j-max", "3")
+    report = json.loads(out)
+    item = report["items"][2]
+    assert (item["j"], item["exact"], item["cited_lower"]) == (3, 64, 8)
+    item["exact"], item["gap"] = 8, False  # bound_holds stays true: the flags agree
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    code, msg, err = run_cli("verify", str(bad))
+    assert code == 1 and "failed" in msg
+    assert "tower-count exact or cited_lower differs" in err
 
 
 def test_table_format():

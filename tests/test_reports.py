@@ -1,9 +1,18 @@
 import json
 
+import pytest
 from conftest import run_cli
 
-from gassmann.heisenberg import center_subgroup, heisenberg_group
-from gassmann.reports import canonical_json, encode_count, new_report, finalize, verify_report
+from gassmann.certify import enumerate_class_reps
+from gassmann.heisenberg import center_subgroup, heisenberg_group, twisted_subgroup
+from gassmann.reports import (
+    _centre_action,
+    canonical_json,
+    encode_count,
+    finalize,
+    new_report,
+    verify_report,
+)
 from gassmann.rings import make_field
 from gassmann.schreier import build_coset_graph, char_poly, default_generators
 
@@ -141,3 +150,14 @@ def test_verify_report_bounds_structural_conjugate_pairs():
         dichotomy["structural_conjugate_pairs"] = tampered
         problems = verify_report(report)
         assert any("outside [0, pairs]" in problem for problem in problems)
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (2, 2), (2, 3), (3, 2)])
+def test_verify_derives_the_centre_action_from_the_config(p, m):
+    # vertex index(b)·q + index(c) is the coset of (0, b, c)
+    spec = make_field(p, m)
+    group = heisenberg_group(spec)
+    gens = default_generators(group)
+    for f in enumerate_class_reps(spec).reps:
+        graph = build_coset_graph(twisted_subgroup(f, group), gens)
+        assert _centre_action({"p": p, "m": m}, graph.n) == list(map(list, graph.centre_action))

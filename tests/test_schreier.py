@@ -1,5 +1,10 @@
 import dataclasses
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +14,7 @@ from gassmann import schreier
 from gassmann.certify import enumerate_class_reps
 from gassmann.errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded, SpecMismatch
 from gassmann.heisenberg import (
+    center_subgroup,
     conjugate_subgroup,
     heisenberg_group,
     horizontal_subgroup,
@@ -25,6 +31,7 @@ from gassmann.schreier import (
     build_coset_graph,
     char_poly,
     charpoly_berkowitz,
+    charpoly_by_centre,
     charpoly_cofactor,
     charpoly_modular,
     colour_refinement,
@@ -41,11 +48,18 @@ G4 = heisenberg_group(F4)
 GENS4 = default_generators(G4)
 
 
-def _rep_graphs(spec=F4):
+def _rep_graphs(spec=F4, gens=None):
     group = heisenberg_group(spec)
-    gens = default_generators(group)
+    gens = default_generators(group) if gens is None else gens
     subs = [twisted_subgroup(f, group) for f in enumerate_class_reps(spec).reps]
     return [build_coset_graph(s, gens) for s in subs]
+
+
+def _five_generators():
+    """A custom GF(4) generating set: both basis elements in a and in b, one in c."""
+    basis, zero = F4.basis(), F4.zero()
+    return [(basis[0], zero, zero), (basis[1], zero, zero), (zero, basis[0], zero),
+            (zero, basis[1], zero), (zero, zero, basis[0])]
 
 
 def _synthetic(adjacency):
@@ -430,13 +444,7 @@ def _partition(labels):
 @pytest.mark.parametrize("gens", [None, "five"], ids=["default", "five-generators"])
 def test_isomorphism_classes_equal_the_pairwise_oracle(gens):
     group = G4
-    if gens == "five":
-        basis = F4.basis()
-        zero = F4.zero()
-        gens = [(basis[0], zero, zero), (basis[1], zero, zero), (zero, basis[0], zero),
-                (zero, basis[1], zero), (zero, zero, basis[0])]
-    else:
-        gens = GENS4
+    gens = _five_generators() if gens == "five" else GENS4
     subs = [twisted_subgroup(f, group) for f in enumerate_class_reps(F4).reps]
     graphs = [build_coset_graph(sub, gens) for sub in subs]
     class_of, witnesses = isomorphism_classes(graphs)
@@ -496,3 +504,113 @@ def test_rejected_witness_raises_even_under_optimization(search, monkeypatch):
     monkeypatch.setattr(schreier, "verify_witness", lambda *args: False)
     with pytest.raises(SelfCheckFailed):
         search(graph, relabelled)
+
+
+# ---------------------------------------------------------------------------
+# Characteristic polynomials through the centre's action
+# ---------------------------------------------------------------------------
+
+
+def _subgroup_graphs(*subgroups):
+    return [build_coset_graph(sub(G4), GENS4) for sub in subgroups]
+
+
+# case -> (graphs, rank r of the free action kept by charpoly_by_centre)
+CENTRE_CASES = {
+    "GF3": lambda: (_rep_graphs(make_field(3, 1)), 1),
+    "GF5": lambda: (_rep_graphs(make_field(5, 1)), 1),
+    "GF4": lambda: (_rep_graphs(F4), 2),
+    "GF8": lambda: (_rep_graphs(make_field(2, 3)), 3),
+    "GF9": lambda: (_rep_graphs(make_field(3, 2)), 2),
+    "GF4-five-generators": lambda: (_rep_graphs(F4, _five_generators()), 2),
+    "F2[t]/t^2": lambda: (_rep_graphs(make_trunc_ring(2, 2)), 2),
+    # Z acts freely on the 64 elements; it fixes every coset of the centre
+    # and of the whole group, so no permutation is kept
+    "GF4-trivial": lambda: (_subgroup_graphs(trivial_subgroup), 2),
+    "GF4-centre-and-whole-group": lambda: (_subgroup_graphs(center_subgroup, whole_group), 0),
+    "synthetic": lambda: ([_synthetic(adj) for adj in (C6, PRISM, K33, K4)], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(CENTRE_CASES))
+def test_factorised_charpoly_equals_the_dense_oracle(case, monkeypatch):
+    graphs, rank = CENTRE_CASES[case]()
+    dense = schreier.charpoly_modular
+    sizes = []
+    monkeypatch.setattr(schreier, "charpoly_modular", lambda m: sizes.append(len(m)) or dense(m))
+    for graph in graphs:
+        sizes.clear()
+        assert char_poly(graph).coefficients == dense(graph.adjacency).coefficients
+        # the quotient block, then one Z[ζ_p] block per line through 0 in F_p^r
+        p = graph.group.ring.p
+        quotient = graph.n // p**rank
+        assert sizes == [quotient] + [quotient * (p - 1)] * ((p**rank - 1) // (p - 1))
+
+
+def test_factorised_charpoly_agrees_with_the_dense_one_modulo_a_prime_on_gf16():
+    spec = make_field(2, 4)
+    group = heisenberg_group(spec)
+    f = LinearMap.from_flat(2, (1, 0, 1, 1, 0, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1), 4)
+    graph = build_coset_graph(twisted_subgroup(f, group), default_generators(group))
+    assert graph.n == 256
+    prime = 2**61 - 1
+    poly = char_poly(graph).coefficients
+    assert [c % prime for c in poly] == schreier._charpoly_mod(graph.adjacency, prime)
+
+
+def test_klein_four_action_on_k4_gives_its_spectrum():
+    # (0 1)(2 3) and (0 2)(1 3) act regularly: four 1 x 1 blocks, eigenvalues 3, -1, -1, -1
+    poly = charpoly_by_centre(K4, [[1, 0, 3, 2], [2, 3, 0, 1]], 2)
+    assert poly.coefficients == (1, 0, -6, -8, -3) == charpoly_berkowitz(K4).coefficients
+
+
+PATH4 = _simple_graph(4, [(0, 1), (1, 2), (2, 3)])
+K4 = _simple_graph(4, [(u, w) for u in range(4) for w in range(u + 1, 4)])
+
+# name -> (adjacency, permutations, p, message): each breaks one check of the certificate
+BROKEN_CENTRE_ACTIONS = {
+    "not-a-permutation": (K4, [[1, 1, 2, 3]], 2, "not a permutation"),
+    "not-an-automorphism": (PATH4, [[1, 0, 3, 2]], 2, "not an automorphism"),
+    "not-commuting": (K4, [[1, 0, 3, 2], [2, 1, 0, 3]], 2, "do not commute"),
+    "order-not-p": (K4, [[1, 2, 3, 0]], 2, "does not have order 2"),
+    "not-free": (K4, [[1, 0, 2, 3]], 2, "do not act freely"),
+}
+
+
+@pytest.mark.parametrize("name", list(BROKEN_CENTRE_ACTIONS))
+def test_broken_centre_action_raises(name):
+    adjacency, perms, p, message = BROKEN_CENTRE_ACTIONS[name]
+    with pytest.raises(SelfCheckFailed, match=message):
+        charpoly_by_centre(adjacency, perms, p)
+
+
+def test_broken_centre_actions_raise_even_under_optimization():
+    # the checks raise explicitly, so python -O, which drops asserts, keeps them
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = (
+        "import json, sys\n"
+        "from gassmann.errors import SelfCheckFailed\n"
+        "from gassmann.schreier import charpoly_by_centre\n"
+        "for name, (adjacency, perms, p, _) in json.loads(sys.argv[1]).items():\n"
+        "    try:\n"
+        "        charpoly_by_centre(adjacency, perms, p)\n"
+        "    except SelfCheckFailed:\n"
+        "        print(name)\n"
+    )
+    done = subprocess.run([sys.executable, "-O", "-c", script, json.dumps(BROKEN_CENTRE_ACTIONS)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == list(BROKEN_CENTRE_ACTIONS)
+
+
+def test_coset_graphs_record_the_centre_action():
+    # vertex k goes to the canonical label of its coset times (0, 0, e)
+    sub = horizontal_subgroup(G4)
+    graph = build_coset_graph(sub, GENS4)
+    assert len(graph.centre_action) == F4.dim
+    for e, perm in zip(F4.basis(), graph.centre_action):
+        for k, (a, b, c) in enumerate(graph.vertices):
+            moved = min(G4.mul(h, (a, b, F4.add(c, e))) for h in sub.elements)
+            assert graph.vertices[perm[k]] == moved
+    assert build_coset_graph(center_subgroup(G4), GENS4).centre_action == (tuple(range(16)),) * 2
+    assert _synthetic(C6).centre_action == ()
