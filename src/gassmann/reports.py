@@ -12,11 +12,16 @@ as decimal strings.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from fractions import Fraction
 from typing import Any
 
 from .errors import GassmannError, SizeCapExceeded, SpecMismatch
+from .places import residue_degree
 from .planner import verify_check_json
-from .schreier import charpoly_by_centre, colour_refinement, find_isomorphism, verify_witness
+from .rings import is_prime
+from .schreier import (charpoly_by_centre, colour_refinement, find_isomorphism, maps_onto,
+                       rows_from_edges)
 
 SCHEMA_VERSION = 2
 
@@ -65,8 +70,20 @@ def _verify_profiles(item: dict, config: dict, problems: list[str]) -> bool:
     index = item["profile_index"]
     sizes = item["subgroup_sizes"]
     identity_class = item["identity_class"]
+    class_sizes = item["class_sizes"]
     n = len(labels)
     ok = True
+    # over GF(q): q central classes of size 1, q^2 - 1 classes of size q, subgroups of order q
+    q = config["p"] ** config["m"]
+    if Counter(class_sizes) != Counter({1: q, q: q * q - 1}):
+        problems.append("class_sizes are not q classes of size 1 and q^2-1 of size q, q = p^m")
+        ok = False
+    if not (0 <= identity_class < len(class_sizes) and class_sizes[identity_class] == 1):
+        problems.append("identity_class is not a class of size 1")
+        return False
+    if any(size != q for size in sizes):
+        problems.append("a subgroup order is not q = p^m")
+        ok = False
     if not len(index) == len(sizes) == n:
         problems.append("subgroups, profile_index and subgroup_sizes differ in length")
         ok = False
@@ -96,6 +113,10 @@ def _verify_profiles(item: dict, config: dict, problems: list[str]) -> bool:
 
 
 def _verify_class_count(item: dict, config: dict, problems: list[str]) -> bool:
+    m = config["m"]
+    if not _is_power(decode_count(item["expected"]), config["p"], m * (m - 1)):
+        problems.append("class-count expected differs from p^(m(m-1))")
+        return False
     ok = decode_count(item["actual"]) == decode_count(item["expected"])
     if item.get("bruteforce_orbits") is not None:
         ok = ok and decode_count(item["bruteforce_orbits"]) == decode_count(item["actual"])
@@ -123,15 +144,6 @@ def _verify_conjugacy(item: dict, config: dict, problems: list[str]) -> bool:
     return ok
 
 
-def _edges_to_adjacency(n: int, edges) -> list[list[int]]:
-    adj = [[0] * n for _ in range(n)]
-    for u, v, mult in edges:
-        adj[u][v] += mult
-        if u != v:
-            adj[v][u] += mult
-    return adj
-
-
 def _centre_action(config: dict, n: int) -> list[list[int]]:
     """The centre's vertex permutations on a coset graph of a graphs report.
 
@@ -151,12 +163,12 @@ def _centre_action(config: dict, n: int) -> list[list[int]]:
 
 def _verify_graph(item: dict, config: dict, problems: list[str]) -> bool:
     n = item["vertices"]
-    adj = _edges_to_adjacency(n, item["edges"])
-    ok = all(sum(row) == item["generators"] for row in adj)
+    rows = rows_from_edges(n, item["edges"])
+    ok = all(sum(mult for _, mult in row) == item["generators"] for row in rows)
     if not ok:
         problems.append("row sums do not match the generator count")
     else:
-        poly = charpoly_by_centre(adj, _centre_action(config, n), config["p"])
+        poly = charpoly_by_centre(rows, _centre_action(config, n), config["p"])
         if [decode_count(c) for c in item["charpoly"]] != list(poly.coefficients):
             problems.append("characteristic polynomial disagrees with the one recomputed "
                             "from the edges")
@@ -188,7 +200,7 @@ def _verify_isomorphism_classes(item: dict, graphs: list[dict], problems: list[s
     if not len(class_of) == len(witnesses) == len(graphs):
         problems.append("class_of and witnesses do not give one entry per coset graph")
         return False
-    adjacency = [_edges_to_adjacency(graph["vertices"], graph["edges"]) for graph in graphs]
+    rows = [rows_from_edges(graph["vertices"], graph["edges"]) for graph in graphs]
     leaders: dict[int, int] = {}
     ok = True
     for k, (c, witness) in enumerate(zip(class_of, witnesses)):
@@ -197,17 +209,16 @@ def _verify_isomorphism_classes(item: dict, graphs: list[dict], problems: list[s
                 problems.append(f"graph {k} opens class {c} out of order or with a witness")
                 return False
             leaders[c] = k
-        elif witness is None or not verify_witness(adjacency[k], adjacency[leaders[c]], witness):
+        elif witness is None or not maps_onto(rows[k], rows[leaders[c]], witness):
             problems.append(f"witness of graph {k} does not map it onto graph {leaders[c]}")
             ok = False
-    refinements = {k: colour_refinement(adjacency[k]) for k in leaders.values()}
+    refinements = {k: colour_refinement(rows[k]) for k in leaders.values()}
     buckets: dict[tuple, list[int]] = {}
     for k, refinement in refinements.items():
         bucket = buckets.setdefault(refinement[0], [])
         for other in bucket:
             try:
-                if find_isomorphism(adjacency[k], adjacency[other],
-                                    refinement, refinements[other]) is None:
+                if find_isomorphism(rows[k], rows[other], refinement, refinements[other]) is None:
                     continue
                 problems.append(f"graphs {other} and {k} open two classes but are isomorphic")
             except SizeCapExceeded:
@@ -240,20 +251,33 @@ def _verify_tower_count(item: dict, config: dict, problems: list[str]) -> bool:
 
 
 def _verify_place_scan(item: dict, config: dict, problems: list[str]) -> bool:
+    ell, q, bound = config["ell"], config["q"], config["bound"]
     records = item["records"]
     ps = [r["p"] for r in records]
     if ps != sorted(set(ps)):
         problems.append("place records are not strictly increasing")
         return False
     for r in records:
-        if decode_count(r["residue_size"]) != r["p"] ** r["ell"]:
-            problems.append(f"residue size wrong at p={r['p']}")
+        p = r["p"]
+        if not (is_prime(p) and p <= bound and p != q):
+            problems.append(f"place record p={p} is not a prime up to the bound other than q")
             return False
-    num, den = item["density"].split("/") if "/" in item["density"] else (item["density"], "1")
-    cnum, cden = item["cebotarev_density"].split("/")
-    tnum, tden = item["tolerance"].split("/") if "/" in item["tolerance"] else (item["tolerance"], "1")
-    gap_num = abs(int(num) * int(cden) - int(cnum) * int(den))
-    within = gap_num * int(tden) <= int(tnum) * int(den) * int(cden)
+        if (r["q"], r["ell"], r["degree"]) != (q, ell, ell) or residue_degree(p, q, ell) != ell:
+            problems.append(f"place record p={p} does not have residue degree ell={ell}")
+            return False
+        if decode_count(r["residue_size"]) != p**ell:
+            problems.append(f"residue size wrong at p={p}")
+            return False
+    scanned = item["scanned"]
+    if item["degree_ell_count"] != len(records) or Fraction(item["density"]) != (
+            Fraction(len(records), scanned) if scanned else 0):
+        problems.append("degree_ell_count or density does not count the records")
+        return False
+    cebotarev = Fraction(item["cebotarev_density"])
+    if cebotarev != Fraction(ell - 1, ell) or item["tolerance"] != config["tolerance"]:
+        problems.append("cebotarev_density or tolerance differs from the config")
+        return False
+    within = abs(Fraction(item["density"]) - cebotarev) <= Fraction(item["tolerance"])
     if within != item["within_tolerance"] or item["holds"] != (
         within and item["implementations_agree"]
     ):

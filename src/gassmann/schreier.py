@@ -1,10 +1,12 @@
 """Schreier coset graphs, exact integer spectra, and graph isomorphism.
 
 Cosets are right cosets Hg acted on by g -> gs; vertex labels are the
-lexicographically minimal coset members, so graphs are deterministic.
-The centre Z = {(0, 0, c)} acts freely on the cosets of a subgroup that
-meets it trivially, by Hg -> Hgz, and commutes with every generator, so a
-coset graph is a regular cover and its characteristic polynomial is the
+lexicographically minimal coset members, so graphs are deterministic.  A
+graph is its sorted neighbour rows, which every production route reads;
+the dense adjacency matrix is a view of them for the oracles only.  The
+centre Z = {(0, 0, c)} acts freely on the cosets of a subgroup that meets
+it trivially, by Hg -> Hgz, and commutes with every generator, so a coset
+graph is a regular cover and its characteristic polynomial is the
 product of small blocks, one per orbit of characters of Z under Galois
 conjugation (the voltage-graph factorisation).  Each block goes through
 Hessenberg reduction modulo known primes, lifted by CRT past a bound on
@@ -19,11 +21,12 @@ by invariant.  A plain permutation search is the oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import comb
-from operator import itemgetter, mul
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded, SpecMismatch
@@ -32,6 +35,9 @@ from .heisenberg import GroupElement, Heisenberg
 DEFAULT_VERTEX_CAP = 4096
 # Refinements per isomorphism search; one between GF(8) or GF(9) coset graphs runs 9 at most.
 DEFAULT_ISO_NODES = 1024
+
+# Per vertex, its (neighbour, multiplicity) pairs in increasing neighbour order.
+Rows = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def default_generators(group: Heisenberg) -> tuple[GroupElement, ...]:
@@ -65,15 +71,18 @@ def symmetrize_generators(group: Heisenberg, gens: Sequence[GroupElement]):
 class CosetGraph:
     """Right-coset multigraph of a subgroup with respect to a generator set.
 
-    ``centre_action`` holds one vertex permutation Hg -> Hg(0, 0, e) per
-    basis element e of the ring; graphs built by hand may leave it empty.
+    ``rows`` is the graph: rows[u] lists the (v, multiplicity) pairs of the
+    neighbours v of u in increasing v, loops included.  ``adjacency`` is the
+    dense matrix derived from it, for the oracles only.  ``centre_action``
+    holds one vertex permutation Hg -> Hg(0, 0, e) per basis element e of
+    the ring; graphs built by hand may leave it empty.
     """
 
     group: Heisenberg
     subgroup_label: str
     gens: tuple[GroupElement, ...]
     vertices: tuple[GroupElement, ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    rows: Rows
     centre_action: tuple[tuple[int, ...], ...] = ()
 
     @property
@@ -85,7 +94,12 @@ class CosetGraph:
         return len(self.gens)
 
     def loop_count(self) -> int:
-        return sum(self.adjacency[i][i] for i in range(self.n))
+        return sum(mult for u, row in enumerate(self.rows) for v, mult in row if u == v)
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The dense n x n adjacency matrix, derived from the rows for the oracles."""
+        return tuple(tuple(dict(row).get(v, 0) for v in range(self.n)) for row in self.rows)
 
     @cached_property
     def connected(self) -> bool:
@@ -94,26 +108,20 @@ class CosetGraph:
         seen = {0}
         frontier = [0]
         while frontier:
-            u = frontier.pop()
-            for v, mult in enumerate(self.adjacency[u]):
-                if mult and v not in seen:
+            for v, _ in self.rows[frontier.pop()]:
+                if v not in seen:
                     seen.add(v)
                     frontier.append(v)
         return len(seen) == self.n
 
     @cached_property
     def refinement(self) -> tuple[tuple, tuple[int, ...]]:
-        """colour_refinement of the adjacency, cached: (invariant, colours)."""
-        return colour_refinement(self.adjacency)
+        """colour_refinement of the rows, cached: (invariant, colours)."""
+        return colour_refinement(self.rows)
 
     def edge_list(self) -> list[tuple[int, int, int]]:
         """(u, v, multiplicity) with u <= v, loops included."""
-        out = []
-        for u in range(self.n):
-            for v in range(u, self.n):
-                if self.adjacency[u][v]:
-                    out.append((u, v, self.adjacency[u][v]))
-        return out
+        return [(u, v, mult) for u, row in enumerate(self.rows) for v, mult in row if u <= v]
 
     def to_dot(self, name: str = "coset_graph") -> str:
         lines = [f"graph {name} {{"]
@@ -157,25 +165,42 @@ def build_coset_graph(sub, gens: Sequence[GroupElement],
             coset_of[group.mul(h, g)] = vid
     if len(vertices) != index:
         raise SelfCheckFailed(f"found {len(vertices)} cosets, expected {index}")
-    rows = []
-    for rep in vertices:
-        row = [0] * index
-        for s in gens:
-            row[coset_of[group.mul(rep, s)]] += 1
-        rows.append(tuple(row))
+    rows = tuple(
+        tuple(sorted(Counter(coset_of[group.mul(rep, s)] for s in gens).items()))
+        for rep in vertices
+    )
     # (a, b, c) * (0, 0, e) = (a, b, c + e)
     add = group.ring.add
     centre_action = tuple(
         tuple(coset_of[(a, b, add(c, e))] for a, b, c in vertices)
         for e in group.ring.basis()
     )
-    return CosetGraph(
-        group=group,
-        subgroup_label=sub.label(),
-        gens=gens,
-        vertices=tuple(vertices),
-        adjacency=tuple(rows),
-        centre_action=centre_action,
+    return CosetGraph(group=group, subgroup_label=sub.label(), gens=gens,
+                      vertices=tuple(vertices), rows=rows, centre_action=centre_action)
+
+
+def rows_from_edges(n: int, edges) -> Rows:
+    """Neighbour rows of the n-vertex graph with these (u, v, multiplicity) edges, in
+    either orientation; repeated edges add up, and a total of 0 is no edge."""
+    counts: list[dict[int, int]] = [{} for _ in range(n)]
+    for u, v, mult in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexError(f"edge ({u}, {v}) leaves the {n} vertices")
+        counts[u][v] = counts[u].get(v, 0) + mult
+        if u != v:
+            counts[v][u] = counts[v].get(u, 0) + mult
+    return tuple(tuple(sorted((v, mult) for v, mult in row.items() if mult)) for row in counts)
+
+
+def maps_onto(rows1: Rows, rows2: Rows, perm: Sequence[int]) -> bool:
+    """Whether perm is a permutation taking every edge u-v of rows1 to perm[u]-perm[v]
+    of rows2 with the same multiplicity, in O(edges)."""
+    n = len(rows1)
+    if len(rows2) != n or sorted(perm) != list(range(n)):
+        return False
+    return all(
+        tuple(sorted((perm[v], mult) for v, mult in row)) == rows2[perm[u]]
+        for u, row in enumerate(rows1)
     )
 
 
@@ -205,12 +230,8 @@ class SpectrumPolynomial:
         return acc
 
     def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "coefficients": [
-                c if abs(c) < 2**53 else str(c) for c in self.coefficients
-            ],
-        }
+        return {"degree": self.degree,
+                "coefficients": [c if abs(c) < 2**53 else str(c) for c in self.coefficients]}
 
 
 def charpoly_berkowitz(matrix: Sequence[Sequence[int]]) -> SpectrumPolynomial:
@@ -228,10 +249,7 @@ def charpoly_berkowitz(matrix: Sequence[Sequence[int]]) -> SpectrumPolynomial:
         vec = col[:]
         for _ in range(r - 1):
             toep.append(-sum(x * y for x, y in zip(row, vec)))
-            vec = [
-                sum(matrix[i][k] * vec[k] for k in range(r - 1))
-                for i in range(r - 1)
-            ]
+            vec = [sum(matrix[i][k] * vec[k] for k in range(r - 1)) for i in range(r - 1)]
         new_poly = [0] * (r + 1)
         for i, c in enumerate(poly):
             for k in range(r + 1 - i):
@@ -250,13 +268,8 @@ def charpoly_cofactor(matrix: Sequence[Sequence[int]]) -> SpectrumPolynomial:
     if n == 0:
         return SpectrumPolynomial((1,))
     # entry polynomials of tI - A, low-to-high
-    entry = [
-        [
-            ((-matrix[i][j], 1) if i == j else (-matrix[i][j],))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    entry = [[(-matrix[i][j], 1) if i == j else (-matrix[i][j],) for j in range(n)]
+             for i in range(n)]
 
     def poly_scale_add(acc: list[int], poly: tuple[int, ...], scalar_poly) -> None:
         for i, x in enumerate(scalar_poly):
@@ -273,23 +286,18 @@ def charpoly_cofactor(matrix: Sequence[Sequence[int]]) -> SpectrumPolynomial:
         cached = memo.get(mask)
         if cached is not None:
             return cached
-        row = n - bin(mask).count("1")
         size = bin(mask).count("1")
+        row = n - size
         acc = [0] * (size + 1)
         sign = 1
-        position = 0
         m = mask
         while m:
             j = (m & -m).bit_length() - 1
             e = entry[row][j]
             if any(e):
                 sub = minor(mask & ~(1 << j))
-                if sign > 0:
-                    poly_scale_add(acc, sub, e)
-                else:
-                    poly_scale_add(acc, tuple(-c for c in sub), e)
+                poly_scale_add(acc, sub if sign > 0 else tuple(-c for c in sub), e)
             sign = -sign
-            position += 1
             m &= m - 1
         result = tuple(acc)
         memo[mask] = result
@@ -422,11 +430,11 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def charpoly_by_centre(adjacency: Sequence[Sequence[int]], perms: Sequence[Sequence[int]],
-                       p: int) -> SpectrumPolynomial:
+def charpoly_by_centre(rows: Rows, perms: Sequence[Sequence[int]], p: int) -> SpectrumPolynomial:
     """det(tI - A) as a product of blocks over the characters of a free (Z/p)^r action.
 
-    A permutation in ``perms`` is kept when it moves vertex 0 out of the
+    A is the adjacency of the graph with these neighbour rows.  A
+    permutation in ``perms`` is kept when it moves vertex 0 out of the
     orbit of the ones kept before it.  The kept ones must be automorphisms
     of A that commute, have order p and act freely, every orbit having p^r
     vertices; a failed check raises SelfCheckFailed.  They generate a group
@@ -440,8 +448,7 @@ def charpoly_by_centre(adjacency: Sequence[Sequence[int]], perms: Sequence[Seque
     ζ^(p-2), where ζ^(p-1) = -(1 + ζ + ... + ζ^(p-2)).  With no permutation
     kept the whole matrix is the one block.
     """
-    n = len(adjacency)
-    rows = [tuple(row) for row in adjacency]
+    n = len(rows)
     kept: list[tuple[int, ...]] = []
     orbit = {0}
     for perm in perms:
@@ -458,8 +465,7 @@ def charpoly_by_centre(adjacency: Sequence[Sequence[int]], perms: Sequence[Seque
     for i, sigma in enumerate(kept):
         if sorted(sigma) != identity:
             raise SelfCheckFailed(f"a centre action is not a permutation of the {n} vertices")
-        take = itemgetter(*sigma)
-        if any(take(rows[s]) != rows[u] for u, s in enumerate(sigma)):
+        if not maps_onto(rows, rows, sigma):
             raise SelfCheckFailed("a centre permutation is not an automorphism of the graph")
         power = identity
         for _ in range(p):
@@ -488,7 +494,7 @@ def charpoly_by_centre(adjacency: Sequence[Sequence[int]], perms: Sequence[Seque
             where[v] = (len(reps), k)
         reps.append(s)
     size = len(reps)
-    voltages = [[(*where[v], mult) for v, mult in enumerate(rows[s]) if mult] for s in reps]
+    voltages = [[(*where[v], mult) for v, mult in rows[s]] for s in reps]
     trivial = [[0] * size for _ in range(size)]
     for a, entries in enumerate(voltages):
         for t, _, mult in entries:
@@ -519,7 +525,7 @@ def char_poly(graph: CosetGraph, cap: Optional[int] = None) -> SpectrumPolynomia
     limit = DEFAULT_VERTEX_CAP if cap is None else cap
     if graph.n > limit:
         raise SizeCapExceeded(f"{graph.n} vertices exceed cap {limit}")
-    return charpoly_by_centre(graph.adjacency, graph.centre_action, graph.group.ring.p)
+    return charpoly_by_centre(graph.rows, graph.centre_action, graph.group.ring.p)
 
 
 # ---------------------------------------------------------------------------
@@ -546,21 +552,16 @@ def isospectral(sub_h, sub_k, gens: Sequence[GroupElement],
     return IsospectralResult(poly_h.coefficients == poly_k.coefficients, poly_h, poly_k)
 
 
-def _neighbor_lists(adj) -> list[list[tuple[int, int]]]:
-    """Per vertex, (vertex, multiplicity) for each nonzero adjacency entry, in vertex order."""
-    return [[(u, mult) for u, mult in enumerate(row) if mult] for row in adj]
-
-
-def colour_refinement(adj) -> tuple[tuple, tuple[int, ...]]:
+def colour_refinement(rows: Rows) -> tuple[tuple, tuple[int, ...]]:
     """(invariant, colours) of canonical colour refinement from a single colour.
 
     Isomorphic graphs have equal invariants, so distinct invariants prove
     two graphs non-isomorphic.
     """
-    return _refine(adj, _neighbor_lists(adj), [0] * len(adj))
+    return _refine(rows, [0] * len(rows))
 
 
-def _refine(adj, neighbors, colors: Sequence[int]) -> tuple[tuple, tuple[int, ...]]:
+def _refine(rows: Rows, colors: Sequence[int]) -> tuple[tuple, tuple[int, ...]]:
     """Canonical colour refinement (1-WL with multiplicities and loops).
 
     Each round colours a vertex by the index of its signature (own colour,
@@ -570,14 +571,15 @@ def _refine(adj, neighbors, colors: Sequence[int]) -> tuple[tuple, tuple[int, ..
     (the per-round signature lists plus the final colour histogram) a
     colour id means the same in both.  Returns (invariant, colours).
     """
+    loops = [next((mult for u, mult in row if u == v), 0) for v, row in enumerate(rows)]
     rounds = []
     classes = len(set(colors))
     while True:
         signatures = []
-        for v, nbrs in enumerate(neighbors):
-            pairs = sorted([(colors[u], mult) for u, mult in nbrs])
+        for v, row in enumerate(rows):
+            pairs = sorted([(colors[u], mult) for u, mult in row])
             # flat rather than nested pairs: a third of the memory kept per graph
-            signatures.append((colors[v], adj[v][v], *chain.from_iterable(pairs)))
+            signatures.append((colors[v], loops[v], *chain.from_iterable(pairs)))
         distinct = sorted(set(signatures))
         rounds.append(tuple(distinct))
         ids = {sig: i for i, sig in enumerate(distinct)}
@@ -596,8 +598,8 @@ def _individualize(colors: Sequence[int], v: int) -> list[int]:
     return [2 * c + (w == v) for w, c in enumerate(colors)]
 
 
-def _search(adj1, adj2, nbrs1, nbrs2, colors1: Sequence[int],
-            colors2: Sequence[int], refine) -> Optional[list[int]]:
+def _search(rows1: Rows, rows2: Rows, colors1: Sequence[int], colors2: Sequence[int],
+            refine) -> Optional[list[int]]:
     """Individualise-and-refine search for an isomorphism respecting the colours.
 
     The colourings come from refinements with equal invariants.  At a
@@ -613,20 +615,15 @@ def _search(adj1, adj2, nbrs1, nbrs2, colors1: Sequence[int],
     if len(cells) == len(colors1):
         position = {c: u for u, c in enumerate(colors2)}
         witness = [position[c] for c in colors1]
-        if all(
-            sorted((witness[w], mult) for w, mult in nbrs1[v]) == nbrs2[witness[v]]
-            for v in range(len(witness))
-        ):
-            return witness
-        return None
+        return witness if maps_onto(rows1, rows2, witness) else None
     _, target = min((len(cell), c) for c, cell in cells.items() if len(cell) > 1)
-    invariant, refined1 = refine(adj1, nbrs1, _individualize(colors1, cells[target][0]))
+    invariant, refined1 = refine(rows1, _individualize(colors1, cells[target][0]))
     for u, c in enumerate(colors2):
         if c != target:
             continue
-        other, refined2 = refine(adj2, nbrs2, _individualize(colors2, u))
+        other, refined2 = refine(rows2, _individualize(colors2, u))
         if other == invariant:
-            witness = _search(adj1, adj2, nbrs1, nbrs2, refined1, refined2, refine)
+            witness = _search(rows1, rows2, refined1, refined2, refine)
             if witness is not None:
                 return witness
     return None
@@ -650,39 +647,35 @@ class IsomorphismResult:
 
 
 def verify_witness(adj1, adj2, witness: Sequence[int]) -> bool:
+    """Whether witness maps the dense matrix adj1 onto adj2; the oracles' check."""
     n = len(adj1)
     if len(adj2) != n or sorted(witness) != list(range(n)):
         return False
-    return all(
-        adj1[u][w] == adj2[witness[u]][witness[w]]
-        for u in range(n)
-        for w in range(n)
-    )
+    return all(adj1[u][w] == adj2[witness[u]][witness[w]] for u in range(n) for w in range(n))
 
 
-def find_isomorphism(adj1, adj2, refinement1, refinement2,
+def find_isomorphism(rows1: Rows, rows2: Rows, refinement1, refinement2,
                      cap: int = DEFAULT_ISO_NODES) -> Optional[tuple[int, ...]]:
-    """A witness w with adj1[u][v] == adj2[w[u]][w[v]], or None if there is none.
+    """A witness w that maps_onto(rows1, rows2, w), or None if there is none.
 
-    The refinements are the colour_refinement of each matrix.  The search
+    The refinements are the colour_refinement of each graph.  The search
     runs at most ``cap`` refinements and raises SizeCapExceeded past them.
     """
-    if adj1 == adj2:
-        return tuple(range(len(adj1)))
+    if rows1 == rows2:
+        return tuple(range(len(rows1)))
     if refinement1[0] != refinement2[0]:
         return None
     spent = 0
 
-    def refine(adj, neighbors, colors):
+    def refine(rows, colors):
         nonlocal spent
         spent += 1
         if spent > cap:
             raise SizeCapExceeded(f"isomorphism search exceeds {cap} refinement nodes")
-        return _refine(adj, neighbors, colors)
+        return _refine(rows, colors)
 
-    found = _search(adj1, adj2, _neighbor_lists(adj1), _neighbor_lists(adj2),
-                    refinement1[1], refinement2[1], refine)
-    if found is not None and not verify_witness(adj1, adj2, found):
+    found = _search(rows1, rows2, refinement1[1], refinement2[1], refine)
+    if found is not None and not maps_onto(rows1, rows2, found):
         raise SelfCheckFailed("isomorphism witness does not map edges onto edges")
     return None if found is None else tuple(found)
 
@@ -692,7 +685,7 @@ def are_isomorphic(g1: CosetGraph, g2: CosetGraph,
     """Exact isomorphism: refinement invariants first, then individualise and refine."""
     if g1.n != g2.n:
         return IsomorphismResult(False, None)
-    witness = find_isomorphism(g1.adjacency, g2.adjacency, g1.refinement, g2.refinement, cap)
+    witness = find_isomorphism(g1.rows, g2.rows, g1.refinement, g2.refinement, cap)
     return IsomorphismResult(witness is not None, witness)
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -411,6 +412,55 @@ def _tampered_family_verify(tmp_path, tamper) -> tuple[int, str]:
     return code, err
 
 
+def test_verify_recomputes_the_expected_class_count(tmp_path):
+    # the three stored counts agree with each other, but 5 is not 2^(2·1)
+    _, out, _ = run_cli("certify", "--p", "2", "--m", "2")
+    report = json.loads(out)
+    count = report["items"][0]
+    assert count["kind"] == "class-count" and count["expected"] == 4
+    count["expected"] = count["actual"] = count["bruteforce_orbits"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    code, msg, err = run_cli("verify", str(bad))
+    assert code == 1 and "failed" in msg
+    assert "class-count expected differs from p^(m(m-1))" in err
+
+
+def test_verify_recomputes_the_class_sizes(tmp_path):
+    def tamper(family):
+        family["class_sizes"][0] = 99
+
+    code, err = _tampered_family_verify(tmp_path, tamper)
+    assert code == 1 and "class_sizes are not q classes" in err
+
+
+def test_verify_checks_the_identity_class_size(tmp_path):
+    # each subgroup meets a non-central class (x, 0, *) in exactly one element, so
+    # every profile still has a 1 there; only the class size shows the tamper
+    def tamper(family):
+        q = family["subgroup_sizes"][0]
+        family["identity_class"] = next(
+            c for c, size in enumerate(family["class_sizes"])
+            if size == q and all(profile[c] == 1 for profile in family["distinct_profiles"]))
+
+    code, err = _tampered_family_verify(tmp_path, tamper)
+    assert code == 1 and "identity_class is not a class of size 1" in err
+    assert "misses the identity class" not in err
+
+
+def test_verify_recomputes_the_subgroup_orders(tmp_path):
+    # each profile still sums to its subgroup's stated order and keeps the identity
+    def tamper(family):
+        family["subgroup_sizes"] = [size + 1 for size in family["subgroup_sizes"]]
+        for profile in family["distinct_profiles"]:
+            profile[-1] += 1
+        assert family["identity_class"] != len(family["class_sizes"]) - 1
+
+    code, err = _tampered_family_verify(tmp_path, tamper)
+    assert code == 1 and "a subgroup order is not q = p^m" in err
+    assert "does not sum" not in err
+
+
 def test_verify_rejects_a_missing_profile(tmp_path):
     code, err = _tampered_family_verify(tmp_path, lambda family: family["profile_index"].pop())
     assert code == 1 and "differ in length" in err
@@ -503,7 +553,10 @@ def test_verify_lists_a_relabelled_graph(tmp_path):
     def tamper(graph):
         edges = [sorted((swap.get(u, u), swap.get(v, v))) + [mult] for u, v, mult in graph["edges"]]
         assert sorted(edges) != sorted(graph["edges"])
-        adjacency = reports._edges_to_adjacency(graph["vertices"], edges)
+        n = graph["vertices"]
+        adjacency = [[0] * n for _ in range(n)]
+        for u, v, mult in edges:
+            adjacency[u][v] = adjacency[v][u] = mult
         charpoly = charpoly_modular(adjacency).coefficients
         assert [int(c) for c in graph["charpoly"]] == list(charpoly)
         graph["edges"] = edges
@@ -512,6 +565,69 @@ def test_verify_lists_a_relabelled_graph(tmp_path):
     assert code == 1
     assert "item 0 (coset-graph) fails its check: SelfCheckFailed" in err
     assert "not an automorphism" in err
+
+
+def _tampered_places_verify(tmp_path, tamper) -> tuple[int, str]:
+    _, out, _ = run_cli("places", "--ell", "3", "--bound", "1000")
+    report = json.loads(out)
+    assert verify_report(report) == []
+    tamper(report["items"][0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    code, msg, err = run_cli("verify", str(bad))
+    assert msg == ("verified\n" if code == 0 else "verification failed\n")
+    return code, err
+
+
+def test_verify_counts_the_place_records(tmp_path):
+    code, err = _tampered_places_verify(tmp_path, lambda scan: scan["records"].pop())
+    assert code == 1 and "degree_ell_count or density does not count the records" in err
+
+
+def test_verify_recomputes_each_residue_degree(tmp_path):
+    def tamper(scan):
+        scan["records"][3]["degree"] = 1
+
+    code, err = _tampered_places_verify(tmp_path, tamper)
+    assert code == 1 and "does not have residue degree ell=3" in err
+
+
+def test_verify_rejects_a_place_record_outside_the_scan(tmp_path):
+    def tamper(scan):
+        records = scan["records"]
+        records[-1]["p"] = 1013  # a prime of residue degree 3, but past the bound
+        records[-1]["residue_size"] = str(1013**3)
+
+    code, err = _tampered_places_verify(tmp_path, tamper)
+    assert code == 1 and "not a prime up to the bound" in err
+
+
+@pytest.mark.parametrize("field, value", [("tolerance", "1/10"), ("cebotarev_density", "17/24")])
+def test_verify_takes_the_tolerance_and_density_target_from_the_config(tmp_path, field, value):
+    # at bound 100 the density 17/24 misses 2/3 by more than the 1/50 tolerance;
+    # a looser stored tolerance or a moved target would turn the failing scan into a pass
+    _, out, _ = run_cli("places", "--ell", "3", "--bound", "100")
+    report = json.loads(out)
+    scan = report["items"][0]
+    assert scan["density"] == "17/24" and not scan["holds"]
+    scan[field] = value
+    scan["within_tolerance"] = scan["holds"] = True
+    report["summary"].update(verdict="pass", failed_items=[])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    code, msg, err = run_cli("verify", str(bad))
+    assert code == 1 and "cebotarev_density or tolerance differs from the config" in err
+
+
+def test_graphs_and_verify_never_read_the_dense_adjacency(monkeypatch):
+    # the rows are the only graph format in production; the dense matrix is the oracles' view
+    def refuse(graph):
+        raise AssertionError("dense adjacency read outside the oracles")
+
+    monkeypatch.setattr(cli.sg.CosetGraph, "adjacency", property(refuse))
+    report, _ = cli.cmd_graphs(2, 3)
+    assert report["summary"]["verdict"] == "pass"
+    assert verify_report(report) == []
 
 
 def test_verify_recomputes_the_tower_count(tmp_path):
@@ -619,6 +735,16 @@ def test_optimized_interpreter_writes_identical_report():
     optimized = subprocess.run([sys.executable, "-O", *argv], env=env,
                                capture_output=True, check=True)
     assert plain.stdout and optimized.stdout == plain.stdout
+
+
+def test_no_package_module_uses_assert():
+    # python -O strips assert statements, so no check of the package may rest on one
+    modules = sorted((SRC / "gassmann").glob("*.py"))
+    assert modules
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_graph_and_certify_commands_do_not_import_numpy():

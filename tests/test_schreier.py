@@ -38,6 +38,8 @@ from gassmann.schreier import (
     default_generators,
     isomorphism_classes,
     isospectral,
+    maps_onto,
+    rows_from_edges,
     verify_witness,
 )
 
@@ -62,15 +64,19 @@ def _five_generators():
             (zero, basis[1], zero), (zero, zero, basis[0])]
 
 
+def _rows(adjacency):
+    """The neighbour rows of a dense symmetric matrix."""
+    return tuple(tuple((v, mult) for v, mult in enumerate(row) if mult) for row in adjacency)
+
+
 def _synthetic(adjacency):
-    """A CosetGraph carrying an arbitrary adjacency matrix (up to 64 vertices)."""
-    adjacency = tuple(tuple(row) for row in adjacency)
+    """A CosetGraph with the rows of an arbitrary adjacency matrix (up to 64 vertices)."""
     return CosetGraph(
         group=G4,
         subgroup_label="synthetic",
         gens=GENS4[:2],
         vertices=G4.elements[:len(adjacency)],
-        adjacency=adjacency,
+        rows=_rows(adjacency),
     )
 
 
@@ -144,6 +150,41 @@ def test_exports():
     edges = graph.edge_list()
     assert all(u <= v and mult >= 1 for u, v, mult in edges)
     assert sum(mult * (2 if u != v else 1) for u, v, mult in edges) == 16 * len(GENS4)
+
+
+def test_rows_are_the_edges_and_adjacency_is_their_view():
+    graph = build_coset_graph(horizontal_subgroup(G4), GENS4)
+    assert rows_from_edges(graph.n, graph.edge_list()) == graph.rows
+    for u, row in enumerate(graph.rows):
+        assert [v for v, _ in row] == sorted({v for v, _ in row})
+        assert all(mult > 0 for _, mult in row)
+        assert row == tuple((v, mult) for v, mult in enumerate(graph.adjacency[u]) if mult)
+    # either orientation, repeats adding up, and a total of 0 being no edge
+    assert rows_from_edges(3, [(1, 0, 1), (0, 1, 1), (2, 2, 3), (1, 2, 1), (2, 1, -1)]) == (
+        ((1, 2),), ((0, 2),), ((2, 3),))
+    with pytest.raises(IndexError):
+        rows_from_edges(2, [(0, 2, 1)])
+    with pytest.raises(IndexError):
+        rows_from_edges(2, [(-1, 0, 1)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    _multigraphs(n), _multigraphs(n), st.permutations(range(n)), st.booleans())))
+def test_maps_onto_equals_the_dense_witness_check(case):
+    adj1, other, perm, relabelled = case
+    adj2 = _relabel(adj1, perm) if relabelled else other
+    expected = verify_witness(adj1, adj2, perm)
+    assert maps_onto(_rows(adj1), _rows(adj2), perm) == expected
+    assert expected or not relabelled
+
+
+def test_maps_onto_rejects_what_is_not_a_permutation():
+    rows = _rows(C6)
+    assert maps_onto(rows, rows, [1, 2, 3, 4, 5, 0])
+    assert not maps_onto(rows, rows, [1, 2, 3, 4, 5, 5])
+    assert not maps_onto(rows, rows, [1, 2, 3, 4, 5])
+    assert not maps_onto(rows, _rows(C6[:5]), list(range(6)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +365,9 @@ def test_different_loop_counts_not_isomorphic():
     mixed = _synthetic(((1, 1), (1, 1)))       # 2 loops, 2-regular
     assert not are_isomorphic(with_loops, mixed).isomorphic
     assert not are_isomorphic_bruteforce(with_loops, mixed).isomorphic
+    # a loop and an edge between like-coloured vertices differ in the refinement invariant alone
+    loops, edge = _synthetic(((1, 0), (0, 1))), _synthetic(((0, 1), (1, 0)))
+    assert loops.refinement[0] != edge.refinement[0]
 
 
 def test_different_vertex_counts_not_isomorphic():
@@ -485,25 +529,29 @@ def test_isomorphism_classes_search_only_leaders_of_their_bucket(monkeypatch):
 def test_colour_refinement_is_the_cached_graph_refinement():
     # verify recomputes the invariant from edge lists through the same helper
     for graph in _rep_graphs():
-        assert colour_refinement([list(row) for row in graph.adjacency]) == graph.refinement
+        assert colour_refinement(rows_from_edges(graph.n, graph.edge_list())) == graph.refinement
 
 
-@pytest.mark.parametrize("search", [are_isomorphic, are_isomorphic_bruteforce])
+# search -> (name in schreier, stand-in) that makes the search's final check reject its witness
+REJECTED_WITNESS = {
+    # a search that returns the identity, which does not map the relabelled copy
+    "are_isomorphic": ("_search", lambda rows1, *args: list(range(len(rows1)))),
+    "are_isomorphic_bruteforce": ("verify_witness", lambda *args: False),
+}
+
+
+@pytest.mark.parametrize("search", list(REJECTED_WITNESS))
 def test_rejected_witness_raises_even_under_optimization(search, monkeypatch):
     # a relabelled copy forces a real search; a witness that fails its
     # check must raise, not be dropped the way python -O drops an assert
     graph = _rep_graphs()[1]
     shift = [(v + 1) % graph.n for v in range(graph.n)]
-    adjacency = tuple(
-        tuple(graph.adjacency[shift[u]][shift[w]] for w in range(graph.n))
-        for u in range(graph.n)
-    )
-    relabelled = dataclasses.replace(graph, adjacency=adjacency)
-    assert relabelled.adjacency != graph.adjacency
-    assert search(graph, relabelled).isomorphic
-    monkeypatch.setattr(schreier, "verify_witness", lambda *args: False)
+    relabelled = dataclasses.replace(graph, rows=_rows(_relabel(graph.adjacency, shift)))
+    assert relabelled.rows != graph.rows
+    assert getattr(schreier, search)(graph, relabelled).isomorphic
+    monkeypatch.setattr(schreier, *REJECTED_WITNESS[search])
     with pytest.raises(SelfCheckFailed):
-        search(graph, relabelled)
+        getattr(schreier, search)(graph, relabelled)
 
 
 # ---------------------------------------------------------------------------
@@ -560,14 +608,14 @@ def test_factorised_charpoly_agrees_with_the_dense_one_modulo_a_prime_on_gf16():
 
 def test_klein_four_action_on_k4_gives_its_spectrum():
     # (0 1)(2 3) and (0 2)(1 3) act regularly: four 1 x 1 blocks, eigenvalues 3, -1, -1, -1
-    poly = charpoly_by_centre(K4, [[1, 0, 3, 2], [2, 3, 0, 1]], 2)
+    poly = charpoly_by_centre(_rows(K4), [[1, 0, 3, 2], [2, 3, 0, 1]], 2)
     assert poly.coefficients == (1, 0, -6, -8, -3) == charpoly_berkowitz(K4).coefficients
 
 
 PATH4 = _simple_graph(4, [(0, 1), (1, 2), (2, 3)])
 K4 = _simple_graph(4, [(u, w) for u in range(4) for w in range(u + 1, 4)])
 
-# name -> (adjacency, permutations, p, message): each breaks one check of the certificate
+# name -> (dense adjacency, permutations, p, message): each breaks one check of the certificate
 BROKEN_CENTRE_ACTIONS = {
     "not-a-permutation": (K4, [[1, 1, 2, 3]], 2, "not a permutation"),
     "not-an-automorphism": (PATH4, [[1, 0, 3, 2]], 2, "not an automorphism"),
@@ -581,7 +629,7 @@ BROKEN_CENTRE_ACTIONS = {
 def test_broken_centre_action_raises(name):
     adjacency, perms, p, message = BROKEN_CENTRE_ACTIONS[name]
     with pytest.raises(SelfCheckFailed, match=message):
-        charpoly_by_centre(adjacency, perms, p)
+        charpoly_by_centre(_rows(adjacency), perms, p)
 
 
 def test_broken_centre_actions_raise_even_under_optimization():
@@ -591,16 +639,18 @@ def test_broken_centre_actions_raise_even_under_optimization():
     script = (
         "import json, sys\n"
         "from gassmann.errors import SelfCheckFailed\n"
-        "from gassmann.schreier import charpoly_by_centre\n"
-        "for name, (adjacency, perms, p, _) in json.loads(sys.argv[1]).items():\n"
+        "from gassmann.schreier import charpoly_by_centre, rows_from_edges\n"
+        "for name, (adjacency, perms, p, message) in json.loads(sys.argv[1]).items():\n"
+        "    edges = [(u, v, m) for u, row in enumerate(adjacency)\n"
+        "             for v, m in enumerate(row) if u <= v]\n"
         "    try:\n"
-        "        charpoly_by_centre(adjacency, perms, p)\n"
-        "    except SelfCheckFailed:\n"
-        "        print(name)\n"
+        "        charpoly_by_centre(rows_from_edges(len(adjacency), edges), perms, p)\n"
+        "    except SelfCheckFailed as exc:\n"
+        "        print(name, message in str(exc))\n"
     )
     done = subprocess.run([sys.executable, "-O", "-c", script, json.dumps(BROKEN_CENTRE_ACTIONS)],
                           env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.split() == list(BROKEN_CENTRE_ACTIONS)
+    assert done.stdout.splitlines() == [f"{name} True" for name in BROKEN_CENTRE_ACTIONS]
 
 
 def test_coset_graphs_record_the_centre_action():
