@@ -79,11 +79,9 @@ class IneqCheck:
         }
 
 
-def verify_check_json(data: dict) -> bool:
-    """Re-run a serialized check from its decimal strings alone."""
-    lhs = parse_exact(data["lhs"])
-    rhs = parse_exact(data["rhs"])
-    return _OPS[data["op"]](lhs, rhs) == data["holds"]
+def check_holds(data: dict) -> bool:
+    """Re-derive a serialized check's verdict from its decimal strings alone."""
+    return _OPS[data["op"]](parse_exact(data["lhs"]), parse_exact(data["rhs"]))
 
 
 @dataclass(frozen=True)

@@ -643,6 +643,48 @@ def test_verify_recomputes_the_tower_count(tmp_path):
     assert "tower-count exact or cited_lower differs" in err
 
 
+def _verify_json(tmp_path, report: dict) -> tuple[int, str]:
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    code, msg, err = run_cli("verify", str(bad))
+    assert msg == ("verified\n" if code == 0 else "verification failed\n")
+    return code, err
+
+
+# one real report per item kind that verify knows
+_HOLDS_CASES = {
+    "class-count": ("certify", "--p", "2", "--m", "2"),
+    "gassmann-family": ("certify", "--p", "2", "--m", "2"),
+    "conjugacy-dichotomy": ("certify", "--p", "2", "--m", "2"),
+    "coset-graph": ("graphs", "--p", "2", "--m", "2"),
+    "cospectral": ("graphs", "--p", "2", "--m", "2"),
+    "isomorphism-classes": ("graphs", "--p", "2", "--m", "2"),
+    "tower-count": ("tower", "--p", "2", "--j-max", "4"),
+    "place-scan": ("places", "--ell", "3", "--bound", "1000"),
+    "plan": ("plan", "twisted-count", "--p", "2", "--ell0", "37", "--dim-g", "8"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(reports._VERIFIERS))
+def test_verify_rederives_every_holds_flag(tmp_path, kind):
+    # a flipped holds flag with a summary that agrees with it is still a forgery
+    _, out, _ = run_cli(*_HOLDS_CASES[kind])
+    report = json.loads(out)
+    item = next(item for item in report["items"] if item["kind"] == kind)
+    item["holds"] = not item["holds"]
+    code, err = _verify_json(tmp_path, reports.finalize(report))
+    assert code == 1 and "but its evidence gives" in err
+
+
+@pytest.mark.parametrize("field, value", [("items", 99), ("failed_items", [0])])
+def test_verify_checks_the_whole_summary(tmp_path, field, value):
+    _, out, _ = run_cli("certify", "--p", "2", "--m", "2")
+    report = json.loads(out)
+    report["summary"][field] = value
+    code, err = _verify_json(tmp_path, report)
+    assert code == 1 and "summary does not match the items' holds flags" in err
+
+
 def test_table_format():
     code, out, _ = run_cli("tower", "--p", "2", "--j-max", "2", "--format", "table")
     assert code == 0
