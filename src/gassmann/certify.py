@@ -39,6 +39,16 @@ from .rings import (
 )
 
 
+# certify lists the subgroup of every additive map while there are at most this
+# many maps, and one subgroup per conjugacy class otherwise
+ALL_TWISTS_LIMIT = 16
+
+
+def family_mode(p: int, m: int) -> str:
+    """The certify family's mode over GF(p^m): 'all-twists' or 'class-reps'."""
+    return "all-twists" if p ** (m * m) <= ALL_TWISTS_LIMIT else "class-reps"
+
+
 @dataclass(frozen=True)
 class GassmannCertificate:
     """Per-class intersection profiles for a subgroup pair, plus verdict."""

@@ -27,7 +27,6 @@ from .places import choose_modulus, residue_degree, residue_degree_subgroup, sca
 from .rings import make_field, make_trunc_ring, primes_up_to, size_cap
 
 # Thresholds steering how much brute force the certify command performs.
-_ALL_TWISTS_LIMIT = 16
 _BRUTE_ORBIT_LIMIT = 1 << 16
 _BRUTE_CONJ_WORK_LIMIT = 2_000_000
 
@@ -57,7 +56,7 @@ def cmd_certify(p: int, m: int, cap: Optional[int] = None) -> dict:
         }
     )
 
-    mode = "all-twists" if p ** (m * m) <= _ALL_TWISTS_LIMIT else "class-reps"
+    mode = cz.family_mode(p, m)
     maps = cz.all_linear_maps(spec) if mode == "all-twists" else catalog.reps
     subgroups = [twisted_subgroup(f, group) for f in maps]
     table = group.conjugacy_classes(cap=cap)
@@ -166,7 +165,8 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None,
         exports[f"rep_{k}.edges"] = (
             "\n".join(f"{u} {v} {mult}" for u, v, mult in item["edges"]) + "\n"
         )
-        exports[f"rep_{k}.charpoly.json"] = json.dumps(poly.to_json(), sort_keys=True) + "\n"
+        exports[f"rep_{k}.charpoly.json"] = json.dumps(
+            {"degree": poly.degree, "coefficients": item["charpoly"]}, sort_keys=True) + "\n"
 
     # both items below refer to the coset-graph items by their rep index
     all_equal = all(p2.coefficients == polys[0].coefficients for p2 in polys[1:])

@@ -32,21 +32,6 @@ def exact_power(p: int, exponent: int) -> Exact:
     return Fraction(1, p**-exponent)
 
 
-def format_exact(v: Exact) -> str:
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)
-
-
-def parse_exact(text: str) -> Exact:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return int(text)
-
-
 _OPS = {
     "<": lambda a, b: a < b,
     "<=": lambda a, b: a <= b,
@@ -72,16 +57,16 @@ class IneqCheck:
     def to_json(self) -> dict:
         return {
             "label": self.label,
-            "lhs": format_exact(self.lhs),
+            "lhs": str(self.lhs),
             "op": self.op,
-            "rhs": format_exact(self.rhs),
+            "rhs": str(self.rhs),
             "holds": self.holds,
         }
 
 
 def check_holds(data: dict) -> bool:
     """Re-derive a serialized check's verdict from its decimal strings alone."""
-    return _OPS[data["op"]](parse_exact(data["lhs"]), parse_exact(data["rhs"]))
+    return _OPS[data["op"]](Fraction(data["lhs"]), Fraction(data["rhs"]))
 
 
 @dataclass(frozen=True)
@@ -134,7 +119,7 @@ class CountBound:
             "label": self.label,
             "p": self.p,
             "exponent": self.exponent,
-            "value": format_exact(self.value),
+            "value": str(self.value),
             "vacuous": self.vacuous,
         }
 
@@ -284,7 +269,7 @@ class RationalInterval:
         return RationalInterval(self.lo * k, self.hi * k)
 
     def to_json(self) -> dict:
-        return {"lo": format_exact(self.lo), "hi": format_exact(self.hi)}
+        return {"lo": str(self.lo), "hi": str(self.hi)}
 
 
 def _atanh_twice(x: Fraction, max_width: Fraction) -> RationalInterval:
@@ -339,10 +324,10 @@ class GrowthConstantResult:
     def to_json(self) -> dict:
         return {
             "p": self.p,
-            "delta": format_exact(self.delta),
+            "delta": str(self.delta),
             "d_p": self.d_p,
             "range": [self.j_min, self.j_max],
-            "constant": format_exact(self.constant),
+            "constant": str(self.constant),
             "log_base": "natural",
             "ln_p": self.ln_p.to_json(),
             "checks": [c.to_json() for c in self.checks],

@@ -14,12 +14,13 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
+from .certify import canonical_twist, family_mode
 from .errors import GassmannError, SizeCapExceeded, SpecMismatch
 from .places import residue_degree
 from .planner import check_holds
-from .rings import is_prime
+from .rings import FieldSpec, LinearMap, make_field, primes_up_to
 from .schreier import (charpoly_by_centre, colour_refinement, find_isomorphism, maps_onto,
                        rows_from_edges)
 
@@ -78,8 +79,14 @@ def _verify_profiles(item: dict, config: dict, by_kind: dict, problems: list[str
     class_sizes = item["class_sizes"]
     n = len(labels)
     all_equal = len(distinct) == 1
+    p, m = config["p"], config["m"]
+    mode = family_mode(p, m)
+    if item["mode"] != mode or len(set(labels)) != n or not _is_power(
+            n, p, m * m if mode == "all-twists" else m * (m - 1)):
+        problems.append(f"the family is not the {mode} family of the config: p^(m^2) distinct "
+                        "subgroups in all-twists mode, p^(m(m-1)) in class-reps mode")
     # over GF(q): q central classes of size 1, q^2 - 1 classes of size q, subgroups of order q
-    q = config["p"] ** config["m"]
+    q = p**m
     if Counter(class_sizes) != Counter({1: q, q: q * q - 1}):
         problems.append("class_sizes are not q classes of size 1 and q^2-1 of size q, q = p^m")
     if not (0 <= identity_class < len(class_sizes) and class_sizes[identity_class] == 1):
@@ -116,15 +123,34 @@ def _verify_class_count(item: dict, config: dict, by_kind: dict, problems: list[
     return _is_power(actual, p, m * (m - 1)) and (orbits is None or decode_count(orbits) == actual)
 
 
+def _label_map(label: str, spec: FieldSpec) -> LinearMap:
+    """The additive map f of a family label H[...], which lists f's rows flattened."""
+    f = LinearMap.from_flat(spec.p, tuple(map(int, label[2:-1].split(","))), spec.dim)
+    if label != f"H[{','.join(map(str, f.flatten()))}]":
+        raise SpecMismatch(f"{label!r} is not the label of an additive map on GF({spec.size})")
+    return f
+
+
 def _verify_conjugacy(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:
-    conjugate_pairs = item["structural_conjugate_pairs"]
-    if not 0 <= conjugate_pairs <= item["pairs"]:
+    # H_f and H_g are conjugate exactly when f and g share a canonical twist
+    labels = by_kind["gassmann-family"][0]["subgroups"]
+    p, m = config["p"], config["m"]
+    spec = make_field(p, m, cap=config["cap"])
+    keys = Counter(canonical_twist(_label_map(label, spec), spec) for label in labels)
+    conjugate_pairs = sum(c * (c - 1) // 2 for c in keys.values())
+    stored = item["structural_conjugate_pairs"]
+    if item["pairs"] != len(labels) * (len(labels) - 1) // 2:
+        problems.append("pairs is not n(n-1)/2 for the family's n subgroups")
+    if not 0 <= stored <= item["pairs"]:
         problems.append("structural_conjugate_pairs is outside [0, pairs]")
-    nonconjugate = item.get("reps_pairwise_nonconjugate")
-    if nonconjugate is not None and nonconjugate != (conjugate_pairs == 0):
+    if stored != conjugate_pairs:
+        problems.append("structural_conjugate_pairs differs from the canonical-twist "
+                        "multiplicities of the family's labels")
+    class_reps = family_mode(p, m) == "class-reps"
+    if class_reps and item["reps_pairwise_nonconjugate"] != (stored == 0):
         problems.append("reps_pairwise_nonconjugate disagrees with structural_conjugate_pairs")
     agree = item["structural_equals_bruteforce"] or not item["bruteforce_checked"]
-    return agree and nonconjugate is not False
+    return agree and not (class_reps and conjugate_pairs)
 
 
 def _centre_action(config: dict, n: int) -> list[list[int]]:
@@ -222,21 +248,23 @@ def _verify_tower_count(item: dict, config: dict, by_kind: dict, problems: list[
 
 
 def _verify_place_scan(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:
-    ell, q, bound = config["ell"], config["q"], config["bound"]
+    ell, q = config["ell"], config["q"]
+    scanned = set(primes_up_to(config["bound"])) - {q}
     records = item["records"]
     ps = [r["p"] for r in records]
     if ps != sorted(set(ps)):
         problems.append("place records are not strictly increasing")
     for r in records:
         p = r["p"]
-        if not (is_prime(p) and p <= bound and p != q):
+        if p not in scanned:
             problems.append(f"place record p={p} is not a prime up to the bound other than q")
         elif (r["q"], r["ell"], r["degree"]) != (q, ell, ell) or residue_degree(p, q, ell) != ell:
             problems.append(f"place record p={p} does not have residue degree ell={ell}")
         elif decode_count(r["residue_size"]) != p**ell:
             problems.append(f"residue size wrong at p={p}")
-    scanned = item["scanned"]
-    density = Fraction(len(records), scanned) if scanned else Fraction(0)
+    if item["scanned"] != len(scanned):
+        problems.append("scanned is not the number of primes up to the bound other than q")
+    density = Fraction(len(records), len(scanned)) if scanned else Fraction(0)
     if item["degree_ell_count"] != len(records) or Fraction(item["density"]) != density:
         problems.append("degree_ell_count or density does not count the records")
     cebotarev = Fraction(ell - 1, ell)
@@ -272,21 +300,49 @@ _VERIFIERS = {
 }
 
 
+def _layout_problem(command: str, config: dict, items: list[dict]) -> Optional[str]:
+    """What is wrong with the items' kinds and order for the command and config, if anything."""
+    kinds = [item["kind"] for item in items]
+    n = len(items)
+    if command == "certify":
+        ok = kinds == ["class-count", "gassmann-family", "conjugacy-dichotomy"]
+    elif command == "graphs":
+        m = config["m"]
+        ok = (_is_power(n - 2, config["p"], m * (m - 1))
+              and kinds == ["coset-graph"] * (n - 2) + ["cospectral", "isomorphism-classes"]
+              and [item.get("rep") for item in items[:-2]] == list(range(n - 2)))
+    elif command == "tower":
+        ok = (config["j_max"] == n and kinds == ["tower-count"] * n
+              and [item.get("j") for item in items] == list(range(1, n + 1)))
+    elif command == "places":
+        ok = kinds == ["place-scan"]
+    elif command == "plan":
+        ok = kinds == ["plan"] and items[0].get("op") == config["op"]
+    else:
+        return f"unknown command {command!r}"
+    return None if ok else f"the items are not those of a {command} report with its config"
+
+
 def verify_report(report: dict) -> list[str]:
     """Re-run every bundled certificate; returns problems (empty = verified)."""
     if not (isinstance(report, dict) and isinstance(report.get("items"), list)
-            and all(isinstance(item, dict) and isinstance(item.get("kind"), str)
-                    for item in report["items"])
             and isinstance(report.get("summary"), dict)):
-        raise SpecMismatch("a report is a JSON object with a summary and a list of items, "
-                           "each an object with a kind")
+        raise SpecMismatch("a report is a JSON object with an items list and a summary")
     if report.get("schema_version") != SCHEMA_VERSION:
         return ["unknown schema version"]
     items, config = report["items"], report.get("config")
+    shapeless = [i for i, item in enumerate(items)
+                 if not (isinstance(item, dict) and isinstance(item.get("kind"), str))]
+    if shapeless:
+        return [f"item {i} is not an object with a kind" for i in shapeless]
     by_kind: dict[str, list[dict]] = {}
     for item in items:
         by_kind.setdefault(item["kind"], []).append(item)
-    problems: list[str] = []
+    try:
+        layout = _layout_problem(report.get("command"), config, items)
+    except (KeyError, TypeError) as exc:
+        layout = f"config is malformed: {type(exc).__name__}: {exc}"
+    problems = [layout] if layout else []
     for i, item in enumerate(items):
         kind = item["kind"]
         if kind not in _VERIFIERS:

@@ -137,9 +137,6 @@ class _RingOps:
         p = self.p
         return tuple((-x) % p for x in a)
 
-    def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: Element, b: Element) -> Element:
         table = self._mul_table
         if table is not None:

@@ -229,10 +229,6 @@ class SpectrumPolynomial:
             acc = acc * t + c
         return acc
 
-    def to_json(self) -> dict:
-        return {"degree": self.degree,
-                "coefficients": [c if abs(c) < 2**53 else str(c) for c in self.coefficients]}
-
 
 def charpoly_berkowitz(matrix: Sequence[Sequence[int]]) -> SpectrumPolynomial:
     """Division-free characteristic polynomial of an integer matrix."""

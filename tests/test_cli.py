@@ -676,6 +676,31 @@ def test_verify_rederives_every_holds_flag(tmp_path, kind):
     assert code == 1 and "but its evidence gives" in err
 
 
+def _orbit_count_of_five(monkeypatch):
+    monkeypatch.setattr(cli.cz, "twist_orbit_count_bruteforce", lambda spec, cap=None: 5)
+
+
+def _oracle_merging_two_classes(monkeypatch):
+    keys = cli.cz.bruteforce_subgroup_keys
+    monkeypatch.setattr(cli, "_bruteforce_subgroup_keys",
+                        lambda group, subgroups: _merge_two_classes(keys(group, subgroups)))
+
+
+@pytest.mark.parametrize("argv, fault", [
+    (("certify", "--p", "2", "--m", "2"), _orbit_count_of_five),
+    (("certify", "--p", "2", "--m", "2"), _oracle_merging_two_classes),
+    (("places", "--ell", "3", "--bound", "100"), None),
+    (("plan", "comm-classes", "--p", "2", "--ell0", "3", "--dim-g", "8", "--n", "2"), None),
+], ids=["class-count", "conjugacy-dichotomy", "place-scan", "plan"])
+def test_verify_accepts_a_failing_verdict_that_the_evidence_gives(monkeypatch, argv, fault):
+    if fault is not None:
+        fault(monkeypatch)
+    code, out, _ = run_cli(*argv)
+    report = json.loads(out)
+    assert code == 1 and report["summary"]["verdict"] == "fail"
+    assert verify_report(report) == []
+
+
 @pytest.mark.parametrize("field, value", [("items", 99), ("failed_items", [0])])
 def test_verify_checks_the_whole_summary(tmp_path, field, value):
     _, out, _ = run_cli("certify", "--p", "2", "--m", "2")
@@ -683,6 +708,113 @@ def test_verify_checks_the_whole_summary(tmp_path, field, value):
     report["summary"][field] = value
     code, err = _verify_json(tmp_path, report)
     assert code == 1 and "summary does not match the items' holds flags" in err
+
+
+def _drop_isomorphism_classes(report):
+    report["items"].pop()
+
+
+def _list_an_item_twice(report):
+    report["items"].append(dict(report["items"][0]))
+
+
+def _keep_the_first_level(report):
+    del report["items"][1:]
+
+
+def _swap_two_reps(report):
+    first, second = report["items"][:2]
+    first["rep"], second["rep"] = second["rep"], first["rep"]
+
+
+def _swap_two_levels(report):
+    first, second = report["items"][:2]
+    first["j"], second["j"] = second["j"], first["j"]
+
+
+def _change_the_op(report):
+    report["config"]["op"] = "twisted-count"
+
+
+@pytest.mark.parametrize("argv, tamper", [
+    (("graphs", "--p", "2", "--m", "2"), _drop_isomorphism_classes),
+    (("certify", "--p", "2", "--m", "2"), _list_an_item_twice),
+    (("tower", "--p", "2", "--j-max", "4"), _keep_the_first_level),
+    (("graphs", "--p", "2", "--m", "2"), _swap_two_reps),
+    (("tower", "--p", "2", "--j-max", "4"), _swap_two_levels),
+    (("plan", "comm-classes", "--p", "2", "--ell0", "3", "--dim-g", "8"), _change_the_op),
+], ids=["graphs", "certify", "tower", "graphs-rep", "tower-j", "plan-op"])
+def test_verify_checks_the_item_layout_against_the_config(tmp_path, argv, tamper):
+    _, out, _ = run_cli(*argv)
+    report = json.loads(out)
+    tamper(report)
+    code, err = _verify_json(tmp_path, reports.finalize(report))
+    assert code == 1 and f"the items are not those of a {argv[0]} report with its config" in err
+
+
+def test_verify_rejects_an_unknown_command(tmp_path):
+    _, out, _ = run_cli("tower", "--p", "2", "--j-max", "2")
+    report = json.loads(out)
+    report["command"] = "towers"
+    code, err = _verify_json(tmp_path, report)
+    assert code == 1 and "unknown command 'towers'" in err
+
+
+def test_verify_counts_the_family_from_the_config(tmp_path):
+    # one subgroup of the 16 in all-twists mode over GF(4), with every list cut to match
+    _, out, _ = run_cli("certify", "--p", "2", "--m", "2")
+    report = json.loads(out)
+    family = report["items"][1]
+    assert family["mode"] == "all-twists" and len(family["subgroups"]) == 16
+    for field in ("subgroups", "profile_index", "subgroup_sizes"):
+        del family[field][1:]
+    family["pair_count"] = 0
+    code, err = _verify_json(tmp_path, reports.finalize(report))
+    assert code == 1 and "the family is not the all-twists family of the config" in err
+
+
+def test_verify_recomputes_the_structural_conjugate_pairs(tmp_path):
+    # 16 maps in 4 classes of 4 give 4·6 = 24 conjugate pairs; 7 stays inside [0, pairs]
+    _, out, _ = run_cli("certify", "--p", "2", "--m", "2")
+    report = json.loads(out)
+    dichotomy = report["items"][2]
+    assert dichotomy["structural_conjugate_pairs"] == 24
+    dichotomy["structural_conjugate_pairs"] = 7
+    code, err = _verify_json(tmp_path, report)
+    assert code == 1 and "differs from the canonical-twist multiplicities" in err
+
+
+def test_verify_takes_the_dichotomy_verdict_from_the_labels(tmp_path):
+    # a consistent forged failure: one conjugate pair among the 64 GF(8) class reps
+    _, out, _ = run_cli("certify", "--p", "2", "--m", "3")
+    report = json.loads(out)
+    dichotomy = report["items"][2]
+    assert dichotomy["structural_conjugate_pairs"] == 0 and dichotomy["reps_pairwise_nonconjugate"]
+    dichotomy.update(structural_conjugate_pairs=1, reps_pairwise_nonconjugate=False, holds=False)
+    code, err = _verify_json(tmp_path, reports.finalize(report))
+    assert code == 1 and "item 2 (conjugacy-dichotomy) holds False, but its evidence gives True" in err
+
+
+def test_verify_reads_each_label_as_a_map_on_the_ring(tmp_path):
+    # one more entry than the 4 of a GF(4) map would be dropped by LinearMap.from_flat
+    _, out, _ = run_cli("certify", "--p", "2", "--m", "2")
+    report = json.loads(out)
+    family = report["items"][1]
+    family["subgroups"][0] = family["subgroups"][0][:-1] + ",0]"
+    code, err = _verify_json(tmp_path, report)
+    assert code == 1 and "is not the label of an additive map on GF(4)" in err
+
+
+def test_verify_recomputes_the_scanned_count(tmp_path):
+    # 24 primes up to 100 other than q = 7; one more would bring 17/25 within 1/50 of 2/3
+    _, out, _ = run_cli("places", "--ell", "3", "--bound", "100")
+    report = json.loads(out)
+    scan = report["items"][0]
+    assert (scan["scanned"], scan["density"], scan["holds"]) == (24, "17/24", False)
+    scan.update(scanned=25, density="17/25", within_tolerance=True, holds=True)
+    code, err = _verify_json(tmp_path, reports.finalize(report))
+    assert code == 1 and "scanned is not the number of primes up to the bound" in err
+    assert "item 0 (place-scan) holds True, but its evidence gives False" in err
 
 
 def test_table_format():
@@ -737,6 +869,15 @@ def test_verify_json_list_exits_2(tmp_path):
     code, out, err = run_cli("verify", str(path))
     assert code == 2 and out == ""
     _one_line_error(err, "SpecMismatch")
+
+
+@pytest.mark.parametrize("item", [1, {"holds": True}, {"kind": ["plan"]}])
+def test_verify_lists_an_item_without_a_kind(tmp_path, item):
+    _, out, _ = run_cli("tower", "--p", "2", "--j-max", "1")
+    report = json.loads(out)
+    report["items"].append(item)
+    code, err = _verify_json(tmp_path, report)
+    assert code == 1 and err == "problem: item 1 is not an object with a kind\n"
 
 
 def test_verify_report_without_summary_exits_2(tmp_path):
