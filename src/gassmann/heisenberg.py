@@ -195,7 +195,7 @@ class TwistedSubgroup:
         return self.group.ring.size
 
     def label(self) -> str:
-        return f"H[{','.join(map(str, self.f.flatten()))}]"
+        return twist_label(self.f)
 
     def to_json(self) -> dict:
         return {
@@ -234,6 +234,21 @@ class PlainSubgroup:
             "name": self.name,
             "elements": [[list(x) for x in g] for g in self.sorted_elements],
         }
+
+
+def twist_label(f: LinearMap) -> str:
+    """The label H[...] of the twisted subgroup H_f, which lists f's rows flattened."""
+    return f"H[{','.join(map(str, f.flatten()))}]"
+
+
+def parse_twist_label(label, ring: RingSpec) -> LinearMap:
+    """The additive map f on the ring whose ``twist_label`` is ``label``."""
+    if not (isinstance(label, str) and label.startswith("H[") and label.endswith("]")):
+        raise SpecMismatch(f"{label!r} is not a twisted-subgroup label H[...]")
+    f = LinearMap.from_flat(ring.p, tuple(map(int, label[2:-1].split(","))), ring.dim)
+    if twist_label(f) != label:
+        raise SpecMismatch(f"{label!r} is not the label of an additive map on GF({ring.size})")
+    return f
 
 
 def twisted_subgroup(f: LinearMap, group: Heisenberg) -> TwistedSubgroup:

@@ -18,9 +18,10 @@ from typing import Any, Optional
 
 from .certify import canonical_twist, family_mode
 from .errors import GassmannError, SizeCapExceeded, SpecMismatch
+from .heisenberg import parse_twist_label
 from .places import residue_degree
 from .planner import check_holds
-from .rings import FieldSpec, LinearMap, make_field, primes_up_to
+from .rings import make_field, primes_up_to
 from .schreier import (charpoly_by_centre, colour_refinement, find_isomorphism, maps_onto,
                        rows_from_edges)
 
@@ -123,20 +124,12 @@ def _verify_class_count(item: dict, config: dict, by_kind: dict, problems: list[
     return _is_power(actual, p, m * (m - 1)) and (orbits is None or decode_count(orbits) == actual)
 
 
-def _label_map(label: str, spec: FieldSpec) -> LinearMap:
-    """The additive map f of a family label H[...], which lists f's rows flattened."""
-    f = LinearMap.from_flat(spec.p, tuple(map(int, label[2:-1].split(","))), spec.dim)
-    if label != f"H[{','.join(map(str, f.flatten()))}]":
-        raise SpecMismatch(f"{label!r} is not the label of an additive map on GF({spec.size})")
-    return f
-
-
 def _verify_conjugacy(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:
     # H_f and H_g are conjugate exactly when f and g share a canonical twist
     labels = by_kind["gassmann-family"][0]["subgroups"]
     p, m = config["p"], config["m"]
     spec = make_field(p, m, cap=config["cap"])
-    keys = Counter(canonical_twist(_label_map(label, spec), spec) for label in labels)
+    keys = Counter(canonical_twist(parse_twist_label(label, spec), spec) for label in labels)
     conjugate_pairs = sum(c * (c - 1) // 2 for c in keys.values())
     stored = item["structural_conjugate_pairs"]
     if item["pairs"] != len(labels) * (len(labels) - 1) // 2:
@@ -278,11 +271,12 @@ def _verify_place_scan(item: dict, config: dict, by_kind: dict, problems: list[s
 
 def _verify_plan(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:
     checks = item["checks"]
-    for check in checks:
-        if check_holds(check) != check["holds"]:
+    derived = [check_holds(check) for check in checks]
+    for check, holds in zip(checks, derived):
+        if holds != check["holds"]:
             problems.append(f"check {check['label']} does not re-verify")
     required = item.get("required_checks", [])
-    return all(check_holds(check) for check in checks if check["label"] in required)
+    return all(holds for check, holds in zip(checks, derived) if check["label"] in required)
 
 
 # fn(item, config, by_kind, problems) -> the verdict the item's evidence gives,

@@ -792,17 +792,39 @@ def test_verify_takes_the_dichotomy_verdict_from_the_labels(tmp_path):
     assert dichotomy["structural_conjugate_pairs"] == 0 and dichotomy["reps_pairwise_nonconjugate"]
     dichotomy.update(structural_conjugate_pairs=1, reps_pairwise_nonconjugate=False, holds=False)
     code, err = _verify_json(tmp_path, reports.finalize(report))
-    assert code == 1 and "item 2 (conjugacy-dichotomy) holds False, but its evidence gives True" in err
+    assert code == 1
+    assert "item 2 (conjugacy-dichotomy) holds False, but its evidence gives True" in err
 
 
 def test_verify_reads_each_label_as_a_map_on_the_ring(tmp_path):
-    # one more entry than the 4 of a GF(4) map would be dropped by LinearMap.from_flat
+    # one more entry than the 4 of a GF(4) map would be dropped by LinearMap.from_flat,
+    # and a label that is a list of entries is not a label at all
     _, out, _ = run_cli("certify", "--p", "2", "--m", "2")
+    for label, message in [
+        ("H[0,0,0,0,0]", "'H[0,0,0,0,0]' is not the label of an additive map on GF(4)"),
+        ([0, 0, 0, 0], "[0, 0, 0, 0] is not a twisted-subgroup label H[...]"),
+    ]:
+        report = json.loads(out)
+        report["items"][1]["subgroups"][0] = label
+        code, err = _verify_json(tmp_path, report)
+        assert code == 1
+        assert f"item 2 (conjugacy-dichotomy) fails its check: SpecMismatch: {message}" in err
+
+
+@pytest.mark.parametrize("argv, label", [
+    (("plan", "min-ell-growth", "--dim-g", "8", "--c", "1", "--r", "1"), "min-ell-growth@ell=31"),
+    (("plan", "min-ell-growth", "--dim-g", "8", "--c", "1", "--r", "1"), "min-ell-growth@ell=37"),
+    (("plan", "growth-constant", "--p", "2", "--delta", "1", "--d-p", "0",
+      "--j-min", "30", "--j-max", "33"), "growth@j=31"),
+], ids=["min-ell-growth-unrequired", "min-ell-growth-required", "growth-constant"])
+def test_verify_rederives_each_plan_check(tmp_path, argv, label):
+    # a check's stored flag must be the verdict its inequality gives, required or not
+    _, out, _ = run_cli(*argv)
     report = json.loads(out)
-    family = report["items"][1]
-    family["subgroups"][0] = family["subgroups"][0][:-1] + ",0]"
-    code, err = _verify_json(tmp_path, report)
-    assert code == 1 and "is not the label of an additive map on GF(4)" in err
+    check = next(c for c in report["items"][0]["checks"] if c["label"] == label)
+    check["holds"] = not check["holds"]
+    code, err = _verify_json(tmp_path, reports.finalize(report))
+    assert code == 1 and err == f"problem: check {label} does not re-verify\n"
 
 
 def test_verify_recomputes_the_scanned_count(tmp_path):

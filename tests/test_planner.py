@@ -132,6 +132,9 @@ def test_check_json_round_trip():
     assert data["lhs"] == str(2**200)
     assert check_holds(data) and data["holds"]
     assert not check_holds(dict(data, op=">"))
+    # a flipped stored flag no longer agrees with the re-derived verdict
+    tampered = dict(data, holds=False)
+    assert check_holds(tampered) != tampered["holds"]
 
 
 # ---------------------------------------------------------------------------
