@@ -15,7 +15,6 @@ from .certify import (
     almost_conjugate,
     ambient_class_count,
     are_conjugate,
-    are_conjugate_bruteforce,
     enumerate_class_reps,
     intersection_profile,
     product_certificate,

@@ -6,8 +6,11 @@ key of a twisted subgroup (it names the class, enumerates the catalog and
 decides conjugacy), the truncated-ring class count in closed form, the
 ambient GL(3) collapse by one GL(2) orbit key per class, and
 componentwise product certificates.  The pairwise structural test, the
-conjugator search and the orbit count are oracles for the class key; the
-plain GL(3) conjugator scan is the oracle for the ambient key.
+conjugator search and the orbit count are oracles for the class key, and
+stay here because the CLI runs the last two under its limits.  The GL(3)
+conjugator scan, the oracle for the ambient key, and the direct count in
+a product group, the oracle for product profiles, are in
+``gassmann.oracles``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .heisenberg import (
     ConjugacyClassTable,
     Heisenberg,
     TwistedSubgroup,
-    conjugacy_partition,
     heisenberg_group,
     twisted_subgroup,
 )
@@ -164,19 +166,6 @@ def bruteforce_subgroup_keys(group: Heisenberg, subgroups) -> list:
         slots = [position[h] for h in sub.elements]
         keys.append(min(tuple(sorted(act[i] for i in slots)) for act in actions))
     return keys
-
-
-def are_conjugate_bruteforce(sub_h: TwistedSubgroup, sub_k: TwistedSubgroup,
-                             cap: Optional[int] = None) -> bool:
-    """Conjugator oracle for one pair: do their ``bruteforce_subgroup_keys`` agree?"""
-    if sub_h.group != sub_k.group:
-        raise SpecMismatch("subgroups live in different groups")
-    group = sub_h.group
-    limit = size_cap() if cap is None else cap
-    if group.order > limit:
-        raise SizeCapExceeded(f"group order {group.order} exceeds cap {limit}")
-    key_h, key_k = bruteforce_subgroup_keys(group, [sub_h, sub_k])
-    return key_h == key_k
 
 
 # ---------------------------------------------------------------------------
@@ -371,45 +360,6 @@ def gl2_orbit_key(spec: FieldSpec, f: LinearMap) -> int:
     return min(sum(1 << (u + v) for u, v in zip(high[i], coord[j])) for i, j in pairs)
 
 
-def gl3_conjugable_bruteforce(spec: FieldSpec, f: LinearMap, g: LinearMap) -> bool:
-    """Plain-Python conjugator scan over all of GL(3, F_q); small q only.
-
-    Tries all q^9 matrices M with det M != 0, and accepts M when M h = k M
-    for every h in H_f and some k in H_g.  Matrices are flat 9-tuples of
-    integer codes, added and multiplied through tables of spec.add and spec.mul.
-    """
-    els = spec.elements
-    code = {x: i for i, x in enumerate(els)}
-    add = [[code[spec.add(x, y)] for y in els] for x in els]
-    mul = [[code[spec.mul(x, y)] for y in els] for x in els]
-    neg = [code[spec.neg(x)] for x in els]
-    zero, one = code[spec.zero()], code[spec.one()]
-
-    def mat_mul(a, b):
-        return tuple(
-            add[add[mul[a[r]][b[c]]][mul[a[r + 1]][b[c + 3]]]][mul[a[r + 2]][b[c + 6]]]
-            for r in (0, 3, 6)
-            for c in (0, 1, 2)
-        )
-
-    def det(m):
-        a, b, c, d, e, f_, g_, h, i = m
-        t1 = mul[a][add[mul[e][i]][neg[mul[f_][h]]]]
-        t2 = mul[b][add[mul[d][i]][neg[mul[f_][g_]]]]
-        t3 = mul[c][add[mul[d][h]][neg[mul[e][g_]]]]
-        return add[add[t1][neg[t2]]][t3]
-
-    subgroup_f = [(one, code[x], code[f.apply(x)], zero, one, zero, zero, zero, one) for x in els]
-    subgroup_g = [(one, code[x], code[g.apply(x)], zero, one, zero, zero, zero, one) for x in els]
-    for mat in itertools.product(range(len(els)), repeat=9):
-        if det(mat) == zero:
-            continue
-        images = {mat_mul(k, mat) for k in subgroup_g}
-        if all(mat_mul(mat, h) in images for h in subgroup_f):
-            return True
-    return False
-
-
 def ambient_class_count(spec: FieldSpec, catalog: ClassCatalog, ambient: str = "GL3",
                         cap: Optional[int] = None) -> AmbientClassReport:
     """Count catalog classes that survive conjugation in the ambient group.
@@ -519,54 +469,3 @@ def product_certificate(fam1: ProductFamily, fam2: ProductFamily,
         profile_h=tensor_profiles([c.profile_h for c in certs]),
         profile_k=tensor_profiles([c.profile_k for c in certs]),
     )
-
-
-class ProductGroup:
-    """Direct product of Heisenberg groups, for direct cross-checks only."""
-
-    def __init__(self, factors: Sequence[Heisenberg]):
-        self.factors = tuple(factors)
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for g in self.factors:
-            out *= g.order
-        return out
-
-    def identity(self):
-        return tuple(g.identity() for g in self.factors)
-
-    def mul(self, a, b):
-        return tuple(g.mul(x, y) for g, x, y in zip(self.factors, a, b))
-
-    def inv(self, a):
-        return tuple(g.inv(x) for g, x in zip(self.factors, a))
-
-    @cached_property
-    def elements(self):
-        return tuple(itertools.product(*(g.elements for g in self.factors)))
-
-    def conjugacy_partition(self, cap: Optional[int] = None):
-        limit = size_cap() if cap is None else cap
-        if self.order > limit:
-            raise SizeCapExceeded(f"product order {self.order} exceeds cap {limit}")
-        return conjugacy_partition(self.elements, self.mul, self.inv)
-
-
-def product_profile_direct(fams: ProductFamily, partition_index: dict,
-                           class_count: int) -> tuple[int, ...]:
-    """Profile of the product subgroup counted directly, no tensor identity."""
-    counts = [0] * class_count
-    for combo in itertools.product(*(sub.sorted_elements for sub in fams.subgroups)):
-        counts[partition_index[combo]] += 1
-    return tuple(counts)
-
-
-def product_classes_from_factors(factor_tables: Sequence[ConjugacyClassTable]):
-    """Cartesian product of factor class tables as a set-of-frozensets partition."""
-    partitions = []
-    for combo in itertools.product(*(t.classes for t in factor_tables)):
-        members = frozenset(itertools.product(*combo))
-        partitions.append(members)
-    return partitions

@@ -4,7 +4,7 @@ Group elements are coordinate triples (a, b, c) of ring elements standing
 for the matrix [[1, a, c], [0, 1, b], [0, 0, 1]]; the group law is
 evaluated directly on the triples.  Conjugacy classes come from a closed
 form in O(|G|) with no conjugation (see ``class_key``); the orbit
-expansion ``conjugacy_partition`` is kept as its oracle.
+expansion ``oracles.conjugacy_partition`` is its oracle.
 """
 
 from __future__ import annotations
@@ -90,27 +90,6 @@ def heisenberg_group(ring: RingSpec) -> Heisenberg:
     return Heisenberg(ring)
 
 
-def conjugacy_partition(elements, mul, inv):
-    """Orbit partition of a finite group under conjugation by every element.
-
-    Deterministic: seeds are taken in the given order, so each class is
-    keyed by its minimal member and classes come out sorted by that key.
-    """
-    elts = list(elements)
-    inverses = {g: inv(g) for g in elts}
-    index: dict = {}
-    classes: list[tuple] = []
-    for seed in elts:
-        if seed in index:
-            continue
-        orbit = {mul(mul(g, seed), inverses[g]) for g in elts}
-        cid = len(classes)
-        classes.append(tuple(sorted(orbit)))
-        for member in orbit:
-            index[member] = cid
-    return tuple(classes), index
-
-
 class ConjugacyClassTable:
     """Partition of a Heisenberg group into conjugacy classes."""
 
@@ -149,7 +128,7 @@ def class_key(ring: RingSpec, g: GroupElement) -> tuple:
 def _class_table_cached(group: Heisenberg) -> ConjugacyClassTable:
     # Elements are walked in lex order and a class id opens at the first
     # sighting of its key, so ids follow the class minima and each member
-    # tuple comes out sorted: the same table as conjugacy_partition.
+    # tuple comes out sorted: the same table as oracles.conjugacy_partition.
     ring = group.ring
     ids: dict = {}
     members: list[list] = []

@@ -1,0 +1,189 @@
+"""Brute-force oracles that only the tests run.
+
+Each function here answers a question that a production route answers
+another way, by the most direct computation at hand: the Berkowitz
+characteristic polynomial, a plain permutation search for graph
+isomorphism, a conjugator scan over all of GL(3, F_q), the orbit
+expansion of a conjugacy-class partition, and the profile of a product
+subgroup counted inside the direct product.  This module may import the
+production modules; none of them imports it, so the CLI never loads it.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import cached_property
+from typing import Optional, Sequence
+
+from . import schreier
+from .certify import ProductFamily
+from .errors import SelfCheckFailed, SizeCapExceeded
+from .heisenberg import ConjugacyClassTable, Heisenberg
+from .rings import FieldSpec, LinearMap, size_cap
+from .schreier import CosetGraph, IsomorphismResult, SpectrumPolynomial
+
+
+def charpoly_berkowitz(matrix: Sequence[Sequence[int]]) -> SpectrumPolynomial:
+    """Division-free characteristic polynomial of an integer matrix."""
+    n = len(matrix)
+    if n == 0:
+        return SpectrumPolynomial((1,))
+    poly = [1]
+    for r in range(1, n + 1):
+        pivot = matrix[r - 1][r - 1]
+        row = [matrix[r - 1][k] for k in range(r - 1)]
+        col = [matrix[i][r - 1] for i in range(r - 1)]
+        # Toeplitz column: 1, -pivot, -(row . col), -(row . A col), ...
+        toep = [1, -pivot]
+        vec = col[:]
+        for _ in range(r - 1):
+            toep.append(-sum(x * y for x, y in zip(row, vec)))
+            vec = [sum(matrix[i][k] * vec[k] for k in range(r - 1)) for i in range(r - 1)]
+        new_poly = [0] * (r + 1)
+        for i, c in enumerate(poly):
+            for k in range(r + 1 - i):
+                new_poly[i + k] += c * toep[k]
+        poly = new_poly
+    return SpectrumPolynomial(tuple(poly))
+
+
+def are_isomorphic_bruteforce(g1: CosetGraph, g2: CosetGraph,
+                              cap: int = 16) -> IsomorphismResult:
+    """Permutation search with adjacency pruning only, on the dense matrices."""
+    if g1.n != g2.n:
+        return IsomorphismResult(False, None)
+    n = g1.n
+    if n > cap:
+        raise SizeCapExceeded(f"{n} vertices exceed brute-force cap {cap}")
+    adj1, adj2 = g1.adjacency, g2.adjacency
+    mapping: list[Optional[int]] = [None] * n
+    used = [False] * n
+
+    def backtrack(v: int) -> bool:
+        if v == n:
+            return True
+        for u in range(n):
+            if used[u] or not schreier._permutation_matches(adj1, adj2, mapping, v, u):
+                continue
+            mapping[v] = u
+            used[u] = True
+            if backtrack(v + 1):
+                return True
+            mapping[v] = None
+            used[u] = False
+        return False
+
+    if backtrack(0):
+        witness = tuple(mapping)  # type: ignore[arg-type]
+        if not schreier.verify_witness(adj1, adj2, witness):
+            raise SelfCheckFailed("isomorphism witness does not map edges onto edges")
+        return IsomorphismResult(True, witness)
+    return IsomorphismResult(False, None)
+
+
+def gl3_conjugable_bruteforce(spec: FieldSpec, f: LinearMap, g: LinearMap) -> bool:
+    """Plain-Python conjugator scan over all of GL(3, F_q); small q only.
+
+    Tries all q^9 matrices M with det M != 0, and accepts M when M h = k M
+    for every h in H_f and some k in H_g.  Matrices are flat 9-tuples of
+    integer codes, added and multiplied through tables of spec.add and spec.mul.
+    """
+    els = spec.elements
+    code = {x: i for i, x in enumerate(els)}
+    add = [[code[spec.add(x, y)] for y in els] for x in els]
+    mul = [[code[spec.mul(x, y)] for y in els] for x in els]
+    neg = [code[spec.neg(x)] for x in els]
+    zero, one = code[spec.zero()], code[spec.one()]
+
+    def mat_mul(a, b):
+        return tuple(
+            add[add[mul[a[r]][b[c]]][mul[a[r + 1]][b[c + 3]]]][mul[a[r + 2]][b[c + 6]]]
+            for r in (0, 3, 6)
+            for c in (0, 1, 2)
+        )
+
+    def det(m):
+        a, b, c, d, e, f_, g_, h, i = m
+        t1 = mul[a][add[mul[e][i]][neg[mul[f_][h]]]]
+        t2 = mul[b][add[mul[d][i]][neg[mul[f_][g_]]]]
+        t3 = mul[c][add[mul[d][h]][neg[mul[e][g_]]]]
+        return add[add[t1][neg[t2]]][t3]
+
+    subgroup_f = [(one, code[x], code[f.apply(x)], zero, one, zero, zero, zero, one) for x in els]
+    subgroup_g = [(one, code[x], code[g.apply(x)], zero, one, zero, zero, zero, one) for x in els]
+    for mat in itertools.product(range(len(els)), repeat=9):
+        if det(mat) == zero:
+            continue
+        images = {mat_mul(k, mat) for k in subgroup_g}
+        if all(mat_mul(mat, h) in images for h in subgroup_f):
+            return True
+    return False
+
+
+def conjugacy_partition(elements, mul, inv):
+    """Orbit partition of a finite group under conjugation by every element.
+
+    Deterministic: seeds are taken in the given order, so each class is
+    keyed by its minimal member and classes come out sorted by that key.
+    """
+    elts = list(elements)
+    inverses = {g: inv(g) for g in elts}
+    index: dict = {}
+    classes: list[tuple] = []
+    for seed in elts:
+        if seed in index:
+            continue
+        orbit = {mul(mul(g, seed), inverses[g]) for g in elts}
+        cid = len(classes)
+        classes.append(tuple(sorted(orbit)))
+        for member in orbit:
+            index[member] = cid
+    return tuple(classes), index
+
+
+class ProductGroup:
+    """Direct product of Heisenberg groups, for direct cross-checks only."""
+
+    def __init__(self, factors: Sequence[Heisenberg]):
+        self.factors = tuple(factors)
+
+    @property
+    def order(self) -> int:
+        out = 1
+        for g in self.factors:
+            out *= g.order
+        return out
+
+    def mul(self, a, b):
+        return tuple(g.mul(x, y) for g, x, y in zip(self.factors, a, b))
+
+    def inv(self, a):
+        return tuple(g.inv(x) for g, x in zip(self.factors, a))
+
+    @cached_property
+    def elements(self):
+        return tuple(itertools.product(*(g.elements for g in self.factors)))
+
+    def conjugacy_partition(self, cap: Optional[int] = None):
+        limit = size_cap() if cap is None else cap
+        if self.order > limit:
+            raise SizeCapExceeded(f"product order {self.order} exceeds cap {limit}")
+        return conjugacy_partition(self.elements, self.mul, self.inv)
+
+
+def product_profile_direct(fams: ProductFamily, partition_index: dict,
+                           class_count: int) -> tuple[int, ...]:
+    """Profile of the product subgroup counted directly, no tensor identity."""
+    counts = [0] * class_count
+    for combo in itertools.product(*(sub.sorted_elements for sub in fams.subgroups)):
+        counts[partition_index[combo]] += 1
+    return tuple(counts)
+
+
+def product_classes_from_factors(factor_tables: Sequence[ConjugacyClassTable]):
+    """Cartesian product of factor class tables as a set-of-frozensets partition."""
+    partitions = []
+    for combo in itertools.product(*(t.classes for t in factor_tables)):
+        members = frozenset(itertools.product(*combo))
+        partitions.append(members)
+    return partitions

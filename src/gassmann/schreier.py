@@ -10,13 +10,14 @@ graph is a regular cover and its characteristic polynomial is the
 product of small blocks, one per orbit of characters of Z under Galois
 conjugation (the voltage-graph factorisation).  Each block goes through
 Hessenberg reduction modulo known primes, lifted by CRT past a bound on
-the coefficients.  The dense polynomial of the full adjacency, the
-division-free Berkowitz route, a memoized cofactor expansion and
-fraction-free integer determinants at sample points stay as oracles.
+the coefficients.  The dense polynomial of the full adjacency and
+fraction-free integer determinants at sample points stay here as
+oracles; the division-free Berkowitz route is in ``gassmann.oracles``.
 Isomorphism compares canonical colour-refinement invariants, cached per
 graph, and searches by individualising and refining, within a budget of
 refinement nodes, only when they agree; isomorphism classes bucket graphs
-by invariant.  A plain permutation search is the oracle.
+by invariant.  The plain permutation search in ``gassmann.oracles`` is
+the oracle, through the dense match and witness checks kept here.
 """
 
 from __future__ import annotations
@@ -228,79 +229,6 @@ class SpectrumPolynomial:
         for c in self.coefficients:
             acc = acc * t + c
         return acc
-
-
-def charpoly_berkowitz(matrix: Sequence[Sequence[int]]) -> SpectrumPolynomial:
-    """Division-free characteristic polynomial of an integer matrix."""
-    n = len(matrix)
-    if n == 0:
-        return SpectrumPolynomial((1,))
-    poly = [1]
-    for r in range(1, n + 1):
-        pivot = matrix[r - 1][r - 1]
-        row = [matrix[r - 1][k] for k in range(r - 1)]
-        col = [matrix[i][r - 1] for i in range(r - 1)]
-        # Toeplitz column: 1, -pivot, -(row . col), -(row . A col), ...
-        toep = [1, -pivot]
-        vec = col[:]
-        for _ in range(r - 1):
-            toep.append(-sum(x * y for x, y in zip(row, vec)))
-            vec = [sum(matrix[i][k] * vec[k] for k in range(r - 1)) for i in range(r - 1)]
-        new_poly = [0] * (r + 1)
-        for i, c in enumerate(poly):
-            for k in range(r + 1 - i):
-                new_poly[i + k] += c * toep[k]
-        poly = new_poly
-    return SpectrumPolynomial(tuple(poly))
-
-
-def charpoly_cofactor(matrix: Sequence[Sequence[int]]) -> SpectrumPolynomial:
-    """Cofactor-expansion oracle for det(tI - A), memoized on column subsets.
-
-    Kept independent of the Berkowitz route on purpose; polynomials are
-    low-to-high tuples internally and rows are expanded top down.
-    """
-    n = len(matrix)
-    if n == 0:
-        return SpectrumPolynomial((1,))
-    # entry polynomials of tI - A, low-to-high
-    entry = [[(-matrix[i][j], 1) if i == j else (-matrix[i][j],) for j in range(n)]
-             for i in range(n)]
-
-    def poly_scale_add(acc: list[int], poly: tuple[int, ...], scalar_poly) -> None:
-        for i, x in enumerate(scalar_poly):
-            if x:
-                for k, y in enumerate(poly):
-                    acc[i + k] += x * y
-
-    memo: dict[int, tuple[int, ...]] = {}
-    full_mask = (1 << n) - 1
-
-    def minor(mask: int) -> tuple[int, ...]:
-        if mask == 0:
-            return (1,)
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        size = bin(mask).count("1")
-        row = n - size
-        acc = [0] * (size + 1)
-        sign = 1
-        m = mask
-        while m:
-            j = (m & -m).bit_length() - 1
-            e = entry[row][j]
-            if any(e):
-                sub = minor(mask & ~(1 << j))
-                poly_scale_add(acc, sub if sign > 0 else tuple(-c for c in sub), e)
-            sign = -sign
-            m &= m - 1
-        result = tuple(acc)
-        memo[mask] = result
-        return result
-
-    low_to_high = minor(full_mask)
-    return SpectrumPolynomial(tuple(reversed(low_to_high)))
 
 
 def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
@@ -710,37 +638,3 @@ def isomorphism_classes(graphs: Sequence[CosetGraph]):
             class_of.append(max(class_of, default=-1) + 1)
             witnesses.append(None)
     return class_of, witnesses
-
-
-def are_isomorphic_bruteforce(g1: CosetGraph, g2: CosetGraph,
-                              cap: int = 16) -> IsomorphismResult:
-    """Permutation search with adjacency pruning only; the independent oracle."""
-    if g1.n != g2.n:
-        return IsomorphismResult(False, None)
-    n = g1.n
-    if n > cap:
-        raise SizeCapExceeded(f"{n} vertices exceed brute-force cap {cap}")
-    adj1, adj2 = g1.adjacency, g2.adjacency
-    mapping: list[Optional[int]] = [None] * n
-    used = [False] * n
-
-    def backtrack(v: int) -> bool:
-        if v == n:
-            return True
-        for u in range(n):
-            if used[u] or not _permutation_matches(adj1, adj2, mapping, v, u):
-                continue
-            mapping[v] = u
-            used[u] = True
-            if backtrack(v + 1):
-                return True
-            mapping[v] = None
-            used[u] = False
-        return False
-
-    if backtrack(0):
-        witness = tuple(mapping)  # type: ignore[arg-type]
-        if not verify_witness(adj1, adj2, witness):
-            raise SelfCheckFailed("isomorphism witness does not map edges onto edges")
-        return IsomorphismResult(True, witness)
-    return IsomorphismResult(False, None)

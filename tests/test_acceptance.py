@@ -12,20 +12,15 @@ from fractions import Fraction
 
 from conftest import run_cli
 
-from gassmann.certify import (
-    ProductFamily,
-    ProductGroup,
-    product_certificate,
-    product_profile_direct,
-)
+from gassmann.certify import ProductFamily, product_certificate
 from gassmann.cli import cmd_certify, cmd_graphs, cmd_tower
 from gassmann.errors import NoValidD
 from gassmann.heisenberg import heisenberg_group
 from gassmann.places import residue_degree, residue_degree_subgroup, scan_places
+from gassmann.oracles import ProductGroup, charpoly_berkowitz, product_profile_direct
 from gassmann.planner import min_ell_growth, min_ell_sequence, tower_growth_constant, tower_min_k
 from gassmann.reports import verify_report
 from gassmann.rings import LinearMap, make_field, primes_up_to
-from gassmann.schreier import charpoly_cofactor
 
 
 def _criterion(num: int, text: str, ok: bool) -> None:
@@ -92,7 +87,7 @@ def test_criterion_3_sunada_graph_analog():
             adjacency[u][v] += mult
             if u != v:
                 adjacency[v][u] += mult
-        oracle = charpoly_cofactor(adjacency)
+        oracle = charpoly_berkowitz(adjacency)
         oracle_ok = oracle_ok and list(oracle.coefficients) == [int(c) for c in item["charpoly"]]
     elapsed = time.perf_counter() - started
     ok = (
@@ -105,7 +100,7 @@ def test_criterion_3_sunada_graph_analog():
     _criterion(
         3,
         f"4 representative 16-vertex graphs share one integer characteristic "
-        f"polynomial, cofactor oracle agrees ({elapsed:.2f}s < 5s)",
+        f"polynomial, Berkowitz oracle agrees ({elapsed:.2f}s < 5s)",
         ok,
     )
 

@@ -4,22 +4,17 @@ import pytest
 
 from gassmann.certify import (
     ProductFamily,
-    ProductGroup,
     all_linear_maps,
     almost_conjugate,
     ambient_class_count,
     are_conjugate,
-    are_conjugate_bruteforce,
     bruteforce_subgroup_keys,
     canonical_twist,
     enumerate_class_reps,
     gl2_orbit_key,
-    gl3_conjugable_bruteforce,
     intersection_profile,
     mult_subspace_echelon,
     product_certificate,
-    product_classes_from_factors,
-    product_profile_direct,
     tensor_profiles,
     tower_class_count,
     twist_orbit_count_bruteforce,
@@ -38,6 +33,12 @@ from gassmann.heisenberg import (
     trivial_subgroup,
     twisted_subgroup,
     whole_group,
+)
+from gassmann.oracles import (
+    ProductGroup,
+    gl3_conjugable_bruteforce,
+    product_classes_from_factors,
+    product_profile_direct,
 )
 from gassmann.rings import LinearMap, make_field, make_trunc_ring, mult_matrix
 
@@ -150,18 +151,7 @@ def test_structural_conjugacy_examples():
     assert not are_conjugate(f, g, F4)
 
 
-def test_structural_equals_bruteforce_exhaustive_f4():
-    group = heisenberg_group(F4)
-    maps = list(all_linear_maps(F4))
-    subs = [twisted_subgroup(f, group) for f in maps]
-    for i in range(len(maps)):
-        for j in range(i + 1, len(maps)):
-            structural = are_conjugate(maps[i], maps[j], F4)
-            brute = are_conjugate_bruteforce(subs[i], subs[j])
-            assert structural == brute
-
-
-@pytest.mark.parametrize("spec", [F9, F8])
+@pytest.mark.parametrize("spec", [F9, F8, F4])
 def test_structural_equals_bruteforce_exhaustive_at_scale(spec):
     # all p^(m^2) twisted subgroups; the brute side conjugates entire
     # subgroups elementwise by every group element, no structural shortcuts
@@ -176,13 +166,6 @@ def test_structural_equals_bruteforce_exhaustive_at_scale(spec):
     for i in range(len(maps)):
         for j in range(i + 1, len(maps)):
             assert (keys[i] == keys[j]) == are_conjugate(maps[i], maps[j], spec)
-
-
-def test_bruteforce_cap():
-    group = heisenberg_group(F9)
-    h0 = horizontal_subgroup(group)
-    with pytest.raises(SizeCapExceeded):
-        are_conjugate_bruteforce(h0, h0, cap=10)
 
 
 def test_cli_binds_the_one_conjugator_oracle():

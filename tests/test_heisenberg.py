@@ -9,12 +9,12 @@ from gassmann.errors import DimensionMismatch, SizeCapExceeded, SpecMismatch
 from gassmann.heisenberg import (
     center_subgroup,
     class_key,
-    conjugacy_partition,
     conjugate_subgroup,
     heisenberg_group,
     horizontal_subgroup,
     twisted_subgroup,
 )
+from gassmann.oracles import conjugacy_partition
 from gassmann.rings import LinearMap, all_linear_maps, make_field, make_trunc_ring, mult_matrix
 
 
