@@ -71,49 +71,54 @@ def finalize(report: dict) -> dict:
 # that verdict with the item's holds flag.
 
 
+def _family_profile(q: int) -> list[int]:
+    """The intersection profile of every H_f over GF(q), derived without a class table.
+
+    Classes are numbered by their lex-least members, as _class_table_cached
+    numbers them: (0, 0, c) is class index(c), and the class of (a, b, *) with
+    (a, b) != 0 is q - 1 + index(a)·q + index(b), elements indexed in
+    lexicographic coefficient order.  H_f meets the identity class once, and
+    the class of each (x, 0, *) with x != 0 once, in (x, 0, f(x)).
+    """
+    profile = [0] * (q * q + q - 1)
+    profile[0] = 1
+    for i in range(1, q):
+        profile[q - 1 + i * q] = 1
+    return profile
+
+
 def _verify_profiles(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:
+    """Every H_f has the one derived profile, so the evidence always gives true."""
     labels = item["subgroups"]
     distinct = item["distinct_profiles"]
     index = item["profile_index"]
     sizes = item["subgroup_sizes"]
-    identity_class = item["identity_class"]
-    class_sizes = item["class_sizes"]
     n = len(labels)
-    all_equal = len(distinct) == 1
     p, m = config["p"], config["m"]
     mode = family_mode(p, m)
     if item["mode"] != mode or len(set(labels)) != n or not _is_power(
             n, p, m * m if mode == "all-twists" else m * (m - 1)):
         problems.append(f"the family is not the {mode} family of the config: p^(m^2) distinct "
                         "subgroups in all-twists mode, p^(m(m-1)) in class-reps mode")
-    # over GF(q): q central classes of size 1, q^2 - 1 classes of size q, subgroups of order q
+    # over GF(q): q central classes of size 1 first, then q^2 - 1 of size q; subgroups of order q
     q = p**m
-    if Counter(class_sizes) != Counter({1: q, q: q * q - 1}):
-        problems.append("class_sizes are not q classes of size 1 and q^2-1 of size q, q = p^m")
-    if not (0 <= identity_class < len(class_sizes) and class_sizes[identity_class] == 1):
-        problems.append("identity_class is not a class of size 1")
-        return all_equal
+    if item["class_sizes"] != [1] * q + [q] * (q * q - 1):
+        problems.append("class_sizes are not q classes of size 1, then q^2-1 of size q, q = p^m")
+    if item["identity_class"] != 0:
+        problems.append("identity_class is not 0, the class of the identity")
     if any(size != q for size in sizes):
         problems.append("a subgroup order is not q = p^m")
     if not len(index) == len(sizes) == n:
         problems.append("subgroups, profile_index and subgroup_sizes differ in length")
     if item["pair_count"] != n * (n - 1) // 2:
         problems.append("pair_count is not n(n-1)/2 for the n subgroups")
-    if len({tuple(profile) for profile in distinct}) != len(distinct):
-        problems.append("distinct_profiles repeats a profile")
-    if not all(isinstance(k, int) and 0 <= k < len(distinct) for k in index):
-        problems.append("profile_index is out of range of distinct_profiles")
-        return all_equal
-    if list(dict.fromkeys(index)) != list(range(len(distinct))):
-        problems.append("distinct_profiles are not listed in order of first appearance")
-    for label, k, size in zip(labels, index, sizes):
-        if sum(distinct[k]) != size:
-            problems.append(f"profile of {label} does not sum to its order")
-        if distinct[k][identity_class] != 1:
-            problems.append(f"profile of {label} misses the identity class")
-    if all_equal != item["all_equal"]:
-        problems.append("stored all_equal flag contradicts the profiles")
-    return all_equal
+    if distinct != [_family_profile(q)]:
+        problems.append("distinct_profiles is not the one profile that every H_f has over GF(q)")
+    if any(k != 0 for k in index):
+        problems.append("a profile_index is not 0, the index of the one profile")
+    if item["all_equal"] is not True:
+        problems.append("all_equal is not true, though every H_f has the same profile")
+    return True
 
 
 def _verify_class_count(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:

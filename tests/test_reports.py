@@ -3,10 +3,16 @@ import json
 import pytest
 from conftest import run_cli
 
-from gassmann.certify import enumerate_class_reps
+from gassmann.certify import (
+    all_linear_maps,
+    enumerate_class_reps,
+    family_mode,
+    intersection_profile,
+)
 from gassmann.heisenberg import center_subgroup, heisenberg_group, twisted_subgroup
 from gassmann.reports import (
     _centre_action,
+    _family_profile,
     canonical_json,
     encode_count,
     finalize,
@@ -161,3 +167,20 @@ def test_verify_derives_the_centre_action_from_the_config(p, m):
     for f in enumerate_class_reps(spec).reps:
         graph = build_coset_graph(twisted_subgroup(f, group), gens)
         assert _centre_action({"p": p, "m": m}, graph.n) == list(map(list, graph.centre_action))
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4)])
+def test_verify_derives_the_family_profile_from_the_config(p, m):
+    # the class table that production reads gives the sizes, identity class and
+    # profile that verify derives, for every subgroup of the certify family
+    spec = make_field(p, m)
+    group = heisenberg_group(spec)
+    table = group.conjugacy_classes()
+    q = spec.size
+    assert list(table.sizes()) == [1] * q + [q] * (q * q - 1)
+    assert table.identity_class() == 0
+    all_twists = family_mode(p, m) == "all-twists"
+    maps = all_linear_maps(spec) if all_twists else enumerate_class_reps(spec).reps
+    profile = _family_profile(q)
+    for f in maps:
+        assert list(intersection_profile(twisted_subgroup(f, group), table)) == profile
