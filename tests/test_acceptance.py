@@ -16,8 +16,8 @@ from gassmann.certify import ProductFamily, product_certificate
 from gassmann.cli import cmd_certify, cmd_graphs, cmd_tower
 from gassmann.errors import NoValidD
 from gassmann.heisenberg import heisenberg_group
-from gassmann.places import residue_degree, residue_degree_subgroup, scan_places
 from gassmann.oracles import ProductGroup, charpoly_berkowitz, product_profile_direct
+from gassmann.places import residue_degree, residue_degree_subgroup, scan_places
 from gassmann.planner import min_ell_growth, min_ell_sequence, tower_growth_constant, tower_min_k
 from gassmann.reports import verify_report
 from gassmann.rings import LinearMap, make_field, primes_up_to
