@@ -21,7 +21,7 @@ from . import certify as cz
 from . import planner as pl
 from . import reports as rp
 from . import schreier as sg
-from .errors import GassmannError, NotGenerating, SpecMismatch, UsageError
+from .errors import GassmannError, NotGenerating, SelfCheckFailed, SpecMismatch, UsageError
 from .heisenberg import heisenberg_group, twisted_subgroup
 from .places import choose_modulus, residue_degree, residue_degree_subgroup, scan_places
 from .rings import make_field, make_trunc_ring, primes_up_to, size_cap
@@ -247,22 +247,6 @@ def cmd_places(ell: int, bound: int, q: Optional[int] = None,
 # ---------------------------------------------------------------------------
 
 
-def _plan_item(op: str, inputs: dict, result: dict, checks=(), required=None) -> dict:
-    item = {
-        "kind": "plan",
-        "op": op,
-        "inputs": inputs,
-        "result": result,
-        "checks": [c.to_json() for c in checks],
-    }
-    if required is not None:
-        item["required_checks"] = sorted(required)
-        item["holds"] = all(c.holds for c in checks if c.label in required)
-    else:
-        item["holds"] = True
-    return item
-
-
 # Options each plan op needs that have no default.
 _PLAN_REQUIRED = {
     "twisted-count": ("p", "ell0", "dim_g"),
@@ -291,131 +275,91 @@ def cmd_plan(args: argparse.Namespace) -> dict:
             d_p=args.d_p, delta=Fraction(args.delta), r=args.r,
             ell=args.ell, ell0=args.ell0,
         )
-    report = rp.new_report("plan", {"op": op})
 
+    def given(*names: str) -> dict:
+        return {name: getattr(args, name) for name in names}
+
+    checks: list = []
     if op == "twisted-count":
-        result = pl.twisted_count_bound(args.p, args.ell0, args.dim_g)
-        inputs = {"p": args.p, "ell0": args.ell0, "dim_g": args.dim_g}
-        report["items"].append(_plan_item(op, inputs, result.to_json()))
+        inputs = given("p", "ell0", "dim_g")
+        result = pl.twisted_count_bound(args.p, args.ell0, args.dim_g).to_json()
 
     elif op == "comm-classes":
-        result = pl.distinct_comm_classes(args.p, args.ell0, args.dim_g, args.c)
-        inputs = {"p": args.p, "ell0": args.ell0, "dim_g": args.dim_g, "c": args.c}
-        checks = []
-        required = []
+        inputs = given("p", "ell0", "dim_g", "c")
+        result = pl.distinct_comm_classes(args.p, args.ell0, args.dim_g, args.c).to_json()
         if args.n is not None:
-            check = pl.isometry_headroom(args.p, args.ell0, args.dim_g, args.c,
-                                         args.c_x, args.n)
-            checks.append(check)
-            required.append(check.label)
-            inputs.update({"c_x": args.c_x, "n": args.n})
-        report["items"].append(
-            _plan_item(op, inputs, result.to_json(), checks, required or None)
-        )
+            checks.append(pl.isometry_headroom(args.p, args.ell0, args.dim_g, args.c,
+                                               args.c_x, args.n))
+            inputs.update(given("c_x", "n"))
 
     elif op == "conjugates-bound":
-        value = pl.commensurator_conjugates_bound(
-            args.n_index, args.x, args.big_c, args.group_order
-        )
-        inputs = {
-            "n_index": args.n_index,
-            "x": args.x,
-            "big_c": args.big_c,
-            "group_order": args.group_order,
-        }
-        report["items"].append(_plan_item(op, inputs, {"value": str(value)}))
+        inputs = given("n_index", "x", "big_c", "group_order")
+        value = pl.commensurator_conjugates_bound(args.n_index, args.x, args.big_c,
+                                                  args.group_order)
+        result = {"value": str(value)}
 
     elif op in ("min-ell-sequence", "min-ell-growth"):
         fn = pl.min_ell_sequence if op == "min-ell-sequence" else pl.min_ell_growth
-        result = fn(args.dim_g, args.c, args.r)
-        inputs = {"dim_g": args.dim_g, "c": args.c, "r": args.r}
-        checks = [result.passing] + ([result.failing] if result.failing else [])
-        required = [result.passing.label]
+        found = fn(args.dim_g, args.c, args.r)
+        inputs = given("dim_g", "c", "r")
+        result = {"ell": found.ell}
+        checks = [found.passing] + ([found.failing] if found.failing else [])
         if op == "min-ell-growth" and args.p is not None and args.c_1 is not None:
-            ell0 = args.ell0 if args.ell0 is not None else result.ell
-            chain = pl.growth_chain_check(args.p, args.c_1, ell0, args.r,
-                                          args.dim_g, args.c)
-            checks.extend(chain)
-            required.extend(c.label for c in chain)
+            ell0 = args.ell0 if args.ell0 is not None else found.ell
+            checks.extend(pl.growth_chain_check(args.p, args.c_1, ell0, args.r,
+                                                args.dim_g, args.c))
             inputs.update({"p": args.p, "c_1": args.c_1, "ell0": ell0})
-        report["items"].append(
-            _plan_item(op, inputs, {"ell": result.ell}, checks, required)
-        )
 
     elif op == "nonarith-count":
-        result = pl.nonarith_count(args.p, args.ell)
-        inputs = {"p": args.p, "ell": args.ell}
-        checks = []
-        required = []
+        inputs = given("p", "ell")
+        result = pl.nonarith_count(args.p, args.ell).to_json()
         if args.n is not None:
-            check = pl.nonarith_headroom(args.p, args.ell, args.comm_index, args.n)
-            checks.append(check)
-            required.append(check.label)
-            inputs.update({"comm_index": args.comm_index, "n": args.n})
-        report["items"].append(
-            _plan_item(op, inputs, result.to_json(), checks, required or None)
-        )
+            checks.append(pl.nonarith_headroom(args.p, args.ell, args.comm_index, args.n))
+            inputs.update(given("comm_index", "n"))
 
     elif op == "volume-bound":
-        value = pl.tower_volume_bound(args.big_c, args.p, args.j)
-        inputs = {"big_c": args.big_c, "p": args.p, "j": args.j}
-        report["items"].append(_plan_item(op, inputs, {"value": str(value)}))
+        inputs = given("big_c", "p", "j")
+        result = {"value": str(pl.tower_volume_bound(args.big_c, args.p, args.j))}
 
     elif op == "growth-constant":
-        result = pl.tower_growth_constant(
-            args.p, Fraction(args.delta), args.d_p, args.j_min, args.j_max,
-            margin=Fraction(args.margin),
-        )
-        inputs = {
-            "p": args.p,
-            "delta": str(Fraction(args.delta)),
-            "d_p": args.d_p,
-            "j_min": args.j_min,
-            "j_max": args.j_max,
-            "margin": str(Fraction(args.margin)),
-        }
-        payload = result.to_json()
-        checks = result.checks
-        report["items"].append(
-            _plan_item(op, inputs, {"constant": payload["constant"],
-                                    "log_base": "natural",
-                                    "ln_p": payload["ln_p"]},
-                       checks, [c.label for c in checks])
-        )
+        delta, margin = Fraction(args.delta), Fraction(args.margin)
+        found = pl.tower_growth_constant(args.p, delta, args.d_p, args.j_min, args.j_max,
+                                         margin=margin)
+        inputs = {**given("p", "d_p", "j_min", "j_max"), "delta": str(delta),
+                  "margin": str(margin)}
+        payload = found.to_json()
+        result = {"constant": payload["constant"], "log_base": "natural",
+                  "ln_p": payload["ln_p"]}
+        checks = list(found.checks)
 
     elif op == "level-count":
         primes = [int(v) for v in args.primes.split(",")]
-        value = pl.level_count(primes, args.j, args.ell0)
-        inputs = {"primes": primes, "j": args.j, "ell0": args.ell0}
-        report["items"].append(_plan_item(op, inputs, {"value": str(value)}))
+        inputs = {**given("j", "ell0"), "primes": primes}
+        result = {"value": str(pl.level_count(primes, args.j, args.ell0))}
 
     elif op == "tower-min-k":
         primes = [int(v) for v in args.primes.split(",")]
-        result = pl.tower_min_k(primes, args.j, args.ell0, args.dim_g,
-                                args.c_x, args.x, args.c, args.r)
-        inputs = {
-            "primes": primes,
-            "j": args.j,
-            "ell0": args.ell0,
-            "dim_g": args.dim_g,
-            "c_x": args.c_x,
-            "x": args.x,
-            "c": args.c,
-            "r": args.r,
-        }
-        checks = [result.product_condition, result.full_at_k]
-        required = [c.label for c in checks]
-        if result.product_condition_before is not None:
-            checks.append(result.product_condition_before)
-        if result.full_before is not None:
-            checks.append(result.full_before)
-        report["items"].append(
-            _plan_item(op, inputs, {"k": result.k}, checks, required)
-        )
+        found = pl.tower_min_k(primes, args.j, args.ell0, args.dim_g,
+                               args.c_x, args.x, args.c, args.r)
+        inputs = {**given("j", "ell0", "dim_g", "c_x", "x", "c", "r"), "primes": primes}
+        result = {"k": found.k}
+        checks = [c for c in (found.product_condition, found.full_at_k,
+                              found.product_condition_before, found.full_before)
+                  if c is not None]
 
     else:  # pragma: no cover - argparse restricts choices
         raise SpecMismatch(f"unknown plan op {op!r}")
 
+    required = sorted(pl.required_check_labels(op, inputs, result))
+    if not {c.label for c in checks}.issuperset(required):
+        raise SelfCheckFailed(f"plan {op} lacks one of its required checks {required}")
+    item = {"kind": "plan", "op": op, "inputs": inputs, "result": result,
+            "checks": [c.to_json() for c in checks],
+            "holds": all(c.holds for c in checks if c.label in required)}
+    if required:
+        item["required_checks"] = required
+    report = rp.new_report("plan", {"op": op})
+    report["items"].append(item)
     return rp.finalize(report)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
     ExponentMarginNonpositive,
@@ -67,6 +67,25 @@ class IneqCheck:
 def check_holds(data: dict) -> bool:
     """Re-derive a serialized check's verdict from its decimal strings alone."""
     return _OPS[data["op"]](Fraction(data["lhs"]), Fraction(data["rhs"]))
+
+
+def required_check_labels(op: str, inputs: dict, result: dict) -> Iterator[str]:
+    """The labels of the checks a plan item's verdict rests on, from its op,
+    inputs and result alone.  The CLI stores them as required_checks and
+    verify_report derives them again; they come lazily, so it can stop early."""
+    if op == "comm-classes" and "n" in inputs:
+        yield "isometry-headroom"
+    elif op == "nonarith-count" and "n" in inputs:
+        yield "nonarith-headroom"
+    elif op in ("min-ell-sequence", "min-ell-growth"):
+        yield f"{op}@ell={result['ell']}"
+        if op == "min-ell-growth" and "c_1" in inputs:
+            yield from ("p^r > C_1^r", "chain-left", "chain-right")
+    elif op == "growth-constant":
+        for j in range(inputs["j_min"], inputs["j_max"] + 1):
+            yield f"growth@j={j}"
+    elif op == "tower-min-k":
+        yield from (f"tower-product@k={result['k']}", f"tower-full@k={result['k']}")
 
 
 @dataclass(frozen=True)

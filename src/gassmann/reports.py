@@ -14,13 +14,14 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from typing import Any, Optional
 
 from .certify import canonical_twist, family_mode
 from .errors import GassmannError, SizeCapExceeded, SpecMismatch
 from .heisenberg import parse_twist_label
 from .places import residue_degree
-from .planner import check_holds
+from .planner import check_holds, required_check_labels
 from .rings import make_field, primes_up_to
 from .schreier import (charpoly_by_centre, colour_refinement, find_isomorphism, maps_onto,
                        rows_from_edges)
@@ -34,6 +35,9 @@ def encode_count(v: int) -> Any:
 
 
 def decode_count(v: Any) -> int:
+    """A count as encode_count writes it; a JSON true or false is not one."""
+    if type(v) not in (int, str):
+        raise TypeError(f"a count is an integer or a decimal string, not {v!r}")
     return int(v)
 
 
@@ -68,7 +72,19 @@ def finalize(report: dict) -> dict:
 # ---------------------------------------------------------------------------
 # A verifier checks one item's fields, lists one problem per inconsistency and
 # returns the verdict the item's evidence gives; verify_report alone compares
-# that verdict with the item's holds flag.
+# that verdict with the item's holds flag.  Stored values are compared with
+# derived ones by _same, since Python's == reads true as 1 and false as 0.
+
+
+def _same(stored: Any, derived: Any) -> bool:
+    """stored == derived with JSON's types kept apart, in lists and objects too."""
+    if isinstance(derived, list):
+        return (isinstance(stored, list) and len(stored) == len(derived)
+                and all(map(_same, stored, derived)))
+    if isinstance(derived, dict):
+        return (isinstance(stored, dict) and stored.keys() == derived.keys()
+                and all(_same(stored[key], value) for key, value in derived.items()))
+    return type(stored) is type(derived) and stored == derived
 
 
 def _family_profile(q: int) -> list[int]:
@@ -102,19 +118,19 @@ def _verify_profiles(item: dict, config: dict, by_kind: dict, problems: list[str
                         "subgroups in all-twists mode, p^(m(m-1)) in class-reps mode")
     # over GF(q): q central classes of size 1 first, then q^2 - 1 of size q; subgroups of order q
     q = p**m
-    if item["class_sizes"] != [1] * q + [q] * (q * q - 1):
+    if not _same(item["class_sizes"], [1] * q + [q] * (q * q - 1)):
         problems.append("class_sizes are not q classes of size 1, then q^2-1 of size q, q = p^m")
-    if item["identity_class"] != 0:
+    if not _same(item["identity_class"], 0):
         problems.append("identity_class is not 0, the class of the identity")
-    if any(size != q for size in sizes):
+    if not all(_same(size, q) for size in sizes):
         problems.append("a subgroup order is not q = p^m")
     if not len(index) == len(sizes) == n:
         problems.append("subgroups, profile_index and subgroup_sizes differ in length")
-    if item["pair_count"] != n * (n - 1) // 2:
+    if not _same(item["pair_count"], n * (n - 1) // 2):
         problems.append("pair_count is not n(n-1)/2 for the n subgroups")
-    if distinct != [_family_profile(q)]:
+    if not _same(distinct, [_family_profile(q)]):
         problems.append("distinct_profiles is not the one profile that every H_f has over GF(q)")
-    if any(k != 0 for k in index):
+    if not all(_same(k, 0) for k in index):
         problems.append("a profile_index is not 0, the index of the one profile")
     if item["all_equal"] is not True:
         problems.append("all_equal is not true, though every H_f has the same profile")
@@ -137,15 +153,15 @@ def _verify_conjugacy(item: dict, config: dict, by_kind: dict, problems: list[st
     keys = Counter(canonical_twist(parse_twist_label(label, spec), spec) for label in labels)
     conjugate_pairs = sum(c * (c - 1) // 2 for c in keys.values())
     stored = item["structural_conjugate_pairs"]
-    if item["pairs"] != len(labels) * (len(labels) - 1) // 2:
+    if not _same(item["pairs"], len(labels) * (len(labels) - 1) // 2):
         problems.append("pairs is not n(n-1)/2 for the family's n subgroups")
     if not 0 <= stored <= item["pairs"]:
         problems.append("structural_conjugate_pairs is outside [0, pairs]")
-    if stored != conjugate_pairs:
+    if not _same(stored, conjugate_pairs):
         problems.append("structural_conjugate_pairs differs from the canonical-twist "
                         "multiplicities of the family's labels")
     class_reps = family_mode(p, m) == "class-reps"
-    if class_reps and item["reps_pairwise_nonconjugate"] != (stored == 0):
+    if class_reps and not _same(item["reps_pairwise_nonconjugate"], stored == 0):
         problems.append("reps_pairwise_nonconjugate disagrees with structural_conjugate_pairs")
     agree = item["structural_equals_bruteforce"] or not item["bruteforce_checked"]
     return agree and not (class_reps and conjugate_pairs)
@@ -162,7 +178,7 @@ def _centre_action(config: dict, n: int) -> list[list[int]]:
     """
     p, m = config["p"], config["m"]
     q = p**m
-    if n != q * q:
+    if not _same(n, q * q):
         raise SpecMismatch(f"a coset graph over GF({q}) has {q * q} vertices, not {n}")
     weights = [p ** (m - 1 - i) for i in range(m)]
     return [[k + w * (1 - p if k // w % p == p - 1 else 1) for k in range(n)] for w in weights]
@@ -171,8 +187,10 @@ def _centre_action(config: dict, n: int) -> list[list[int]]:
 def _verify_graph(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:
     """A coset graph states facts, not a claim: its evidence always gives true."""
     n = item["vertices"]
+    if any(type(x) is not int for edge in item["edges"] for x in edge):
+        problems.append("an edge is not a list of integers")
     rows = rows_from_edges(n, item["edges"])
-    if any(sum(mult for _, mult in row) != item["generators"] for row in rows):
+    if not all(_same(item["generators"], sum(mult for _, mult in row)) for row in rows):
         problems.append("row sums do not match the generator count")
     elif [decode_count(c) for c in item["charpoly"]] != list(
             charpoly_by_centre(rows, _centre_action(config, n), config["p"]).coefficients):
@@ -186,10 +204,10 @@ def _verify_cospectral(item: dict, config: dict, by_kind: dict, problems: list[s
     polys = [[decode_count(c) for c in graph["charpoly"]]
              for graph in by_kind.get("coset-graph", [])]
     k = len(polys)
-    if item["pair_count"] != k * (k - 1) // 2:
+    if not _same(item["pair_count"], k * (k - 1) // 2):
         problems.append("cospectral pair_count is not k(k-1)/2 for the k coset graphs")
     all_equal = all(poly == polys[0] for poly in polys[1:])
-    if all_equal != item["all_equal"]:
+    if not _same(item["all_equal"], all_equal):
         problems.append("cospectral flags contradict the coset-graph charpolys")
     return all_equal
 
@@ -208,11 +226,12 @@ def _verify_isomorphism_classes(item: dict, config: dict, by_kind: dict,
     leaders: dict[int, int] = {}
     for k, (c, witness) in enumerate(zip(class_of, witnesses)):
         if c not in leaders:
-            if c != len(leaders) or witness is not None:
+            if not _same(c, len(leaders)) or witness is not None:
                 problems.append(f"graph {k} opens class {c} out of order or with a witness")
                 return True
             leaders[c] = k
-        elif witness is None or not maps_onto(rows[k], rows[leaders[c]], witness):
+        elif not (isinstance(witness, list) and _same(sorted(witness), list(range(len(rows[k]))))
+                  and maps_onto(rows[k], rows[leaders[c]], witness)):
             problems.append(f"witness of graph {k} does not map it onto graph {leaders[c]}")
     refinements = {k: colour_refinement(rows[k]) for k in leaders.values()}
     buckets: dict[tuple, list[int]] = {}
@@ -240,7 +259,7 @@ def _verify_tower_count(item: dict, config: dict, by_kind: dict, problems: list[
     cited = decode_count(item["cited_lower"])
     if not (_is_power(exact, p, j * j - j) and _is_power(cited, p, j * (j - 1) // 2)):
         problems.append("tower-count exact or cited_lower differs from p^(j^2-j) or p^(j(j-1)/2)")
-    if (exact >= cited) != item["bound_holds"] or (exact != cited) != item["gap"]:
+    if not (_same(item["bound_holds"], exact >= cited) and _same(item["gap"], exact != cited)):
         problems.append("tower-count flags are inconsistent")
     return exact >= cited
 
@@ -260,16 +279,16 @@ def _verify_place_scan(item: dict, config: dict, by_kind: dict, problems: list[s
             problems.append(f"place record p={p} does not have residue degree ell={ell}")
         elif decode_count(r["residue_size"]) != p**ell:
             problems.append(f"residue size wrong at p={p}")
-    if item["scanned"] != len(scanned):
+    if not _same(item["scanned"], len(scanned)):
         problems.append("scanned is not the number of primes up to the bound other than q")
     density = Fraction(len(records), len(scanned)) if scanned else Fraction(0)
-    if item["degree_ell_count"] != len(records) or Fraction(item["density"]) != density:
+    if not _same(item["degree_ell_count"], len(records)) or Fraction(item["density"]) != density:
         problems.append("degree_ell_count or density does not count the records")
     cebotarev = Fraction(ell - 1, ell)
     if Fraction(item["cebotarev_density"]) != cebotarev or item["tolerance"] != config["tolerance"]:
         problems.append("cebotarev_density or tolerance differs from the config")
     within = abs(density - cebotarev) <= Fraction(config["tolerance"])
-    if within != item["within_tolerance"]:
+    if not _same(item["within_tolerance"], within):
         problems.append("within_tolerance contradicts the density")
     return within and item["implementations_agree"]
 
@@ -278,10 +297,18 @@ def _verify_plan(item: dict, config: dict, by_kind: dict, problems: list[str]) -
     checks = item["checks"]
     derived = [check_holds(check) for check in checks]
     for check, holds in zip(checks, derived):
-        if holds != check["holds"]:
+        if not _same(check["holds"], holds):
             problems.append(f"check {check['label']} does not re-verify")
-    required = item.get("required_checks", [])
-    return all(holds for check, holds in zip(checks, derived) if check["label"] in required)
+    # every required label is among the checks, so one label past their count is enough
+    required = sorted(islice(required_check_labels(item["op"], item["inputs"], item["result"]),
+                             len(checks) + 1))
+    if not _same(item.get("required_checks", []), required):
+        problems.append("required_checks are not those that the op, inputs and result require")
+    labels = {check["label"] for check in checks}
+    missing = [label for label in required if label not in labels]
+    problems.extend(f"required check {label} is missing" for label in missing)
+    return not missing and all(holds for check, holds in zip(checks, derived)
+                               if check["label"] in required)
 
 
 # fn(item, config, by_kind, problems) -> the verdict the item's evidence gives,
@@ -309,10 +336,10 @@ def _layout_problem(command: str, config: dict, items: list[dict]) -> Optional[s
         m = config["m"]
         ok = (_is_power(n - 2, config["p"], m * (m - 1))
               and kinds == ["coset-graph"] * (n - 2) + ["cospectral", "isomorphism-classes"]
-              and [item.get("rep") for item in items[:-2]] == list(range(n - 2)))
+              and _same([item.get("rep") for item in items[:-2]], list(range(n - 2))))
     elif command == "tower":
         ok = (config["j_max"] == n and kinds == ["tower-count"] * n
-              and [item.get("j") for item in items] == list(range(1, n + 1)))
+              and _same([item.get("j") for item in items], list(range(1, n + 1))))
     elif command == "places":
         ok = kinds == ["place-scan"]
     elif command == "plan":
@@ -355,10 +382,10 @@ def verify_report(report: dict) -> list[str]:
         except GassmannError as exc:
             problems.append(f"item {i} ({kind}) fails its check: {type(exc).__name__}: {exc}")
             continue
-        if item.get("holds") != verdict:
+        if not _same(item.get("holds"), verdict):
             problems.append(f"item {i} ({kind}) holds {item.get('holds')}, "
                             f"but its evidence gives {verdict}")
-    if report["summary"] != summarize(items):
+    if not _same(report["summary"], summarize(items)):
         problems.append("summary does not match the items' holds flags")
     return problems
 

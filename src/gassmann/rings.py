@@ -38,7 +38,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact below 3.3e24, far past our caps)."""
+    """Miller-Rabin to the first twelve prime bases: exact below 3.3e24, and a
+    probable-prime test past it, where it only steers the search for a charpoly
+    modulus (schreier._modulus checks the roots and pivots it relies on)."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:

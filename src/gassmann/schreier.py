@@ -8,11 +8,11 @@ centre Z = {(0, 0, c)} acts freely on the cosets of a subgroup that meets
 it trivially, by Hg -> Hgz, and commutes with every generator, so a coset
 graph is a regular cover and its characteristic polynomial is the
 product of small blocks, one per orbit of characters of Z under Galois
-conjugation (the voltage-graph factorisation).  Each block goes through
-Hessenberg reduction modulo known primes, lifted by CRT past a bound on
-the coefficients.  The dense polynomial of the full adjacency and
-fraction-free integer determinants at sample points stay here as
-oracles; the division-free Berkowitz route is in ``gassmann.oracles``.
+conjugation (the voltage-graph factorisation), each split into blocks
+over Z/ℓ for one ℓ ≡ 1 (mod 2p) past a bound on the coefficients and
+reduced to Hessenberg form.  With no permutation kept the same route gives
+the dense polynomial, an oracle like the fraction-free integer determinants
+kept here; the division-free Berkowitz route is in ``gassmann.oracles``.
 Isomorphism compares canonical colour-refinement invariants, cached per
 graph, and searches by individualising and refining, within a budget of
 refinement nodes, only when they agree; isomorphism classes bucket graphs
@@ -24,14 +24,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
-from math import comb
+from math import comb, gcd
 from operator import mul
 from typing import Optional, Sequence
 
 from .errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded, SpecMismatch
 from .heisenberg import GroupElement, Heisenberg
+from .rings import is_prime
 
 DEFAULT_VERTEX_CAP = 4096
 # Refinements per isomorphism search; one between GF(8) or GF(9) coset graphs runs 9 at most.
@@ -253,28 +254,50 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-# Known primes in increasing size (a test checks them): Mersenne primes
-# 2^e - 1, with the NIST P-192, P-224 and P-384 primes and 2^255 - 19 in the
-# gap between 2^127 and 2^521.  A smaller prime makes a cheaper pass, so a
-# charpoly takes the smallest prime that covers its bound alone, and only a
-# bound past the largest one needs CRT over several, largest first.
-_PRIMES = (
-    2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1,
-    2**192 - 2**64 - 1, 2**224 - 2**96 + 1, 2**255 - 19,
-    2**384 - 2**128 - 2**96 + 2**32 - 1,
-) + tuple((1 << e) - 1 for e in (521, 607, 1279, 2203, 2281, 3217, 4253, 4423))
+# A modulus past this many bits takes seconds to minutes to find, so a
+# coefficient bound that needs one is over the size cap.
+_MODULUS_BITS = 2048
 
 
-def _charpoly_mod(matrix: Sequence[Sequence[int]], p: int) -> list[int]:
-    """det(tI - A) mod p, t^n first.
+@lru_cache(maxsize=64)
+def _modulus(p: int, bound: int) -> tuple[int, int]:
+    """(ℓ, ω) for the charpolys of a graph whose coefficients are at most bound.
 
-    Reduces A to upper Hessenberg form by similarity over GF(p), swapping a
-    nonzero pivot onto the subdiagonal, then runs the recurrence for the
-    charpoly of each leading block.  A similarity over a field is exact, so
-    every prime gives the true charpoly mod p.
+    ℓ is the least ℓ ≡ 1 (mod 2p) above 2·bound that is_prime accepts and
+    whose ω = g^((ℓ-1)/p) ≠ 1, for the least such g, passes the root checks:
+    ω^p ≡ 1, and 1, ω, ..., ω^(p-1) differ pairwise by units.  A candidate
+    that fails them is skipped.  With them, Φ_p(x) ≡ Π_s (x - ω^s) splits
+    into coprime factors mod ℓ, so Z[ζ_p]/ℓ ≅ Π_s Z/ℓ by ζ ↦ ω^s whether or
+    not ℓ is prime, and _charpoly_mod checks each pivot it inverts.
+    """
+    if 2 * bound >= 1 << _MODULUS_BITS:
+        raise SizeCapExceeded(f"characteristic polynomial coefficients need a modulus past "
+                              f"{_MODULUS_BITS} bits")
+    step = 2 * p
+    ell = 2 * bound + 1 + -2 * bound % step
+    while True:
+        if is_prime(ell):
+            g = 2
+            while (omega := pow(g, (ell - 1) // p, ell)) == 1:
+                g += 1
+            powers = [pow(omega, j, ell) for j in range(p + 1)]
+            # ω^t - ω^s = ω^s·(ω^(t-s) - 1), and ω is a unit once ω^p ≡ 1
+            if powers[p] == 1 and all(gcd(w - 1, ell) == 1 for w in powers[1:p]):
+                return ell, omega
+        ell += step
+
+
+def _charpoly_mod(matrix: Sequence[Sequence[int]], modulus: int) -> list[int]:
+    """det(tI - A) mod the modulus, t^n first.
+
+    Reduces A to upper Hessenberg form by similarity, swapping a nonzero
+    pivot onto the subdiagonal, then runs the recurrence for the charpoly
+    of each leading block.  Each step is a similarity over Z/modulus as long
+    as the pivot it inverts is a unit, which is checked, so any modulus, prime
+    or not, gives the true charpoly mod it or raises SelfCheckFailed.
     """
     n = len(matrix)
-    a = [[x % p for x in row] for row in matrix]
+    a = [[x % modulus for x in row] for row in matrix]
     for j in range(n - 2):
         k = j + 1
         pivot_row = next((i for i in range(k, n) if a[i][j]), None)
@@ -284,21 +307,25 @@ def _charpoly_mod(matrix: Sequence[Sequence[int]], p: int) -> list[int]:
             a[k], a[pivot_row] = a[pivot_row], a[k]
             for row in a:
                 row[k], row[pivot_row] = row[pivot_row], row[k]
-        inv = pow(a[k][j], -1, p)
+        try:
+            inv = pow(a[k][j], -1, modulus)
+        except ValueError:
+            raise SelfCheckFailed(f"a Hessenberg pivot is not a unit modulo the "
+                                  f"{modulus.bit_length()}-bit modulus") from None
         # rows below k vanish left of column j, and so does the pivot row
         pivot = a[k][k:]
         factors = []
         for i in range(k + 1, n):
             row = a[i]
-            u = row[j] * inv % p
+            u = row[j] * inv % modulus
             factors.append(u)
             if u:
                 row[j] = 0
-                row[k:] = [(x - u * y) % p for x, y in zip(row[k:], pivot)]
+                row[k:] = [(x - u * y) % modulus for x, y in zip(row[k:], pivot)]
         if any(factors):
             # the inverse transform on the right: column k += sum u_i column i
             for row in a:
-                row[k] = (row[k] + sum(map(mul, factors, row[k + 1:]))) % p
+                row[k] = (row[k] + sum(map(mul, factors, row[k + 1:]))) % modulus
     # blocks[m] is the charpoly of the leading m x m block, low degree first
     blocks = [[1]]
     for m in range(n):
@@ -308,41 +335,14 @@ def _charpoly_mod(matrix: Sequence[Sequence[int]], p: int) -> list[int]:
         acc[:m + 1] = [x - diag * y for x, y in zip(acc, prev)]
         sub = 1
         for i in range(m - 1, -1, -1):
-            sub = sub * a[i + 1][i] % p
+            sub = sub * a[i + 1][i] % modulus
             if not sub:
                 break
-            c = a[i][m] * sub % p
+            c = a[i][m] * sub % modulus
             if c:
                 acc[:i + 1] = [x - c * y for x, y in zip(acc, blocks[i])]
-        blocks.append([x % p for x in acc])
+        blocks.append([x % modulus for x in acc])
     return blocks[n][::-1]
-
-
-def charpoly_modular(matrix: Sequence[Sequence[int]]) -> SpectrumPolynomial:
-    """Characteristic polynomial of an integer matrix by Hessenberg mod primes and CRT.
-
-    Each coefficient of t^(n-k) is a signed sum of C(n,k) principal k x k
-    minors, each at most d^k in absolute value for d the largest absolute
-    row sum.  The primes' product must exceed twice that bound, and the
-    residues are lifted to the symmetric range.
-    """
-    n = len(matrix)
-    d = max((sum(abs(x) for x in row) for row in matrix), default=0)
-    bound = max(comb(n, k) * d**k for k in range(n + 1))
-    single = next((p for p in _PRIMES if p > 2 * bound), None)
-    lifted = [0] * (n + 1)
-    modulus = 1
-    for p in (single,) if single else reversed(_PRIMES):
-        inv = pow(modulus, -1, p)
-        lifted = [
-            x + modulus * ((r - x) * inv % p)
-            for x, r in zip(lifted, _charpoly_mod(matrix, p))
-        ]
-        modulus *= p
-        if modulus > 2 * bound:
-            half = modulus // 2
-            return SpectrumPolynomial(tuple(x - modulus if x > half else x for x in lifted))
-    raise SizeCapExceeded("characteristic polynomial coefficients exceed the known primes")
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -365,12 +365,13 @@ def charpoly_by_centre(rows: Rows, perms: Sequence[Sequence[int]], p: int) -> Sp
     Γ ≅ (Z/p)^r commuting with A, so A preserves each space of vectors
     with f(σ^k v) = χ(σ^k) f(v) for a character χ_λ(σ^k) = ζ^(λ·k),
     ζ = exp(2πi/p).  On it A acts on the values at the Q = n/p^r orbit
-    representatives by A_λ[s, t] = Σ_k A[s, σ^k t] ζ^(λ·k).  λ = 0 gives an
-    integer Q x Q block.  The p - 1 nonzero multiples of one λ give Galois
-    conjugate blocks, whose charpolys multiply to that of A_λ acting on
-    Z[ζ]^Q: an integer Q(p-1) x Q(p-1) matrix in the basis 1, ζ, ...,
-    ζ^(p-2), where ζ^(p-1) = -(1 + ζ + ... + ζ^(p-2)).  With no permutation
-    kept the whole matrix is the one block.
+    representatives by A_λ[a, t] = Σ_k A[a, σ^k t] ζ^(λ·k).  λ = 0 gives an
+    integer Q x Q block.  The p - 1 nonzero multiples of one λ are Galois
+    conjugate, so the charpolys of their blocks multiply to an integer
+    polynomial of degree N = Q(p-1).  It is computed modulo one ℓ from
+    _modulus, in which ζ ↦ ω^s sends A_λ to the block B_s[a, t] of the
+    character sλ, s = 1, ..., p - 1, and lifted to the symmetric range.
+    With no permutation kept the whole matrix is the one block.
     """
     n = len(rows)
     kept: list[tuple[int, ...]] = []
@@ -419,24 +420,28 @@ def charpoly_by_centre(rows: Rows, perms: Sequence[Sequence[int]], p: int) -> Sp
         reps.append(s)
     size = len(reps)
     voltages = [[(*where[v], mult) for v, mult in rows[s]] for s in reps]
-    trivial = [[0] * size for _ in range(size)]
-    for a, entries in enumerate(voltages):
-        for t, _, mult in entries:
-            trivial[a][t] += mult
-    poly = list(charpoly_modular(trivial).coefficients)
+    # every eigenvalue μ of A has |μ| <= d, the largest absolute row sum, and
+    # each orbit's polynomial is a product of t - μ over at most N of them,
+    # so its t^(N-k) coefficient is at most C(N, k)·d^k
+    d = max((sum(abs(mult) for _, mult in row) for row in rows), default=0)
+    big = size * (p - 1) if kept else size
+    ell, omega = _modulus(p, max(comb(big, k) * d**k for k in range(big + 1)))
+    powers = [pow(omega, j, ell) for j in range(p)]
+    poly = [1]
     digits = [[k // p**i % p for i in range(len(kept))] for k in range(p ** len(kept))]
     for lam in digits:
-        if next((x for x in lam if x), None) != 1:  # one λ per line through 0, none for 0
+        lead = next((x for x in lam if x), 0)
+        if lead > 1:  # keep λ = 0 and, per line through 0, the λ led by 1
             continue
-        phase = [sum(map(mul, lam, d)) % p for d in digits]
-        coeffs = [[[0] * p for _ in range(size)] for _ in range(size)]
-        for a, entries in enumerate(voltages):
-            for t, k, mult in entries:
-                coeffs[a][t][phase[k]] += mult
-        # entry (a, j), (t, i): coordinate j of A_λ[a, t]·ζ^i
-        block = [[c[(j - i) % p] - c[(p - 1 - i) % p] for c in coeffs[a] for i in range(p - 1)]
-                 for a in range(size) for j in range(p - 1)]
-        poly = _poly_mul(poly, charpoly_modular(block).coefficients)
+        phase = [sum(map(mul, lam, k)) % p for k in digits]
+        factor = [1]
+        for s in range(1, p) if lead else (1,):
+            block = [[0] * size for _ in range(size)]
+            for a, entries in enumerate(voltages):
+                for t, k, mult in entries:
+                    block[a][t] += mult * powers[s * phase[k] % p]
+            factor = [c % ell for c in _poly_mul(factor, _charpoly_mod(block, ell))]
+        poly = _poly_mul(poly, [c - ell if 2 * c > ell else c for c in factor])
     return SpectrumPolynomial(tuple(poly))
 
 

@@ -10,7 +10,7 @@ from conftest import run_cli
 
 from gassmann import cli, reports
 from gassmann.reports import render_table, verify_report
-from gassmann.schreier import charpoly_modular
+from gassmann.schreier import charpoly_by_centre, rows_from_edges
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -580,7 +580,8 @@ def test_verify_lists_a_huge_multiplicity(tmp_path):
 
 
 def test_verify_lists_charpoly_coefficients_past_the_known_primes(tmp_path):
-    # row sums and the centre action still check, so the blocks' bound passes every prime
+    # row sums and the centre action still check, so the coefficient bound
+    # needs a modulus past the 2,048-bit cap
     def tamper(graph):
         for edge in graph["edges"]:
             edge[2] *= 10**2000
@@ -599,11 +600,7 @@ def test_verify_lists_a_relabelled_graph(tmp_path):
     def tamper(graph):
         edges = [sorted((swap.get(u, u), swap.get(v, v))) + [mult] for u, v, mult in graph["edges"]]
         assert sorted(edges) != sorted(graph["edges"])
-        n = graph["vertices"]
-        adjacency = [[0] * n for _ in range(n)]
-        for u, v, mult in edges:
-            adjacency[u][v] = adjacency[v][u] = mult
-        charpoly = charpoly_modular(adjacency).coefficients
+        charpoly = charpoly_by_centre(rows_from_edges(graph["vertices"], edges), (), 2).coefficients
         assert [int(c) for c in graph["charpoly"]] == list(charpoly)
         graph["edges"] = edges
 
@@ -796,6 +793,72 @@ def test_verify_checks_the_item_layout_against_the_config(tmp_path, argv, tamper
     tamper(report)
     code, err = _verify_json(tmp_path, reports.finalize(report))
     assert code == 1 and f"the items are not those of a {argv[0]} report with its config" in err
+
+
+def _drop_the_required_check(report):
+    plan = report["items"][0]
+    assert [c["label"] for c in plan["checks"]] == plan["required_checks"] == ["isometry-headroom"]
+    plan["checks"] = []
+    del plan["required_checks"]
+    plan["holds"] = True
+
+
+def test_verify_derives_the_required_checks_of_a_plan(tmp_path):
+    # a failing comm-classes report turned into a pass by deleting its one
+    # required check and the requirement: verify reads it from --n in the inputs
+    _, out, _ = run_cli("plan", "comm-classes", "--p", "2", "--ell0", "3", "--dim-g", "8",
+                        "--n", "2")
+    report = json.loads(out)
+    assert report["summary"]["verdict"] == "fail"
+    _drop_the_required_check(report)
+    code, err = _verify_json(tmp_path, reports.finalize(report))
+    assert code == 1
+    assert "required_checks are not those that the op, inputs and result require" in err
+    assert "required check isometry-headroom is missing" in err
+
+
+def _counts_as_booleans(report):
+    family = report["items"][1]
+    family["profile_index"] = [False] * len(family["profile_index"])
+    q = 4
+    assert family["class_sizes"][:q] == [1] * q
+    family["class_sizes"][:q] = [True] * q
+
+
+def _edge_multiplicity_true(report):
+    edge = next(edge for edge in report["items"][0]["edges"] if edge[2] == 1)
+    edge[2] = True
+
+
+def _first_class_false(report):
+    report["items"][-1]["class_of"][0] = False
+
+
+def _first_level_true(report):
+    report["items"][0]["j"] = True
+
+
+def _first_level_count_true(report):
+    level = report["items"][0]
+    assert level["j"] == 1 and level["exact"] == level["cited_lower"] == 1
+    level["exact"] = level["cited_lower"] = True
+
+
+@pytest.mark.parametrize("argv, tamper", [
+    (("certify", "--p", "2", "--m", "2"), _counts_as_booleans),
+    (("graphs", "--p", "2", "--m", "2"), _edge_multiplicity_true),
+    (("graphs", "--p", "2", "--m", "2"), _first_class_false),
+    (("tower", "--p", "2", "--j-max", "3"), _first_level_true),
+    (("tower", "--p", "2", "--j-max", "3"), _first_level_count_true),
+], ids=["profile-and-class-sizes", "edge-multiplicity", "class-of", "tower-level",
+        "tower-count"])
+def test_verify_does_not_read_a_boolean_as_a_count(tmp_path, argv, tamper):
+    # Python's == takes true for 1 and false for 0; verify compares JSON types too
+    _, out, _ = run_cli(*argv)
+    report = json.loads(out)
+    tamper(report)
+    code, _ = _verify_json(tmp_path, report)
+    assert code == 1
 
 
 def test_verify_rejects_an_unknown_command(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -23,7 +24,7 @@ from gassmann.heisenberg import (
     whole_group,
 )
 from gassmann.oracles import are_isomorphic_bruteforce, charpoly_berkowitz
-from gassmann.rings import LinearMap, make_field, make_trunc_ring
+from gassmann.rings import LinearMap, is_prime, make_field, make_trunc_ring
 from gassmann.schreier import (
     CosetGraph,
     are_isomorphic,
@@ -31,7 +32,6 @@ from gassmann.schreier import (
     build_coset_graph,
     char_poly,
     charpoly_by_centre,
-    charpoly_modular,
     colour_refinement,
     default_generators,
     isomorphism_classes,
@@ -63,8 +63,13 @@ def _five_generators():
 
 
 def _rows(adjacency):
-    """The neighbour rows of a dense symmetric matrix."""
+    """The neighbour rows of a dense integer matrix."""
     return tuple(tuple((v, mult) for v, mult in enumerate(row) if mult) for row in adjacency)
+
+
+def _dense(matrix, p=2):
+    """The charpoly of a dense integer matrix: charpoly_by_centre with no permutation."""
+    return charpoly_by_centre(_rows(matrix), (), p)
 
 
 def _synthetic(adjacency):
@@ -234,7 +239,7 @@ def test_charpoly_structure_on_coset_graphs():
     lambda n: st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
                        min_size=n, max_size=n)))
 def test_modular_charpoly_equals_berkowitz_on_random_integer_matrices(matrix):
-    assert charpoly_modular(matrix).coefficients == charpoly_berkowitz(matrix).coefficients
+    assert _dense(matrix).coefficients == charpoly_berkowitz(matrix).coefficients
 
 
 @pytest.mark.parametrize("matrix", [
@@ -247,22 +252,22 @@ def test_modular_charpoly_equals_berkowitz_on_random_integer_matrices(matrix):
     [[1, 2, 3, 4], [0, 5, 6, 7], [3, 0, 8, 9], [0, 2, 0, -1]],
 ])
 def test_modular_charpoly_edge_cases(matrix):
-    assert charpoly_modular(matrix).coefficients == charpoly_berkowitz(matrix).coefficients
+    for p in (2, 3, 5):
+        assert _dense(matrix, p).coefficients == charpoly_berkowitz(matrix).coefficients
 
 
-@pytest.mark.parametrize("n, size, passes", [(20, 10**6, 1), (12, 2**400, 2)])
+@pytest.mark.parametrize("n, size, passes", [(20, 10**6, 1)])
 def test_modular_charpoly_on_large_coefficients(n, size, passes, monkeypatch):
-    # 20 x 20 near 10^6 takes a single 521-bit prime; 12 x 12 near 2^400 has
-    # a bound past every prime, so it goes through CRT
+    # 20 x 20 near 10^6: coefficients past 2^127, in one pass modulo one ℓ
     rng = random.Random(20)
     matrix = [[rng.choice((-1, 1)) * rng.randrange(size - 100, size + 100)
                for _ in range(n)] for _ in range(n)]
-    primes = []
+    moduli = []
     one_pass = schreier._charpoly_mod
     monkeypatch.setattr(schreier, "_charpoly_mod",
-                        lambda m, p: primes.append(p) or one_pass(m, p))
-    poly = charpoly_modular(matrix)
-    assert len(primes) == passes
+                        lambda m, ell: moduli.append(ell) or one_pass(m, ell))
+    poly = _dense(matrix)
+    assert len(moduli) == passes
     assert max(abs(c) for c in poly.coefficients) > 2**127
     assert poly.coefficients == charpoly_berkowitz(matrix).coefficients
 
@@ -274,33 +279,46 @@ def test_modular_charpoly_equals_berkowitz_on_coset_graphs(spec):
         assert char_poly(graph).coefficients == charpoly_berkowitz(graph.adjacency).coefficients
 
 
-def test_known_primes_are_prime():
-    for p in schreier._PRIMES:
-        if (p + 1) & p == 0:  # Mersenne 2^e - 1: Lucas-Lehmer
-            e = p.bit_length()
-            s = 4
-            for _ in range(e - 2):
-                s = (s * s - 2) % p
-            assert s == 0, e
-        else:  # strong probable prime to the first twelve prime bases
-            d, r = p - 1, 0
-            while d % 2 == 0:
-                d, r = d // 2, r + 1
-            for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-                x = pow(a, d, p)
-                if x in (1, p - 1):
-                    continue
-                for _ in range(r - 1):
-                    x = x * x % p
-                    if x == p - 1:
-                        break
-                assert x == p - 1, p
-
-
-def test_modular_charpoly_past_the_known_primes_raises():
+def test_modular_charpoly_past_the_known_primes_raises(monkeypatch):
+    # the bound needs a modulus past 2,048 bits, so the cap raises before any search
+    searched = []
+    monkeypatch.setattr(schreier, "is_prime", lambda n: searched.append(n) or True)
     big = 2 ** 2000
-    with pytest.raises(SizeCapExceeded):
-        charpoly_modular([[big] * 12 for _ in range(12)])
+    with pytest.raises(SizeCapExceeded, match="2048 bits"):
+        _dense([[big] * 12 for _ in range(12)])
+    assert searched == []
+
+
+def test_modulus_search_is_deterministic():
+    schreier._modulus.cache_clear()
+    for p, bound in ((2, 6), (3, 10**40), (5, 3**300)):
+        ell, omega = schreier._modulus(p, bound)
+        assert (ell, omega) == schreier._modulus.__wrapped__(p, bound)
+        assert ell % (2 * p) == 1 and ell > 2 * bound
+        assert is_prime(ell) and omega != 1 and pow(omega, p, ell) == 1
+        # no ℓ ≡ 1 (mod 2p) between 2·bound and ℓ passes
+        assert not any(is_prime(c) for c in range(ell - 2 * p, 2 * bound, -2 * p))
+
+
+@pytest.mark.parametrize("bound, found", [(10, (29, 28)), (42, (89, 88)), (322, (653, 652))])
+def test_modulus_search_skips_a_candidate_that_fails_the_root_checks(bound, found, monkeypatch):
+    # with every candidate called prime: 21 and 25 fail both checks; 85 gives
+    # ω = 4, with ω - 1 a unit but ω^2 ≠ 1; 645 = 3·5·43 gives ω = 259, with
+    # ω^2 ≡ 1 but ω - 1 = 258 sharing 3·43 with it; 649 also fails
+    monkeypatch.setattr(schreier, "is_prime", lambda n: True)
+    assert schreier._modulus.__wrapped__(2, bound) == found
+
+
+# a 3-vertex multigraph whose first Hessenberg pivot is 3
+PIVOT_THREE = ((1, 3), (2, 3)), ((0, 3),), ((0, 3),)
+
+
+def test_a_pivot_that_is_not_a_unit_raises(monkeypatch):
+    # 3·(2^61 - 1) passes no primality test, but were it patched in, the
+    # pivot 3 has no inverse modulo it
+    monkeypatch.setattr(schreier, "_modulus", lambda p, bound: (3 * (2**61 - 1), 1))
+    with pytest.raises(SelfCheckFailed, match="not a unit"):
+        charpoly_by_centre(PIVOT_THREE, (), 2)
 
 
 def test_charpoly_cap():
@@ -576,16 +594,18 @@ CENTRE_CASES = {
 @pytest.mark.parametrize("case", list(CENTRE_CASES))
 def test_factorised_charpoly_equals_the_dense_oracle(case, monkeypatch):
     graphs, rank = CENTRE_CASES[case]()
-    dense = schreier.charpoly_modular
+    one_pass = schreier._charpoly_mod
     sizes = []
-    monkeypatch.setattr(schreier, "charpoly_modular", lambda m: sizes.append(len(m)) or dense(m))
+    monkeypatch.setattr(schreier, "_charpoly_mod",
+                        lambda m, ell: sizes.append(len(m)) or one_pass(m, ell))
     for graph in graphs:
-        sizes.clear()
-        assert char_poly(graph).coefficients == dense(graph.adjacency).coefficients
-        # the quotient block, then one Z[ζ_p] block per line through 0 in F_p^r
         p = graph.group.ring.p
+        dense = charpoly_by_centre(graph.rows, (), p).coefficients
+        sizes.clear()
+        assert char_poly(graph).coefficients == dense
+        # the quotient block, then p - 1 blocks over F_ℓ per line through 0 in F_p^r
         quotient = graph.n // p**rank
-        assert sizes == [quotient] + [quotient * (p - 1)] * ((p**rank - 1) // (p - 1))
+        assert sizes == [quotient] + [quotient] * (p - 1) * ((p**rank - 1) // (p - 1))
 
 
 def test_factorised_charpoly_agrees_with_the_dense_one_modulo_a_prime_on_gf16():
@@ -597,6 +617,25 @@ def test_factorised_charpoly_agrees_with_the_dense_one_modulo_a_prime_on_gf16():
     prime = 2**61 - 1
     poly = char_poly(graph).coefficients
     assert [c % prime for c in poly] == schreier._charpoly_mod(graph.adjacency, prime)
+
+
+# field -> SHA-256 of the comma-joined coefficients of the charpoly of the
+# class-rep-0 graph with the default generators, as the Z[ζ_p]-block route
+# computed them; the dense oracle cannot reach these sizes
+PINNED_CHARPOLYS = {
+    (3, 3): "8110b2373f600f75f6af3a59ecac258e60232347a7aeb493ffd71354d19c1693",
+    (5, 2): "48037d5deedb029dd02a4fb007e806fd9bc56dd34ded53980e6e53004bc5a56c",
+}
+
+
+@pytest.mark.parametrize("field", list(PINNED_CHARPOLYS), ids=["GF27", "GF25"])
+def test_charpoly_of_the_first_class_rep_keeps_its_pinned_digest(field):
+    spec = make_field(*field)
+    group = heisenberg_group(spec)
+    sub = twisted_subgroup(enumerate_class_reps(spec).reps[0], group)
+    poly = char_poly(build_coset_graph(sub, default_generators(group)))
+    digest = hashlib.sha256(",".join(map(str, poly.coefficients)).encode()).hexdigest()
+    assert digest == PINNED_CHARPOLYS[field]
 
 
 def test_klein_four_action_on_k4_gives_its_spectrum():
@@ -626,12 +665,14 @@ def test_broken_centre_action_raises(name):
 
 
 def test_broken_centre_actions_raise_even_under_optimization():
-    # the checks raise explicitly, so python -O, which drops asserts, keeps them
+    # the checks raise explicitly, so python -O, which drops asserts, keeps
+    # them, and so do the modulus search and the pivot check
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     script = (
         "import json, sys\n"
-        "from gassmann.errors import SelfCheckFailed\n"
+        "from gassmann import schreier\n"
+        "from gassmann.errors import SelfCheckFailed, SizeCapExceeded\n"
         "from gassmann.schreier import charpoly_by_centre, rows_from_edges\n"
         "for name, (adjacency, perms, p, message) in json.loads(sys.argv[1]).items():\n"
         "    edges = [(u, v, m) for u, row in enumerate(adjacency)\n"
@@ -640,10 +681,25 @@ def test_broken_centre_actions_raise_even_under_optimization():
         "        charpoly_by_centre(rows_from_edges(len(adjacency), edges), perms, p)\n"
         "    except SelfCheckFailed as exc:\n"
         "        print(name, message in str(exc))\n"
+        "try:\n"
+        "    charpoly_by_centre([[(0, 2**2100)]], (), 2)\n"
+        "except SizeCapExceeded:\n"
+        "    print('cap', True)\n"
+        "ell, omega = schreier._modulus(3, 10**40)\n"
+        "print('search', ell % 6 == 1 and ell > 2 * 10**40 and pow(omega, 3, ell) == 1)\n"
+        "schreier.is_prime = lambda n: True\n"
+        "print('skip', schreier._modulus.__wrapped__(2, 10) == (29, 28))\n"
+        "schreier._modulus = lambda p, bound: (3 * (2**61 - 1), 1)\n"
+        "try:\n"
+        "    charpoly_by_centre(json.loads(sys.argv[2]), (), 2)\n"
+        "except SelfCheckFailed as exc:\n"
+        "    print('pivot', 'not a unit' in str(exc))\n"
     )
-    done = subprocess.run([sys.executable, "-O", "-c", script, json.dumps(BROKEN_CENTRE_ACTIONS)],
+    args = [json.dumps(BROKEN_CENTRE_ACTIONS), json.dumps(PIVOT_THREE)]
+    done = subprocess.run([sys.executable, "-O", "-c", script, *args],
                           env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines() == [f"{name} True" for name in BROKEN_CENTRE_ACTIONS]
+    cases = [*BROKEN_CENTRE_ACTIONS, "cap", "search", "skip", "pivot"]
+    assert done.stdout.splitlines() == [f"{name} True" for name in cases]
 
 
 def test_coset_graphs_record_the_centre_action():
