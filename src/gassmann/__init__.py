@@ -60,7 +60,6 @@ from .schreier import (
     build_coset_graph,
     char_poly,
     default_generators,
-    isospectral,
 )
 
 __version__ = "0.1.0"

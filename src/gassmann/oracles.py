@@ -2,25 +2,29 @@
 
 Each function here answers a question that a production route answers
 another way, by the most direct computation at hand: the Berkowitz
-characteristic polynomial, a plain permutation search for graph
-isomorphism, a conjugator scan over all of GL(3, F_q), the orbit
-expansion of a conjugacy-class partition, and the profile of a product
-subgroup counted inside the direct product.  This module may import the
-production modules; none of them imports it, so the CLI never loads it.
+characteristic polynomial and the schoolbook product of polynomials, the
+coset graph of any subgroup by a walk over the whole group, a plain
+permutation search for graph isomorphism, a conjugator scan over all of
+GL(3, F_q), the orbit expansion of a conjugacy-class partition, and the
+profile of a product subgroup counted inside the direct product.  This
+module may import the production modules; none of them imports it, so
+the CLI never loads it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cached_property
 from typing import Optional, Sequence
 
 from . import schreier
 from .certify import ProductFamily
-from .errors import SelfCheckFailed, SizeCapExceeded
-from .heisenberg import ConjugacyClassTable, Heisenberg
+from .errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded
+from .heisenberg import ConjugacyClassTable, GroupElement, Heisenberg
 from .rings import FieldSpec, LinearMap, size_cap
-from .schreier import CosetGraph, IsomorphismResult, SpectrumPolynomial
+from .schreier import (DEFAULT_VERTEX_CAP, CosetGraph, IsomorphismResult, SpectrumPolynomial,
+                       symmetrize_generators)
 
 
 def charpoly_berkowitz(matrix: Sequence[Sequence[int]]) -> SpectrumPolynomial:
@@ -45,6 +49,57 @@ def charpoly_berkowitz(matrix: Sequence[Sequence[int]]) -> SpectrumPolynomial:
                 new_poly[i + k] += c * toep[k]
         poly = new_poly
     return SpectrumPolynomial(tuple(poly))
+
+
+def poly_mul_schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer polynomials, coefficient by coefficient."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def coset_graph_bruteforce(sub, gens: Sequence[GroupElement],
+                           cap: int = DEFAULT_VERTEX_CAP) -> CosetGraph:
+    """Schreier graph on the right cosets of any subgroup, by a walk over the group.
+
+    Elements are walked in lex order; the first one seen of each coset is
+    its least member, which becomes the vertex label, and the whole coset
+    is found by multiplying it by every subgroup member: |G| products.
+    """
+    group = sub.group
+    gens = symmetrize_generators(group, gens)
+    if not gens:
+        raise EmptyGeneratorSet("need at least one generator")
+    members = sub.elements
+    index = group.order // len(members)
+    if index > cap:
+        raise SizeCapExceeded(f"coset count {index} exceeds vertex cap {cap}")
+    coset_of: dict[GroupElement, int] = {}
+    vertices: list[GroupElement] = []
+    for g in group.elements:
+        if g in coset_of:
+            continue
+        vid = len(vertices)
+        vertices.append(g)
+        for h in members:
+            coset_of[group.mul(h, g)] = vid
+    if len(vertices) != index:
+        raise SelfCheckFailed(f"found {len(vertices)} cosets, expected {index}")
+    rows = tuple(
+        tuple(sorted(Counter(coset_of[group.mul(rep, s)] for s in gens).items()))
+        for rep in vertices
+    )
+    # (a, b, c) * (0, 0, e) = (a, b, c + e)
+    add = group.ring.add
+    centre_action = tuple(
+        tuple(coset_of[(a, b, add(c, e))] for a, b, c in vertices)
+        for e in group.ring.basis()
+    )
+    return CosetGraph(group=group, subgroup_label=sub.label(), gens=gens,
+                      vertices=tuple(vertices), rows=rows, centre_action=centre_action)
 
 
 def are_isomorphic_bruteforce(g1: CosetGraph, g2: CosetGraph,

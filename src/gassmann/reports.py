@@ -19,7 +19,7 @@ from typing import Any, Optional
 
 from .certify import canonical_twist, family_mode
 from .errors import GassmannError, SizeCapExceeded, SpecMismatch
-from .heisenberg import parse_twist_label
+from .heisenberg import heisenberg_group, parse_twist_label
 from .places import residue_degree
 from .planner import check_holds, required_check_labels
 from .rings import make_field, primes_up_to
@@ -184,6 +184,41 @@ def _centre_action(config: dict, n: int) -> list[list[int]]:
     return [[k + w * (1 - p if k // w % p == p - 1 else 1) for k in range(n)] for w in weights]
 
 
+def _is_schreier_graph(rows, label, config: dict) -> bool:
+    """Whether rows are the Schreier graph of H_f, f from the label, under the
+    config's generators, checked by the group law.
+
+    Vertex k stands for t_k = (0, b, c) with k = index(b)·q + index(c); these
+    q² elements lie in distinct cosets of H_f, which has index q².  Generator
+    s sends vertex k to vertex j exactly when (t_k·s)·t_j^-1 lies in H_f, that
+    is, has second coordinate 0 and third coordinate f of its first.  Each
+    product t_k·s is tested against the stored neighbours of k, and the
+    generators that land on each must be its multiplicity.
+    """
+    spec = make_field(config["p"], config["m"], cap=config["cap"])
+    f = parse_twist_label(label, spec)
+    group = heisenberg_group(spec)
+    gens = [tuple(map(tuple, g)) for g in config["generators"]]
+    els, zero = spec.elements, spec.zero()
+    if len(rows) != len(els) ** 2:
+        return False
+    image = {x: f.apply(x) for x in els}
+    vertices = [(zero, b, c) for b in els for c in els]
+    inverses = [group.inv(t) for t in vertices]
+    for t, row in zip(vertices, rows):
+        landed: Counter = Counter()
+        for s in gens:
+            moved = group.mul(t, s)
+            for j, _ in row:
+                h = group.mul(moved, inverses[j])
+                if h[1] == zero and h[2] == image[h[0]]:
+                    landed[j] += 1
+                    break
+        if tuple(sorted(landed.items())) != row:
+            return False
+    return True
+
+
 def _verify_graph(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:
     """A coset graph states facts, not a claim: its evidence always gives true."""
     n = item["vertices"]
@@ -192,7 +227,11 @@ def _verify_graph(item: dict, config: dict, by_kind: dict, problems: list[str]) 
     rows = rows_from_edges(n, item["edges"])
     if not all(_same(item["generators"], sum(mult for _, mult in row)) for row in rows):
         problems.append("row sums do not match the generator count")
-    elif [decode_count(c) for c in item["charpoly"]] != list(
+        return True
+    if not _is_schreier_graph(rows, item["subgroup"], config):
+        problems.append(f"edges are not the Schreier graph of {item['subgroup']} under the "
+                        "config's generators")
+    if [decode_count(c) for c in item["charpoly"]] != list(
             charpoly_by_centre(rows, _centre_action(config, n), config["p"]).coefficients):
         problems.append("characteristic polynomial disagrees with the one recomputed "
                         "from the edges")

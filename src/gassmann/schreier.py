@@ -1,16 +1,24 @@
 """Schreier coset graphs, exact integer spectra, and graph isomorphism.
 
-Cosets are right cosets Hg acted on by g -> gs; vertex labels are the
-lexicographically minimal coset members, so graphs are deterministic.  A
-graph is its sorted neighbour rows, which every production route reads;
-the dense adjacency matrix is a view of them for the oracles only.  The
-centre Z = {(0, 0, c)} acts freely on the cosets of a subgroup that meets
-it trivially, by Hg -> Hgz, and commutes with every generator, so a coset
-graph is a regular cover and its characteristic polynomial is the
-product of small blocks, one per orbit of characters of Z under Galois
-conjugation (the voltage-graph factorisation), each split into blocks
-over Z/ℓ for one ℓ ≡ 1 (mod 2p) past a bound on the coefficients and
-reduced to Hessenberg form.  With no permutation kept the same route gives
+Cosets are right cosets Hg of a twisted subgroup H_f = {(x, 0, f(x))},
+acted on by g -> gs.  The elements (0, b, c) form a transversal: the
+coset of (a, b, c) holds exactly one of them, (0, b, c - f(a) - ab), which
+is also its lexicographically least member and so its vertex label.  A
+generator s = (s0, s1, s2) sends the coset of (0, b, c) to that of
+(0, b + s1, c + s2 - f(s0) - s0·(b + s1)), so each graph is built in
+closed form, a few ring operations per vertex and generator, with no walk
+over the group; ``gassmann.oracles`` keeps that walk, which labels the
+cosets of any subgroup, as the oracle.  A graph is its sorted neighbour
+rows, which every production route reads; the dense adjacency matrix is a
+view of them for the oracles only.  The centre Z = {(0, 0, c)} acts freely
+on the cosets by Hg -> Hgz, which sends (0, b, c) to (0, b, c + z), and
+commutes with every generator, so a coset graph is a regular cover and its
+characteristic polynomial is the product of small blocks, one per orbit of
+characters of Z under Galois conjugation (the voltage-graph
+factorisation), each split into blocks over Z/ℓ for one ℓ ≡ 1 (mod 2p)
+past a bound on the coefficients and reduced to Hessenberg form; the
+block polynomials multiply by Kronecker substitution, one big-integer
+product each.  With no permutation kept the same route gives
 the dense polynomial, an oracle like the fraction-free integer determinants
 kept here; the division-free Berkowitz route is in ``gassmann.oracles``.
 Isomorphism compares canonical colour-refinement invariants, cached per
@@ -31,7 +39,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded, SpecMismatch
-from .heisenberg import GroupElement, Heisenberg
+from .heisenberg import GroupElement, Heisenberg, TwistedSubgroup
 from .rings import is_prime
 
 DEFAULT_VERTEX_CAP = 4096
@@ -143,42 +151,54 @@ class CosetGraph:
         }
 
 
-def build_coset_graph(sub, gens: Sequence[GroupElement],
+def build_coset_graph(sub: TwistedSubgroup, gens: Sequence[GroupElement],
                       cap: int = DEFAULT_VERTEX_CAP) -> CosetGraph:
-    """Deterministic Schreier graph on the right cosets of the subgroup."""
+    """Schreier graph on the q² right cosets of H_f = {(x, 0, f(x))}, in closed form.
+
+    The coset of g = (a, b, c) holds exactly one element with first
+    coordinate 0, (0, b, c - f(a) - ab), which is its least member.  So
+    vertex k is the coset of (0, b, c) with k = index(b)·q + index(c), ring
+    elements indexed in lexicographic coefficient order, and the generator
+    s = (s0, s1, s2) sends it to the coset of
+    (0, b + s1, c + s2 - f(s0) - s0·(b + s1)); the centre's (0, 0, e) sends
+    it to (0, b, c + e).  No group element is walked.
+    ``oracles.coset_graph_bruteforce`` labels the cosets of any subgroup by
+    walking the whole group.
+    """
+    if not isinstance(sub, TwistedSubgroup):
+        raise SpecMismatch(f"coset graphs are built for twisted subgroups H_f, "
+                           f"not a {type(sub).__name__}")
     group = sub.group
+    ring = group.ring
+    q = ring.size
+    if q * q > cap:
+        raise SizeCapExceeded(f"coset count {q * q} exceeds vertex cap {cap}")
     gens = symmetrize_generators(group, gens)
     if not gens:
         raise EmptyGeneratorSet("need at least one generator")
-    members = sub.elements
-    index = group.order // len(members)
-    if index > cap:
-        raise SizeCapExceeded(f"coset count {index} exceeds vertex cap {cap}")
-    # walk all group elements in lex order; the first member seen of each
-    # coset is its minimum, which becomes the canonical vertex label
-    coset_of: dict[GroupElement, int] = {}
-    vertices: list[GroupElement] = []
-    for g in group.elements:
-        if g in coset_of:
-            continue
-        vid = len(vertices)
-        vertices.append(g)
-        for h in members:
-            coset_of[group.mul(h, g)] = vid
-    if len(vertices) != index:
-        raise SelfCheckFailed(f"found {len(vertices)} cosets, expected {index}")
-    rows = tuple(
-        tuple(sorted(Counter(coset_of[group.mul(rep, s)] for s in gens).items()))
-        for rep in vertices
-    )
-    # (a, b, c) * (0, 0, e) = (a, b, c + e)
-    add = group.ring.add
+    els = ring.elements
+    add, times, f = ring.add, ring.mul, sub.f.apply
+    index = {x: i for i, x in enumerate(els)}
+    minus = {x: ring.neg(x) for x in els}
+    # shift[d]: index(c + d) for every c, in index order
+    shift = {d: tuple(index[add(c, d)] for c in els) for d in els}
+    # targets[s][k]: the vertex that generator s sends vertex k to
+    targets = []
+    for s0, s1, s2 in gens:
+        moved = []
+        lift = add(s2, minus[f(s0)])
+        for b in els:
+            b1 = add(b, s1)
+            moved.extend(map((index[b1] * q).__add__, shift[add(lift, minus[times(s0, b1)])]))
+        targets.append(moved)
+    rows = tuple(tuple(sorted(Counter(column).items())) for column in zip(*targets))
     centre_action = tuple(
-        tuple(coset_of[(a, b, add(c, e))] for a, b, c in vertices)
-        for e in group.ring.basis()
+        tuple(i * q + j for i in range(q) for j in shift[e]) for e in ring.basis()
     )
+    zero = ring.zero()
+    vertices = tuple((zero, b, c) for b in els for c in els)
     return CosetGraph(group=group, subgroup_label=sub.label(), gens=gens,
-                      vertices=tuple(vertices), rows=rows, centre_action=centre_action)
+                      vertices=vertices, rows=rows, centre_action=centre_action)
 
 
 def rows_from_edges(n: int, edges) -> Rows:
@@ -346,12 +366,38 @@ def _charpoly_mod(matrix: Sequence[Sequence[int]], modulus: int) -> list[int]:
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+    """The product of two integer polynomials by Kronecker substitution.
+
+    Each is packed into one integer Σ a_i X^i, X = 2^(8w) for w bytes per
+    slot, wide enough that every input and product coefficient lies in
+    (-X/2, X/2).  One big-integer product gives Σ c_j X^j, whose slots are
+    read back low first: a slot of X/2 or more stands for slot - X and
+    borrows 1 from the next.  ``oracles.poly_mul_schoolbook`` is the oracle.
+    """
+    if len(a) == 1 or len(b) == 1:  # a constant times a polynomial needs no packing
+        (scalar,), other = (a, b) if len(a) == 1 else (b, a)
+        return [scalar * c for c in other]
+    n = len(a) + len(b) - 1
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    bound = max(top_a * top_b * min(len(a), len(b)), top_a, top_b)
+    width = (bound.bit_length() + 8) // 8
+    # |product| < X^n, so n slots and one byte for the sign hold it
+    data = (_pack(a, width) * _pack(b, width)).to_bytes(n * width + 1, "little", signed=True)
+    half, full = 1 << (8 * width - 1), 1 << (8 * width)
+    out = []
+    borrow = 0
+    for start in range(0, n * width, width):
+        v = int.from_bytes(data[start:start + width], "little") + borrow
+        borrow = v >= half
+        out.append(v - full if borrow else v)
     return out
+
+
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """Σ c_i X^i for X = 2^(8·width), every |c_i| < X."""
+    pos = b"".join(c.to_bytes(width, "little") if c > 0 else bytes(width) for c in coeffs)
+    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else bytes(width) for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def charpoly_by_centre(rows: Rows, perms: Sequence[Sequence[int]], p: int) -> SpectrumPolynomial:
@@ -458,27 +504,8 @@ def char_poly(graph: CosetGraph, cap: Optional[int] = None) -> SpectrumPolynomia
 
 
 # ---------------------------------------------------------------------------
-# Cospectrality and isomorphism
+# Isomorphism
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IsospectralResult:
-    equal: bool
-    poly_h: SpectrumPolynomial
-    poly_k: SpectrumPolynomial
-
-
-def isospectral(sub_h, sub_k, gens: Sequence[GroupElement],
-                cap: int = DEFAULT_VERTEX_CAP) -> IsospectralResult:
-    """Compare exact spectra of the two Schreier graphs."""
-    if sub_h.group != sub_k.group:
-        raise SpecMismatch("subgroups live in different groups")
-    graph_h = build_coset_graph(sub_h, gens, cap=cap)
-    graph_k = build_coset_graph(sub_k, gens, cap=cap)
-    poly_h = char_poly(graph_h)
-    poly_k = char_poly(graph_k)
-    return IsospectralResult(poly_h.coefficients == poly_k.coefficients, poly_h, poly_k)
 
 
 def colour_refinement(rows: Rows) -> tuple[tuple, tuple[int, ...]]:

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from conftest import run_cli
 
-from gassmann import cli, reports
+from gassmann import cli, heisenberg, reports
+from gassmann.heisenberg import center_subgroup
 from gassmann.reports import render_table, verify_report
 from gassmann.schreier import charpoly_by_centre, rows_from_edges
 
@@ -610,6 +611,55 @@ def test_verify_lists_a_relabelled_graph(tmp_path):
     assert "not an automorphism" in err
 
 
+def _swapped_labels(report):
+    # H[0,0,0,0] and H[0,0,0,1] lie in different isomorphism classes
+    first, second = report["items"][0], report["items"][1]
+    first["subgroup"], second["subgroup"] = second["subgroup"], first["subgroup"]
+    return ["H[0,0,0,1]", "H[0,0,0,0]"]
+
+
+def _edge_orbit_moved(report):
+    # the 2-switch (0, 4), (8, 12) -> (0, 12), (4, 8), with its orbit under the
+    # centre's k -> k xor z, keeps the degrees and the centre's action
+    graph = report["items"][0]
+    old = {(x ^ z, y ^ z) for x, y in ((0, 4), (8, 12)) for z in range(4)}
+    assert old <= {(u, v) for u, v, _ in graph["edges"]}
+    new = [[x ^ z, y ^ z, 1] for x, y in ((0, 12), (4, 8)) for z in range(4)]
+    graph["edges"] = sorted([e for e in graph["edges"] if (e[0], e[1]) not in old] + new)
+    return ["H[0,0,0,0]"]
+
+
+def _multiplicity_changed(report):
+    # the double loops at 0..3 drop to single ones, and edges 0-1 and 2-3 take the freed degree
+    graph = report["items"][0]
+    assert [m for u, v, m in graph["edges"] if u == v < 4] == [2] * 4
+    edges = [[u, v, 1] if u == v < 4 else [u, v, m] for u, v, m in graph["edges"]]
+    graph["edges"] = sorted(edges + [[0, 1, 1], [2, 3, 1]])
+    return ["H[0,0,0,0]"]
+
+
+@pytest.mark.parametrize("forge", [_swapped_labels, _edge_orbit_moved, _multiplicity_changed])
+def test_verify_checks_the_edges_against_the_subgroup_label(forge, tmp_path):
+    # Each forgery re-derives the charpolys, the cospectral flag and the summary
+    # from its edges, so every check but the group-law one on the edges holds.
+    _, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
+    report = json.loads(out)
+    liars = forge(report)
+    config, items = report["config"], report["items"]
+    graphs = items[:-2]
+    for graph in graphs:
+        rows = rows_from_edges(graph["vertices"], graph["edges"])
+        poly = charpoly_by_centre(rows, reports._centre_action(config, graph["vertices"]), 2)
+        graph["charpoly"] = [reports.encode_count(c) for c in poly.coefficients]
+    items[-2]["all_equal"] = items[-2]["holds"] = all(
+        graph["charpoly"] == graphs[0]["charpoly"] for graph in graphs)
+    reports.finalize(report)
+    code, err = _verify_json(tmp_path, report)
+    assert code == 1
+    assert err.splitlines() == [f"problem: edges are not the Schreier graph of {label} under "
+                                "the config's generators" for label in liars]
+
+
 def _tampered_places_verify(tmp_path, tamper) -> tuple[int, str]:
     _, out, _ = run_cli("places", "--ell", "3", "--bound", "1000")
     report = json.loads(out)
@@ -671,6 +721,29 @@ def test_graphs_and_verify_never_read_the_dense_adjacency(monkeypatch):
     report, _ = cli.cmd_graphs(2, 3)
     assert report["summary"]["verdict"] == "pass"
     assert verify_report(report) == []
+
+
+def test_graphs_never_enumerate_the_group_or_a_subgroup(monkeypatch):
+    # the coset graphs of H_f come in closed form, with no hidden walk over G or H_f
+    expected, _ = cli.cmd_graphs(2, 3)
+
+    def refuse(owner):
+        raise AssertionError(f"{type(owner).__name__}.elements enumerated by graphs")
+
+    monkeypatch.setattr(heisenberg.Heisenberg, "elements", property(refuse))
+    monkeypatch.setattr(heisenberg.TwistedSubgroup, "elements", property(refuse))
+    report, _ = cli.cmd_graphs(2, 3)
+    assert reports.canonical_json(report) == reports.canonical_json(expected)
+
+
+def test_a_subgroup_that_is_not_twisted_exits_2(monkeypatch, capsys):
+    # production builds coset graphs of H_f only; any other subgroup is a spec mismatch
+    monkeypatch.setattr(cli, "twisted_subgroup", lambda f, group: center_subgroup(group))
+    assert cli.main(["graphs", "--p", "2", "--m", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: SpecMismatch: coset graphs are built for twisted subgroups H_f, "
+                   "not a PlainSubgroup\n")
 
 
 def test_verify_recomputes_the_tower_count(tmp_path):

@@ -10,9 +10,11 @@ from gassmann.certify import (
     intersection_profile,
 )
 from gassmann.heisenberg import center_subgroup, heisenberg_group, twisted_subgroup
+from gassmann.oracles import coset_graph_bruteforce
 from gassmann.reports import (
     _centre_action,
     _family_profile,
+    _is_schreier_graph,
     canonical_json,
     encode_count,
     finalize,
@@ -20,7 +22,7 @@ from gassmann.reports import (
     verify_report,
 )
 from gassmann.rings import make_field
-from gassmann.schreier import build_coset_graph, char_poly, default_generators
+from gassmann.schreier import build_coset_graph, char_poly, default_generators, rows_from_edges
 
 
 def test_encode_count_thresholds():
@@ -117,7 +119,7 @@ def test_verify_report_rejects_a_split_class():
 def test_verify_report_ties_cospectral_to_the_graph_items():
     # a 4-regular 16-vertex graph with another spectrum: the centre's coset graph
     group = heisenberg_group(make_field(2, 2))
-    other = build_coset_graph(center_subgroup(group), default_generators(group))
+    other = coset_graph_bruteforce(center_subgroup(group), default_generators(group))
     code, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
     assert code == 0
     report = json.loads(out)
@@ -142,6 +144,18 @@ def test_verify_report_recomputes_coset_graph_charpolys():
     coeffs[middle] = int(coeffs[middle]) + 1  # shape and trace still look right
     problems = verify_report(report)
     assert any("recomputed from the edges" in problem for problem in problems)
+
+
+def test_the_edge_check_counts_multiplicities():
+    # the neighbours of vertex 0 stay the same; only its double loop becomes single
+    code, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
+    report = json.loads(out)
+    graph = report["items"][0]
+    rows = rows_from_edges(graph["vertices"], graph["edges"])
+    assert _is_schreier_graph(rows, graph["subgroup"], report["config"])
+    assert rows[0] == ((0, 2), (4, 1), (8, 1))
+    single_loop = (((0, 1), (4, 1), (8, 1)), *rows[1:])
+    assert not _is_schreier_graph(single_loop, graph["subgroup"], report["config"])
 
 
 def test_verify_report_bounds_structural_conjugate_pairs():

@@ -23,7 +23,12 @@ from gassmann.heisenberg import (
     twisted_subgroup,
     whole_group,
 )
-from gassmann.oracles import are_isomorphic_bruteforce, charpoly_berkowitz
+from gassmann.oracles import (
+    are_isomorphic_bruteforce,
+    charpoly_berkowitz,
+    coset_graph_bruteforce,
+    poly_mul_schoolbook,
+)
 from gassmann.rings import LinearMap, is_prime, make_field, make_trunc_ring
 from gassmann.schreier import (
     CosetGraph,
@@ -35,7 +40,6 @@ from gassmann.schreier import (
     colour_refinement,
     default_generators,
     isomorphism_classes,
-    isospectral,
     maps_onto,
     rows_from_edges,
     verify_witness,
@@ -99,7 +103,7 @@ def _relabel(adjacency, perm):
 
 
 def test_whole_group_gives_single_vertex_with_loops():
-    graph = build_coset_graph(whole_group(G4), GENS4)
+    graph = coset_graph_bruteforce(whole_group(G4), GENS4)
     assert graph.n == 1
     assert graph.adjacency == ((len(GENS4),),)
 
@@ -117,7 +121,7 @@ def test_twisted_subgroup_graph_shape():
 
 
 def test_trivial_subgroup_gives_cayley_graph():
-    graph = build_coset_graph(trivial_subgroup(G4), GENS4)
+    graph = coset_graph_bruteforce(trivial_subgroup(G4), GENS4)
     assert graph.n == G4.order
     assert graph.connected  # the default generators generate the group
 
@@ -130,13 +134,48 @@ def test_vertices_are_canonical_minima():
         assert rep == min(G4.mul(h, rep) for h in members)
 
 
+def _assert_closed_form_equals_the_walk(sub, gens):
+    fast, slow = build_coset_graph(sub, gens), coset_graph_bruteforce(sub, gens)
+    assert fast.rows == slow.rows
+    assert fast.vertices == slow.vertices
+    assert fast.centre_action == slow.centre_action
+    assert (fast.subgroup_label, fast.gens) == (slow.subgroup_label, slow.gens)
+
+
+@pytest.mark.parametrize("spec", [F4, make_field(2, 3), make_field(3, 2), make_trunc_ring(2, 2),
+                                  make_trunc_ring(3, 2)], ids=repr)
+def test_closed_form_coset_graphs_equal_the_walk_on_every_class_rep(spec):
+    group = heisenberg_group(spec)
+    one = spec.one()
+    # (1, 1, 1) and its inverse (-1, -1, 0) move all three coordinates at once
+    for gens in (default_generators(group), (*default_generators(group), (one, one, one))):
+        for f in enumerate_class_reps(spec).reps:
+            _assert_closed_form_equals_the_walk(twisted_subgroup(f, group), gens)
+
+
+@pytest.mark.parametrize("spec", [make_field(2, 4), make_field(3, 3)], ids=repr)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_closed_form_coset_graphs_equal_the_walk_on_sampled_maps(spec, data):
+    flat = data.draw(st.lists(st.integers(0, spec.p - 1), min_size=spec.dim**2,
+                              max_size=spec.dim**2))
+    group = heisenberg_group(spec)
+    f = LinearMap.from_flat(spec.p, tuple(flat), spec.dim)
+    _assert_closed_form_equals_the_walk(twisted_subgroup(f, group), default_generators(group))
+
+
 def test_generator_set_errors():
     with pytest.raises(EmptyGeneratorSet):
         build_coset_graph(horizontal_subgroup(G4), [])
     with pytest.raises(SizeCapExceeded):
-        build_coset_graph(trivial_subgroup(G4), GENS4, cap=10)
+        build_coset_graph(horizontal_subgroup(G4), GENS4, cap=10)
+    with pytest.raises(SizeCapExceeded):
+        coset_graph_bruteforce(trivial_subgroup(G4), GENS4, cap=10)
     with pytest.raises(SpecMismatch):
         build_coset_graph(horizontal_subgroup(G4), [((1,), (0,), (0,))])
+    # production builds the graphs of H_f only; the oracle takes any subgroup
+    with pytest.raises(SpecMismatch, match="not a PlainSubgroup"):
+        build_coset_graph(center_subgroup(G4), GENS4)
 
 
 def test_default_generators_reduce_to_classic_pair_at_m1():
@@ -193,6 +232,27 @@ def test_maps_onto_rejects_what_is_not_a_permutation():
 # ---------------------------------------------------------------------------
 # Characteristic polynomials
 # ---------------------------------------------------------------------------
+
+
+_COEFFICIENTS = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**2100), 2**2100))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_COEFFICIENTS, min_size=1, max_size=12),
+       st.lists(_COEFFICIENTS, min_size=1, max_size=12))
+def test_kronecker_product_equals_the_schoolbook_oracle(a, b):
+    assert schreier._poly_mul(a, b) == poly_mul_schoolbook(a, b)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([0], [0]), ([5], [-7]), ([0, 0, 0], [1, -1]), ([-1], [1, 0, 0, -1]),
+    # a slot that borrows from the next, past 2,000 bits, and an all-ones slot plus a borrow
+    ([-(2**2047), 2**2047 - 1], [2**2047 + 1, 0, -(2**2046)]), ([-255, 255], [1, 1]),
+    ([random.Random(7).randrange(-(2**2500), 2**2500) for _ in range(40)],
+     [random.Random(8).randrange(-(2**2100), 2**2100) for _ in range(30)]),
+])
+def test_kronecker_product_on_edge_cases(a, b):
+    assert schreier._poly_mul(a, b) == poly_mul_schoolbook(a, b)
 
 
 def test_charpoly_trivial_cases():
@@ -340,19 +400,17 @@ def test_gassmann_pairs_are_cospectral():
 
 def test_isospectral_self_and_size_mismatch():
     h0 = horizontal_subgroup(G4)
-    assert isospectral(h0, h0, GENS4).equal
-    res = isospectral(h0, whole_group(G4), GENS4)
-    assert not res.equal
-    assert res.poly_h.degree == 16 and res.poly_k.degree == 1
+    poly = char_poly(build_coset_graph(h0, GENS4))
+    assert poly == char_poly(coset_graph_bruteforce(h0, GENS4))
+    whole = char_poly(coset_graph_bruteforce(whole_group(G4), GENS4))
+    assert poly != whole
+    assert poly.degree == 16 and whole.degree == 1
 
 
 def test_isospectral_spec_mismatch():
+    # graphs of two groups cannot share a generator set
     with pytest.raises(SpecMismatch):
-        isospectral(
-            horizontal_subgroup(G4),
-            horizontal_subgroup(heisenberg_group(F2)),
-            GENS4,
-        )
+        build_coset_graph(horizontal_subgroup(heisenberg_group(F2)), GENS4)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +438,7 @@ def test_different_loop_counts_not_isomorphic():
 
 def test_different_vertex_counts_not_isomorphic():
     g1 = build_coset_graph(horizontal_subgroup(G4), GENS4)
-    g2 = build_coset_graph(whole_group(G4), GENS4)
+    g2 = coset_graph_bruteforce(whole_group(G4), GENS4)
     assert not are_isomorphic(g1, g2).isomorphic
 
 
@@ -473,15 +531,15 @@ def test_equal_refinement_invariants_are_separated_by_the_search(left, right):
 
 
 def test_isomorphism_cap():
-    g1 = build_coset_graph(trivial_subgroup(heisenberg_group(F2)), default_generators(heisenberg_group(F2)))
-    g2 = build_coset_graph(trivial_subgroup(heisenberg_group(F2)), default_generators(heisenberg_group(F2)))
+    g1 = coset_graph_bruteforce(trivial_subgroup(heisenberg_group(F2)), default_generators(heisenberg_group(F2)))
+    g2 = coset_graph_bruteforce(trivial_subgroup(heisenberg_group(F2)), default_generators(heisenberg_group(F2)))
     assert are_isomorphic(g1, g2).isomorphic  # 8 vertices, inside the cap
     # the cap counts refinements per search: separating K33 from the prism takes 7
     k33, prism = _synthetic(K33), _synthetic(PRISM)
     with pytest.raises(SizeCapExceeded):
         are_isomorphic(k33, prism, cap=6)
     assert not are_isomorphic(k33, prism, cap=7).isomorphic
-    big1 = build_coset_graph(trivial_subgroup(G4), GENS4)
+    big1 = coset_graph_bruteforce(trivial_subgroup(G4), GENS4)
     with pytest.raises(SizeCapExceeded):
         are_isomorphic_bruteforce(big1, big1)  # brute cap is 16
 
@@ -571,7 +629,7 @@ def test_rejected_witness_raises_even_under_optimization(search, monkeypatch):
 
 
 def _subgroup_graphs(*subgroups):
-    return [build_coset_graph(sub(G4), GENS4) for sub in subgroups]
+    return [coset_graph_bruteforce(sub(G4), GENS4) for sub in subgroups]
 
 
 # case -> (graphs, rank r of the free action kept by charpoly_by_centre)
@@ -711,5 +769,6 @@ def test_coset_graphs_record_the_centre_action():
         for k, (a, b, c) in enumerate(graph.vertices):
             moved = min(G4.mul(h, (a, b, F4.add(c, e))) for h in sub.elements)
             assert graph.vertices[perm[k]] == moved
-    assert build_coset_graph(center_subgroup(G4), GENS4).centre_action == (tuple(range(16)),) * 2
+    assert coset_graph_bruteforce(center_subgroup(G4), GENS4).centre_action == (
+        tuple(range(16)),) * 2
     assert _synthetic(C6).centre_action == ()
