@@ -51,6 +51,27 @@ def family_mode(p: int, m: int) -> str:
     return "all-twists" if p ** (m * m) <= ALL_TWISTS_LIMIT else "class-reps"
 
 
+# certify runs each brute-force oracle while its work is within these limits
+BRUTE_ORBIT_LIMIT = 1 << 16
+BRUTE_CONJ_WORK_LIMIT = 2_000_000
+
+
+def orbit_oracle_runs(p: int, m: int) -> bool:
+    """Whether certify counts the orbits of all p^(m²) maps by brute force."""
+    return p ** (m * m) <= BRUTE_ORBIT_LIMIT
+
+
+def conjugator_oracle_runs(p: int, m: int) -> bool:
+    """Whether certify checks the conjugacy keys by conjugating with all of G.
+
+    The work is |G|·q·n for the q³ group elements and the n subgroups of
+    the family: p^(m²) in all-twists mode, p^(m(m-1)) in class-reps mode.
+    """
+    q = p**m
+    n = p ** (m * m if family_mode(p, m) == "all-twists" else m * (m - 1))
+    return q**4 * n <= BRUTE_CONJ_WORK_LIMIT
+
+
 @dataclass(frozen=True)
 class GassmannCertificate:
     """Per-class intersection profiles for a subgroup pair, plus verdict."""
@@ -64,8 +85,6 @@ class GassmannCertificate:
     class_sizes: tuple[int, ...]
     profile_h: tuple[int, ...]
     profile_k: tuple[int, ...]
-    map_h: Optional[LinearMap] = None
-    map_k: Optional[LinearMap] = None
 
     @property
     def equal(self) -> bool:
@@ -79,22 +98,6 @@ class GassmannCertificate:
             if x != y:
                 return i
         return None
-
-    def to_json(self) -> dict:
-        return {
-            "ring": self.ring.to_json(),
-            "subgroups": [self.label_h, self.label_k],
-            "maps": [
-                self.map_h.to_json() if self.map_h else None,
-                self.map_k.to_json() if self.map_k else None,
-            ],
-            "sizes": [self.size_h, self.size_k],
-            "identity_class": self.identity_class,
-            "class_sizes": list(self.class_sizes),
-            "profiles": [list(self.profile_h), list(self.profile_k)],
-            "verdict": "equal" if self.equal else "unequal",
-            "witness_class": self.witness_class,
-        }
 
 
 def intersection_profile(sub, table: ConjugacyClassTable) -> tuple[int, ...]:
@@ -124,8 +127,6 @@ def almost_conjugate(sub_h, sub_k, table: Optional[ConjugacyClassTable] = None,
         class_sizes=table.sizes(),
         profile_h=intersection_profile(sub_h, table),
         profile_k=intersection_profile(sub_k, table),
-        map_h=getattr(sub_h, "f", None),
-        map_k=getattr(sub_k, "f", None),
     )
 
 

@@ -23,13 +23,8 @@ from . import reports as rp
 from . import schreier as sg
 from .errors import GassmannError, NotGenerating, SelfCheckFailed, SpecMismatch, UsageError
 from .heisenberg import heisenberg_group, twisted_subgroup
-from .places import choose_modulus, residue_degree, residue_degree_subgroup, scan_places
-from .rings import make_field, make_trunc_ring, primes_up_to, size_cap
-
-# Thresholds steering how much brute force the certify command performs.
-_BRUTE_ORBIT_LIMIT = 1 << 16
-_BRUTE_CONJ_WORK_LIMIT = 2_000_000
-
+from .places import choose_modulus, implementations_agree, scan_places
+from .rings import make_field, make_trunc_ring, size_cap
 
 # The conjugator oracle of certify.bruteforce_subgroup_keys, bound here so that
 # cmd_certify looks it up through this module and a caller can replace it.
@@ -44,7 +39,7 @@ def cmd_certify(p: int, m: int, cap: Optional[int] = None) -> dict:
     catalog = cz.enumerate_class_reps(spec, cap=cap)
     expected = p ** (m * (m - 1))
     orbits = None
-    if p ** (m * m) <= _BRUTE_ORBIT_LIMIT:
+    if cz.orbit_oracle_runs(p, m):
         orbits = cz.twist_orbit_count_bruteforce(spec, cap=cap)
     report["items"].append(
         {
@@ -86,8 +81,7 @@ def cmd_certify(p: int, m: int, cap: Optional[int] = None) -> dict:
     # so the key multiplicities count the conjugate pairs.
     keys = [cz.canonical_twist(sub.f, spec) for sub in subgroups]
     conjugate_pairs = sum(c * (c - 1) // 2 for c in Counter(keys).values())
-    brute_work = group.order * spec.size * count
-    brute_checked = brute_work <= _BRUTE_CONJ_WORK_LIMIT
+    brute_checked = cz.conjugator_oracle_runs(p, m)
     agreement = True
     if brute_checked and count >= 2:  # with one subgroup there is no pair to compare
         brute = _bruteforce_subgroup_keys(group, subgroups)
@@ -214,12 +208,7 @@ def cmd_places(ell: int, bound: int, q: Optional[int] = None,
     if q is None:
         q = choose_modulus(ell)
     scan = scan_places(ell, q, bound)
-    agree_to = min(bound, 10**4)
-    agree = all(
-        residue_degree(p2, q, ell) == residue_degree_subgroup(p2, q, ell)
-        for p2 in primes_up_to(agree_to)
-        if p2 != q
-    )
+    agree_to, agree = implementations_agree(ell, q, bound)
     within = scan.density_gap() <= tol
     report = rp.new_report(
         "places", {"ell": ell, "q": q, "bound": bound, "tolerance": str(Fraction(tol))}

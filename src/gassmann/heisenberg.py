@@ -176,13 +176,6 @@ class TwistedSubgroup:
     def label(self) -> str:
         return twist_label(self.f)
 
-    def to_json(self) -> dict:
-        return {
-            "ring": self.group.ring.to_json(),
-            "f": self.f.to_json(),
-            "elements": [[list(x) for x in g] for g in self.sorted_elements],
-        }
-
 
 @dataclass(frozen=True)
 class PlainSubgroup:
@@ -206,13 +199,6 @@ class PlainSubgroup:
 
     def label(self) -> str:
         return self.name
-
-    def to_json(self) -> dict:
-        return {
-            "ring": self.group.ring.to_json(),
-            "name": self.name,
-            "elements": [[list(x) for x in g] for g in self.sorted_elements],
-        }
 
 
 def twist_label(f: LinearMap) -> str:

@@ -92,14 +92,8 @@ def coset_graph_bruteforce(sub, gens: Sequence[GroupElement],
         tuple(sorted(Counter(coset_of[group.mul(rep, s)] for s in gens).items()))
         for rep in vertices
     )
-    # (a, b, c) * (0, 0, e) = (a, b, c + e)
-    add = group.ring.add
-    centre_action = tuple(
-        tuple(coset_of[(a, b, add(c, e))] for a, b, c in vertices)
-        for e in group.ring.basis()
-    )
     return CosetGraph(group=group, subgroup_label=sub.label(), gens=gens,
-                      vertices=tuple(vertices), rows=rows, centre_action=centre_action)
+                      vertices=tuple(vertices), rows=rows)
 
 
 def are_isomorphic_bruteforce(g1: CosetGraph, g2: CosetGraph,

@@ -81,6 +81,19 @@ def residue_degree_subgroup(p: int, q: int, ell: int) -> int:
     return 1 if (p % q) in _index_ell_subgroup(q, ell) else ell
 
 
+# the two residue-degree tests are compared on every prime up to this bound
+AGREEMENT_BOUND = 10**4
+
+
+def implementations_agree(ell: int, q: int, bound: int) -> tuple[int, bool]:
+    """(checked_to, agree): whether the two tests give the same residue degree
+    at every prime up to checked_to = min(bound, AGREEMENT_BOUND) other than q."""
+    checked_to = min(bound, AGREEMENT_BOUND)
+    agree = all(residue_degree(p, q, ell) == residue_degree_subgroup(p, q, ell)
+                for p in primes_up_to(checked_to) if p != q)
+    return checked_to, agree
+
+
 @dataclass(frozen=True)
 class ScanResult:
     ell: int

@@ -17,10 +17,10 @@ from fractions import Fraction
 from itertools import islice
 from typing import Any, Optional
 
-from .certify import canonical_twist, family_mode
+from .certify import canonical_twist, conjugator_oracle_runs, family_mode, orbit_oracle_runs
 from .errors import GassmannError, SizeCapExceeded, SpecMismatch
 from .heisenberg import heisenberg_group, parse_twist_label
-from .places import residue_degree
+from .places import implementations_agree, residue_degree_subgroup
 from .planner import check_holds, required_check_labels
 from .rings import make_field, primes_up_to
 from .schreier import (charpoly_by_centre, colour_refinement, find_isomorphism, maps_onto,
@@ -142,6 +142,9 @@ def _verify_class_count(item: dict, config: dict, by_kind: dict, problems: list[
     if not _is_power(decode_count(item["expected"]), p, m * (m - 1)):
         problems.append("class-count expected differs from p^(m(m-1))")
     actual, orbits = decode_count(item["actual"]), item["bruteforce_orbits"]
+    if (orbits is not None) != orbit_oracle_runs(p, m):
+        problems.append("whether bruteforce_orbits is stated differs from whether certify runs "
+                        "the orbit oracle at this p and m")
     return _is_power(actual, p, m * (m - 1)) and (orbits is None or decode_count(orbits) == actual)
 
 
@@ -163,25 +166,14 @@ def _verify_conjugacy(item: dict, config: dict, by_kind: dict, problems: list[st
     class_reps = family_mode(p, m) == "class-reps"
     if class_reps and not _same(item["reps_pairwise_nonconjugate"], stored == 0):
         problems.append("reps_pairwise_nonconjugate disagrees with structural_conjugate_pairs")
-    agree = item["structural_equals_bruteforce"] or not item["bruteforce_checked"]
-    return agree and not (class_reps and conjugate_pairs)
-
-
-def _centre_action(config: dict, n: int) -> list[list[int]]:
-    """The centre's vertex permutations on a coset graph of a graphs report.
-
-    Vertex k is the coset of (0, b, c) with k = index(b)·q + index(c), ring
-    elements indexed in lexicographic coefficient order, so (0, 0, e_i)
-    adds 1 mod p to the digit of k of weight p^(m-1-i).  charpoly_by_centre
-    checks them on the edges, so a wrong labelling is a problem, not a
-    wrong polynomial.
-    """
-    p, m = config["p"], config["m"]
-    q = p**m
-    if not _same(n, q * q):
-        raise SpecMismatch(f"a coset graph over GF({q}) has {q * q} vertices, not {n}")
-    weights = [p ** (m - 1 - i) for i in range(m)]
-    return [[k + w * (1 - p if k // w % p == p - 1 else 1) for k in range(n)] for w in weights]
+    ran, agree = conjugator_oracle_runs(p, m), item["structural_equals_bruteforce"]
+    if not _same(item["bruteforce_checked"], ran):
+        problems.append("bruteforce_checked differs from whether certify runs the conjugator "
+                        "oracle at this p and m")
+    if not (_same(agree, True) or ran and _same(agree, False)):
+        problems.append("structural_equals_bruteforce is not a boolean, or is false with no "
+                        "oracle run")
+    return agree is True and not (class_reps and conjugate_pairs)
 
 
 def _is_schreier_graph(rows, label, config: dict) -> bool:
@@ -221,18 +213,18 @@ def _is_schreier_graph(rows, label, config: dict) -> bool:
 
 def _verify_graph(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:
     """A coset graph states facts, not a claim: its evidence always gives true."""
-    n = item["vertices"]
     if any(type(x) is not int for edge in item["edges"] for x in edge):
         problems.append("an edge is not a list of integers")
-    rows = rows_from_edges(n, item["edges"])
+    rows = rows_from_edges(item["vertices"], item["edges"])
     if not all(_same(item["generators"], sum(mult for _, mult in row)) for row in rows):
         problems.append("row sums do not match the generator count")
         return True
     if not _is_schreier_graph(rows, item["subgroup"], config):
         problems.append(f"edges are not the Schreier graph of {item['subgroup']} under the "
                         "config's generators")
+    # vertex index(b)·q + index(c) is the coset of (0, b, c): the centre has rank m
     if [decode_count(c) for c in item["charpoly"]] != list(
-            charpoly_by_centre(rows, _centre_action(config, n), config["p"]).coefficients):
+            charpoly_by_centre(rows, config["p"], config["m"]).coefficients):
         problems.append("characteristic polynomial disagrees with the one recomputed "
                         "from the edges")
     return True
@@ -304,20 +296,27 @@ def _verify_tower_count(item: dict, config: dict, by_kind: dict, problems: list[
 
 
 def _verify_place_scan(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:
-    ell, q = config["ell"], config["q"]
-    scanned = set(primes_up_to(config["bound"])) - {q}
+    ell, q, bound = config["ell"], config["q"], config["bound"]
+    primes = [p for p in primes_up_to(bound) if p != q]
+    scanned = set(primes)
     records = item["records"]
-    ps = [r["p"] for r in records]
-    if ps != sorted(set(ps)):
-        problems.append("place records are not strictly increasing")
     for r in records:
         p = r["p"]
         if p not in scanned:
             problems.append(f"place record p={p} is not a prime up to the bound other than q")
-        elif (r["q"], r["ell"], r["degree"]) != (q, ell, ell) or residue_degree(p, q, ell) != ell:
+        elif (r["q"], r["ell"], r["degree"]) != (q, ell, ell):
             problems.append(f"place record p={p} does not have residue degree ell={ell}")
         elif decode_count(r["residue_size"]) != p**ell:
             problems.append(f"residue size wrong at p={p}")
+    # the scan again, by the subgroup test that production does not use for the records
+    degree_ell = [p for p in primes if residue_degree_subgroup(p, q, ell) == ell]
+    if [r["p"] for r in records] != degree_ell:
+        problems.append(f"records are not every prime of residue degree ell={ell} up to the bound")
+    agree_to, agree = implementations_agree(ell, q, bound)
+    if not (_same(item["agreement_checked_to"], agree_to)
+            and _same(item["implementations_agree"], agree)):
+        problems.append("agreement_checked_to or implementations_agree differs from the two "
+                        "residue-degree tests up to min(bound, 10^4)")
     if not _same(item["scanned"], len(scanned)):
         problems.append("scanned is not the number of primes up to the bound other than q")
     density = Fraction(len(records), len(scanned)) if scanned else Fraction(0)
@@ -329,7 +328,7 @@ def _verify_place_scan(item: dict, config: dict, by_kind: dict, problems: list[s
     within = abs(density - cebotarev) <= Fraction(config["tolerance"])
     if not _same(item["within_tolerance"], within):
         problems.append("within_tolerance contradicts the density")
-    return within and item["implementations_agree"]
+    return within and agree
 
 
 def _verify_plan(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:

@@ -222,9 +222,6 @@ class FieldSpec(_RingOps):
         """
         return 0 if any(a) else self.m
 
-    def to_json(self) -> dict:
-        return {"kind": "field", "p": self.p, "m": self.m, "modulus": list(self.modulus)}
-
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, m={self.m})"
 
@@ -257,22 +254,11 @@ class TruncRingSpec(_RingOps):
         """t-adic valuation: index of the lowest nonzero coefficient, j for zero."""
         return next((i for i, x in enumerate(a) if x), self.j)
 
-    def to_json(self) -> dict:
-        return {"kind": "trunc", "p": self.p, "j": self.j}
-
     def __repr__(self) -> str:
         return f"TruncRingSpec(p={self.p}, j={self.j})"
 
 
 RingSpec = Union[FieldSpec, TruncRingSpec]
-
-
-def spec_from_json(data: dict) -> RingSpec:
-    if data["kind"] == "field":
-        return make_field(data["p"], data["m"])
-    if data["kind"] == "trunc":
-        return make_trunc_ring(data["p"], data["j"])
-    raise SpecMismatch(f"unknown ring kind {data.get('kind')!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +396,6 @@ class LinearMap:
     def _match(self, other: "LinearMap") -> None:
         if self.p != other.p or self.dim != other.dim:
             raise DimensionMismatch(f"cannot combine {self!r} with {other!r}")
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "rows": [list(r) for r in self.rows]}
 
     def __repr__(self) -> str:
         return f"LinearMap(p={self.p}, rows={self.rows})"

@@ -12,15 +12,16 @@ cosets of any subgroup, as the oracle.  A graph is its sorted neighbour
 rows, which every production route reads; the dense adjacency matrix is a
 view of them for the oracles only.  The centre Z = {(0, 0, c)} acts freely
 on the cosets by Hg -> Hgz, which sends (0, b, c) to (0, b, c + z), and
-commutes with every generator, so a coset graph is a regular cover and its
-characteristic polynomial is the product of small blocks, one per orbit of
-characters of Z under Galois conjugation (the voltage-graph
-factorisation), each split into blocks over Z/ℓ for one ℓ ≡ 1 (mod 2p)
-past a bound on the coefficients and reduced to Hessenberg form; the
-block polynomials multiply by Kronecker substitution, one big-integer
-product each.  With no permutation kept the same route gives
-the dense polynomial, an oracle like the fraction-free integer determinants
-kept here; the division-free Berkowitz route is in ``gassmann.oracles``.
+commutes with every generator, so a coset graph is a regular cover.  The
+numbering fixes that action, (0, 0, e) adding 1 mod p to one base-p digit
+of index(c).  The characteristic polynomial is the product of small
+blocks, one per orbit of characters of Z under Galois conjugation (the
+voltage-graph factorisation), each split into blocks over Z/ℓ for one
+ℓ ≡ 1 (mod 2p) past a bound on the coefficients and reduced to Hessenberg
+form; the block polynomials multiply by Kronecker substitution, one
+big-integer product each.  At rank 0 the same route gives the dense
+polynomial, an oracle like the fraction-free integer determinants kept
+here; the division-free Berkowitz route is in ``gassmann.oracles``.
 Isomorphism compares canonical colour-refinement invariants, cached per
 graph, and searches by individualising and refining, within a budget of
 refinement nodes, only when they agree; isomorphism classes bucket graphs
@@ -83,9 +84,7 @@ class CosetGraph:
 
     ``rows`` is the graph: rows[u] lists the (v, multiplicity) pairs of the
     neighbours v of u in increasing v, loops included.  ``adjacency`` is the
-    dense matrix derived from it, for the oracles only.  ``centre_action``
-    holds one vertex permutation Hg -> Hg(0, 0, e) per basis element e of
-    the ring; graphs built by hand may leave it empty.
+    dense matrix derived from it, for the oracles only.
     """
 
     group: Heisenberg
@@ -93,7 +92,6 @@ class CosetGraph:
     gens: tuple[GroupElement, ...]
     vertices: tuple[GroupElement, ...]
     rows: Rows
-    centre_action: tuple[tuple[int, ...], ...] = ()
 
     @property
     def n(self) -> int:
@@ -160,8 +158,7 @@ def build_coset_graph(sub: TwistedSubgroup, gens: Sequence[GroupElement],
     vertex k is the coset of (0, b, c) with k = index(b)·q + index(c), ring
     elements indexed in lexicographic coefficient order, and the generator
     s = (s0, s1, s2) sends it to the coset of
-    (0, b + s1, c + s2 - f(s0) - s0·(b + s1)); the centre's (0, 0, e) sends
-    it to (0, b, c + e).  No group element is walked.
+    (0, b + s1, c + s2 - f(s0) - s0·(b + s1)).  No group element is walked.
     ``oracles.coset_graph_bruteforce`` labels the cosets of any subgroup by
     walking the whole group.
     """
@@ -192,13 +189,10 @@ def build_coset_graph(sub: TwistedSubgroup, gens: Sequence[GroupElement],
             moved.extend(map((index[b1] * q).__add__, shift[add(lift, minus[times(s0, b1)])]))
         targets.append(moved)
     rows = tuple(tuple(sorted(Counter(column).items())) for column in zip(*targets))
-    centre_action = tuple(
-        tuple(i * q + j for i in range(q) for j in shift[e]) for e in ring.basis()
-    )
     zero = ring.zero()
     vertices = tuple((zero, b, c) for b in els for c in els)
     return CosetGraph(group=group, subgroup_label=sub.label(), gens=gens,
-                      vertices=vertices, rows=rows, centre_action=centre_action)
+                      vertices=vertices, rows=rows)
 
 
 def rows_from_edges(n: int, edges) -> Rows:
@@ -400,107 +394,70 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def charpoly_by_centre(rows: Rows, perms: Sequence[Sequence[int]], p: int) -> SpectrumPolynomial:
+def charpoly_by_centre(rows: Rows, p: int, r: int) -> SpectrumPolynomial:
     """det(tI - A) as a product of blocks over the characters of a free (Z/p)^r action.
 
-    A is the adjacency of the graph with these neighbour rows.  A
-    permutation in ``perms`` is kept when it moves vertex 0 out of the
-    orbit of the ones kept before it.  The kept ones must be automorphisms
-    of A that commute, have order p and act freely, every orbit having p^r
-    vertices; a failed check raises SelfCheckFailed.  They generate a group
-    Γ ≅ (Z/p)^r commuting with A, so A preserves each space of vectors
-    with f(σ^k v) = χ(σ^k) f(v) for a character χ_λ(σ^k) = ζ^(λ·k),
-    ζ = exp(2πi/p).  On it A acts on the values at the Q = n/p^r orbit
-    representatives by A_λ[a, t] = Σ_k A[a, σ^k t] ζ^(λ·k).  λ = 0 gives an
-    integer Q x Q block.  The p - 1 nonzero multiples of one λ are Galois
-    conjugate, so the charpolys of their blocks multiply to an integer
-    polynomial of degree N = Q(p-1).  It is computed modulo one ℓ from
-    _modulus, in which ζ ↦ ω^s sends A_λ to the block B_s[a, t] of the
-    character sλ, s = 1, ..., p - 1, and lifted to the symmetric range.
-    With no permutation kept the whole matrix is the one block.
+    A is the adjacency of the graph with these neighbour rows.  The action is
+    the numbering's: vertex a·p^r + t is σ^t of the orbit representative a·p^r,
+    where σ_i adds 1 mod p to digit i (weight p^i) of t; on a coset graph of
+    H_f these are the centre's translations.  They commute, have order p and
+    act freely by construction; that p^r divides n and that each σ_i is an
+    automorphism of A are checked, raising SelfCheckFailed.  So A preserves
+    each space of vectors with f(σ^t v) = ζ^(λ·t) f(v), ζ = exp(2πi/p), and
+    acts on the values at the Q = n/p^r representatives by the block
+    A_λ[a, b] = Σ_t A[a·p^r, b·p^r + t] ζ^(λ·t); λ = 0 gives an integer block.
+    The p - 1 nonzero multiples of one λ are Galois conjugate, so the
+    charpolys of their blocks multiply to an integer polynomial of degree
+    N = Q(p-1).  It is computed modulo one ℓ from _modulus, in which ζ ↦ ω^s
+    sends A_λ to the block B_s of the character sλ, s = 1, ..., p - 1, and
+    lifted to the symmetric range.  r = 0 gives the dense polynomial.
     """
     n = len(rows)
-    kept: list[tuple[int, ...]] = []
-    orbit = {0}
-    for perm in perms:
-        if n and perm[0] not in orbit:
-            kept.append(tuple(perm))
-            frontier = list(orbit)
-            while frontier:
-                v = frontier.pop()
-                for sigma in kept:
-                    if sigma[v] not in orbit:
-                        orbit.add(sigma[v])
-                        frontier.append(sigma[v])
-    identity = list(range(n))
-    for i, sigma in enumerate(kept):
-        if sorted(sigma) != identity:
-            raise SelfCheckFailed(f"a centre action is not a permutation of the {n} vertices")
+    width = p**r
+    if n % width:
+        raise SelfCheckFailed(f"{n} vertices do not split into orbits of {width} under the centre")
+    for w in [p**i for i in range(r)]:  # σ_i adds w = p^i to k, or w - p·w past digit p - 1
+        sigma = [k + w * (1 - p if k // w % p == p - 1 else 1) for k in range(n)]
         if not maps_onto(rows, rows, sigma):
             raise SelfCheckFailed("a centre permutation is not an automorphism of the graph")
-        power = identity
-        for _ in range(p):
-            power = [sigma[v] for v in power]
-        if power != identity:
-            raise SelfCheckFailed(f"a centre permutation does not have order {p}")
-        if any([sigma[v] for v in other] != [other[v] for v in sigma] for other in kept[:i]):
-            raise SelfCheckFailed("two centre permutations do not commute")
-    # where[v] = (orbit, k) for v = σ^k of the orbit's representative, with
-    # k = Σ k_i p^i over the kept permutations σ_i
-    where: list = [None] * n
-    reps: list[int] = []
-    for s in range(n):
-        if where[s] is not None:
-            continue
-        points = [s]
-        for sigma in kept:
-            layer, points = points, []
-            for _ in range(p):
-                points += layer
-                layer = [sigma[v] for v in layer]
-        for k, v in enumerate(points):
-            if where[v] is not None:
-                raise SelfCheckFailed(f"the centre permutations do not act freely: an orbit "
-                                      f"has fewer than {len(points)} vertices")
-            where[v] = (len(reps), k)
-        reps.append(s)
-    size = len(reps)
-    voltages = [[(*where[v], mult) for v, mult in rows[s]] for s in reps]
+    size = n // width
+    # the entries of orbit representative a·p^r: (orbit, digits t, multiplicity)
+    voltages = [[(*divmod(v, width), mult) for v, mult in rows[a * width]] for a in range(size)]
     # every eigenvalue μ of A has |μ| <= d, the largest absolute row sum, and
     # each orbit's polynomial is a product of t - μ over at most N of them,
     # so its t^(N-k) coefficient is at most C(N, k)·d^k
     d = max((sum(abs(mult) for _, mult in row) for row in rows), default=0)
-    big = size * (p - 1) if kept else size
+    big = size * (p - 1) if r else size
     ell, omega = _modulus(p, max(comb(big, k) * d**k for k in range(big + 1)))
     powers = [pow(omega, j, ell) for j in range(p)]
     poly = [1]
-    digits = [[k // p**i % p for i in range(len(kept))] for k in range(p ** len(kept))]
+    digits = [[t // p**i % p for i in range(r)] for t in range(width)]
     for lam in digits:
         lead = next((x for x in lam if x), 0)
         if lead > 1:  # keep λ = 0 and, per line through 0, the λ led by 1
             continue
-        phase = [sum(map(mul, lam, k)) % p for k in digits]
+        phase = [sum(map(mul, lam, t)) % p for t in digits]
         factor = [1]
         for s in range(1, p) if lead else (1,):
             block = [[0] * size for _ in range(size)]
             for a, entries in enumerate(voltages):
-                for t, k, mult in entries:
-                    block[a][t] += mult * powers[s * phase[k] % p]
+                for b, t, mult in entries:
+                    block[a][b] += mult * powers[s * phase[t] % p]
             factor = [c % ell for c in _poly_mul(factor, _charpoly_mod(block, ell))]
         poly = _poly_mul(poly, [c - ell if 2 * c > ell else c for c in factor])
     return SpectrumPolynomial(tuple(poly))
 
 
 def char_poly(graph: CosetGraph, cap: Optional[int] = None) -> SpectrumPolynomial:
-    """Exact characteristic polynomial of the adjacency matrix.
+    """Exact characteristic polynomial of the adjacency matrix of a coset graph of H_f.
 
-    Factorised through the centre's free action on the cosets by
-    charpoly_by_centre; a graph with no centre action is one dense block.
+    Factorised by charpoly_by_centre through the centre, whose (0, 0, e) adds
+    1 mod p to one base-p digit of index(c), so its rank is the ring's dimension.
     """
     limit = DEFAULT_VERTEX_CAP if cap is None else cap
     if graph.n > limit:
         raise SizeCapExceeded(f"{graph.n} vertices exceed cap {limit}")
-    return charpoly_by_centre(graph.rows, graph.centre_action, graph.group.ring.p)
+    return charpoly_by_centre(graph.rows, graph.group.ring.p, graph.group.ring.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import os
 import pytest
 
 from gassmann.certify import (
+    BRUTE_CONJ_WORK_LIMIT,
+    BRUTE_ORBIT_LIMIT,
     ProductFamily,
     all_linear_maps,
     almost_conjugate,
@@ -10,10 +12,13 @@ from gassmann.certify import (
     are_conjugate,
     bruteforce_subgroup_keys,
     canonical_twist,
+    conjugator_oracle_runs,
     enumerate_class_reps,
+    family_mode,
     gl2_orbit_key,
     intersection_profile,
     mult_subspace_echelon,
+    orbit_oracle_runs,
     product_certificate,
     tensor_profiles,
     tower_class_count,
@@ -116,7 +121,7 @@ def test_center_vs_horizontal_is_unequal():
     w = cert.witness_class
     # the center meets central classes, the horizontal subgroup does not
     assert cert.profile_h[w] != cert.profile_k[w]
-    assert len(cert.to_json()["profiles"][0]) == 19
+    assert len(cert.profile_h) == 19
 
 
 def test_profiles_invariant_under_conjugation():
@@ -307,6 +312,21 @@ def test_tower_class_counts(p, j, exact, cited):
     assert result.gap == (exact != cited)
 
 
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+                                  (5, 1), (5, 2), (13, 1), (17, 1), (37, 1), (41, 1)])
+def test_oracle_limits_follow_from_p_and_m(p, m):
+    # the conjugator oracle's work |G|·q·n counts the family that certify builds
+    spec = make_field(p, m)
+    q = spec.size
+    n = len(list(all_linear_maps(spec))) if family_mode(p, m) == "all-twists" else (
+        p ** (m * (m - 1)))
+    assert conjugator_oracle_runs(p, m) == (q**3 * q * n <= BRUTE_CONJ_WORK_LIMIT)
+    assert orbit_oracle_runs(p, m) == (p ** (m * m) <= BRUTE_ORBIT_LIMIT)
+    # the fields that README's oracle ledger names
+    assert conjugator_oracle_runs(p, m) == (q in (2, 3, 4, 5, 8, 9, 13, 17, 37))
+    assert orbit_oracle_runs(p, m) == ((p, m) != (2, 5))
+
+
 def test_tower_count_matches_orbit_oracle():
     # the closed form against both oracles wherever they reach: the
     # catalog under the default cap, the orbit count under the CLI's limit
@@ -315,7 +335,7 @@ def test_tower_count_matches_orbit_oracle():
         spec = make_trunc_ring(p, j)
         exact = tower_class_count(spec).exact
         assert exact == p ** (j * j - j) == enumerate_class_reps(spec).count
-        if p ** (j * j) <= cli._BRUTE_ORBIT_LIMIT:
+        if orbit_oracle_runs(p, j):
             assert exact == twist_orbit_count_bruteforce(spec)
 
 

@@ -1,8 +1,10 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -601,7 +603,7 @@ def test_verify_lists_a_relabelled_graph(tmp_path):
     def tamper(graph):
         edges = [sorted((swap.get(u, u), swap.get(v, v))) + [mult] for u, v, mult in graph["edges"]]
         assert sorted(edges) != sorted(graph["edges"])
-        charpoly = charpoly_by_centre(rows_from_edges(graph["vertices"], edges), (), 2).coefficients
+        charpoly = charpoly_by_centre(rows_from_edges(graph["vertices"], edges), 2, 0).coefficients
         assert [int(c) for c in graph["charpoly"]] == list(charpoly)
         graph["edges"] = edges
 
@@ -649,7 +651,7 @@ def test_verify_checks_the_edges_against_the_subgroup_label(forge, tmp_path):
     graphs = items[:-2]
     for graph in graphs:
         rows = rows_from_edges(graph["vertices"], graph["edges"])
-        poly = charpoly_by_centre(rows, reports._centre_action(config, graph["vertices"]), 2)
+        poly = charpoly_by_centre(rows, 2, config["m"])
         graph["charpoly"] = [reports.encode_count(c) for c in poly.coefficients]
     items[-2]["all_equal"] = items[-2]["holds"] = all(
         graph["charpoly"] == graphs[0]["charpoly"] for graph in graphs)
@@ -1019,6 +1021,94 @@ def test_verify_recomputes_the_scanned_count(tmp_path):
     code, err = _verify_json(tmp_path, reports.finalize(report))
     assert code == 1 and "scanned is not the number of primes up to the bound" in err
     assert "item 0 (place-scan) holds True, but its evidence gives False" in err
+
+
+def _orbit_count_dropped(report):
+    report["items"][0]["bruteforce_orbits"] = None  # the orbit oracle runs at GF(4)
+
+
+def _conjugator_oracle_unrun(report):
+    # with no oracle run the disagreement would not count against the verdict
+    report["items"][2].update(bruteforce_checked=False, structural_equals_bruteforce=False)
+
+
+@pytest.mark.parametrize("forge, message", [
+    (_orbit_count_dropped, "whether bruteforce_orbits is stated differs from whether certify "
+                           "runs the orbit oracle at this p and m"),
+    (_conjugator_oracle_unrun, "bruteforce_checked differs from whether certify runs the "
+                               "conjugator oracle at this p and m"),
+], ids=["orbit-count-dropped", "conjugator-oracle-unrun"])
+def test_verify_knows_from_the_config_whether_the_oracles_ran(tmp_path, forge, message):
+    _, out, _ = run_cli("certify", "--p", "2", "--m", "2")
+    report = json.loads(out)
+    forge(report)
+    code, err = _verify_json(tmp_path, report)
+    assert code == 1 and f"problem: {message}" in err.splitlines()
+
+
+def test_verify_requires_agreement_where_no_conjugator_oracle_ran(tmp_path):
+    # over GF(25) |G|·q·n = 5^12·25 is past the limit, so the keys stand alone;
+    # a claimed disagreement would fail the item with no oracle to show it
+    _, out, _ = run_cli("certify", "--p", "5", "--m", "2")
+    report = json.loads(out)
+    dichotomy = report["items"][2]
+    assert not dichotomy["bruteforce_checked"] and dichotomy["structural_equals_bruteforce"]
+    dichotomy.update(structural_equals_bruteforce=False, holds=False)
+    code, err = _verify_json(tmp_path, reports.finalize(report))
+    assert code == 1 and err.splitlines() == [
+        "problem: structural_equals_bruteforce is not a boolean, or is false with no oracle run"]
+
+
+def _record_dropped(scan):
+    # one prime of residue degree 3 left out, with every count and flag re-derived
+    del scan["records"][5]
+    count = len(scan["records"])
+    density = Fraction(count, scan["scanned"])
+    within = abs(density - Fraction(2, 3)) <= Fraction(1, 50)
+    scan.update(degree_ell_count=count, density=str(density), within_tolerance=within,
+                holds=within and scan["implementations_agree"])
+    return "records are not every prime of residue degree ell=3 up to the bound"
+
+
+def _agreement_shortened(scan):
+    scan["agreement_checked_to"] = 100
+    return _AGREEMENT_PROBLEM
+
+
+def _disagreement_claimed(scan):
+    scan.update(implementations_agree=False, holds=False)
+    return _AGREEMENT_PROBLEM
+
+
+_AGREEMENT_PROBLEM = ("agreement_checked_to or implementations_agree differs from the two "
+                      "residue-degree tests up to min(bound, 10^4)")
+
+
+@pytest.mark.parametrize("forge", [_record_dropped, _agreement_shortened, _disagreement_claimed])
+def test_verify_scans_the_places_again(tmp_path, forge):
+    _, out, _ = run_cli("places", "--ell", "3", "--bound", "1000")
+    report = json.loads(out)
+    message = forge(report["items"][0])
+    code, err = _verify_json(tmp_path, reports.finalize(report))
+    assert code == 1 and f"problem: {message}" in err.splitlines()
+
+
+# SHA-256 of the report on stdout; a schema bump updates these and says so
+PINNED_REPORTS = {
+    ("certify", "--p", "2", "--m", "3"):
+        "db06d66160956392715b3bbb137dcc4a20bf729a7de9234615f027b3099f6fed",
+    ("graphs", "--p", "2", "--m", "2"):
+        "ca108b3498117c4507f7fb2ec41a552d10479c9dd9797f645cfde828d73ad28e",
+    ("graphs", "--p", "3", "--m", "2"):
+        "9b374671aebf79f886418667d529e907c362c1ecd11b6d5782cb34e04e0fa573",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_REPORTS), ids=lambda argv: "-".join(argv[::2]))
+def test_reports_keep_their_pinned_bytes(argv):
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[argv]
 
 
 def test_table_format():

@@ -205,13 +205,3 @@ def test_center_subgroup():
     g4 = heisenberg_group(F4)
     c = center_subgroup(g4)
     assert c.size == 4 and all(g[0] == F4.zero() and g[1] == F4.zero() for g in c.elements)
-
-
-def test_subgroup_json_exports_sorted_elements():
-    g4 = heisenberg_group(F4)
-    data = horizontal_subgroup(g4).to_json()
-    assert data["f"]["rows"] == [[0, 0], [0, 0]]
-    assert data["elements"] == sorted(data["elements"])
-    assert len(data["elements"]) == 4
-    center = center_subgroup(g4).to_json()
-    assert center["name"] == "center" and len(center["elements"]) == 4

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from gassmann.errors import NotPrime, RamifiedPlace, SpecMismatch
+from gassmann import places
 from gassmann.places import (
     choose_modulus,
+    implementations_agree,
     residue_degree,
     residue_degree_subgroup,
     scan_places,
@@ -44,6 +46,21 @@ def test_power_test_and_subgroup_test_agree_to_ten_thousand():
             if p == q:
                 continue
             assert residue_degree(p, q, ell) == residue_degree_subgroup(p, q, ell)
+
+
+@pytest.mark.parametrize("bound, liar, expected", [
+    (10**5, 9973, (10**4, False)),  # the last prime below 10^4 is compared
+    (10**5, 10007, (10**4, True)),  # the first one past it is not
+    (9000, 9973, (9000, True)),
+    (100, 7, (100, True)),  # nor is q
+])
+def test_implementations_agree_compares_every_prime_up_to_the_bound(bound, liar, expected,
+                                                                    monkeypatch):
+    subgroup = places.residue_degree_subgroup
+    monkeypatch.setattr(places, "residue_degree_subgroup",
+                        lambda p, q, ell: 4 - subgroup(p, q, ell) if p == liar else
+                        subgroup(p, q, ell))
+    assert implementations_agree(3, 7, bound) == expected
 
 
 def test_scan_is_empty_below_two():

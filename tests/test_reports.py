@@ -3,6 +3,7 @@ import json
 import pytest
 from conftest import run_cli
 
+from gassmann import reports
 from gassmann.certify import (
     all_linear_maps,
     enumerate_class_reps,
@@ -11,8 +12,8 @@ from gassmann.certify import (
 )
 from gassmann.heisenberg import center_subgroup, heisenberg_group, twisted_subgroup
 from gassmann.oracles import coset_graph_bruteforce
+from gassmann.cli import cmd_graphs
 from gassmann.reports import (
-    _centre_action,
     _family_profile,
     _is_schreier_graph,
     canonical_json,
@@ -22,7 +23,7 @@ from gassmann.reports import (
     verify_report,
 )
 from gassmann.rings import make_field
-from gassmann.schreier import build_coset_graph, char_poly, default_generators, rows_from_edges
+from gassmann.schreier import charpoly_by_centre, default_generators, rows_from_edges
 
 
 def test_encode_count_thresholds():
@@ -125,7 +126,8 @@ def test_verify_report_ties_cospectral_to_the_graph_items():
     report = json.loads(out)
     graph = _item(report, "coset-graph")
     assert other.n == graph["vertices"] and other.degree == graph["generators"]
-    charpoly = [encode_count(c) for c in char_poly(other).coefficients]
+    # the centre fixes every coset of itself, so its free action has rank 0
+    charpoly = [encode_count(c) for c in charpoly_by_centre(other.rows, 2, 0).coefficients]
     assert charpoly != graph["charpoly"]
     graph["edges"] = [list(edge) for edge in other.edge_list()]
     graph["charpoly"] = charpoly
@@ -173,14 +175,16 @@ def test_verify_report_bounds_structural_conjugate_pairs():
 
 
 @pytest.mark.parametrize("p, m", [(3, 1), (2, 2), (2, 3), (3, 2)])
-def test_verify_derives_the_centre_action_from_the_config(p, m):
-    # vertex index(b)·q + index(c) is the coset of (0, b, c)
-    spec = make_field(p, m)
-    group = heisenberg_group(spec)
-    gens = default_generators(group)
-    for f in enumerate_class_reps(spec).reps:
-        graph = build_coset_graph(twisted_subgroup(f, group), gens)
-        assert _centre_action({"p": p, "m": m}, graph.n) == list(map(list, graph.centre_action))
+def test_verify_derives_the_centre_action_from_the_config(p, m, monkeypatch):
+    # vertex index(b)·q + index(c) is the coset of (0, b, c), so verify factors each
+    # charpoly over the centre of rank m, taken from the config, as production does
+    calls = []
+    factor = reports.charpoly_by_centre
+    monkeypatch.setattr(reports, "charpoly_by_centre",
+                        lambda rows, p, r: calls.append((p, r)) or factor(rows, p, r))
+    report, _ = cmd_graphs(p, m)
+    assert verify_report(report) == []
+    assert calls == [(p, m)] * (len(report["items"]) - 2)
 
 
 @pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4)])

@@ -13,7 +13,6 @@ from gassmann.rings import (
     mult_matrix,
     next_prime,
     primes_up_to,
-    spec_from_json,
 )
 
 
@@ -194,17 +193,3 @@ def test_mult_images_span_a_subspace_of_ring_dimension():
         images = {mult_matrix(b, spec).flatten() for b in spec.elements}
         assert len(images) == spec.size
         assert len(mult_subspace_echelon(spec)) == spec.dim
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def test_spec_json_round_trip():
-    f9 = make_field(3, 2)
-    assert f9.to_json() == {"kind": "field", "p": 3, "m": 2, "modulus": [1, 0, 1]}
-    assert spec_from_json(f9.to_json()) == f9
-    r8 = make_trunc_ring(2, 3)
-    assert r8.to_json() == {"kind": "trunc", "p": 2, "j": 3}
-    assert spec_from_json(r8.to_json()) == r8

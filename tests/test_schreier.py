@@ -72,8 +72,8 @@ def _rows(adjacency):
 
 
 def _dense(matrix, p=2):
-    """The charpoly of a dense integer matrix: charpoly_by_centre with no permutation."""
-    return charpoly_by_centre(_rows(matrix), (), p)
+    """The charpoly of a dense integer matrix: charpoly_by_centre at rank 0."""
+    return charpoly_by_centre(_rows(matrix), p, 0)
 
 
 def _synthetic(adjacency):
@@ -138,7 +138,6 @@ def _assert_closed_form_equals_the_walk(sub, gens):
     fast, slow = build_coset_graph(sub, gens), coset_graph_bruteforce(sub, gens)
     assert fast.rows == slow.rows
     assert fast.vertices == slow.vertices
-    assert fast.centre_action == slow.centre_action
     assert (fast.subgroup_label, fast.gens) == (slow.subgroup_label, slow.gens)
 
 
@@ -378,7 +377,7 @@ def test_a_pivot_that_is_not_a_unit_raises(monkeypatch):
     # pivot 3 has no inverse modulo it
     monkeypatch.setattr(schreier, "_modulus", lambda p, bound: (3 * (2**61 - 1), 1))
     with pytest.raises(SelfCheckFailed, match="not a unit"):
-        charpoly_by_centre(PIVOT_THREE, (), 2)
+        charpoly_by_centre(PIVOT_THREE, 2, 0)
 
 
 def test_charpoly_cap():
@@ -402,7 +401,7 @@ def test_isospectral_self_and_size_mismatch():
     h0 = horizontal_subgroup(G4)
     poly = char_poly(build_coset_graph(h0, GENS4))
     assert poly == char_poly(coset_graph_bruteforce(h0, GENS4))
-    whole = char_poly(coset_graph_bruteforce(whole_group(G4), GENS4))
+    whole = charpoly_by_centre(coset_graph_bruteforce(whole_group(G4), GENS4).rows, 2, 0)
     assert poly != whole
     assert poly.degree == 16 and whole.degree == 1
 
@@ -632,7 +631,7 @@ def _subgroup_graphs(*subgroups):
     return [coset_graph_bruteforce(sub(G4), GENS4) for sub in subgroups]
 
 
-# case -> (graphs, rank r of the free action kept by charpoly_by_centre)
+# case -> (graphs, rank r of the centre's free action on their vertex numbers)
 CENTRE_CASES = {
     "GF3": lambda: (_rep_graphs(make_field(3, 1)), 1),
     "GF5": lambda: (_rep_graphs(make_field(5, 1)), 1),
@@ -641,8 +640,8 @@ CENTRE_CASES = {
     "GF9": lambda: (_rep_graphs(make_field(3, 2)), 2),
     "GF4-five-generators": lambda: (_rep_graphs(F4, _five_generators()), 2),
     "F2[t]/t^2": lambda: (_rep_graphs(make_trunc_ring(2, 2)), 2),
-    # Z acts freely on the 64 elements; it fixes every coset of the centre
-    # and of the whole group, so no permutation is kept
+    # Z acts freely on the 64 elements, the last digits of the vertex number;
+    # it fixes every coset of the centre and of the whole group, so rank 0
     "GF4-trivial": lambda: (_subgroup_graphs(trivial_subgroup), 2),
     "GF4-centre-and-whole-group": lambda: (_subgroup_graphs(center_subgroup, whole_group), 0),
     "synthetic": lambda: ([_synthetic(adj) for adj in (C6, PRISM, K33, K4)], 0),
@@ -658,12 +657,15 @@ def test_factorised_charpoly_equals_the_dense_oracle(case, monkeypatch):
                         lambda m, ell: sizes.append(len(m)) or one_pass(m, ell))
     for graph in graphs:
         p = graph.group.ring.p
-        dense = charpoly_by_centre(graph.rows, (), p).coefficients
+        dense = charpoly_by_centre(graph.rows, p, 0)
         sizes.clear()
-        assert char_poly(graph).coefficients == dense
+        factored = charpoly_by_centre(graph.rows, p, rank)
+        assert factored == dense
         # the quotient block, then p - 1 blocks over F_ℓ per line through 0 in F_p^r
         quotient = graph.n // p**rank
         assert sizes == [quotient] + [quotient] * (p - 1) * ((p**rank - 1) // (p - 1))
+        if rank == graph.group.ring.dim:  # char_poly takes the rank from the ring
+            assert char_poly(graph) == factored
 
 
 def test_factorised_charpoly_agrees_with_the_dense_one_modulo_a_prime_on_gf16():
@@ -698,28 +700,26 @@ def test_charpoly_of_the_first_class_rep_keeps_its_pinned_digest(field):
 
 def test_klein_four_action_on_k4_gives_its_spectrum():
     # (0 1)(2 3) and (0 2)(1 3) act regularly: four 1 x 1 blocks, eigenvalues 3, -1, -1, -1
-    poly = charpoly_by_centre(_rows(K4), [[1, 0, 3, 2], [2, 3, 0, 1]], 2)
+    poly = charpoly_by_centre(_rows(K4), 2, 2)
     assert poly.coefficients == (1, 0, -6, -8, -3) == charpoly_berkowitz(K4).coefficients
 
 
 PATH4 = _simple_graph(4, [(0, 1), (1, 2), (2, 3)])
 K4 = _simple_graph(4, [(u, w) for u in range(4) for w in range(u + 1, 4)])
 
-# name -> (dense adjacency, permutations, p, message): each breaks one check of the certificate
+# name -> (dense adjacency, p, rank r, message): each breaks one check of the certificate
 BROKEN_CENTRE_ACTIONS = {
-    "not-a-permutation": (K4, [[1, 1, 2, 3]], 2, "not a permutation"),
-    "not-an-automorphism": (PATH4, [[1, 0, 3, 2]], 2, "not an automorphism"),
-    "not-commuting": (K4, [[1, 0, 3, 2], [2, 1, 0, 3]], 2, "do not commute"),
-    "order-not-p": (K4, [[1, 2, 3, 0]], 2, "does not have order 2"),
-    "not-free": (K4, [[1, 0, 2, 3]], 2, "do not act freely"),
+    # σ_0 = (0 1)(2 3) moves the edge 1-2 to 0-3
+    "not-an-automorphism": (PATH4, 2, 1, "not an automorphism"),
+    "orbits-do-not-divide": (K4, 3, 1, "4 vertices do not split into orbits of 3"),
 }
 
 
 @pytest.mark.parametrize("name", list(BROKEN_CENTRE_ACTIONS))
 def test_broken_centre_action_raises(name):
-    adjacency, perms, p, message = BROKEN_CENTRE_ACTIONS[name]
+    adjacency, p, r, message = BROKEN_CENTRE_ACTIONS[name]
     with pytest.raises(SelfCheckFailed, match=message):
-        charpoly_by_centre(_rows(adjacency), perms, p)
+        charpoly_by_centre(_rows(adjacency), p, r)
 
 
 def test_broken_centre_actions_raise_even_under_optimization():
@@ -732,15 +732,15 @@ def test_broken_centre_actions_raise_even_under_optimization():
         "from gassmann import schreier\n"
         "from gassmann.errors import SelfCheckFailed, SizeCapExceeded\n"
         "from gassmann.schreier import charpoly_by_centre, rows_from_edges\n"
-        "for name, (adjacency, perms, p, message) in json.loads(sys.argv[1]).items():\n"
+        "for name, (adjacency, p, r, message) in json.loads(sys.argv[1]).items():\n"
         "    edges = [(u, v, m) for u, row in enumerate(adjacency)\n"
         "             for v, m in enumerate(row) if u <= v]\n"
         "    try:\n"
-        "        charpoly_by_centre(rows_from_edges(len(adjacency), edges), perms, p)\n"
+        "        charpoly_by_centre(rows_from_edges(len(adjacency), edges), p, r)\n"
         "    except SelfCheckFailed as exc:\n"
         "        print(name, message in str(exc))\n"
         "try:\n"
-        "    charpoly_by_centre([[(0, 2**2100)]], (), 2)\n"
+        "    charpoly_by_centre([[(0, 2**2100)]], 2, 0)\n"
         "except SizeCapExceeded:\n"
         "    print('cap', True)\n"
         "ell, omega = schreier._modulus(3, 10**40)\n"
@@ -749,7 +749,7 @@ def test_broken_centre_actions_raise_even_under_optimization():
         "print('skip', schreier._modulus.__wrapped__(2, 10) == (29, 28))\n"
         "schreier._modulus = lambda p, bound: (3 * (2**61 - 1), 1)\n"
         "try:\n"
-        "    charpoly_by_centre(json.loads(sys.argv[2]), (), 2)\n"
+        "    charpoly_by_centre(json.loads(sys.argv[2]), 2, 0)\n"
         "except SelfCheckFailed as exc:\n"
         "    print('pivot', 'not a unit' in str(exc))\n"
     )
@@ -760,15 +760,27 @@ def test_broken_centre_actions_raise_even_under_optimization():
     assert done.stdout.splitlines() == [f"{name} True" for name in cases]
 
 
-def test_coset_graphs_record_the_centre_action():
-    # vertex k goes to the canonical label of its coset times (0, 0, e)
-    sub = horizontal_subgroup(G4)
-    graph = build_coset_graph(sub, GENS4)
-    assert len(graph.centre_action) == F4.dim
-    for e, perm in zip(F4.basis(), graph.centre_action):
-        for k, (a, b, c) in enumerate(graph.vertices):
-            moved = min(G4.mul(h, (a, b, F4.add(c, e))) for h in sub.elements)
-            assert graph.vertices[perm[k]] == moved
-    assert coset_graph_bruteforce(center_subgroup(G4), GENS4).centre_action == (
-        tuple(range(16)),) * 2
-    assert _synthetic(C6).centre_action == ()
+@pytest.mark.parametrize("spec", [F4, make_field(2, 3), make_field(3, 2), make_trunc_ring(2, 2),
+                                  make_trunc_ring(3, 2)],
+                         ids=["GF4", "GF8", "GF9", "F2[t]/t^2", "F3[t]/t^2"])
+def test_the_centre_adds_one_to_a_digit_of_the_vertex_number(spec):
+    # charpoly_by_centre(rows, p, r) takes σ_i to add 1 mod p to digit i of k mod p^r;
+    # on a graph of H_f these must be the translations by (0, 0, e), walked here
+    group = heisenberg_group(spec)
+    p = spec.p
+
+    def sigma(i, k):
+        w = p**i
+        digit = k // w % p
+        return k + w * ((digit + 1) % p - digit)
+
+    gens = default_generators(group)
+    for f in enumerate_class_reps(spec).reps:
+        sub = twisted_subgroup(f, group)
+        graph = build_coset_graph(sub, gens)
+        number = {v: k for k, v in enumerate(graph.vertices)}
+        # index(c) reads c's coefficients as a base-p number, the first one highest
+        for i, e in enumerate(reversed(spec.basis())):
+            for k, (a, b, c) in enumerate(graph.vertices):
+                least = min(group.mul(h, (a, b, spec.add(c, e))) for h in sub.elements)
+                assert number[least] == sigma(i, k)
