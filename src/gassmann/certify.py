@@ -169,6 +169,12 @@ def bruteforce_subgroup_keys(group: Heisenberg, subgroups) -> list:
     return keys
 
 
+def keyings_agree(keys, other) -> bool:
+    """Whether two keyings of one family partition it alike, which is when they
+    agree on every pair: both conjugate or both not."""
+    return len(set(zip(keys, other))) == len(set(keys)) == len(set(other))
+
+
 # ---------------------------------------------------------------------------
 # Canonical class representatives
 # ---------------------------------------------------------------------------

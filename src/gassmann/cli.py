@@ -27,7 +27,8 @@ from .places import choose_modulus, implementations_agree, scan_places
 from .rings import make_field, make_trunc_ring, size_cap
 
 # The conjugator oracle of certify.bruteforce_subgroup_keys, bound here so that
-# cmd_certify looks it up through this module and a caller can replace it.
+# cmd_certify and verify look it up through this module, and a caller that
+# replaces it replaces it for both.
 _bruteforce_subgroup_keys = cz.bruteforce_subgroup_keys
 
 
@@ -84,9 +85,7 @@ def cmd_certify(p: int, m: int, cap: Optional[int] = None) -> dict:
     brute_checked = cz.conjugator_oracle_runs(p, m)
     agreement = True
     if brute_checked and count >= 2:  # with one subgroup there is no pair to compare
-        brute = _bruteforce_subgroup_keys(group, subgroups)
-        # the two keyings agree on every pair exactly when they partition alike
-        agreement = len(set(zip(keys, brute))) == len(set(keys)) == len(set(brute))
+        agreement = cz.keyings_agree(keys, _bruteforce_subgroup_keys(group, subgroups))
     item = {
         "kind": "conjugacy-dichotomy",
         "pairs": pairs,

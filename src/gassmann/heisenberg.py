@@ -2,7 +2,7 @@
 
 Group elements are coordinate triples (a, b, c) of ring elements standing
 for the matrix [[1, a, c], [0, 1, b], [0, 0, 1]]; the group law is
-evaluated directly on the triples.  Conjugacy classes come from a closed
+evaluated on the triples by lookups in the ring's op tables.  Conjugacy classes come from a closed
 form in O(|G|) with no conjugation (see ``class_key``); the orbit
 expansion ``oracles.conjugacy_partition`` is its oracle.
 """
@@ -49,20 +49,29 @@ class Heisenberg:
         for comp in g:
             self.ring.check(comp)
 
+    @cached_property
+    def _tables(self) -> tuple:
+        """The ring's add, mul and neg tables (see ``_RingOps``), bound once."""
+        ring = self.ring
+        return ring._add_table, ring._mul_table, ring._neg_table
+
     def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
         """(a1,b1,c1) * (a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2)."""
-        ring = self.ring
-        add = ring.add
-        return (
-            add(g[0], h[0]),
-            add(g[1], h[1]),
-            add(add(g[2], h[2]), ring.mul(g[0], h[1])),
-        )
+        add, times, _ = self._tables
+        try:
+            (a1, b1, c1), (a2, b2, c2) = g, h
+            return (add[a1, a2], add[b1, b2], add[add[c1, c2], times[a1, b2]])
+        except (KeyError, ValueError):
+            raise SpecMismatch(f"{g!r}, {h!r} not both in {self!r}") from None
 
     def inv(self, g: GroupElement) -> GroupElement:
-        ring = self.ring
-        neg = ring.neg
-        return (neg(g[0]), neg(g[1]), ring.add(neg(g[2]), ring.mul(g[0], g[1])))
+        """(a,b,c)^-1 = (-a, -b, -c+a*b)."""
+        add, times, neg = self._tables
+        try:
+            a, b, c = g
+            return (neg[a], neg[b], add[neg[c], times[a, b]])
+        except (KeyError, ValueError):
+            raise SpecMismatch(f"{g!r} is not an element of {self!r}") from None
 
     def conjugate(self, g: GroupElement, h: GroupElement) -> GroupElement:
         """g * h * g^-1."""

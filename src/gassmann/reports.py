@@ -17,9 +17,10 @@ from fractions import Fraction
 from itertools import islice
 from typing import Any, Optional
 
-from .certify import canonical_twist, conjugator_oracle_runs, family_mode, orbit_oracle_runs
+from .certify import (canonical_twist, conjugator_oracle_runs, family_mode, keyings_agree,
+                      orbit_oracle_runs)
 from .errors import GassmannError, SizeCapExceeded, SpecMismatch
-from .heisenberg import heisenberg_group, parse_twist_label
+from .heisenberg import heisenberg_group, parse_twist_label, twisted_subgroup
 from .places import implementations_agree, residue_degree_subgroup
 from .planner import check_holds, required_check_labels
 from .rings import make_field, primes_up_to
@@ -153,8 +154,9 @@ def _verify_conjugacy(item: dict, config: dict, by_kind: dict, problems: list[st
     labels = by_kind["gassmann-family"][0]["subgroups"]
     p, m = config["p"], config["m"]
     spec = make_field(p, m, cap=config["cap"])
-    keys = Counter(canonical_twist(parse_twist_label(label, spec), spec) for label in labels)
-    conjugate_pairs = sum(c * (c - 1) // 2 for c in keys.values())
+    maps = [parse_twist_label(label, spec) for label in labels]
+    keys = [canonical_twist(f, spec) for f in maps]
+    conjugate_pairs = sum(c * (c - 1) // 2 for c in Counter(keys).values())
     stored = item["structural_conjugate_pairs"]
     if not _same(item["pairs"], len(labels) * (len(labels) - 1) // 2):
         problems.append("pairs is not n(n-1)/2 for the family's n subgroups")
@@ -166,14 +168,26 @@ def _verify_conjugacy(item: dict, config: dict, by_kind: dict, problems: list[st
     class_reps = family_mode(p, m) == "class-reps"
     if class_reps and not _same(item["reps_pairwise_nonconjugate"], stored == 0):
         problems.append("reps_pairwise_nonconjugate disagrees with structural_conjugate_pairs")
-    ran, agree = conjugator_oracle_runs(p, m), item["structural_equals_bruteforce"]
+    ran = conjugator_oracle_runs(p, m)
     if not _same(item["bruteforce_checked"], ran):
         problems.append("bruteforce_checked differs from whether certify runs the conjugator "
                         "oracle at this p and m")
-    if not (_same(agree, True) or ran and _same(agree, False)):
-        problems.append("structural_equals_bruteforce is not a boolean, or is false with no "
+    # the oracle again, as cmd_certify runs it: with one subgroup there is no pair
+    agreement = True
+    if ran and len(maps) >= 2:
+        from . import cli  # the binding cmd_certify calls, so a replaced oracle is re-run too
+
+        group = heisenberg_group(spec)
+        subgroups = [twisted_subgroup(f, group) for f in maps]
+        agreement = keyings_agree(keys, cli._bruteforce_subgroup_keys(group, subgroups))
+    claimed = item["structural_equals_bruteforce"]
+    if not _same(claimed, agreement):
+        problems.append("structural_equals_bruteforce differs from the conjugator oracle, run "
+                        "again on the family's labels" if ran else
+                        "structural_equals_bruteforce is not a boolean, or is false with no "
                         "oracle run")
-    return agree is True and not (class_reps and conjugate_pairs)
+    # the item holds on the derived agreement, and only where it claims it
+    return agreement and claimed is True and not (class_reps and conjugate_pairs)
 
 
 def _is_schreier_graph(rows, label, config: dict) -> bool:

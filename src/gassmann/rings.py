@@ -21,7 +21,7 @@ from .errors import DimensionMismatch, NotPrime, SizeCapExceeded, SpecMismatch
 DEFAULT_SIZE_CAP = 1 << 20
 CAP_ENV_VAR = "GASSMANN_SIZE_CAP"
 
-# Rings up to this order get dict-backed add/mul tables; the brute-force
+# Rings up to this order get dict-backed add/neg/mul tables; the brute-force
 # modules hammer ring arithmetic hard enough that this pays off.
 _TABLE_LIMIT = 512
 
@@ -123,32 +123,30 @@ class _RingOps:
             raise SpecMismatch(f"{a!r} is not an element of {self!r}")
 
     def add(self, a: Element, b: Element) -> Element:
-        table = self._add_table
-        if table is not None:
-            try:
-                return table[a, b]
-            except KeyError:
-                raise SpecMismatch(f"{a!r}, {b!r} not both in {self!r}") from None
-        self.check(a)
-        self.check(b)
+        try:
+            return self._add_table[a, b]
+        except KeyError:
+            raise SpecMismatch(f"{a!r}, {b!r} not both in {self!r}") from None
+
+    def neg(self, a: Element) -> Element:
+        try:
+            return self._neg_table[a]
+        except KeyError:
+            raise SpecMismatch(f"{a!r} is not an element of {self!r}") from None
+
+    def mul(self, a: Element, b: Element) -> Element:
+        try:
+            return self._mul_table[a, b]
+        except KeyError:
+            raise SpecMismatch(f"{a!r}, {b!r} not both in {self!r}") from None
+
+    def _add_raw(self, a: Element, b: Element) -> Element:
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
-    def neg(self, a: Element) -> Element:
-        self.check(a)
+    def _neg_raw(self, a: Element) -> Element:
         p = self.p
         return tuple((-x) % p for x in a)
-
-    def mul(self, a: Element, b: Element) -> Element:
-        table = self._mul_table
-        if table is not None:
-            try:
-                return table[a, b]
-            except KeyError:
-                raise SpecMismatch(f"{a!r}, {b!r} not both in {self!r}") from None
-        self.check(a)
-        self.check(b)
-        return self._mul_raw(a, b)
 
     def _mul_raw(self, a: Element, b: Element) -> Element:
         raise NotImplementedError
@@ -158,24 +156,48 @@ class _RingOps:
         """All ring elements in lexicographic coefficient order."""
         return tuple(itertools.product(range(self.p), repeat=self.dim))
 
-    @cached_property
-    def _add_table(self) -> Optional[dict]:
-        if self.size > _TABLE_LIMIT:
-            return None
-        p = self.p
-        els = self.elements
-        return {
-            (a, b): tuple((x + y) % p for x, y in zip(a, b))
-            for a in els
-            for b in els
-        }
+    # The op tables are the one route of ring arithmetic: table[a, b] (or
+    # table[a] for neg) is the result, and a non-element raises KeyError or
+    # SpecMismatch.  Up to _TABLE_LIMIT they are dicts whose values are the
+    # objects of ``elements``, so a result fed back in as a key is found by
+    # identity; past it they check their arguments and compute.
 
     @cached_property
-    def _mul_table(self) -> Optional[dict]:
+    def _add_table(self):
+        return self._table(self._add_raw, 2)
+
+    @cached_property
+    def _neg_table(self):
+        return self._table(self._neg_raw, 1)
+
+    @cached_property
+    def _mul_table(self):
+        return self._table(self._mul_raw, 2)
+
+    def _table(self, op, arity: int):
         if self.size > _TABLE_LIMIT:
-            return None
+            return _ComputedTable(self, op, arity)
         els = self.elements
-        return {(a, b): self._mul_raw(a, b) for a in els for b in els}
+        canonical = dict(zip(els, els))
+        if arity == 1:
+            return {a: canonical[op(a)] for a in els}
+        return {(a, b): canonical[op(a, b)] for a in els for b in els}
+
+
+class _ComputedTable:
+    """An op table past _TABLE_LIMIT: each lookup checks its arguments and
+    computes the result."""
+
+    __slots__ = ("ring", "op", "arity")
+
+    def __init__(self, ring: _RingOps, op, arity: int):
+        self.ring, self.op, self.arity = ring, op, arity
+
+    def __getitem__(self, key) -> Element:
+        args = (key,) if self.arity == 1 else key
+        for a in args:
+            self.ring.check(a)
+        return self.op(*args)
 
 
 @dataclass(frozen=True)

@@ -1059,6 +1059,44 @@ def test_verify_requires_agreement_where_no_conjugator_oracle_ran(tmp_path):
         "problem: structural_equals_bruteforce is not a boolean, or is false with no oracle run"]
 
 
+def test_verify_runs_the_conjugator_oracle_again(tmp_path, monkeypatch):
+    # an oracle that merges every class disagrees with the keys; a report that
+    # hides the disagreement must not verify
+    monkeypatch.setattr(cli, "_bruteforce_subgroup_keys", lambda group, subs: [0] * len(subs))
+    report = cli.cmd_certify(2, 2)
+    dichotomy = report["items"][2]
+    assert dichotomy["bruteforce_checked"] and not dichotomy["structural_equals_bruteforce"]
+    dichotomy.update(structural_equals_bruteforce=True, holds=True)
+    code, err = _verify_json(tmp_path, reports.finalize(report))
+    assert code == 1 and err.splitlines() == [
+        "problem: structural_equals_bruteforce differs from the conjugator oracle, run again "
+        "on the family's labels",
+        "problem: item 2 (conjugacy-dichotomy) holds True, but its evidence gives False"]
+
+
+def test_verify_derives_the_oracle_agreement_from_the_labels(monkeypatch):
+    # verify calls the oracle on the subgroups of the labels, and its verdict
+    # reads the derived agreement, not the stored one
+    calls = []
+    oracle = cli._bruteforce_subgroup_keys
+
+    def spy(group, subgroups):
+        calls.append([sub.label() for sub in subgroups])
+        return oracle(group, subgroups)
+
+    monkeypatch.setattr(cli, "_bruteforce_subgroup_keys", spy)
+    for p, m, runs in [(2, 2, True), (3, 1, True), (2, 1, True), (5, 2, False)]:
+        report = cli.cmd_certify(p, m)
+        calls.clear()
+        assert verify_report(report) == []
+        labels = report["items"][1]["subgroups"]
+        assert calls == ([labels] if runs else [])
+    report = cli.cmd_certify(2, 2)
+    monkeypatch.setattr(cli, "_bruteforce_subgroup_keys", lambda group, subs: [0] * len(subs))
+    problems = verify_report(report)
+    assert "item 2 (conjugacy-dichotomy) holds True, but its evidence gives False" in problems
+
+
 def _record_dropped(scan):
     # one prime of residue degree 3 left out, with every count and flag re-derived
     del scan["records"][5]

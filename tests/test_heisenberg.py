@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,7 @@ from gassmann.heisenberg import (
     horizontal_subgroup,
     twisted_subgroup,
 )
+from gassmann import rings
 from gassmann.oracles import conjugacy_partition
 from gassmann.rings import LinearMap, all_linear_maps, make_field, make_trunc_ring, mult_matrix
 
@@ -71,6 +76,115 @@ def test_spec_mismatch_in_group_ops():
     g4 = heisenberg_group(F4)
     with pytest.raises(SpecMismatch):
         g4.mul(((1,), (0,), (0,)), g4.identity())
+
+
+# ---------------------------------------------------------------------------
+# The group law reads the ring's op tables
+# ---------------------------------------------------------------------------
+
+# rings with dict tables, and one past _TABLE_LIMIT, whose tables compute
+TABLED_RINGS = [F4, make_field(2, 3), make_trunc_ring(2, 3), make_trunc_ring(3, 2)]
+LARGE_RING = make_trunc_ring(2, 10)
+
+
+def _law(spec, g, h):
+    # the product and inverse by coefficient arithmetic mod p and _mul_raw
+    p = spec.p
+
+    def plus(*xs):
+        return tuple(sum(cs) % p for cs in zip(*xs))
+
+    def minus(x):
+        return tuple(-c % p for c in x)
+
+    (a1, b1, c1), (a2, b2, c2) = g, h
+    product = plus(a1, a2), plus(b1, b2), plus(c1, c2, spec._mul_raw(a1, b2))
+    inverse = minus(a1), minus(b1), plus(minus(c1), spec._mul_raw(a1, b1))
+    return product, inverse
+
+
+def _assert_law(group, g, h):
+    product, inverse = _law(group.ring, g, h)
+    assert group.mul(g, h) == product
+    assert group.inv(g) == inverse
+
+
+@pytest.mark.parametrize("spec", TABLED_RINGS, ids=repr)
+def test_table_driven_law_equals_the_formula_on_every_element_pair(spec):
+    group = heisenberg_group(spec)
+    els = spec.elements
+    canonical = set(map(id, els))
+    # (x, x, x)·(y, y, y) puts every ring pair into every sum and the product
+    for x in els:
+        for y in els:
+            _assert_law(group, (x, x, x), (y, y, y))
+            assert all(id(c) in canonical for c in group.mul((x, x, x), (y, y, y)))
+    for g in group.elements:
+        _assert_law(group, g, g)
+        assert all(id(c) in canonical for c in group.inv(g))
+    if spec.size <= 4:
+        for g in group.elements:
+            for h in group.elements:
+                _assert_law(group, g, h)
+
+
+def test_table_driven_law_equals_the_formula_past_the_table_limit():
+    group = heisenberg_group(LARGE_RING)
+    els = LARGE_RING.elements
+    assert LARGE_RING.size > rings._TABLE_LIMIT
+    rng = random.Random(20261018)
+    for _ in range(2_000):
+        g, h = ((tuple(els[rng.randrange(len(els))] for _ in range(3))) for _ in range(2))
+        _assert_law(group, g, h)
+
+
+@pytest.mark.parametrize("spec", TABLED_RINGS, ids=repr)
+def test_every_table_result_is_a_canonical_element(spec):
+    canonical = set(map(id, spec.elements))
+    for table in (spec._add_table, spec._mul_table, spec._neg_table):
+        assert len(table) in (spec.size, spec.size**2)
+        assert all(id(value) in canonical for value in table.values())
+
+
+# Each ring with its non-elements: wrong length and a coefficient out of range.
+# The group ops also get triples that are too short or too long.
+NON_ELEMENT_SCRIPT = """
+import sys
+from gassmann.errors import SpecMismatch
+from gassmann.heisenberg import heisenberg_group
+from gassmann.rings import make_field, make_trunc_ring
+for spec, bad in [(make_field(2, 2), [(1, 0, 0), (2, 0), (1,)]),
+                  (make_trunc_ring(2, 10), [(1,) * 9, (2,) + (0,) * 9, (0,) * 11])]:
+    group, one, zero = heisenberg_group(spec), spec.one(), spec.zero()
+    e = group.identity()
+    calls = [("mul", group.mul, (e[:2], e)), ("inv", group.inv, (e + (zero,),))]
+    for x in bad:
+        calls += [("add", spec.add, (x, one)), ("add", spec.add, (one, x)),
+                  ("mul", spec.mul, (x, one)), ("mul", spec.mul, (one, x)),
+                  ("neg", spec.neg, (x,)),
+                  ("group mul", group.mul, ((x, zero, zero), e)),
+                  ("group mul", group.mul, (e, (zero, zero, x))),
+                  ("group inv", group.inv, ((zero, x, zero),)),
+                  ("group inv", group.inv, ((zero, zero, x),))]
+    for name, op, args in calls:
+        try:
+            op(*args)
+        except SpecMismatch:
+            continue
+        sys.exit(f"{name}{args!r} over {spec!r} raised no SpecMismatch")
+print("raised", __debug__)
+"""
+
+
+@pytest.mark.parametrize("flags, debug", [([], True), (["-O"], False)], ids=["plain", "-O"])
+def test_a_non_element_raises_spec_mismatch(flags, debug):
+    # tabled and computed rings alike; the checks are table lookups and
+    # explicit raises, so python -O, which drops asserts, keeps them
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, *flags, "-c", NON_ELEMENT_SCRIPT], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, f"raised {debug}\n"), done.stderr
 
 
 # ---------------------------------------------------------------------------
