@@ -13,7 +13,6 @@ from .certify import (
     ProductCertificate,
     ProductFamily,
     almost_conjugate,
-    ambient_class_count,
     are_conjugate,
     enumerate_class_reps,
     intersection_profile,

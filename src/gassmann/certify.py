@@ -3,13 +3,11 @@
 Everything here is exact and brute-force checkable: intersection profiles
 against full conjugacy-class tables, the canonical twist as the one class
 key of a twisted subgroup (it names the class, enumerates the catalog and
-decides conjugacy), the truncated-ring class count in closed form, the
-ambient GL(3) collapse by one GL(2) orbit key per class, and
+decides conjugacy), the truncated-ring class count in closed form, and
 componentwise product certificates.  The pairwise structural test, the
 conjugator search and the orbit count are oracles for the class key, and
-stay here because the CLI runs the last two under its limits.  The GL(3)
-conjugator scan, the oracle for the ambient key, and the direct count in
-a product group, the oracle for product profiles, are in
+stay here because the CLI runs the last two under its limits.  The direct
+count in a product group, the oracle for product profiles, is in
 ``gassmann.oracles``.
 """
 
@@ -315,85 +313,6 @@ def tower_class_count(spec: TruncRingSpec) -> TowerClassCount:
     exact = spec.p ** (spec.j**2 - len(mult_subspace_echelon(spec)))
     cited = spec.p ** (spec.j * (spec.j - 1) // 2)
     return TowerClassCount(p=spec.p, j=spec.j, exact=exact, cited_lower=cited)
-
-
-# ---------------------------------------------------------------------------
-# Ambient GL(3, F_q) collapse
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AmbientClassReport:
-    ambient: str
-    within_group_classes: int
-    ambient_classes: int
-    bound_exponent: int
-    reported_lower: int
-
-    @property
-    def bound_holds(self) -> bool:
-        return self.ambient_classes >= self.reported_lower
-
-
-@functools.lru_cache(maxsize=None)
-def _gl2(spec: FieldSpec):
-    """The nonzero columns (a, c) over F_q, and the index pairs that make up GL(2, F_q)."""
-    zero, mul = spec.zero(), spec.mul
-    cols = tuple((a, c) for a in spec.elements for c in spec.elements if a != zero or c != zero)
-    pairs = tuple((i, j) for i, (a, c) in enumerate(cols) for j, (b, d) in enumerate(cols)
-                  if mul(a, d) != mul(c, b))
-    return cols, pairs
-
-
-def gl2_orbit_key(spec: FieldSpec, f: LinearMap) -> int:
-    """Ambient class key of H_f: the least image of W_f = {(x, f(x))} under GL(2, F_q).
-
-    H_f is the set of I + e_1 w^T with w = (0, x, f(x)), so any g in
-    GL(3, F_q) carrying H_f onto some H_g fixes the line F_q e_1 and acts
-    on the pairs (x, f(x)) through a 2x2 block.  Hence H_f and H_g are
-    GL(3)-conjugate exactly when W_f A = W_g for some A in GL(2, F_q),
-    that is, exactly when their keys agree.  An image is encoded as the
-    bitmask with bit u*q + v set for each of its pairs (u, v), elements
-    numbered by their position in ``spec.elements``.
-    """
-    q = spec.size
-    add, mul = spec.add, spec.mul
-    code = {x: i for i, x in enumerate(spec.elements)}
-    graph = [(x, f.apply(x)) for x in spec.elements]
-    cols, pairs = _gl2(spec)
-    # (x, y) A = (xa + yc, xb + yd) for A = [[a, b], [c, d]], one coordinate per column
-    coord = [[code[add(mul(x, a), mul(y, c))] for x, y in graph] for a, c in cols]
-    high = [[u * q for u in us] for us in coord]
-    return min(sum(1 << (u + v) for u, v in zip(high[i], coord[j])) for i, j in pairs)
-
-
-def ambient_class_count(spec: FieldSpec, catalog: ClassCatalog, ambient: str = "GL3",
-                        cap: Optional[int] = None) -> AmbientClassReport:
-    """Count catalog classes that survive conjugation in the ambient group.
-
-    ambient="N3" is the consistency case (no collapse possible, returns
-    the catalog count).  ambient="GL3" counts the distinct
-    ``gl2_orbit_key`` values of the catalog reps, with no pairwise test.
-    That forms count * |GL(2, F_q)| = count * (q^2 - 1)(q^2 - q) images
-    of q pairs each, and this image count must not exceed the cap
-    (default ``size_cap()``): every q <= 9 fits the default, GF(16)
-    (4,096 reps, 250M images) does not.
-    """
-    if catalog.ring != spec:
-        raise SpecMismatch("catalog was built for a different ring")
-    exponent = spec.m * (spec.m - 1) - 9
-    reported = spec.p**exponent if exponent >= 0 else 1
-    if ambient == "N3":
-        return AmbientClassReport("N3", catalog.count, catalog.count, exponent, reported)
-    if ambient != "GL3":
-        raise SpecMismatch(f"unknown ambient {ambient!r}")
-    q = spec.size
-    images = catalog.count * (q * q - 1) * (q * q - q)
-    limit = size_cap() if cap is None else cap
-    if images > limit:
-        raise SizeCapExceeded(f"{images} GL(2, F_{q}) images of the catalog exceed cap {limit}")
-    classes = len({gl2_orbit_key(spec, f) for f in catalog.reps})
-    return AmbientClassReport("GL3", catalog.count, classes, exponent, reported)
 
 
 # ---------------------------------------------------------------------------

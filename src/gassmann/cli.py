@@ -67,7 +67,6 @@ def cmd_certify(p: int, m: int, cap: Optional[int] = None) -> dict:
             "kind": "gassmann-family",
             "mode": mode,
             "subgroups": [sub.label() for sub in subgroups],
-            "subgroup_sizes": [sub.size for sub in subgroups],
             "pair_count": pairs,
             "identity_class": table.identity_class(),
             "class_sizes": list(table.sizes()),
@@ -140,33 +139,29 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None,
                 f"coset graph of {graph.subgroup_label} is disconnected; "
                 "the generator set does not generate"
             )
-    polys = [sg.char_poly(g) for g in graphs]
+    polys = [sg.char_poly(g).coefficients for g in graphs]
+    # each distinct charpoly once, numbered in order of first appearance
+    index_of = {poly: i for i, poly in enumerate(dict.fromkeys(polys))}
+    distinct = [[rp.encode_count(c) for c in poly] for poly in index_of]
 
     exports: dict[str, str] = {}
     for k, (graph, poly) in enumerate(zip(graphs, polys)):
-        item = graph.to_json()
-        item.update(
-            {
-                "kind": "coset-graph",
-                "rep": k,
-                "charpoly": [rp.encode_count(c) for c in poly.coefficients],
-                "holds": True,
-            }
-        )
-        report["items"].append(item)
+        report["items"].append({**graph.to_json(), "kind": "coset-graph", "rep": k, "holds": True})
         exports[f"rep_{k}.dot"] = graph.to_dot(f"rep_{k}")
-        exports[f"rep_{k}.edges"] = (
-            "\n".join(f"{u} {v} {mult}" for u, v, mult in item["edges"]) + "\n"
-        )
+        exports[f"rep_{k}.edges"] = "".join(
+            f"{u} {v} {mult}\n" for u, v, mult in graph.edge_list())
         exports[f"rep_{k}.charpoly.json"] = json.dumps(
-            {"degree": poly.degree, "coefficients": item["charpoly"]}, sort_keys=True) + "\n"
+            {"degree": len(poly) - 1, "coefficients": distinct[index_of[poly]]},
+            sort_keys=True) + "\n"
 
     # both items below refer to the coset-graph items by their rep index
-    all_equal = all(p2.coefficients == polys[0].coefficients for p2 in polys[1:])
+    all_equal = len(index_of) == 1
     report["items"].append(
         {
             "kind": "cospectral",
             "pair_count": len(polys) * (len(polys) - 1) // 2,
+            "distinct_charpolys": distinct,
+            "charpoly_index": [index_of[poly] for poly in polys],
             "all_equal": all_equal,
             "holds": all_equal,
         }
@@ -184,6 +179,8 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None,
 
 
 def cmd_tower(p: int, j_max: int, cap: Optional[int] = None) -> dict:
+    if j_max < 1:
+        raise UsageError(f"--j-max must be >= 1, got {j_max}")
     report = rp.new_report("tower", {"p": p, "j_max": j_max, "cap": cap or size_cap()})
     for j in range(1, j_max + 1):
         spec = make_trunc_ring(p, j, cap=cap)
@@ -472,7 +469,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0 if not problems else 1
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
-    except (GassmannError, ValueError, OSError) as exc:
+    except (GassmannError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -4,11 +4,10 @@ Each function here answers a question that a production route answers
 another way, by the most direct computation at hand: the Berkowitz
 characteristic polynomial and the schoolbook product of polynomials, the
 coset graph of any subgroup by a walk over the whole group, a plain
-permutation search for graph isomorphism, a conjugator scan over all of
-GL(3, F_q), the orbit expansion of a conjugacy-class partition, and the
-profile of a product subgroup counted inside the direct product.  This
-module may import the production modules; none of them imports it, so
-the CLI never loads it.
+permutation search for graph isomorphism, the orbit expansion of a
+conjugacy-class partition, and the profile of a product subgroup counted
+inside the direct product.  This module may import the production
+modules; none of them imports it, so the CLI never loads it.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from . import schreier
 from .certify import ProductFamily
 from .errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded
 from .heisenberg import ConjugacyClassTable, GroupElement, Heisenberg
-from .rings import FieldSpec, LinearMap, size_cap
+from .rings import size_cap
 from .schreier import (DEFAULT_VERTEX_CAP, CosetGraph, IsomorphismResult, SpectrumPolynomial,
                        symmetrize_generators)
 
@@ -128,45 +127,6 @@ def are_isomorphic_bruteforce(g1: CosetGraph, g2: CosetGraph,
             raise SelfCheckFailed("isomorphism witness does not map edges onto edges")
         return IsomorphismResult(True, witness)
     return IsomorphismResult(False, None)
-
-
-def gl3_conjugable_bruteforce(spec: FieldSpec, f: LinearMap, g: LinearMap) -> bool:
-    """Plain-Python conjugator scan over all of GL(3, F_q); small q only.
-
-    Tries all q^9 matrices M with det M != 0, and accepts M when M h = k M
-    for every h in H_f and some k in H_g.  Matrices are flat 9-tuples of
-    integer codes, added and multiplied through tables of spec.add and spec.mul.
-    """
-    els = spec.elements
-    code = {x: i for i, x in enumerate(els)}
-    add = [[code[spec.add(x, y)] for y in els] for x in els]
-    mul = [[code[spec.mul(x, y)] for y in els] for x in els]
-    neg = [code[spec.neg(x)] for x in els]
-    zero, one = code[spec.zero()], code[spec.one()]
-
-    def mat_mul(a, b):
-        return tuple(
-            add[add[mul[a[r]][b[c]]][mul[a[r + 1]][b[c + 3]]]][mul[a[r + 2]][b[c + 6]]]
-            for r in (0, 3, 6)
-            for c in (0, 1, 2)
-        )
-
-    def det(m):
-        a, b, c, d, e, f_, g_, h, i = m
-        t1 = mul[a][add[mul[e][i]][neg[mul[f_][h]]]]
-        t2 = mul[b][add[mul[d][i]][neg[mul[f_][g_]]]]
-        t3 = mul[c][add[mul[d][h]][neg[mul[e][g_]]]]
-        return add[add[t1][neg[t2]]][t3]
-
-    subgroup_f = [(one, code[x], code[f.apply(x)], zero, one, zero, zero, zero, one) for x in els]
-    subgroup_g = [(one, code[x], code[g.apply(x)], zero, one, zero, zero, zero, one) for x in els]
-    for mat in itertools.product(range(len(els)), repeat=9):
-        if det(mat) == zero:
-            continue
-        images = {mat_mul(k, mat) for k in subgroup_g}
-        if all(mat_mul(mat, h) in images for h in subgroup_f):
-            return True
-    return False
 
 
 def conjugacy_partition(elements, mul, inv):

@@ -2,10 +2,12 @@
 
 JSON is the single source of truth; the table rendering is derived from
 it.  Reports carry enough substituted data (profiles, class sizes,
-inequality instances, witness permutations, edge lists) that
+inequality instances, witness permutations, subgroup labels) that
 verify_report can reproduce the verdict from the JSON alone.  Each fact
-is stated once: only coset-graph items carry edges and charpolys, and
-other items refer to graphs and profiles by index.  Large integers travel
+is stated once: a coset graph is stated by its subgroup label and the
+config's generators, which fix it, and verify_report rebuilds it by the
+group law; each distinct profile and charpoly is listed once, and items
+refer to graphs, profiles and charpolys by index.  Large integers travel
 as decimal strings.
 """
 
@@ -24,10 +26,10 @@ from .heisenberg import heisenberg_group, parse_twist_label, twisted_subgroup
 from .places import implementations_agree, residue_degree_subgroup
 from .planner import check_holds, required_check_labels
 from .rings import make_field, primes_up_to
-from .schreier import (charpoly_by_centre, colour_refinement, find_isomorphism, maps_onto,
-                       rows_from_edges)
+from .schreier import (CosetGraph, charpoly_by_centre, find_isomorphism, maps_onto,
+                       symmetrize_generators)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def encode_count(v: int) -> Any:
@@ -77,6 +79,27 @@ def finalize(report: dict) -> dict:
 # derived ones by _same, since Python's == reads true as 1 and false as 0.
 
 
+class _Items:
+    """A report's items grouped by kind, in report order, with each coset graph
+    rebuilt from its label and the config once, for every verifier that reads it."""
+
+    def __init__(self, items: list[dict], config):
+        self.config = config
+        self.by_kind: dict[str, list[dict]] = {}
+        for item in items:
+            self.by_kind.setdefault(item["kind"], []).append(item)
+        self._graphs: dict[int, CosetGraph] = {}
+
+    def graph(self, item: dict) -> CosetGraph:
+        key = id(item)  # the items outlive the verification
+        if key not in self._graphs:
+            self._graphs[key] = _schreier_graph(item["subgroup"], self.config)
+        return self._graphs[key]
+
+    def graphs(self) -> list[CosetGraph]:
+        return [self.graph(item) for item in self.by_kind.get("coset-graph", [])]
+
+
 def _same(stored: Any, derived: Any) -> bool:
     """stored == derived with JSON's types kept apart, in lists and objects too."""
     if isinstance(derived, list):
@@ -104,12 +127,11 @@ def _family_profile(q: int) -> list[int]:
     return profile
 
 
-def _verify_profiles(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:
+def _verify_profiles(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
     """Every H_f has the one derived profile, so the evidence always gives true."""
     labels = item["subgroups"]
     distinct = item["distinct_profiles"]
     index = item["profile_index"]
-    sizes = item["subgroup_sizes"]
     n = len(labels)
     p, m = config["p"], config["m"]
     mode = family_mode(p, m)
@@ -117,16 +139,14 @@ def _verify_profiles(item: dict, config: dict, by_kind: dict, problems: list[str
             n, p, m * m if mode == "all-twists" else m * (m - 1)):
         problems.append(f"the family is not the {mode} family of the config: p^(m^2) distinct "
                         "subgroups in all-twists mode, p^(m(m-1)) in class-reps mode")
-    # over GF(q): q central classes of size 1 first, then q^2 - 1 of size q; subgroups of order q
+    # over GF(q): q central classes of size 1 first, then q^2 - 1 of size q
     q = p**m
     if not _same(item["class_sizes"], [1] * q + [q] * (q * q - 1)):
         problems.append("class_sizes are not q classes of size 1, then q^2-1 of size q, q = p^m")
     if not _same(item["identity_class"], 0):
         problems.append("identity_class is not 0, the class of the identity")
-    if not all(_same(size, q) for size in sizes):
-        problems.append("a subgroup order is not q = p^m")
-    if not len(index) == len(sizes) == n:
-        problems.append("subgroups, profile_index and subgroup_sizes differ in length")
+    if len(index) != n:
+        problems.append("subgroups and profile_index differ in length")
     if not _same(item["pair_count"], n * (n - 1) // 2):
         problems.append("pair_count is not n(n-1)/2 for the n subgroups")
     if not _same(distinct, [_family_profile(q)]):
@@ -138,7 +158,7 @@ def _verify_profiles(item: dict, config: dict, by_kind: dict, problems: list[str
     return True
 
 
-def _verify_class_count(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:
+def _verify_class_count(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
     p, m = config["p"], config["m"]
     if not _is_power(decode_count(item["expected"]), p, m * (m - 1)):
         problems.append("class-count expected differs from p^(m(m-1))")
@@ -149,9 +169,9 @@ def _verify_class_count(item: dict, config: dict, by_kind: dict, problems: list[
     return _is_power(actual, p, m * (m - 1)) and (orbits is None or decode_count(orbits) == actual)
 
 
-def _verify_conjugacy(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:
+def _verify_conjugacy(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
     # H_f and H_g are conjugate exactly when f and g share a canonical twist
-    labels = by_kind["gassmann-family"][0]["subgroups"]
+    labels = items.by_kind["gassmann-family"][0]["subgroups"]
     p, m = config["p"], config["m"]
     spec = make_field(p, m, cap=config["cap"])
     maps = [parse_twist_label(label, spec) for label in labels]
@@ -190,84 +210,87 @@ def _verify_conjugacy(item: dict, config: dict, by_kind: dict, problems: list[st
     return agreement and claimed is True and not (class_reps and conjugate_pairs)
 
 
-def _is_schreier_graph(rows, label, config: dict) -> bool:
-    """Whether rows are the Schreier graph of H_f, f from the label, under the
-    config's generators, checked by the group law.
+def _schreier_graph(label, config: dict) -> CosetGraph:
+    """The Schreier graph of H_f, f from the label, under the config's generators,
+    built by the group law.
 
     Vertex k stands for t_k = (0, b, c) with k = index(b)·q + index(c); these
-    q² elements lie in distinct cosets of H_f, which has index q².  Generator
-    s sends vertex k to vertex j exactly when (t_k·s)·t_j^-1 lies in H_f, that
-    is, has second coordinate 0 and third coordinate f of its first.  Each
-    product t_k·s is tested against the stored neighbours of k, and the
-    generators that land on each must be its multiplicity.
+    q² elements lie in distinct cosets of H_f, which has index q².  Generator s
+    sends vertex k to the coset of x = t_k·s, and h·x, for h = (-x0, 0, f(-x0))
+    in H_f, has first coordinate 0, so it is the t_j of that coset.
     """
     spec = make_field(config["p"], config["m"], cap=config["cap"])
     f = parse_twist_label(label, spec)
     group = heisenberg_group(spec)
-    gens = [tuple(map(tuple, g)) for g in config["generators"]]
-    els, zero = spec.elements, spec.zero()
-    if len(rows) != len(els) ** 2:
-        return False
-    image = {x: f.apply(x) for x in els}
-    vertices = [(zero, b, c) for b in els for c in els]
-    inverses = [group.inv(t) for t in vertices]
-    for t, row in zip(vertices, rows):
-        landed: Counter = Counter()
-        for s in gens:
-            moved = group.mul(t, s)
-            for j, _ in row:
-                h = group.mul(moved, inverses[j])
-                if h[1] == zero and h[2] == image[h[0]]:
-                    landed[j] += 1
-                    break
-        if tuple(sorted(landed.items())) != row:
-            return False
-    return True
+    gens = tuple(tuple(map(tuple, s)) for s in config["generators"])
+    els, zero, mul = spec.elements, spec.zero(), group.mul
+    vertices = tuple((zero, b, c) for b in els for c in els)
+    number = {t: k for k, t in enumerate(vertices)}
+    lift = {x: (spec.neg(x), zero, f.apply(spec.neg(x))) for x in els}
+    rows = []
+    for t in vertices:
+        moved = (mul(t, s) for s in gens)
+        rows.append(tuple(sorted(Counter(number[mul(lift[x[0]], x)] for x in moved).items())))
+    return CosetGraph(group=group, subgroup_label=label, gens=gens, vertices=vertices,
+                      rows=tuple(rows))
 
 
-def _verify_graph(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:
+def _is_catalog(labels: list, config: dict) -> bool:
+    """Whether the labels are the class reps in catalog order: each its own canonical
+    twist, with flat maps increasing.  With p^(m(m-1)) of them they are all the reps."""
+    spec = make_field(config["p"], config["m"], cap=config["cap"])
+    maps = [parse_twist_label(label, spec) for label in labels]
+    flats = [f.flatten() for f in maps]
+    return (all(canonical_twist(f, spec) == f for f in maps)
+            and all(a < b for a, b in zip(flats, flats[1:])))
+
+
+def _verify_graph(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
     """A coset graph states facts, not a claim: its evidence always gives true."""
-    if any(type(x) is not int for edge in item["edges"] for x in edge):
-        problems.append("an edge is not a list of integers")
-    rows = rows_from_edges(item["vertices"], item["edges"])
-    if not all(_same(item["generators"], sum(mult for _, mult in row)) for row in rows):
-        problems.append("row sums do not match the generator count")
-        return True
-    if not _is_schreier_graph(rows, item["subgroup"], config):
-        problems.append(f"edges are not the Schreier graph of {item['subgroup']} under the "
-                        "config's generators")
-    # vertex index(b)·q + index(c) is the coset of (0, b, c): the centre has rank m
-    if [decode_count(c) for c in item["charpoly"]] != list(
-            charpoly_by_centre(rows, config["p"], config["m"]).coefficients):
-        problems.append("characteristic polynomial disagrees with the one recomputed "
-                        "from the edges")
+    graph = items.graph(item)
+    if graph.gens != symmetrize_generators(graph.group, graph.gens):
+        problems.append("the config's generators are not distinct, sorted and closed under "
+                        "inverses")
+    for field, value in (("vertices", graph.n), ("generators", graph.degree),
+                         ("connected", graph.connected)):
+        if not _same(item[field], value):
+            problems.append(f"{field} of graph {item['subgroup']} differs from the Schreier graph "
+                            "rebuilt from its label")
     return True
 
 
-def _verify_cospectral(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:
-    # _verify_graph recomputes each graph item's charpoly from its edges
-    polys = [[decode_count(c) for c in graph["charpoly"]]
-             for graph in by_kind.get("coset-graph", [])]
+def _verify_cospectral(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
+    # vertex index(b)·q + index(c) is the coset of (0, b, c): the centre has rank m
+    polys = [charpoly_by_centre(graph.rows, config["p"], config["m"]).coefficients
+             for graph in items.graphs()]
+    # each distinct charpoly once, numbered in order of first appearance
+    index_of = {poly: i for i, poly in enumerate(dict.fromkeys(polys))}
     k = len(polys)
     if not _same(item["pair_count"], k * (k - 1) // 2):
         problems.append("cospectral pair_count is not k(k-1)/2 for the k coset graphs")
-    all_equal = all(poly == polys[0] for poly in polys[1:])
+    if not _same(item["distinct_charpolys"],
+                 [[encode_count(c) for c in poly] for poly in index_of]):
+        problems.append("distinct_charpolys are not the charpolys of the graphs rebuilt from "
+                        "their labels, each once in order of first appearance")
+    if not _same(item["charpoly_index"], [index_of[poly] for poly in polys]):
+        problems.append("charpoly_index does not give each graph's charpoly")
+    all_equal = len(index_of) <= 1
     if not _same(item["all_equal"], all_equal):
         problems.append("cospectral flags contradict the coset-graph charpolys")
     return all_equal
 
 
-def _verify_isomorphism_classes(item: dict, config: dict, by_kind: dict,
+def _verify_isomorphism_classes(item: dict, config: dict, items: _Items,
                                 problems: list[str]) -> bool:
     """Witnesses map each graph onto its class's first member; first members are
     pairwise non-isomorphic, by distinct refinement invariants or a re-run search.
     The classes state facts, not a claim: their evidence always gives true."""
-    graphs = by_kind.get("coset-graph", [])
+    graphs = items.graphs()
     class_of, witnesses = item["class_of"], item["witnesses"]
     if not len(class_of) == len(witnesses) == len(graphs):
         problems.append("class_of and witnesses do not give one entry per coset graph")
         return True
-    rows = [rows_from_edges(graph["vertices"], graph["edges"]) for graph in graphs]
+    rows = [graph.rows for graph in graphs]
     leaders: dict[int, int] = {}
     for k, (c, witness) in enumerate(zip(class_of, witnesses)):
         if c not in leaders:
@@ -278,7 +301,7 @@ def _verify_isomorphism_classes(item: dict, config: dict, by_kind: dict,
         elif not (isinstance(witness, list) and _same(sorted(witness), list(range(len(rows[k]))))
                   and maps_onto(rows[k], rows[leaders[c]], witness)):
             problems.append(f"witness of graph {k} does not map it onto graph {leaders[c]}")
-    refinements = {k: colour_refinement(rows[k]) for k in leaders.values()}
+    refinements = {k: graphs[k].refinement for k in leaders.values()}
     buckets: dict[tuple, list[int]] = {}
     for k, refinement in refinements.items():
         bucket = buckets.setdefault(refinement[0], [])
@@ -298,7 +321,7 @@ def _is_power(value: int, p: int, e: int) -> bool:
     return 0 <= e < value.bit_length() and value == p**e
 
 
-def _verify_tower_count(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:
+def _verify_tower_count(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
     p, j = config["p"], item["j"]
     exact = decode_count(item["exact"])
     cited = decode_count(item["cited_lower"])
@@ -309,7 +332,7 @@ def _verify_tower_count(item: dict, config: dict, by_kind: dict, problems: list[
     return exact >= cited
 
 
-def _verify_place_scan(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:
+def _verify_place_scan(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
     ell, q, bound = config["ell"], config["q"], config["bound"]
     primes = [p for p in primes_up_to(bound) if p != q]
     scanned = set(primes)
@@ -345,7 +368,7 @@ def _verify_place_scan(item: dict, config: dict, by_kind: dict, problems: list[s
     return within and agree
 
 
-def _verify_plan(item: dict, config: dict, by_kind: dict, problems: list[str]) -> bool:
+def _verify_plan(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
     checks = item["checks"]
     derived = [check_holds(check) for check in checks]
     for check, holds in zip(checks, derived):
@@ -363,8 +386,7 @@ def _verify_plan(item: dict, config: dict, by_kind: dict, problems: list[str]) -
                                if check["label"] in required)
 
 
-# fn(item, config, by_kind, problems) -> the verdict the item's evidence gives,
-# where by_kind holds the report's items grouped by kind, in report order
+# fn(item, config, items, problems) -> the verdict the item's evidence gives
 _VERIFIERS = {
     "gassmann-family": _verify_profiles,
     "class-count": _verify_class_count,
@@ -389,6 +411,9 @@ def _layout_problem(command: str, config: dict, items: list[dict]) -> Optional[s
         ok = (_is_power(n - 2, config["p"], m * (m - 1))
               and kinds == ["coset-graph"] * (n - 2) + ["cospectral", "isomorphism-classes"]
               and _same([item.get("rep") for item in items[:-2]], list(range(n - 2))))
+        if ok and not _is_catalog([item["subgroup"] for item in items[:-2]], config):
+            return ("the coset graphs' subgroups are not the class reps in catalog order: each "
+                    "its own canonical twist, their flat maps increasing")
     elif command == "tower":
         ok = (config["j_max"] == n and kinds == ["tower-count"] * n
               and _same([item.get("j") for item in items], list(range(1, n + 1))))
@@ -413,22 +438,20 @@ def verify_report(report: dict) -> list[str]:
                  if not (isinstance(item, dict) and isinstance(item.get("kind"), str))]
     if shapeless:
         return [f"item {i} is not an object with a kind" for i in shapeless]
-    by_kind: dict[str, list[dict]] = {}
-    for item in items:
-        by_kind.setdefault(item["kind"], []).append(item)
     try:
         layout = _layout_problem(report.get("command"), config, items)
-    except (KeyError, TypeError) as exc:
-        layout = f"config is malformed: {type(exc).__name__}: {exc}"
+    except (KeyError, TypeError, ValueError, GassmannError) as exc:
+        layout = f"the config or a subgroup label is malformed: {type(exc).__name__}: {exc}"
     problems = [layout] if layout else []
+    grouped = _Items(items, config)
     for i, item in enumerate(items):
         kind = item["kind"]
         if kind not in _VERIFIERS:
             problems.append(f"no verifier for item kind {kind!r}")
             continue
         try:
-            verdict = _VERIFIERS[kind](item, config, by_kind, problems)
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            verdict = _VERIFIERS[kind](item, config, grouped, problems)
+        except (KeyError, TypeError, IndexError, ValueError, ZeroDivisionError) as exc:
             problems.append(f"item {i} ({kind}) is malformed: {type(exc).__name__}: {exc}")
             continue
         except GassmannError as exc:

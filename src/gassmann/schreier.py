@@ -144,7 +144,6 @@ class CosetGraph:
             "subgroup": self.subgroup_label,
             "vertices": self.n,
             "generators": len(self.gens),
-            "edges": [[u, v, m] for u, v, m in self.edge_list()],
             "connected": self.connected,
         }
 
@@ -193,19 +192,6 @@ def build_coset_graph(sub: TwistedSubgroup, gens: Sequence[GroupElement],
     vertices = tuple((zero, b, c) for b in els for c in els)
     return CosetGraph(group=group, subgroup_label=sub.label(), gens=gens,
                       vertices=vertices, rows=rows)
-
-
-def rows_from_edges(n: int, edges) -> Rows:
-    """Neighbour rows of the n-vertex graph with these (u, v, multiplicity) edges, in
-    either orientation; repeated edges add up, and a total of 0 is no edge."""
-    counts: list[dict[int, int]] = [{} for _ in range(n)]
-    for u, v, mult in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise IndexError(f"edge ({u}, {v}) leaves the {n} vertices")
-        counts[u][v] = counts[u].get(v, 0) + mult
-        if u != v:
-            counts[v][u] = counts[v].get(u, 0) + mult
-    return tuple(tuple(sorted((v, mult) for v, mult in row.items() if mult)) for row in counts)
 
 
 def maps_onto(rows1: Rows, rows2: Rows, perm: Sequence[int]) -> bool:

@@ -76,19 +76,20 @@ def test_criterion_2_proposition_at_scale():
 
 def test_criterion_3_sunada_graph_analog():
     started = time.perf_counter()
-    report, _ = cmd_graphs(2, 2)
+    report, exports = cmd_graphs(2, 2)
     graphs = [item for item in report["items"] if item["kind"] == "coset-graph"]
     cospectral = next(item for item in report["items"] if item["kind"] == "cospectral")
     oracle_ok = True
-    for item in graphs:
+    for k, item in enumerate(graphs):
+        # the graph from its .edges export, the polynomial from the cospectral item
         n = item["vertices"]
         adjacency = [[0] * n for _ in range(n)]
-        for u, v, mult in item["edges"]:
-            adjacency[u][v] += mult
-            if u != v:
-                adjacency[v][u] += mult
+        for line in exports[f"rep_{k}.edges"].splitlines():
+            u, v, mult = map(int, line.split())
+            adjacency[u][v] = adjacency[v][u] = mult
+        charpoly = cospectral["distinct_charpolys"][cospectral["charpoly_index"][k]]
         oracle = charpoly_berkowitz(adjacency)
-        oracle_ok = oracle_ok and list(oracle.coefficients) == [int(c) for c in item["charpoly"]]
+        oracle_ok = oracle_ok and list(oracle.coefficients) == [int(c) for c in charpoly]
     elapsed = time.perf_counter() - started
     ok = (
         len(graphs) == 4

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from gassmann.certify import (
@@ -8,14 +6,12 @@ from gassmann.certify import (
     ProductFamily,
     all_linear_maps,
     almost_conjugate,
-    ambient_class_count,
     are_conjugate,
     bruteforce_subgroup_keys,
     canonical_twist,
     conjugator_oracle_runs,
     enumerate_class_reps,
     family_mode,
-    gl2_orbit_key,
     intersection_profile,
     mult_subspace_echelon,
     orbit_oracle_runs,
@@ -24,7 +20,7 @@ from gassmann.certify import (
     tower_class_count,
     twist_orbit_count_bruteforce,
 )
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gassmann import cli
@@ -41,7 +37,6 @@ from gassmann.heisenberg import (
 )
 from gassmann.oracles import (
     ProductGroup,
-    gl3_conjugable_bruteforce,
     product_classes_from_factors,
     product_profile_direct,
 )
@@ -52,7 +47,6 @@ F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 F9 = make_field(3, 2)
 F8 = make_field(2, 3)
-F16 = make_field(2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -349,113 +343,6 @@ def test_tower_count_enumerates_nothing(monkeypatch):
     assert report["summary"]["verdict"] == "pass"
     assert report["items"][-1]["exact"] == str(2 ** (20 * 19))
     assert tower_class_count(make_trunc_ring(3, 4)).exact == 3**12
-
-
-# ---------------------------------------------------------------------------
-# Ambient GL(3) collapse
-# ---------------------------------------------------------------------------
-
-
-def test_ambient_within_group_is_consistency_case():
-    catalog = enumerate_class_reps(F4)
-    report = ambient_class_count(F4, catalog, ambient="N3")
-    assert report.ambient_classes == catalog.count == 4
-
-
-def test_ambient_bound_formula():
-    # the lower bound p^(m(m-1)-9) first bites at GF(16): 2^(12-9) = 8
-    report = ambient_class_count(F16, enumerate_class_reps(F16), ambient="N3")
-    assert report.reported_lower == 8
-    assert report.bound_holds
-
-
-def test_gl3_collapse_over_f4_frozen():
-    catalog = enumerate_class_reps(F4)
-    report = ambient_class_count(F4, catalog, ambient="GL3")
-    # computed once by the exhaustive conjugator scan and frozen: the
-    # horizontal class stays alone, the three twisted classes merge
-    assert report.within_group_classes == 4
-    assert report.ambient_classes == 2
-    assert report.reported_lower == 1  # 2^(-7) is vacuous, reported as 1
-    assert report.bound_holds
-    expected = {
-        (0, 1): False, (0, 2): False, (0, 3): False,
-        (1, 2): True, (1, 3): True, (2, 3): True,
-    }
-    keys = [gl2_orbit_key(F4, f) for f in catalog.reps]
-    for (i, j), verdict in expected.items():
-        assert (keys[i] == keys[j]) == verdict
-
-
-@pytest.mark.parametrize(
-    "spec,classes",
-    [(F3, 1), (make_field(5, 1), 1), (make_field(7, 1), 1), (F8, 3), (F9, 2)],
-    ids=repr,
-)
-def test_gl3_class_counts(spec, classes):
-    catalog = enumerate_class_reps(spec)
-    report = ambient_class_count(spec, catalog, ambient="GL3")
-    assert report.ambient_classes == classes
-    assert report.reported_lower <= classes <= catalog.count
-
-
-def _graph_image(spec, f, matrix):
-    """The map whose graph is W_f A, or None when W_f A is not a graph."""
-    (a, b), (c, d) = matrix
-    image = {}
-    for x in spec.elements:
-        y = f.apply(x)
-        u = spec.add(spec.mul(x, a), spec.mul(y, c))
-        image[u] = spec.add(spec.mul(x, b), spec.mul(y, d))
-    if len(image) != spec.size:
-        return None
-    return LinearMap.from_columns(spec.p, [image[e] for e in spec.basis()])
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.sampled_from([F4, F8, F9]), st.data())
-def test_gl2_orbit_key_is_constant_on_ambient_images(spec, data):
-    flat = st.tuples(*[st.integers(0, spec.p - 1)] * (spec.dim * spec.dim))
-    f = LinearMap.from_flat(spec.p, data.draw(flat), spec.dim)
-    entry = st.sampled_from(spec.elements)
-    matrix = ((data.draw(entry), data.draw(entry)), (data.draw(entry), data.draw(entry)))
-    (a, b), (c, d) = matrix
-    assume(spec.mul(a, d) != spec.mul(c, b))
-    g = _graph_image(spec, f, matrix)
-    assume(g is not None)
-    assert gl2_orbit_key(spec, g) == gl2_orbit_key(spec, f)
-
-
-def test_gl3_python_oracle_agrees_on_a_positive_pair():
-    catalog = enumerate_class_reps(F4)
-    assert gl3_conjugable_bruteforce(F4, catalog.reps[1], catalog.reps[2])
-
-
-@pytest.mark.skipif(
-    not os.environ.get("GASSMANN_EXHAUSTIVE"),
-    reason="negative GL(3,F_4) scan walks all 4^9 matrices, about 4 s; "
-    "set GASSMANN_EXHAUSTIVE=1",
-)
-def test_gl3_python_oracle_agrees_on_a_negative_pair():
-    catalog = enumerate_class_reps(F4)
-    assert not gl3_conjugable_bruteforce(F4, catalog.reps[0], catalog.reps[1])
-
-
-def test_gl3_trivial_field():
-    catalog = enumerate_class_reps(F2)
-    report = ambient_class_count(F2, catalog, ambient="GL3")
-    assert report.ambient_classes == 1
-    assert gl3_conjugable_bruteforce(F2, catalog.reps[0], catalog.reps[0])
-
-
-def test_gl3_cap():
-    # 4,096 reps x |GL(2, F_16)| = 61,200 images is far past the default cap
-    with pytest.raises(SizeCapExceeded):
-        ambient_class_count(F16, enumerate_class_reps(F16), ambient="GL3")
-    # 9 reps x |GL(2, F_9)| = 5,760 images is 51,840
-    with pytest.raises(SizeCapExceeded):
-        ambient_class_count(F9, enumerate_class_reps(F9), ambient="GL3", cap=51_839)
-    assert ambient_class_count(F9, enumerate_class_reps(F9), cap=51_840).ambient_classes == 2
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ from gassmann.certify import (
     family_mode,
     intersection_profile,
 )
-from gassmann.heisenberg import center_subgroup, heisenberg_group, twisted_subgroup
+from gassmann.heisenberg import (center_subgroup, heisenberg_group, horizontal_subgroup,
+                                 twisted_subgroup)
 from gassmann.oracles import coset_graph_bruteforce
 from gassmann.cli import cmd_graphs
 from gassmann.reports import (
     _family_profile,
-    _is_schreier_graph,
+    _schreier_graph,
     canonical_json,
     encode_count,
     finalize,
@@ -23,7 +24,7 @@ from gassmann.reports import (
     verify_report,
 )
 from gassmann.rings import make_field
-from gassmann.schreier import charpoly_by_centre, default_generators, rows_from_edges
+from gassmann.schreier import build_coset_graph, charpoly_by_centre, default_generators
 
 
 def test_encode_count_thresholds():
@@ -121,43 +122,93 @@ def test_verify_report_ties_cospectral_to_the_graph_items():
     # a 4-regular 16-vertex graph with another spectrum: the centre's coset graph
     group = heisenberg_group(make_field(2, 2))
     other = coset_graph_bruteforce(center_subgroup(group), default_generators(group))
-    code, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
-    assert code == 0
-    report = json.loads(out)
-    graph = _item(report, "coset-graph")
+    report = _graphs_2_2()
+    graph, cospectral = _item(report, "coset-graph"), _item(report, "cospectral")
     assert other.n == graph["vertices"] and other.degree == graph["generators"]
     # the centre fixes every coset of itself, so its free action has rank 0
     charpoly = [encode_count(c) for c in charpoly_by_centre(other.rows, 2, 0).coefficients]
-    assert charpoly != graph["charpoly"]
-    graph["edges"] = [list(edge) for edge in other.edge_list()]
-    graph["charpoly"] = charpoly
-    assert _item(report, "cospectral")["all_equal"]
+    assert charpoly != cospectral["distinct_charpolys"][0]
+    cospectral["distinct_charpolys"] = [charpoly]
+    assert cospectral["all_equal"] and cospectral["charpoly_index"] == [0] * 4
     problems = verify_report(report)
-    assert any("contradict the coset-graph charpolys" in problem for problem in problems)
+    assert problems == ["distinct_charpolys are not the charpolys of the graphs rebuilt from "
+                        "their labels, each once in order of first appearance"]
 
 
 def test_verify_report_recomputes_coset_graph_charpolys():
-    code, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
-    assert code == 0
-    report = json.loads(out)
-    graph = next(item for item in report["items"] if item["kind"] == "coset-graph")
-    coeffs = graph["charpoly"]
+    report = _graphs_2_2()
+    coeffs = _item(report, "cospectral")["distinct_charpolys"][0]
     middle = len(coeffs) // 2
     coeffs[middle] = int(coeffs[middle]) + 1  # shape and trace still look right
     problems = verify_report(report)
-    assert any("recomputed from the edges" in problem for problem in problems)
+    assert any("not the charpolys of the graphs rebuilt" in problem for problem in problems)
 
 
-def test_the_edge_check_counts_multiplicities():
-    # the neighbours of vertex 0 stay the same; only its double loop becomes single
-    code, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
-    report = json.loads(out)
-    graph = report["items"][0]
-    rows = rows_from_edges(graph["vertices"], graph["edges"])
-    assert _is_schreier_graph(rows, graph["subgroup"], report["config"])
+def test_the_rebuilt_graph_counts_multiplicities():
+    # vertex 0 of H[0,0,0,0] over GF(4) has a double loop: both (1, 0, 0) and (t, 0, 0) fix it
+    report = _graphs_2_2()
+    rows = _schreier_graph(report["items"][0]["subgroup"], report["config"]).rows
     assert rows[0] == ((0, 2), (4, 1), (8, 1))
-    single_loop = (((0, 1), (4, 1), (8, 1)), *rows[1:])
-    assert not _is_schreier_graph(single_loop, graph["subgroup"], report["config"])
+
+
+_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("p, m", _FIELDS, ids=lambda v: str(v))
+def test_the_group_law_rebuild_equals_the_closed_form(p, m):
+    # verify's graph, built by left multiplication into H_f, against production's
+    # closed form, which the walk over the group checks in test_schreier
+    spec = make_field(p, m)
+    group = heisenberg_group(spec)
+    gens = default_generators(group)
+    config = {"p": p, "m": m, "cap": 1 << 20, "generators": [[list(c) for c in g] for g in gens]}
+    for f in enumerate_class_reps(spec).reps:
+        graph = build_coset_graph(twisted_subgroup(f, group), gens)
+        rebuilt = _schreier_graph(graph.subgroup_label, config)
+        assert rebuilt.rows == graph.rows and rebuilt.gens == graph.gens
+
+
+def test_verify_builds_each_graph_once(monkeypatch):
+    # the coset-graph, cospectral and isomorphism-classes items read one build per label
+    calls = []
+    build = reports._schreier_graph
+    monkeypatch.setattr(reports, "_schreier_graph",
+                        lambda label, config: calls.append(label) or build(label, config))
+    report, _ = cmd_graphs(2, 3)
+    assert verify_report(report) == []
+    assert calls == [item["subgroup"] for item in report["items"][:-2]]
+
+
+class _TwoSpectra(reports._Items):
+    """The items with the graphs given, not rebuilt from labels."""
+
+    def __init__(self, graphs):
+        super().__init__([], {"p": 2, "m": 0})
+        self._given = graphs
+
+    def graphs(self):
+        return self._given
+
+
+def test_the_distinct_charpolys_come_in_order_of_first_appearance():
+    # GF(4) graphs are cospectral, so two spectra come from the centre's graph
+    group = heisenberg_group(make_field(2, 2))
+    gens = default_generators(group)
+    twisted = build_coset_graph(horizontal_subgroup(group), gens)
+    centre = coset_graph_bruteforce(center_subgroup(group), gens)
+    polys = [[encode_count(c) for c in charpoly_by_centre(g.rows, 2, 0).coefficients]
+             for g in (centre, twisted)]
+    items = _TwoSpectra([twisted, centre, twisted])
+    item = {"pair_count": 3, "distinct_charpolys": polys[::-1], "charpoly_index": [0, 1, 0],
+            "all_equal": False}
+    problems = []
+    assert reports._verify_cospectral(item, items.config, items, problems) is False
+    assert problems == []
+    item.update(distinct_charpolys=polys, charpoly_index=[1, 0, 1])
+    assert reports._verify_cospectral(item, items.config, items, problems) is False
+    assert problems == ["distinct_charpolys are not the charpolys of the graphs rebuilt from "
+                        "their labels, each once in order of first appearance",
+                        "charpoly_index does not give each graph's charpoly"]
 
 
 def test_verify_report_bounds_structural_conjugate_pairs():

@@ -41,7 +41,6 @@ from gassmann.schreier import (
     default_generators,
     isomorphism_classes,
     maps_onto,
-    rows_from_edges,
     verify_witness,
 )
 
@@ -195,18 +194,15 @@ def test_exports():
 
 def test_rows_are_the_edges_and_adjacency_is_their_view():
     graph = build_coset_graph(horizontal_subgroup(G4), GENS4)
-    assert rows_from_edges(graph.n, graph.edge_list()) == graph.rows
     for u, row in enumerate(graph.rows):
         assert [v for v, _ in row] == sorted({v for v, _ in row})
         assert all(mult > 0 for _, mult in row)
         assert row == tuple((v, mult) for v, mult in enumerate(graph.adjacency[u]) if mult)
-    # either orientation, repeats adding up, and a total of 0 being no edge
-    assert rows_from_edges(3, [(1, 0, 1), (0, 1, 1), (2, 2, 3), (1, 2, 1), (2, 1, -1)]) == (
-        ((1, 2),), ((0, 2),), ((2, 3),))
-    with pytest.raises(IndexError):
-        rows_from_edges(2, [(0, 2, 1)])
-    with pytest.raises(IndexError):
-        rows_from_edges(2, [(-1, 0, 1)])
+    # each edge u <= v, read in both orientations, gives the adjacency
+    dense = [[0] * graph.n for _ in range(graph.n)]
+    for u, v, mult in graph.edge_list():
+        dense[u][v] = dense[v][u] = mult
+    assert tuple(map(tuple, dense)) == graph.adjacency
 
 
 @settings(max_examples=150, deadline=None)
@@ -592,9 +588,9 @@ def test_isomorphism_classes_search_only_leaders_of_their_bucket(monkeypatch):
 
 
 def test_colour_refinement_is_the_cached_graph_refinement():
-    # verify recomputes the invariant from edge lists through the same helper
+    # verify reads the invariant of each graph it rebuilds through the same helper
     for graph in _rep_graphs():
-        assert colour_refinement(rows_from_edges(graph.n, graph.edge_list())) == graph.refinement
+        assert colour_refinement(_rows(graph.adjacency)) == graph.refinement
 
 
 # search -> (its module, (module, name, stand-in)) that makes the search's final
@@ -731,12 +727,11 @@ def test_broken_centre_actions_raise_even_under_optimization():
         "import json, sys\n"
         "from gassmann import schreier\n"
         "from gassmann.errors import SelfCheckFailed, SizeCapExceeded\n"
-        "from gassmann.schreier import charpoly_by_centre, rows_from_edges\n"
+        "from gassmann.schreier import charpoly_by_centre\n"
         "for name, (adjacency, p, r, message) in json.loads(sys.argv[1]).items():\n"
-        "    edges = [(u, v, m) for u, row in enumerate(adjacency)\n"
-        "             for v, m in enumerate(row) if u <= v]\n"
+        "    rows = tuple(tuple((v, m) for v, m in enumerate(row) if m) for row in adjacency)\n"
         "    try:\n"
-        "        charpoly_by_centre(rows_from_edges(len(adjacency), edges), p, r)\n"
+        "        charpoly_by_centre(rows, p, r)\n"
         "    except SelfCheckFailed as exc:\n"
         "        print(name, message in str(exc))\n"
         "try:\n"
