@@ -111,8 +111,10 @@ def parse_generators(text: str, spec):
     return gens
 
 
-def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None,
-               cap: Optional[int] = None) -> tuple[dict, dict[str, str]]:
+def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None, cap: Optional[int] = None,
+               exports: bool = False) -> tuple[dict, dict[str, str]]:
+    """The graphs report, and the .dot, .edges and .charpoly.json files of each
+    graph by name if ``exports``, else no files."""
     spec = make_field(p, m, cap=cap)
     group = heisenberg_group(spec)
     gens = (
@@ -144,13 +146,15 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None,
     index_of = {poly: i for i, poly in enumerate(dict.fromkeys(polys))}
     distinct = [[rp.encode_count(c) for c in poly] for poly in index_of]
 
-    exports: dict[str, str] = {}
+    files: dict[str, str] = {}
     for k, (graph, poly) in enumerate(zip(graphs, polys)):
         report["items"].append({**graph.to_json(), "kind": "coset-graph", "rep": k, "holds": True})
-        exports[f"rep_{k}.dot"] = graph.to_dot(f"rep_{k}")
-        exports[f"rep_{k}.edges"] = "".join(
+        if not exports:
+            continue
+        files[f"rep_{k}.dot"] = graph.to_dot(f"rep_{k}")
+        files[f"rep_{k}.edges"] = "".join(
             f"{u} {v} {mult}\n" for u, v, mult in graph.edge_list())
-        exports[f"rep_{k}.charpoly.json"] = json.dumps(
+        files[f"rep_{k}.charpoly.json"] = json.dumps(
             {"degree": len(poly) - 1, "coefficients": distinct[index_of[poly]]},
             sort_keys=True) + "\n"
 
@@ -175,7 +179,7 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None,
             "holds": True,
         }
     )
-    return rp.finalize(report), exports
+    return rp.finalize(report), files
 
 
 def cmd_tower(p: int, j_max: int, cap: Optional[int] = None) -> dict:
@@ -452,7 +456,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = cmd_certify(args.p, args.m, cap=args.cap)
         elif args.command == "graphs":
             report, exports = cmd_graphs(args.p, args.m, gens_text=args.gens,
-                                         cap=args.cap)
+                                         cap=args.cap, exports=args.out is not None)
         elif args.command == "tower":
             report = cmd_tower(args.p, args.j_max, cap=args.cap)
         elif args.command == "places":

@@ -92,7 +92,7 @@ def coset_graph_bruteforce(sub, gens: Sequence[GroupElement],
         for rep in vertices
     )
     return CosetGraph(group=group, subgroup_label=sub.label(), gens=gens,
-                      vertices=tuple(vertices), rows=rows)
+                      vertices=tuple(vertices), rows=rows, rank=0)
 
 
 def are_isomorphic_bruteforce(g1: CosetGraph, g2: CosetGraph,

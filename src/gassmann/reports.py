@@ -217,7 +217,9 @@ def _schreier_graph(label, config: dict) -> CosetGraph:
     Vertex k stands for t_k = (0, b, c) with k = index(b)·q + index(c); these
     q² elements lie in distinct cosets of H_f, which has index q².  Generator s
     sends vertex k to the coset of x = t_k·s, and h·x, for h = (-x0, 0, f(-x0))
-    in H_f, has first coordinate 0, so it is the t_j of that coset.
+    in H_f, has first coordinate 0, so it is the t_j of that coset.  The
+    centre adds to index(c), so the graph states the ring's dimension as its
+    rank, which check_centre certifies before any route reads it.
     """
     spec = make_field(config["p"], config["m"], cap=config["cap"])
     f = parse_twist_label(label, spec)
@@ -232,7 +234,7 @@ def _schreier_graph(label, config: dict) -> CosetGraph:
         moved = (mul(t, s) for s in gens)
         rows.append(tuple(sorted(Counter(number[mul(lift[x[0]], x)] for x in moved).items())))
     return CosetGraph(group=group, subgroup_label=label, gens=gens, vertices=vertices,
-                      rows=tuple(rows))
+                      rows=tuple(rows), rank=spec.dim)
 
 
 def _is_catalog(labels: list, config: dict) -> bool:
@@ -307,7 +309,8 @@ def _verify_isomorphism_classes(item: dict, config: dict, items: _Items,
         bucket = buckets.setdefault(refinement[0], [])
         for other in bucket:
             try:
-                if find_isomorphism(rows[k], rows[other], refinement, refinements[other]) is None:
+                if find_isomorphism(rows[k], rows[other], refinement, refinements[other],
+                                    width=graphs[other].centre_width) is None:
                     continue
                 problems.append(f"graphs {other} and {k} open two classes but are isomorphic")
             except SizeCapExceeded:

@@ -5,28 +5,35 @@ acted on by g -> gs.  The elements (0, b, c) form a transversal: the
 coset of (a, b, c) holds exactly one of them, (0, b, c - f(a) - ab), which
 is also its lexicographically least member and so its vertex label.  A
 generator s = (s0, s1, s2) sends the coset of (0, b, c) to that of
-(0, b + s1, c + s2 - f(s0) - s0·(b + s1)), so each graph is built in
-closed form, a few ring operations per vertex and generator, with no walk
-over the group; ``gassmann.oracles`` keeps that walk, which labels the
-cosets of any subgroup, as the oracle.  A graph is its sorted neighbour
-rows, which every production route reads; the dense adjacency matrix is a
-view of them for the oracles only.  The centre Z = {(0, 0, c)} acts freely
-on the cosets by Hg -> Hgz, which sends (0, b, c) to (0, b, c + z), and
-commutes with every generator, so a coset graph is a regular cover.  The
-numbering fixes that action, (0, 0, e) adding 1 mod p to one base-p digit
-of index(c).  The characteristic polynomial is the product of small
-blocks, one per orbit of characters of Z under Galois conjugation (the
-voltage-graph factorisation), each split into blocks over Z/ℓ for one
-ℓ ≡ 1 (mod 2p) past a bound on the coefficients and reduced to Hessenberg
-form; the block polynomials multiply by Kronecker substitution, one
-big-integer product each.  At rank 0 the same route gives the dense
-polynomial, an oracle like the fraction-free integer determinants kept
-here; the division-free Berkowitz route is in ``gassmann.oracles``.
+(0, b + s1, c + s2 - f(s0) - s0·(b + s1)); ``gassmann.oracles`` keeps the
+walk over the group, which labels the cosets of any subgroup, as the
+oracle.  A graph is its sorted neighbour rows, which every production
+route reads; the dense adjacency matrix is a view of them for the oracles
+only.  The centre Z = {(0, 0, c)} acts freely on the cosets by Hg -> Hgz,
+which sends (0, b, c) to (0, b, c + z), and commutes with every
+generator, so a coset graph is a regular cover.  The numbering fixes that
+action, (0, 0, e) adding 1 mod p to one base-p digit of index(c), and a
+graph states the rank r of the (Z/p)^r it carries.  So the graph is built
+in closed form on the q orbit representatives (0, b, 0) alone, each other
+row a translate of its representative's, and check_centre certifies every
+row against that rule in one pass before anything reads the action.  The
+characteristic polynomial is the product of small blocks, one per orbit
+of characters of Z under Galois conjugation (the voltage-graph
+factorisation), each split into blocks over Z/ℓ for one ℓ ≡ 1 (mod 2p)
+past a bound on the coefficients and reduced to Hessenberg form; the
+block polynomials multiply by Kronecker substitution, one big-integer
+product each, in a balanced tree.  At rank 0 the same route gives the
+dense polynomial, an oracle like the fraction-free integer determinants
+kept here; the division-free Berkowitz route is in ``gassmann.oracles``.
 Isomorphism compares canonical colour-refinement invariants, cached per
-graph, and searches by individualising and refining, within a budget of
-refinement nodes, only when they agree; isomorphism classes bucket graphs
-by invariant.  The plain permutation search in ``gassmann.oracles`` is
-the oracle, through the dense match and witness checks kept here.
+graph and computed on the orbit representatives, since the colours of a
+refinement from one colour are constant on the centre's orbits.  Where
+they agree it searches by individualising and refining, within a budget
+of refinement nodes; at the root, a failed candidate rules out its whole
+orbit, since the centre acts by colour-preserving automorphisms.
+Isomorphism classes bucket graphs by invariant.  The plain permutation
+search in ``gassmann.oracles`` is the oracle, through the dense match and
+witness checks kept here.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, product
 from math import comb, gcd
 from operator import mul
 from typing import Optional, Sequence
@@ -83,8 +90,11 @@ class CosetGraph:
     """Right-coset multigraph of a subgroup with respect to a generator set.
 
     ``rows`` is the graph: rows[u] lists the (v, multiplicity) pairs of the
-    neighbours v of u in increasing v, loops included.  ``adjacency`` is the
-    dense matrix derived from it, for the oracles only.
+    neighbours v of u in increasing v, loops included.  ``rank`` is the rank
+    r of the free (Z/p)^r action on the vertex numbers that check_centre
+    certifies: the ring's dimension on a coset graph of H_f, 0 where none is
+    claimed.  ``adjacency`` is the dense matrix derived from the rows, for
+    the oracles only.
     """
 
     group: Heisenberg
@@ -92,6 +102,7 @@ class CosetGraph:
     gens: tuple[GroupElement, ...]
     vertices: tuple[GroupElement, ...]
     rows: Rows
+    rank: int
 
     @property
     def n(self) -> int:
@@ -123,9 +134,14 @@ class CosetGraph:
         return len(seen) == self.n
 
     @cached_property
+    def centre_width(self) -> int:
+        """p^rank, the size of the centre's orbits, once check_centre has passed."""
+        return check_centre(self.rows, self.group.ring.p, self.rank)
+
+    @cached_property
     def refinement(self) -> tuple[tuple, tuple[int, ...]]:
-        """colour_refinement of the rows, cached: (invariant, colours)."""
-        return colour_refinement(self.rows)
+        """colour_refinement of the rows on the centre's orbits, cached: (invariant, colours)."""
+        return colour_refinement(self.rows, self.centre_width)
 
     def edge_list(self) -> list[tuple[int, int, int]]:
         """(u, v, multiplicity) with u <= v, loops included."""
@@ -157,7 +173,10 @@ def build_coset_graph(sub: TwistedSubgroup, gens: Sequence[GroupElement],
     vertex k is the coset of (0, b, c) with k = index(b)·q + index(c), ring
     elements indexed in lexicographic coefficient order, and the generator
     s = (s0, s1, s2) sends it to the coset of
-    (0, b + s1, c + s2 - f(s0) - s0·(b + s1)).  No group element is walked.
+    (0, b + s1, c + s2 - f(s0) - s0·(b + s1)).  c enters that target only
+    additively, so only the q representative rows (0, b, 0) are computed;
+    the row of (0, b, c) is their translate by index(c), as check_centre
+    reads them.  No group element is walked.
     ``oracles.coset_graph_bruteforce`` labels the cosets of any subgroup by
     walking the whole group.
     """
@@ -173,25 +192,68 @@ def build_coset_graph(sub: TwistedSubgroup, gens: Sequence[GroupElement],
     if not gens:
         raise EmptyGeneratorSet("need at least one generator")
     els = ring.elements
-    add, times, f = ring.add, ring.mul, sub.f.apply
+    add, times, neg, f = ring.add, ring.mul, ring.neg, sub.f.apply
     index = {x: i for i, x in enumerate(els)}
-    minus = {x: ring.neg(x) for x in els}
-    # shift[d]: index(c + d) for every c, in index order
-    shift = {d: tuple(index[add(c, d)] for c in els) for d in els}
-    # targets[s][k]: the vertex that generator s sends vertex k to
-    targets = []
-    for s0, s1, s2 in gens:
+    moves = [(s0, s1, add(s2, neg(f(s0)))) for s0, s1, s2 in gens]
+    plus = _digit_sums(ring.p, ring.dim)
+    rows = []
+    for b in els:
         moved = []
-        lift = add(s2, minus[f(s0)])
-        for b in els:
+        for s0, s1, lift in moves:
             b1 = add(b, s1)
-            moved.extend(map((index[b1] * q).__add__, shift[add(lift, minus[times(s0, b1)])]))
-        targets.append(moved)
-    rows = tuple(tuple(sorted(Counter(column).items())) for column in zip(*targets))
+            moved.append(index[b1] * q + index[add(lift, neg(times(s0, b1)))])
+        rows.extend(_translates(tuple(sorted(Counter(moved).items())), q, plus))
     zero = ring.zero()
     vertices = tuple((zero, b, c) for b in els for c in els)
     return CosetGraph(group=group, subgroup_label=sub.label(), gens=gens,
-                      vertices=vertices, rows=rows)
+                      vertices=vertices, rows=tuple(rows), rank=ring.dim)
+
+
+@lru_cache(maxsize=16)
+def _digit_sums(p: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """plus[t][d], t, d < p^r: the base-p digitwise sum of t and d mod p.
+
+    It is index(c_t + c_d) for the ring elements c_t, c_d of indices t and d,
+    since addition is coefficientwise and index reads the coefficients as
+    base-p digits; on the vertex numbers it is the centre's translation.
+    """
+    digits = list(product(range(p), repeat=r))
+    index = {digit: t for t, digit in enumerate(digits)}
+    return tuple(tuple(index[tuple((x + y) % p for x, y in zip(a, b))] for b in digits)
+                 for a in digits)
+
+
+def _translates(row, width: int, plus) -> list:
+    """The rows of the translates by t = 0, ..., width - 1 of a vertex with this row.
+
+    The translation by t sends v = b·width + d to b·width + plus[t][d]; it
+    maps rows onto rows when it is an automorphism, as check_centre requires.
+    """
+    entries = [(v - v % width, v % width, mult) for v, mult in row]
+    return [tuple(sorted([(base + shift[d], mult) for base, d, mult in entries]))
+            for shift in plus]
+
+
+def check_centre(rows: Rows, p: int, r: int) -> int:
+    """p^r, once the rows carry a free (Z/p)^r action by translation; else SelfCheckFailed.
+
+    The action is the numbering's: vertex a·p^r + t is the translate by t of
+    the orbit representative a·p^r, and the translation by t adds t to the
+    last r base-p digits of a vertex number digitwise mod p.  The group of
+    these is (Z/p)^r, acting freely; on a coset graph of H_f it is the
+    centre.  Each translation is an automorphism exactly when every row is
+    the translate of its representative's, which is checked in one pass.
+    """
+    n = len(rows)
+    width = p**r
+    if n % width:
+        raise SelfCheckFailed(f"{n} vertices do not split into orbits of {width} under the centre")
+    if width > 1:
+        plus = _digit_sums(p, r)
+        for a in range(0, n, width):
+            if _translates(rows[a], width, plus) != list(rows[a:a + width]):
+                raise SelfCheckFailed("a centre permutation is not an automorphism of the graph")
+    return width
 
 
 def maps_onto(rows1: Rows, rows2: Rows, perm: Sequence[int]) -> bool:
@@ -387,8 +449,8 @@ def charpoly_by_centre(rows: Rows, p: int, r: int) -> SpectrumPolynomial:
     the numbering's: vertex a·p^r + t is σ^t of the orbit representative a·p^r,
     where σ_i adds 1 mod p to digit i (weight p^i) of t; on a coset graph of
     H_f these are the centre's translations.  They commute, have order p and
-    act freely by construction; that p^r divides n and that each σ_i is an
-    automorphism of A are checked, raising SelfCheckFailed.  So A preserves
+    act freely by construction; check_centre checks that p^r divides n and
+    that they are automorphisms of A, raising SelfCheckFailed.  So A preserves
     each space of vectors with f(σ^t v) = ζ^(λ·t) f(v), ζ = exp(2πi/p), and
     acts on the values at the Q = n/p^r representatives by the block
     A_λ[a, b] = Σ_t A[a·p^r, b·p^r + t] ζ^(λ·t); λ = 0 gives an integer block.
@@ -396,17 +458,11 @@ def charpoly_by_centre(rows: Rows, p: int, r: int) -> SpectrumPolynomial:
     charpolys of their blocks multiply to an integer polynomial of degree
     N = Q(p-1).  It is computed modulo one ℓ from _modulus, in which ζ ↦ ω^s
     sends A_λ to the block B_s of the character sλ, s = 1, ..., p - 1, and
-    lifted to the symmetric range.  r = 0 gives the dense polynomial.
+    lifted to the symmetric range.  The line polynomials multiply in a
+    balanced tree.  r = 0 gives the dense polynomial.
     """
-    n = len(rows)
-    width = p**r
-    if n % width:
-        raise SelfCheckFailed(f"{n} vertices do not split into orbits of {width} under the centre")
-    for w in [p**i for i in range(r)]:  # σ_i adds w = p^i to k, or w - p·w past digit p - 1
-        sigma = [k + w * (1 - p if k // w % p == p - 1 else 1) for k in range(n)]
-        if not maps_onto(rows, rows, sigma):
-            raise SelfCheckFailed("a centre permutation is not an automorphism of the graph")
-    size = n // width
+    width = check_centre(rows, p, r)
+    size = len(rows) // width
     # the entries of orbit representative a·p^r: (orbit, digits t, multiplicity)
     voltages = [[(*divmod(v, width), mult) for v, mult in rows[a * width]] for a in range(size)]
     # every eigenvalue μ of A has |μ| <= d, the largest absolute row sum, and
@@ -416,7 +472,7 @@ def charpoly_by_centre(rows: Rows, p: int, r: int) -> SpectrumPolynomial:
     big = size * (p - 1) if r else size
     ell, omega = _modulus(p, max(comb(big, k) * d**k for k in range(big + 1)))
     powers = [pow(omega, j, ell) for j in range(p)]
-    poly = [1]
+    lines = []
     digits = [[t // p**i % p for i in range(r)] for t in range(width)]
     for lam in digits:
         lead = next((x for x in lam if x), 0)
@@ -430,20 +486,23 @@ def charpoly_by_centre(rows: Rows, p: int, r: int) -> SpectrumPolynomial:
                 for b, t, mult in entries:
                     block[a][b] += mult * powers[s * phase[t] % p]
             factor = [c % ell for c in _poly_mul(factor, _charpoly_mod(block, ell))]
-        poly = _poly_mul(poly, [c - ell if 2 * c > ell else c for c in factor])
-    return SpectrumPolynomial(tuple(poly))
+        lines.append([c - ell if 2 * c > ell else c for c in factor])
+    while len(lines) > 1:  # pairwise, so no product is lopsided
+        lines = [*map(_poly_mul, lines[::2], lines[1::2]), *lines[len(lines) & ~1:]]
+    return SpectrumPolynomial(tuple(lines[0]))
 
 
 def char_poly(graph: CosetGraph, cap: Optional[int] = None) -> SpectrumPolynomial:
-    """Exact characteristic polynomial of the adjacency matrix of a coset graph of H_f.
+    """Exact characteristic polynomial of the adjacency matrix of a coset graph.
 
-    Factorised by charpoly_by_centre through the centre, whose (0, 0, e) adds
-    1 mod p to one base-p digit of index(c), so its rank is the ring's dimension.
+    Factorised by charpoly_by_centre through the free action of the graph's
+    rank: on a coset graph of H_f the centre, whose (0, 0, e) adds 1 mod p to
+    one base-p digit of index(c).
     """
     limit = DEFAULT_VERTEX_CAP if cap is None else cap
     if graph.n > limit:
         raise SizeCapExceeded(f"{graph.n} vertices exceed cap {limit}")
-    return charpoly_by_centre(graph.rows, graph.group.ring.p, graph.group.ring.dim)
+    return charpoly_by_centre(graph.rows, graph.group.ring.p, graph.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +510,18 @@ def char_poly(graph: CosetGraph, cap: Optional[int] = None) -> SpectrumPolynomia
 # ---------------------------------------------------------------------------
 
 
-def colour_refinement(rows: Rows) -> tuple[tuple, tuple[int, ...]]:
+def colour_refinement(rows: Rows, width: int = 1) -> tuple[tuple, tuple[int, ...]]:
     """(invariant, colours) of canonical colour refinement from a single colour.
 
     Isomorphic graphs have equal invariants, so distinct invariants prove
-    two graphs non-isomorphic.
+    two graphs non-isomorphic.  ``width`` is the size of the orbits of
+    automorphisms that check_centre certified on the rows; one colour per
+    orbit is refined, with the same result as width 1.
     """
-    return _refine(rows, [0] * len(rows))
+    return _refine(rows, [0] * (len(rows) // width), width)
 
 
-def _refine(rows: Rows, colors: Sequence[int]) -> tuple[tuple, tuple[int, ...]]:
+def _refine(rows: Rows, colors: Sequence[int], width: int = 1) -> tuple[tuple, tuple[int, ...]]:
     """Canonical colour refinement (1-WL with multiplicities and loops).
 
     Each round colours a vertex by the index of its signature (own colour,
@@ -469,16 +530,24 @@ def _refine(rows: Rows, colors: Sequence[int]) -> tuple[tuple, tuple[int, ...]]:
     depend on signatures alone, so when two graphs give equal invariants
     (the per-round signature lists plus the final colour histogram) a
     colour id means the same in both.  Returns (invariant, colours).
+
+    ``colors`` holds one colour per orbit a·width, ..., a·width + width - 1
+    of automorphisms that fix every colour, so only the representatives
+    a·width get signatures, neighbour v taking the colour of orbit v // width;
+    counts are width times the orbits', and the colours come back per vertex.
     """
-    loops = [next((mult for u, mult in row if u == v), 0) for v, row in enumerate(rows)]
+    reps = rows[::width]
+    loops = [next((mult for u, mult in row if u == a * width), 0) for a, row in enumerate(reps)]
+    if width > 1:
+        reps = [[(v // width, mult) for v, mult in row] for row in reps]
     rounds = []
     classes = len(set(colors))
     while True:
         signatures = []
-        for v, row in enumerate(rows):
+        for a, row in enumerate(reps):
             pairs = sorted([(colors[u], mult) for u, mult in row])
             # flat rather than nested pairs: a third of the memory kept per graph
-            signatures.append((colors[v], loops[v], *chain.from_iterable(pairs)))
+            signatures.append((colors[a], loops[a], *chain.from_iterable(pairs)))
         distinct = sorted(set(signatures))
         rounds.append(tuple(distinct))
         ids = {sig: i for i, sig in enumerate(distinct)}
@@ -488,8 +557,8 @@ def _refine(rows: Rows, colors: Sequence[int]) -> tuple[tuple, tuple[int, ...]]:
         classes = len(distinct)
     histogram = [0] * classes
     for c in colors:
-        histogram[c] += 1
-    return (tuple(rounds), tuple(histogram)), tuple(colors)
+        histogram[c] += width
+    return (tuple(rounds), tuple(histogram)), tuple(c for c in colors for _ in range(width))
 
 
 def _individualize(colors: Sequence[int], v: int) -> list[int]:
@@ -498,15 +567,20 @@ def _individualize(colors: Sequence[int], v: int) -> list[int]:
 
 
 def _search(rows1: Rows, rows2: Rows, colors1: Sequence[int], colors2: Sequence[int],
-            refine) -> Optional[list[int]]:
+            refine, width: int = 1) -> Optional[list[int]]:
     """Individualise-and-refine search for an isomorphism respecting the colours.
 
     The colourings come from refinements with equal invariants.  At a
     discrete colouring the matching is forced and checked on the edges;
-    otherwise one vertex of the smallest non-singleton cell of g1 is
-    individualised against each vertex of the same cell of g2, and a branch
+    otherwise one vertex v of the smallest non-singleton cell of g1 is
+    individualised against each vertex u of the same cell of g2, and a branch
     survives only if both refinements give the same invariant.  ``refine``
-    is ``_refine`` behind the search's node budget.
+    is ``_refine`` behind the search's node budget.  ``width`` is the orbit
+    size of the translations of check_centre when they are automorphisms of
+    g2 that fix colors2, as the centre's fix its refinement from one colour.
+    If no isomorphism sends v to u, none sends it to the translate σu, so
+    once a branch fails the rest of the orbit of u is skipped.  The first
+    branch to succeed, and so the witness, is the one that width 1 finds.
     """
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors1):
@@ -517,14 +591,17 @@ def _search(rows1: Rows, rows2: Rows, colors1: Sequence[int], colors2: Sequence[
         return witness if maps_onto(rows1, rows2, witness) else None
     _, target = min((len(cell), c) for c, cell in cells.items() if len(cell) > 1)
     invariant, refined1 = refine(rows1, _individualize(colors1, cells[target][0]))
+    failed = set()  # orbits of g2 with a failed branch
     for u, c in enumerate(colors2):
-        if c != target:
+        if c != target or u // width in failed:
             continue
         other, refined2 = refine(rows2, _individualize(colors2, u))
         if other == invariant:
+            # individualised colourings are not fixed by the centre: width 1 below the root
             witness = _search(rows1, rows2, refined1, refined2, refine)
             if witness is not None:
                 return witness
+        failed.add(u // width)
     return None
 
 
@@ -554,11 +631,13 @@ def verify_witness(adj1, adj2, witness: Sequence[int]) -> bool:
 
 
 def find_isomorphism(rows1: Rows, rows2: Rows, refinement1, refinement2,
-                     cap: int = DEFAULT_ISO_NODES) -> Optional[tuple[int, ...]]:
+                     cap: int = DEFAULT_ISO_NODES, width: int = 1) -> Optional[tuple[int, ...]]:
     """A witness w that maps_onto(rows1, rows2, w), or None if there is none.
 
-    The refinements are the colour_refinement of each graph.  The search
-    runs at most ``cap`` refinements and raises SizeCapExceeded past them.
+    The refinements are the colour_refinement of each graph.  ``width`` is
+    the centre_width of the second graph, whose centre prunes the root of the
+    search.  The search runs at most ``cap`` refinements and raises
+    SizeCapExceeded past them.
     """
     if rows1 == rows2:
         return tuple(range(len(rows1)))
@@ -573,7 +652,7 @@ def find_isomorphism(rows1: Rows, rows2: Rows, refinement1, refinement2,
             raise SizeCapExceeded(f"isomorphism search exceeds {cap} refinement nodes")
         return _refine(rows, colors)
 
-    found = _search(rows1, rows2, refinement1[1], refinement2[1], refine)
+    found = _search(rows1, rows2, refinement1[1], refinement2[1], refine, width)
     if found is not None and not maps_onto(rows1, rows2, found):
         raise SelfCheckFailed("isomorphism witness does not map edges onto edges")
     return None if found is None else tuple(found)
@@ -584,7 +663,8 @@ def are_isomorphic(g1: CosetGraph, g2: CosetGraph,
     """Exact isomorphism: refinement invariants first, then individualise and refine."""
     if g1.n != g2.n:
         return IsomorphismResult(False, None)
-    witness = find_isomorphism(g1.rows, g2.rows, g1.refinement, g2.refinement, cap)
+    witness = find_isomorphism(g1.rows, g2.rows, g1.refinement, g2.refinement, cap,
+                               g2.centre_width)
     return IsomorphismResult(witness is not None, witness)
 
 

@@ -76,7 +76,7 @@ def test_criterion_2_proposition_at_scale():
 
 def test_criterion_3_sunada_graph_analog():
     started = time.perf_counter()
-    report, exports = cmd_graphs(2, 2)
+    report, exports = cmd_graphs(2, 2, exports=True)
     graphs = [item for item in report["items"] if item["kind"] == "coset-graph"]
     cospectral = next(item for item in report["items"] if item["kind"] == "cospectral")
     oracle_ok = True

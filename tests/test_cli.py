@@ -184,7 +184,9 @@ def test_graphs_lists_each_graph_edges_once(monkeypatch):
         return edge_list(graph)
 
     monkeypatch.setattr(cli.sg.CosetGraph, "edge_list", counted)
-    report, exports = cli.cmd_graphs(2, 2)
+    # without --out no export is built
+    assert cli.cmd_graphs(2, 2)[1] == {} and calls[0] == 0
+    report, exports = cli.cmd_graphs(2, 2, exports=True)
     graphs = [item for item in report["items"] if item["kind"] == "coset-graph"]
     assert len(graphs) == 4 and calls[0] <= 2 * len(graphs)
     assert all("edges" not in item and "charpoly" not in item for item in report["items"])
@@ -546,7 +548,7 @@ def test_verify_lists_a_split_class_over_the_search_budget(tmp_path, monkeypatch
     bad.write_text(json.dumps(report))
     search = reports.find_isomorphism
     monkeypatch.setattr(reports, "find_isomorphism",
-                        lambda adj1, adj2, r1, r2: search(adj1, adj2, r1, r2, cap=0))
+                        lambda adj1, adj2, r1, r2, **kw: search(adj1, adj2, r1, r2, cap=0, **kw))
     code, msg, err = run_cli("verify", str(bad))
     assert code == 1 and "failed" in msg
     assert "graphs 1 and 2: search exceeds the node budget" in err

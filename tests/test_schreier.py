@@ -51,11 +51,14 @@ G4 = heisenberg_group(F4)
 GENS4 = default_generators(G4)
 
 
-def _rep_graphs(spec=F4, gens=None):
+def _rep_graphs(spec=F4, gens=None, sample=None):
+    """The coset graphs of the class reps, or of a seeded sample of that many of them."""
     group = heisenberg_group(spec)
     gens = default_generators(group) if gens is None else gens
-    subs = [twisted_subgroup(f, group) for f in enumerate_class_reps(spec).reps]
-    return [build_coset_graph(s, gens) for s in subs]
+    reps = enumerate_class_reps(spec).reps
+    if sample is not None:
+        reps = random.Random(sample).sample(reps, sample)
+    return [build_coset_graph(twisted_subgroup(f, group), gens) for f in reps]
 
 
 def _five_generators():
@@ -75,14 +78,16 @@ def _dense(matrix, p=2):
     return charpoly_by_centre(_rows(matrix), p, 0)
 
 
-def _synthetic(adjacency):
-    """A CosetGraph with the rows of an arbitrary adjacency matrix (up to 64 vertices)."""
+def _synthetic(adjacency, group=G4, rank=0):
+    """A CosetGraph with the rows of an arbitrary adjacency matrix (up to |group| vertices),
+    claiming a free action of rank ``rank`` over the group's prime."""
     return CosetGraph(
-        group=G4,
+        group=group,
         subgroup_label="synthetic",
         gens=GENS4[:2],
-        vertices=G4.elements[:len(adjacency)],
+        vertices=group.elements[:len(adjacency)],
         rows=_rows(adjacency),
+        rank=rank,
     )
 
 
@@ -138,6 +143,9 @@ def _assert_closed_form_equals_the_walk(sub, gens):
     assert fast.rows == slow.rows
     assert fast.vertices == slow.vertices
     assert (fast.subgroup_label, fast.gens) == (slow.subgroup_label, slow.gens)
+    # the closed form claims the centre's action, which the walk does not
+    assert (fast.rank, slow.rank) == (sub.group.ring.dim, 0)
+    return fast, slow
 
 
 @pytest.mark.parametrize("spec", [F4, make_field(2, 3), make_field(3, 2), make_trunc_ring(2, 2),
@@ -147,8 +155,10 @@ def test_closed_form_coset_graphs_equal_the_walk_on_every_class_rep(spec):
     one = spec.one()
     # (1, 1, 1) and its inverse (-1, -1, 0) move all three coordinates at once
     for gens in (default_generators(group), (*default_generators(group), (one, one, one))):
-        for f in enumerate_class_reps(spec).reps:
-            _assert_closed_form_equals_the_walk(twisted_subgroup(f, group), gens)
+        for k, f in enumerate(enumerate_class_reps(spec).reps):
+            fast, slow = _assert_closed_form_equals_the_walk(twisted_subgroup(f, group), gens)
+            if k < 2:  # the walk's graph of rank 0 gets the dense polynomial
+                assert char_poly(slow) == char_poly(fast)
 
 
 @pytest.mark.parametrize("spec", [make_field(2, 4), make_field(3, 3)], ids=repr)
@@ -500,6 +510,50 @@ def test_isomorphism_finds_randomly_relabelled_copies(case):
     assert _check_against_oracle(adj, _relabel(adj, perm)).isomorphic
 
 
+def _lift(p, base, edges):
+    """The p-fold cover of a multigraph on ``base`` vertices with Z/p voltages: vertex
+    a·p + t, and edge (a, b, x) joins a·p + t to b·p + (t + x) mod p for every t."""
+    adj = [[0] * (base * p) for _ in range(base * p)]
+    for a, b, x in edges:
+        for t in range(p):
+            u, v = a * p + t, b * p + (t + x) % p
+            adj[u][v] += 1
+            if u != v:
+                adj[v][u] += 1
+            elif x:  # a loop with nonzero voltage joins t to t + x, once from each end
+                adj[u][v] += 1
+    return adj
+
+
+@st.composite
+def _covers(draw):
+    """A random cover, a copy relabelled by orbit and by translation within each
+    orbit (so it keeps the action), and an unrelated cover of the same size."""
+    p = draw(st.sampled_from([2, 3]))
+    base = draw(st.integers(1, 4 if p == 2 else 3))  # 9 vertices at most, for the oracle
+    edge = st.tuples(st.integers(0, base - 1), st.integers(0, base - 1), st.integers(0, p - 1))
+    edges, others = draw(st.lists(edge, max_size=8)), draw(st.lists(edge, max_size=8))
+    orbits = draw(st.permutations(range(base)))
+    shifts = draw(st.lists(st.integers(0, p - 1), min_size=base, max_size=base))
+    perm = [orbits[k // p] * p + (k + shifts[k // p]) % p for k in range(base * p)]
+    adj = _lift(p, base, edges)
+    return p, adj, _relabel(adj, perm), _lift(p, base, others)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_covers())
+def test_root_pruning_equals_the_oracle_on_random_covers(case):
+    # both graphs carry the translation of rank 1, so the search prunes at its root
+    p, adj, relabelled, other = case
+    group = heisenberg_group(make_field(p, 2))
+    g1, g2, g3 = (_synthetic(a, group, 1) for a in (adj, relabelled, other))
+    fast = are_isomorphic(g1, g2)
+    assert fast.isomorphic and verify_witness(g1.adjacency, g2.adjacency, fast.witness)
+    assert fast.witness == schreier.find_isomorphism(g1.rows, g2.rows, g1.refinement,
+                                                     g2.refinement)
+    assert are_isomorphic(g1, g3).isomorphic == are_isomorphic_bruteforce(g1, g3).isomorphic
+
+
 def _simple_graph(n, edges):
     adj = [[0] * n for _ in range(n)]
     for u, w in edges:
@@ -588,9 +642,43 @@ def test_isomorphism_classes_search_only_leaders_of_their_bucket(monkeypatch):
 
 
 def test_colour_refinement_is_the_cached_graph_refinement():
-    # verify reads the invariant of each graph it rebuilds through the same helper
-    for graph in _rep_graphs():
-        assert colour_refinement(_rows(graph.adjacency)) == graph.refinement
+    # the cached refinement runs on the centre's orbits; vertex by vertex, from the
+    # rows, the same helper gives the same invariant and colours
+    for spec, sample in ((F4, None), (make_field(2, 3), None), (make_field(3, 2), None),
+                         (make_trunc_ring(2, 2), None), (make_trunc_ring(3, 2), None),
+                         (make_field(2, 4), 6), (make_field(5, 2), 6)):
+        for graph in _rep_graphs(spec, sample=sample):
+            assert graph.centre_width == spec.size
+            assert colour_refinement(graph.rows) == graph.refinement
+            assert schreier._refine(graph.rows, [0] * graph.n) == graph.refinement
+
+
+# field -> refinement nodes of the searches between its class-rep graphs, with the
+# centre's pruning at the root and without it
+SEARCH_NODES = {(2, 2): (2, 2), (2, 3): (26, 117), (3, 2): (96, 96)}
+
+
+@pytest.mark.parametrize("field", list(SEARCH_NODES), ids=["GF4", "GF8", "GF9"])
+def test_root_pruning_keeps_every_witness(field, monkeypatch):
+    graphs = _rep_graphs(make_field(*field))
+    nodes = [0]
+    refine = schreier._refine
+    monkeypatch.setattr(schreier, "_refine",
+                        lambda *args: nodes.__setitem__(0, nodes[0] + 1) or refine(*args))
+    pruned = unpruned = 0
+    for i, g1 in enumerate(graphs):
+        for g2 in graphs[i + 1:]:
+            if g1.refinement[0] != g2.refinement[0]:
+                continue
+            nodes[0] = 0
+            witness = are_isomorphic(g1, g2).witness
+            pruned += nodes[0]
+            nodes[0] = 0
+            # width 1: every root candidate is tried
+            assert witness == schreier.find_isomorphism(g1.rows, g2.rows, g1.refinement,
+                                                        g2.refinement)
+            unpruned += nodes[0]
+    assert (pruned, unpruned) == SEARCH_NODES[field]
 
 
 # search -> (its module, (module, name, stand-in)) that makes the search's final
@@ -609,7 +697,8 @@ def test_rejected_witness_raises_even_under_optimization(search, monkeypatch):
     # check must raise, not be dropped the way python -O drops an assert
     graph = _rep_graphs()[1]
     shift = [(v + 1) % graph.n for v in range(graph.n)]
-    relabelled = dataclasses.replace(graph, rows=_rows(_relabel(graph.adjacency, shift)))
+    # the relabelling moves the centre's orbits, so the copy claims no action
+    relabelled = dataclasses.replace(graph, rows=_rows(_relabel(graph.adjacency, shift)), rank=0)
     assert relabelled.rows != graph.rows
     home, patch = REJECTED_WITNESS[search]
     assert getattr(home, search)(graph, relabelled).isomorphic
@@ -703,11 +792,25 @@ def test_klein_four_action_on_k4_gives_its_spectrum():
 PATH4 = _simple_graph(4, [(0, 1), (1, 2), (2, 3)])
 K4 = _simple_graph(4, [(u, w) for u in range(4) for w in range(u + 1, 4)])
 
+
+def _without_one_edge(graph, u):
+    """The adjacency of the graph less one edge u-v, v not an orbit representative either."""
+    adjacency = [list(row) for row in graph.adjacency]
+    v = next(v for v, mult in enumerate(adjacency[u]) if mult and v != u and v % graph.centre_width)
+    adjacency[u][v] -= 1
+    adjacency[v][u] -= 1
+    return adjacency
+
+
 # name -> (dense adjacency, p, rank r, message): each breaks one check of the certificate
 BROKEN_CENTRE_ACTIONS = {
     # σ_0 = (0 1)(2 3) moves the edge 1-2 to 0-3
     "not-an-automorphism": (PATH4, 2, 1, "not an automorphism"),
     "orbits-do-not-divide": (K4, 3, 1, "4 vertices do not split into orbits of 3"),
+    # the rows of vertex 1 and of its neighbour are no translates of their representatives'
+    "GF4-graph-less-one-edge": (_without_one_edge(build_coset_graph(horizontal_subgroup(G4),
+                                                                    GENS4), 1),
+                                2, 2, "not an automorphism"),
 }
 
 
@@ -716,6 +819,12 @@ def test_broken_centre_action_raises(name):
     adjacency, p, r, message = BROKEN_CENTRE_ACTIONS[name]
     with pytest.raises(SelfCheckFailed, match=message):
         charpoly_by_centre(_rows(adjacency), p, r)
+    # a graph that claims the action checks it before refining or factoring
+    graph = _synthetic(adjacency, heisenberg_group(make_field(p, 2)), r)
+    with pytest.raises(SelfCheckFailed, match=message):
+        graph.refinement
+    with pytest.raises(SelfCheckFailed, match=message):
+        char_poly(graph)
 
 
 def test_broken_centre_actions_raise_even_under_optimization():
@@ -727,13 +836,19 @@ def test_broken_centre_actions_raise_even_under_optimization():
         "import json, sys\n"
         "from gassmann import schreier\n"
         "from gassmann.errors import SelfCheckFailed, SizeCapExceeded\n"
-        "from gassmann.schreier import charpoly_by_centre\n"
+        "from gassmann.heisenberg import heisenberg_group\n"
+        "from gassmann.rings import make_field\n"
+        "from gassmann.schreier import CosetGraph, char_poly, charpoly_by_centre\n"
         "for name, (adjacency, p, r, message) in json.loads(sys.argv[1]).items():\n"
         "    rows = tuple(tuple((v, m) for v, m in enumerate(row) if m) for row in adjacency)\n"
-        "    try:\n"
-        "        charpoly_by_centre(rows, p, r)\n"
-        "    except SelfCheckFailed as exc:\n"
-        "        print(name, message in str(exc))\n"
+        "    group = heisenberg_group(make_field(p, 2))\n"
+        "    graph = CosetGraph(group, name, (), group.elements[:len(rows)], rows, r)\n"
+        "    for check in (lambda: charpoly_by_centre(rows, p, r), lambda: graph.refinement,\n"
+        "                  lambda: char_poly(graph)):\n"
+        "        try:\n"
+        "            check()\n"
+        "        except SelfCheckFailed as exc:\n"
+        "            print(name, message in str(exc))\n"
         "try:\n"
         "    charpoly_by_centre([[(0, 2**2100)]], 2, 0)\n"
         "except SizeCapExceeded:\n"
@@ -751,7 +866,9 @@ def test_broken_centre_actions_raise_even_under_optimization():
     args = [json.dumps(BROKEN_CENTRE_ACTIONS), json.dumps(PIVOT_THREE)]
     done = subprocess.run([sys.executable, "-O", "-c", script, *args],
                           env=env, capture_output=True, text=True, check=True)
-    cases = [*BROKEN_CENTRE_ACTIONS, "cap", "search", "skip", "pivot"]
+    # charpoly_by_centre, the refinement and char_poly each raise on every broken action
+    cases = [*(name for name in BROKEN_CENTRE_ACTIONS for _ in range(3)),
+             "cap", "search", "skip", "pivot"]
     assert done.stdout.splitlines() == [f"{name} True" for name in cases]
 
 
