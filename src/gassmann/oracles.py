@@ -91,8 +91,7 @@ def coset_graph_bruteforce(sub, gens: Sequence[GroupElement],
         tuple(sorted(Counter(coset_of[group.mul(rep, s)] for s in gens).items()))
         for rep in vertices
     )
-    return CosetGraph(group=group, subgroup_label=sub.label(), gens=gens,
-                      vertices=tuple(vertices), rows=rows, rank=0)
+    return CosetGraph.from_rows(group, sub.label(), gens, vertices, rows, 0)
 
 
 def are_isomorphic_bruteforce(g1: CosetGraph, g2: CosetGraph,

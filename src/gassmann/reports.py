@@ -26,8 +26,8 @@ from .heisenberg import heisenberg_group, parse_twist_label, twisted_subgroup
 from .places import implementations_agree, residue_degree_subgroup
 from .planner import check_holds, required_check_labels
 from .rings import make_field, primes_up_to
-from .schreier import (CosetGraph, charpoly_by_centre, find_isomorphism, maps_onto,
-                       symmetrize_generators)
+from .schreier import (CosetGraph, char_poly, find_isomorphism, maps_onto,
+                       symmetrize_generators, transversal)
 
 SCHEMA_VERSION = 3
 
@@ -219,22 +219,22 @@ def _schreier_graph(label, config: dict) -> CosetGraph:
     sends vertex k to the coset of x = t_k·s, and h·x, for h = (-x0, 0, f(-x0))
     in H_f, has first coordinate 0, so it is the t_j of that coset.  The
     centre adds to index(c), so the graph states the ring's dimension as its
-    rank, which check_centre certifies before any route reads it.
+    rank, which CosetGraph.from_rows certifies once by check_centre before it
+    keeps the q orbit representatives' rows.
     """
     spec = make_field(config["p"], config["m"], cap=config["cap"])
     f = parse_twist_label(label, spec)
     group = heisenberg_group(spec)
     gens = tuple(tuple(map(tuple, s)) for s in config["generators"])
     els, zero, mul = spec.elements, spec.zero(), group.mul
-    vertices = tuple((zero, b, c) for b in els for c in els)
+    vertices = transversal(spec)
     number = {t: k for k, t in enumerate(vertices)}
     lift = {x: (spec.neg(x), zero, f.apply(spec.neg(x))) for x in els}
     rows = []
     for t in vertices:
         moved = (mul(t, s) for s in gens)
         rows.append(tuple(sorted(Counter(number[mul(lift[x[0]], x)] for x in moved).items())))
-    return CosetGraph(group=group, subgroup_label=label, gens=gens, vertices=vertices,
-                      rows=tuple(rows), rank=spec.dim)
+    return CosetGraph.from_rows(group, label, gens, vertices, rows, spec.dim)
 
 
 def _is_catalog(labels: list, config: dict) -> bool:
@@ -262,9 +262,9 @@ def _verify_graph(item: dict, config: dict, items: _Items, problems: list[str]) 
 
 
 def _verify_cospectral(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
-    # vertex index(b)·q + index(c) is the coset of (0, b, c): the centre has rank m
-    polys = [charpoly_by_centre(graph.rows, config["p"], config["m"]).coefficients
-             for graph in items.graphs()]
+    # vertex index(b)·q + index(c) is the coset of (0, b, c): each graph's centre has
+    # rank m, from the config, and its polynomial comes from its q representatives' rows
+    polys = [char_poly(graph).coefficients for graph in items.graphs()]
     # each distinct charpoly once, numbered in order of first appearance
     index_of = {poly: i for i, poly in enumerate(dict.fromkeys(polys))}
     k = len(polys)
@@ -292,7 +292,6 @@ def _verify_isomorphism_classes(item: dict, config: dict, items: _Items,
     if not len(class_of) == len(witnesses) == len(graphs):
         problems.append("class_of and witnesses do not give one entry per coset graph")
         return True
-    rows = [graph.rows for graph in graphs]
     leaders: dict[int, int] = {}
     for k, (c, witness) in enumerate(zip(class_of, witnesses)):
         if c not in leaders:
@@ -300,17 +299,15 @@ def _verify_isomorphism_classes(item: dict, config: dict, items: _Items,
                 problems.append(f"graph {k} opens class {c} out of order or with a witness")
                 return True
             leaders[c] = k
-        elif not (isinstance(witness, list) and _same(sorted(witness), list(range(len(rows[k]))))
-                  and maps_onto(rows[k], rows[leaders[c]], witness)):
+        elif not (isinstance(witness, list) and _same(sorted(witness), list(range(graphs[k].n)))
+                  and maps_onto(graphs[k].rows, graphs[leaders[c]].rows, witness)):
             problems.append(f"witness of graph {k} does not map it onto graph {leaders[c]}")
-    refinements = {k: graphs[k].refinement for k in leaders.values()}
     buckets: dict[tuple, list[int]] = {}
-    for k, refinement in refinements.items():
-        bucket = buckets.setdefault(refinement[0], [])
+    for k in leaders.values():
+        bucket = buckets.setdefault(graphs[k].refinement[0], [])
         for other in bucket:
             try:
-                if find_isomorphism(rows[k], rows[other], refinement, refinements[other],
-                                    width=graphs[other].centre_width) is None:
+                if find_isomorphism(graphs[k], graphs[other]) is None:
                     continue
                 problems.append(f"graphs {other} and {k} open two classes but are isomorphic")
             except SizeCapExceeded:

@@ -7,24 +7,29 @@ is also its lexicographically least member and so its vertex label.  A
 generator s = (s0, s1, s2) sends the coset of (0, b, c) to that of
 (0, b + s1, c + s2 - f(s0) - s0·(b + s1)); ``gassmann.oracles`` keeps the
 walk over the group, which labels the cosets of any subgroup, as the
-oracle.  A graph is its sorted neighbour rows, which every production
-route reads; the dense adjacency matrix is a view of them for the oracles
-only.  The centre Z = {(0, 0, c)} acts freely on the cosets by Hg -> Hgz,
-which sends (0, b, c) to (0, b, c + z), and commutes with every
+oracle.  The centre Z = {(0, 0, c)} acts freely on the cosets by
+Hg -> Hgz, which sends (0, b, c) to (0, b, c + z), and commutes with every
 generator, so a coset graph is a regular cover.  The numbering fixes that
 action, (0, 0, e) adding 1 mod p to one base-p digit of index(c), and a
-graph states the rank r of the (Z/p)^r it carries.  So the graph is built
-in closed form on the q orbit representatives (0, b, 0) alone, each other
-row a translate of its representative's, and check_centre certifies every
-row against that rule in one pass before anything reads the action.  The
-characteristic polynomial is the product of small blocks, one per orbit
-of characters of Z under Galois conjugation (the voltage-graph
-factorisation), each split into blocks over Z/ℓ for one ℓ ≡ 1 (mod 2p)
-past a bound on the coefficients and reduced to Hessenberg form; the
-block polynomials multiply by Kronecker substitution, one big-integer
-product each, in a balanced tree.  At rank 0 the same route gives the
-dense polynomial, an oracle like the fraction-free integer determinants
-kept here; the division-free Berkowitz route is in ``gassmann.oracles``.
+graph states the rank r of the (Z/p)^r it carries.  So a graph is the
+sorted neighbour rows of its q orbit representatives (0, b, 0), its
+voltage graph, each other row a translate of its representative's: the
+build, the connectivity search, the characteristic polynomial, the
+refinement and the non-isomorphism verdicts read those q rows alone.  All
+q² rows are expanded on demand, for the search below the root, the
+witness checks and the exports; the dense adjacency matrix is a view of
+them for the oracles only.  Rows made outside the closed form, by the
+group law or in tests, enter through CosetGraph.from_rows, where
+check_centre certifies every row against the translation rule in one pass
+before anything reads the action.  The characteristic polynomial is the
+product of small blocks, one per orbit of characters of Z under Galois
+conjugation (the voltage-graph factorisation), each split into blocks
+over Z/ℓ for one ℓ ≡ 1 (mod 2p) past a bound on the coefficients and
+reduced to Hessenberg form; the block polynomials multiply by Kronecker
+substitution, one big-integer product each, in a balanced tree.  At rank 0
+the same route gives the dense polynomial, an oracle like the
+fraction-free integer determinants kept here; the division-free Berkowitz
+route is in ``gassmann.oracles``.
 Isomorphism compares canonical colour-refinement invariants, cached per
 graph and computed on the orbit representatives, since the colours of a
 refinement from one colour are constant on the centre's orbits.  Where
@@ -89,20 +94,38 @@ def symmetrize_generators(group: Heisenberg, gens: Sequence[GroupElement]):
 class CosetGraph:
     """Right-coset multigraph of a subgroup with respect to a generator set.
 
-    ``rows`` is the graph: rows[u] lists the (v, multiplicity) pairs of the
-    neighbours v of u in increasing v, loops included.  ``rank`` is the rank
-    r of the free (Z/p)^r action on the vertex numbers that check_centre
-    certifies: the ring's dimension on a coset graph of H_f, 0 where none is
-    claimed.  ``adjacency`` is the dense matrix derived from the rows, for
-    the oracles only.
+    ``rank`` is the rank r of a free (Z/p)^r action on the vertex numbers,
+    vertex a·p^r + t the translate by t of the orbit representative a·p^r,
+    as check_centre reads it: the ring's dimension on a coset graph of H_f,
+    0 where none is claimed.  ``reps`` is the graph: reps[a] lists the
+    (v, multiplicity) pairs of the neighbours v of vertex a·p^r in
+    increasing v, loops included, and every other row is a translate.  At
+    rank 0 they are all the rows.  ``rows``, every vertex's row, is expanded
+    from them for the search below the root, the witness checks and the
+    exports; ``adjacency`` is the dense matrix derived from the rows, for the
+    oracles only.  build_coset_graph makes the representatives' rows in
+    closed form; from_rows takes rows made elsewhere, once check_centre has
+    certified them.
     """
 
     group: Heisenberg
     subgroup_label: str
     gens: tuple[GroupElement, ...]
     vertices: tuple[GroupElement, ...]
-    rows: Rows
+    reps: Rows
     rank: int
+
+    @classmethod
+    def from_rows(cls, group: Heisenberg, subgroup_label: str, gens, vertices, rows: Rows,
+                  rank: int) -> CosetGraph:
+        """The graph with these rows, once check_centre has certified its rank's action.
+
+        It raises SelfCheckFailed where a row is not the translate of its
+        representative's, and keeps the representatives' rows only.
+        """
+        width = check_centre(rows, group.ring.p, rank)
+        return cls(group, subgroup_label, tuple(gens), tuple(vertices), tuple(rows[::width]),
+                   rank)
 
     @property
     def n(self) -> int:
@@ -111,6 +134,19 @@ class CosetGraph:
     @property
     def degree(self) -> int:
         return len(self.gens)
+
+    @property
+    def centre_width(self) -> int:
+        """p^rank, the size of the orbits of the graph's free action."""
+        return self.group.ring.p ** self.rank
+
+    @cached_property
+    def rows(self) -> Rows:
+        """Every vertex's row: each representative's own, then its translates by t = 1, 2, ..."""
+        plus = _digit_sums(self.group.ring.p, self.rank)[1:]  # plus[0] is the identity
+        width = self.centre_width
+        return tuple(chain.from_iterable((row, *_translates(row, width, plus))
+                                         for row in self.reps))
 
     def loop_count(self) -> int:
         return sum(mult for u, row in enumerate(self.rows) for v, mult in row if u == v)
@@ -122,26 +158,31 @@ class CosetGraph:
 
     @cached_property
     def connected(self) -> bool:
-        if self.n == 0:
+        """Whether a search from vertex 0 reaches every vertex, reading the row of
+        a·p^r + t as the translate by t of reps[a], with no rows expanded."""
+        n, width, reps = self.n, self.centre_width, self.reps
+        if n == 0:
             return True
-        seen = {0}
+        plus = _digit_sums(self.group.ring.p, self.rank)
+        seen = bytearray(n)
+        seen[0] = reached = 1
         frontier = [0]
         while frontier:
-            for v, _ in self.rows[frontier.pop()]:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return len(seen) == self.n
-
-    @cached_property
-    def centre_width(self) -> int:
-        """p^rank, the size of the centre's orbits, once check_centre has passed."""
-        return check_centre(self.rows, self.group.ring.p, self.rank)
+            a, t = divmod(frontier.pop(), width)
+            shift = plus[t]
+            for v, _ in reps[a]:
+                d = v % width
+                w = v - d + shift[d]
+                if not seen[w]:
+                    seen[w] = 1
+                    reached += 1
+                    frontier.append(w)
+        return reached == n
 
     @cached_property
     def refinement(self) -> tuple[tuple, tuple[int, ...]]:
-        """colour_refinement of the rows on the centre's orbits, cached: (invariant, colours)."""
-        return colour_refinement(self.rows, self.centre_width)
+        """colour_refinement on the representatives' rows, cached: (invariant, colours)."""
+        return colour_refinement(self.reps, self.centre_width)
 
     def edge_list(self) -> list[tuple[int, int, int]]:
         """(u, v, multiplicity) with u <= v, loops included."""
@@ -174,9 +215,10 @@ def build_coset_graph(sub: TwistedSubgroup, gens: Sequence[GroupElement],
     elements indexed in lexicographic coefficient order, and the generator
     s = (s0, s1, s2) sends it to the coset of
     (0, b + s1, c + s2 - f(s0) - s0·(b + s1)).  c enters that target only
-    additively, so only the q representative rows (0, b, 0) are computed;
-    the row of (0, b, c) is their translate by index(c), as check_centre
-    reads them.  No group element is walked.
+    additively, so the row of (0, b, c) is the translate by index(c) of the
+    row of (0, b, 0), and only those q representative rows are computed and
+    stored, with the ring's dimension as the rank.  No group element is
+    walked, and no other row is written.
     ``oracles.coset_graph_bruteforce`` labels the cosets of any subgroup by
     walking the whole group.
     """
@@ -195,18 +237,23 @@ def build_coset_graph(sub: TwistedSubgroup, gens: Sequence[GroupElement],
     add, times, neg, f = ring.add, ring.mul, ring.neg, sub.f.apply
     index = {x: i for i, x in enumerate(els)}
     moves = [(s0, s1, add(s2, neg(f(s0)))) for s0, s1, s2 in gens]
-    plus = _digit_sums(ring.p, ring.dim)
-    rows = []
+    reps = []
     for b in els:
         moved = []
         for s0, s1, lift in moves:
             b1 = add(b, s1)
             moved.append(index[b1] * q + index[add(lift, neg(times(s0, b1)))])
-        rows.extend(_translates(tuple(sorted(Counter(moved).items())), q, plus))
-    zero = ring.zero()
-    vertices = tuple((zero, b, c) for b in els for c in els)
+        reps.append(tuple(sorted(Counter(moved).items())))
     return CosetGraph(group=group, subgroup_label=sub.label(), gens=gens,
-                      vertices=vertices, rows=tuple(rows), rank=ring.dim)
+                      vertices=transversal(ring), reps=tuple(reps), rank=ring.dim)
+
+
+@lru_cache(maxsize=16)
+def transversal(ring) -> tuple[GroupElement, ...]:
+    """The elements (0, b, c), vertex k = index(b)·q + index(c) of every coset graph of
+    an H_f over the ring, one copy shared by all of them."""
+    zero, els = ring.zero(), ring.elements
+    return tuple((zero, b, c) for b in els for c in els)
 
 
 @lru_cache(maxsize=16)
@@ -224,10 +271,11 @@ def _digit_sums(p: int, r: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _translates(row, width: int, plus) -> list:
-    """The rows of the translates by t = 0, ..., width - 1 of a vertex with this row.
+    """The rows of the translates of a vertex with this row, one per table in plus.
 
-    The translation by t sends v = b·width + d to b·width + plus[t][d]; it
-    maps rows onto rows when it is an automorphism, as check_centre requires.
+    The translation by t, whose table is plus[t] of _digit_sums, sends
+    v = b·width + d to b·width + plus[t][d]; it maps rows onto rows when it
+    is an automorphism, as check_centre requires.
     """
     entries = [(v - v % width, v % width, mult) for v, mult in row]
     return [tuple(sorted([(base + shift[d], mult) for base, d, mult in entries]))
@@ -443,14 +491,27 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
 
 
 def charpoly_by_centre(rows: Rows, p: int, r: int) -> SpectrumPolynomial:
+    """det(tI - A) for the adjacency A of the graph with these neighbour rows,
+    factored through a free (Z/p)^r action on the vertex numbers.
+
+    check_centre certifies the action first, that p^r divides n and that each
+    translation is an automorphism of A, raising SelfCheckFailed; then
+    _charpoly_of_reps factors the orbit representatives' rows.  r = 0 gives
+    the dense polynomial.
+    """
+    width = check_centre(rows, p, r)
+    return _charpoly_of_reps(rows[::width], p, r)
+
+
+def _charpoly_of_reps(reps: Rows, p: int, r: int) -> SpectrumPolynomial:
     """det(tI - A) as a product of blocks over the characters of a free (Z/p)^r action.
 
-    A is the adjacency of the graph with these neighbour rows.  The action is
-    the numbering's: vertex a·p^r + t is σ^t of the orbit representative a·p^r,
+    A is the adjacency of the graph whose vertex a·p^r + t has the translate
+    by t of the row reps[a], the action's being certified, as check_centre
+    reads it: vertex a·p^r + t is σ^t of the orbit representative a·p^r,
     where σ_i adds 1 mod p to digit i (weight p^i) of t; on a coset graph of
-    H_f these are the centre's translations.  They commute, have order p and
-    act freely by construction; check_centre checks that p^r divides n and
-    that they are automorphisms of A, raising SelfCheckFailed.  So A preserves
+    H_f these are the centre's translations.  They commute, have order p,
+    act freely by construction and are automorphisms of A.  So A preserves
     each space of vectors with f(σ^t v) = ζ^(λ·t) f(v), ζ = exp(2πi/p), and
     acts on the values at the Q = n/p^r representatives by the block
     A_λ[a, b] = Σ_t A[a·p^r, b·p^r + t] ζ^(λ·t); λ = 0 gives an integer block.
@@ -459,16 +520,17 @@ def charpoly_by_centre(rows: Rows, p: int, r: int) -> SpectrumPolynomial:
     N = Q(p-1).  It is computed modulo one ℓ from _modulus, in which ζ ↦ ω^s
     sends A_λ to the block B_s of the character sλ, s = 1, ..., p - 1, and
     lifted to the symmetric range.  The line polynomials multiply in a
-    balanced tree.  r = 0 gives the dense polynomial.
+    balanced tree.
     """
-    width = check_centre(rows, p, r)
-    size = len(rows) // width
+    width = p**r
+    size = len(reps)
     # the entries of orbit representative a·p^r: (orbit, digits t, multiplicity)
-    voltages = [[(*divmod(v, width), mult) for v, mult in rows[a * width]] for a in range(size)]
-    # every eigenvalue μ of A has |μ| <= d, the largest absolute row sum, and
+    voltages = [[(*divmod(v, width), mult) for v, mult in row] for row in reps]
+    # every eigenvalue μ of A has |μ| <= d, the largest absolute row sum (a
+    # translate's is its representative's), and
     # each orbit's polynomial is a product of t - μ over at most N of them,
     # so its t^(N-k) coefficient is at most C(N, k)·d^k
-    d = max((sum(abs(mult) for _, mult in row) for row in rows), default=0)
+    d = max((sum(abs(mult) for _, mult in row) for row in reps), default=0)
     big = size * (p - 1) if r else size
     ell, omega = _modulus(p, max(comb(big, k) * d**k for k in range(big + 1)))
     powers = [pow(omega, j, ell) for j in range(p)]
@@ -495,14 +557,15 @@ def charpoly_by_centre(rows: Rows, p: int, r: int) -> SpectrumPolynomial:
 def char_poly(graph: CosetGraph, cap: Optional[int] = None) -> SpectrumPolynomial:
     """Exact characteristic polynomial of the adjacency matrix of a coset graph.
 
-    Factorised by charpoly_by_centre through the free action of the graph's
-    rank: on a coset graph of H_f the centre, whose (0, 0, e) adds 1 mod p to
-    one base-p digit of index(c).
+    Factorised on the representatives' rows through the free action of the
+    graph's rank, as charpoly_by_centre factors certified rows: on a coset
+    graph of H_f the centre, whose (0, 0, e) adds 1 mod p to one base-p digit
+    of index(c).
     """
     limit = DEFAULT_VERTEX_CAP if cap is None else cap
     if graph.n > limit:
         raise SizeCapExceeded(f"{graph.n} vertices exceed cap {limit}")
-    return charpoly_by_centre(graph.rows, graph.group.ring.p, graph.rank)
+    return _charpoly_of_reps(graph.reps, graph.group.ring.p, graph.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -510,18 +573,20 @@ def char_poly(graph: CosetGraph, cap: Optional[int] = None) -> SpectrumPolynomia
 # ---------------------------------------------------------------------------
 
 
-def colour_refinement(rows: Rows, width: int = 1) -> tuple[tuple, tuple[int, ...]]:
+def colour_refinement(reps: Rows, width: int = 1) -> tuple[tuple, tuple[int, ...]]:
     """(invariant, colours) of canonical colour refinement from a single colour.
 
     Isomorphic graphs have equal invariants, so distinct invariants prove
-    two graphs non-isomorphic.  ``width`` is the size of the orbits of
-    automorphisms that check_centre certified on the rows; one colour per
-    orbit is refined, with the same result as width 1.
+    two graphs non-isomorphic.  ``width`` is the size of the orbits of a
+    certified free action by automorphisms, and ``reps`` the rows of their
+    representatives a·width, as a CosetGraph keeps them; at width 1 they are
+    all the rows.  One colour per orbit is refined, with the same result as
+    on all the rows at width 1.
     """
-    return _refine(rows, [0] * (len(rows) // width), width)
+    return _refine(reps, [0] * len(reps), width)
 
 
-def _refine(rows: Rows, colors: Sequence[int], width: int = 1) -> tuple[tuple, tuple[int, ...]]:
+def _refine(reps: Rows, colors: Sequence[int], width: int = 1) -> tuple[tuple, tuple[int, ...]]:
     """Canonical colour refinement (1-WL with multiplicities and loops).
 
     Each round colours a vertex by the index of its signature (own colour,
@@ -532,11 +597,11 @@ def _refine(rows: Rows, colors: Sequence[int], width: int = 1) -> tuple[tuple, t
     colour id means the same in both.  Returns (invariant, colours).
 
     ``colors`` holds one colour per orbit a·width, ..., a·width + width - 1
-    of automorphisms that fix every colour, so only the representatives
-    a·width get signatures, neighbour v taking the colour of orbit v // width;
-    counts are width times the orbits', and the colours come back per vertex.
+    of automorphisms that fix every colour, and ``reps`` the rows of the
+    representatives a·width, which alone get signatures, neighbour v taking
+    the colour of orbit v // width; counts are width times the orbits', and
+    the colours come back per vertex.  At width 1 ``reps`` are all the rows.
     """
-    reps = rows[::width]
     loops = [next((mult for u, mult in row if u == a * width), 0) for a, row in enumerate(reps)]
     if width > 1:
         reps = [[(v // width, mult) for v, mult in row] for row in reps]
@@ -630,18 +695,22 @@ def verify_witness(adj1, adj2, witness: Sequence[int]) -> bool:
     return all(adj1[u][w] == adj2[witness[u]][witness[w]] for u in range(n) for w in range(n))
 
 
-def find_isomorphism(rows1: Rows, rows2: Rows, refinement1, refinement2,
-                     cap: int = DEFAULT_ISO_NODES, width: int = 1) -> Optional[tuple[int, ...]]:
-    """A witness w that maps_onto(rows1, rows2, w), or None if there is none.
+def find_isomorphism(g1: CosetGraph, g2: CosetGraph,
+                     cap: int = DEFAULT_ISO_NODES) -> Optional[tuple[int, ...]]:
+    """A witness w that maps_onto(g1.rows, g2.rows, w), or None if there is none.
 
-    The refinements are the colour_refinement of each graph.  ``width`` is
-    the centre_width of the second graph, whose centre prunes the root of the
-    search.  The search runs at most ``cap`` refinements and raises
-    SizeCapExceeded past them.
+    Different vertex counts or refinement invariants give None, and equal
+    representatives' rows the identity, before either graph's rows are
+    expanded: with n = len(reps)·p^r equal, the orbits have one width p^r,
+    which fixes p and r, so the rows are equal too.  Otherwise the search
+    runs on the rows, its root pruned by the second graph's action.  It runs
+    at most ``cap`` refinements and raises SizeCapExceeded past them.
     """
-    if rows1 == rows2:
-        return tuple(range(len(rows1)))
-    if refinement1[0] != refinement2[0]:
+    if g1.n != g2.n:
+        return None
+    if g1.reps == g2.reps:
+        return tuple(range(g1.n))
+    if g1.refinement[0] != g2.refinement[0]:
         return None
     spent = 0
 
@@ -652,7 +721,8 @@ def find_isomorphism(rows1: Rows, rows2: Rows, refinement1, refinement2,
             raise SizeCapExceeded(f"isomorphism search exceeds {cap} refinement nodes")
         return _refine(rows, colors)
 
-    found = _search(rows1, rows2, refinement1[1], refinement2[1], refine, width)
+    rows1, rows2 = g1.rows, g2.rows
+    found = _search(rows1, rows2, g1.refinement[1], g2.refinement[1], refine, g2.centre_width)
     if found is not None and not maps_onto(rows1, rows2, found):
         raise SelfCheckFailed("isomorphism witness does not map edges onto edges")
     return None if found is None else tuple(found)
@@ -661,10 +731,7 @@ def find_isomorphism(rows1: Rows, rows2: Rows, refinement1, refinement2,
 def are_isomorphic(g1: CosetGraph, g2: CosetGraph,
                    cap: int = DEFAULT_ISO_NODES) -> IsomorphismResult:
     """Exact isomorphism: refinement invariants first, then individualise and refine."""
-    if g1.n != g2.n:
-        return IsomorphismResult(False, None)
-    witness = find_isomorphism(g1.rows, g2.rows, g1.refinement, g2.refinement, cap,
-                               g2.centre_width)
+    witness = find_isomorphism(g1, g2, cap)
     return IsomorphismResult(witness is not None, witness)
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 from conftest import run_cli
 
-from gassmann import reports
+from gassmann import reports, schreier
 from gassmann.certify import (
     all_linear_maps,
     enumerate_class_reps,
@@ -155,9 +155,15 @@ _FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]
 
 
 @pytest.mark.parametrize("p, m", _FIELDS, ids=lambda v: str(v))
-def test_the_group_law_rebuild_equals_the_closed_form(p, m):
+def test_the_group_law_rebuild_equals_the_closed_form(p, m, monkeypatch):
     # verify's graph, built by left multiplication into H_f, against production's
-    # closed form, which the walk over the group checks in test_schreier
+    # closed form, which the walk over the group checks in test_schreier: the rows
+    # the group law gives, as the certified constructor receives them, are the
+    # closed form's rows expanded from its q representatives
+    made = []
+    check = schreier.check_centre
+    monkeypatch.setattr(schreier, "check_centre",
+                        lambda rows, p, r: made.append(rows) or check(rows, p, r))
     spec = make_field(p, m)
     group = heisenberg_group(spec)
     gens = default_generators(group)
@@ -165,7 +171,8 @@ def test_the_group_law_rebuild_equals_the_closed_form(p, m):
     for f in enumerate_class_reps(spec).reps:
         graph = build_coset_graph(twisted_subgroup(f, group), gens)
         rebuilt = _schreier_graph(graph.subgroup_label, config)
-        assert rebuilt.rows == graph.rows and rebuilt.gens == graph.gens
+        assert tuple(made.pop()) == graph.rows
+        assert rebuilt.reps == graph.reps and rebuilt.gens == graph.gens
 
 
 def test_verify_builds_each_graph_once(monkeypatch):
@@ -230,12 +237,27 @@ def test_verify_derives_the_centre_action_from_the_config(p, m, monkeypatch):
     # vertex index(b)·q + index(c) is the coset of (0, b, c), so verify factors each
     # charpoly over the centre of rank m, taken from the config, as production does
     calls = []
-    factor = reports.charpoly_by_centre
-    monkeypatch.setattr(reports, "charpoly_by_centre",
-                        lambda rows, p, r: calls.append((p, r)) or factor(rows, p, r))
+    factor = reports.char_poly
+    monkeypatch.setattr(reports, "char_poly", lambda graph: calls.append(
+        (graph.group.ring.p, graph.rank, len(graph.reps))) or factor(graph))
     report, _ = cmd_graphs(p, m)
     assert verify_report(report) == []
-    assert calls == [(p, m)] * (len(report["items"]) - 2)
+    assert calls == [(p, m, p**m)] * (len(report["items"]) - 2)
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2)])
+def test_the_centre_is_checked_once_per_rebuilt_graph_and_never_on_a_built_one(
+        p, m, monkeypatch):
+    # build_coset_graph writes the representatives' rows alone, so it has nothing to
+    # check; verify's group-law rows are certified once, by CosetGraph.from_rows
+    calls = []
+    check = schreier.check_centre
+    monkeypatch.setattr(schreier, "check_centre",
+                        lambda rows, p, r: calls.append(len(rows)) or check(rows, p, r))
+    report, _ = cmd_graphs(p, m)
+    assert calls == []
+    assert verify_report(report) == []
+    assert calls == [p ** (2 * m)] * (len(report["items"]) - 2)
 
 
 @pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4)])

@@ -80,15 +80,17 @@ def _dense(matrix, p=2):
 
 def _synthetic(adjacency, group=G4, rank=0):
     """A CosetGraph with the rows of an arbitrary adjacency matrix (up to |group| vertices),
-    claiming a free action of rank ``rank`` over the group's prime."""
-    return CosetGraph(
-        group=group,
-        subgroup_label="synthetic",
-        gens=GENS4[:2],
-        vertices=group.elements[:len(adjacency)],
-        rows=_rows(adjacency),
-        rank=rank,
-    )
+    claiming a free action of rank ``rank`` over the group's prime, which the certified
+    constructor checks."""
+    return CosetGraph.from_rows(group, "synthetic", GENS4[:2], group.elements[:len(adjacency)],
+                                _rows(adjacency), rank)
+
+
+def _unpruned(g1, g2):
+    """The witness of the search with no pruning at its root (width 1), or None."""
+    found = schreier._search(g1.rows, g2.rows, g1.refinement[1], g2.refinement[1],
+                             schreier._refine)
+    return None if found is None else tuple(found)
 
 
 def _relabel(adjacency, perm):
@@ -184,6 +186,53 @@ def test_generator_set_errors():
     # production builds the graphs of H_f only; the oracle takes any subgroup
     with pytest.raises(SpecMismatch, match="not a PlainSubgroup"):
         build_coset_graph(center_subgroup(G4), GENS4)
+
+
+def _reaches_all(rows):
+    """Whether a search over the full rows from vertex 0 reaches every vertex."""
+    seen, frontier = {0}, [0]
+    while frontier:
+        for v, _ in rows[frontier.pop()]:
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return len(seen) == len(rows)
+
+
+@pytest.mark.parametrize("spec", [F4, make_field(2, 3), make_field(3, 2), make_trunc_ring(2, 2),
+                                  make_trunc_ring(3, 2)],
+                         ids=["GF4", "GF8", "GF9", "F2[t]/t^2", "F3[t]/t^2"])
+def test_connectivity_on_the_representatives_equals_a_search_over_the_rows(spec):
+    group = heisenberg_group(spec)
+    zero, basis = spec.zero(), spec.basis()
+    # one a-coordinate generator, and every b-coordinate one: the latter's quotient by
+    # the centre is connected, but c never moves, so the cover is not
+    for gens in (default_generators(group), [(basis[0], zero, zero)],
+                 [(zero, e, zero) for e in basis]):
+        for f in enumerate_class_reps(spec).reps:
+            graph = build_coset_graph(twisted_subgroup(f, group), gens)
+            assert graph.connected == _reaches_all(graph.rows)
+            assert graph.connected == (gens == default_generators(group))
+
+
+def test_the_graph_layer_reads_the_representatives_rows_alone():
+    # the build, the polynomial, connectivity, the refinement and a verdict between
+    # graphs with different invariants never expand the q² rows
+    graphs = _rep_graphs(make_field(2, 3))
+    for graph in graphs:
+        assert len(graph.reps) == 8 and graph.n == 64
+        char_poly(graph)
+        assert graph.connected and graph.refinement
+    apart = [(g1, g2) for g1 in graphs for g2 in graphs
+             if g1.refinement[0] != g2.refinement[0]]
+    assert apart and not any(are_isomorphic(g1, g2).isomorphic for g1, g2 in apart)
+    assert are_isomorphic(graphs[0], graphs[0]).witness == tuple(range(64))
+    assert not any("rows" in vars(graph) for graph in graphs)
+    # the search between graphs with equal invariants reads the rows, and keeps them
+    g1, g2 = next((g1, g2) for g1 in graphs for g2 in graphs
+                  if g1 is not g2 and g1.refinement[0] == g2.refinement[0])
+    are_isomorphic(g1, g2)
+    assert "rows" in vars(g1) and "rows" in vars(g2)
 
 
 def test_default_generators_reduce_to_classic_pair_at_m1():
@@ -549,8 +598,7 @@ def test_root_pruning_equals_the_oracle_on_random_covers(case):
     g1, g2, g3 = (_synthetic(a, group, 1) for a in (adj, relabelled, other))
     fast = are_isomorphic(g1, g2)
     assert fast.isomorphic and verify_witness(g1.adjacency, g2.adjacency, fast.witness)
-    assert fast.witness == schreier.find_isomorphism(g1.rows, g2.rows, g1.refinement,
-                                                     g2.refinement)
+    assert fast.witness == _unpruned(g1, g2)
     assert are_isomorphic(g1, g3).isomorphic == are_isomorphic_bruteforce(g1, g3).isomorphic
 
 
@@ -675,8 +723,7 @@ def test_root_pruning_keeps_every_witness(field, monkeypatch):
             pruned += nodes[0]
             nodes[0] = 0
             # width 1: every root candidate is tried
-            assert witness == schreier.find_isomorphism(g1.rows, g2.rows, g1.refinement,
-                                                        g2.refinement)
+            assert witness == _unpruned(g1, g2)
             unpruned += nodes[0]
     assert (pruned, unpruned) == SEARCH_NODES[field]
 
@@ -698,7 +745,7 @@ def test_rejected_witness_raises_even_under_optimization(search, monkeypatch):
     graph = _rep_graphs()[1]
     shift = [(v + 1) % graph.n for v in range(graph.n)]
     # the relabelling moves the centre's orbits, so the copy claims no action
-    relabelled = dataclasses.replace(graph, rows=_rows(_relabel(graph.adjacency, shift)), rank=0)
+    relabelled = dataclasses.replace(graph, reps=_rows(_relabel(graph.adjacency, shift)), rank=0)
     assert relabelled.rows != graph.rows
     home, patch = REJECTED_WITNESS[search]
     assert getattr(home, search)(graph, relabelled).isomorphic
@@ -819,12 +866,10 @@ def test_broken_centre_action_raises(name):
     adjacency, p, r, message = BROKEN_CENTRE_ACTIONS[name]
     with pytest.raises(SelfCheckFailed, match=message):
         charpoly_by_centre(_rows(adjacency), p, r)
-    # a graph that claims the action checks it before refining or factoring
-    graph = _synthetic(adjacency, heisenberg_group(make_field(p, 2)), r)
+    # rows that claim the action are checked by the certified constructor, so no
+    # graph is made that could refine or factor them
     with pytest.raises(SelfCheckFailed, match=message):
-        graph.refinement
-    with pytest.raises(SelfCheckFailed, match=message):
-        char_poly(graph)
+        _synthetic(adjacency, heisenberg_group(make_field(p, 2)), r)
 
 
 def test_broken_centre_actions_raise_even_under_optimization():
@@ -838,13 +883,13 @@ def test_broken_centre_actions_raise_even_under_optimization():
         "from gassmann.errors import SelfCheckFailed, SizeCapExceeded\n"
         "from gassmann.heisenberg import heisenberg_group\n"
         "from gassmann.rings import make_field\n"
-        "from gassmann.schreier import CosetGraph, char_poly, charpoly_by_centre\n"
+        "from gassmann.schreier import CosetGraph, charpoly_by_centre\n"
         "for name, (adjacency, p, r, message) in json.loads(sys.argv[1]).items():\n"
         "    rows = tuple(tuple((v, m) for v, m in enumerate(row) if m) for row in adjacency)\n"
         "    group = heisenberg_group(make_field(p, 2))\n"
-        "    graph = CosetGraph(group, name, (), group.elements[:len(rows)], rows, r)\n"
-        "    for check in (lambda: charpoly_by_centre(rows, p, r), lambda: graph.refinement,\n"
-        "                  lambda: char_poly(graph)):\n"
+        "    vertices = group.elements[:len(rows)]\n"
+        "    for check in (lambda: charpoly_by_centre(rows, p, r),\n"
+        "                  lambda: CosetGraph.from_rows(group, name, (), vertices, rows, r)):\n"
         "        try:\n"
         "            check()\n"
         "        except SelfCheckFailed as exc:\n"
@@ -866,8 +911,8 @@ def test_broken_centre_actions_raise_even_under_optimization():
     args = [json.dumps(BROKEN_CENTRE_ACTIONS), json.dumps(PIVOT_THREE)]
     done = subprocess.run([sys.executable, "-O", "-c", script, *args],
                           env=env, capture_output=True, text=True, check=True)
-    # charpoly_by_centre, the refinement and char_poly each raise on every broken action
-    cases = [*(name for name in BROKEN_CENTRE_ACTIONS for _ in range(3)),
+    # charpoly_by_centre and the certified constructor each raise on every broken action
+    cases = [*(name for name in BROKEN_CENTRE_ACTIONS for _ in range(2)),
              "cap", "search", "skip", "pivot"]
     assert done.stdout.splitlines() == [f"{name} True" for name in cases]
 
