@@ -1227,6 +1227,46 @@ def test_reports_keep_their_pinned_bytes(argv):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[argv]
 
 
+# SHA-256 of one plan report per op, and of the three ops with an optional check
+# (comm-classes --n, nonarith-count --n, min-ell-growth --p --c-1)
+PINNED_PLANS = {
+    "twisted-count --p 2 --ell0 37 --dim-g 8":
+        "146d3e545b32730d6cf6985e6d7d2f360ade32efde9428279adeeb53eb449adc",
+    "comm-classes --p 2 --ell0 29 --dim-g 8 --c 1":
+        "7916cb3570e5bcb0a00fd969bd3e7559912761ceb36eb9ce38461b43290e49c0",
+    "comm-classes --p 2 --ell0 29 --dim-g 8 --c 1 --c-x 3 --n 5":
+        "fad9d056bf1d1388d2a9f5adca0dbdc827faf11184174c8d436bf4e6cace8a4c",
+    "conjugates-bound --n-index 64 --x 2 --big-c 3 --group-order 512":
+        "1947c99ea6a0f6dc9a3f29775fa33889294c7ff281f6492abed384d67f4040a8",
+    "min-ell-sequence --dim-g 8 --c 1 --r 1":
+        "e28890e351c0ab8621c00dbd9990eff4c5f99180cca61f9221602a90beb2db6d",
+    "min-ell-growth --dim-g 8 --c 1 --r 1":
+        "a9d813b935a57b56974156c3c72a969db3fb2a65f8760f7f21cb7948bd27914f",
+    "min-ell-growth --dim-g 8 --c 1 --r 1 --p 2 --c-1 1":
+        "c66003848575e4281b5cf1893b77bc83a4bda9c2e408ce50cc8ee87f17af44ca",
+    "nonarith-count --p 2 --ell 11":
+        "f48898d07f3b7f6f174041fe93c327a3a1dfc4df1547580ccb20638bc544b627",
+    "nonarith-count --p 2 --ell 11 --comm-index 7 --n 3":
+        "81f3e462945a1b09991853b7cecf2ed898c6d1fb21cc0590074b29cfc990988f",
+    "volume-bound --big-c 3 --p 2 --j 4":
+        "183f73a408128a27cd5065b1c4366cbd2130b03e3d703c1175bb5560f2fd2a14",
+    "growth-constant --p 2 --delta 1 --d-p 0 --j-min 30 --j-max 100":
+        "3849a8abe33be28ddbc626b3c27f29206d756f17da4aa61a4896bd27444f2bc0",
+    "level-count --primes 2,3,5 --j 3 --ell0 2":
+        "8488c21d07d13b120c4a13ff6048166043f69a349baa9c7b9ec04a6e050ce9ec",
+    "tower-min-k --primes 2,3,5,7 --j 1 --ell0 37 --dim-g 8 --c-x 4 --x 1 --c 1 --r 444":
+        "aa35a6d97e0a27f847d132ab31f71cd8d3ba2d8f2b869dbe586cbcbca70ef3dd",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_PLANS),
+                         ids=lambda argv: argv.replace(" --", ",").replace(" ", "="))
+def test_plan_reports_keep_their_pinned_bytes(argv):
+    code, out, _ = run_cli("plan", *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_PLANS[argv]
+
+
 def test_table_format():
     code, out, _ = run_cli("tower", "--p", "2", "--j-max", "2", "--format", "table")
     assert code == 0
