@@ -32,7 +32,6 @@ from .heisenberg import (
 from .places import PlaceRecord, choose_modulus, residue_degree, scan_places
 from .planner import (
     IneqCheck,
-    PlannerParams,
     distinct_comm_classes,
     level_count,
     ln_interval,

@@ -21,7 +21,7 @@ from . import certify as cz
 from . import planner as pl
 from . import reports as rp
 from . import schreier as sg
-from .errors import GassmannError, NotGenerating, SelfCheckFailed, SpecMismatch, UsageError
+from .errors import GassmannError, NotGenerating, SpecMismatch, UsageError
 from .heisenberg import heisenberg_group, twisted_subgroup
 from .places import choose_modulus, implementations_agree, scan_places
 from .rings import make_field, make_trunc_ring, size_cap
@@ -141,13 +141,15 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None, cap: Optional[in
                 f"coset graph of {graph.subgroup_label} is disconnected; "
                 "the generator set does not generate"
             )
-    polys = [sg.char_poly(g).coefficients for g in graphs]
-    # each distinct charpoly once, numbered in order of first appearance
-    index_of = {poly: i for i, poly in enumerate(dict.fromkeys(polys))}
+    # each distinct charpoly once, numbered in order of first appearance, and each
+    # graph's by its index, so a graph's own copy is dropped once it is interned
+    index_of: dict[tuple, int] = {}
+    charpoly_index = [index_of.setdefault(sg.char_poly(g).coefficients, len(index_of))
+                      for g in graphs]
     distinct = [[rp.encode_count(c) for c in poly] for poly in index_of]
 
     files: dict[str, str] = {}
-    for k, (graph, poly) in enumerate(zip(graphs, polys)):
+    for k, (graph, poly) in enumerate(zip(graphs, charpoly_index)):
         report["items"].append({**graph.to_json(), "kind": "coset-graph", "rep": k, "holds": True})
         if not exports:
             continue
@@ -155,7 +157,7 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None, cap: Optional[in
         files[f"rep_{k}.edges"] = "".join(
             f"{u} {v} {mult}\n" for u, v, mult in graph.edge_list())
         files[f"rep_{k}.charpoly.json"] = json.dumps(
-            {"degree": len(poly) - 1, "coefficients": distinct[index_of[poly]]},
+            {"degree": len(distinct[poly]) - 1, "coefficients": distinct[poly]},
             sort_keys=True) + "\n"
 
     # both items below refer to the coset-graph items by their rep index
@@ -163,9 +165,9 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None, cap: Optional[in
     report["items"].append(
         {
             "kind": "cospectral",
-            "pair_count": len(polys) * (len(polys) - 1) // 2,
+            "pair_count": len(graphs) * (len(graphs) - 1) // 2,
             "distinct_charpolys": distinct,
-            "charpoly_index": [index_of[poly] for poly in polys],
+            "charpoly_index": charpoly_index,
             "all_equal": all_equal,
             "holds": all_equal,
         }
@@ -236,119 +238,20 @@ def cmd_places(ell: int, bound: int, q: Optional[int] = None,
 # ---------------------------------------------------------------------------
 
 
-# Options each plan op needs that have no default.
-_PLAN_REQUIRED = {
-    "twisted-count": ("p", "ell0", "dim_g"),
-    "comm-classes": ("p", "ell0", "dim_g"),
-    "conjugates-bound": ("n_index", "group_order"),
-    "min-ell-sequence": ("dim_g",),
-    "min-ell-growth": ("dim_g",),
-    "nonarith-count": ("p", "ell"),
-    "volume-bound": ("p", "j"),
-    "growth-constant": ("p", "j_min", "j_max"),
-    "level-count": ("primes", "j", "ell0"),
-    "tower-min-k": ("primes", "j", "ell0", "dim_g"),
-}
-
-
 def cmd_plan(args: argparse.Namespace) -> dict:
-    op = args.plan_op
-    missing = [name for name in _PLAN_REQUIRED[op] if getattr(args, name) is None]
+    name, options = args.plan_op, vars(args)
+    op = pl.PLAN_OPS[name]
+    # an option without a default is None until given, and an op needs those it always reads
+    missing = [option for option in op.reads if options[option] is None]
     if missing:
-        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        raise UsageError(f"plan {op} needs {flags}")
-    if args.dim_g is not None:
-        pl.PlannerParams(
-            dim_g=args.dim_g, c=args.c, x=args.x, big_c=args.big_c,
-            c_x=args.c_x, c_1=args.c_1 if args.c_1 is not None else 1,
-            d_p=args.d_p, delta=Fraction(args.delta), r=args.r,
-            ell=args.ell, ell0=args.ell0,
-        )
-
-    def given(*names: str) -> dict:
-        return {name: getattr(args, name) for name in names}
-
-    checks: list = []
-    if op == "twisted-count":
-        inputs = given("p", "ell0", "dim_g")
-        result = pl.twisted_count_bound(args.p, args.ell0, args.dim_g).to_json()
-
-    elif op == "comm-classes":
-        inputs = given("p", "ell0", "dim_g", "c")
-        result = pl.distinct_comm_classes(args.p, args.ell0, args.dim_g, args.c).to_json()
-        if args.n is not None:
-            checks.append(pl.isometry_headroom(args.p, args.ell0, args.dim_g, args.c,
-                                               args.c_x, args.n))
-            inputs.update(given("c_x", "n"))
-
-    elif op == "conjugates-bound":
-        inputs = given("n_index", "x", "big_c", "group_order")
-        value = pl.commensurator_conjugates_bound(args.n_index, args.x, args.big_c,
-                                                  args.group_order)
-        result = {"value": str(value)}
-
-    elif op in ("min-ell-sequence", "min-ell-growth"):
-        fn = pl.min_ell_sequence if op == "min-ell-sequence" else pl.min_ell_growth
-        found = fn(args.dim_g, args.c, args.r)
-        inputs = given("dim_g", "c", "r")
-        result = {"ell": found.ell}
-        checks = [found.passing] + ([found.failing] if found.failing else [])
-        if op == "min-ell-growth" and args.p is not None and args.c_1 is not None:
-            ell0 = args.ell0 if args.ell0 is not None else found.ell
-            checks.extend(pl.growth_chain_check(args.p, args.c_1, ell0, args.r,
-                                                args.dim_g, args.c))
-            inputs.update({"p": args.p, "c_1": args.c_1, "ell0": ell0})
-
-    elif op == "nonarith-count":
-        inputs = given("p", "ell")
-        result = pl.nonarith_count(args.p, args.ell).to_json()
-        if args.n is not None:
-            checks.append(pl.nonarith_headroom(args.p, args.ell, args.comm_index, args.n))
-            inputs.update(given("comm_index", "n"))
-
-    elif op == "volume-bound":
-        inputs = given("big_c", "p", "j")
-        result = {"value": str(pl.tower_volume_bound(args.big_c, args.p, args.j))}
-
-    elif op == "growth-constant":
-        delta, margin = Fraction(args.delta), Fraction(args.margin)
-        found = pl.tower_growth_constant(args.p, delta, args.d_p, args.j_min, args.j_max,
-                                         margin=margin)
-        inputs = {**given("p", "d_p", "j_min", "j_max"), "delta": str(delta),
-                  "margin": str(margin)}
-        payload = found.to_json()
-        result = {"constant": payload["constant"], "log_base": "natural",
-                  "ln_p": payload["ln_p"]}
-        checks = list(found.checks)
-
-    elif op == "level-count":
-        primes = [int(v) for v in args.primes.split(",")]
-        inputs = {**given("j", "ell0"), "primes": primes}
-        result = {"value": str(pl.level_count(primes, args.j, args.ell0))}
-
-    elif op == "tower-min-k":
-        primes = [int(v) for v in args.primes.split(",")]
-        found = pl.tower_min_k(primes, args.j, args.ell0, args.dim_g,
-                               args.c_x, args.x, args.c, args.r)
-        inputs = {**given("j", "ell0", "dim_g", "c_x", "x", "c", "r"), "primes": primes}
-        result = {"k": found.k}
-        checks = [c for c in (found.product_condition, found.full_at_k,
-                              found.product_condition_before, found.full_before)
-                  if c is not None]
-
-    else:  # pragma: no cover - argparse restricts choices
-        raise SpecMismatch(f"unknown plan op {op!r}")
-
-    required = sorted(pl.required_check_labels(op, inputs, result))
-    if not {c.label for c in checks}.issuperset(required):
-        raise SelfCheckFailed(f"plan {op} lacks one of its required checks {required}")
-    item = {"kind": "plan", "op": op, "inputs": inputs, "result": result,
-            "checks": [c.to_json() for c in checks],
-            "holds": all(c.holds for c in checks if c.label in required)}
-    if required:
-        item["required_checks"] = required
-    report = rp.new_report("plan", {"op": op})
-    report["items"].append(item)
+        flags = ", ".join("--" + option.replace("_", "-") for option in missing)
+        raise UsageError(f"plan {name} needs {flags}")
+    inputs = op.read(options)
+    op.validate(inputs)
+    inputs, found = op.search(inputs)
+    result, certificate = op.certify(inputs, found)
+    report = rp.new_report("plan", {"op": name})
+    report["items"].append(rp.plan_item(name, inputs, result, list(certificate)))
     return rp.finalize(report)
 
 
@@ -395,35 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
                           help="density tolerance, decimal or fraction")
 
     p_plan = sub.add_parser("plan", parents=[common], help="exact inequality certification")
-    p_plan.add_argument(
-        "plan_op",
-        choices=[
-            "twisted-count", "comm-classes", "conjugates-bound",
-            "min-ell-sequence", "min-ell-growth", "nonarith-count",
-            "volume-bound", "growth-constant", "level-count", "tower-min-k",
-        ],
-    )
-    p_plan.add_argument("--p", type=int, default=None)
-    p_plan.add_argument("--ell", type=int, default=None)
-    p_plan.add_argument("--ell0", type=int, default=None)
-    p_plan.add_argument("--dim-g", dest="dim_g", type=int, default=None)
-    p_plan.add_argument("--c", type=int, default=1)
-    p_plan.add_argument("--r", type=int, default=1)
-    p_plan.add_argument("--x", type=int, default=1)
-    p_plan.add_argument("--big-c", dest="big_c", type=int, default=1)
-    p_plan.add_argument("--c-x", dest="c_x", type=int, default=1)
-    p_plan.add_argument("--c-1", dest="c_1", type=int, default=None)
-    p_plan.add_argument("--d-p", dest="d_p", type=int, default=1)
-    p_plan.add_argument("--delta", type=str, default="1")
-    p_plan.add_argument("--margin", type=str, default="1/1024")
-    p_plan.add_argument("--n", type=int, default=None)
-    p_plan.add_argument("--n-index", dest="n_index", type=int, default=None)
-    p_plan.add_argument("--comm-index", dest="comm_index", type=int, default=1)
-    p_plan.add_argument("--group-order", dest="group_order", type=int, default=None)
-    p_plan.add_argument("--j", type=int, default=None)
-    p_plan.add_argument("--j-min", dest="j_min", type=int, default=None)
-    p_plan.add_argument("--j-max", dest="j_max", type=int, default=None)
-    p_plan.add_argument("--primes", type=str, default=None)
+    p_plan.add_argument("plan_op", choices=list(pl.PLAN_OPS))
+    # an option without a default is None until given; "--dim-g" is read as dim_g
+    for option, default in (("p", None), ("ell", None), ("ell0", None), ("dim-g", None),
+                            ("c", 1), ("r", 1), ("x", 1), ("big-c", 1), ("c-x", 1),
+                            ("c-1", None), ("d-p", 1), ("delta", "1"), ("margin", "1/1024"),
+                            ("n", None), ("n-index", None), ("comm-index", 1),
+                            ("group-order", None), ("j", None), ("j-min", None),
+                            ("j-max", None), ("primes", None)):
+        p_plan.add_argument(f"--{option}", default=default,
+                            type=str if option in ("delta", "margin", "primes") else int)
 
     p_verify = sub.add_parser("verify", parents=[common], help="re-run the certificates in a report")
     p_verify.add_argument("report", type=Path)

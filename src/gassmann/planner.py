@@ -6,13 +6,21 @@ proved tail bound, and every emitted verdict is re-checked by direct
 substitution before it leaves this module.  Count-style results with a
 non-positive exponent are returned as exact rationals carrying a
 "vacuous" flag instead of being clamped.
+
+PLAN_OPS, at the end, holds one entry per op of ``gassmann plan``: the
+options it reads, the validation of its inputs, the search that finds its
+result, and the certificate that derives the result's closed-form fields and
+every check from the inputs and result.  The plan command runs all four;
+verify runs all but the search on the stored inputs and result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from itertools import chain as chain_iterables
+from operator import gt, lt
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     ExponentMarginNonpositive,
@@ -32,13 +40,7 @@ def exact_power(p: int, exponent: int) -> Exact:
     return Fraction(1, p**-exponent)
 
 
-_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-}
+_OPS = {"<": lt, ">": gt}
 
 
 @dataclass(frozen=True)
@@ -64,60 +66,8 @@ class IneqCheck:
         }
 
 
-def check_holds(data: dict) -> bool:
-    """Re-derive a serialized check's verdict from its decimal strings alone."""
-    return _OPS[data["op"]](Fraction(data["lhs"]), Fraction(data["rhs"]))
-
-
-def required_check_labels(op: str, inputs: dict, result: dict) -> Iterator[str]:
-    """The labels of the checks a plan item's verdict rests on, from its op,
-    inputs and result alone.  The CLI stores them as required_checks and
-    verify_report derives them again; they come lazily, so it can stop early."""
-    if op == "comm-classes" and "n" in inputs:
-        yield "isometry-headroom"
-    elif op == "nonarith-count" and "n" in inputs:
-        yield "nonarith-headroom"
-    elif op in ("min-ell-sequence", "min-ell-growth"):
-        yield f"{op}@ell={result['ell']}"
-        if op == "min-ell-growth" and "c_1" in inputs:
-            yield from ("p^r > C_1^r", "chain-left", "chain-right")
-    elif op == "growth-constant":
-        for j in range(inputs["j_min"], inputs["j_max"] + 1):
-            yield f"growth@j={j}"
-    elif op == "tower-min-k":
-        yield from (f"tower-product@k={result['k']}", f"tower-full@k={result['k']}")
-
-
-@dataclass(frozen=True)
-class PlannerParams:
-    """Named constants of the counting arguments; all default to 1.
-
-    The underlying theory proves these constants exist without giving
-    values, so every result downstream is parametric in them.
-    """
-
-    dim_g: int
-    c: int = 1
-    x: int = 1
-    big_c: int = 1
-    c_x: int = 1
-    c_1: int = 1
-    d_p: int = 1
-    delta: Fraction = Fraction(1)
-    r: int = 1
-    ell: Optional[int] = None
-    ell0: Optional[int] = None
-
-    def __post_init__(self):
-        if self.dim_g < 1:
-            raise ValueError("dim_g must be positive")
-        for name in ("x", "big_c", "c_x", "c_1", "r"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.c < 0 or self.d_p < 0 or self.delta < 0:
-            raise ValueError("c, d_p, delta must be non-negative")
-        if self.ell is not None and self.ell0 is not None and self.ell > self.ell0:
-            raise ValueError("ell must not exceed ell0")
+# A certificate: each check with whether the verdict rests on it, in report order.
+Certificate = Iterator[tuple[IneqCheck, bool]]
 
 
 # ---------------------------------------------------------------------------
@@ -201,46 +151,63 @@ class MinEllResult:
     failing: Optional[IneqCheck]
 
 
-def _min_prime_satisfying(label: str, lhs_at, rhs: Exact) -> MinEllResult:
-    prev: Optional[int] = None
+def _sequence_condition(dim_g: int, c: int, r: int):
+    """(label, lhs, rhs) of ell(ell-1) - ell(3 dim_g + c) > r, lhs a function of ell."""
+    return "min-ell-sequence", lambda ell: ell * (ell - 1) - ell * (3 * dim_g + c), r
+
+
+def _growth_condition(dim_g: int, c: int, r: int):
+    """(label, lhs, rhs) of ell(ell-1) - ell(3 dim_g+c) - r*ell*dim_g - r > 0."""
+    return ("min-ell-growth",
+            lambda ell: ell * (ell - 1) - ell * (3 * dim_g + c) - r * ell * dim_g - r, 0)
+
+
+def _least_prime(lhs_at, rhs: Exact) -> int:
+    """The prime walk: the least prime ell with lhs_at(ell) > rhs."""
     ell = 2
-    while True:
-        if lhs_at(ell) > rhs:
-            passing = IneqCheck(f"{label}@ell={ell}", lhs_at(ell), ">", rhs)
-            failing = (
-                IneqCheck(f"{label}@ell={prev}", lhs_at(prev), ">", rhs)
-                if prev
-                else None
-            )
-            if failing is not None and failing.holds:
-                raise SelfCheckFailed("predecessor certificate unexpectedly passes")
-            if not passing.holds:
-                raise SelfCheckFailed(f"{passing.label} does not hold")
-            return MinEllResult(ell, passing, failing)
-        prev = ell
+    while not lhs_at(ell) > rhs:
         ell = next_prime(ell)
+    return ell
+
+
+def _prime_before(n: int) -> Optional[int]:
+    k = n - 1
+    while k >= 2 and not is_prime(k):
+        k -= 1
+    return k if k >= 2 else None
+
+
+def _least_prime_checks(label: str, lhs_at, rhs: Exact, ell: int) -> Certificate:
+    """The certificate that ell is the least prime with lhs_at(ell) > rhs: the
+    check at ell, on which the verdict rests, and the failing check at the
+    prime before it."""
+    if not is_prime(ell):
+        raise SelfCheckFailed(f"ell={ell} is not prime")
+    yield IneqCheck(f"{label}@ell={ell}", lhs_at(ell), ">", rhs), True
+    prev = _prime_before(ell)
+    if prev is not None:
+        failing = IneqCheck(f"{label}@ell={prev}", lhs_at(prev), ">", rhs)
+        if failing.holds:
+            raise SelfCheckFailed("predecessor certificate unexpectedly passes")
+        yield failing, False
+
+
+def _min_ell(condition, dim_g: int, c: int, r: int) -> MinEllResult:
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    ell = _least_prime(*condition(dim_g, c, r)[1:])
+    checks = [check for check, _ in _least_prime_checks(*condition(dim_g, c, r), ell)]
+    return MinEllResult(ell, checks[0], checks[1] if len(checks) > 1 else None)
 
 
 def min_ell_sequence(dim_g: int, c: int, r: int) -> MinEllResult:
     """Smallest prime ell with ell(ell-1) - ell(3 dim_g + c) > r."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return _min_prime_satisfying(
-        "min-ell-sequence",
-        lambda ell: ell * (ell - 1) - ell * (3 * dim_g + c),
-        r,
-    )
+    return _min_ell(_sequence_condition, dim_g, c, r)
 
 
 def min_ell_growth(dim_g: int, c: int, r: int) -> MinEllResult:
     """Smallest prime ell with ell(ell-1) - ell(3 dim_g+c) - r*ell*dim_g - r > 0."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return _min_prime_satisfying(
-        "min-ell-growth",
-        lambda ell: ell * (ell - 1) - ell * (3 * dim_g + c) - r * ell * dim_g - r,
-        0,
-    )
+    return _min_ell(_growth_condition, dim_g, c, r)
 
 
 def growth_chain_check(p: int, c_1: int, ell0: int, r: int, dim_g: int,
@@ -340,21 +307,54 @@ class GrowthConstantResult:
     ln_p: RationalInterval
     checks: tuple[IneqCheck, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "delta": str(self.delta),
-            "d_p": self.d_p,
-            "range": [self.j_min, self.j_max],
-            "constant": str(self.constant),
-            "log_base": "natural",
-            "ln_p": self.ln_p.to_json(),
-            "checks": [c.to_json() for c in self.checks],
-        }
-
 
 def _growth_rhs(j: int, d_p: int) -> Fraction:
     return Fraction(j * (j - 1), 2) - 9 * j - d_p
+
+
+_LADDER_RUNGS = 12
+
+
+def _ln_ladder(p: int, rungs: int) -> Iterator[RationalInterval]:
+    """The enclosures of ln p that tower_growth_constant tries, widest first."""
+    width = Fraction(1, 1 << 30)
+    for _ in range(rungs):
+        yield ln_interval(p, width)
+        width /= 1 << 8
+
+
+def _check_growth_inputs(p: int, delta: Fraction, d_p: int, j_min: int, j_max: int,
+                         margin: Fraction) -> None:
+    """tower_growth_constant's arguments, of which delta takes any value."""
+    if p < 2 or not is_prime(p):
+        raise ValueError("p must be prime")
+    if j_min < 1 or j_max < j_min:
+        raise ValueError("need 1 <= j_min <= j_max")
+    if margin < 0 or margin >= 1:
+        raise ValueError("margin must lie in [0, 1)")
+    # the right side is convex in j, so it is largest at an end of the range
+    if _growth_rhs(j_min, d_p) <= 0:
+        if _growth_rhs(j_max, d_p) <= 0:
+            raise NoValidD(
+                f"right side non-positive throughout [{j_min}, {j_max}] for D_p={d_p}"
+            )
+        raise NoValidD(
+            f"right side non-positive at j_min={j_min}; shift the range up"
+        )
+
+
+def _growth_checks(delta: Fraction, d_p: int, j_min: int, j_max: int, margin: Fraction,
+                   constant: Fraction, ln_hi: Fraction) -> Certificate:
+    """growth@j for each j in [j_min, j_max], lazily, each substituting ln_hi, the upper
+    end of the ln(p) enclosure; past the last, the proof that constant is (1 - margin)
+    times the least ratio of the right side to ln_hi*(9j+delta)^2 over the range."""
+    least = None
+    for j in range(j_min, j_max + 1):
+        rhs, weight = _growth_rhs(j, d_p), ln_hi * (9 * j + delta) ** 2
+        least = rhs / weight if least is None else min(least, rhs / weight)
+        yield IneqCheck(f"growth@j={j}", constant * weight, "<", rhs), True
+    if constant != (1 - margin) * least:
+        raise SelfCheckFailed("the constant is not (1 - margin) times the least ratio")
 
 
 def tower_growth_constant(
@@ -364,7 +364,7 @@ def tower_growth_constant(
     j_min: int,
     j_max: int,
     margin: Fraction = Fraction(1, 1024),
-    max_refinements: int = 12,
+    max_refinements: int = _LADDER_RUNGS,
 ) -> GrowthConstantResult:
     """Largest certifiable D with D*ln(p)*(9j+delta)^2 < j(j-1)/2 - 9j - D_p
     for every j in [j_min, j_max].
@@ -374,45 +374,19 @@ def tower_growth_constant(
     enclosure, so a pass is a proof.  "log" means the natural logarithm
     here; rescaling D converts to any other base.
     """
-    if p < 2 or not is_prime(p):
-        raise ValueError("p must be prime")
-    if j_min < 1 or j_max < j_min:
-        raise ValueError("need 1 <= j_min <= j_max")
-    if margin < 0 or margin >= 1:
-        raise ValueError("margin must lie in [0, 1)")
     delta = Fraction(delta)
-    rhs = {j: _growth_rhs(j, d_p) for j in range(j_min, j_max + 1)}
-    if all(v <= 0 for v in rhs.values()):
-        raise NoValidD(
-            f"right side non-positive throughout [{j_min}, {j_max}] for D_p={d_p}"
-        )
-    if rhs[j_min] <= 0:
-        raise NoValidD(
-            f"right side non-positive at j_min={j_min}; shift the range up"
-        )
-    width = Fraction(1, 1 << 30)
-    for _ in range(max_refinements):
-        enclosure = ln_interval(p, width)
-        ratios = [
-            rhs[j] / (enclosure.hi * (9 * j + delta) ** 2)
-            for j in range(j_min, j_max + 1)
-        ]
-        constant = (1 - margin) * min(ratios)
-        checks = tuple(
-            IneqCheck(
-                f"growth@j={j}",
-                constant * enclosure.hi * (9 * j + delta) ** 2,
-                "<",
-                rhs[j],
-            )
-            for j in range(j_min, j_max + 1)
-        )
+    _check_growth_inputs(p, delta, d_p, j_min, j_max, margin)
+    for enclosure in _ln_ladder(p, max_refinements):
+        hi = enclosure.hi
+        constant = (1 - margin) * min(_growth_rhs(j, d_p) / (hi * (9 * j + delta) ** 2)
+                                      for j in range(j_min, j_max + 1))
+        checks = tuple(check for check, _ in
+                       _growth_checks(delta, d_p, j_min, j_max, margin, constant, hi))
         if all(c.holds for c in checks):
             return GrowthConstantResult(
                 p=p, delta=delta, d_p=d_p, j_min=j_min, j_max=j_max,
                 constant=constant, ln_p=enclosure, checks=checks,
             )
-        width /= 1 << 8
     raise PrecisionExhausted(
         "could not separate the growth inequality at maximum ln precision"
     )
@@ -430,6 +404,13 @@ def _validate_primes(primes: Sequence[int]) -> None:
         raise ValueError("tower primes must be strictly increasing")
 
 
+def _power_product(primes: Sequence[int], e: int) -> int:
+    out = 1
+    for p in primes:
+        out *= p**e
+    return out
+
+
 def level_count(primes: Sequence[int], j: int, ell0: int) -> int:
     """Number of level-j covers: product of p_i^(ell0(ell0-1)) over i <= j."""
     _validate_primes(primes)
@@ -437,11 +418,7 @@ def level_count(primes: Sequence[int], j: int, ell0: int) -> int:
         raise ValueError("level must be >= 0")
     if j > len(primes):
         raise PrimesExhausted(f"need {j} primes, have {len(primes)}")
-    e = ell0 * (ell0 - 1)
-    out = 1
-    for p in primes[:j]:
-        out *= p**e
-    return out
+    return _power_product(primes[:j], ell0 * (ell0 - 1))
 
 
 @dataclass(frozen=True)
@@ -453,15 +430,54 @@ class TowerKResult:
     full_before: Optional[IneqCheck]
 
 
-def _tower_full_check(primes: Sequence[int], j: int, k: int, ell0: int,
-                      dim_g: int, c_x: int, x: int, c: int) -> IneqCheck:
-    lhs = c_x * x**c
-    for p in primes[:k]:
-        lhs *= p ** (3 * ell0 * dim_g)
-    rhs = 1
-    for p in primes[j:k]:
-        rhs *= p ** (ell0 * (ell0 - 1))
-    return IneqCheck(f"tower-full@k={k}", lhs, "<", rhs)
+def _check_tower_inputs(i: dict) -> None:
+    _validate_primes(i["primes"])
+    if i["j"] < 0 or i["j"] > len(i["primes"]):
+        raise ValueError("invalid start level")
+    ell0, r = i["ell0"], i["r"]
+    margin = ell0 * (ell0 - 1) - 3 * ell0 * i["dim_g"]
+    if r <= 0 or margin < r:
+        raise ExponentMarginNonpositive(
+            f"need ell0(ell0-1) - 3 ell0 dim_g = {margin} >= r = {r} > 0"
+        )
+
+
+def _tower_side(i: dict, level: int) -> int:
+    """C_X * x^c * prod_{i<=level} p_i^(3 ell0 dim_g): at j the right side of the
+    product condition, at k the left side of the full tower inequality."""
+    return i["c_x"] * i["x"] ** i["c"] * _power_product(i["primes"][:level],
+                                                          3 * i["ell0"] * i["dim_g"])
+
+
+def _tower_checks(i: dict, k: int) -> Certificate:
+    """The certificate that k is the least level past j with the product condition
+    prod_{i=j+1..k} p_i^r > C_j * C_X * x^c: it and the full tower inequality
+    C_X x^c prod_{i<=k} p_i^(3 ell0 dim_g) < prod_{j<i<=k} p_i^(ell0(ell0-1)) at k,
+    on which the verdict rests, then both at k - 1, where the product condition fails."""
+    primes, j, ell0 = i["primes"], i["j"], i["ell0"]
+    if not j < k <= len(primes):
+        raise SelfCheckFailed(f"k={k} is not a level in {j + 1}..{len(primes)}")
+    for level, rests in ((k, True), (k - 1, False)):
+        product = IneqCheck(f"tower-product@k={level}", _power_product(primes[j:level], i["r"]),
+                            ">", _tower_side(i, j))
+        if product.holds and not rests:
+            raise SelfCheckFailed(f"product condition already holds at k={level}")
+        full = IneqCheck(f"tower-full@k={level}", _tower_side(i, level), "<",
+                         _power_product(primes[j:level], ell0 * (ell0 - 1)))
+        yield from ((product, rests), (full, rests))
+
+
+def _least_level(i: dict) -> int:
+    """The product walk: the least k > j with prod_{i=j+1..k} p_i^r > C_j * C_X * x^c."""
+    primes, j, target = i["primes"], i["j"], _tower_side(i, i["j"])
+    acc = 1
+    for k in range(j + 1, len(primes) + 1):
+        acc *= primes[k - 1] ** i["r"]
+        if acc > target:
+            return k
+    raise PrimesExhausted(
+        f"the supplied {len(primes)} primes never satisfy the product condition"
+    )
 
 
 def tower_min_k(primes: Sequence[int], j: int, ell0: int, dim_g: int,
@@ -473,43 +489,151 @@ def tower_min_k(primes: Sequence[int], j: int, ell0: int, dim_g: int,
     C_j = prod_{i=1..j} p_i^(3 ell0 dim_g); the result is certified by
     substituting the full tower inequality at k and both conditions at k-1.
     """
-    _validate_primes(primes)
-    if j < 0 or j > len(primes):
-        raise ValueError("invalid start level")
-    margin = ell0 * (ell0 - 1) - 3 * ell0 * dim_g
-    if r <= 0 or margin < r:
-        raise ExponentMarginNonpositive(
-            f"need ell0(ell0-1) - 3 ell0 dim_g = {margin} >= r = {r} > 0"
-        )
-    target = c_x * x**c
-    for p in primes[:j]:
-        target *= p ** (3 * ell0 * dim_g)
-    acc = 1
-    for k in range(j + 1, len(primes) + 1):
-        acc *= primes[k - 1] ** r
-        if acc > target:
-            product_cond = IneqCheck(f"tower-product@k={k}", acc, ">", target)
-            full = _tower_full_check(primes, j, k, ell0, dim_g, c_x, x, c)
-            if not (product_cond.holds and full.holds):
-                raise SelfCheckFailed(f"tower certificate at k={k} does not hold")
-            before_prod = before_full = None
-            if k - 1 >= j:
-                prev_acc = acc // primes[k - 1] ** r
-                before_prod = IneqCheck(
-                    f"tower-product@k={k - 1}", prev_acc, ">", target
-                )
-                before_full = _tower_full_check(
-                    primes, j, k - 1, ell0, dim_g, c_x, x, c
-                )
-                if before_prod.holds:
-                    raise SelfCheckFailed(f"product condition already holds at k={k - 1}")
-            return TowerKResult(
-                k=k,
-                product_condition=product_cond,
-                full_at_k=full,
-                product_condition_before=before_prod,
-                full_before=before_full,
-            )
-    raise PrimesExhausted(
-        f"the supplied {len(primes)} primes never satisfy the product condition"
-    )
+    i = dict(primes=primes, j=j, ell0=ell0, dim_g=dim_g, c_x=c_x, x=x, c=c, r=r)
+    _check_tower_inputs(i)
+    k = _least_level(i)
+    return TowerKResult(k, *(check for check, _ in _tower_checks(i, k)))
+
+
+# ---------------------------------------------------------------------------
+# The plan ops
+# ---------------------------------------------------------------------------
+
+
+class PlanOp(NamedTuple):
+    """One op of ``gassmann plan``.
+
+    reads: the options it always reads, in the order a missing one is named (an
+    option without a default must be given);
+    optional: (trigger, options), options it reads too once every trigger is given.
+    validate(inputs) rejects inputs the op cannot take.  search(inputs) gives the
+    inputs, with any the search settles, and the fields it finds (the prime
+    walk's ell, the product walk's k, the ln ladder's rung and constant).
+    certify(inputs, result) gives the result, with every closed-form field
+    derived, and the lazy certificate; it raises SelfCheckFailed where a found
+    field fails its proof.
+    """
+
+    reads: tuple[str, ...]
+    certify: Callable[[dict, dict], tuple[dict, Certificate]]
+    validate: Callable[[dict], None] = lambda inputs: None
+    search: Callable[[dict], tuple[dict, dict]] = lambda inputs: (inputs, {})
+    optional: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
+
+    def names(self, given) -> tuple[str, ...]:
+        """The inputs of the op when the options in ``given`` are given."""
+        trigger, extra = self.optional
+        return self.reads + (extra if all(name in given for name in trigger) else ())
+
+    def read(self, options: dict) -> dict:
+        """The op's inputs from the command's options, each None until given."""
+        given = {name for name, value in options.items() if value is not None}
+        return {name: _FORMS[name](options[name]) if name in _FORMS else options[name]
+                for name in self.names(given)}
+
+
+# How the text of an option becomes an input; other options are read as parsed.
+_FORMS = {
+    "primes": lambda text: [int(v) for v in text.split(",")],
+    "delta": lambda text: str(Fraction(text)),
+    "margin": lambda text: str(Fraction(text)),
+}
+
+
+def _constants(inputs: dict) -> None:
+    """The counting constants that an op reading dim_g reads: each of dim_g, x,
+    c_x, c_1 and r is positive, and c is non-negative."""
+    for name in ("dim_g", "x", "c_x", "c_1", "r"):
+        if name in inputs and inputs[name] < 1:
+            raise ValueError(f"{name} must be positive")
+    if inputs.get("c", 0) < 0:
+        raise ValueError("c must be non-negative")
+
+
+def _headroom(check: Callable[..., IneqCheck], *names: str):
+    """The certificate of an op with n given: one check, on which the verdict rests."""
+    return lambda i: iter([(check(*(i[name] for name in names)), True)] if "n" in i else [])
+
+
+def _closed(fn: Callable, reads: tuple[str, ...], certificate=lambda i: iter(()),
+            **fields) -> PlanOp:
+    """An op whose result fn gives on the options it reads, in their order: a
+    CountBound, or a value."""
+    def result(i: dict) -> dict:
+        found = fn(*(i[name] for name in reads))
+        return found.to_json() if isinstance(found, CountBound) else {"value": str(found)}
+    return PlanOp(reads, lambda i, _: (result(i), certificate(i)), **fields)
+
+
+def _min_ell_op(condition, chained: bool = False) -> PlanOp:
+    """min-ell-sequence, or min-ell-growth with its optional chain if chained."""
+    def search(i: dict) -> tuple[dict, dict]:
+        ell = _least_prime(*condition(i["dim_g"], i["c"], i["r"])[1:])
+        if i.get("ell0", 0) is None:  # the chain's ell0 defaults to ell
+            i = {**i, "ell0": ell}
+        return i, {"ell": ell}
+
+    def certify(i: dict, result: dict) -> tuple[dict, Certificate]:
+        ell = int(result["ell"])
+        certificate = _least_prime_checks(*condition(i["dim_g"], i["c"], i["r"]), ell)
+        if chained and "c_1" in i:
+            chain = growth_chain_check(i["p"], i["c_1"], i["ell0"], i["r"], i["dim_g"], i["c"])
+            certificate = chain_iterables(certificate, ((check, True) for check in chain))
+        return {"ell": ell}, certificate
+    optional = (("p", "c_1"), ("p", "c_1", "ell0")) if chained else ((), ())
+    return PlanOp(("dim_g", "c", "r"), certify, _constants, search, optional)
+
+
+def _growth_args(i: dict) -> tuple:
+    """(p, delta, d_p, j_min, j_max, margin) of a growth-constant op's inputs."""
+    return i["p"], Fraction(i["delta"]), i["d_p"], i["j_min"], i["j_max"], Fraction(i["margin"])
+
+
+def _search_growth_constant(i: dict) -> tuple[dict, dict]:
+    found = tower_growth_constant(*_growth_args(i))
+    return i, {"constant": str(found.constant), "ln_p": found.ln_p.to_json()}
+
+
+def _certify_growth_constant(i: dict, result: dict) -> tuple[dict, Certificate]:
+    """ln_p must be a rung of the search's ladder, which proves that it encloses
+    ln p; the certificate proves the constant after its last check."""
+    p, *args = _growth_args(i)
+    stated = (Fraction(result["ln_p"]["lo"]), Fraction(result["ln_p"]["hi"]))
+    rung = next((rung for rung in _ln_ladder(p, _LADDER_RUNGS) if (rung.lo, rung.hi) == stated),
+                None)
+    if rung is None:
+        raise SelfCheckFailed(f"ln_p is not one of the {_LADDER_RUNGS} enclosures of ln {p} "
+                              "that the search tries")
+    constant = Fraction(result["constant"])
+    return ({"constant": str(constant), "log_base": "natural", "ln_p": rung.to_json()},
+            _growth_checks(*args, constant, rung.hi))
+
+
+def _validate_tower_min_k(i: dict) -> None:
+    _constants(i)
+    _check_tower_inputs(i)
+
+
+PLAN_OPS: dict[str, PlanOp] = {
+    "twisted-count": _closed(twisted_count_bound, ("p", "ell0", "dim_g"), validate=_constants),
+    "comm-classes": _closed(
+        distinct_comm_classes, ("p", "ell0", "dim_g", "c"),
+        _headroom(isometry_headroom, "p", "ell0", "dim_g", "c", "c_x", "n"),
+        validate=_constants, optional=(("n",), ("c_x", "n"))),
+    "conjugates-bound": _closed(commensurator_conjugates_bound,
+                                ("n_index", "x", "big_c", "group_order")),
+    "min-ell-sequence": _min_ell_op(_sequence_condition),
+    "min-ell-growth": _min_ell_op(_growth_condition, chained=True),
+    "nonarith-count": _closed(
+        nonarith_count, ("p", "ell"), _headroom(nonarith_headroom, "p", "ell", "comm_index", "n"),
+        optional=(("n",), ("comm_index", "n"))),
+    "volume-bound": _closed(tower_volume_bound, ("big_c", "p", "j")),
+    "growth-constant": PlanOp(
+        ("p", "delta", "d_p", "j_min", "j_max", "margin"), _certify_growth_constant,
+        lambda i: _check_growth_inputs(*_growth_args(i)), _search_growth_constant),
+    "level-count": _closed(level_count, ("primes", "j", "ell0")),
+    "tower-min-k": PlanOp(
+        ("primes", "j", "ell0", "dim_g", "c_x", "x", "c", "r"),
+        lambda i, result: ({"k": int(result["k"])}, _tower_checks(i, int(result["k"]))),
+        _validate_tower_min_k, lambda i: (i, {"k": _least_level(i)})),
+}

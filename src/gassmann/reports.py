@@ -24,7 +24,7 @@ from .certify import (canonical_twist, conjugator_oracle_runs, family_mode, keyi
 from .errors import GassmannError, SizeCapExceeded, SpecMismatch
 from .heisenberg import heisenberg_group, parse_twist_label, twisted_subgroup
 from .places import implementations_agree, residue_degree_subgroup
-from .planner import check_holds, required_check_labels
+from .planner import PLAN_OPS, IneqCheck
 from .rings import make_field, primes_up_to
 from .schreier import (CosetGraph, char_poly, find_isomorphism, maps_onto,
                        symmetrize_generators, transversal)
@@ -68,6 +68,18 @@ def summarize(items: list[dict]) -> dict:
 def finalize(report: dict) -> dict:
     report["summary"] = summarize(report["items"])
     return report
+
+
+def plan_item(op: str, inputs: dict, result: dict, checks: list[tuple[IneqCheck, bool]]) -> dict:
+    """The item of a plan report, from an op's inputs, result and certificate: the
+    verdict rests on the checks marked True, whose labels it lists sorted."""
+    required = sorted(check.label for check, rests in checks if rests)
+    item = {"kind": "plan", "op": op, "inputs": inputs, "result": result,
+            "checks": [check.to_json() for check, _ in checks],
+            "holds": all(check.holds for check, rests in checks if rests)}
+    if required:
+        item["required_checks"] = required
+    return item
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +276,18 @@ def _verify_graph(item: dict, config: dict, items: _Items, problems: list[str]) 
 def _verify_cospectral(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
     # vertex index(b)·q + index(c) is the coset of (0, b, c): each graph's centre has
     # rank m, from the config, and its polynomial comes from its q representatives' rows
-    polys = [char_poly(graph).coefficients for graph in items.graphs()]
-    # each distinct charpoly once, numbered in order of first appearance
-    index_of = {poly: i for i, poly in enumerate(dict.fromkeys(polys))}
-    k = len(polys)
+    # each distinct charpoly once, numbered in order of first appearance, as cmd_graphs interns them
+    index_of: dict[tuple, int] = {}
+    charpoly_index = [index_of.setdefault(char_poly(graph).coefficients, len(index_of))
+                      for graph in items.graphs()]
+    k = len(charpoly_index)
     if not _same(item["pair_count"], k * (k - 1) // 2):
         problems.append("cospectral pair_count is not k(k-1)/2 for the k coset graphs")
     if not _same(item["distinct_charpolys"],
                  [[encode_count(c) for c in poly] for poly in index_of]):
         problems.append("distinct_charpolys are not the charpolys of the graphs rebuilt from "
                         "their labels, each once in order of first appearance")
-    if not _same(item["charpoly_index"], [index_of[poly] for poly in polys]):
+    if not _same(item["charpoly_index"], charpoly_index):
         problems.append("charpoly_index does not give each graph's charpoly")
     all_equal = len(index_of) <= 1
     if not _same(item["all_equal"], all_equal):
@@ -369,21 +382,36 @@ def _verify_place_scan(item: dict, config: dict, items: _Items, problems: list[s
 
 
 def _verify_plan(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
-    checks = item["checks"]
-    derived = [check_holds(check) for check in checks]
-    for check, holds in zip(checks, derived):
-        if not _same(check["holds"], holds):
+    """The op's validation and certificate run on the stored inputs and result, so
+    every closed-form result field and every check is derived, not read."""
+    name, inputs, stored = item["op"], item["inputs"], item["checks"]
+    op = PLAN_OPS[name]
+    op.validate(inputs)
+    result, certificate = op.certify(inputs, item["result"])
+    # the certificate is lazy: a forged range or level costs one check past the stored list
+    derived = list(islice(certificate, len(stored) + 1))
+    want = plan_item(name, {key: inputs[key] for key in op.names(inputs)}, result, derived)
+    for field, message in (
+            ("inputs", f"inputs are not the options that plan {name} reads"),
+            ("result", "result differs from the one that the op's inputs give"),
+            ("required_checks", "required_checks are not those that the op, inputs and "
+                                "result require")):
+        if not _same(item.get(field), want.get(field)):
+            problems.append(message)
+    for check, wanted in zip(stored, want["checks"]):
+        # an operand that is no rational, such as 1/0, makes the item malformed
+        Fraction(check["lhs"]), Fraction(check["rhs"])
+        if not _same({**check, "holds": wanted["holds"]}, wanted):
+            problems.append(f"check {check['label']} is not {wanted['label']} as the op's "
+                            "inputs and result give it")
+        elif not _same(check["holds"], wanted["holds"]):
             problems.append(f"check {check['label']} does not re-verify")
-    # every required label is among the checks, so one label past their count is enough
-    required = sorted(islice(required_check_labels(item["op"], item["inputs"], item["result"]),
-                             len(checks) + 1))
-    if not _same(item.get("required_checks", []), required):
-        problems.append("required_checks are not those that the op, inputs and result require")
-    labels = {check["label"] for check in checks}
-    missing = [label for label in required if label not in labels]
-    problems.extend(f"required check {label} is missing" for label in missing)
-    return not missing and all(holds for check, holds in zip(checks, derived)
-                               if check["label"] in required)
+    for check, rests in derived[len(stored):]:
+        problems.append(f"{'required check' if rests else 'check'} {check.label} is missing")
+    for check in stored[len(derived):len(derived) + 1]:
+        problems.append(f"check {check['label']} is not one that the op's inputs and result "
+                        "give")
+    return want["holds"] and len(derived) <= len(stored)
 
 
 # fn(item, config, items, problems) -> the verdict the item's evidence gives

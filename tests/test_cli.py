@@ -1,16 +1,18 @@
 import ast
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from conftest import run_cli
 
-from gassmann import cli, heisenberg, reports
+from gassmann import cli, heisenberg, planner, reports
 from gassmann.certify import ClassCatalog
 from gassmann.heisenberg import center_subgroup
 from gassmann.reports import render_table, verify_report
@@ -364,6 +366,40 @@ def test_plan_input_validation_exits_2():
     assert code == 2 and "ExponentMarginNonpositive" in err
     code, _, err = run_cli("plan", "min-ell-growth", "--dim-g", "0", "--c", "1", "--r", "1")
     assert code == 2 and "dim_g" in err
+
+
+_TOWER_MIN_K = ("tower-min-k", "--primes", "2,3,5,7", "--j", "1", "--ell0", "37", "--dim-g", "8",
+                "--c-x", "4", "--c", "1", "--r", "444")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("twisted-count", "--p", "2", "--ell0", "37", "--dim-g", "0"), "dim_g must be positive"),
+    (("comm-classes", "--p", "2", "--ell0", "29", "--dim-g", "8", "--c", "-1"),
+     "c must be non-negative"),
+    (("comm-classes", "--p", "2", "--ell0", "29", "--dim-g", "8", "--n", "5", "--c-x", "0"),
+     "c_x must be positive"),
+    (("min-ell-sequence", "--dim-g", "8", "--r", "0"), "r must be positive"),
+    (("min-ell-growth", "--dim-g", "8", "--p", "2", "--c-1", "0"), "c_1 must be positive"),
+    (_TOWER_MIN_K + ("--x", "0"), "x must be positive"),
+], ids=["dim_g", "c", "c_x", "r", "c_1", "x"])
+def test_plan_rejects_a_bad_input_that_the_op_reads(argv, message):
+    code, out, err = run_cli("plan", *argv)
+    assert code == 2 and out == ""
+    _one_line_error(err, "ValueError")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (("twisted-count", "--p", "2", "--ell0", "37", "--dim-g", "8"), ("--x", "0")),
+    (("comm-classes", "--p", "2", "--ell0", "29", "--dim-g", "8"), ("--c-x", "0")),
+    (("min-ell-growth", "--dim-g", "8"), ("--c-1", "0")),
+    (("level-count", "--primes", "2,3,5", "--j", "3", "--ell0", "2"), ("--dim-g", "0")),
+    (("min-ell-growth", "--dim-g", "8", "--p", "2", "--c-1", "1", "--ell0", "40"), ("--ell", "50")),
+], ids=["x", "c_x-without-n", "c_1-without-p", "dim_g", "ell-above-ell0"])
+def test_plan_ignores_a_bad_value_of_an_option_that_the_op_does_not_read(argv, unread):
+    # only the inputs an op reads are validated, whichever other options are given
+    code, out, _ = run_cli("plan", *argv)
+    assert code == 0 and run_cli("plan", *argv, *unread)[:2] == (0, out)
 
 
 def test_graphs_odd_characteristic():
@@ -1087,6 +1123,218 @@ def test_verify_rederives_each_plan_check(tmp_path, argv, label):
     check["holds"] = not check["holds"]
     code, err = _verify_json(tmp_path, reports.finalize(report))
     assert code == 1 and err == f"problem: check {label} does not re-verify\n"
+
+
+_GROWTH = ("plan", "growth-constant", "--p", "2", "--j-min", "30", "--j-max", "32")
+_MIN_ELL_GROWTH = ("plan", "min-ell-growth", "--dim-g", "8", "--c", "1", "--r", "1")
+
+
+def _constant_times_1000_with_every_lhs_1(plan):
+    plan["result"]["constant"] = str(Fraction(plan["result"]["constant"]) * 1000)
+    for check in plan["checks"]:
+        check["lhs"] = "1"
+
+
+def _ln_p_from_0_to_a_thousandth(plan):
+    plan["result"]["ln_p"] = {"lo": "0", "hi": "1/1000"}
+
+
+def _one_rhs_a_million(plan):
+    plan["checks"][1]["rhs"] = str(10**6)
+
+
+def _one_lhs_1(plan):
+    plan["checks"][1]["lhs"] = "1"  # 1 < rhs, so the check still holds
+
+
+def _constant_over_1000_with_its_checks(plan):
+    # a smaller constant whose checks all hold is a true inequality, but not the constant
+    constant = Fraction(plan["result"]["constant"]) / 1000
+    hi = Fraction(plan["result"]["ln_p"]["hi"])
+    plan["result"]["constant"] = str(constant)
+    for j, check in zip(range(30, 33), plan["checks"]):
+        check["lhs"] = str(constant * hi * (9 * j + 1) ** 2)
+
+
+def _exponent_7253(plan):
+    assert plan["result"]["exponent"] == 1036
+    plan["result"]["exponent"] = 7253
+
+
+def _vacuous_true(plan):
+    plan["result"]["vacuous"] = True
+
+
+def _value_6301(plan):
+    assert plan["result"]["value"] == "900"
+    plan["result"]["value"] = "6301"
+
+
+def _dim_g_10_to_the_12(plan):
+    plan["inputs"]["dim_g"] = 10**12
+
+
+def _ell_41_with_checks_at_41_and_37(plan):
+    # ell(ell-1) - ell(3*8+1) - ell*8 - 1 is 286 at 41 and 110 at 37: both hold
+    plan["result"]["ell"] = 41
+    plan["checks"] = [
+        {"label": "min-ell-growth@ell=41", "lhs": "286", "op": ">", "rhs": "0", "holds": True},
+        {"label": "min-ell-growth@ell=37", "lhs": "110", "op": ">", "rhs": "0", "holds": True},
+    ]
+    plan["required_checks"] = ["min-ell-growth@ell=41"]
+
+
+def _op_of_a_check_flipped(plan):
+    plan["checks"][0].update(op="<", holds=False)
+    plan["holds"] = False
+
+
+def _ell_6_which_is_not_prime(plan):
+    # at dim_g 1, c 0, r 1 the left side ell^2 - 5 ell - 1 is 5 at 6 and -1 at 5
+    plan["result"]["ell"] = 6
+    plan["checks"] = [
+        {"label": "min-ell-growth@ell=6", "lhs": "5", "op": ">", "rhs": "0", "holds": True},
+        {"label": "min-ell-growth@ell=5", "lhs": "-1", "op": ">", "rhs": "0", "holds": False},
+    ]
+    plan["required_checks"] = ["min-ell-growth@ell=6"]
+
+
+def _k_4_with_checks_at_4_and_3(plan):
+    # primes 2, 3, 5, 7 from j = 1, with C_X = 4, x^c = 1, r = 444 and ell0 = 37, dim_g = 8
+    def product(primes, e):
+        return math.prod(primes) ** e
+
+    primes, target = [2, 3, 5, 7], 4 * 2**888
+    plan["result"]["k"] = 4
+    plan["checks"] = [check.to_json() for level in (4, 3) for check in (
+        planner.IneqCheck(f"tower-product@k={level}", product(primes[1:level], 444), ">", target),
+        planner.IneqCheck(f"tower-full@k={level}", 4 * product(primes[:level], 888), "<",
+                          product(primes[1:level], 37 * 36)))]
+    plan["required_checks"] = ["tower-full@k=4", "tower-product@k=4"]
+
+
+def _a_label_changed(plan):
+    plan["checks"][1]["label"] = "min-ell-growth@ell=29"
+
+
+def _failing_check_dropped(plan):
+    assert plan["checks"].pop()["label"] == "min-ell-growth@ell=31"
+
+
+def _a_check_appended(plan):
+    plan["checks"].append(dict(plan["checks"][0], label="extra"))
+
+
+def _an_input_it_does_not_read(plan):
+    plan["inputs"]["x"] = 1
+
+
+_PLAN_FORGERIES = [
+    (_GROWTH, _constant_times_1000_with_every_lhs_1,
+     "fails its check: SelfCheckFailed: the constant is not (1 - margin) times the least ratio"),
+    (_GROWTH, _ln_p_from_0_to_a_thousandth,
+     "fails its check: SelfCheckFailed: ln_p is not one of the 12 enclosures of ln 2"),
+    (_GROWTH, _one_rhs_a_million, "check growth@j=31 is not growth@j=31 as the op's inputs"),
+    (_GROWTH, _one_lhs_1, "check growth@j=31 is not growth@j=31 as the op's inputs"),
+    (_GROWTH, _constant_over_1000_with_its_checks,
+     "fails its check: SelfCheckFailed: the constant is not (1 - margin) times the least ratio"),
+    (("plan", "twisted-count", "--p", "2", "--ell0", "37", "--dim-g", "8"), _exponent_7253,
+     "result differs from the one that the op's inputs give"),
+    (("plan", "twisted-count", "--p", "2", "--ell0", "37", "--dim-g", "8"), _vacuous_true,
+     "result differs from the one that the op's inputs give"),
+    (("plan", "level-count", "--primes", "2,3,5", "--j", "3", "--ell0", "2"), _value_6301,
+     "result differs from the one that the op's inputs give"),
+    (_MIN_ELL_GROWTH, _dim_g_10_to_the_12,
+     "check min-ell-growth@ell=37 is not min-ell-growth@ell=37 as the op's inputs"),
+    (_MIN_ELL_GROWTH, _ell_41_with_checks_at_41_and_37,
+     "fails its check: SelfCheckFailed: predecessor certificate unexpectedly passes"),
+    (_MIN_ELL_GROWTH, _op_of_a_check_flipped,
+     "check min-ell-growth@ell=37 is not min-ell-growth@ell=37 as the op's inputs"),
+    (("plan", "min-ell-growth", "--dim-g", "1", "--c", "0", "--r", "1"),
+     _ell_6_which_is_not_prime, "fails its check: SelfCheckFailed: ell=6 is not prime"),
+    (("plan",) + _TOWER_MIN_K, _k_4_with_checks_at_4_and_3,
+     "fails its check: SelfCheckFailed: product condition already holds at k=3"),
+    (_MIN_ELL_GROWTH, _a_label_changed,
+     "check min-ell-growth@ell=29 is not min-ell-growth@ell=31 as the op's inputs"),
+    (_MIN_ELL_GROWTH, _failing_check_dropped, "problem: check min-ell-growth@ell=31 is missing"),
+    (_MIN_ELL_GROWTH, _a_check_appended,
+     "check extra is not one that the op's inputs and result give"),
+    (("plan", "twisted-count", "--p", "2", "--ell0", "37", "--dim-g", "8"),
+     _an_input_it_does_not_read, "inputs are not the options that plan twisted-count reads"),
+]
+
+
+@pytest.mark.parametrize("argv, forge, message", _PLAN_FORGERIES,
+                         ids=[forge.__name__.strip("_") for _, forge, _ in _PLAN_FORGERIES])
+def test_verify_derives_every_plan_operand(tmp_path, argv, forge, message):
+    # each forgery keeps the stored checks' flags, the item's holds and the summary
+    # consistent with the stored operands, so only a derived operand exposes it
+    _, out, _ = run_cli(*argv)
+    report = json.loads(out)
+    forge(report["items"][0])
+    code, err = _verify_json(tmp_path, reports.finalize(report))
+    assert code == 1 and message in err
+
+
+@pytest.mark.parametrize("argv, forge", [
+    (_GROWTH, lambda plan: plan["inputs"].update(j_max=10**9)),
+    (_MIN_ELL_GROWTH, _dim_g_10_to_the_12),
+], ids=["j_max", "dim_g"])
+def test_verify_of_a_forged_plan_costs_what_the_stored_item_states(tmp_path, argv, forge):
+    # 10^9 levels or a 10^12-dimensional group: verify derives no more checks than
+    # the item stores, plus one, and never runs the prime walk
+    _, out, _ = run_cli(*argv)
+    report = json.loads(out)
+    forge(report["items"][0])
+    started = time.perf_counter()
+    code, err = _verify_json(tmp_path, report)
+    assert code == 1 and time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("plan", "twisted-count", "--p", "2", "--ell0", "37", "--dim-g", "8"),
+    _MIN_ELL_GROWTH,
+    ("plan", "tower-min-k", "--primes", "2,3,5,7", "--j", "1", "--ell0", "37", "--dim-g", "8",
+     "--c-x", "4", "--x", "1", "--c", "1", "--r", "444"),
+], ids=["twisted-count", "min-ell-growth", "tower-min-k"])
+def test_verify_lists_a_stored_dim_g_of_0(tmp_path, argv):
+    _, out, _ = run_cli(*argv)
+    report = json.loads(out)
+    report["items"][0]["inputs"]["dim_g"] = 0
+    code, err = _verify_json(tmp_path, report)
+    assert code == 1
+    assert "problem: item 0 (plan) is malformed: ValueError: dim_g must be positive" in err
+
+
+@pytest.mark.parametrize("walk", ["_least_prime", "_least_level"])
+def test_verify_never_runs_a_plans_walk(monkeypatch, walk):
+    # the prime walk and the product walk are searches; verify proves their result
+    reports_out = [json.loads(run_cli(*argv)[1]) for argv in (
+        _MIN_ELL_GROWTH + ("--p", "2", "--c-1", "1"),
+        ("plan", "tower-min-k", "--primes", "2,3,5,7", "--j", "1", "--ell0", "37",
+         "--dim-g", "8", "--c-x", "4", "--x", "1", "--c", "1", "--r", "444"))]
+
+    def refuse(*args):
+        raise AssertionError(f"verify ran {walk}")
+
+    monkeypatch.setattr(planner, walk, refuse)
+    assert [verify_report(report) for report in reports_out] == [[], []]
+
+
+def _readme_plan_examples() -> list[list[str]]:
+    text = (SRC.parent / "README.md").read_text().replace("\\\n", " ")
+    return [line.split()[1:] for line in text.splitlines() if line.startswith("gassmann plan ")]
+
+
+@pytest.mark.parametrize("argv", _readme_plan_examples(), ids=lambda argv: argv[1])
+def test_each_readme_plan_example_verifies(tmp_path, argv):
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    path = tmp_path / "plan.json"
+    path.write_text(out)
+    started = time.perf_counter()
+    assert run_cli("verify", str(path))[:2] == (0, "verified\n")
+    assert time.perf_counter() - started < 0.3
 
 
 def test_verify_recomputes_the_scanned_count(tmp_path):
