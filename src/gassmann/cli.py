@@ -299,15 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", parents=[common], help="exact inequality certification")
     p_plan.add_argument("plan_op", choices=list(pl.PLAN_OPS))
-    # an option without a default is None until given; "--dim-g" is read as dim_g
-    for option, default in (("p", None), ("ell", None), ("ell0", None), ("dim-g", None),
-                            ("c", 1), ("r", 1), ("x", 1), ("big-c", 1), ("c-x", 1),
-                            ("c-1", None), ("d-p", 1), ("delta", "1"), ("margin", "1/1024"),
-                            ("n", None), ("n-index", None), ("comm-index", 1),
-                            ("group-order", None), ("j", None), ("j-min", None),
-                            ("j-max", None), ("primes", None)):
-        p_plan.add_argument(f"--{option}", default=default,
-                            type=str if option in ("delta", "margin", "primes") else int)
+    for name, (default, form) in pl.PLAN_OPTIONS.items():
+        p_plan.add_argument("--" + name.replace("_", "-"), default=default,
+                            type=int if form is int else str)
 
     p_verify = sub.add_parser("verify", parents=[common], help="re-run the certificates in a report")
     p_verify.add_argument("report", type=Path)

@@ -16,6 +16,8 @@ verify runs all but the search on the stored inputs and result.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain as chain_iterables
@@ -33,8 +35,29 @@ from .rings import is_prime, next_prime
 
 Exact = Union[int, Fraction]
 
+# The most bits a power p^e may have, or None for no bound.  Every power a result or
+# a check is built from goes through exact_power, so verify, which sets the bound from
+# the size of the item it checks, does no more work than the stored item states.
+_POWER_BITS: ContextVar[Optional[int]] = ContextVar("power_bits", default=None)
+
+
+@contextmanager
+def power_bits(bits: int) -> Iterator[None]:
+    """Within the block, exact_power refuses a power of more than ``bits`` bits."""
+    token = _POWER_BITS.set(bits)
+    try:
+        yield
+    finally:
+        _POWER_BITS.reset(token)
+
+
 def exact_power(p: int, exponent: int) -> Exact:
     """p^exponent as an exact rational; negative exponents allowed."""
+    bits = _POWER_BITS.get()
+    # |p|^|e| has at least |e| * (bit_length(p) - 1) bits, counted without forming it
+    if bits is not None and abs(exponent) * (abs(p).bit_length() - 1) > bits:
+        raise ValueError(f"{p}^{exponent} has more than the {bits} bits that the item "
+                         "could state")
     if exponent >= 0:
         return p**exponent
     return Fraction(1, p**-exponent)
@@ -116,14 +139,14 @@ def commensurator_conjugates_bound(n_index: int, x: int, big_c: int,
     """Upper bound n * x^C * |image| on subgroups conjugate in the commensurator."""
     if n_index < 1 or x < 1 or big_c < 0 or group_order < 1:
         raise ValueError("inputs must be positive (big_c may be zero)")
-    return n_index * x**big_c * group_order
+    return n_index * exact_power(x, big_c) * group_order
 
 
 def tower_volume_bound(big_c: int, p: int, j: int) -> int:
     """Volume bound C * p^(9j) for a level-j cover."""
     if big_c < 1 or p < 2 or j < 0:
         raise ValueError("need big_c >= 1, p >= 2, j >= 0")
-    return big_c * p ** (9 * j)
+    return big_c * exact_power(p, 9 * j)
 
 
 def isometry_headroom(p: int, ell: int, dim_g: int, c: int, c_x: int,
@@ -181,9 +204,18 @@ def _least_prime_checks(label: str, lhs_at, rhs: Exact, ell: int) -> Certificate
     """The certificate that ell is the least prime with lhs_at(ell) > rhs: the
     check at ell, on which the verdict rests, and the failing check at the
     prime before it."""
+    # Bertrand: some prime lies in (n, 2n], below ell.  lhs_at is a convex quadratic,
+    # so once it rises from n to n + 1 it keeps rising, and if it holds at n + 1 it
+    # holds at the prime before ell; a forged ell of many digits is refused at once
+    n = (ell - 1) // 2
+    if n >= 1 and lhs_at(n) <= lhs_at(n + 1) and lhs_at(n + 1) > rhs:
+        raise SelfCheckFailed("predecessor certificate unexpectedly passes")
     if not is_prime(ell):
         raise SelfCheckFailed(f"ell={ell} is not prime")
-    yield IneqCheck(f"{label}@ell={ell}", lhs_at(ell), ">", rhs), True
+    passing = IneqCheck(f"{label}@ell={ell}", lhs_at(ell), ">", rhs)
+    if not passing.holds:
+        raise SelfCheckFailed(f"{passing.label} does not hold")
+    yield passing, True
     prev = _prime_before(ell)
     if prev is not None:
         failing = IneqCheck(f"{label}@ell={prev}", lhs_at(prev), ">", rhs)
@@ -195,8 +227,9 @@ def _least_prime_checks(label: str, lhs_at, rhs: Exact, ell: int) -> Certificate
 def _min_ell(condition, dim_g: int, c: int, r: int) -> MinEllResult:
     if r < 0:
         raise ValueError("r must be >= 0")
-    ell = _least_prime(*condition(dim_g, c, r)[1:])
-    checks = [check for check, _ in _least_prime_checks(*condition(dim_g, c, r), ell)]
+    label, lhs_at, rhs = condition(dim_g, c, r)
+    ell = _least_prime(lhs_at, rhs)
+    checks = [check for check, _ in _least_prime_checks(label, lhs_at, rhs, ell)]
     return MinEllResult(ell, checks[0], checks[1] if len(checks) > 1 else None)
 
 
@@ -217,9 +250,9 @@ def growth_chain_check(p: int, c_1: int, ell0: int, r: int, dim_g: int,
     C_1^r p^(r ell0 dim_g) < p^(r + r ell0 dim_g) < p^(ell0(ell0-1) - ell0(3 dim_g + c)),
     valid once p^r > C_1^r; all three comparisons are substituted exactly.
     """
-    precondition = IneqCheck("p^r > C_1^r", p**r, ">", c_1**r)
-    lhs = c_1**r * p ** (r * ell0 * dim_g)
-    mid = p ** (r + r * ell0 * dim_g)
+    precondition = IneqCheck("p^r > C_1^r", exact_power(p, r), ">", exact_power(c_1, r))
+    lhs = exact_power(c_1, r) * exact_power(p, r * ell0 * dim_g)
+    mid = exact_power(p, r + r * ell0 * dim_g)
     rhs = exact_power(p, ell0 * (ell0 - 1) - ell0 * (3 * dim_g + c))
     return (
         precondition,
@@ -347,14 +380,19 @@ def _growth_checks(delta: Fraction, d_p: int, j_min: int, j_max: int, margin: Fr
                    constant: Fraction, ln_hi: Fraction) -> Certificate:
     """growth@j for each j in [j_min, j_max], lazily, each substituting ln_hi, the upper
     end of the ln(p) enclosure; past the last, the proof that constant is (1 - margin)
-    times the least ratio of the right side to ln_hi*(9j+delta)^2 over the range."""
-    least = None
+    times the least ratio of the right side to ln_hi*(9j+delta)^2 over the range, and
+    that every check holds."""
+    least, held = None, True
     for j in range(j_min, j_max + 1):
         rhs, weight = _growth_rhs(j, d_p), ln_hi * (9 * j + delta) ** 2
         least = rhs / weight if least is None else min(least, rhs / weight)
-        yield IneqCheck(f"growth@j={j}", constant * weight, "<", rhs), True
+        check = IneqCheck(f"growth@j={j}", constant * weight, "<", rhs)
+        held = held and check.holds
+        yield check, True
     if constant != (1 - margin) * least:
         raise SelfCheckFailed("the constant is not (1 - margin) times the least ratio")
+    if not held:
+        raise SelfCheckFailed("a growth check fails at this enclosure of ln p")
 
 
 def tower_growth_constant(
@@ -377,12 +415,13 @@ def tower_growth_constant(
     delta = Fraction(delta)
     _check_growth_inputs(p, delta, d_p, j_min, j_max, margin)
     for enclosure in _ln_ladder(p, max_refinements):
-        hi = enclosure.hi
-        constant = (1 - margin) * min(_growth_rhs(j, d_p) / (hi * (9 * j + delta) ** 2)
-                                      for j in range(j_min, j_max + 1))
-        checks = tuple(check for check, _ in
-                       _growth_checks(delta, d_p, j_min, j_max, margin, constant, hi))
-        if all(c.holds for c in checks):
+        ratios = [_growth_rhs(j, d_p) / (enclosure.hi * (9 * j + delta) ** 2)
+                  for j in range(j_min, j_max + 1)]
+        constant = (1 - margin) * min(ratios)
+        # each ln_hi*(9j+delta)^2 is positive, so constant < ratio is the check growth@j
+        if all(constant < ratio for ratio in ratios):
+            checks = tuple(check for check, _ in _growth_checks(
+                delta, d_p, j_min, j_max, margin, constant, enclosure.hi))
             return GrowthConstantResult(
                 p=p, delta=delta, d_p=d_p, j_min=j_min, j_max=j_max,
                 constant=constant, ln_p=enclosure, checks=checks,
@@ -404,10 +443,10 @@ def _validate_primes(primes: Sequence[int]) -> None:
         raise ValueError("tower primes must be strictly increasing")
 
 
-def _power_product(primes: Sequence[int], e: int) -> int:
+def _power_product(primes: Sequence[int], e: int) -> Exact:
     out = 1
     for p in primes:
-        out *= p**e
+        out *= exact_power(p, e)
     return out
 
 
@@ -442,11 +481,11 @@ def _check_tower_inputs(i: dict) -> None:
         )
 
 
-def _tower_side(i: dict, level: int) -> int:
+def _tower_side(i: dict, level: int) -> Exact:
     """C_X * x^c * prod_{i<=level} p_i^(3 ell0 dim_g): at j the right side of the
     product condition, at k the left side of the full tower inequality."""
-    return i["c_x"] * i["x"] ** i["c"] * _power_product(i["primes"][:level],
-                                                          3 * i["ell0"] * i["dim_g"])
+    return i["c_x"] * exact_power(i["x"], i["c"]) * _power_product(
+        i["primes"][:level], 3 * i["ell0"] * i["dim_g"])
 
 
 def _tower_checks(i: dict, k: int) -> Certificate:
@@ -464,6 +503,8 @@ def _tower_checks(i: dict, k: int) -> Certificate:
             raise SelfCheckFailed(f"product condition already holds at k={level}")
         full = IneqCheck(f"tower-full@k={level}", _tower_side(i, level), "<",
                          _power_product(primes[j:level], ell0 * (ell0 - 1)))
+        if rests and not (product.holds and full.holds):
+            raise SelfCheckFailed(f"tower certificate at k={level} does not hold")
         yield from ((product, rests), (full, rests))
 
 
@@ -526,17 +567,46 @@ class PlanOp(NamedTuple):
         return self.reads + (extra if all(name in given for name in trigger) else ())
 
     def read(self, options: dict) -> dict:
-        """The op's inputs from the command's options, each None until given."""
+        """The op's inputs from the values of options, as parsed from the command line
+        or as a report states them, each in its form; one that is None stays None."""
         given = {name for name, value in options.items() if value is not None}
-        return {name: _FORMS[name](options[name]) if name in _FORMS else options[name]
+        return {name: None if options[name] is None else PLAN_OPTIONS[name][1](options[name])
                 for name in self.names(given)}
 
 
-# How the text of an option becomes an input; other options are read as parsed.
-_FORMS = {
-    "primes": lambda text: [int(v) for v in text.split(",")],
-    "delta": lambda text: str(Fraction(text)),
-    "margin": lambda text: str(Fraction(text)),
+def _fraction(value) -> str:
+    return str(Fraction(value))
+
+
+def _primes(value) -> list[int]:
+    return [int(v) for v in (value.split(",") if isinstance(value, str) else value)]
+
+
+# The options of gassmann plan, each with its default, None for one that is None until
+# given, and its form: an integer option is parsed as one, the others are parsed as text,
+# and the form gives the input an op reads from the value.
+PLAN_OPTIONS: dict[str, tuple[Optional[object], Callable]] = {
+    "p": (None, int),
+    "ell": (None, int),
+    "ell0": (None, int),
+    "dim_g": (None, int),
+    "c": (1, int),
+    "r": (1, int),
+    "x": (1, int),
+    "big_c": (1, int),
+    "c_x": (1, int),
+    "c_1": (None, int),
+    "d_p": (1, int),
+    "delta": ("1", _fraction),
+    "margin": ("1/1024", _fraction),
+    "n": (None, int),
+    "n_index": (None, int),
+    "comm_index": (1, int),
+    "group_order": (None, int),
+    "j": (None, int),
+    "j_min": (None, int),
+    "j_max": (None, int),
+    "primes": (None, _primes),
 }
 
 
@@ -569,7 +639,7 @@ def _min_ell_op(condition, chained: bool = False) -> PlanOp:
     """min-ell-sequence, or min-ell-growth with its optional chain if chained."""
     def search(i: dict) -> tuple[dict, dict]:
         ell = _least_prime(*condition(i["dim_g"], i["c"], i["r"])[1:])
-        if i.get("ell0", 0) is None:  # the chain's ell0 defaults to ell
+        if "ell0" in i and i["ell0"] is None:  # the chain's ell0 defaults to ell
             i = {**i, "ell0": ell}
         return i, {"ell": ell}
 

@@ -24,7 +24,7 @@ from .certify import (canonical_twist, conjugator_oracle_runs, family_mode, keyi
 from .errors import GassmannError, SizeCapExceeded, SpecMismatch
 from .heisenberg import heisenberg_group, parse_twist_label, twisted_subgroup
 from .places import implementations_agree, residue_degree_subgroup
-from .planner import PLAN_OPS, IneqCheck
+from .planner import PLAN_OPS, IneqCheck, power_bits
 from .rings import make_field, primes_up_to
 from .schreier import (CosetGraph, char_poly, find_isomorphism, maps_onto,
                        symmetrize_generators, transversal)
@@ -382,15 +382,22 @@ def _verify_place_scan(item: dict, config: dict, items: _Items, problems: list[s
 
 
 def _verify_plan(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
-    """The op's validation and certificate run on the stored inputs and result, so
-    every closed-form result field and every check is derived, not read."""
-    name, inputs, stored = item["op"], item["inputs"], item["checks"]
+    """The op's validation and certificate run on the stored inputs, read in the form
+    plan writes them, and result, so every closed-form result field and every check
+    is derived, not read."""
+    name, stored = item["op"], item["checks"]
     op = PLAN_OPS[name]
-    op.validate(inputs)
-    result, certificate = op.certify(inputs, item["result"])
-    # the certificate is lazy: a forged range or level costs one check past the stored list
-    derived = list(islice(certificate, len(stored) + 1))
-    want = plan_item(name, {key: inputs[key] for key in op.names(inputs)}, result, derived)
+    if not isinstance(item["inputs"], dict):
+        raise TypeError("inputs are not a JSON object")
+    inputs = op.read(item["inputs"])
+    # a decimal digit holds less than 4 bits, so no number the item states has more
+    # bits than 4 per character of the item; a forged input asking for more is refused
+    with power_bits(4 * len(json.dumps(item))):
+        op.validate(inputs)
+        result, certificate = op.certify(inputs, item["result"])
+        # the certificate is lazy: a forged range or level costs one check past the stored list
+        derived = list(islice(certificate, len(stored) + 1))
+    want = plan_item(name, inputs, result, derived)
     for field, message in (
             ("inputs", f"inputs are not the options that plan {name} reads"),
             ("result", "result differs from the one that the op's inputs give"),

@@ -1213,6 +1213,44 @@ def _k_4_with_checks_at_4_and_3(plan):
     plan["required_checks"] = ["tower-full@k=4", "tower-product@k=4"]
 
 
+def _ell_31_with_both_checks_failing(plan):
+    # at 31 and 29 the left side is -32 and -88: a self-consistent failing report
+    plan["result"]["ell"] = 31
+    plan["checks"] = [
+        {"label": "min-ell-growth@ell=31", "lhs": "-32", "op": ">", "rhs": "0", "holds": False},
+        {"label": "min-ell-growth@ell=29", "lhs": "-88", "op": ">", "rhs": "0", "holds": False},
+    ]
+    plan["required_checks"] = ["min-ell-growth@ell=31"]
+    plan["holds"] = False
+
+
+def _k_2_below_the_least_level(plan):
+    # the least level is 3; at 2 and 1 the product condition fails, so the stated
+    # checks and a failing verdict agree with each other
+    inputs = dict(plan["inputs"], x=1)
+    target = planner._tower_side(inputs, 1)
+    plan["result"]["k"] = 2
+    plan["checks"] = [check.to_json() for level in (2, 1) for check in (
+        planner.IneqCheck(f"tower-product@k={level}", 3 ** (444 * (level - 1)), ">", target),
+        planner.IneqCheck(f"tower-full@k={level}", planner._tower_side(inputs, level), "<",
+                          3 ** (37 * 36 * (level - 1))))]
+    plan["required_checks"] = ["tower-full@k=2", "tower-product@k=2"]
+    plan["holds"] = False
+
+
+def _margin_0_with_the_least_ratio(plan):
+    # with no margin the constant is the least ratio itself, and its check fails
+    hi = Fraction(plan["result"]["ln_p"]["hi"])
+    constant = Fraction(plan["result"]["constant"]) / (1 - Fraction(1, 1024))
+    plan["inputs"]["margin"] = "0"
+    plan["result"]["constant"] = str(constant)
+    for j, check in zip(range(30, 33), plan["checks"]):
+        lhs = constant * hi * (9 * j + 1) ** 2
+        check.update(lhs=str(lhs), holds=lhs < Fraction(check["rhs"]))
+    plan["holds"] = all(check["holds"] for check in plan["checks"])
+    assert not plan["holds"]
+
+
 def _a_label_changed(plan):
     plan["checks"][1]["label"] = "min-ell-growth@ell=29"
 
@@ -1245,7 +1283,7 @@ _PLAN_FORGERIES = [
     (("plan", "level-count", "--primes", "2,3,5", "--j", "3", "--ell0", "2"), _value_6301,
      "result differs from the one that the op's inputs give"),
     (_MIN_ELL_GROWTH, _dim_g_10_to_the_12,
-     "check min-ell-growth@ell=37 is not min-ell-growth@ell=37 as the op's inputs"),
+     "fails its check: SelfCheckFailed: min-ell-growth@ell=37 does not hold"),
     (_MIN_ELL_GROWTH, _ell_41_with_checks_at_41_and_37,
      "fails its check: SelfCheckFailed: predecessor certificate unexpectedly passes"),
     (_MIN_ELL_GROWTH, _op_of_a_check_flipped,
@@ -1254,6 +1292,12 @@ _PLAN_FORGERIES = [
      _ell_6_which_is_not_prime, "fails its check: SelfCheckFailed: ell=6 is not prime"),
     (("plan",) + _TOWER_MIN_K, _k_4_with_checks_at_4_and_3,
      "fails its check: SelfCheckFailed: product condition already holds at k=3"),
+    (_MIN_ELL_GROWTH, _ell_31_with_both_checks_failing,
+     "fails its check: SelfCheckFailed: min-ell-growth@ell=31 does not hold"),
+    (("plan",) + _TOWER_MIN_K, _k_2_below_the_least_level,
+     "fails its check: SelfCheckFailed: tower certificate at k=2 does not hold"),
+    (_GROWTH, _margin_0_with_the_least_ratio,
+     "fails its check: SelfCheckFailed: a growth check fails at this enclosure of ln p"),
     (_MIN_ELL_GROWTH, _a_label_changed,
      "check min-ell-growth@ell=29 is not min-ell-growth@ell=31 as the op's inputs"),
     (_MIN_ELL_GROWTH, _failing_check_dropped, "problem: check min-ell-growth@ell=31 is missing"),
@@ -1276,19 +1320,64 @@ def test_verify_derives_every_plan_operand(tmp_path, argv, forge, message):
     assert code == 1 and message in err
 
 
+def _inflated(name, value=10**12):
+    return lambda plan: plan["inputs"].update({name: value})
+
+
 @pytest.mark.parametrize("argv, forge", [
-    (_GROWTH, lambda plan: plan["inputs"].update(j_max=10**9)),
+    (_GROWTH, _inflated("j_max", 10**9)),
     (_MIN_ELL_GROWTH, _dim_g_10_to_the_12),
-], ids=["j_max", "dim_g"])
+    # a prime of 969 digits: testing it takes about a second, and walking below it longer
+    (_MIN_ELL_GROWTH, lambda plan: plan["result"].update(ell=2**3217 - 1)),
+    (_MIN_ELL_GROWTH + ("--p", "2", "--c-1", "1"), _dim_g_10_to_the_12),
+    (("plan", "twisted-count", "--p", "2", "--ell0", "37", "--dim-g", "8"), _dim_g_10_to_the_12),
+    (("plan", "comm-classes", "--p", "2", "--ell0", "29", "--dim-g", "8", "--n", "5"),
+     _inflated("ell0")),
+    (("plan", "nonarith-count", "--p", "2", "--ell", "11"), _inflated("ell")),
+    (("plan", "conjugates-bound", "--n-index", "64", "--x", "2", "--big-c", "3",
+      "--group-order", "512"), _inflated("big_c")),
+    (("plan", "volume-bound", "--big-c", "3", "--p", "2", "--j", "4"), _inflated("j")),
+    (("plan", "level-count", "--primes", "2,3,5", "--j", "3", "--ell0", "2"), _inflated("ell0")),
+    (("plan",) + _TOWER_MIN_K, _inflated("ell0")),
+], ids=["j_max", "dim_g", "ell", "dim_g-chained", "twisted-count", "comm-classes", "nonarith-count",
+        "conjugates-bound", "volume-bound", "level-count", "tower-min-k"])
 def test_verify_of_a_forged_plan_costs_what_the_stored_item_states(tmp_path, argv, forge):
-    # 10^9 levels or a 10^12-dimensional group: verify derives no more checks than
-    # the item stores, plus one, and never runs the prime walk
+    # 10^9 levels, a 10^12-dimensional group or a power of 2 with about 10^12 bits:
+    # verify derives no more checks than the item stores, plus one, never runs a
+    # walk, and refuses a power with more bits than the item could state
     _, out, _ = run_cli(*argv)
     report = json.loads(out)
     forge(report["items"][0])
     started = time.perf_counter()
     code, err = _verify_json(tmp_path, report)
     assert code == 1 and time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    (("plan", "twisted-count", "--p", "2", "--ell0", "37", "--dim-g", "1"), "dim_g", True),
+    (_GROWTH, "delta", 1),
+    (_GROWTH, "margin", "2/2048"),
+    (("plan", "level-count", "--primes", "2,3,5", "--j", "3", "--ell0", "2"), "primes", "2,3,5"),
+    (("plan", "level-count", "--primes", "2,3,5", "--j", "3", "--ell0", "2"), "primes",
+     [2.0, 3, 5]),
+], ids=["dim_g-true", "delta-an-int", "margin-not-in-lowest-terms", "primes-as-text",
+        "a-prime-a-float"])
+def test_verify_reads_each_plan_input_in_the_form_plan_writes(tmp_path, argv, name, value):
+    # each stored value equals what plan writes once read, so only its form is wrong
+    _, out, _ = run_cli(*argv)
+    report = json.loads(out)
+    report["items"][0]["inputs"][name] = value
+    code, err = _verify_json(tmp_path, report)
+    assert code == 1 and err == f"problem: inputs are not the options that plan {argv[1]} reads\n"
+
+
+def test_the_growth_chain_stays_exact_below_ell0_1():
+    # a negative ell0 makes the chain's exponents negative; the powers stay rationals
+    code, out, _ = run_cli(*_MIN_ELL_GROWTH, "--p", "2", "--c-1", "1", "--ell0", "-1")
+    report = json.loads(out)
+    chain = {c["label"]: c for c in report["items"][0]["checks"]}
+    assert code == 0 and (chain["chain-left"]["lhs"], chain["chain-left"]["rhs"]) == ("1/256", "1/128")
+    assert verify_report(report) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -1600,6 +1689,16 @@ def test_verify_malformed_item_reports_one_problem(tmp_path):
     assert code == 1 and out == "verification failed\n"
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("problem: item 1 (gassmann-family) is malformed: KeyError")
+
+
+@pytest.mark.parametrize("inputs", [[], [0], "dim_g", None, 5])
+def test_verify_lists_plan_inputs_that_are_no_object(tmp_path, inputs):
+    _, out, _ = run_cli("plan", "twisted-count", "--p", "2", "--ell0", "37", "--dim-g", "8")
+    report = json.loads(out)
+    report["items"][0]["inputs"] = inputs
+    code, err = _verify_json(tmp_path, report)
+    assert code == 1 and "Traceback" not in err
+    assert err == "problem: item 0 (plan) is malformed: TypeError: inputs are not a JSON object\n"
 
 
 @pytest.mark.parametrize("argv", [
