@@ -1227,7 +1227,7 @@ def _ell_31_with_both_checks_failing(plan):
 def _k_2_below_the_least_level(plan):
     # the least level is 3; at 2 and 1 the product condition fails, so the stated
     # checks and a failing verdict agree with each other
-    inputs = dict(plan["inputs"], x=1)
+    inputs = plan["inputs"]
     target = planner._tower_side(inputs, 1)
     plan["result"]["k"] = 2
     plan["checks"] = [check.to_json() for level in (2, 1) for check in (
