@@ -777,6 +777,33 @@ def test_graph_facts_survive_the_schema_bump(p, m):
     assert hashlib.sha256(payload.encode()).hexdigest() == SCHEMA_2_GRAPH_FACTS[p, m]
 
 
+# From the schema-3 certify reports, which listed every subgroup's label and profile
+# index: SHA-256 of the compact JSON of the facts that any layout must keep.
+SCHEMA_3_CERTIFY_FACTS = {
+    (2, 1): "bacb4dddb3394e0d237bffd5ade826cdf4485e0d5546b759e4a2a46bf48ca28b",
+    (2, 2): "60b7cf23d4b90b616238eac534d961a513503f55ea21bd7830fa653d5b8a9ced",
+    (2, 3): "4081fa13f91d1d8443053b1cbcac9211113fdde56aa7b8d45fd2dc8b3538af6a",
+    (3, 2): "8b876fd117a09f1c6e5e0c2152ce04536e38529ec91d586a8673d6899362f311",
+    (3, 3): "ce97d15f025ac58f22b5d1be9151bfa70828015b95b173f2926b27ddc6f4c0d1",
+    (17, 1): "9c43ac6595731726a7f2e298ae049e05ef9c43034625fc83f06eb95cd0e31f5e",
+}
+
+
+@pytest.mark.parametrize("p, m", list(SCHEMA_3_CERTIFY_FACTS), ids=lambda v: str(v))
+def test_certify_facts_survive_the_schema_bump(p, m):
+    report = cli.cmd_certify(p, m)
+    count, family, dichotomy = report["items"]
+    (profile,) = family["distinct_profiles"]
+    facts = [[count["expected"], count["actual"], count["bruteforce_orbits"]],
+             [profile, family["class_sizes"], family["identity_class"]],
+             [family["pair_count"], dichotomy["pairs"], dichotomy["structural_conjugate_pairs"]],
+             [dichotomy["bruteforce_checked"], dichotomy["structural_equals_bruteforce"],
+              dichotomy.get("reps_pairwise_nonconjugate")],
+             [item["holds"] for item in report["items"]]]
+    payload = json.dumps(facts, separators=(",", ":"))
+    assert hashlib.sha256(payload.encode()).hexdigest() == SCHEMA_3_CERTIFY_FACTS[p, m]
+
+
 def _tampered_places_verify(tmp_path, tamper) -> tuple[int, str]:
     _, out, _ = run_cli("places", "--ell", "3", "--bound", "1000")
     report = json.loads(out)
@@ -1548,6 +1575,8 @@ def test_verify_scans_the_places_again(tmp_path, forge):
 
 # SHA-256 of the report on stdout; a schema bump updates these and says so
 PINNED_REPORTS = {
+    ("certify", "--p", "2", "--m", "2"):
+        "56cd8eada3a927fd3dbab9d10a66b887be6a370861dc841d13e591830aafbb62",
     ("certify", "--p", "2", "--m", "3"):
         "d9dde67c3c5118126d9c8ac4979b46bfc908a87e71c6563f0e3e0ebbc3ad4a01",
     ("graphs", "--p", "2", "--m", "2"):
