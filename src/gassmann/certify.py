@@ -1,20 +1,19 @@
 """Almost-conjugacy certificates for twisted subgroup families.
 
-Everything here is exact and brute-force checkable: intersection profiles
-against full conjugacy-class tables, the canonical twist as the one class
-key of a twisted subgroup (it names the class, enumerates the catalog and
-decides conjugacy), the truncated-ring class count in closed form, and
-componentwise product certificates.  The pairwise structural test, the
-conjugator search and the orbit count are oracles for the class key, and
-stay here because the CLI runs the last two under its limits.  The direct
-count in a product group, the oracle for product profiles, is in
-``gassmann.oracles``.
+Everything here is exact and brute-force checkable.  The certify family's
+class count, profile and conjugate pairs come from closed forms, since H_f
+and H_g are conjugate exactly when f - g is a multiplication; the orbit
+count and ``family_oracles`` (class-table profiles, the conjugator search)
+are their oracles, run by the CLI under its limits.  Componentwise product
+certificates close the module; the direct count in a product group, their
+oracle, is in ``gassmann.oracles``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -35,6 +34,7 @@ from .rings import (
     all_linear_maps,
     is_mult_map,
     mult_matrix,
+    make_field,
     size_cap,
 )
 
@@ -44,9 +44,19 @@ from .rings import (
 ALL_TWISTS_LIMIT = 16
 
 
+def _power_at_most(p: int, e: int, limit: int) -> bool:
+    """p^e <= limit for p >= 2, without building a power longer than limit."""
+    return e < limit.bit_length() and p**e <= limit
+
+
 def family_mode(p: int, m: int) -> str:
     """The certify family's mode over GF(p^m): 'all-twists' or 'class-reps'."""
-    return "all-twists" if p ** (m * m) <= ALL_TWISTS_LIMIT else "class-reps"
+    return "all-twists" if _power_at_most(p, m * m, ALL_TWISTS_LIMIT) else "class-reps"
+
+
+def family_exponent(p: int, m: int) -> int:
+    """The certify family has p^e subgroups: e = m² maps, or m(m-1) class reps."""
+    return m * m if family_mode(p, m) == "all-twists" else m * (m - 1)
 
 
 # certify runs each brute-force oracle while its work is within these limits
@@ -56,31 +66,19 @@ BRUTE_CONJ_WORK_LIMIT = 2_000_000
 
 def orbit_oracle_runs(p: int, m: int) -> bool:
     """Whether certify counts the orbits of all p^(m²) maps by brute force."""
-    return p ** (m * m) <= BRUTE_ORBIT_LIMIT
+    return _power_at_most(p, m * m, BRUTE_ORBIT_LIMIT)
 
 
 def conjugator_oracle_runs(p: int, m: int) -> bool:
-    """Whether certify checks the conjugacy keys by conjugating with all of G.
-
-    The work is |G|·q·n for the q³ group elements and the n subgroups of
-    the family: p^(m²) in all-twists mode, p^(m(m-1)) in class-reps mode.
-    """
-    q = p**m
-    n = p ** (m * m if family_mode(p, m) == "all-twists" else m * (m - 1))
-    return q**4 * n <= BRUTE_CONJ_WORK_LIMIT
+    """Whether certify checks the conjugacy keys by conjugating with all of G: the
+    work is |G|·q·n for the q³ group elements and the n subgroups of the family."""
+    return _power_at_most(p, 4 * m + family_exponent(p, m), BRUTE_CONJ_WORK_LIMIT)
 
 
 @dataclass(frozen=True)
 class GassmannCertificate:
     """Per-class intersection profiles for a subgroup pair, plus verdict."""
 
-    ring: RingSpec
-    label_h: str
-    label_k: str
-    size_h: int
-    size_k: int
-    identity_class: int
-    class_sizes: tuple[int, ...]
     profile_h: tuple[int, ...]
     profile_k: tuple[int, ...]
 
@@ -115,17 +113,8 @@ def almost_conjugate(sub_h, sub_k, table: Optional[ConjugacyClassTable] = None,
         raise SpecMismatch("subgroups live in different groups")
     if table is None:
         table = sub_h.group.conjugacy_classes(cap=cap)
-    return GassmannCertificate(
-        ring=sub_h.group.ring,
-        label_h=sub_h.label(),
-        label_k=sub_k.label(),
-        size_h=sub_h.size,
-        size_k=sub_k.size,
-        identity_class=table.identity_class(),
-        class_sizes=table.sizes(),
-        profile_h=intersection_profile(sub_h, table),
-        profile_k=intersection_profile(sub_k, table),
-    )
+    return GassmannCertificate(intersection_profile(sub_h, table),
+                               intersection_profile(sub_k, table))
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +247,10 @@ def enumerate_class_reps(spec: RingSpec, cap: Optional[int] = None) -> ClassCata
     return ClassCatalog(ring=spec, reps=reps)
 
 
-def twist_orbit_count_bruteforce(spec: RingSpec, cap: Optional[int] = None) -> int:
-    """Independent count of orbits of f under f -> f - mult_matrix(b)."""
+def twist_orbit_count_bruteforce(spec: RingSpec) -> int:
+    """Independent count of orbits of f under f -> f - mult_matrix(b), over all
+    p^(n²) maps; certify runs it while ``orbit_oracle_runs``."""
     n2 = spec.dim * spec.dim
-    limit = size_cap() if cap is None else cap
-    if spec.p**n2 > limit:
-        raise SizeCapExceeded(f"{spec.p}^{n2} additive maps exceed cap {limit}")
     p = spec.p
     translations = [mult_matrix(b, spec).flatten() for b in spec.elements]
     seen: set = set()
@@ -275,6 +262,74 @@ def twist_orbit_count_bruteforce(spec: RingSpec, cap: Optional[int] = None) -> i
         for t in translations:
             seen.add(tuple((x - y) % p for x, y in zip(flat, t)))
     return orbits
+
+
+def class_count(spec: RingSpec) -> int:
+    """The class count p^(n² - rank): the canonical twists are the maps that vanish
+    at the pivots of ``mult_subspace_echelon``, so no map is enumerated."""
+    return spec.p ** (spec.dim**2 - len(mult_subspace_echelon(spec)))
+
+
+# ---------------------------------------------------------------------------
+# The certify family in closed form, and its one oracle block
+# ---------------------------------------------------------------------------
+
+
+def family_class_sizes(q: int) -> list[int]:
+    """The class sizes over GF(q), in the order of ``family_profile``: q central
+    classes of size 1, then q² - 1 classes of size q."""
+    return [1] * q + [q] * (q * q - 1)
+
+
+def family_profile(q: int) -> list[int]:
+    """The intersection profile of every H_f over GF(q), derived without a class table.
+
+    Classes are numbered by their lex-least members, as _class_table_cached
+    numbers them: (0, 0, c) is class index(c), and the class of (a, b, *) with
+    (a, b) != 0 is q - 1 + index(a)·q + index(b), elements indexed in
+    lexicographic coefficient order.  H_f meets the identity class, class 0,
+    once, and the class of each (x, 0, *) with x != 0 once, in (x, 0, f(x)).
+    """
+    profile = [0] * (q * q + q - 1)
+    profile[0] = 1
+    for i in range(1, q):
+        profile[q - 1 + i * q] = 1
+    return profile
+
+
+def conjugate_pair_count(p: int, m: int) -> int:
+    """The conjugate pairs of the certify family over GF(p^m): none among the class
+    reps, and all p^(m²) maps fall into p^(m(m-1)) cosets of the multiplication
+    subspace, of q maps each."""
+    if family_mode(p, m) == "class-reps":
+        return 0
+    q = p**m
+    return p ** (m * (m - 1)) * (q * (q - 1) // 2)
+
+
+def family_oracles(p: int, m: int, cap: Optional[int], bruteforce_keys) -> bool:
+    """The oracle block of certify and verify, run while ``conjugator_oracle_runs``
+    and true elsewhere: whether the canonical-twist keys of the family's subgroups,
+    built once, partition them as ``bruteforce_keys`` does.  A class table or keys
+    that disagree with the closed forms raise SelfCheckFailed."""
+    if not conjugator_oracle_runs(p, m):
+        return True
+    spec = make_field(p, m, cap=cap)
+    group = heisenberg_group(spec)
+    maps = (all_linear_maps(spec) if family_mode(p, m) == "all-twists"
+            else enumerate_class_reps(spec, cap=cap).reps)
+    subgroups = [twisted_subgroup(f, group) for f in maps]
+    table = group.conjugacy_classes(cap=cap)
+    profile = tuple(family_profile(spec.size))
+    if (list(table.sizes()) != family_class_sizes(spec.size) or table.identity_class() != 0
+            or any(intersection_profile(sub, table) != profile for sub in subgroups)):
+        raise SelfCheckFailed("the class table gives a profile other than the closed form")
+    keys = [canonical_twist(sub.f, spec) for sub in subgroups]
+    if sum(c * (c - 1) // 2 for c in Counter(keys).values()) != conjugate_pair_count(p, m):
+        raise SelfCheckFailed("the canonical twists give a conjugate-pair count other than "
+                              "the closed form")
+    # with one subgroup there is no pair for the search to compare
+    return len(subgroups) < 2 or keyings_agree(keys, bruteforce_keys(group, subgroups))
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +359,12 @@ class TowerClassCount:
 def tower_class_count(spec: TruncRingSpec) -> TowerClassCount:
     """Count twisted-subgroup classes of the truncated-ring group exactly.
 
-    The classes are the canonical twists, the maps that vanish at the j
-    pivots of ``mult_subspace_echelon``, so the count is p^(j^2 - j) in
-    closed form, with the rank read off the echelon basis; no map is
-    enumerated.  The cited literature value p^(j(j-1)/2) is reported as a
-    lower bound only, and the discrepancy is surfaced via the gap flag.
+    The count is ``class_count``, p^(j^2 - j) for the j pivots.  The cited
+    literature value p^(j(j-1)/2) is reported as a lower bound only, and the
+    discrepancy is surfaced via the gap flag.
     """
-    exact = spec.p ** (spec.j**2 - len(mult_subspace_echelon(spec)))
     cited = spec.p ** (spec.j * (spec.j - 1) // 2)
-    return TowerClassCount(p=spec.p, j=spec.j, exact=exact, cited_lower=cited)
+    return TowerClassCount(p=spec.p, j=spec.j, exact=class_count(spec), cited_lower=cited)
 
 
 # ---------------------------------------------------------------------------
@@ -348,25 +400,11 @@ class ProductFamily:
 
 
 @dataclass(frozen=True)
-class ProductCertificate:
-    """Tensor-profile certificate for a pair of product families."""
+class ProductCertificate(GassmannCertificate):
+    """Tensor-profile certificate for a pair of product families: the product
+    profiles, with the factors' certificates."""
 
     factor_certificates: tuple[GassmannCertificate, ...]
-    profile_h: tuple[int, ...]
-    profile_k: tuple[int, ...]
-
-    @property
-    def equal(self) -> bool:
-        return self.profile_h == self.profile_k
-
-    @property
-    def witness_class(self) -> Optional[int]:
-        if self.equal:
-            return None
-        for i, (x, y) in enumerate(zip(self.profile_h, self.profile_k)):
-            if x != y:
-                return i
-        return None
 
 
 def tensor_profiles(profiles: Sequence[tuple[int, ...]]) -> tuple[int, ...]:

@@ -87,10 +87,14 @@ class Heisenberg:
         z = self.ring.zero()
         return tuple((z, z, c) for c in self.ring.elements)
 
-    def conjugacy_classes(self, cap: Optional[int] = None) -> "ConjugacyClassTable":
+    def check_order(self, cap: Optional[int] = None) -> None:
+        """Raise SizeCapExceeded if the group has more elements than the cap."""
         limit = size_cap() if cap is None else cap
         if self.order > limit:
             raise SizeCapExceeded(f"group order {self.order} exceeds cap {limit}")
+
+    def conjugacy_classes(self, cap: Optional[int] = None) -> "ConjugacyClassTable":
+        self.check_order(cap)
         return _class_table_cached(self)
 
 

@@ -186,11 +186,20 @@ def _growth_condition(dim_g: int, c: int, r: int):
 
 
 def _least_prime(lhs_at, rhs: Exact) -> int:
-    """The prime walk: the least prime ell with lhs_at(ell) > rhs."""
-    ell = 2
-    while not lhs_at(ell) > rhs:
-        ell = next_prime(ell)
-    return ell
+    """The prime walk: the least prime ell with lhs_at(ell) > rhs.
+
+    lhs_at - rhs is convex and at most 0 at 0, so once it is positive at some
+    n > 0 it stays positive past n.  The least such integer n >= 2 is found by
+    doubling and then bisection, in exact integers, and the walk starts there.
+    """
+    hi = 2
+    while not lhs_at(hi) > rhs:
+        hi *= 2
+    lo = hi // 2  # fails, unless hi is 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if lhs_at(mid) > rhs else (mid, hi)
+    return next_prime(hi - 1)
 
 
 def _prime_before(n: int) -> Optional[int]:

@@ -4,11 +4,12 @@ JSON is the single source of truth; the table rendering is derived from
 it.  Reports carry enough substituted data (profiles, class sizes,
 inequality instances, witness permutations, subgroup labels) that
 verify_report can reproduce the verdict from the JSON alone.  Each fact
-is stated once: a coset graph is stated by its subgroup label and the
-config's generators, which fix it, and verify_report rebuilds it by the
-group law; each distinct profile and charpoly is listed once, and items
-refer to graphs, profiles and charpolys by index.  Large integers travel
-as decimal strings.
+is stated once: a certify family is stated by its definition, its mode
+and count, which the config fixes, with the one profile of its members;
+a coset graph is stated by its subgroup label and the config's
+generators, which fix it, and verify_report rebuilds it by the group
+law; each distinct charpoly is listed once, and items refer to graphs
+and charpolys by index.  Large integers travel as decimal strings.
 """
 
 from __future__ import annotations
@@ -17,19 +18,21 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
+from math import isqrt
 from typing import Any, Optional
 
-from .certify import (canonical_twist, conjugator_oracle_runs, family_mode, keyings_agree,
-                      orbit_oracle_runs)
+from .certify import (canonical_twist, conjugate_pair_count, conjugator_oracle_runs,
+                      family_class_sizes, family_exponent, family_mode, family_oracles,
+                      family_profile, orbit_oracle_runs)
 from .errors import GassmannError, SizeCapExceeded, SpecMismatch
-from .heisenberg import heisenberg_group, parse_twist_label, twisted_subgroup
+from .heisenberg import heisenberg_group, parse_twist_label
 from .places import implementations_agree, residue_degree_subgroup
 from .planner import PLAN_OPS, IneqCheck, power_bits
 from .rings import make_field, primes_up_to
 from .schreier import (CosetGraph, char_poly, find_isomorphism, maps_onto,
                        symmetrize_generators, transversal)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def encode_count(v: int) -> Any:
@@ -92,14 +95,12 @@ def plan_item(op: str, inputs: dict, result: dict, checks: list[tuple[IneqCheck,
 
 
 class _Items:
-    """A report's items grouped by kind, in report order, with each coset graph
-    rebuilt from its label and the config once, for every verifier that reads it."""
+    """A report's coset-graph items, in report order, each rebuilt from its label and
+    the config once, for every verifier that reads it."""
 
     def __init__(self, items: list[dict], config):
         self.config = config
-        self.by_kind: dict[str, list[dict]] = {}
-        for item in items:
-            self.by_kind.setdefault(item["kind"], []).append(item)
+        self.coset_graphs = [item for item in items if item["kind"] == "coset-graph"]
         self._graphs: dict[int, CosetGraph] = {}
 
     def graph(self, item: dict) -> CosetGraph:
@@ -109,7 +110,7 @@ class _Items:
         return self._graphs[key]
 
     def graphs(self) -> list[CosetGraph]:
-        return [self.graph(item) for item in self.by_kind.get("coset-graph", [])]
+        return [self.graph(item) for item in self.coset_graphs]
 
 
 def _same(stored: Any, derived: Any) -> bool:
@@ -123,48 +124,28 @@ def _same(stored: Any, derived: Any) -> bool:
     return type(stored) is type(derived) and stored == derived
 
 
-def _family_profile(q: int) -> list[int]:
-    """The intersection profile of every H_f over GF(q), derived without a class table.
-
-    Classes are numbered by their lex-least members, as _class_table_cached
-    numbers them: (0, 0, c) is class index(c), and the class of (a, b, *) with
-    (a, b) != 0 is q - 1 + index(a)·q + index(b), elements indexed in
-    lexicographic coefficient order.  H_f meets the identity class once, and
-    the class of each (x, 0, *) with x != 0 once, in (x, 0, f(x)).
-    """
-    profile = [0] * (q * q + q - 1)
-    profile[0] = 1
-    for i in range(1, q):
-        profile[q - 1 + i * q] = 1
-    return profile
-
-
 def _verify_profiles(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
-    """Every H_f has the one derived profile, so the evidence always gives true."""
-    labels = item["subgroups"]
-    distinct = item["distinct_profiles"]
-    index = item["profile_index"]
-    n = len(labels)
+    """The family, its one profile and the class table's shape, each derived from the
+    config; every H_f has that profile, so the evidence always gives true."""
+    # every power and list is bounded by what the item stores, so a forged config
+    # costs no more than the item: the count by its digits, q² by the stored classes
     p, m = config["p"], config["m"]
-    mode = family_mode(p, m)
-    if item["mode"] != mode or len(set(labels)) != n or not _is_power(
-            n, p, m * m if mode == "all-twists" else m * (m - 1)):
-        problems.append(f"the family is not the {mode} family of the config: p^(m^2) distinct "
+    mode, count = family_mode(p, m), decode_count(item["count"])
+    if not (item["mode"] == mode and _is_power(count, p, family_exponent(p, m))
+            and _same(item["count"], encode_count(count))):
+        problems.append(f"the family is not the {mode} family of the config: p^(m^2) "
                         "subgroups in all-twists mode, p^(m(m-1)) in class-reps mode")
-    # over GF(q): q central classes of size 1 first, then q^2 - 1 of size q
-    q = p**m
-    if not _same(item["class_sizes"], [1] * q + [q] * (q * q - 1)):
+    if not _same(item["pair_count"], encode_count(count * (count - 1) // 2)):
+        problems.append("pair_count is not n(n-1)/2 for the family's n subgroups")
+    classes = len(item["class_sizes"])
+    q = p**m if 2 * m < classes.bit_length() else None
+    shape = q is not None and classes == q * q + q - 1
+    if not (shape and _same(item["class_sizes"], family_class_sizes(q))):
         problems.append("class_sizes are not q classes of size 1, then q^2-1 of size q, q = p^m")
     if not _same(item["identity_class"], 0):
         problems.append("identity_class is not 0, the class of the identity")
-    if len(index) != n:
-        problems.append("subgroups and profile_index differ in length")
-    if not _same(item["pair_count"], n * (n - 1) // 2):
-        problems.append("pair_count is not n(n-1)/2 for the n subgroups")
-    if not _same(distinct, [_family_profile(q)]):
-        problems.append("distinct_profiles is not the one profile that every H_f has over GF(q)")
-    if not all(_same(k, 0) for k in index):
-        problems.append("a profile_index is not 0, the index of the one profile")
+    if not (shape and _same(item["profile"], family_profile(q))):
+        problems.append("profile is not the one profile that every H_f has over GF(q)")
     if item["all_equal"] is not True:
         problems.append("all_equal is not true, though every H_f has the same profile")
     return True
@@ -182,44 +163,36 @@ def _verify_class_count(item: dict, config: dict, items: _Items, problems: list[
 
 
 def _verify_conjugacy(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
-    # H_f and H_g are conjugate exactly when f and g share a canonical twist
-    labels = items.by_kind["gassmann-family"][0]["subgroups"]
+    # H_f and H_g are conjugate exactly when f - g is a multiplication
     p, m = config["p"], config["m"]
-    spec = make_field(p, m, cap=config["cap"])
-    maps = [parse_twist_label(label, spec) for label in labels]
-    keys = [canonical_twist(f, spec) for f in maps]
-    conjugate_pairs = sum(c * (c - 1) // 2 for c in Counter(keys).values())
-    stored = item["structural_conjugate_pairs"]
-    if not _same(item["pairs"], len(labels) * (len(labels) - 1) // 2):
+    conjugate_pairs = conjugate_pair_count(p, m)
+    stored, pairs = item["structural_conjugate_pairs"], decode_count(item["pairs"])
+    n = (1 + isqrt(1 + 8 * pairs)) // 2  # pairs = n(n-1)/2 for the family's n subgroups
+    if not (n * (n - 1) // 2 == pairs and _is_power(n, p, family_exponent(p, m))
+            and _same(item["pairs"], encode_count(pairs))):
         problems.append("pairs is not n(n-1)/2 for the family's n subgroups")
-    if not 0 <= stored <= item["pairs"]:
-        problems.append("structural_conjugate_pairs is outside [0, pairs]")
-    if not _same(stored, conjugate_pairs):
-        problems.append("structural_conjugate_pairs differs from the canonical-twist "
-                        "multiplicities of the family's labels")
-    class_reps = family_mode(p, m) == "class-reps"
-    if class_reps and not _same(item["reps_pairwise_nonconjugate"], stored == 0):
+    if not _same(stored, encode_count(conjugate_pairs)):
+        problems.append("structural_conjugate_pairs differs from the closed form: 0 among the "
+                        "class reps, p^(m(m-1))·q(q-1)/2 among all p^(m^2) maps")
+    if family_mode(p, m) == "class-reps" and not _same(item["reps_pairwise_nonconjugate"],
+                                                       decode_count(stored) == 0):
         problems.append("reps_pairwise_nonconjugate disagrees with structural_conjugate_pairs")
     ran = conjugator_oracle_runs(p, m)
     if not _same(item["bruteforce_checked"], ran):
         problems.append("bruteforce_checked differs from whether certify runs the conjugator "
                         "oracle at this p and m")
-    # the oracle again, as cmd_certify runs it: with one subgroup there is no pair
-    agreement = True
-    if ran and len(maps) >= 2:
-        from . import cli  # the binding cmd_certify calls, so a replaced oracle is re-run too
+    from . import cli  # the binding cmd_certify calls, so a replaced oracle is re-run too
 
-        group = heisenberg_group(spec)
-        subgroups = [twisted_subgroup(f, group) for f in maps]
-        agreement = keyings_agree(keys, cli._bruteforce_subgroup_keys(group, subgroups))
+    # the oracle block again, as cmd_certify runs it
+    agreement = family_oracles(p, m, config["cap"], cli._bruteforce_subgroup_keys)
     claimed = item["structural_equals_bruteforce"]
     if not _same(claimed, agreement):
         problems.append("structural_equals_bruteforce differs from the conjugator oracle, run "
-                        "again on the family's labels" if ran else
+                        "again on the config's family" if ran else
                         "structural_equals_bruteforce is not a boolean, or is false with no "
                         "oracle run")
     # the item holds on the derived agreement, and only where it claims it
-    return agreement and claimed is True and not (class_reps and conjugate_pairs)
+    return agreement and claimed is True
 
 
 def _schreier_graph(label, config: dict) -> CosetGraph:

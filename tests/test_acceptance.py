@@ -38,7 +38,7 @@ def test_criterion_1_exhaustive_proposition_at_2_2():
     ok = (
         report["summary"]["verdict"] == "pass"
         and family["mode"] == "all-twists"
-        and len(family["profile_index"]) == 16
+        and family["count"] == 16
         and family["pair_count"] == 120
         and family["all_equal"]
         and items["class-count"]["actual"] == 4
@@ -67,7 +67,7 @@ def test_criterion_2_proposition_at_scale():
             and report["summary"]["verdict"] == "pass"
             and items["class-count"]["actual"] == classes
             and items["gassmann-family"]["all_equal"]
-            and len(items["gassmann-family"]["profile_index"]) == classes
+            and items["gassmann-family"]["count"] == classes
             and elapsed < 60.0
         )
         details.append(f"({p},{m}): {classes} classes in {elapsed:.2f}s")

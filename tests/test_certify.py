@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from gassmann.certify import (
@@ -9,6 +11,8 @@ from gassmann.certify import (
     are_conjugate,
     bruteforce_subgroup_keys,
     canonical_twist,
+    class_count,
+    conjugate_pair_count,
     conjugator_oracle_runs,
     enumerate_class_reps,
     family_mode,
@@ -241,6 +245,23 @@ def test_catalog_counts(spec, count):
     catalog = enumerate_class_reps(spec)
     assert catalog.count == count == spec.p ** (spec.m * (spec.m - 1))
     assert twist_orbit_count_bruteforce(spec) == count
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4], ids=repr)
+def test_all_twists_pair_count_is_the_closed_form(spec):
+    # every map of the all-twists family, keyed by its canonical twist: the class
+    # multiplicities give the conjugate pairs that certify states in closed form
+    assert family_mode(spec.p, spec.m) == "all-twists"
+    keys = Counter(canonical_twist(f, spec) for f in all_linear_maps(spec))
+    assert set(keys.values()) == {spec.size}
+    assert (sum(c * (c - 1) // 2 for c in keys.values())
+            == conjugate_pair_count(spec.p, spec.m) == len(keys) * spec.size * (spec.size - 1) // 2)
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F8, F9, make_field(5, 2), make_field(2, 4),
+                                  make_trunc_ring(2, 3), make_trunc_ring(3, 2)], ids=repr)
+def test_class_count_is_the_catalog_size(spec):
+    assert class_count(spec) == enumerate_class_reps(spec).count == spec.p ** (spec.dim**2 - spec.dim)
 
 
 @pytest.mark.parametrize(

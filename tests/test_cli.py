@@ -13,10 +13,10 @@ import pytest
 from conftest import run_cli
 
 from gassmann import cli, heisenberg, planner, reports
-from gassmann.certify import ClassCatalog
+from gassmann.certify import ClassCatalog, enumerate_class_reps, family_mode
 from gassmann.heisenberg import center_subgroup
 from gassmann.reports import render_table, verify_report
-from gassmann.rings import LinearMap
+from gassmann.rings import LinearMap, all_linear_maps, make_field
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -41,7 +41,7 @@ def test_certify_2_2_passes_and_self_verifies():
     assert items["class-count"]["actual"] == 4
     family = items["gassmann-family"]
     assert family["mode"] == "all-twists"
-    assert len(family["profile_index"]) == 16 and family["pair_count"] == 120
+    assert family["count"] == 16 and family["pair_count"] == 120
     dichotomy = items["conjugacy-dichotomy"]
     assert dichotomy["bruteforce_checked"] and dichotomy["structural_equals_bruteforce"]
 
@@ -110,7 +110,7 @@ def test_certify_builds_the_catalog_once_and_keys_each_subgroup_once(monkeypatch
     report = cli.cmd_certify(2, 3)
     assert report["summary"]["verdict"] == "pass"
     assert catalogs[0] == 1
-    assert keyed[0] == len(report["items"][1]["subgroups"]) == 64
+    assert keyed[0] == report["items"][1]["count"] == 64
 
 
 @pytest.mark.parametrize("p,m,conjugate_pairs,pairs", [(2, 1, 1, 1), (2, 2, 24, 120),
@@ -150,6 +150,91 @@ def test_certify_fails_when_the_oracle_partition_differs(monkeypatch, tamper):
     dichotomy = _report(out)["items"][2]
     assert dichotomy["bruteforce_checked"]
     assert not dichotomy["structural_equals_bruteforce"] and not dichotomy["holds"]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the family is built outside the oracle block")
+
+
+def test_certify_past_the_oracle_limits_builds_no_family(monkeypatch):
+    # over GF(16) and GF(32) certify and verify state every fact from its closed form:
+    # no subgroup, class table, profile or canonical twist is built
+    for module in (cli.cz, cli, heisenberg, reports):
+        for name in ("enumerate_class_reps", "canonical_twist", "twisted_subgroup",
+                     "intersection_profile"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _refuse)
+    monkeypatch.setattr(heisenberg.Heisenberg, "conjugacy_classes", _refuse)
+    for m in (4, 5):
+        report = cli.cmd_certify(2, m)
+        assert report["summary"]["verdict"] == "pass"
+        assert verify_report(report) == []
+
+
+@pytest.mark.parametrize("p, m", [(2, 5), (3, 4), (2, 6)])
+def test_certify_reaches_past_the_map_cap(tmp_path, p, m):
+    # 2^25, 3^16 and 2^36 maps are past the default cap, but their groups are not
+    started = time.perf_counter()
+    code, out, err = run_cli("certify", "--p", str(p), "--m", str(m))
+    assert code == 0, err
+    family = json.loads(out)["items"][1]
+    assert family["count"] == p ** (m * (m - 1)) and family["mode"] == "class-reps"
+    assert _verify_json(tmp_path, json.loads(out))[0] == 0
+    assert time.perf_counter() - started < 2.0
+
+
+def test_certify_caps_the_group_order():
+    code, out, err = run_cli("certify", "--p", "5", "--m", "3")
+    assert code == 2 and out == ""
+    _one_line_error(err, "SizeCapExceeded")
+    assert "group order 1953125 exceeds cap 1048576" in err
+
+
+def _profile_off_by_one(monkeypatch):
+    profile = cli.cz.intersection_profile
+    monkeypatch.setattr(cli.cz, "intersection_profile",
+                        lambda sub, table: (0,) + profile(sub, table)[1:])
+
+
+def _one_key_for_all(monkeypatch):
+    monkeypatch.setattr(cli.cz, "canonical_twist", lambda f, spec: 0)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_profile_off_by_one, "the class table gives a profile other than the closed form"),
+    (_one_key_for_all, "the canonical twists give a conjugate-pair count other than the "
+                       "closed form"),
+], ids=["profile", "keys"])
+def test_certify_self_checks_the_closed_forms_against_the_oracle_block(monkeypatch, fault,
+                                                                        message):
+    fault(monkeypatch)
+    code, out, err = run_cli("certify", "--p", "2", "--m", "2")
+    assert code == 2 and out == ""
+    _one_line_error(err, "SelfCheckFailed")
+    assert message in err
+
+
+@pytest.mark.parametrize("m", [40, 13, 10**5, 10**9])
+def test_verify_of_a_forged_certify_config_costs_what_the_stored_item_states(tmp_path, m):
+    # a GF(4) report claiming GF(2^m): the derived lists would hold about 2^(2m)
+    # entries, and p^(m^2) would have m^2 bits, so verify measures the stored lists
+    # and counts first
+    _, out, _ = run_cli("certify", "--p", "2", "--m", "2")
+    report = json.loads(out)
+    report["config"]["m"] = m
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(report))
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    started = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "gassmann.cli", "verify", str(path)], env=env,
+                          capture_output=True, text=True)
+    assert time.perf_counter() - started < 1.0
+    assert done.returncode == 1 and done.stdout == "verification failed\n"
+    assert "Traceback" not in done.stderr
+    problems = done.stderr.splitlines()
+    assert "problem: class_sizes are not q classes of size 1, then q^2-1 of size q, q = p^m" \
+        in problems
+    assert "problem: profile is not the one profile that every H_f has over GF(q)" in problems
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +510,7 @@ def test_verify_subcommand_detects_tampering(tmp_path):
     code, msg, _ = run_cli("verify", str(good))
     assert code == 0 and "verified" in msg
     report = json.loads(out)
-    report["items"][1]["distinct_profiles"][0][0] += 1
+    report["items"][1]["profile"][0] += 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(report))
     code, msg, err = run_cli("verify", str(bad))
@@ -484,15 +569,15 @@ def test_verify_checks_the_identity_class_size(tmp_path):
         q = family["class_sizes"].count(1)
         family["identity_class"] = next(
             c for c, size in enumerate(family["class_sizes"])
-            if size == q and all(profile[c] == 1 for profile in family["distinct_profiles"]))
+            if size == q and family["profile"][c] == 1)
 
     code, err = _tampered_family_verify(tmp_path, tamper)
     assert code == 1 and "identity_class is not 0" in err
 
 
 def test_verify_rejects_a_missing_profile(tmp_path):
-    code, err = _tampered_family_verify(tmp_path, lambda family: family["profile_index"].pop())
-    assert code == 1 and "differ in length" in err
+    code, err = _tampered_family_verify(tmp_path, lambda family: family["profile"].pop())
+    assert code == 1 and "profile is not the one profile" in err
 
 
 def test_verify_rejects_a_wrong_pair_count(tmp_path):
@@ -503,41 +588,19 @@ def test_verify_rejects_a_wrong_pair_count(tmp_path):
     assert code == 1 and "pair_count" in err
 
 
-@pytest.mark.parametrize("index", [1, -1])
-def test_verify_rejects_an_out_of_range_profile_index(tmp_path, index):
-    def tamper(family):
-        family["profile_index"][5] = index
-
-    code, err = _tampered_family_verify(tmp_path, tamper)
-    assert code == 1 and "a profile_index is not 0" in err
-
-
-def test_verify_rejects_a_repeated_distinct_profile(tmp_path):
-    # a second copy of the one profile, used by some subgroups, would make
-    # all_equal look false for equal profiles
-    def tamper(family):
-        family["distinct_profiles"].append(list(family["distinct_profiles"][0]))
-        family["profile_index"][5] = 1
-        family["all_equal"] = family["holds"] = False
-
-    code, err = _tampered_family_verify(tmp_path, tamper)
-    assert code == 1 and "distinct_profiles is not the one profile" in err
-
-
 def _second_profile(family):
-    # one element of the one profile moves between two classes of size q
-    family["distinct_profiles"].append(_moved_element(family))
-    family["profile_index"][5] = 1
+    # a second profile, with one element moved between two classes of size q
+    family["profile"] = [family["profile"], _moved_element(family)]
     family["all_equal"] = family["holds"] = False
 
 
 def _altered_profile(family):
-    family["distinct_profiles"] = [_moved_element(family)]
+    family["profile"] = _moved_element(family)
 
 
 def _moved_element(family):
     q = family["class_sizes"].count(1)
-    moved = list(family["distinct_profiles"][0])
+    moved = list(family["profile"])
     assert moved[2 * q - 1] == 1 and moved[2 * q] == 0  # the classes of (1, 0, *), (1, 1, *)
     moved[2 * q - 1], moved[2 * q] = 0, 1
     return moved
@@ -548,8 +611,7 @@ def _central_classes_last(family):
     q = family["class_sizes"].count(1)
     family["class_sizes"] = family["class_sizes"][q:] + family["class_sizes"][:q]
     family["identity_class"] = (family["identity_class"] - q) % len(family["class_sizes"])
-    family["distinct_profiles"] = [profile[q:] + profile[:q]
-                                   for profile in family["distinct_profiles"]]
+    family["profile"] = family["profile"][q:] + family["profile"][:q]
 
 
 def _all_equal_false(family):
@@ -557,8 +619,8 @@ def _all_equal_false(family):
 
 
 @pytest.mark.parametrize("tamper, message", [
-    (_second_profile, "distinct_profiles is not the one profile"),
-    (_altered_profile, "distinct_profiles is not the one profile"),
+    (_second_profile, "profile is not the one profile"),
+    (_altered_profile, "profile is not the one profile"),
     (_central_classes_last, "class_sizes are not q classes of size 1, then"),
     (_all_equal_false, "all_equal is not true"),
 ], ids=["second-profile", "altered-profile", "central-classes-last", "all-equal-false"])
@@ -778,7 +840,8 @@ def test_graph_facts_survive_the_schema_bump(p, m):
 
 
 # From the schema-3 certify reports, which listed every subgroup's label and profile
-# index: SHA-256 of the compact JSON of the facts that any layout must keep.
+# index: SHA-256 of the compact JSON of the facts that any layout must keep.  Schema 4
+# states the family by its definition and its one profile as a flat list.
 SCHEMA_3_CERTIFY_FACTS = {
     (2, 1): "bacb4dddb3394e0d237bffd5ade826cdf4485e0d5546b759e4a2a46bf48ca28b",
     (2, 2): "60b7cf23d4b90b616238eac534d961a513503f55ea21bd7830fa653d5b8a9ced",
@@ -793,9 +856,8 @@ SCHEMA_3_CERTIFY_FACTS = {
 def test_certify_facts_survive_the_schema_bump(p, m):
     report = cli.cmd_certify(p, m)
     count, family, dichotomy = report["items"]
-    (profile,) = family["distinct_profiles"]
     facts = [[count["expected"], count["actual"], count["bruteforce_orbits"]],
-             [profile, family["class_sizes"], family["identity_class"]],
+             [family["profile"], family["class_sizes"], family["identity_class"]],
              [family["pair_count"], dichotomy["pairs"], dichotomy["structural_conjugate_pairs"]],
              [dichotomy["bruteforce_checked"], dichotomy["structural_equals_bruteforce"],
               dichotomy.get("reps_pairwise_nonconjugate")],
@@ -1036,7 +1098,7 @@ def test_verify_derives_the_required_checks_of_a_plan(tmp_path):
 
 def _counts_as_booleans(report):
     family = report["items"][1]
-    family["profile_index"] = [False] * len(family["profile_index"])
+    family["profile"][0] = True
     q = 4
     assert family["class_sizes"][:q] == [1] * q
     family["class_sizes"][:q] = [True] * q
@@ -1086,16 +1148,32 @@ def test_verify_rejects_an_unknown_command(tmp_path):
 
 
 def test_verify_counts_the_family_from_the_config(tmp_path):
-    # one subgroup of the 16 in all-twists mode over GF(4), with every list cut to match
+    # one subgroup of the 16 in all-twists mode over GF(4), with its pair count to match
     _, out, _ = run_cli("certify", "--p", "2", "--m", "2")
     report = json.loads(out)
     family = report["items"][1]
-    assert family["mode"] == "all-twists" and len(family["subgroups"]) == 16
-    for field in ("subgroups", "profile_index"):
-        del family[field][1:]
-    family["pair_count"] = 0
+    assert family["mode"] == "all-twists" and family["count"] == 16
+    family.update(count=1, pair_count=0)
     code, err = _verify_json(tmp_path, reports.finalize(report))
     assert code == 1 and "the family is not the all-twists family of the config" in err
+
+
+@pytest.mark.parametrize("argv, index, field, value, message", [
+    (("certify", "--p", "2", "--m", "2"), 0, "actual", 5,
+     "item 0 (class-count) holds True, but its evidence gives False"),
+    (("certify", "--p", "2", "--m", "2"), 1, "mode", "class-reps",
+     "the family is not the all-twists family of the config"),
+    (("certify", "--p", "2", "--m", "2"), 2, "pairs", 119,
+     "pairs is not n(n-1)/2 for the family's n subgroups"),
+    (("certify", "--p", "2", "--m", "3"), 2, "reps_pairwise_nonconjugate", False,
+     "reps_pairwise_nonconjugate disagrees with structural_conjugate_pairs"),
+], ids=["actual", "mode", "pairs", "reps-pairwise-nonconjugate"])
+def test_verify_rejects_each_forged_certify_field(tmp_path, argv, index, field, value, message):
+    _, out, _ = run_cli(*argv)
+    report = json.loads(out)
+    report["items"][index][field] = value
+    code, err = _verify_json(tmp_path, report)
+    assert code == 1 and f"problem: {message}" in err.splitlines()[0]
 
 
 def test_verify_recomputes_the_structural_conjugate_pairs(tmp_path):
@@ -1106,7 +1184,7 @@ def test_verify_recomputes_the_structural_conjugate_pairs(tmp_path):
     assert dichotomy["structural_conjugate_pairs"] == 24
     dichotomy["structural_conjugate_pairs"] = 7
     code, err = _verify_json(tmp_path, report)
-    assert code == 1 and "differs from the canonical-twist multiplicities" in err
+    assert code == 1 and "structural_conjugate_pairs differs from the closed form" in err
 
 
 def test_verify_takes_the_dichotomy_verdict_from_the_labels(tmp_path):
@@ -1119,21 +1197,6 @@ def test_verify_takes_the_dichotomy_verdict_from_the_labels(tmp_path):
     code, err = _verify_json(tmp_path, reports.finalize(report))
     assert code == 1
     assert "item 2 (conjugacy-dichotomy) holds False, but its evidence gives True" in err
-
-
-def test_verify_reads_each_label_as_a_map_on_the_ring(tmp_path):
-    # one more entry than the 4 of a GF(4) map would be dropped by LinearMap.from_flat,
-    # and a label that is a list of entries is not a label at all
-    _, out, _ = run_cli("certify", "--p", "2", "--m", "2")
-    for label, message in [
-        ("H[0,0,0,0,0]", "'H[0,0,0,0,0]' is not the label of an additive map on GF(4)"),
-        ([0, 0, 0, 0], "[0, 0, 0, 0] is not a twisted-subgroup label H[...]"),
-    ]:
-        report = json.loads(out)
-        report["items"][1]["subgroups"][0] = label
-        code, err = _verify_json(tmp_path, report)
-        assert code == 1
-        assert f"item 2 (conjugacy-dichotomy) fails its check: SpecMismatch: {message}" in err
 
 
 @pytest.mark.parametrize("argv, label", [
@@ -1437,6 +1500,28 @@ def test_verify_never_runs_a_plans_walk(monkeypatch, walk):
     assert [verify_report(report) for report in reports_out] == [[], []]
 
 
+@pytest.mark.parametrize("op", ["min-ell-sequence", "min-ell-growth"])
+def test_the_prime_walk_starts_near_its_root(tmp_path, op):
+    # the least ell is near 4·10^9: a walk over every prime from 2 would not finish
+    started = time.perf_counter()
+    code, out, err = run_cli("plan", op, "--dim-g", "1000000000", "--c", "1", "--r", "1")
+    assert code == 0, err
+    assert time.perf_counter() - started < 1.0
+    assert _verify_json(tmp_path, json.loads(out))[0] == 0
+
+
+def test_the_prime_walk_finds_the_least_prime_as_a_walk_from_2_does():
+    # the bisection starts the walk at the least passing integer, which may be prime
+    for dim_g in range(1, 40):
+        for c, r in ((0, 1), (1, 1), (3, 7)):
+            for _, lhs_at, rhs in (planner._sequence_condition(dim_g, c, r),
+                                   planner._growth_condition(dim_g, c, r)):
+                ell = 2
+                while not lhs_at(ell) > rhs:
+                    ell = planner.next_prime(ell)
+                assert planner._least_prime(lhs_at, rhs) == ell
+
+
 def _readme_plan_examples() -> list[list[str]]:
     text = (SRC.parent / "README.md").read_text().replace("\\\n", " ")
     return [line.split()[1:] for line in text.splitlines() if line.startswith("gassmann plan ")]
@@ -1512,13 +1597,21 @@ def test_verify_runs_the_conjugator_oracle_again(tmp_path, monkeypatch):
     code, err = _verify_json(tmp_path, reports.finalize(report))
     assert code == 1 and err.splitlines() == [
         "problem: structural_equals_bruteforce differs from the conjugator oracle, run again "
-        "on the family's labels",
+        "on the config's family",
         "problem: item 2 (conjugacy-dichotomy) holds True, but its evidence gives False"]
 
 
+def _family_labels(p, m):
+    spec = make_field(p, m)
+    maps = (all_linear_maps(spec) if family_mode(p, m) == "all-twists"
+            else enumerate_class_reps(spec).reps)
+    return [heisenberg.twist_label(f) for f in maps]
+
+
 def test_verify_derives_the_oracle_agreement_from_the_labels(monkeypatch):
-    # verify calls the oracle on the subgroups of the labels, and its verdict
-    # reads the derived agreement, not the stored one
+    # verify calls the oracle on the subgroups of the config's family, labelled as
+    # cmd_certify builds them, and its verdict reads the derived agreement, not the
+    # stored one
     calls = []
     oracle = cli._bruteforce_subgroup_keys
 
@@ -1528,11 +1621,12 @@ def test_verify_derives_the_oracle_agreement_from_the_labels(monkeypatch):
 
     monkeypatch.setattr(cli, "_bruteforce_subgroup_keys", spy)
     for p, m, runs in [(2, 2, True), (3, 1, True), (2, 1, True), (5, 2, False)]:
+        calls.clear()
         report = cli.cmd_certify(p, m)
+        built = list(calls)
         calls.clear()
         assert verify_report(report) == []
-        labels = report["items"][1]["subgroups"]
-        assert calls == ([labels] if runs else [])
+        assert calls == built == ([_family_labels(p, m)] if runs else [])
     report = cli.cmd_certify(2, 2)
     monkeypatch.setattr(cli, "_bruteforce_subgroup_keys", lambda group, subs: [0] * len(subs))
     problems = verify_report(report)
@@ -1576,13 +1670,13 @@ def test_verify_scans_the_places_again(tmp_path, forge):
 # SHA-256 of the report on stdout; a schema bump updates these and says so
 PINNED_REPORTS = {
     ("certify", "--p", "2", "--m", "2"):
-        "56cd8eada3a927fd3dbab9d10a66b887be6a370861dc841d13e591830aafbb62",
+        "18b2a2db44cbbd0ee45f7b114e017e238e161dbaa58067bafee3f9266f915457",
     ("certify", "--p", "2", "--m", "3"):
-        "d9dde67c3c5118126d9c8ac4979b46bfc908a87e71c6563f0e3e0ebbc3ad4a01",
+        "559737699218fd75afc25426994f5e4396ce818c7b5b55655b3b0f9b158c4138",
     ("graphs", "--p", "2", "--m", "2"):
-        "b010d56ed3847eccbb78391d41d03127c0f0cd29fe26948922064b4cf63bff5d",
+        "445302ea28b1510b6181de3e295189edeec47dab336b16daf14fa936f223871d",
     ("graphs", "--p", "3", "--m", "2"):
-        "26b6b63ab7c7f6d81dda39c1eccc86b127c53a3680f2111ba34d4fe61225dbc7",
+        "a926a48941f282cd2b6fad89d9d18c2388e0bd6688884d780b49d80ca99f4096",
 }
 
 
@@ -1597,31 +1691,31 @@ def test_reports_keep_their_pinned_bytes(argv):
 # (comm-classes --n, nonarith-count --n, min-ell-growth --p --c-1)
 PINNED_PLANS = {
     "twisted-count --p 2 --ell0 37 --dim-g 8":
-        "146d3e545b32730d6cf6985e6d7d2f360ade32efde9428279adeeb53eb449adc",
+        "8c8e251e52ecc519a0dd96e232e1511c567d9efb86e5e3133c36ba1a85ac63f4",
     "comm-classes --p 2 --ell0 29 --dim-g 8 --c 1":
-        "7916cb3570e5bcb0a00fd969bd3e7559912761ceb36eb9ce38461b43290e49c0",
+        "5fca9ee6044c2db7427b6929d39fe80d50c2d9b0ce9fa3aac6b506d2ad67fa3c",
     "comm-classes --p 2 --ell0 29 --dim-g 8 --c 1 --c-x 3 --n 5":
-        "fad9d056bf1d1388d2a9f5adca0dbdc827faf11184174c8d436bf4e6cace8a4c",
+        "31f05ee47b35a7d64fbdc99ad2cb265c744444ec9e0181d3f1311eafbd1a360e",
     "conjugates-bound --n-index 64 --x 2 --big-c 3 --group-order 512":
-        "1947c99ea6a0f6dc9a3f29775fa33889294c7ff281f6492abed384d67f4040a8",
+        "9baffeb446ce3855e61fa533964f3695dc9604a5f78a618464f1cbf78edf1626",
     "min-ell-sequence --dim-g 8 --c 1 --r 1":
-        "e28890e351c0ab8621c00dbd9990eff4c5f99180cca61f9221602a90beb2db6d",
+        "7cb35d485f17997d14aaabfdfed059af688c8c53a7d01e13981df44ba65959a4",
     "min-ell-growth --dim-g 8 --c 1 --r 1":
-        "a9d813b935a57b56974156c3c72a969db3fb2a65f8760f7f21cb7948bd27914f",
+        "58190c38d757e7aa6f14e5be7e51a819f50f2667cfc1e977c0b2c4f2b1890639",
     "min-ell-growth --dim-g 8 --c 1 --r 1 --p 2 --c-1 1":
-        "c66003848575e4281b5cf1893b77bc83a4bda9c2e408ce50cc8ee87f17af44ca",
+        "c0a8ad50c654975882c60c3a75b09302d4377ec3cc4e38ab69bf4e56aed9b99f",
     "nonarith-count --p 2 --ell 11":
-        "f48898d07f3b7f6f174041fe93c327a3a1dfc4df1547580ccb20638bc544b627",
+        "688cd04ed4aadd10a0d1028358eb223774240e9f9942d3b0754a7810a745d3d5",
     "nonarith-count --p 2 --ell 11 --comm-index 7 --n 3":
-        "81f3e462945a1b09991853b7cecf2ed898c6d1fb21cc0590074b29cfc990988f",
+        "acdbba6c662598587a30743d135da7b59eb5e74580837016db3c24330b0f71c7",
     "volume-bound --big-c 3 --p 2 --j 4":
-        "183f73a408128a27cd5065b1c4366cbd2130b03e3d703c1175bb5560f2fd2a14",
+        "b5b479425efeacef55b19d3978031a5d16d9c8ce02145eee749c64cd01b3a365",
     "growth-constant --p 2 --delta 1 --d-p 0 --j-min 30 --j-max 100":
-        "3849a8abe33be28ddbc626b3c27f29206d756f17da4aa61a4896bd27444f2bc0",
+        "2606166a55002a4300417dcad2bc587205ef9630817e2fab31907b40a2b6d310",
     "level-count --primes 2,3,5 --j 3 --ell0 2":
-        "8488c21d07d13b120c4a13ff6048166043f69a349baa9c7b9ec04a6e050ce9ec",
+        "203c532422ab3e0ea35b233ae44f9815daf734f6d1e9f511055b6a509ce423a3",
     "tower-min-k --primes 2,3,5,7 --j 1 --ell0 37 --dim-g 8 --c-x 4 --x 1 --c 1 --r 444":
-        "aa35a6d97e0a27f847d132ab31f71cd8d3ba2d8f2b869dbe586cbcbca70ef3dd",
+        "b7f681abbe568e6b5d07189713233476b6ebb324228f8cf9cea37b5a74475bb9",
 }
 
 
@@ -1711,7 +1805,7 @@ def test_verify_malformed_item_reports_one_problem(tmp_path):
     _, out, _ = run_cli("certify", "--p", "2", "--m", "1")
     report = json.loads(out)
     family = next(item for item in report["items"] if item["kind"] == "gassmann-family")
-    del family["distinct_profiles"]
+    del family["profile"]
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(report))
     code, out, err = run_cli("verify", str(path))
@@ -1785,11 +1879,12 @@ def test_jsonl_format_outside_places_exits_2():
 def test_optimized_interpreter_writes_identical_report():
     # certificate checks raise explicitly, so python -O must not change a byte
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    argv = ["-m", "gassmann.cli", "certify", "--p", "2", "--m", "2"]
-    plain = subprocess.run([sys.executable, *argv], env=env, capture_output=True, check=True)
-    optimized = subprocess.run([sys.executable, "-O", *argv], env=env,
-                               capture_output=True, check=True)
-    assert plain.stdout and optimized.stdout == plain.stdout
+    for m in ("2", "3"):  # over GF(8) the oracle block checks every class-table profile
+        argv = ["-m", "gassmann.cli", "certify", "--p", "2", "--m", m]
+        plain = subprocess.run([sys.executable, *argv], env=env, capture_output=True, check=True)
+        optimized = subprocess.run([sys.executable, "-O", *argv], env=env,
+                                   capture_output=True, check=True)
+        assert plain.stdout and optimized.stdout == plain.stdout
 
 
 def test_no_package_module_uses_assert():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from conftest import run_cli
@@ -6,16 +7,20 @@ from conftest import run_cli
 from gassmann import reports, schreier
 from gassmann.certify import (
     all_linear_maps,
+    canonical_twist,
     enumerate_class_reps,
+    family_class_sizes,
     family_mode,
+    family_profile,
     intersection_profile,
+    mult_subspace_echelon,
 )
+from gassmann.errors import SizeCapExceeded
 from gassmann.heisenberg import (center_subgroup, heisenberg_group, horizontal_subgroup,
                                  twisted_subgroup)
 from gassmann.oracles import coset_graph_bruteforce
 from gassmann.cli import cmd_graphs
 from gassmann.reports import (
-    _family_profile,
     _schreier_graph,
     canonical_json,
     encode_count,
@@ -23,7 +28,7 @@ from gassmann.reports import (
     new_report,
     verify_report,
 )
-from gassmann.rings import make_field
+from gassmann.rings import LinearMap, make_field
 from gassmann.schreier import build_coset_graph, charpoly_by_centre, default_generators
 
 
@@ -229,7 +234,8 @@ def test_verify_report_bounds_structural_conjugate_pairs():
         assert "reps_pairwise_nonconjugate" not in dichotomy  # all-twists mode
         dichotomy["structural_conjugate_pairs"] = tampered
         problems = verify_report(report)
-        assert any("outside [0, pairs]" in problem for problem in problems)
+        assert any("structural_conjugate_pairs differs from the closed form" in problem
+                   for problem in problems)
 
 
 @pytest.mark.parametrize("p, m", [(3, 1), (2, 2), (2, 3), (3, 2)])
@@ -260,18 +266,38 @@ def test_the_centre_is_checked_once_per_rebuilt_graph_and_never_on_a_built_one(
     assert calls == [p ** (2 * m)] * (len(report["items"]) - 2)
 
 
-@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4)])
+def _sampled_class_reps(spec, count: int, seed: int) -> list:
+    """Seeded class reps of a field whose maps enumerate_class_reps refuses: random
+    values at the free coordinates, 0 at the pivots of mult_subspace_echelon."""
+    rng = random.Random(seed)
+    pivots = {pivot for pivot, _ in mult_subspace_echelon(spec)}
+    reps = [LinearMap.from_flat(spec.p, tuple(0 if i in pivots else rng.randrange(spec.p)
+                                              for i in range(spec.dim**2)), spec.dim)
+            for _ in range(count)]
+    assert all(canonical_twist(f, spec) == f for f in reps)
+    return reps
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (3, 3),
+                                  (2, 5), (2, 6)])
 def test_verify_derives_the_family_profile_from_the_config(p, m):
-    # the class table that production reads gives the sizes, identity class and
-    # profile that verify derives, for every subgroup of the certify family
+    # the class table gives the sizes, identity class and profile that certify and
+    # verify derive, for every subgroup of the certify family up to GF(27), and for a
+    # seeded sample of class reps over GF(32) and GF(64)
     spec = make_field(p, m)
     group = heisenberg_group(spec)
     table = group.conjugacy_classes()
     q = spec.size
-    assert list(table.sizes()) == [1] * q + [q] * (q * q - 1)
+    assert list(table.sizes()) == family_class_sizes(q) == [1] * q + [q] * (q * q - 1)
     assert table.identity_class() == 0
-    all_twists = family_mode(p, m) == "all-twists"
-    maps = all_linear_maps(spec) if all_twists else enumerate_class_reps(spec).reps
-    profile = _family_profile(q)
+    if family_mode(p, m) == "all-twists":
+        maps = all_linear_maps(spec)
+    elif m <= 4:
+        maps = enumerate_class_reps(spec).reps
+    else:
+        with pytest.raises(SizeCapExceeded):
+            enumerate_class_reps(spec)
+        maps = _sampled_class_reps(spec, 16, seed=m)
+    profile = family_profile(q)
     for f in maps:
         assert list(intersection_profile(twisted_subgroup(f, group), table)) == profile
