@@ -1163,7 +1163,7 @@ def test_verify_counts_the_family_from_the_config(tmp_path):
      "item 0 (class-count) holds True, but its evidence gives False"),
     (("certify", "--p", "2", "--m", "2"), 1, "mode", "class-reps",
      "the family is not the all-twists family of the config"),
-    (("certify", "--p", "2", "--m", "2"), 2, "pairs", 119,
+    (("certify", "--p", "2", "--m", "2"), 2, "pairs", 105,  # 15·14/2, one subgroup short
      "pairs is not n(n-1)/2 for the family's n subgroups"),
     (("certify", "--p", "2", "--m", "3"), 2, "reps_pairwise_nonconjugate", False,
      "reps_pairwise_nonconjugate disagrees with structural_conjugate_pairs"),
