@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import SelfCheckFailed, SizeCapExceeded, SpecMismatch
+from .errors import SelfCheckFailed, SpecMismatch
 from .heisenberg import (
     ConjugacyClassTable,
     Heisenberg,
@@ -32,10 +32,11 @@ from .rings import (
     RingSpec,
     TruncRingSpec,
     all_linear_maps,
+    check_order,
     is_mult_map,
     mult_matrix,
     make_field,
-    size_cap,
+    power_within,
 )
 
 
@@ -44,19 +45,20 @@ from .rings import (
 ALL_TWISTS_LIMIT = 16
 
 
-def _power_at_most(p: int, e: int, limit: int) -> bool:
-    """p^e <= limit for p >= 2, without building a power longer than limit."""
-    return e < limit.bit_length() and p**e <= limit
-
-
 def family_mode(p: int, m: int) -> str:
     """The certify family's mode over GF(p^m): 'all-twists' or 'class-reps'."""
-    return "all-twists" if _power_at_most(p, m * m, ALL_TWISTS_LIMIT) else "class-reps"
+    return "all-twists" if power_within(p, m * m, ALL_TWISTS_LIMIT) is not None else "class-reps"
 
 
 def family_exponent(p: int, m: int) -> int:
     """The certify family has p^e subgroups: e = m² maps, or m(m-1) class reps."""
     return m * m if family_mode(p, m) == "all-twists" else m * (m - 1)
+
+
+def check_family_config(p: int, m: int, cap: Optional[int]) -> None:
+    """Raise unless GF(p^m) is a field whose Heisenberg group, of order q³, is within
+    the cap: certify builds nothing larger, and every closed form assumes it."""
+    check_order(p, m, 3 * m, cap, f"H(GF({p}^{m}))")
 
 
 # certify runs each brute-force oracle while its work is within these limits
@@ -66,13 +68,13 @@ BRUTE_CONJ_WORK_LIMIT = 2_000_000
 
 def orbit_oracle_runs(p: int, m: int) -> bool:
     """Whether certify counts the orbits of all p^(m²) maps by brute force."""
-    return _power_at_most(p, m * m, BRUTE_ORBIT_LIMIT)
+    return power_within(p, m * m, BRUTE_ORBIT_LIMIT) is not None
 
 
 def conjugator_oracle_runs(p: int, m: int) -> bool:
     """Whether certify checks the conjugacy keys by conjugating with all of G: the
     work is |G|·q·n for the q³ group elements and the n subgroups of the family."""
-    return _power_at_most(p, 4 * m + family_exponent(p, m), BRUTE_CONJ_WORK_LIMIT)
+    return power_within(p, 4 * m + family_exponent(p, m), BRUTE_CONJ_WORK_LIMIT) is not None
 
 
 @dataclass(frozen=True)
@@ -237,9 +239,7 @@ def enumerate_class_reps(spec: RingSpec, cap: Optional[int] = None) -> ClassCata
     bounds the p^(n^2) maps they stand for.
     """
     n2 = spec.dim * spec.dim
-    limit = size_cap() if cap is None else cap
-    if spec.p**n2 > limit:
-        raise SizeCapExceeded(f"{spec.p}^{n2} additive maps exceed cap {limit}")
+    check_order(spec.p, spec.dim, n2, cap, f"additive maps of {spec!r}")
     pivots = {pivot for pivot, _ in mult_subspace_echelon(spec)}
     coords = [(0,) if i in pivots else range(spec.p) for i in range(n2)]
     reps = tuple(LinearMap.from_flat(spec.p, flat, spec.dim)

@@ -34,8 +34,8 @@ _bruteforce_subgroup_keys = cz.bruteforce_subgroup_keys
 def cmd_certify(p: int, m: int, cap: Optional[int] = None) -> dict:
     """The certify report: each fact from its closed form, checked by the oracles that
     run at this p and m.  The cap bounds the group, the largest thing they build."""
+    cz.check_family_config(p, m, cap)
     spec = make_field(p, m, cap=cap)
-    heisenberg_group(spec).check_order(cap)
     report = rp.new_report("certify", {"p": p, "m": m, "cap": cap or size_cap()})
 
     expected, actual = p ** (m * (m - 1)), cz.class_count(spec)

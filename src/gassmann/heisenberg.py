@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .errors import DimensionMismatch, NotClosed, SizeCapExceeded, SpecMismatch
-from .rings import Element, LinearMap, RingSpec, size_cap
+from .errors import DimensionMismatch, NotClosed, SpecMismatch
+from .rings import Element, LinearMap, RingSpec, check_order
 
 GroupElement = tuple[Element, Element, Element]
 
@@ -87,14 +87,8 @@ class Heisenberg:
         z = self.ring.zero()
         return tuple((z, z, c) for c in self.ring.elements)
 
-    def check_order(self, cap: Optional[int] = None) -> None:
-        """Raise SizeCapExceeded if the group has more elements than the cap."""
-        limit = size_cap() if cap is None else cap
-        if self.order > limit:
-            raise SizeCapExceeded(f"group order {self.order} exceeds cap {limit}")
-
     def conjugacy_classes(self, cap: Optional[int] = None) -> "ConjugacyClassTable":
-        self.check_order(cap)
+        check_order(self.ring.p, self.ring.dim, 3 * self.ring.dim, cap, f"H({self.ring!r})")
         return _class_table_cached(self)
 
 

@@ -18,17 +18,16 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
-from math import isqrt
 from typing import Any, Optional
 
-from .certify import (canonical_twist, conjugate_pair_count, conjugator_oracle_runs,
-                      family_class_sizes, family_exponent, family_mode, family_oracles,
-                      family_profile, orbit_oracle_runs)
+from .certify import (canonical_twist, check_family_config, conjugate_pair_count,
+                      conjugator_oracle_runs, family_class_sizes, family_exponent,
+                      family_mode, family_oracles, family_profile, orbit_oracle_runs)
 from .errors import GassmannError, SizeCapExceeded, SpecMismatch
 from .heisenberg import heisenberg_group, parse_twist_label
 from .places import implementations_agree, residue_degree_subgroup
 from .planner import PLAN_OPS, IneqCheck, power_bits
-from .rings import make_field, primes_up_to
+from .rings import make_field, power_within, primes_up_to
 from .schreier import (CosetGraph, char_poly, find_isomorphism, maps_onto,
                        symmetrize_generators, transversal)
 
@@ -124,21 +123,28 @@ def _same(stored: Any, derived: Any) -> bool:
     return type(stored) is type(derived) and stored == derived
 
 
+def _states_family_pairs(config: dict, stored: Any) -> bool:
+    """Whether stored is n(n-1)/2 for the family's n = p^e, forming n only up to 2·stored + 1."""
+    pairs = decode_count(stored)
+    n = power_within(config["p"], family_exponent(config["p"], config["m"]), 2 * pairs + 1)
+    return n is not None and _same(stored, encode_count(n * (n - 1) // 2))
+
+
 def _verify_profiles(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
     """The family, its one profile and the class table's shape, each derived from the
     config; every H_f has that profile, so the evidence always gives true."""
     # every power and list is bounded by what the item stores, so a forged config
-    # costs no more than the item: the count by its digits, q² by the stored classes
+    # costs no more than the item: the counts by their digits, q by the stored classes
     p, m = config["p"], config["m"]
     mode, count = family_mode(p, m), decode_count(item["count"])
-    if not (item["mode"] == mode and _is_power(count, p, family_exponent(p, m))
+    if not (item["mode"] == mode and power_within(p, family_exponent(p, m), count) == count
             and _same(item["count"], encode_count(count))):
         problems.append(f"the family is not the {mode} family of the config: p^(m^2) "
                         "subgroups in all-twists mode, p^(m(m-1)) in class-reps mode")
-    if not _same(item["pair_count"], encode_count(count * (count - 1) // 2)):
+    if not _states_family_pairs(config, item["pair_count"]):
         problems.append("pair_count is not n(n-1)/2 for the family's n subgroups")
     classes = len(item["class_sizes"])
-    q = p**m if 2 * m < classes.bit_length() else None
+    q = power_within(p, m, classes)
     shape = q is not None and classes == q * q + q - 1
     if not (shape and _same(item["class_sizes"], family_class_sizes(q))):
         problems.append("class_sizes are not q classes of size 1, then q^2-1 of size q, q = p^m")
@@ -153,23 +159,23 @@ def _verify_profiles(item: dict, config: dict, items: _Items, problems: list[str
 
 def _verify_class_count(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
     p, m = config["p"], config["m"]
-    if not _is_power(decode_count(item["expected"]), p, m * (m - 1)):
+    expected = decode_count(item["expected"])
+    if power_within(p, m * (m - 1), expected) != expected:
         problems.append("class-count expected differs from p^(m(m-1))")
     actual, orbits = decode_count(item["actual"]), item["bruteforce_orbits"]
     if (orbits is not None) != orbit_oracle_runs(p, m):
         problems.append("whether bruteforce_orbits is stated differs from whether certify runs "
                         "the orbit oracle at this p and m")
-    return _is_power(actual, p, m * (m - 1)) and (orbits is None or decode_count(orbits) == actual)
+    return (power_within(p, m * (m - 1), actual) == actual
+            and (orbits is None or decode_count(orbits) == actual))
 
 
 def _verify_conjugacy(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
     # H_f and H_g are conjugate exactly when f - g is a multiplication
     p, m = config["p"], config["m"]
     conjugate_pairs = conjugate_pair_count(p, m)
-    stored, pairs = item["structural_conjugate_pairs"], decode_count(item["pairs"])
-    n = (1 + isqrt(1 + 8 * pairs)) // 2  # pairs = n(n-1)/2 for the family's n subgroups
-    if not (n * (n - 1) // 2 == pairs and _is_power(n, p, family_exponent(p, m))
-            and _same(item["pairs"], encode_count(pairs))):
+    stored = item["structural_conjugate_pairs"]
+    if not _states_family_pairs(config, item["pairs"]):
         problems.append("pairs is not n(n-1)/2 for the family's n subgroups")
     if not _same(stored, encode_count(conjugate_pairs)):
         problems.append("structural_conjugate_pairs differs from the closed form: 0 among the "
@@ -302,16 +308,12 @@ def _verify_isomorphism_classes(item: dict, config: dict, items: _Items,
     return True
 
 
-def _is_power(value: int, p: int, e: int) -> bool:
-    """value == p^e for p >= 2, without building a power longer than value."""
-    return 0 <= e < value.bit_length() and value == p**e
-
-
 def _verify_tower_count(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
     p, j = config["p"], item["j"]
     exact = decode_count(item["exact"])
     cited = decode_count(item["cited_lower"])
-    if not (_is_power(exact, p, j * j - j) and _is_power(cited, p, j * (j - 1) // 2)):
+    if not (power_within(p, j * j - j, exact) == exact
+            and power_within(p, j * (j - 1) // 2, cited) == cited):
         problems.append("tower-count exact or cited_lower differs from p^(j^2-j) or p^(j(j-1)/2)")
     if not (_same(item["bound_holds"], exact >= cited) and _same(item["gap"], exact != cited)):
         problems.append("tower-count flags are inconsistent")
@@ -413,10 +415,11 @@ def _layout_problem(command: str, config: dict, items: list[dict]) -> Optional[s
     kinds = [item["kind"] for item in items]
     n = len(items)
     if command == "certify":
+        check_family_config(config["p"], config["m"], config["cap"])
         ok = kinds == ["class-count", "gassmann-family", "conjugacy-dichotomy"]
     elif command == "graphs":
         m = config["m"]
-        ok = (_is_power(n - 2, config["p"], m * (m - 1))
+        ok = (power_within(config["p"], m * (m - 1), n - 2) == n - 2
               and kinds == ["coset-graph"] * (n - 2) + ["cospectral", "isomorphism-classes"]
               and _same([item.get("rep") for item in items[:-2]], list(range(n - 2))))
         if ok and not _is_catalog([item["subgroup"] for item in items[:-2]], config):

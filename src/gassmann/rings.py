@@ -326,15 +326,30 @@ def _field_cached(p: int, m: int) -> FieldSpec:
     return FieldSpec(p=p, m=m, modulus=_smallest_irreducible(p, m))
 
 
-def make_field(p: int, m: int, cap: Optional[int] = None) -> FieldSpec:
-    """GF(p^m) with the lexicographically smallest monic irreducible modulus."""
+def power_within(p: int, e: int, limit: int) -> Optional[int]:
+    """p^e if 0 <= e and p^e <= limit, else None, never forming a power longer than
+    limit: for p >= 2, as check_order assures, p^e > limit once e reaches its bits."""
+    power = p**e if 0 <= e < limit.bit_length() else None
+    return power if power is not None and power <= limit else None
+
+
+def check_order(p: int, n: int, e: int, cap: Optional[int], what: str) -> None:
+    """Raise unless p is a prime, n >= 1 and p^e, the order of ``what`` of degree n
+    over GF(p), is within the cap (size_cap() if None), by ``power_within``."""
+    limit = size_cap() if cap is None else cap
+    if not all(type(v) is int for v in (p, n, limit)):
+        raise TypeError("p, the degree and the cap are integers")
     if not is_prime(p):
         raise NotPrime(f"p={p} is not prime")
-    if m < 1:
-        raise DimensionMismatch(f"extension degree must be >= 1, got {m}")
-    limit = size_cap() if cap is None else cap
-    if p**m > limit:
-        raise SizeCapExceeded(f"|GF({p}^{m})| = {p**m} exceeds cap {limit}")
+    if n < 1:
+        raise DimensionMismatch(f"the degree of {what} must be >= 1, got {n}")
+    if power_within(p, e, limit) is None:
+        raise SizeCapExceeded(f"|{what}| = {p}^{e} exceeds cap {limit}")
+
+
+def make_field(p: int, m: int, cap: Optional[int] = None) -> FieldSpec:
+    """GF(p^m) with the lexicographically smallest monic irreducible modulus."""
+    check_order(p, m, m, cap, f"GF({p}^{m})")
     return _field_cached(p, m)
 
 
@@ -345,13 +360,7 @@ def _trunc_cached(p: int, j: int) -> TruncRingSpec:
 
 def make_trunc_ring(p: int, j: int, cap: Optional[int] = None) -> TruncRingSpec:
     """GF(p)[t]/t^j with the same primality and size guards as make_field."""
-    if not is_prime(p):
-        raise NotPrime(f"p={p} is not prime")
-    if j < 1:
-        raise DimensionMismatch(f"truncation level must be >= 1, got {j}")
-    limit = size_cap() if cap is None else cap
-    if p**j > limit:
-        raise SizeCapExceeded(f"|GF({p})[t]/t^{j}| = {p**j} exceeds cap {limit}")
+    check_order(p, j, j, cap, f"GF({p})[t]/t^{j}")
     return _trunc_cached(p, j)
 
 

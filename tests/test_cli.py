@@ -187,7 +187,7 @@ def test_certify_caps_the_group_order():
     code, out, err = run_cli("certify", "--p", "5", "--m", "3")
     assert code == 2 and out == ""
     _one_line_error(err, "SizeCapExceeded")
-    assert "group order 1953125 exceeds cap 1048576" in err
+    assert "|H(GF(5^3))| = 5^9 exceeds cap 1048576" in err
 
 
 def _profile_off_by_one(monkeypatch):
@@ -235,6 +235,59 @@ def test_verify_of_a_forged_certify_config_costs_what_the_stored_item_states(tmp
     assert "problem: class_sizes are not q classes of size 1, then q^2-1 of size q, q = p^m" \
         in problems
     assert "problem: profile is not the one profile that every H_f has over GF(q)" in problems
+
+
+def test_verify_of_a_forged_graphs_degree_compares_it_with_the_cap(tmp_path):
+    # every graphs verifier builds the field from the config; 2^(10^8) is not formed
+    _, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
+    report = json.loads(out)
+    report["config"]["m"] = 10**8
+    started = time.perf_counter()
+    code, err = _verify_json(tmp_path, report)
+    assert time.perf_counter() - started < 1.0
+    assert code == 1 and "Traceback" not in err
+    assert ("problem: item 0 (coset-graph) fails its check: SizeCapExceeded: "
+            "|GF(2^100000000)| = 2^100000000 exceeds cap 1048576") in err.splitlines()
+
+
+def _restated_for(report: dict, p: int, m: int) -> dict:
+    """The report with its config's p and m replaced and every count restated for
+    them by the closed forms, so that only the config is wrong."""
+    report["config"].update(p=p, m=m)
+    count = p ** (m * (m - 1))  # the class reps
+    pairs = count * (count - 1) // 2
+    class_count, family, dichotomy = report["items"]
+    class_count.update(expected=count, actual=count, bruteforce_orbits=None)
+    family.update(mode="class-reps", count=count, pair_count=pairs)
+    dichotomy.update(pairs=pairs, structural_conjugate_pairs=0, bruteforce_checked=False)
+    return report
+
+
+@pytest.mark.parametrize("argv, forge, error", [
+    # (-2)^12 = 2^12 and (-2)^4 = 16: every closed form agrees with the GF(16) items
+    (("--p", "2", "--m", "4"), lambda r: r["config"].update(p=-2),
+     "NotPrime: p=-2 is not prime"),
+    # a 'GF(4^3)' of 64 elements, whose class table and profile are those of GF(64)
+    (("--p", "2", "--m", "6"), lambda r: _restated_for(r, 4, 3),
+     "NotPrime: p=4 is not prime"),
+    (("--p", "2", "--m", "4"), lambda r: r["config"].update(cap=4095),
+     "SizeCapExceeded: |H(GF(2^4))| = 2^12 exceeds cap 4095"),
+    (("--p", "2", "--m", "4"), lambda r: r["config"].update(m=0),
+     "DimensionMismatch: the degree of H(GF(2^0)) must be >= 1, got 0"),
+    (("--p", "2", "--m", "4"), lambda r: r["config"].update(cap=4096.0),
+     "TypeError: p, the degree and the cap are integers"),
+], ids=["negative-p", "prime-power-p", "cap-below-q3", "m-zero", "float-cap"])
+def test_verify_checks_the_certify_config_is_a_field_within_its_cap(tmp_path, argv, forge,
+                                                                    error):
+    # past the oracle limits no closed form builds the field, so verify checks the
+    # config as certify does before it reads a count
+    _, out, _ = run_cli("certify", *argv)
+    report = json.loads(out)
+    forge(report)
+    code, err = _verify_json(tmp_path, report)
+    assert code == 1 and "Traceback" not in err
+    assert (f"problem: the config or a subgroup label is malformed: {error}"
+            in err.splitlines())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -69,6 +70,21 @@ def test_make_field_errors():
         make_field(2, 0)
     with pytest.raises(NotPrime):
         make_trunc_ring(4, 2)
+
+
+@pytest.mark.parametrize("make", [make_field, make_trunc_ring])
+def test_the_cap_is_compared_before_the_order_is_formed(make):
+    # 2^(10^8) has 30 million digits: the exponent is compared with the cap's bits
+    started = time.perf_counter()
+    with pytest.raises(SizeCapExceeded, match=r"= 2\^100000000 exceeds cap 1048576"):
+        make(2, 10**8, cap=1 << 20)
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("cap", [16.0, True, "16"])
+def test_the_cap_is_an_integer(cap):
+    with pytest.raises(TypeError):
+        make_field(2, 2, cap=cap)
 
 
 # ---------------------------------------------------------------------------
