@@ -14,9 +14,8 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import SelfCheckFailed, SpecMismatch
 from .heisenberg import (
@@ -77,25 +76,17 @@ def conjugator_oracle_runs(p: int, m: int) -> bool:
     return power_within(p, 4 * m + family_exponent(p, m), BRUTE_CONJ_WORK_LIMIT) is not None
 
 
-@dataclass(frozen=True)
-class GassmannCertificate:
-    """Per-class intersection profiles for a subgroup pair, plus verdict."""
+class GassmannCertificate(NamedTuple):
+    """Per-class intersection profiles for a subgroup pair, plus verdict; a product
+    certificate (``product_certificate``) also carries its factors' certificates."""
 
     profile_h: tuple[int, ...]
     profile_k: tuple[int, ...]
+    factor_certificates: tuple[GassmannCertificate, ...] = ()
 
     @property
     def equal(self) -> bool:
         return self.profile_h == self.profile_k
-
-    @property
-    def witness_class(self) -> Optional[int]:
-        if self.equal:
-            return None
-        for i, (x, y) in enumerate(zip(self.profile_h, self.profile_k)):
-            if x != y:
-                return i
-        return None
 
 
 def intersection_profile(sub, table: ConjugacyClassTable) -> tuple[int, ...]:
@@ -217,8 +208,7 @@ def canonical_twist(f: LinearMap, spec: RingSpec) -> LinearMap:
     return LinearMap.from_flat(p, tuple(vec), spec.dim)
 
 
-@dataclass(frozen=True)
-class ClassCatalog:
+class ClassCatalog(NamedTuple):
     """One canonical twist representative per conjugacy class of subgroups."""
 
     ring: RingSpec
@@ -337,8 +327,7 @@ def family_oracles(p: int, m: int, cap: Optional[int], bruteforce_keys) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TowerClassCount:
+class TowerClassCount(NamedTuple):
     """Exact class count over GF(p)[t]/t^j next to the cited lower value."""
 
     p: int
@@ -372,24 +361,21 @@ def tower_class_count(spec: TruncRingSpec) -> TowerClassCount:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ProductFamily:
     """Componentwise twisted subgroups inside a product of Heisenberg groups."""
 
-    rings: tuple[FieldSpec, ...]
-    maps: tuple[LinearMap, ...]
-
-    def __post_init__(self):
-        if len(self.rings) < 1:
+    def __init__(self, rings: tuple[FieldSpec, ...], maps: tuple[LinearMap, ...]):
+        if len(rings) < 1:
             raise SpecMismatch("a product family needs at least one factor")
-        if len(self.rings) != len(self.maps):
+        if len(rings) != len(maps):
             raise SpecMismatch("one twist per factor ring required")
-        chars = [r.p for r in self.rings]
+        chars = [r.p for r in rings]
         if len(set(chars)) != len(chars):
             raise SpecMismatch("factor residue fields must have distinct characteristics")
-        for ring, f in zip(self.rings, self.maps):
+        for ring, f in zip(rings, maps):
             if f.dim != ring.dim or f.p != ring.p:
                 raise SpecMismatch("twist dimensions inconsistent with factor rings")
+        self.rings, self.maps = rings, maps
 
     @cached_property
     def subgroups(self) -> tuple[TwistedSubgroup, ...]:
@@ -397,14 +383,6 @@ class ProductFamily:
             twisted_subgroup(f, heisenberg_group(ring))
             for ring, f in zip(self.rings, self.maps)
         )
-
-
-@dataclass(frozen=True)
-class ProductCertificate(GassmannCertificate):
-    """Tensor-profile certificate for a pair of product families: the product
-    profiles, with the factors' certificates."""
-
-    factor_certificates: tuple[GassmannCertificate, ...]
 
 
 def tensor_profiles(profiles: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
@@ -421,15 +399,14 @@ def tensor_profiles(profiles: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
 
 
 def product_certificate(fam1: ProductFamily, fam2: ProductFamily,
-                        cap: Optional[int] = None) -> ProductCertificate:
+                        cap: Optional[int] = None) -> GassmannCertificate:
+    """Tensor-profile certificate for a pair of product families: the product
+    profiles, with the factors' certificates."""
     if fam1.rings != fam2.rings:
         raise SpecMismatch("product families must share factor ring specs")
     certs = tuple(
         almost_conjugate(h, k, cap=cap)
         for h, k in zip(fam1.subgroups, fam2.subgroups)
     )
-    return ProductCertificate(
-        factor_certificates=certs,
-        profile_h=tensor_profiles([c.profile_h for c in certs]),
-        profile_k=tensor_profiles([c.profile_k for c in certs]),
-    )
+    return GassmannCertificate(tensor_profiles([c.profile_h for c in certs]),
+                               tensor_profiles([c.profile_k for c in certs]), certs)

@@ -9,6 +9,7 @@ goes to stderr only.  Exit code 0 exactly when the summary verdict is
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -22,8 +23,11 @@ from . import reports as rp
 from . import schreier as sg
 from .errors import GassmannError, NotGenerating, SpecMismatch, UsageError
 from .heisenberg import heisenberg_group, twisted_subgroup
-from .places import choose_modulus, implementations_agree, scan_places
 from .rings import make_field, make_trunc_ring, size_cap
+
+# Everything the imports made lives as long as the process; frozen, no later collection
+# scans it again, so none of its young objects is left for a collection during a command.
+gc.freeze()
 
 # The conjugator oracle of certify.bruteforce_subgroup_keys, bound here so that
 # cmd_certify and verify look it up through this module, and a caller that
@@ -192,6 +196,8 @@ def cmd_tower(p: int, j_max: int, cap: Optional[int] = None) -> dict:
 
 def cmd_places(ell: int, bound: int, q: Optional[int] = None,
                tol: Fraction = Fraction(1, 50)) -> dict:
+    from .places import choose_modulus, implementations_agree, scan_places
+
     if q is None:
         q = choose_modulus(ell)
     scan = scan_places(ell, q, bound)

@@ -10,7 +10,6 @@ expansion ``oracles.conjugacy_partition`` is its oracle.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -156,12 +155,11 @@ def _class_table_cached(group: Heisenberg) -> ConjugacyClassTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TwistedSubgroup:
     """H_f = {(x, 0, f(x))} for an additive self-map f of the ring."""
 
-    group: Heisenberg
-    f: LinearMap
+    def __init__(self, group: Heisenberg, f: LinearMap):
+        self.group, self.f = group, f
 
     @cached_property
     def elements(self) -> frozenset:
@@ -182,30 +180,6 @@ class TwistedSubgroup:
 
     def label(self) -> str:
         return twist_label(self.f)
-
-
-@dataclass(frozen=True)
-class PlainSubgroup:
-    """An explicit subgroup given by its element set (center, whole group...)."""
-
-    group: Heisenberg
-    members: frozenset
-    name: str = "subgroup"
-
-    @property
-    def elements(self) -> frozenset:
-        return self.members
-
-    @cached_property
-    def sorted_elements(self) -> tuple[GroupElement, ...]:
-        return tuple(sorted(self.members))
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def label(self) -> str:
-        return self.name
 
 
 def twist_label(f: LinearMap) -> str:
@@ -240,32 +214,3 @@ def twisted_subgroup(f: LinearMap, group: Heisenberg) -> TwistedSubgroup:
 def horizontal_subgroup(group: Heisenberg) -> TwistedSubgroup:
     """The untwisted subgroup {(x, 0, 0)}."""
     return twisted_subgroup(LinearMap.zero(group.ring.p, group.ring.dim), group)
-
-
-def center_subgroup(group: Heisenberg) -> PlainSubgroup:
-    return PlainSubgroup(group, frozenset(group.center_elements()), "center")
-
-
-def whole_group(group: Heisenberg) -> PlainSubgroup:
-    return PlainSubgroup(group, frozenset(group.elements), "whole-group")
-
-
-def trivial_subgroup(group: Heisenberg) -> PlainSubgroup:
-    return PlainSubgroup(group, frozenset([group.identity()]), "trivial")
-
-
-def conjugate_subgroup(g: GroupElement, sub: TwistedSubgroup) -> TwistedSubgroup:
-    """g H_f g^-1, which is again twisted: f' = f - mult_matrix(b of g).
-
-    The structural answer is verified elementwise before it is returned.
-    """
-    from .rings import mult_matrix  # local to avoid cycle at import time
-
-    group = sub.group
-    group._check(g)
-    f_new = sub.f - mult_matrix(g[1], group.ring)
-    result = TwistedSubgroup(group, f_new)
-    conjugated = frozenset(group.conjugate(g, h) for h in sub.elements)
-    if conjugated != result.elements:
-        raise NotClosed("structural conjugate disagrees with elementwise conjugation")
-    return result

@@ -6,8 +6,10 @@ characteristic polynomial and the schoolbook product of polynomials, the
 coset graph of any subgroup by a walk over the whole group, a plain
 permutation search for graph isomorphism, the orbit expansion of a
 conjugacy-class partition, and the profile of a product subgroup counted
-inside the direct product.  This module may import the production
-modules; none of them imports it, so the CLI never loads it.
+inside the direct product.  The subgroups given by their element sets,
+elementwise conjugation and the small readings of certificates, spectra
+and graphs that only the tests make are here too.  This module may import
+the production modules; none of them imports it, so the CLI never loads it.
 """
 
 from __future__ import annotations
@@ -18,12 +20,75 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from . import schreier
-from .certify import ProductFamily
-from .errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded
-from .heisenberg import ConjugacyClassTable, GroupElement, Heisenberg
-from .rings import size_cap
+from .certify import GassmannCertificate, ProductFamily
+from .errors import EmptyGeneratorSet, NotClosed, SelfCheckFailed, SizeCapExceeded
+from .heisenberg import ConjugacyClassTable, GroupElement, Heisenberg, TwistedSubgroup
+from .rings import mult_matrix, size_cap
 from .schreier import (DEFAULT_VERTEX_CAP, CosetGraph, IsomorphismResult, SpectrumPolynomial,
                        symmetrize_generators)
+
+
+class PlainSubgroup:
+    """An explicit subgroup given by its element set (center, whole group...)."""
+
+    def __init__(self, group: Heisenberg, members: frozenset, name: str = "subgroup"):
+        self.group, self.elements, self.name = group, members, name
+
+    @cached_property
+    def sorted_elements(self) -> tuple[GroupElement, ...]:
+        return tuple(sorted(self.elements))
+
+    @property
+    def size(self) -> int:
+        return len(self.elements)
+
+    def label(self) -> str:
+        return self.name
+
+
+def center_subgroup(group: Heisenberg) -> PlainSubgroup:
+    return PlainSubgroup(group, frozenset(group.center_elements()), "center")
+
+
+def whole_group(group: Heisenberg) -> PlainSubgroup:
+    return PlainSubgroup(group, frozenset(group.elements), "whole-group")
+
+
+def trivial_subgroup(group: Heisenberg) -> PlainSubgroup:
+    return PlainSubgroup(group, frozenset([group.identity()]), "trivial")
+
+
+def conjugate_subgroup(g: GroupElement, sub: TwistedSubgroup) -> TwistedSubgroup:
+    """g H_f g^-1, which is again twisted: f' = f - mult_matrix(b of g).
+
+    The structural answer is verified elementwise before it is returned.
+    """
+    group = sub.group
+    group._check(g)
+    result = TwistedSubgroup(group, sub.f - mult_matrix(g[1], group.ring))
+    conjugated = frozenset(group.conjugate(g, h) for h in sub.elements)
+    if conjugated != result.elements:
+        raise NotClosed("structural conjugate disagrees with elementwise conjugation")
+    return result
+
+
+def witness_class(cert: GassmannCertificate) -> Optional[int]:
+    """The first class on which the certificate's two profiles differ, or None."""
+    return next((i for i, (x, y) in enumerate(zip(cert.profile_h, cert.profile_k)) if x != y),
+                None)
+
+
+def evaluate(poly: SpectrumPolynomial, t: int) -> int:
+    """The polynomial's value at t, by Horner's rule."""
+    acc = 0
+    for c in poly.coefficients:
+        acc = acc * t + c
+    return acc
+
+
+def loop_count(graph: CosetGraph) -> int:
+    """The loops of the graph, counted with multiplicity on every vertex's row."""
+    return sum(mult for u, row in enumerate(graph.rows) for v, mult in row if u == v)
 
 
 def charpoly_berkowitz(matrix: Sequence[Sequence[int]]) -> SpectrumPolynomial:

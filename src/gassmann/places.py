@@ -10,15 +10,14 @@ implementations of that order are kept side by side.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NotPrime, RamifiedPlace, SpecMismatch
 from .rings import is_prime, primes_up_to
 
 
-@dataclass(frozen=True)
-class PlaceRecord:
+class PlaceRecord(NamedTuple):
     p: int
     q: int
     ell: int
@@ -94,8 +93,7 @@ def implementations_agree(ell: int, q: int, bound: int) -> tuple[int, bool]:
     return checked_to, agree
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     ell: int
     q: int
     bound: int

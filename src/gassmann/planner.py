@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain as chain_iterables
 from operator import gt, lt
@@ -66,8 +65,7 @@ def exact_power(p: int, exponent: int) -> Exact:
 _OPS = {"<": lt, ">": gt}
 
 
-@dataclass(frozen=True)
-class IneqCheck:
+class IneqCheck(NamedTuple):
     """One substituted inequality instance; holds is re-derivable from it."""
 
     label: str
@@ -98,8 +96,7 @@ Certificate = Iterator[tuple[IneqCheck, bool]]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CountBound:
+class CountBound(NamedTuple):
     label: str
     p: int
     exponent: int
@@ -167,8 +164,7 @@ def nonarith_headroom(p: int, ell: int, comm_index: int, n: int) -> IneqCheck:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinEllResult:
+class MinEllResult(NamedTuple):
     ell: int
     passing: IneqCheck
     failing: Optional[IneqCheck]
@@ -275,14 +271,15 @@ def growth_chain_check(p: int, c_1: int, ell0: int, r: int, dim_g: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RationalInterval:
-    lo: Fraction
-    hi: Fraction
+    """The interval [lo, hi] of rationals."""
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise ValueError("interval endpoints out of order")
+        self.lo, self.hi = lo, hi
 
     @property
     def width(self) -> Fraction:
@@ -338,8 +335,7 @@ def ln_interval(n: int, max_width: Fraction = Fraction(1, 1 << 30)) -> RationalI
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthConstantResult:
+class GrowthConstantResult(NamedTuple):
     p: int
     delta: Fraction
     d_p: int
@@ -469,8 +465,7 @@ def level_count(primes: Sequence[int], j: int, ell0: int) -> int:
     return _power_product(primes[:j], ell0 * (ell0 - 1))
 
 
-@dataclass(frozen=True)
-class TowerKResult:
+class TowerKResult(NamedTuple):
     k: int
     product_condition: IneqCheck
     full_at_k: IneqCheck

@@ -15,21 +15,25 @@ and charpolys by index.  Large integers travel as decimal strings.
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from .certify import (canonical_twist, check_family_config, conjugate_pair_count,
-                      conjugator_oracle_runs, family_class_sizes, family_exponent,
-                      family_mode, family_oracles, family_profile, orbit_oracle_runs)
+from .certify import (bruteforce_subgroup_keys, canonical_twist, check_family_config,
+                      conjugate_pair_count, conjugator_oracle_runs, family_class_sizes,
+                      family_exponent, family_mode, family_oracles, family_profile,
+                      orbit_oracle_runs)
 from .errors import GassmannError, SizeCapExceeded, SpecMismatch
 from .heisenberg import heisenberg_group, parse_twist_label
-from .places import implementations_agree, residue_degree_subgroup
-from .planner import PLAN_OPS, IneqCheck, power_bits
 from .rings import make_field, power_within, primes_up_to
-from .schreier import (CosetGraph, char_poly, find_isomorphism, maps_onto,
-                       symmetrize_generators, transversal)
+
+# A verifier imports the modules of its item kind, so that verify loads only those
+# that the report's kinds need
+if TYPE_CHECKING:
+    from .planner import IneqCheck
+    from .schreier import CosetGraph
 
 SCHEMA_VERSION = 4
 
@@ -187,10 +191,11 @@ def _verify_conjugacy(item: dict, config: dict, items: _Items, problems: list[st
     if not _same(item["bruteforce_checked"], ran):
         problems.append("bruteforce_checked differs from whether certify runs the conjugator "
                         "oracle at this p and m")
-    from . import cli  # the binding cmd_certify calls, so a replaced oracle is re-run too
-
-    # the oracle block again, as cmd_certify runs it
-    agreement = family_oracles(p, m, config["cap"], cli._bruteforce_subgroup_keys)
+    # the oracle block again, as cmd_certify runs it, with the binding it calls, so a
+    # replaced oracle is re-run too; where cli is not loaded, nothing replaced it
+    cli = sys.modules.get(f"{__package__}.cli")
+    oracle = cli._bruteforce_subgroup_keys if cli else bruteforce_subgroup_keys
+    agreement = family_oracles(p, m, config["cap"], oracle)
     claimed = item["structural_equals_bruteforce"]
     if not _same(claimed, agreement):
         problems.append("structural_equals_bruteforce differs from the conjugator oracle, run "
@@ -213,6 +218,8 @@ def _schreier_graph(label, config: dict) -> CosetGraph:
     rank, which CosetGraph.from_rows certifies once by check_centre before it
     keeps the q orbit representatives' rows.
     """
+    from .schreier import CosetGraph, transversal
+
     spec = make_field(config["p"], config["m"], cap=config["cap"])
     f = parse_twist_label(label, spec)
     group = heisenberg_group(spec)
@@ -240,6 +247,8 @@ def _is_catalog(labels: list, config: dict) -> bool:
 
 def _verify_graph(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
     """A coset graph states facts, not a claim: its evidence always gives true."""
+    from .schreier import symmetrize_generators
+
     graph = items.graph(item)
     if graph.gens != symmetrize_generators(graph.group, graph.gens):
         problems.append("the config's generators are not distinct, sorted and closed under "
@@ -253,6 +262,8 @@ def _verify_graph(item: dict, config: dict, items: _Items, problems: list[str]) 
 
 
 def _verify_cospectral(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
+    from .schreier import char_poly
+
     # vertex index(b)·q + index(c) is the coset of (0, b, c): each graph's centre has
     # rank m, from the config, and its polynomial comes from its q representatives' rows
     # each distinct charpoly once, numbered in order of first appearance, as cmd_graphs interns them
@@ -279,6 +290,8 @@ def _verify_isomorphism_classes(item: dict, config: dict, items: _Items,
     """Witnesses map each graph onto its class's first member; first members are
     pairwise non-isomorphic, by distinct refinement invariants or a re-run search.
     The classes state facts, not a claim: their evidence always gives true."""
+    from .schreier import find_isomorphism, maps_onto
+
     graphs = items.graphs()
     class_of, witnesses = item["class_of"], item["witnesses"]
     if not len(class_of) == len(witnesses) == len(graphs):
@@ -321,6 +334,8 @@ def _verify_tower_count(item: dict, config: dict, items: _Items, problems: list[
 
 
 def _verify_place_scan(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
+    from .places import implementations_agree, residue_degree_subgroup
+
     ell, q, bound = config["ell"], config["q"], config["bound"]
     primes = [p for p in primes_up_to(bound) if p != q]
     scanned = set(primes)
@@ -360,6 +375,8 @@ def _verify_plan(item: dict, config: dict, items: _Items, problems: list[str]) -
     """The op's validation and certificate run on the stored inputs, read in the form
     plan writes them, and result, so every closed-form result field and every check
     is derived, not read."""
+    from .planner import PLAN_OPS, power_bits
+
     name, stored = item["op"], item["checks"]
     op = PLAN_OPS[name]
     if not isinstance(item["inputs"], dict):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Union
 
@@ -90,9 +89,21 @@ def next_prime(n: int) -> int:
 
 
 class _RingOps:
-    """Shared coefficient-vector arithmetic; subclasses fix the product."""
+    """Shared coefficient-vector arithmetic; subclasses fix the product.
+
+    A spec is equal to, and hashes as, a spec of its own kind with the same
+    fields, ``_key``: specs key the caches of groups, echelon bases and
+    transversals.
+    """
 
     p: int
+    _key: tuple
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other._key == self._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @property
     def dim(self) -> int:
@@ -200,7 +211,6 @@ class _ComputedTable:
         return self.op(*args)
 
 
-@dataclass(frozen=True)
 class FieldSpec(_RingOps):
     """GF(p^m) presented as GF(p)[t] modulo a fixed monic irreducible.
 
@@ -209,11 +219,11 @@ class FieldSpec(_RingOps):
     built from the same (p, m) are bit-identical.
     """
 
-    p: int
-    m: int
-    modulus: tuple[int, ...]
-
     kind = "field"
+
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
+        self.p, self.m, self.modulus = p, m, modulus
+        self._key = (p, m, modulus)
 
     @property
     def dim(self) -> int:
@@ -248,14 +258,14 @@ class FieldSpec(_RingOps):
         return f"FieldSpec(p={self.p}, m={self.m})"
 
 
-@dataclass(frozen=True)
 class TruncRingSpec(_RingOps):
     """GF(p)[t]/t^j: polynomial arithmetic truncated at degree j."""
 
-    p: int
-    j: int
-
     kind = "trunc"
+
+    def __init__(self, p: int, j: int):
+        self.p, self.j = p, j
+        self._key = (p, j)
 
     @property
     def dim(self) -> int:
@@ -369,15 +379,23 @@ def make_trunc_ring(p: int, j: int, cap: Optional[int] = None) -> TruncRingSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LinearMap:
     """A GF(p)-linear self-map of the ring, stored as rows over GF(p).
 
-    Column k is the image of the k-th power-basis vector.
+    Column k is the image of the k-th power-basis vector.  Maps are equal,
+    and hash alike, when their p and rows are: canonical twists key classes.
     """
 
-    p: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("p", "rows")
+
+    def __init__(self, p: int, rows: tuple[tuple[int, ...], ...]):
+        self.p, self.rows = p, rows
+
+    def __eq__(self, other) -> bool:
+        return type(other) is LinearMap and other.p == self.p and other.rows == self.rows
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.rows))
 
     @property
     def dim(self) -> int:

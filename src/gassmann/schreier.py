@@ -44,12 +44,11 @@ witness checks kept here.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, product
 from math import comb, gcd
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded, SpecMismatch
 from .heisenberg import GroupElement, Heisenberg, TwistedSubgroup
@@ -90,7 +89,6 @@ def symmetrize_generators(group: Heisenberg, gens: Sequence[GroupElement]):
     return tuple(sorted(closed))
 
 
-@dataclass(frozen=True)
 class CosetGraph:
     """Right-coset multigraph of a subgroup with respect to a generator set.
 
@@ -108,12 +106,10 @@ class CosetGraph:
     certified them.
     """
 
-    group: Heisenberg
-    subgroup_label: str
-    gens: tuple[GroupElement, ...]
-    vertices: tuple[GroupElement, ...]
-    reps: Rows
-    rank: int
+    def __init__(self, group: Heisenberg, subgroup_label: str, gens: tuple[GroupElement, ...],
+                 vertices: tuple[GroupElement, ...], reps: Rows, rank: int):
+        self.group, self.subgroup_label, self.gens = group, subgroup_label, gens
+        self.vertices, self.reps, self.rank = vertices, reps, rank
 
     @classmethod
     def from_rows(cls, group: Heisenberg, subgroup_label: str, gens, vertices, rows: Rows,
@@ -147,9 +143,6 @@ class CosetGraph:
         width = self.centre_width
         return tuple(chain.from_iterable((row, *_translates(row, width, plus))
                                          for row in self.reps))
-
-    def loop_count(self) -> int:
-        return sum(mult for u, row in enumerate(self.rows) for v, mult in row if u == v)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -321,25 +314,26 @@ def maps_onto(rows1: Rows, rows2: Rows, perm: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SpectrumPolynomial:
-    """det(tI - A) with exact integer coefficients, t^n first."""
+    """det(tI - A) with exact integer coefficients, t^n first; polynomials are equal,
+    and hash alike, when their coefficients are."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        if not self.coefficients or self.coefficients[0] != 1:
+    def __init__(self, coefficients: tuple[int, ...]):
+        if not coefficients or coefficients[0] != 1:
             raise SpecMismatch("characteristic polynomial must be monic")
+        self.coefficients = coefficients
+
+    def __eq__(self, other) -> bool:
+        return type(other) is SpectrumPolynomial and other.coefficients == self.coefficients
+
+    def __hash__(self) -> int:
+        return hash(self.coefficients)
 
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    def evaluate(self, t: int) -> int:
-        acc = 0
-        for c in self.coefficients:
-            acc = acc * t + c
-        return acc
 
 
 def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
@@ -681,8 +675,7 @@ def _permutation_matches(adj1, adj2, mapping, u, v) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class IsomorphismResult:
+class IsomorphismResult(NamedTuple):
     isomorphic: bool
     witness: Optional[tuple[int, ...]]
 

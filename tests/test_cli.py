@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 from conftest import run_cli
 
-from gassmann import cli, heisenberg, planner, reports
+from gassmann import cli, heisenberg, planner, reports, schreier
 from gassmann.certify import ClassCatalog, enumerate_class_reps, family_mode
-from gassmann.heisenberg import center_subgroup
+from gassmann.oracles import center_subgroup
 from gassmann.reports import render_table, verify_report
 from gassmann.rings import LinearMap, all_linear_maps, make_field
 
@@ -697,8 +697,8 @@ def test_verify_lists_a_split_class_over_the_search_budget(tmp_path, monkeypatch
     classes["witnesses"][2] = None
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(report))
-    search = reports.find_isomorphism
-    monkeypatch.setattr(reports, "find_isomorphism", lambda g1, g2: search(g1, g2, cap=0))
+    search = schreier.find_isomorphism
+    monkeypatch.setattr(schreier, "find_isomorphism", lambda g1, g2: search(g1, g2, cap=0))
     code, msg, err = run_cli("verify", str(bad))
     assert code == 1 and "failed" in msg
     assert "graphs 1 and 2: search exceeds the node budget" in err
@@ -1573,6 +1573,14 @@ def test_the_prime_walk_finds_the_least_prime_as_a_walk_from_2_does():
                 while not lhs_at(ell) > rhs:
                     ell = planner.next_prime(ell)
                 assert planner._least_prime(lhs_at, rhs) == ell
+
+
+def test_the_readme_library_example_runs():
+    # the example imports each name from its module, as a user of the package must
+    text = (SRC.parent / "README.md").read_text()
+    blocks = [block.split("```", 1)[0] for block in text.split("```python\n")[1:]]
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def _readme_plan_examples() -> list[list[str]]:

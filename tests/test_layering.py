@@ -54,33 +54,69 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(codes, "gassmann.oracles" in sys.modules)
 """
 
+# certify over GF(4) through cli.main, and verify of its report through reports alone;
+# each prints its result and which of the modules named after the report path it loaded
+CERTIFY_RUN = """
+import contextlib, io, sys
+from gassmann import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["certify", "--p", "2", "--m", "2", "--out", sys.argv[1]])
+print(code, sorted(set(sys.argv[2:]) & set(sys.modules)))
+"""
+VERIFY_RUN = """
+import json, sys
+from gassmann import reports
+with open(sys.argv[1]) as fh:
+    problems = reports.verify_report(json.load(fh))
+print(problems, sorted(set(sys.argv[2:]) & set(sys.modules)))
+"""
+PRODUCTION = [path for path in sorted((SRC / "gassmann").glob("*.py")) if path.name != "oracles.py"]
 
-def _imports_oracles(tree: ast.AST) -> bool:
+
+def _imports(tree: ast.AST, module: str) -> bool:
+    """Whether the tree imports the module, named by its last component."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            if any(alias.name.split(".")[-1] == "oracles" for alias in node.names):
+            if any(alias.name.split(".")[-1] == module for alias in node.names):
                 return True
         elif isinstance(node, ast.ImportFrom):
-            if (node.module or "").split(".")[-1] == "oracles":
+            if (node.module or "").split(".")[-1] == module:
                 return True
-            if any(alias.name == "oracles" for alias in node.names):
+            if any(alias.name == module for alias in node.names):
                 return True
     return False
 
 
+def _run(script: str, *args: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_oracles_stay_out_of_production_and_bench_bindings_resolve(tmp_path):
     # (a) no production module imports the oracle module
-    production = [path for path in sorted((SRC / "gassmann").glob("*.py"))
-                  if path.name != "oracles.py"]
-    importers = [path.name for path in production
-                 if _imports_oracles(ast.parse(path.read_text(), str(path)))]
+    importers = [path.name for path in PRODUCTION
+                 if _imports(ast.parse(path.read_text(), str(path)), "oracles")]
     assert importers == []
-    assert _imports_oracles(ast.parse("from . import oracles, schreier"))
+    assert _imports(ast.parse("from . import oracles, schreier"), "oracles")
     # (b) so the CLI and verify never load it
-    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run([sys.executable, "-c", CLI_RUN, str(tmp_path)], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout == "[0, 0, 0, 0] False\n"
+    assert _run(CLI_RUN, str(tmp_path)) == "[0, 0, 0, 0] False\n"
     # (c) every name the benchmark binds is still where it looks it up
     for module, path in BENCH_BINDINGS:
         functools.reduce(getattr, path.split("."), importlib.import_module(module))
+
+
+def test_certify_and_its_verify_load_only_what_they_run(tmp_path):
+    # (a) no production module imports dataclasses, whose code generation and imports
+    # (inspect, ast, dis, tokenize) cost more start-up than the work of small commands
+    importers = [path.name for path in PRODUCTION
+                 if _imports(ast.parse(path.read_text(), str(path)), "dataclasses")]
+    assert importers == []
+    assert _imports(ast.parse("from dataclasses import dataclass"), "dataclasses")
+    assert _imports(ast.parse("import dataclasses"), "dataclasses")
+    # (b) certify loads neither those nor the place scanner, and verify of its report
+    # not the coset graphs either: each item kind imports what its verifier runs
+    report = str(tmp_path / "certify.json")
+    unused = ["dataclasses", "inspect", "gassmann.places"]
+    assert _run(CERTIFY_RUN, report, *unused) == "0 []\n"
+    assert _run(VERIFY_RUN, report, *unused, "gassmann.schreier") == "[] []\n"

@@ -16,9 +16,8 @@ from gassmann.certify import (
     mult_subspace_echelon,
 )
 from gassmann.errors import SizeCapExceeded
-from gassmann.heisenberg import (center_subgroup, heisenberg_group, horizontal_subgroup,
-                                 twisted_subgroup)
-from gassmann.oracles import coset_graph_bruteforce
+from gassmann.heisenberg import heisenberg_group, horizontal_subgroup, twisted_subgroup
+from gassmann.oracles import center_subgroup, coset_graph_bruteforce
 from gassmann.cli import cmd_graphs
 from gassmann.reports import (
     _schreier_graph,
@@ -243,10 +242,10 @@ def test_verify_derives_the_centre_action_from_the_config(p, m, monkeypatch):
     # vertex index(b)·q + index(c) is the coset of (0, b, c), so verify factors each
     # charpoly over the centre of rank m, taken from the config, as production does
     calls = []
-    factor = reports.char_poly
-    monkeypatch.setattr(reports, "char_poly", lambda graph: calls.append(
-        (graph.group.ring.p, graph.rank, len(graph.reps))) or factor(graph))
     report, _ = cmd_graphs(p, m)
+    factor = schreier.char_poly
+    monkeypatch.setattr(schreier, "char_poly", lambda graph: calls.append(
+        (graph.group.ring.p, graph.rank, len(graph.reps))) or factor(graph))
     assert verify_report(report) == []
     assert calls == [(p, m, p**m)] * (len(report["items"]) - 2)
 
