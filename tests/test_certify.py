@@ -210,12 +210,50 @@ def test_oracle_key_is_conjugation_invariant(spec, data):
     assert bruteforce_subgroup_keys(group, [sub]) == bruteforce_subgroup_keys(group, [moved])
 
 
-def test_oracle_conjugates_the_union_once_per_group_element(monkeypatch):
-    # |G|.|U| conjugations at two products each, plus one inverse per g;
-    # conjugating each subgroup separately would cost |G|.sum|H| instead
-    group = heisenberg_group(F8)
-    subs = [twisted_subgroup(f, group) for f in enumerate_class_reps(F8).reps]
-    union = set().union(*(sub.elements for sub in subs))
+def _definition_key(group, sub):
+    return min(tuple(sorted(group.conjugate(g, h) for h in sub.elements)) for g in group.elements)
+
+
+@pytest.mark.parametrize("spec", [F4, make_trunc_ring(2, 2), F8], ids=repr)
+def test_oracle_keys_are_the_least_conjugate_of_each_subgroup(spec):
+    # twisted subgroups in conjugate pairs beside normal ones; the whole group
+    # makes <U> = G non-abelian, so the span is closed over commutators too
+    group = heisenberg_group(spec)
+    g = group.elements[-1]
+    assert g not in group.center_elements()
+    reps = [twisted_subgroup(f, group) for f in enumerate_class_reps(spec).reps]
+    subs = (reps + [conjugate_subgroup(g, sub) for sub in reps]
+            + [center_subgroup(group), whole_group(group), trivial_subgroup(group)])
+    assert bruteforce_subgroup_keys(group, subs) == [_definition_key(group, sub) for sub in subs]
+
+
+def _span(group, gens):
+    span = {group.identity()}
+    while True:
+        grown = span | {group.mul(x, s) for x in span for s in gens}
+        if grown == span:
+            return span
+        span = grown
+
+
+@pytest.mark.parametrize("spec,family", [
+    (F8, "class reps"), (F9, "class reps"), (F3, "whole group")],
+    ids=["gf8-class-reps", "gf9-class-reps", "gf3-whole-group"])
+def test_oracle_conjugates_the_union_once_per_distinct_action(monkeypatch, spec, family):
+    # the span of S costs at most |<S>|.|S| products, every g conjugates S at
+    # two products each plus one inverse, and one g per distinct action
+    # conjugates the union U; |G|.|U| conjugations at GF(8) would be 30,208 calls
+    group = heisenberg_group(spec)
+    subs = ([twisted_subgroup(f, group) for f in enumerate_class_reps(spec).reps]
+            if family == "class reps" else [whole_group(group), trivial_subgroup(group)])
+    pool = sorted(set().union(*(sub.elements for sub in subs)))
+    gens = []
+    for u in pool:
+        if u not in _span(group, gens):
+            gens.append(u)
+    actions = {tuple(group.conjugate(g, u) for u in pool) for g in group.elements}
+    bound = (len(_span(group, gens)) * len(gens) + group.order * (2 * len(gens) + 1)
+             + len(actions) * (2 * len(pool) + 1))
     calls = [0]
 
     def counted(fn):
@@ -227,8 +265,11 @@ def test_oracle_conjugates_the_union_once_per_group_element(monkeypatch):
     monkeypatch.setattr(Heisenberg, "mul", counted(Heisenberg.mul))
     monkeypatch.setattr(Heisenberg, "inv", counted(Heisenberg.inv))
     keys = bruteforce_subgroup_keys(group, subs)
-    assert len(subs) == len(set(keys)) == 64
-    assert 0 < calls[0] <= 2 * group.order * len(union) + group.order
+    assert len(set(keys)) == len(subs)
+    assert 0 < calls[0] <= bound
+    if spec == F8:
+        assert (len(gens), len(actions)) == (5, 8)
+        assert calls[0] < (2 * group.order * len(pool) + group.order) / 4 == 30_208 / 4
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +367,7 @@ def test_tower_class_counts(p, j, exact, cited):
 @pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
                                   (5, 1), (5, 2), (13, 1), (17, 1), (37, 1), (41, 1)])
 def test_oracle_limits_follow_from_p_and_m(p, m):
-    # the conjugator oracle's work |G|·q·n counts the family that certify builds
+    # the family bound |G|·q·n that fixes bruteforce_checked counts the family certify builds
     spec = make_field(p, m)
     q = spec.size
     n = len(list(all_linear_maps(spec))) if family_mode(p, m) == "all-twists" else (

@@ -1734,6 +1734,10 @@ PINNED_REPORTS = {
         "18b2a2db44cbbd0ee45f7b114e017e238e161dbaa58067bafee3f9266f915457",
     ("certify", "--p", "2", "--m", "3"):
         "559737699218fd75afc25426994f5e4396ce818c7b5b55655b3b0f9b158c4138",
+    ("certify", "--p", "3", "--m", "2"):
+        "ef3be76ca99bcd672602c8316524f7f2f5ae3bd0e9ae35f7b8814b022927ca3f",
+    ("certify", "--p", "13", "--m", "1"):
+        "96e4e6a90a1ff7e1e28705fccc96dad036309ce031d01edb80efd28f6965770e",
     ("graphs", "--p", "2", "--m", "2"):
         "445302ea28b1510b6181de3e295189edeec47dab336b16daf14fa936f223871d",
     ("graphs", "--p", "3", "--m", "2"):
@@ -1742,10 +1746,13 @@ PINNED_REPORTS = {
 
 
 @pytest.mark.parametrize("argv", list(PINNED_REPORTS), ids=lambda argv: "-".join(argv[::2]))
-def test_reports_keep_their_pinned_bytes(argv):
+def test_reports_keep_their_pinned_bytes(argv, tmp_path):
     code, out, _ = run_cli(*argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[argv]
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    assert run_cli("verify", str(path))[0] == 0
 
 
 # SHA-256 of one plan report per op, and of the three ops with an optional check
