@@ -130,12 +130,8 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None, cap: Optional[in
                 f"coset graph of {graph.subgroup_label} is disconnected; "
                 "the generator set does not generate"
             )
-    # each distinct charpoly once, numbered in order of first appearance, and each
-    # graph's by its index, so a graph's own copy is dropped once it is interned
-    index_of: dict[tuple, int] = {}
-    charpoly_index = [index_of.setdefault(sg.char_poly(g).coefficients, len(index_of))
-                      for g in graphs]
-    distinct = [[rp.encode_count(c) for c in poly] for poly in index_of]
+    polys, charpoly_index = sg.distinct_charpolys(graphs)
+    distinct = [[rp.encode_count(c) for c in poly] for poly in polys]
 
     files: dict[str, str] = {}
     for k, (graph, poly) in enumerate(zip(graphs, charpoly_index)):
@@ -150,7 +146,7 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None, cap: Optional[in
             sort_keys=True) + "\n"
 
     # both items below refer to the coset-graph items by their rep index
-    all_equal = len(index_of) == 1
+    all_equal = len(polys) == 1
     report["items"].append(
         {
             "kind": "cospectral",
@@ -342,7 +338,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0 if not problems else 1
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
-    except (GassmannError, ValueError, ZeroDivisionError, OSError) as exc:
+    # a JSON file nested past the interpreter's recursion limit raises RecursionError
+    except (GassmannError, ValueError, ZeroDivisionError, OSError, RecursionError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

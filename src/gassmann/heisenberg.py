@@ -210,7 +210,3 @@ def twisted_subgroup(f: LinearMap, group: Heisenberg) -> TwistedSubgroup:
         )
     return TwistedSubgroup(group, f)
 
-
-def horizontal_subgroup(group: Heisenberg) -> TwistedSubgroup:
-    """The untwisted subgroup {(x, 0, 0)}."""
-    return twisted_subgroup(LinearMap.zero(group.ring.p, group.ring.dim), group)

@@ -7,9 +7,10 @@ coset graph of any subgroup by a walk over the whole group, a plain
 permutation search for graph isomorphism, the orbit expansion of a
 conjugacy-class partition, and the profile of a product subgroup counted
 inside the direct product.  The subgroups given by their element sets,
-elementwise conjugation and the small readings of certificates, spectra
-and graphs that only the tests make are here too.  This module may import
-the production modules; none of them imports it, so the CLI never loads it.
+the untwisted subgroup, elementwise conjugation and the small readings of
+certificates, spectra and graphs that only the tests make are here too.
+This module may import the production modules; none of them imports it,
+so the CLI never loads it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import schreier
 from .certify import GassmannCertificate, ProductFamily
 from .errors import EmptyGeneratorSet, NotClosed, SelfCheckFailed, SizeCapExceeded
 from .heisenberg import ConjugacyClassTable, GroupElement, Heisenberg, TwistedSubgroup
-from .rings import mult_matrix, size_cap
+from .rings import LinearMap, mult_matrix, size_cap
 from .schreier import (DEFAULT_VERTEX_CAP, CosetGraph, IsomorphismResult, SpectrumPolynomial,
                        symmetrize_generators)
 
@@ -56,6 +57,11 @@ def whole_group(group: Heisenberg) -> PlainSubgroup:
 
 def trivial_subgroup(group: Heisenberg) -> PlainSubgroup:
     return PlainSubgroup(group, frozenset([group.identity()]), "trivial")
+
+
+def horizontal_subgroup(group: Heisenberg) -> TwistedSubgroup:
+    """The untwisted subgroup {(x, 0, 0)}, H_f for the zero map f."""
+    return TwistedSubgroup(group, LinearMap.zero(group.ring.p, group.ring.dim))
 
 
 def conjugate_subgroup(g: GroupElement, sub: TwistedSubgroup) -> TwistedSubgroup:

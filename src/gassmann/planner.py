@@ -164,12 +164,6 @@ def nonarith_headroom(p: int, ell: int, comm_index: int, n: int) -> IneqCheck:
 # ---------------------------------------------------------------------------
 
 
-class MinEllResult(NamedTuple):
-    ell: int
-    passing: IneqCheck
-    failing: Optional[IneqCheck]
-
-
 def _sequence_condition(dim_g: int, c: int, r: int):
     """(label, lhs, rhs) of ell(ell-1) - ell(3 dim_g + c) > r, lhs a function of ell."""
     return "min-ell-sequence", lambda ell: ell * (ell - 1) - ell * (3 * dim_g + c), r
@@ -227,25 +221,6 @@ def _least_prime_checks(label: str, lhs_at, rhs: Exact, ell: int) -> Certificate
         if failing.holds:
             raise SelfCheckFailed("predecessor certificate unexpectedly passes")
         yield failing, False
-
-
-def _min_ell(condition, dim_g: int, c: int, r: int) -> MinEllResult:
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    label, lhs_at, rhs = condition(dim_g, c, r)
-    ell = _least_prime(lhs_at, rhs)
-    checks = [check for check, _ in _least_prime_checks(label, lhs_at, rhs, ell)]
-    return MinEllResult(ell, checks[0], checks[1] if len(checks) > 1 else None)
-
-
-def min_ell_sequence(dim_g: int, c: int, r: int) -> MinEllResult:
-    """Smallest prime ell with ell(ell-1) - ell(3 dim_g + c) > r."""
-    return _min_ell(_sequence_condition, dim_g, c, r)
-
-
-def min_ell_growth(dim_g: int, c: int, r: int) -> MinEllResult:
-    """Smallest prime ell with ell(ell-1) - ell(3 dim_g+c) - r*ell*dim_g - r > 0."""
-    return _min_ell(_growth_condition, dim_g, c, r)
 
 
 def growth_chain_check(p: int, c_1: int, ell0: int, r: int, dim_g: int,
@@ -335,17 +310,6 @@ def ln_interval(n: int, max_width: Fraction = Fraction(1, 1 << 30)) -> RationalI
 # ---------------------------------------------------------------------------
 
 
-class GrowthConstantResult(NamedTuple):
-    p: int
-    delta: Fraction
-    d_p: int
-    j_min: int
-    j_max: int
-    constant: Fraction
-    ln_p: RationalInterval
-    checks: tuple[IneqCheck, ...]
-
-
 def _growth_rhs(j: int, d_p: int) -> Fraction:
     return Fraction(j * (j - 1), 2) - 9 * j - d_p
 
@@ -353,17 +317,22 @@ def _growth_rhs(j: int, d_p: int) -> Fraction:
 _LADDER_RUNGS = 12
 
 
-def _ln_ladder(p: int, rungs: int) -> Iterator[RationalInterval]:
-    """The enclosures of ln p that tower_growth_constant tries, widest first."""
+def _ln_ladder(p: int) -> Iterator[RationalInterval]:
+    """The enclosures of ln p that the growth-constant search tries, widest first."""
     width = Fraction(1, 1 << 30)
-    for _ in range(rungs):
+    for _ in range(_LADDER_RUNGS):
         yield ln_interval(p, width)
         width /= 1 << 8
 
 
-def _check_growth_inputs(p: int, delta: Fraction, d_p: int, j_min: int, j_max: int,
-                         margin: Fraction) -> None:
-    """tower_growth_constant's arguments, of which delta takes any value."""
+def _growth_args(i: dict) -> tuple:
+    """(p, delta, d_p, j_min, j_max, margin) of a growth-constant op's inputs."""
+    return i["p"], Fraction(i["delta"]), i["d_p"], i["j_min"], i["j_max"], Fraction(i["margin"])
+
+
+def _check_growth_inputs(i: dict) -> None:
+    """The inputs of growth-constant, of which delta takes any value."""
+    p, _, d_p, j_min, j_max, margin = _growth_args(i)
     if p < 2 or not is_prime(p):
         raise ValueError("p must be prime")
     if j_min < 1 or j_max < j_min:
@@ -400,37 +369,23 @@ def _growth_checks(delta: Fraction, d_p: int, j_min: int, j_max: int, margin: Fr
         raise SelfCheckFailed("a growth check fails at this enclosure of ln p")
 
 
-def tower_growth_constant(
-    p: int,
-    delta: Fraction,
-    d_p: int,
-    j_min: int,
-    j_max: int,
-    margin: Fraction = Fraction(1, 1024),
-    max_refinements: int = _LADDER_RUNGS,
-) -> GrowthConstantResult:
-    """Largest certifiable D with D*ln(p)*(9j+delta)^2 < j(j-1)/2 - 9j - D_p
-    for every j in [j_min, j_max].
+def _search_growth_constant(i: dict) -> tuple[dict, dict]:
+    """The ln ladder: the largest certifiable D with D*ln(p)*(9j+delta)^2 <
+    j(j-1)/2 - 9j - D_p for every j in [j_min, j_max], at the first rung that separates.
 
     D is taken a relative margin below the interval-certified minimum of
-    the ratio; each final verdict substitutes the upper bound of the ln(p)
+    the ratio; each check substitutes the upper bound of the ln(p)
     enclosure, so a pass is a proof.  "log" means the natural logarithm
     here; rescaling D converts to any other base.
     """
-    delta = Fraction(delta)
-    _check_growth_inputs(p, delta, d_p, j_min, j_max, margin)
-    for enclosure in _ln_ladder(p, max_refinements):
+    p, delta, d_p, j_min, j_max, margin = _growth_args(i)
+    for enclosure in _ln_ladder(p):
         ratios = [_growth_rhs(j, d_p) / (enclosure.hi * (9 * j + delta) ** 2)
                   for j in range(j_min, j_max + 1)]
         constant = (1 - margin) * min(ratios)
         # each ln_hi*(9j+delta)^2 is positive, so constant < ratio is the check growth@j
         if all(constant < ratio for ratio in ratios):
-            checks = tuple(check for check, _ in _growth_checks(
-                delta, d_p, j_min, j_max, margin, constant, enclosure.hi))
-            return GrowthConstantResult(
-                p=p, delta=delta, d_p=d_p, j_min=j_min, j_max=j_max,
-                constant=constant, ln_p=enclosure, checks=checks,
-            )
+            return i, {"constant": str(constant), "ln_p": enclosure.to_json()}
     raise PrecisionExhausted(
         "could not separate the growth inequality at maximum ln precision"
     )
@@ -465,21 +420,15 @@ def level_count(primes: Sequence[int], j: int, ell0: int) -> int:
     return _power_product(primes[:j], ell0 * (ell0 - 1))
 
 
-class TowerKResult(NamedTuple):
-    k: int
-    product_condition: IneqCheck
-    full_at_k: IneqCheck
-    product_condition_before: Optional[IneqCheck]
-    full_before: Optional[IneqCheck]
-
-
 def _check_tower_inputs(i: dict) -> None:
+    """The inputs of tower-min-k: its constants, primes, start level and margin >= r."""
+    _constants(i)
     _validate_primes(i["primes"])
     if i["j"] < 0 or i["j"] > len(i["primes"]):
         raise ValueError("invalid start level")
     ell0, r = i["ell0"], i["r"]
     margin = ell0 * (ell0 - 1) - 3 * ell0 * i["dim_g"]
-    if r <= 0 or margin < r:
+    if margin < r:
         raise ExponentMarginNonpositive(
             f"need ell0(ell0-1) - 3 ell0 dim_g = {margin} >= r = {r} > 0"
         )
@@ -523,21 +472,6 @@ def _least_level(i: dict) -> int:
     raise PrimesExhausted(
         f"the supplied {len(primes)} primes never satisfy the product condition"
     )
-
-
-def tower_min_k(primes: Sequence[int], j: int, ell0: int, dim_g: int,
-                c_x: int, x: int, c: int, r: int) -> TowerKResult:
-    """Minimal level k > j at which new non-isometric covers must appear.
-
-    The search runs on the sufficient condition
-    prod_{i=j+1..k} p_i^r > C_j * C_X * x^c with
-    C_j = prod_{i=1..j} p_i^(3 ell0 dim_g); the result is certified by
-    substituting the full tower inequality at k and both conditions at k-1.
-    """
-    i = dict(primes=primes, j=j, ell0=ell0, dim_g=dim_g, c_x=c_x, x=x, c=c, r=r)
-    _check_tower_inputs(i)
-    k = _least_level(i)
-    return TowerKResult(k, *(check for check, _ in _tower_checks(i, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -658,22 +592,12 @@ def _min_ell_op(condition, chained: bool = False) -> PlanOp:
     return PlanOp(("dim_g", "c", "r"), certify, _constants, search, optional)
 
 
-def _growth_args(i: dict) -> tuple:
-    """(p, delta, d_p, j_min, j_max, margin) of a growth-constant op's inputs."""
-    return i["p"], Fraction(i["delta"]), i["d_p"], i["j_min"], i["j_max"], Fraction(i["margin"])
-
-
-def _search_growth_constant(i: dict) -> tuple[dict, dict]:
-    found = tower_growth_constant(*_growth_args(i))
-    return i, {"constant": str(found.constant), "ln_p": found.ln_p.to_json()}
-
-
 def _certify_growth_constant(i: dict, result: dict) -> tuple[dict, Certificate]:
     """ln_p must be a rung of the search's ladder, which proves that it encloses
     ln p; the certificate proves the constant after its last check."""
     p, *args = _growth_args(i)
     stated = (Fraction(result["ln_p"]["lo"]), Fraction(result["ln_p"]["hi"]))
-    rung = next((rung for rung in _ln_ladder(p, _LADDER_RUNGS) if (rung.lo, rung.hi) == stated),
+    rung = next((rung for rung in _ln_ladder(p) if (rung.lo, rung.hi) == stated),
                 None)
     if rung is None:
         raise SelfCheckFailed(f"ln_p is not one of the {_LADDER_RUNGS} enclosures of ln {p} "
@@ -681,11 +605,6 @@ def _certify_growth_constant(i: dict, result: dict) -> tuple[dict, Certificate]:
     constant = Fraction(result["constant"])
     return ({"constant": str(constant), "log_base": "natural", "ln_p": rung.to_json()},
             _growth_checks(*args, constant, rung.hi))
-
-
-def _validate_tower_min_k(i: dict) -> None:
-    _constants(i)
-    _check_tower_inputs(i)
 
 
 PLAN_OPS: dict[str, PlanOp] = {
@@ -704,10 +623,10 @@ PLAN_OPS: dict[str, PlanOp] = {
     "volume-bound": _closed(tower_volume_bound, ("big_c", "p", "j")),
     "growth-constant": PlanOp(
         ("p", "delta", "d_p", "j_min", "j_max", "margin"), _certify_growth_constant,
-        lambda i: _check_growth_inputs(*_growth_args(i)), _search_growth_constant),
+        _check_growth_inputs, _search_growth_constant),
     "level-count": _closed(level_count, ("primes", "j", "ell0")),
     "tower-min-k": PlanOp(
         ("primes", "j", "ell0", "dim_g", "c_x", "x", "c", "r"),
         lambda i, result: ({"k": int(result["k"])}, _tower_checks(i, int(result["k"]))),
-        _validate_tower_min_k, lambda i: (i, {"k": _least_level(i)})),
+        _check_tower_inputs, lambda i: (i, {"k": _least_level(i)})),
 }

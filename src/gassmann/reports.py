@@ -262,24 +262,21 @@ def _verify_graph(item: dict, config: dict, items: _Items, problems: list[str]) 
 
 
 def _verify_cospectral(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
-    from .schreier import char_poly
+    from .schreier import distinct_charpolys
 
     # vertex index(b)·q + index(c) is the coset of (0, b, c): each graph's centre has
     # rank m, from the config, and its polynomial comes from its q representatives' rows
-    # each distinct charpoly once, numbered in order of first appearance, as cmd_graphs interns them
-    index_of: dict[tuple, int] = {}
-    charpoly_index = [index_of.setdefault(char_poly(graph).coefficients, len(index_of))
-                      for graph in items.graphs()]
+    polys, charpoly_index = distinct_charpolys(items.graphs())
     k = len(charpoly_index)
     if not _same(item["pair_count"], k * (k - 1) // 2):
         problems.append("cospectral pair_count is not k(k-1)/2 for the k coset graphs")
     if not _same(item["distinct_charpolys"],
-                 [[encode_count(c) for c in poly] for poly in index_of]):
+                 [[encode_count(c) for c in poly] for poly in polys]):
         problems.append("distinct_charpolys are not the charpolys of the graphs rebuilt from "
                         "their labels, each once in order of first appearance")
     if not _same(item["charpoly_index"], charpoly_index):
         problems.append("charpoly_index does not give each graph's charpoly")
-    all_equal = len(index_of) <= 1
+    all_equal = len(polys) <= 1
     if not _same(item["all_equal"], all_equal):
         problems.append("cospectral flags contradict the coset-graph charpolys")
     return all_equal

@@ -562,6 +562,16 @@ def char_poly(graph: CosetGraph, cap: Optional[int] = None) -> SpectrumPolynomia
     return _charpoly_of_reps(graph.reps, graph.group.ring.p, graph.rank)
 
 
+def distinct_charpolys(graphs: Sequence[CosetGraph]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """(distinct, charpoly_index): each distinct charpoly's coefficients once, numbered
+    in order of first appearance, and each graph's charpoly by its number.  A graph's
+    own copy is dropped once it is interned."""
+    index_of: dict[tuple, int] = {}
+    charpoly_index = [index_of.setdefault(char_poly(graph).coefficients, len(index_of))
+                      for graph in graphs]
+    return list(index_of), charpoly_index
+
+
 # ---------------------------------------------------------------------------
 # Isomorphism
 # ---------------------------------------------------------------------------

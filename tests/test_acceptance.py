@@ -14,11 +14,9 @@ from conftest import run_cli
 
 from gassmann.certify import ProductFamily, product_certificate
 from gassmann.cli import cmd_certify, cmd_graphs, cmd_tower
-from gassmann.errors import NoValidD
 from gassmann.heisenberg import heisenberg_group
 from gassmann.oracles import ProductGroup, charpoly_berkowitz, product_profile_direct
 from gassmann.places import residue_degree, residue_degree_subgroup, scan_places
-from gassmann.planner import min_ell_growth, min_ell_sequence, tower_growth_constant, tower_min_k
 from gassmann.reports import verify_report
 from gassmann.rings import LinearMap, make_field, primes_up_to
 
@@ -200,35 +198,40 @@ def test_criterion_6_place_scanner():
     )
 
 
+def _plan(argv: str) -> tuple[int, dict, str]:
+    """The exit code, plan item (None on an error) and stderr of gassmann plan argv."""
+    code, out, err = run_cli("plan", *argv.split())
+    return code, json.loads(out)["items"][0] if out else None, err
+
+
 def test_criterion_7_planner_exactness():
-    growth = min_ell_growth(8, 1, 1)
-    sequence = min_ell_sequence(8, 1, 1)
-    r = 37 * 36 - 3 * 37 * 8
-    tower = tower_min_k([2, 3, 5, 7, 11], j=1, ell0=37, dim_g=8, c_x=4, x=1, c=1, r=r)
-    constant = tower_growth_constant(2, Fraction(1), 0, 30, 100)
-    novalid = False
-    try:
-        tower_growth_constant(2, Fraction(1), 5000, 30, 100)
-    except NoValidD:
-        novalid = True
+    runs = [_plan(argv) for argv in (
+        "min-ell-growth --dim-g 8 --c 1 --r 1",
+        "min-ell-sequence --dim-g 8 --c 1 --r 1",
+        "tower-min-k --primes 2,3,5,7,11 --j 1 --ell0 37 --dim-g 8 --c-x 4 --x 1 --c 1 --r 444",
+        "growth-constant --p 2 --delta 1 --d-p 0 --j-min 30 --j-max 100")]
+    growth, sequence, tower, constant = (item for _, item, _ in runs)
+    novalid = _plan("growth-constant --p 2 --delta 1 --d-p 5000 --j-min 30 --j-max 100")
+    tower_checks = {check["label"]: check["holds"] for check in tower["checks"]}
     ok = (
-        growth.ell == 37
-        and growth.passing.holds
-        and growth.failing is not None
-        and "ell=31" in growth.failing.label
-        and not growth.failing.holds
-        and sequence.ell == 29
-        and tower.full_at_k.holds
-        and tower.full_before is not None
-        and not tower.full_before.holds
-        and all(check.holds for check in constant.checks)
-        and novalid
+        all(code == 0 for code, _, _ in runs)
+        and growth["result"]["ell"] == 37
+        and [(c["label"], c["holds"]) for c in growth["checks"]]
+        == [("min-ell-growth@ell=37", True), ("min-ell-growth@ell=31", False)]
+        and sequence["result"]["ell"] == 29
+        and tower["result"]["k"] == 3
+        and tower_checks["tower-full@k=3"]
+        and not tower_checks["tower-full@k=2"]
+        and len(constant["checks"]) == 71
+        and all(check["holds"] for check in constant["checks"])
+        and novalid[0] == 2 and "error: NoValidD: " in novalid[2]
     )
     _criterion(
         7,
-        f"min_ell_growth(8,1,1)={growth.ell} (31 fails, 37 passes); "
-        f"min_ell_sequence(8,1,1)={sequence.ell}; tower k={tower.k} minimal; "
-        f"growth constant certified at 71 points; NoValidD raised",
+        f"plan min-ell-growth --dim-g 8 --c 1 --r 1: ell={growth['result']['ell']} "
+        f"(31 fails, 37 passes); min-ell-sequence: ell={sequence['result']['ell']}; "
+        f"tower k={tower['result']['k']} minimal; growth constant certified at 71 points; "
+        f"NoValidD raised",
         ok,
     )
 

@@ -29,11 +29,12 @@ from hypothesis import strategies as st
 
 from gassmann import cli
 from gassmann.errors import SizeCapExceeded, SpecMismatch
-from gassmann.heisenberg import Heisenberg, heisenberg_group, horizontal_subgroup, twisted_subgroup
+from gassmann.heisenberg import Heisenberg, heisenberg_group, twisted_subgroup
 from gassmann.oracles import (
     ProductGroup,
     center_subgroup,
     conjugate_subgroup,
+    horizontal_subgroup,
     product_classes_from_factors,
     product_profile_direct,
     trivial_subgroup,

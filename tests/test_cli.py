@@ -1540,17 +1540,20 @@ def test_verify_lists_a_stored_dim_g_of_0(tmp_path, argv):
 
 @pytest.mark.parametrize("walk", ["_least_prime", "_least_level"])
 def test_verify_never_runs_a_plans_walk(monkeypatch, walk):
-    # the prime walk and the product walk are searches; verify proves their result
-    reports_out = [json.loads(run_cli(*argv)[1]) for argv in (
-        _MIN_ELL_GROWTH + ("--p", "2", "--c-1", "1"),
-        ("plan", "tower-min-k", "--primes", "2,3,5,7", "--j", "1", "--ell0", "37",
-         "--dim-g", "8", "--c-x", "4", "--x", "1", "--c", "1", "--r", "444"))]
+    # the prime walk, the product walk and the ln ladder are searches; verify proves
+    # their result, so it runs no op's search, nor a walk by another way
+    reports_out = [json.loads(run_cli("plan", *argv.split())[1]) for argv in PINNED_PLANS]
 
-    def refuse(*args):
-        raise AssertionError(f"verify ran {walk}")
+    def refuse(what):
+        def run(*args):
+            raise AssertionError(f"verify ran {what}")
+        return run
 
-    monkeypatch.setattr(planner, walk, refuse)
-    assert [verify_report(report) for report in reports_out] == [[], []]
+    monkeypatch.setattr(planner, walk, refuse(walk))
+    for name in {argv.split()[0] for argv in PINNED_PLANS}:
+        op = planner.PLAN_OPS[name]
+        monkeypatch.setitem(planner.PLAN_OPS, name, op._replace(search=refuse(f"{name}'s search")))
+    assert [verify_report(report) for report in reports_out] == [[]] * len(PINNED_PLANS)
 
 
 @pytest.mark.parametrize("op", ["min-ell-sequence", "min-ell-growth"])
@@ -1847,6 +1850,23 @@ def test_verify_json_list_exits_2(tmp_path):
     code, out, err = run_cli("verify", str(path))
     assert code == 2 and out == ""
     _one_line_error(err, "SpecMismatch")
+
+
+def test_verify_of_json_nested_past_the_recursion_limit_exits_2(tmp_path):
+    # the JSON parser gives up near the interpreter's recursion limit of 1,000 frames,
+    # counted from the stack of a fresh interpreter, so verify runs in one: on a bare
+    # list and on a plan report with one deep field in its config
+    _, out, _ = run_cli("plan", "twisted-count", "--p", "2", "--ell0", "37", "--dim-g", "8")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    field = tmp_path / "field.json"
+    field.write_text(out.replace('"op": ', '"extra": ' + "[" * 1000 + "]" * 1000 + ', "op": ', 1))
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for path in (deep, field):
+        run = subprocess.run([sys.executable, "-m", "gassmann.cli", "verify", str(path)],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 2 and run.stdout == ""
+        _one_line_error(run.stderr, "RecursionError")
 
 
 @pytest.mark.parametrize("item", [1, {"holds": True}, {"kind": ["plan"]}])

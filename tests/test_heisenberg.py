@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gassmann.errors import DimensionMismatch, SizeCapExceeded, SpecMismatch
-from gassmann.heisenberg import class_key, heisenberg_group, horizontal_subgroup, twisted_subgroup
+from gassmann.heisenberg import class_key, heisenberg_group, twisted_subgroup
 from gassmann import rings
-from gassmann.oracles import center_subgroup, conjugacy_partition, conjugate_subgroup
+from gassmann.oracles import (center_subgroup, conjugacy_partition, conjugate_subgroup,
+                              horizontal_subgroup)
 from gassmann.rings import LinearMap, all_linear_maps, make_field, make_trunc_ring, mult_matrix
 
 

@@ -41,6 +41,13 @@ BENCH_BINDINGS = [
     ("gassmann.rings", "_RingOps.neg"),
 ]
 
+# library entry points that no command runs: the paper's product construction and
+# the centre factorisation of rows that a caller made
+LIBRARY_ENTRY_POINTS = [
+    ("gassmann.certify", "product_certificate"),
+    ("gassmann.schreier", "charpoly_by_centre"),
+]
+
 # certify and graphs over GF(4) through cli.main, then verify on both reports
 CLI_RUN = """
 import contextlib, io, sys
@@ -87,6 +94,23 @@ def _imports(tree: ast.AST, module: str) -> bool:
     return False
 
 
+def _unreferenced(sources: dict[str, str]) -> list[str]:
+    """module.name of each module-level def or class of the sources, by module name,
+    that no name, attribute or from-import in any of them refers to."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in used]
+
+
 def _run(script: str, *args: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.run([sys.executable, "-c", script, *args], env=env,
@@ -120,3 +144,14 @@ def test_certify_and_its_verify_load_only_what_they_run(tmp_path):
     unused = ["dataclasses", "inspect", "gassmann.places"]
     assert _run(CERTIFY_RUN, report, *unused) == "0 []\n"
     assert _run(VERIFY_RUN, report, *unused, "gassmann.schreier") == "[] []\n"
+
+
+def test_every_production_definition_is_used_by_production_code():
+    # a function or class that only the tests call belongs in oracles.py, unless the
+    # benchmark binds it or it is a named library entry point
+    assert _unreferenced({"a": "def f(): g()\ndef g(): pass\nclass C: pass",
+                          "b": "from a import C"}) == ["a.f"]
+    kept = {f"{module}.{path.split('.')[0]}"
+            for module, path in BENCH_BINDINGS + LIBRARY_ENTRY_POINTS}
+    sources = {f"gassmann.{path.stem}": path.read_text() for path in PRODUCTION}
+    assert [name for name in _unreferenced(sources) if name not in kept] == []

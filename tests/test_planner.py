@@ -1,14 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
+from conftest import run_cli
 
-from gassmann.errors import (
-    ExponentMarginNonpositive,
-    NoValidD,
-    PrecisionExhausted,
-    PrimesExhausted,
-    SelfCheckFailed,
-)
+from gassmann.errors import PrimesExhausted, SelfCheckFailed
 from gassmann.planner import (
     IneqCheck,
     commensurator_conjugates_bound,
@@ -17,16 +13,36 @@ from gassmann.planner import (
     isometry_headroom,
     level_count,
     ln_interval,
-    min_ell_growth,
-    min_ell_sequence,
     nonarith_count,
     nonarith_headroom,
-    tower_growth_constant,
-    tower_min_k,
     tower_volume_bound,
     twisted_count_bound,
     _atanh_twice,
 )
+
+
+def _flags(options: dict) -> list[str]:
+    return [arg for name, value in options.items()
+            for arg in ("--" + name.replace("_", "-"), str(value))]
+
+
+def _plan_item(op: str, **options) -> dict:
+    """The item of the report of gassmann plan op with the options given."""
+    code, out, err = run_cli("plan", op, *_flags(options))
+    assert code == 0, err
+    return json.loads(out)["items"][0]
+
+
+def _plan_error(op: str, **options) -> str:
+    """The one-line error of gassmann plan op, which refuses the options given."""
+    code, out, err = run_cli("plan", op, *_flags(options))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    return err
+
+
+def _holds(item: dict) -> dict[str, bool]:
+    """Each check's label with whether it holds, in report order."""
+    return {check["label"]: check["holds"] for check in item["checks"]}
 
 
 # ---------------------------------------------------------------------------
@@ -81,37 +97,36 @@ def test_volume_bound():
 
 @pytest.mark.parametrize(
     "args,expected,fail_at",
-    [((0, 0, 0), 2, None), ((1, 0, 1), 5, 3), ((8, 1, 1), 29, 23)],
+    [((1, 0, 1), 5, 3), ((8, 1, 1), 29, 23)], ids=["args1-5-3", "args2-29-23"],
 )
 def test_min_ell_sequence(args, expected, fail_at):
-    res = min_ell_sequence(*args)
-    assert res.ell == expected
-    assert res.passing.holds
-    if fail_at is None:
-        assert res.failing is None
-    else:
-        assert res.failing is not None and not res.failing.holds
-        assert f"ell={fail_at}" in res.failing.label
+    item = _plan_item("min-ell-sequence", **dict(zip(("dim_g", "c", "r"), args)))
+    assert item["result"]["ell"] == expected
+    assert _holds(item) == {f"min-ell-sequence@ell={expected}": True,
+                            f"min-ell-sequence@ell={fail_at}": False}
 
 
 @pytest.mark.parametrize(
     "args,expected,fail_at",
-    [((0, 0, 0), 2, None), ((3, 1, 2), 19, 17), ((8, 1, 1), 37, 31)],
+    [((3, 1, 2), 19, 17), ((8, 1, 1), 37, 31)], ids=["args1-19-17", "args2-37-31"],
 )
 def test_min_ell_growth(args, expected, fail_at):
-    res = min_ell_growth(*args)
-    assert res.ell == expected
-    assert res.passing.holds
-    if fail_at is not None:
-        assert not res.failing.holds
-        assert f"ell={fail_at}" in res.failing.label
+    item = _plan_item("min-ell-growth", **dict(zip(("dim_g", "c", "r"), args)))
+    assert item["result"]["ell"] == expected
+    assert _holds(item) == {f"min-ell-growth@ell={expected}": True,
+                            f"min-ell-growth@ell={fail_at}": False}
+
+
+def test_the_min_ell_ops_refuse_dim_g_0():
+    assert all("ValueError: dim_g must be positive" in _plan_error(op, dim_g=0, c=0, r=0)
+               for op in ("min-ell-sequence", "min-ell-growth"))
 
 
 def test_min_ell_growth_certificate_values():
-    res = min_ell_growth(8, 1, 1)
+    checks = _plan_item("min-ell-growth", dim_g=8, c=1, r=1)["checks"]
     # 37*36 - 37*25 - 37*8 - 1 = 110 and 31*30 - 31*25 - 31*8 - 1 = -94
-    assert res.passing.lhs == 110
-    assert res.failing.lhs == -94
+    assert [(check["label"], check["lhs"]) for check in checks] == [
+        ("min-ell-growth@ell=37", "110"), ("min-ell-growth@ell=31", "-94")]
 
 
 def test_growth_chain():
@@ -158,35 +173,37 @@ def test_ln_interval_of_one_is_exact():
 
 
 def test_growth_constant_range():
-    res = tower_growth_constant(2, Fraction(1), 0, 30, 100)
-    assert len(res.checks) == 71
-    assert all(c.holds for c in res.checks)
+    item = _plan_item("growth-constant", p=2, delta=1, d_p=0, j_min=30, j_max=100)
+    constant = Fraction(item["result"]["constant"])
+    ln_hi = Fraction(item["result"]["ln_p"]["hi"])
+    assert _holds(item) == {f"growth@j={j}": True for j in range(30, 101)}
     # substitution uses the upper end of the ln enclosure, so a pass is a proof
-    for j, check in zip(range(30, 101), res.checks):
+    for j, check in zip(range(30, 101), item["checks"]):
         rhs = Fraction(j * (j - 1), 2) - 9 * j
-        assert check.rhs == rhs
-        assert res.constant * res.ln_p.hi * (9 * j + 1) ** 2 < rhs
+        assert Fraction(check["rhs"]) == rhs
+        assert constant * ln_hi * (9 * j + 1) ** 2 < rhs
 
 
 def test_growth_constant_single_point_strictly_below_ratio():
-    res = tower_growth_constant(3, Fraction(1, 2), 2, 40, 40)
+    result = _plan_item("growth-constant", p=3, delta="1/2", d_p=2, j_min=40, j_max=40)["result"]
     j = 40
     rhs = Fraction(j * (j - 1), 2) - 9 * j - 2
     # D sits strictly below the certified ratio at the only point
-    assert res.constant * res.ln_p.hi * (9 * j + Fraction(1, 2)) ** 2 < rhs
+    assert (Fraction(result["constant"]) * Fraction(result["ln_p"]["hi"])
+            * (9 * j + Fraction(1, 2)) ** 2 < rhs)
 
 
 def test_growth_constant_no_valid_d():
-    with pytest.raises(NoValidD):
-        tower_growth_constant(2, Fraction(1), 5000, 30, 100)
-    with pytest.raises(NoValidD):
-        tower_growth_constant(2, Fraction(1), 0, 3, 10)  # right side < 0 at j_min
+    assert "error: NoValidD: " in _plan_error("growth-constant", p=2, d_p=5000,
+                                              j_min=30, j_max=100)
+    # right side < 0 at j_min
+    assert "error: NoValidD: " in _plan_error("growth-constant", p=2, d_p=0, j_min=3, j_max=10)
 
 
 def test_growth_constant_precision_exhausted():
-    with pytest.raises(PrecisionExhausted):
-        tower_growth_constant(2, Fraction(1), 0, 30, 31,
-                              margin=Fraction(0), max_refinements=2)
+    # with no margin the constant is the least ratio, which no rung puts below itself
+    assert "error: PrecisionExhausted: " in _plan_error("growth-constant", p=2, d_p=0,
+                                                        j_min=30, j_max=31, margin=0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,29 +220,33 @@ def test_level_count():
         level_count([3, 2], 2, 2)
 
 
+_TOWER = dict(ell0=37, dim_g=8, x=1, c=1)
+
+
 def test_tower_min_k_toy_configuration():
     r = 37 * 36 - 3 * 37 * 8  # 444, the exact exponent margin
-    res = tower_min_k([2, 3, 5, 7, 11], j=1, ell0=37, dim_g=8,
-                      c_x=4, x=1, c=1, r=r)
-    assert res.k == 3
-    assert res.product_condition.holds and res.full_at_k.holds
-    assert not res.product_condition_before.holds
-    assert not res.full_before.holds  # minimality in the full inequality
+    item = _plan_item("tower-min-k", primes="2,3,5,7,11", j=1, c_x=4, r=r, **_TOWER)
+    assert item["result"]["k"] == 3
+    # minimality in the product condition and in the full inequality
+    assert _holds(item) == {"tower-product@k=3": True, "tower-full@k=3": True,
+                            "tower-product@k=2": False, "tower-full@k=2": False}
 
 
 def test_tower_min_k_first_prime_case():
-    res = tower_min_k([2, 3, 5], j=0, ell0=37, dim_g=8, c_x=1, x=1, c=1, r=1)
-    assert res.k == 1
-    assert not res.full_before.holds  # empty products: 1 < 1 fails
+    item = _plan_item("tower-min-k", primes="2,3,5", j=0, c_x=1, r=1, **_TOWER)
+    assert item["result"]["k"] == 1
+    assert _holds(item)["tower-full@k=0"] is False  # empty products: 1 < 1 fails
 
 
 def test_tower_min_k_errors():
-    with pytest.raises(ExponentMarginNonpositive):
-        tower_min_k([2, 3], j=0, ell0=2, dim_g=8, c_x=1, x=1, c=1, r=1)
-    with pytest.raises(ExponentMarginNonpositive):
-        tower_min_k([2, 3], j=0, ell0=37, dim_g=8, c_x=1, x=1, c=1, r=0)
-    with pytest.raises(PrimesExhausted):
-        tower_min_k([2, 3], j=1, ell0=37, dim_g=8, c_x=10**500, x=1, c=1, r=444)
+    assert "error: ExponentMarginNonpositive: " in _plan_error(
+        "tower-min-k", primes="2,3", j=0, c_x=1, r=1, **{**_TOWER, "ell0": 2})
+    assert "error: ExponentMarginNonpositive: " in _plan_error(
+        "tower-min-k", primes="2,3", j=0, c_x=1, r=445, **_TOWER)
+    assert "error: ValueError: r must be positive" in _plan_error(
+        "tower-min-k", primes="2,3", j=0, c_x=1, r=0, **_TOWER)
+    assert "error: PrimesExhausted: " in _plan_error(
+        "tower-min-k", primes="2,3", j=1, c_x=10**500, r=444, **_TOWER)
 
 
 # ---------------------------------------------------------------------------

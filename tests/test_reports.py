@@ -16,8 +16,8 @@ from gassmann.certify import (
     mult_subspace_echelon,
 )
 from gassmann.errors import SizeCapExceeded
-from gassmann.heisenberg import heisenberg_group, horizontal_subgroup, twisted_subgroup
-from gassmann.oracles import center_subgroup, coset_graph_bruteforce
+from gassmann.heisenberg import heisenberg_group, twisted_subgroup
+from gassmann.oracles import center_subgroup, coset_graph_bruteforce, horizontal_subgroup
 from gassmann.cli import cmd_graphs
 from gassmann.reports import (
     _schreier_graph,

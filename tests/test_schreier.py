@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gassmann import oracles, schreier
 from gassmann.certify import enumerate_class_reps
 from gassmann.errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded, SpecMismatch
-from gassmann.heisenberg import heisenberg_group, horizontal_subgroup, twisted_subgroup
+from gassmann.heisenberg import heisenberg_group, twisted_subgroup
 from gassmann.oracles import (
     are_isomorphic_bruteforce,
     center_subgroup,
@@ -21,6 +21,7 @@ from gassmann.oracles import (
     conjugate_subgroup,
     coset_graph_bruteforce,
     evaluate,
+    horizontal_subgroup,
     loop_count,
     poly_mul_schoolbook,
     trivial_subgroup,
