@@ -18,6 +18,10 @@ from gassmann.planner import (
     tower_volume_bound,
     twisted_count_bound,
     _atanh_twice,
+    _growth_condition,
+    _least_prime,
+    _least_prime_checks,
+    _sequence_condition,
 )
 
 
@@ -95,26 +99,42 @@ def test_volume_bound():
 # ---------------------------------------------------------------------------
 
 
+def _min_ell(condition, args: tuple) -> tuple[int, dict[str, bool]]:
+    """The least prime of the search on args, and each check of its certificate
+    with whether it holds: what the op reports, and also at dim_g = 0, which it refuses."""
+    label, lhs_at, rhs = condition(*args)
+    ell = _least_prime(lhs_at, rhs)
+    return ell, {check.label: check.holds
+                 for check, _ in _least_prime_checks(label, lhs_at, rhs, ell)}
+
+
+def _expected_holds(op: str, expected: int, fail_at) -> dict[str, bool]:
+    holds = {f"{op}@ell={expected}": True}
+    return holds if fail_at is None else {**holds, f"{op}@ell={fail_at}": False}
+
+
 @pytest.mark.parametrize(
     "args,expected,fail_at",
-    [((1, 0, 1), 5, 3), ((8, 1, 1), 29, 23)], ids=["args1-5-3", "args2-29-23"],
+    [((0, 0, 0), 2, None), ((1, 0, 1), 5, 3), ((8, 1, 1), 29, 23)],
 )
 def test_min_ell_sequence(args, expected, fail_at):
-    item = _plan_item("min-ell-sequence", **dict(zip(("dim_g", "c", "r"), args)))
-    assert item["result"]["ell"] == expected
-    assert _holds(item) == {f"min-ell-sequence@ell={expected}": True,
-                            f"min-ell-sequence@ell={fail_at}": False}
+    holds = _expected_holds("min-ell-sequence", expected, fail_at)
+    assert _min_ell(_sequence_condition, args) == (expected, holds)
+    if args[0] > 0:
+        item = _plan_item("min-ell-sequence", **dict(zip(("dim_g", "c", "r"), args)))
+        assert item["result"]["ell"] == expected and _holds(item) == holds
 
 
 @pytest.mark.parametrize(
     "args,expected,fail_at",
-    [((3, 1, 2), 19, 17), ((8, 1, 1), 37, 31)], ids=["args1-19-17", "args2-37-31"],
+    [((0, 0, 0), 2, None), ((3, 1, 2), 19, 17), ((8, 1, 1), 37, 31)],
 )
 def test_min_ell_growth(args, expected, fail_at):
-    item = _plan_item("min-ell-growth", **dict(zip(("dim_g", "c", "r"), args)))
-    assert item["result"]["ell"] == expected
-    assert _holds(item) == {f"min-ell-growth@ell={expected}": True,
-                            f"min-ell-growth@ell={fail_at}": False}
+    holds = _expected_holds("min-ell-growth", expected, fail_at)
+    assert _min_ell(_growth_condition, args) == (expected, holds)
+    if args[0] > 0:
+        item = _plan_item("min-ell-growth", **dict(zip(("dim_g", "c", "r"), args)))
+        assert item["result"]["ell"] == expected and _holds(item) == holds
 
 
 def test_the_min_ell_ops_refuse_dim_g_0():
