@@ -13,7 +13,7 @@ import functools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import NotPrime, RamifiedPlace, SpecMismatch
+from .errors import NotPrime, RamifiedPlace, SizeCapExceeded, SpecMismatch
 from .rings import is_prime, primes_up_to
 
 
@@ -34,16 +34,28 @@ class PlaceRecord(NamedTuple):
         }
 
 
-def choose_modulus(ell: int, scan_cap: int = 10**7) -> int:
+# The modulus search, the scan and its verification go no further than this: the
+# scan sieves the primes up to its bound, and the subgroup test lists the powers mod q
+SCAN_LIMIT = 10**7
+
+
+def check_scan_limit(q: int, bound: int) -> None:
+    """Raise SizeCapExceeded unless the modulus and the bound are within SCAN_LIMIT."""
+    for name, value in (("bound", bound), ("q", q)):
+        if value > SCAN_LIMIT:
+            raise SizeCapExceeded(f"{name}={value} exceeds the scan limit {SCAN_LIMIT}")
+
+
+def choose_modulus(ell: int) -> int:
     """Smallest prime q = 1 (mod ell); Dirichlet guarantees one exists."""
     if not is_prime(ell):
         raise NotPrime(f"ell={ell} is not prime")
     q = 2
-    while q <= scan_cap:
+    while q <= SCAN_LIMIT:
         if q % ell == 1 and is_prime(q):
             return q
         q += 1
-    raise SpecMismatch(f"no prime q = 1 mod {ell} below {scan_cap}")
+    raise SpecMismatch(f"no prime q = 1 mod {ell} below {SCAN_LIMIT}")
 
 
 def _validate(p: int, q: int, ell: int) -> None:
@@ -124,6 +136,7 @@ def scan_places(ell: int, q: int, bound: int) -> ScanResult:
     The ramified prime q is excluded from the scan; distinct primes mean
     each characteristic in the output is realized exactly once.
     """
+    check_scan_limit(q, bound)
     if not is_prime(ell):
         raise NotPrime(f"ell={ell} is not prime")
     if not is_prime(q) or (q - 1) % ell != 0:

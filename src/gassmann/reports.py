@@ -7,26 +7,27 @@ verify_report can reproduce the verdict from the JSON alone.  Each fact
 is stated once: a certify family is stated by its definition, its mode
 and count, which the config fixes, with the one profile of its members;
 a coset graph is stated by its subgroup label and the config's
-generators, which fix it, and verify_report rebuilds it by the group
-law; each distinct charpoly is listed once, and items refer to graphs
-and charpolys by index.  Large integers travel as decimal strings.
+generators, which fix it, and verify_report rebuilds it, the catalog
+and the classes by the routes that graphs runs; each distinct charpoly
+is listed once, and items refer to graphs and charpolys by index.  A
+report holds no key that its command does not write.  Large integers
+travel as decimal strings.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Optional
 
-from .certify import (bruteforce_subgroup_keys, canonical_twist, check_family_config,
-                      conjugate_pair_count, conjugator_oracle_runs, family_class_sizes,
+from .certify import (bruteforce_subgroup_keys, check_family_config, conjugate_pair_count,
+                      conjugator_oracle_runs, enumerate_class_reps, family_class_sizes,
                       family_exponent, family_mode, family_oracles, family_profile,
                       orbit_oracle_runs)
-from .errors import GassmannError, SizeCapExceeded, SpecMismatch
-from .heisenberg import heisenberg_group, parse_twist_label
+from .errors import GassmannError, SpecMismatch
+from .heisenberg import heisenberg_group, parse_twist_label, twist_label, twisted_subgroup
 from .rings import make_field, power_within, primes_up_to
 
 # A verifier imports the modules of its item kind, so that verify loads only those
@@ -99,17 +100,27 @@ def plan_item(op: str, inputs: dict, result: dict, checks: list[tuple[IneqCheck,
 
 class _Items:
     """A report's coset-graph items, in report order, each rebuilt from its label and
-    the config once, for every verifier that reads it."""
+    the config once, by the build that graphs runs, for every verifier that reads it."""
 
     def __init__(self, items: list[dict], config):
         self.config = config
         self.coset_graphs = [item for item in items if item["kind"] == "coset-graph"]
         self._graphs: dict[int, CosetGraph] = {}
 
+    def generators(self) -> tuple:
+        """The config's generator list, each a triple of coefficient tuples."""
+        return tuple(tuple(map(tuple, s)) for s in self.config["generators"])
+
     def graph(self, item: dict) -> CosetGraph:
+        from .schreier import build_coset_graph
+
         key = id(item)  # the items outlive the verification
         if key not in self._graphs:
-            self._graphs[key] = _schreier_graph(item["subgroup"], self.config)
+            config = self.config
+            spec = make_field(config["p"], config["m"], cap=config["cap"])
+            f = parse_twist_label(item["subgroup"], spec)
+            self._graphs[key] = build_coset_graph(twisted_subgroup(f, heisenberg_group(spec)),
+                                                  self.generators())
         return self._graphs[key]
 
     def graphs(self) -> list[CosetGraph]:
@@ -184,8 +195,11 @@ def _verify_conjugacy(item: dict, config: dict, items: _Items, problems: list[st
     if not _same(stored, encode_count(conjugate_pairs)):
         problems.append("structural_conjugate_pairs differs from the closed form: 0 among the "
                         "class reps, p^(m(m-1))·q(q-1)/2 among all p^(m^2) maps")
-    if family_mode(p, m) == "class-reps" and not _same(item["reps_pairwise_nonconjugate"],
-                                                       decode_count(stored) == 0):
+    if family_mode(p, m) == "all-twists":
+        if "reps_pairwise_nonconjugate" in item:
+            problems.append("reps_pairwise_nonconjugate is stated in all-twists mode, where "
+                            "certify omits it")
+    elif not _same(item["reps_pairwise_nonconjugate"], decode_count(stored) == 0):
         problems.append("reps_pairwise_nonconjugate disagrees with structural_conjugate_pairs")
     ran = conjugator_oracle_runs(p, m)
     if not _same(item["bruteforce_checked"], ran):
@@ -206,51 +220,11 @@ def _verify_conjugacy(item: dict, config: dict, items: _Items, problems: list[st
     return agreement and claimed is True
 
 
-def _schreier_graph(label, config: dict) -> CosetGraph:
-    """The Schreier graph of H_f, f from the label, under the config's generators,
-    built by the group law.
-
-    Vertex k stands for t_k = (0, b, c) with k = index(b)·q + index(c); these
-    q² elements lie in distinct cosets of H_f, which has index q².  Generator s
-    sends vertex k to the coset of x = t_k·s, and h·x, for h = (-x0, 0, f(-x0))
-    in H_f, has first coordinate 0, so it is the t_j of that coset.  The
-    centre adds to index(c), so the graph states the ring's dimension as its
-    rank, which CosetGraph.from_rows certifies once by check_centre before it
-    keeps the q orbit representatives' rows.
-    """
-    from .schreier import CosetGraph, transversal
-
-    spec = make_field(config["p"], config["m"], cap=config["cap"])
-    f = parse_twist_label(label, spec)
-    group = heisenberg_group(spec)
-    gens = tuple(tuple(map(tuple, s)) for s in config["generators"])
-    els, zero, mul = spec.elements, spec.zero(), group.mul
-    vertices = transversal(spec)
-    number = {t: k for k, t in enumerate(vertices)}
-    lift = {x: (spec.neg(x), zero, f.apply(spec.neg(x))) for x in els}
-    rows = []
-    for t in vertices:
-        moved = (mul(t, s) for s in gens)
-        rows.append(tuple(sorted(Counter(number[mul(lift[x[0]], x)] for x in moved).items())))
-    return CosetGraph.from_rows(group, label, gens, vertices, rows, spec.dim)
-
-
-def _is_catalog(labels: list, config: dict) -> bool:
-    """Whether the labels are the class reps in catalog order: each its own canonical
-    twist, with flat maps increasing.  With p^(m(m-1)) of them they are all the reps."""
-    spec = make_field(config["p"], config["m"], cap=config["cap"])
-    maps = [parse_twist_label(label, spec) for label in labels]
-    flats = [f.flatten() for f in maps]
-    return (all(canonical_twist(f, spec) == f for f in maps)
-            and all(a < b for a, b in zip(flats, flats[1:])))
-
-
 def _verify_graph(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
     """A coset graph states facts, not a claim: its evidence always gives true."""
-    from .schreier import symmetrize_generators
-
     graph = items.graph(item)
-    if graph.gens != symmetrize_generators(graph.group, graph.gens):
+    # the build symmetrises the generators it is given, so the config must list them so
+    if items.generators() != graph.gens:
         problems.append("the config's generators are not distinct, sorted and closed under "
                         "inverses")
     for field, value in (("vertices", graph.n), ("generators", graph.degree),
@@ -285,9 +259,9 @@ def _verify_cospectral(item: dict, config: dict, items: _Items, problems: list[s
 def _verify_isomorphism_classes(item: dict, config: dict, items: _Items,
                                 problems: list[str]) -> bool:
     """Witnesses map each graph onto its class's first member; first members are
-    pairwise non-isomorphic, by distinct refinement invariants or a re-run search.
-    The classes state facts, not a claim: their evidence always gives true."""
-    from .schreier import find_isomorphism, maps_onto
+    pairwise non-isomorphic, as the class search that graphs runs finds them.  The
+    classes state facts, not a claim: their evidence always gives true."""
+    from .schreier import isomorphism_classes, maps_onto
 
     graphs = items.graphs()
     class_of, witnesses = item["class_of"], item["witnesses"]
@@ -304,17 +278,11 @@ def _verify_isomorphism_classes(item: dict, config: dict, items: _Items,
         elif not (isinstance(witness, list) and _same(sorted(witness), list(range(graphs[k].n)))
                   and maps_onto(graphs[k].rows, graphs[leaders[c]].rows, witness)):
             problems.append(f"witness of graph {k} does not map it onto graph {leaders[c]}")
-    buckets: dict[tuple, list[int]] = {}
-    for k in leaders.values():
-        bucket = buckets.setdefault(graphs[k].refinement[0], [])
-        for other in bucket:
-            try:
-                if find_isomorphism(graphs[k], graphs[other]) is None:
-                    continue
-                problems.append(f"graphs {other} and {k} open two classes but are isomorphic")
-            except SizeCapExceeded:
-                problems.append(f"graphs {other} and {k}: search exceeds the node budget")
-        bucket.append(k)
+    # a search past its budget raises SizeCapExceeded, which verify_report lists
+    firsts = list(leaders.values())
+    merged, witnesses = isomorphism_classes([graphs[k] for k in firsts])
+    problems.extend(f"graphs {firsts[merged.index(c)]} and {k} open two classes but are "
+                    "isomorphic" for k, c, w in zip(firsts, merged, witnesses) if w is not None)
     return True
 
 
@@ -331,20 +299,26 @@ def _verify_tower_count(item: dict, config: dict, items: _Items, problems: list[
 
 
 def _verify_place_scan(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
-    from .places import implementations_agree, residue_degree_subgroup
+    from .places import (PlaceRecord, check_scan_limit, implementations_agree,
+                         residue_degree_subgroup)
 
     ell, q, bound = config["ell"], config["q"], config["bound"]
+    check_scan_limit(q, bound)
     primes = [p for p in primes_up_to(bound) if p != q]
     scanned = set(primes)
     records = item["records"]
     for r in records:
         p = r["p"]
+        problems.extend(f"place record p={p} has a key that places does not write: {key!r}"
+                        for key in sorted(r.keys() - set(PlaceRecord._fields)))
         if p not in scanned:
             problems.append(f"place record p={p} is not a prime up to the bound other than q")
         elif (r["q"], r["ell"], r["degree"]) != (q, ell, ell):
             problems.append(f"place record p={p} does not have residue degree ell={ell}")
-        elif decode_count(r["residue_size"]) != p**ell:
-            problems.append(f"residue size wrong at p={p}")
+        else:
+            size = decode_count(r["residue_size"])
+            if power_within(p, ell, size) != size:
+                problems.append(f"residue size wrong at p={p}")
     # the scan again, by the subgroup test that production does not use for the records
     degree_ell = [p for p in primes if residue_degree_subgroup(p, q, ell) == ell]
     if [r["p"] for r in records] != degree_ell:
@@ -392,7 +366,7 @@ def _verify_plan(item: dict, config: dict, items: _Items, problems: list[str]) -
             ("result", "result differs from the one that the op's inputs give"),
             ("required_checks", "required_checks are not those that the op, inputs and "
                                 "result require")):
-        if not _same(item.get(field), want.get(field)):
+        if not (_same(item.get(field), want.get(field)) and (field in item) == (field in want)):
             problems.append(message)
     for check, wanted in zip(stored, want["checks"]):
         # an operand that is no rational, such as 1/0, makes the item malformed
@@ -424,6 +398,41 @@ _VERIFIERS = {
 }
 
 
+# The keys that each command writes in its config, and in each item kind beside kind
+# and holds, optional ones included: the verifier of an item with an optional key
+# checks that the key is there exactly where the command writes it
+_CONFIG_KEYS = {"certify": "p m cap", "graphs": "p m generators cap", "tower": "p j_max cap",
+                "places": "ell q bound tolerance", "plan": "op"}
+_ITEM_KEYS = {
+    "class-count": "expected actual bruteforce_orbits",
+    "gassmann-family": "mode count pair_count identity_class class_sizes profile all_equal",
+    "conjugacy-dichotomy": "pairs structural_conjugate_pairs bruteforce_checked "
+                           "structural_equals_bruteforce reps_pairwise_nonconjugate",
+    "coset-graph": "subgroup vertices generators connected rep",
+    "cospectral": "pair_count distinct_charpolys charpoly_index all_equal",
+    "isomorphism-classes": "class_of witnesses",
+    "tower-count": "j exact cited_lower bound_holds gap",
+    "place-scan": "records scanned degree_ell_count density cebotarev_density tolerance "
+                  "within_tolerance agreement_checked_to implementations_agree",
+    "plan": "op inputs result checks required_checks",
+}
+
+
+def _unwritten_keys(report: dict) -> list[str]:
+    """One problem per key of the report, its config or an item that its command does
+    not write, so that a report carries nothing that no check reads."""
+    command = report.get("command")
+    if not (isinstance(command, str) and command in _CONFIG_KEYS):
+        return []  # the layout lists an unknown command
+    where = [("the report", report, " ".join(new_report(command, {}))),
+             ("the config", report.get("config"), _CONFIG_KEYS[command])]
+    where += [(f"item {i} ({item['kind']})", item, "kind holds " + _ITEM_KEYS[item["kind"]])
+              for i, item in enumerate(report["items"]) if item["kind"] in _ITEM_KEYS]
+    return [f"{name} has a key that {command} does not write: {key!r}"
+            for name, fields, keys in where if isinstance(fields, dict)
+            for key in sorted(fields.keys() - set(keys.split()))]
+
+
 def _layout_problem(command: str, config: dict, items: list[dict]) -> Optional[str]:
     """What is wrong with the items' kinds and order for the command and config, if anything."""
     kinds = [item["kind"] for item in items]
@@ -436,9 +445,13 @@ def _layout_problem(command: str, config: dict, items: list[dict]) -> Optional[s
         ok = (power_within(config["p"], m * (m - 1), n - 2) == n - 2
               and kinds == ["coset-graph"] * (n - 2) + ["cospectral", "isomorphism-classes"]
               and _same([item.get("rep") for item in items[:-2]], list(range(n - 2))))
-        if ok and not _is_catalog([item["subgroup"] for item in items[:-2]], config):
-            return ("the coset graphs' subgroups are not the class reps in catalog order: each "
-                    "its own canonical twist, their flat maps increasing")
+        if ok:
+            # the p^(m(m-1)) items bound the catalog, listed as graphs lists it
+            spec = make_field(config["p"], m, cap=config["cap"])
+            catalog = [twist_label(f) for f in enumerate_class_reps(spec, config["cap"]).reps]
+            if [item["subgroup"] for item in items[:-2]] != catalog:
+                return ("the coset graphs' subgroups are not the class reps in catalog order: "
+                        "each its own canonical twist, their flat maps increasing")
     elif command == "tower":
         ok = (config["j_max"] == n and kinds == ["tower-count"] * n
               and _same([item.get("j") for item in items], list(range(1, n + 1))))
@@ -467,7 +480,7 @@ def verify_report(report: dict) -> list[str]:
         layout = _layout_problem(report.get("command"), config, items)
     except (KeyError, TypeError, ValueError, GassmannError) as exc:
         layout = f"the config or a subgroup label is malformed: {type(exc).__name__}: {exc}"
-    problems = [layout] if layout else []
+    problems = ([layout] if layout else []) + _unwritten_keys(report)
     grouped = _Items(items, config)
     for i, item in enumerate(items):
         kind = item["kind"]

@@ -18,25 +18,27 @@ build, the connectivity search, the characteristic polynomial, the
 refinement and the non-isomorphism verdicts read those q rows alone.  All
 q² rows are expanded on demand, for the search below the root, the
 witness checks and the exports; the dense adjacency matrix is a view of
-them for the oracles only.  Rows made outside the closed form, by the
-group law or in tests, enter through CosetGraph.from_rows, where
-check_centre certifies every row against the translation rule in one pass
-before anything reads the action.  The characteristic polynomial is the
-product of small blocks, one per orbit of characters of Z under Galois
-conjugation (the voltage-graph factorisation), each split into blocks
-over Z/ℓ for one ℓ ≡ 1 (mod 2p) past a bound on the coefficients and
-reduced to Hessenberg form; the block polynomials multiply by Kronecker
-substitution, one big-integer product each, in a balanced tree.  At rank 0
-the same route gives the dense polynomial, an oracle like the
-fraction-free integer determinants kept here; the division-free Berkowitz
-route is in ``gassmann.oracles``.
+them for the oracles only.  This module is the one place that makes a
+graph: graphs and verify both build through build_coset_graph, and rows
+made outside the closed form, by the oracles or in tests, enter through
+CosetGraph.from_rows, where check_centre certifies every row against the
+translation rule in one pass before anything reads the action.  The
+characteristic polynomial is the product of small blocks, one per orbit
+of characters of Z under Galois conjugation (the voltage-graph
+factorisation), each split into blocks over Z/ℓ for one ℓ ≡ 1 (mod 2p)
+past a bound on the coefficients and reduced to Hessenberg form; the
+block polynomials multiply by Kronecker substitution, one big-integer
+product each, in a balanced tree.  At rank 0 the same route gives the
+dense polynomial, an oracle like the fraction-free integer determinants
+kept here; the division-free Berkowitz route is in ``gassmann.oracles``.
 Isomorphism compares canonical colour-refinement invariants, cached per
 graph and computed on the orbit representatives, since the colours of a
 refinement from one colour are constant on the centre's orbits.  Where
 they agree it searches by individualising and refining, within a budget
 of refinement nodes; at the root, a failed candidate rules out its whole
 orbit, since the centre acts by colour-preserving automorphisms.
-Isomorphism classes bucket graphs by invariant.  The plain permutation
+Isomorphism classes bucket graphs by invariant; verify runs them again on
+the first members of a report's classes.  The plain permutation
 search in ``gassmann.oracles`` is the oracle, through the dense match and
 witness checks kept here.
 """
@@ -698,23 +700,23 @@ def verify_witness(adj1, adj2, witness: Sequence[int]) -> bool:
     return all(adj1[u][w] == adj2[witness[u]][witness[w]] for u in range(n) for w in range(n))
 
 
-def find_isomorphism(g1: CosetGraph, g2: CosetGraph,
-                     cap: int = DEFAULT_ISO_NODES) -> Optional[tuple[int, ...]]:
-    """A witness w that maps_onto(g1.rows, g2.rows, w), or None if there is none.
+def are_isomorphic(g1: CosetGraph, g2: CosetGraph,
+                   cap: int = DEFAULT_ISO_NODES) -> IsomorphismResult:
+    """Exact isomorphism, with a witness w that maps_onto(g1.rows, g2.rows, w).
 
-    Different vertex counts or refinement invariants give None, and equal
-    representatives' rows the identity, before either graph's rows are
+    Different vertex counts or refinement invariants rule it out, and equal
+    representatives' rows give the identity, before either graph's rows are
     expanded: with n = len(reps)·p^r equal, the orbits have one width p^r,
     which fixes p and r, so the rows are equal too.  Otherwise the search
     runs on the rows, its root pruned by the second graph's action.  It runs
     at most ``cap`` refinements and raises SizeCapExceeded past them.
     """
     if g1.n != g2.n:
-        return None
+        return IsomorphismResult(False, None)
     if g1.reps == g2.reps:
-        return tuple(range(g1.n))
+        return IsomorphismResult(True, tuple(range(g1.n)))
     if g1.refinement[0] != g2.refinement[0]:
-        return None
+        return IsomorphismResult(False, None)
     spent = 0
 
     def refine(rows, colors):
@@ -726,16 +728,11 @@ def find_isomorphism(g1: CosetGraph, g2: CosetGraph,
 
     rows1, rows2 = g1.rows, g2.rows
     found = _search(rows1, rows2, g1.refinement[1], g2.refinement[1], refine, g2.centre_width)
-    if found is not None and not maps_onto(rows1, rows2, found):
+    if found is None:
+        return IsomorphismResult(False, None)
+    if not maps_onto(rows1, rows2, found):
         raise SelfCheckFailed("isomorphism witness does not map edges onto edges")
-    return None if found is None else tuple(found)
-
-
-def are_isomorphic(g1: CosetGraph, g2: CosetGraph,
-                   cap: int = DEFAULT_ISO_NODES) -> IsomorphismResult:
-    """Exact isomorphism: refinement invariants first, then individualise and refine."""
-    witness = find_isomorphism(g1, g2, cap)
-    return IsomorphismResult(witness is not None, witness)
+    return IsomorphismResult(True, tuple(found))
 
 
 def isomorphism_classes(graphs: Sequence[CosetGraph]):

@@ -330,7 +330,11 @@ def test_graphs_lists_each_graph_edges_once(monkeypatch):
     graphs = [item for item in report["items"] if item["kind"] == "coset-graph"]
     assert len(graphs) == 4 and calls[0] <= 2 * len(graphs)
     assert all("edges" not in item and "charpoly" not in item for item in report["items"])
-    rebuilt = reports._schreier_graph(graphs[1]["subgroup"], report["config"])
+    spec = make_field(2, 2)
+    f = heisenberg.parse_twist_label(graphs[1]["subgroup"], spec)
+    sub = heisenberg.twisted_subgroup(f, heisenberg.heisenberg_group(spec))
+    rebuilt = schreier.build_coset_graph(
+        sub, [tuple(map(tuple, s)) for s in report["config"]["generators"]])
     assert exports["rep_1.edges"] == "".join(f"{u} {v} {m}\n" for u, v, m in edge_list(rebuilt))
 
 
@@ -408,6 +412,46 @@ def test_places_small_bound_reports_and_fails_tolerance():
     assert verify_report(report) == []
     code2, out2, _ = run_cli("places", "--ell", "3", "--bound", "100", "--tol", "1/10")
     assert code2 == 0 and _report(out2)["summary"]["verdict"] == "pass"
+
+
+# the CLI in a fresh interpreter whose address space is capped at 1 GiB, so that a
+# sieve or a set of powers past the scan limit fails at once instead of swapping
+_CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from gassmann.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _capped_cli(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-c", _CAPPED_CLI, *argv], env=env,
+                          capture_output=True, text=True)
+
+
+# 1000000009 is a prime = 1 mod 3
+@pytest.mark.parametrize("argv, message", [
+    (("--bound", str(10**11)), "bound=100000000000 exceeds the scan limit 10000000"),
+    (("--bound", "100", "--q", "1000000009"), "q=1000000009 exceeds the scan limit 10000000"),
+], ids=["bound", "q"])
+def test_places_past_the_scan_limit_exits_2(argv, message):
+    run = _capped_cli("places", "--ell", "3", *argv)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == f"error: SizeCapExceeded: {message}\n"
+
+
+@pytest.mark.parametrize("field, value", [("bound", 10**11), ("q", 1000000009)])
+def test_verify_of_a_place_scan_past_the_scan_limit_lists_one_problem(tmp_path, field, value):
+    _, out, _ = run_cli("places", "--ell", "3", "--bound", "100")
+    report = json.loads(out)
+    report["config"][field] = value
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(report))
+    run = _capped_cli("verify", str(path))
+    assert run.returncode == 1 and run.stdout == "verification failed\n"
+    assert run.stderr == ("problem: item 0 (place-scan) fails its check: SizeCapExceeded: "
+                          f"{field}={value} exceeds the scan limit 10000000\n")
 
 
 def test_places_jsonl_format():
@@ -697,11 +741,13 @@ def test_verify_lists_a_split_class_over_the_search_budget(tmp_path, monkeypatch
     classes["witnesses"][2] = None
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(report))
-    search = schreier.find_isomorphism
-    monkeypatch.setattr(schreier, "find_isomorphism", lambda g1, g2: search(g1, g2, cap=0))
+    search = schreier.are_isomorphic
+    monkeypatch.setattr(schreier, "are_isomorphic", lambda g1, g2: search(g1, g2, cap=0))
     code, msg, err = run_cli("verify", str(bad))
     assert code == 1 and "failed" in msg
-    assert "graphs 1 and 2: search exceeds the node budget" in err
+    assert err.splitlines() == [
+        "problem: item 5 (isomorphism-classes) fails its check: SizeCapExceeded: isomorphism "
+        "search exceeds 0 refinement nodes"]
 
 
 def _tampered_graph_verify(tmp_path, tamper) -> tuple[int, str]:
@@ -729,7 +775,7 @@ def test_verify_lists_a_huge_multiplicity(tmp_path):
 def test_verify_lists_a_relabelled_graph(tmp_path):
     # H[1,0,1,0] is conjugate to H[0,0,1,1], the last rep, and comes after the rep
     # before it, so its graph has the same spectrum and opens the same class; only
-    # the canonical-twist check shows that the label is not a rep
+    # the catalog check shows that the label is not a rep
     _, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
     report = json.loads(out)
     assert report["items"][3]["subgroup"] == "H[0,0,1,1]"
@@ -1867,6 +1913,53 @@ def test_verify_of_json_nested_past_the_recursion_limit_exits_2(tmp_path):
                              env=env, capture_output=True, text=True)
         assert run.returncode == 2 and run.stdout == ""
         _one_line_error(run.stderr, "RecursionError")
+
+
+def _adding(*path, value):
+    """A forgery of a report's text that sets the field at path, its last key new."""
+    def forge(text):
+        report = json.loads(text)
+        parent = report
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        return json.dumps(report)
+    return forge
+
+
+def _deep_config_field(text):
+    # 988 levels parse in a fresh interpreter, and no check reads them
+    return text.replace('"op": ', '"extra": ' + "[" * 988 + "]" * 988 + ', "op": ', 1)
+
+
+_TWISTED_COUNT = "plan twisted-count --p 2 --ell0 37 --dim-g 8"
+
+
+@pytest.mark.parametrize("argv, forge, key", [
+    ("certify --p 2 --m 2", _adding("config", "extra", value=5), "extra"),
+    ("certify --p 2 --m 2", _adding("items", 0, "note", value="n"), "note"),
+    ("certify --p 2 --m 2", _adding("note", value="n"), "note"),
+    # an all-twists family, where certify omits the flag
+    ("certify --p 2 --m 2", _adding("items", 2, "reps_pairwise_nonconjugate", value=True),
+     "reps_pairwise_nonconjugate"),
+    # the edges list that schema 2 wrote
+    ("graphs --p 2 --m 2", _adding("items", 0, "edges", value=[[0, 0, 2], [0, 4, 1]]), "edges"),
+    # an op that requires no check, where plan omits the list
+    (_TWISTED_COUNT, _adding("items", 0, "required_checks", value=[]), "required_checks"),
+    (_TWISTED_COUNT, _adding("items", 0, "required_checks", value=None), "required_checks"),
+    ("places --ell 3 --bound 100", _adding("items", 0, "records", 0, "note", value=1), "note"),
+    (_TWISTED_COUNT, _deep_config_field, "extra"),
+], ids=["certify-config", "certify-item", "certify-report", "optional-flag", "schema-2-edges",
+        "empty-required-checks", "null-required-checks", "place-record", "deep-plan-config"])
+def test_verify_refuses_a_key_that_the_command_does_not_write(tmp_path, argv, forge, key):
+    # verify runs in a fresh interpreter, whose stack leaves room for the deep field
+    _, out, _ = run_cli(*argv.split())
+    path = tmp_path / "forged.json"
+    path.write_text(forge(out))
+    run = _capped_cli("verify", str(path))
+    assert run.returncode == 1 and run.stdout == "verification failed\n"
+    problems = run.stderr.splitlines()
+    assert len(problems) == 1 and key in problems[0]
 
 
 @pytest.mark.parametrize("item", [1, {"holds": True}, {"kind": ["plan"]}])

@@ -155,3 +155,26 @@ def test_every_production_definition_is_used_by_production_code():
             for module, path in BENCH_BINDINGS + LIBRARY_ENTRY_POINTS}
     sources = {f"gassmann.{path.stem}": path.read_text() for path in PRODUCTION}
     assert [name for name in _unreferenced(sources) if name not in kept] == []
+
+
+# the constructors of coset graphs and of the rows they certify; the closed-form build
+# and the certified constructor live in schreier, so graphs and verify share one build
+GRAPH_CONSTRUCTORS = {"CosetGraph", "from_rows", "check_centre", "transversal"}
+
+
+def _graph_constructions(tree: ast.AST) -> list[str]:
+    """The sorted names of the graph constructors that the tree calls, by name or attribute."""
+    called = (node.func for node in ast.walk(tree) if isinstance(node, ast.Call))
+    names = (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+             for func in called)
+    return sorted(name for name in names if name in GRAPH_CONSTRUCTORS)
+
+
+def test_only_schreier_constructs_coset_graphs():
+    sample = ("CosetGraph(g)\nsg.CosetGraph.from_rows(r)\ncheck_centre(r, 2, 1)\n"
+              "sg.transversal(s)\nbuild_coset_graph(h, g)\nCosetGraph.rows")
+    assert _graph_constructions(ast.parse(sample)) == [
+        "CosetGraph", "check_centre", "from_rows", "transversal"]
+    makers = {path.name: _graph_constructions(ast.parse(path.read_text(), str(path)))
+              for path in PRODUCTION if path.name != "schreier.py"}
+    assert {name: calls for name, calls in makers.items() if calls} == {}

@@ -4,7 +4,7 @@ import random
 import pytest
 from conftest import run_cli
 
-from gassmann import reports, schreier
+from gassmann import heisenberg, reports, schreier
 from gassmann.certify import (
     all_linear_maps,
     canonical_twist,
@@ -20,7 +20,6 @@ from gassmann.heisenberg import heisenberg_group, twisted_subgroup
 from gassmann.oracles import center_subgroup, coset_graph_bruteforce, horizontal_subgroup
 from gassmann.cli import cmd_graphs
 from gassmann.reports import (
-    _schreier_graph,
     canonical_json,
     encode_count,
     finalize,
@@ -151,43 +150,24 @@ def test_verify_report_recomputes_coset_graph_charpolys():
 def test_the_rebuilt_graph_counts_multiplicities():
     # vertex 0 of H[0,0,0,0] over GF(4) has a double loop: both (1, 0, 0) and (t, 0, 0) fix it
     report = _graphs_2_2()
-    rows = _schreier_graph(report["items"][0]["subgroup"], report["config"]).rows
+    rows = reports._Items(report["items"], report["config"]).graph(report["items"][0]).rows
     assert rows[0] == ((0, 2), (4, 1), (8, 1))
 
 
-_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]
-
-
-@pytest.mark.parametrize("p, m", _FIELDS, ids=lambda v: str(v))
-def test_the_group_law_rebuild_equals_the_closed_form(p, m, monkeypatch):
-    # verify's graph, built by left multiplication into H_f, against production's
-    # closed form, which the walk over the group checks in test_schreier: the rows
-    # the group law gives, as the certified constructor receives them, are the
-    # closed form's rows expanded from its q representatives
-    made = []
-    check = schreier.check_centre
-    monkeypatch.setattr(schreier, "check_centre",
-                        lambda rows, p, r: made.append(rows) or check(rows, p, r))
-    spec = make_field(p, m)
-    group = heisenberg_group(spec)
-    gens = default_generators(group)
-    config = {"p": p, "m": m, "cap": 1 << 20, "generators": [[list(c) for c in g] for g in gens]}
-    for f in enumerate_class_reps(spec).reps:
-        graph = build_coset_graph(twisted_subgroup(f, group), gens)
-        rebuilt = _schreier_graph(graph.subgroup_label, config)
-        assert tuple(made.pop()) == graph.rows
-        assert rebuilt.reps == graph.reps and rebuilt.gens == graph.gens
-
-
 def test_verify_builds_each_graph_once(monkeypatch):
-    # the coset-graph, cospectral and isomorphism-classes items read one build per label
-    calls = []
-    build = reports._schreier_graph
-    monkeypatch.setattr(reports, "_schreier_graph",
-                        lambda label, config: calls.append(label) or build(label, config))
+    # the coset-graph, cospectral and isomorphism-classes items read one build per
+    # label, by the closed form that graphs runs, with no group law
+    calls, products = [], []
+    build, mul = schreier.build_coset_graph, heisenberg.Heisenberg.mul
+    monkeypatch.setattr(schreier, "build_coset_graph",
+                        lambda sub, gens: calls.append(sub.label()) or build(sub, gens))
+    monkeypatch.setattr(heisenberg.Heisenberg, "mul",
+                        lambda group, g, h: products.append(g) or mul(group, g, h))
     report, _ = cmd_graphs(2, 3)
+    calls.clear(), products.clear()
     assert verify_report(report) == []
     assert calls == [item["subgroup"] for item in report["items"][:-2]]
+    assert products == []
 
 
 class _TwoSpectra(reports._Items):
@@ -254,15 +234,15 @@ def test_verify_derives_the_centre_action_from_the_config(p, m, monkeypatch):
 def test_the_centre_is_checked_once_per_rebuilt_graph_and_never_on_a_built_one(
         p, m, monkeypatch):
     # build_coset_graph writes the representatives' rows alone, so it has nothing to
-    # check; verify's group-law rows are certified once, by CosetGraph.from_rows
+    # check, and verify rebuilds each graph by it too: only rows made elsewhere, by
+    # the oracles, are certified by CosetGraph.from_rows
     calls = []
     check = schreier.check_centre
     monkeypatch.setattr(schreier, "check_centre",
                         lambda rows, p, r: calls.append(len(rows)) or check(rows, p, r))
     report, _ = cmd_graphs(p, m)
-    assert calls == []
     assert verify_report(report) == []
-    assert calls == [p ** (2 * m)] * (len(report["items"]) - 2)
+    assert calls == []
 
 
 def _sampled_class_reps(spec, count: int, seed: int) -> list:
