@@ -15,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import certify as cz
 from . import planner as pl
@@ -130,14 +130,15 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None, cap: Optional[in
                 f"coset graph of {graph.subgroup_label} is disconnected; "
                 "the generator set does not generate"
             )
+    # the family is stated by its definition: the class reps in catalog order, each
+    # graph's vertices the q^2 cosets and its degree the config's generator count
+    report["items"].append({"kind": "coset-graphs", "mode": "class-reps", "count": len(graphs),
+                            "vertices": graphs[0].n, "degree": len(gens), "holds": True})
     polys, charpoly_index = sg.distinct_charpolys(graphs)
     distinct = [[rp.encode_count(c) for c in poly] for poly in polys]
 
     files: dict[str, str] = {}
-    for k, (graph, poly) in enumerate(zip(graphs, charpoly_index)):
-        report["items"].append({**graph.to_json(), "kind": "coset-graph", "rep": k, "holds": True})
-        if not exports:
-            continue
+    for k, (graph, poly) in enumerate(zip(graphs, charpoly_index) if exports else ()):
         files[f"rep_{k}.dot"] = graph.to_dot(f"rep_{k}")
         files[f"rep_{k}.edges"] = "".join(
             f"{u} {v} {mult}\n" for u, v, mult in graph.edge_list())
@@ -145,7 +146,7 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None, cap: Optional[in
             {"degree": len(distinct[poly]) - 1, "coefficients": distinct[poly]},
             sort_keys=True) + "\n"
 
-    # both items below refer to the coset-graph items by their rep index
+    # both items below refer to the graphs by their position in the catalog
     all_equal = len(polys) == 1
     report["items"].append(
         {
@@ -191,7 +192,9 @@ def cmd_tower(p: int, j_max: int, cap: Optional[int] = None) -> dict:
 
 
 def cmd_places(ell: int, bound: int, q: Optional[int] = None,
-               tol: Fraction = Fraction(1, 50)) -> dict:
+               tol: Fraction = Fraction(1, 50)) -> tuple[dict, Iterator[dict]]:
+    """The places report, and the records of the primes of residue degree ell, which
+    the report counts and --format jsonl lists, each made only when it is read."""
     from .places import choose_modulus, implementations_agree, scan_places
 
     if q is None:
@@ -205,7 +208,6 @@ def cmd_places(ell: int, bound: int, q: Optional[int] = None,
     report["items"].append(
         {
             "kind": "place-scan",
-            "records": [r.to_json() for r in scan.records],
             "scanned": scan.scanned,
             "degree_ell_count": scan.degree_ell_count,
             "density": str(scan.density),
@@ -217,7 +219,9 @@ def cmd_places(ell: int, bound: int, q: Optional[int] = None,
             "holds": within and agree,
         }
     )
-    return rp.finalize(report)
+    records = ({"p": p, "q": q, "ell": ell, "degree": ell, "residue_size": str(p**ell)}
+               for p in scan.primes)
+    return rp.finalize(report), records
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +318,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     exports: dict[str, str] = {}
+    records: Iterator[dict] = iter(())
     try:
         if args.format == "jsonl" and args.command != "places":
             raise UsageError(f"--format jsonl applies to places only, not {args.command}")
@@ -325,8 +330,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "tower":
             report = cmd_tower(args.p, args.j_max, cap=args.cap)
         elif args.command == "places":
-            report = cmd_places(args.ell, args.bound, q=args.q,
-                                tol=Fraction(args.tol))
+            report, records = cmd_places(args.ell, args.bound, q=args.q,
+                                         tol=Fraction(args.tol))
         elif args.command == "plan":
             report = cmd_plan(args)
         elif args.command == "verify":
@@ -343,15 +348,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
-    if args.format == "jsonl" and args.command == "places":
-        lines = [
-            json.dumps(rec, sort_keys=True)
-            for rec in report["items"][0]["records"]
-        ]
-        summary = {
-            k: v for k, v in report["items"][0].items() if k != "records"
-        }
-        lines.append(json.dumps(summary, sort_keys=True))
+    if args.format == "jsonl":
+        lines = [json.dumps(rec, sort_keys=True) for rec in [*records, report["items"][0]]]
         sys.stdout.write("\n".join(lines) + "\n")
     elif args.format == "table":
         sys.stdout.write(rp.render_table(report))

@@ -187,16 +187,6 @@ def twist_label(f: LinearMap) -> str:
     return f"H[{','.join(map(str, f.flatten()))}]"
 
 
-def parse_twist_label(label, ring: RingSpec) -> LinearMap:
-    """The additive map f on the ring whose ``twist_label`` is ``label``."""
-    if not (isinstance(label, str) and label.startswith("H[") and label.endswith("]")):
-        raise SpecMismatch(f"{label!r} is not a twisted-subgroup label H[...]")
-    f = LinearMap.from_flat(ring.p, tuple(map(int, label[2:-1].split(","))), ring.dim)
-    if twist_label(f) != label:
-        raise SpecMismatch(f"{label!r} is not the label of an additive map on GF({ring.size})")
-    return f
-
-
 def twisted_subgroup(f: LinearMap, group: Heisenberg) -> TwistedSubgroup:
     """Build H_f after checking that f acts on the group's ring.
 

@@ -17,23 +17,6 @@ from .errors import NotPrime, RamifiedPlace, SizeCapExceeded, SpecMismatch
 from .rings import is_prime, primes_up_to
 
 
-class PlaceRecord(NamedTuple):
-    p: int
-    q: int
-    ell: int
-    degree: int
-    residue_size: int
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "ell": self.ell,
-            "degree": self.degree,
-            "residue_size": str(self.residue_size),
-        }
-
-
 # The modulus search, the scan and its verification go no further than this: the
 # scan sieves the primes up to its bound, and the subgroup test lists the powers mod q
 SCAN_LIMIT = 10**7
@@ -47,14 +30,15 @@ def check_scan_limit(q: int, bound: int) -> None:
 
 
 def choose_modulus(ell: int) -> int:
-    """Smallest prime q = 1 (mod ell); Dirichlet guarantees one exists."""
+    """Smallest prime q = 1 (mod ell), tried as q = k·ell + 1; Dirichlet guarantees one
+    exists."""
     if not is_prime(ell):
         raise NotPrime(f"ell={ell} is not prime")
-    q = 2
+    q = ell + 1
     while q <= SCAN_LIMIT:
-        if q % ell == 1 and is_prime(q):
+        if is_prime(q):
             return q
-        q += 1
+        q += ell
     raise SpecMismatch(f"no prime q = 1 mod {ell} below {SCAN_LIMIT}")
 
 
@@ -109,12 +93,12 @@ class ScanResult(NamedTuple):
     ell: int
     q: int
     bound: int
-    records: tuple[PlaceRecord, ...]
+    primes: tuple[int, ...]  # those of residue degree ell, in increasing order
     scanned: int
 
     @property
     def degree_ell_count(self) -> int:
-        return len(self.records)
+        return len(self.primes)
 
     @property
     def density(self) -> Fraction:
@@ -141,14 +125,6 @@ def scan_places(ell: int, q: int, bound: int) -> ScanResult:
         raise NotPrime(f"ell={ell} is not prime")
     if not is_prime(q) or (q - 1) % ell != 0:
         raise SpecMismatch(f"q={q} is not a prime = 1 mod {ell}")
-    records = []
-    scanned = 0
-    for p in primes_up_to(bound):
-        if p == q:
-            continue
-        scanned += 1
-        if residue_degree(p, q, ell) == ell:
-            records.append(
-                PlaceRecord(p=p, q=q, ell=ell, degree=ell, residue_size=p**ell)
-            )
-    return ScanResult(ell=ell, q=q, bound=bound, records=tuple(records), scanned=scanned)
+    primes = [p for p in primes_up_to(bound) if p != q]
+    return ScanResult(ell=ell, q=q, bound=bound, scanned=len(primes),
+                      primes=tuple(p for p in primes if residue_degree(p, q, ell) == ell))

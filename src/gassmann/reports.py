@@ -2,16 +2,17 @@
 
 JSON is the single source of truth; the table rendering is derived from
 it.  Reports carry enough substituted data (profiles, class sizes,
-inequality instances, witness permutations, subgroup labels) that
-verify_report can reproduce the verdict from the JSON alone.  Each fact
-is stated once: a certify family is stated by its definition, its mode
-and count, which the config fixes, with the one profile of its members;
-a coset graph is stated by its subgroup label and the config's
-generators, which fix it, and verify_report rebuilds it, the catalog
-and the classes by the routes that graphs runs; each distinct charpoly
-is listed once, and items refer to graphs and charpolys by index.  A
-report holds no key that its command does not write.  Large integers
-travel as decimal strings.
+inequality instances, witness permutations) that verify_report can
+reproduce the verdict from the JSON alone.  Each fact is stated once: a
+family is stated by its definition, which the config fixes.  A certify
+family is its mode and count with the one profile of its members; the
+coset graphs of a graphs report are the class reps' graphs, in catalog
+order, with the config's generators, stated by their mode, count,
+vertices and degree, and verify_report rebuilds them and the classes by
+the routes that graphs runs; a place scan is its counts, not its
+records.  Each distinct charpoly is listed once, and items refer to
+graphs and charpolys by index.  A report holds no key that its command
+does not write.  Large integers travel as decimal strings.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .certify import (bruteforce_subgroup_keys, check_family_config, conjugate_p
                       family_exponent, family_mode, family_oracles, family_profile,
                       orbit_oracle_runs)
 from .errors import GassmannError, SpecMismatch
-from .heisenberg import heisenberg_group, parse_twist_label, twist_label, twisted_subgroup
+from .heisenberg import heisenberg_group, twisted_subgroup
 from .rings import make_field, power_within, primes_up_to
 
 # A verifier imports the modules of its item kind, so that verify loads only those
@@ -36,7 +37,7 @@ if TYPE_CHECKING:
     from .planner import IneqCheck
     from .schreier import CosetGraph
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def encode_count(v: int) -> Any:
@@ -99,32 +100,33 @@ def plan_item(op: str, inputs: dict, result: dict, checks: list[tuple[IneqCheck,
 
 
 class _Items:
-    """A report's coset-graph items, in report order, each rebuilt from its label and
-    the config once, by the build that graphs runs, for every verifier that reads it."""
+    """A graphs report's coset graphs: the class reps' graphs in catalog order with the
+    config's generators, built once, by the routes that graphs runs, for every
+    verifier that reads them."""
 
     def __init__(self, items: list[dict], config):
-        self.config = config
-        self.coset_graphs = [item for item in items if item["kind"] == "coset-graph"]
-        self._graphs: dict[int, CosetGraph] = {}
+        self.items, self.config = items, config
+        self._graphs: Optional[list[CosetGraph]] = None
 
     def generators(self) -> tuple:
         """The config's generator list, each a triple of coefficient tuples."""
         return tuple(tuple(map(tuple, s)) for s in self.config["generators"])
 
-    def graph(self, item: dict) -> CosetGraph:
+    def graphs(self) -> list[CosetGraph]:
         from .schreier import build_coset_graph
 
-        key = id(item)  # the items outlive the verification
-        if key not in self._graphs:
-            config = self.config
-            spec = make_field(config["p"], config["m"], cap=config["cap"])
-            f = parse_twist_label(item["subgroup"], spec)
-            self._graphs[key] = build_coset_graph(twisted_subgroup(f, heisenberg_group(spec)),
-                                                  self.generators())
-        return self._graphs[key]
-
-    def graphs(self) -> list[CosetGraph]:
-        return [self.graph(item) for item in self.coset_graphs]
+        if self._graphs is None:
+            p, m, cap = self.config["p"], self.config["m"], self.config["cap"]
+            spec = make_field(p, m, cap=cap)
+            # the stored class_of list bounds the catalog: it has one entry per class rep
+            stored = [len(item["class_of"]) for item in self.items
+                      if item["kind"] == "isomorphism-classes"]
+            if not (len(stored) == 1 and power_within(p, m * (m - 1), stored[0]) == stored[0]):
+                raise SpecMismatch("class_of does not list the p^(m(m-1)) class reps")
+            group = heisenberg_group(spec)
+            self._graphs = [build_coset_graph(twisted_subgroup(f, group), self.generators())
+                            for f in enumerate_class_reps(spec, cap).reps]
+        return self._graphs
 
 
 def _same(stored: Any, derived: Any) -> bool:
@@ -173,16 +175,27 @@ def _verify_profiles(item: dict, config: dict, items: _Items, problems: list[str
 
 
 def _verify_class_count(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
+    from . import certify
+
     p, m = config["p"], config["m"]
     expected = decode_count(item["expected"])
     if power_within(p, m * (m - 1), expected) != expected:
         problems.append("class-count expected differs from p^(m(m-1))")
     actual, orbits = decode_count(item["actual"]), item["bruteforce_orbits"]
-    if (orbits is not None) != orbit_oracle_runs(p, m):
+    ran = orbit_oracle_runs(p, m)
+    if (orbits is not None) != ran:
         problems.append("whether bruteforce_orbits is stated differs from whether certify runs "
                         "the orbit oracle at this p and m")
+    derived = None
+    if ran:
+        # the orbit oracle again, looked up on certify as cmd_certify calls it, so a
+        # replaced oracle is re-run too; the verdict rests on its count
+        derived = certify.twist_orbit_count_bruteforce(make_field(p, m, config["cap"]))
+        if orbits is not None and decode_count(orbits) != derived:
+            problems.append("bruteforce_orbits differs from the orbit oracle, run again on the "
+                            "config's field")
     return (power_within(p, m * (m - 1), actual) == actual
-            and (orbits is None or decode_count(orbits) == actual))
+            and (derived is None or derived == actual))
 
 
 def _verify_conjugacy(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
@@ -220,18 +233,22 @@ def _verify_conjugacy(item: dict, config: dict, items: _Items, problems: list[st
     return agreement and claimed is True
 
 
-def _verify_graph(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
-    """A coset graph states facts, not a claim: its evidence always gives true."""
-    graph = items.graph(item)
+def _verify_coset_graphs(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
+    """The family states facts, not a claim: its evidence always gives true."""
+    graphs = items.graphs()
     # the build symmetrises the generators it is given, so the config must list them so
-    if items.generators() != graph.gens:
+    if items.generators() != graphs[0].gens:
         problems.append("the config's generators are not distinct, sorted and closed under "
                         "inverses")
-    for field, value in (("vertices", graph.n), ("generators", graph.degree),
-                         ("connected", graph.connected)):
+    for field, value in (("mode", "class-reps"), ("count", len(graphs)),
+                         ("vertices", graphs[0].n), ("degree", graphs[0].degree)):
         if not _same(item[field], value):
-            problems.append(f"{field} of graph {item['subgroup']} differs from the Schreier graph "
-                            "rebuilt from its label")
+            problems.append(f"{field} of the coset graphs differs from the class reps' graphs "
+                            "built from the config")
+    disconnected = [k for k, graph in enumerate(graphs) if not graph.connected]
+    if disconnected:
+        problems.append(f"graph {disconnected[0]} is disconnected: the config's generators do "
+                        "not generate")
     return True
 
 
@@ -246,8 +263,8 @@ def _verify_cospectral(item: dict, config: dict, items: _Items, problems: list[s
         problems.append("cospectral pair_count is not k(k-1)/2 for the k coset graphs")
     if not _same(item["distinct_charpolys"],
                  [[encode_count(c) for c in poly] for poly in polys]):
-        problems.append("distinct_charpolys are not the charpolys of the graphs rebuilt from "
-                        "their labels, each once in order of first appearance")
+        problems.append("distinct_charpolys are not the charpolys of the class reps' graphs, "
+                        "each once in order of first appearance")
     if not _same(item["charpoly_index"], charpoly_index):
         problems.append("charpoly_index does not give each graph's charpoly")
     all_equal = len(polys) <= 1
@@ -299,40 +316,24 @@ def _verify_tower_count(item: dict, config: dict, items: _Items, problems: list[
 
 
 def _verify_place_scan(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
-    from .places import (PlaceRecord, check_scan_limit, implementations_agree,
-                         residue_degree_subgroup)
+    from .places import check_scan_limit, implementations_agree, residue_degree_subgroup
 
     ell, q, bound = config["ell"], config["q"], config["bound"]
     check_scan_limit(q, bound)
     primes = [p for p in primes_up_to(bound) if p != q]
-    scanned = set(primes)
-    records = item["records"]
-    for r in records:
-        p = r["p"]
-        problems.extend(f"place record p={p} has a key that places does not write: {key!r}"
-                        for key in sorted(r.keys() - set(PlaceRecord._fields)))
-        if p not in scanned:
-            problems.append(f"place record p={p} is not a prime up to the bound other than q")
-        elif (r["q"], r["ell"], r["degree"]) != (q, ell, ell):
-            problems.append(f"place record p={p} does not have residue degree ell={ell}")
-        else:
-            size = decode_count(r["residue_size"])
-            if power_within(p, ell, size) != size:
-                problems.append(f"residue size wrong at p={p}")
-    # the scan again, by the subgroup test that production does not use for the records
-    degree_ell = [p for p in primes if residue_degree_subgroup(p, q, ell) == ell]
-    if [r["p"] for r in records] != degree_ell:
-        problems.append(f"records are not every prime of residue degree ell={ell} up to the bound")
+    # the scan again, by the subgroup test that production does not use for the count
+    degree_ell = sum(residue_degree_subgroup(p, q, ell) == ell for p in primes)
     agree_to, agree = implementations_agree(ell, q, bound)
     if not (_same(item["agreement_checked_to"], agree_to)
             and _same(item["implementations_agree"], agree)):
         problems.append("agreement_checked_to or implementations_agree differs from the two "
                         "residue-degree tests up to min(bound, 10^4)")
-    if not _same(item["scanned"], len(scanned)):
+    if not _same(item["scanned"], len(primes)):
         problems.append("scanned is not the number of primes up to the bound other than q")
-    density = Fraction(len(records), len(scanned)) if scanned else Fraction(0)
-    if not _same(item["degree_ell_count"], len(records)) or Fraction(item["density"]) != density:
-        problems.append("degree_ell_count or density does not count the records")
+    density = Fraction(degree_ell, len(primes)) if primes else Fraction(0)
+    if not _same(item["degree_ell_count"], degree_ell) or Fraction(item["density"]) != density:
+        problems.append(f"degree_ell_count or density does not count the primes of residue "
+                        f"degree ell={ell} up to the bound")
     cebotarev = Fraction(ell - 1, ell)
     if Fraction(item["cebotarev_density"]) != cebotarev or item["tolerance"] != config["tolerance"]:
         problems.append("cebotarev_density or tolerance differs from the config")
@@ -389,7 +390,7 @@ _VERIFIERS = {
     "gassmann-family": _verify_profiles,
     "class-count": _verify_class_count,
     "conjugacy-dichotomy": _verify_conjugacy,
-    "coset-graph": _verify_graph,
+    "coset-graphs": _verify_coset_graphs,
     "cospectral": _verify_cospectral,
     "isomorphism-classes": _verify_isomorphism_classes,
     "tower-count": _verify_tower_count,
@@ -408,11 +409,11 @@ _ITEM_KEYS = {
     "gassmann-family": "mode count pair_count identity_class class_sizes profile all_equal",
     "conjugacy-dichotomy": "pairs structural_conjugate_pairs bruteforce_checked "
                            "structural_equals_bruteforce reps_pairwise_nonconjugate",
-    "coset-graph": "subgroup vertices generators connected rep",
+    "coset-graphs": "mode count vertices degree",
     "cospectral": "pair_count distinct_charpolys charpoly_index all_equal",
     "isomorphism-classes": "class_of witnesses",
     "tower-count": "j exact cited_lower bound_holds gap",
-    "place-scan": "records scanned degree_ell_count density cebotarev_density tolerance "
+    "place-scan": "scanned degree_ell_count density cebotarev_density tolerance "
                   "within_tolerance agreement_checked_to implementations_agree",
     "plan": "op inputs result checks required_checks",
 }
@@ -441,17 +442,7 @@ def _layout_problem(command: str, config: dict, items: list[dict]) -> Optional[s
         check_family_config(config["p"], config["m"], config["cap"])
         ok = kinds == ["class-count", "gassmann-family", "conjugacy-dichotomy"]
     elif command == "graphs":
-        m = config["m"]
-        ok = (power_within(config["p"], m * (m - 1), n - 2) == n - 2
-              and kinds == ["coset-graph"] * (n - 2) + ["cospectral", "isomorphism-classes"]
-              and _same([item.get("rep") for item in items[:-2]], list(range(n - 2))))
-        if ok:
-            # the p^(m(m-1)) items bound the catalog, listed as graphs lists it
-            spec = make_field(config["p"], m, cap=config["cap"])
-            catalog = [twist_label(f) for f in enumerate_class_reps(spec, config["cap"]).reps]
-            if [item["subgroup"] for item in items[:-2]] != catalog:
-                return ("the coset graphs' subgroups are not the class reps in catalog order: "
-                        "each its own canonical twist, their flat maps increasing")
+        ok = kinds == ["coset-graphs", "cospectral", "isomorphism-classes"]
     elif command == "tower":
         ok = (config["j_max"] == n and kinds == ["tower-count"] * n
               and _same([item.get("j") for item in items], list(range(1, n + 1))))
@@ -479,7 +470,7 @@ def verify_report(report: dict) -> list[str]:
     try:
         layout = _layout_problem(report.get("command"), config, items)
     except (KeyError, TypeError, ValueError, GassmannError) as exc:
-        layout = f"the config or a subgroup label is malformed: {type(exc).__name__}: {exc}"
+        layout = f"the config is malformed: {type(exc).__name__}: {exc}"
     problems = ([layout] if layout else []) + _unwritten_keys(report)
     grouped = _Items(items, config)
     for i, item in enumerate(items):

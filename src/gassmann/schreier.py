@@ -191,14 +191,6 @@ class CosetGraph:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> dict:
-        return {
-            "subgroup": self.subgroup_label,
-            "vertices": self.n,
-            "generators": len(self.gens),
-            "connected": self.connected,
-        }
-
 
 def build_coset_graph(sub: TwistedSubgroup, gens: Sequence[GroupElement],
                       cap: int = DEFAULT_VERTEX_CAP) -> CosetGraph:

@@ -13,10 +13,10 @@ import pytest
 from conftest import run_cli
 
 from gassmann import cli, heisenberg, planner, reports, schreier
-from gassmann.certify import ClassCatalog, enumerate_class_reps, family_mode
+from gassmann.certify import enumerate_class_reps, family_mode
 from gassmann.oracles import center_subgroup
 from gassmann.reports import render_table, verify_report
-from gassmann.rings import LinearMap, all_linear_maps, make_field
+from gassmann.rings import all_linear_maps, make_field
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -246,7 +246,7 @@ def test_verify_of_a_forged_graphs_degree_compares_it_with_the_cap(tmp_path):
     code, err = _verify_json(tmp_path, report)
     assert time.perf_counter() - started < 1.0
     assert code == 1 and "Traceback" not in err
-    assert ("problem: item 0 (coset-graph) fails its check: SizeCapExceeded: "
+    assert ("problem: item 0 (coset-graphs) fails its check: SizeCapExceeded: "
             "|GF(2^100000000)| = 2^100000000 exceeds cap 1048576") in err.splitlines()
 
 
@@ -286,7 +286,7 @@ def test_verify_checks_the_certify_config_is_a_field_within_its_cap(tmp_path, ar
     forge(report)
     code, err = _verify_json(tmp_path, report)
     assert code == 1 and "Traceback" not in err
-    assert (f"problem: the config or a subgroup label is malformed: {error}"
+    assert (f"problem: the config is malformed: {error}"
             in err.splitlines())
 
 
@@ -301,8 +301,9 @@ def test_graphs_2_2_default_generators(tmp_path):
     assert code == 0
     report = _report(out)
     assert verify_report(report) == []
-    graphs = [item for item in report["items"] if item["kind"] == "coset-graph"]
-    assert len(graphs) == 4 and all(g["vertices"] == 16 for g in graphs)
+    family = report["items"][0]
+    assert family == {"kind": "coset-graphs", "mode": "class-reps", "count": 4, "vertices": 16,
+                      "degree": 4, "holds": True}
     cospectral = next(item for item in report["items"] if item["kind"] == "cospectral")
     assert cospectral["all_equal"]
     for k in range(4):
@@ -314,7 +315,7 @@ def test_graphs_2_2_default_generators(tmp_path):
 
 
 def test_graphs_lists_each_graph_edges_once(monkeypatch):
-    # the .edges export lists each graph's edges, which its label and the config
+    # the .edges export lists each graph's edges, which its class rep and the config
     # fix, so no report item carries edges or a charpoly of its own
     calls = [0]
     edge_list = cli.sg.CosetGraph.edge_list
@@ -327,11 +328,11 @@ def test_graphs_lists_each_graph_edges_once(monkeypatch):
     # without --out no export is built
     assert cli.cmd_graphs(2, 2)[1] == {} and calls[0] == 0
     report, exports = cli.cmd_graphs(2, 2, exports=True)
-    graphs = [item for item in report["items"] if item["kind"] == "coset-graph"]
-    assert len(graphs) == 4 and calls[0] <= 2 * len(graphs)
+    count = report["items"][0]["count"]
+    assert count == 4 and calls[0] <= 2 * count
     assert all("edges" not in item and "charpoly" not in item for item in report["items"])
     spec = make_field(2, 2)
-    f = heisenberg.parse_twist_label(graphs[1]["subgroup"], spec)
+    f = enumerate_class_reps(spec).reps[1]
     sub = heisenberg.twisted_subgroup(f, heisenberg.heisenberg_group(spec))
     rebuilt = schreier.build_coset_graph(
         sub, [tuple(map(tuple, s)) for s in report["config"]["generators"]])
@@ -342,8 +343,7 @@ def test_graphs_single_class_vacuous_pairwise():
     code, out, _ = run_cli("graphs", "--p", "2", "--m", "1")
     assert code == 0
     report = _report(out)
-    graphs = [item for item in report["items"] if item["kind"] == "coset-graph"]
-    assert len(graphs) == 1
+    assert report["items"][0]["count"] == 1
     classes = next(item for item in report["items"] if item["kind"] == "isomorphism-classes")
     assert classes["class_of"] == [0] and classes["witnesses"] == [None]
 
@@ -404,8 +404,8 @@ def test_places_small_bound_reports_and_fails_tolerance():
     code, out, _ = run_cli("places", "--ell", "3", "--bound", "100")
     report = _report(out)
     item = report["items"][0]
-    ps = [r["p"] for r in item["records"]]
-    assert {2, 3, 5, 17, 19} <= set(ps) and 13 not in ps
+    ps = [r["p"] for r in cli.cmd_places(3, 100)[1]]
+    assert {2, 3, 5, 17, 19} <= set(ps) and 13 not in ps and item["degree_ell_count"] == len(ps)
     assert item["implementations_agree"]
     # 17/24 is more than 0.02 from 2/3, so the strict default verdict fails
     assert not item["within_tolerance"] and code == 1
@@ -459,6 +459,8 @@ def test_places_jsonl_format():
     lines = [json.loads(line) for line in out.strip().split("\n")]
     records, summary = lines[:-1], lines[-1]
     assert [r["p"] for r in records] == [2, 3, 5, 11, 17, 19, 23]
+    assert all(r == {"p": r["p"], "q": 7, "ell": 3, "degree": 3, "residue_size": str(r["p"]**3)}
+               for r in records)
     assert summary["kind"] == "place-scan" and "records" not in summary
 
 
@@ -589,9 +591,9 @@ def test_graphs_odd_characteristic():
     code, out, _ = run_cli("graphs", "--p", "3", "--m", "1")
     assert code == 0
     report = _report(out)
-    graph = next(item for item in report["items"] if item["kind"] == "coset-graph")
-    assert graph["vertices"] == 9  # [G : H] = 27 / 3
-    assert graph["generators"] == 4
+    family = report["items"][0]
+    assert family["vertices"] == 9  # [G : H] = 27 / 3
+    assert family["degree"] == 4
     assert verify_report(report) == []
 
 
@@ -746,14 +748,14 @@ def test_verify_lists_a_split_class_over_the_search_budget(tmp_path, monkeypatch
     code, msg, err = run_cli("verify", str(bad))
     assert code == 1 and "failed" in msg
     assert err.splitlines() == [
-        "problem: item 5 (isomorphism-classes) fails its check: SizeCapExceeded: isomorphism "
+        "problem: item 2 (isomorphism-classes) fails its check: SizeCapExceeded: isomorphism "
         "search exceeds 0 refinement nodes"]
 
 
 def _tampered_graph_verify(tmp_path, tamper) -> tuple[int, str]:
     _, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
     report = json.loads(out)
-    tamper(next(item for item in report["items"] if item["kind"] == "coset-graph"))
+    tamper(next(item for item in report["items"] if item["kind"] == "coset-graphs"))
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(report))
     code, msg, err = run_cli("verify", str(bad))
@@ -763,41 +765,62 @@ def _tampered_graph_verify(tmp_path, tamper) -> tuple[int, str]:
 
 def test_verify_lists_a_huge_multiplicity(tmp_path):
     # a generator count past any real one is compared, never used
-    def tamper(graph):
-        graph["generators"] = 10**1500
+    def tamper(family):
+        family["degree"] = 10**1500
 
     code, err = _tampered_graph_verify(tmp_path, tamper)
     assert code == 1 and err.splitlines() == [
-        "problem: generators of graph H[0,0,0,0] differs from the Schreier graph rebuilt from "
-        "its label"]
+        "problem: degree of the coset graphs differs from the class reps' graphs built from "
+        "the config"]
 
 
-def test_verify_lists_a_relabelled_graph(tmp_path):
-    # H[1,0,1,0] is conjugate to H[0,0,1,1], the last rep, and comes after the rep
-    # before it, so its graph has the same spectrum and opens the same class; only
-    # the catalog check shows that the label is not a rep
+@pytest.mark.parametrize("field, value, problem", [
+    # schema 4 stated each graph's connected flag; the family states none
+    ("connected", False, "item 0 (coset-graphs) has a key that graphs does not write: "
+                         "'connected'"),
+    ("vertices", 15, None), ("vertices", 16.0, None), ("degree", 6, None),
+    ("degree", True, None), ("count", 5, None), ("count", 4.0, None), ("mode", "all-twists", None),
+], ids=["connected", "vertices", "vertices-float", "generators", "generators-bool", "count",
+        "count-float", "mode"])
+def test_verify_rebuilds_each_graph_from_its_label(tmp_path, field, value, problem):
+    # each graph is rebuilt from its class rep, whose label schema 4 stored: the
+    # family's mode, count, vertices and degree are derived from those builds
+    def tamper(family):
+        family[field] = value
+
+    code, err = _tampered_graph_verify(tmp_path, tamper)
+    message = problem or (f"{field} of the coset graphs differs from the class reps' graphs "
+                          "built from the config")
+    assert code == 1 and err.splitlines() == [f"problem: {message}"]
+
+
+def test_verify_bounds_the_catalog_by_the_stored_classes(monkeypatch):
+    # a GF(4) report claiming GF(32): 2^20 class reps against the 4 that class_of
+    # lists, so no catalog is enumerated and no graph is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("the catalog is enumerated past the stored classes")
+
+    report, _ = cli.cmd_graphs(2, 2)
+    report["config"].update(m=5, cap=2**40)
+    monkeypatch.setattr(reports, "enumerate_class_reps", refuse)
+    problems = verify_report(report)
+    assert problems == [f"item {i} ({kind}) fails its check: SpecMismatch: class_of does not "
+                        "list the p^(m(m-1)) class reps"
+                        for i, kind in enumerate(("coset-graphs", "cospectral",
+                                                  "isomorphism-classes"))]
+
+
+def test_verify_lists_a_disconnected_graph(tmp_path):
+    # the config's one generator (1, 0, 0) is its own inverse, but it does not
+    # generate: each coset graph falls apart
     _, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
     report = json.loads(out)
-    assert report["items"][3]["subgroup"] == "H[0,0,1,1]"
-    report["items"][3]["subgroup"] = "H[1,0,1,0]"
+    report["config"]["generators"] = [[[1, 0], [0, 0], [0, 0]]]
+    report["items"][0]["degree"] = 1
     code, err = _verify_json(tmp_path, report)
-    assert code == 1 and err.splitlines() == [
-        "problem: the coset graphs' subgroups are not the class reps in catalog order: each its "
-        "own canonical twist, their flat maps increasing"]
-
-
-@pytest.mark.parametrize("field, value", [
-    ("connected", False), ("vertices", 15), ("vertices", 16.0), ("generators", 6),
-    ("generators", True),
-], ids=["connected", "vertices", "vertices-float", "generators", "generators-bool"])
-def test_verify_rebuilds_each_graph_from_its_label(tmp_path, field, value):
-    def tamper(graph):
-        graph[field] = value
-
-    code, err = _tampered_graph_verify(tmp_path, tamper)
-    assert code == 1 and err.splitlines() == [
-        f"problem: {field} of graph H[0,0,0,0] differs from the Schreier graph rebuilt from "
-        "its label"]
+    assert code == 1
+    assert "problem: graph 0 is disconnected: the config's generators do not generate" \
+        in err.splitlines()
 
 
 @pytest.mark.parametrize("tamper", [list.pop, list.reverse], ids=["inverse-dropped", "unsorted"])
@@ -811,43 +834,6 @@ def test_verify_checks_the_config_generators(tmp_path, tamper):
     assert code == 1
     assert ("problem: the config's generators are not distinct, sorted and closed under "
             "inverses") in err.splitlines()
-
-
-def _conjugate_label(reps):
-    # H[1,0,0,1] is conjugate to H[0,0,0,0]: the identity map is a multiplication
-    return [LinearMap.from_flat(2, (1, 0, 0, 1), 2), *reps[1:]]
-
-
-def _conjugate_last_label(reps):
-    # H[1,0,1,0] is conjugate to H[0,0,1,1] and keeps the flat maps increasing
-    return [*reps[:-1], LinearMap.from_flat(2, (1, 0, 1, 0), 2)]
-
-
-def _swapped_labels(reps):
-    return [reps[1], reps[0], *reps[2:]]
-
-
-def _repeated_label(reps):
-    return [reps[0], reps[0], *reps[2:]]
-
-
-@pytest.mark.parametrize("forge", [_conjugate_label, _conjugate_last_label, _swapped_labels,
-                                   _repeated_label],
-                         ids=["conjugate-label", "conjugate-last-label", "swapped-labels",
-                              "repeated-label"])
-def test_verify_checks_that_the_labels_are_the_catalog(forge, tmp_path, monkeypatch):
-    # graphs writes a consistent report from the forged catalog, so every graph,
-    # charpoly and class follows from its label; only the catalog check is left
-    reps = cli.cz.enumerate_class_reps(cli.make_field(2, 2)).reps
-    monkeypatch.setattr(cli.cz, "enumerate_class_reps",
-                        lambda spec, cap=None: ClassCatalog(spec, tuple(forge(list(reps)))))
-    report, _ = cli.cmd_graphs(2, 2)
-    assert report["summary"]["verdict"] == "pass"
-    monkeypatch.undo()
-    code, err = _verify_json(tmp_path, report)
-    assert code == 1 and err.splitlines() == [
-        "problem: the coset graphs' subgroups are not the class reps in catalog order: each its "
-        "own canonical twist, their flat maps increasing"]
 
 
 def _tampered_cospectral_verify(tmp_path, tamper) -> tuple[int, str]:
@@ -894,8 +880,8 @@ def _index_setter(value):
     return tamper
 
 
-_DISTINCT = ("problem: distinct_charpolys are not the charpolys of the graphs rebuilt from their "
-             "labels, each once in order of first appearance")
+_DISTINCT = ("problem: distinct_charpolys are not the charpolys of the class reps' graphs, each "
+             "once in order of first appearance")
 _INDEX = "problem: charpoly_index does not give each graph's charpoly"
 
 
@@ -909,7 +895,7 @@ _INDEX = "problem: charpoly_index does not give each graph's charpoly"
     (_unused_charpoly, [_DISTINCT]),
     (_repeated_charpoly, [_DISTINCT, _INDEX,
                           "problem: cospectral flags contradict the coset-graph charpolys",
-                          "problem: item 4 (cospectral) holds False, but its evidence gives True"]),
+                          "problem: item 1 (cospectral) holds False, but its evidence gives True"]),
     (_charpoly_out_of_order, [_DISTINCT, _INDEX]),
 ], ids=["index-out-of-range", "index-negative", "index-string", "index-float", "index-false",
         "index-true", "unused-charpoly", "repeated-charpoly", "charpoly-out-of-order"])
@@ -978,26 +964,14 @@ def _tampered_places_verify(tmp_path, tamper) -> tuple[int, str]:
 
 
 def test_verify_counts_the_place_records(tmp_path):
-    code, err = _tampered_places_verify(tmp_path, lambda scan: scan["records"].pop())
-    assert code == 1 and "degree_ell_count or density does not count the records" in err
-
-
-def test_verify_recomputes_each_residue_degree(tmp_path):
+    # the scan counts the primes of residue degree ell, which the report no longer lists
     def tamper(scan):
-        scan["records"][3]["degree"] = 1
+        scan["degree_ell_count"] -= 1
 
     code, err = _tampered_places_verify(tmp_path, tamper)
-    assert code == 1 and "does not have residue degree ell=3" in err
-
-
-def test_verify_rejects_a_place_record_outside_the_scan(tmp_path):
-    def tamper(scan):
-        records = scan["records"]
-        records[-1]["p"] = 1013  # a prime of residue degree 3, but past the bound
-        records[-1]["residue_size"] = str(1013**3)
-
-    code, err = _tampered_places_verify(tmp_path, tamper)
-    assert code == 1 and "not a prime up to the bound" in err
+    assert code == 1 and err.splitlines() == [
+        "problem: degree_ell_count or density does not count the primes of residue degree ell=3 "
+        "up to the bound"]
 
 
 @pytest.mark.parametrize("field, value", [("tolerance", "1/10"), ("cebotarev_density", "17/24")])
@@ -1077,7 +1051,7 @@ _HOLDS_CASES = {
     "class-count": ("certify", "--p", "2", "--m", "2"),
     "gassmann-family": ("certify", "--p", "2", "--m", "2"),
     "conjugacy-dichotomy": ("certify", "--p", "2", "--m", "2"),
-    "coset-graph": ("graphs", "--p", "2", "--m", "2"),
+    "coset-graphs": ("graphs", "--p", "2", "--m", "2"),
     "cospectral": ("graphs", "--p", "2", "--m", "2"),
     "isomorphism-classes": ("graphs", "--p", "2", "--m", "2"),
     "tower-count": ("tower", "--p", "2", "--j-max", "4"),
@@ -1143,9 +1117,9 @@ def _keep_the_first_level(report):
     del report["items"][1:]
 
 
-def _swap_two_reps(report):
-    first, second = report["items"][:2]
-    first["rep"], second["rep"] = second["rep"], first["rep"]
+def _one_family_item_per_rep(report):
+    # schema 4 listed one coset-graph item per class rep
+    report["items"][:1] = [dict(report["items"][0]) for _ in range(4)]
 
 
 def _swap_two_levels(report):
@@ -1161,7 +1135,7 @@ def _change_the_op(report):
     (("graphs", "--p", "2", "--m", "2"), _drop_isomorphism_classes),
     (("certify", "--p", "2", "--m", "2"), _list_an_item_twice),
     (("tower", "--p", "2", "--j-max", "4"), _keep_the_first_level),
-    (("graphs", "--p", "2", "--m", "2"), _swap_two_reps),
+    (("graphs", "--p", "2", "--m", "2"), _one_family_item_per_rep),
     (("tower", "--p", "2", "--j-max", "4"), _swap_two_levels),
     (("plan", "comm-classes", "--p", "2", "--ell0", "3", "--dim-g", "8"), _change_the_op),
 ], ids=["graphs", "certify", "tower", "graphs-rep", "tower-j", "plan-op"])
@@ -1711,6 +1685,23 @@ def test_verify_runs_the_conjugator_oracle_again(tmp_path, monkeypatch):
         "problem: item 2 (conjugacy-dichotomy) holds True, but its evidence gives False"]
 
 
+def test_verify_runs_the_orbit_oracle_again(monkeypatch):
+    # a genuine GF(8) report, checked with an orbit oracle that counts 999: verify calls
+    # the oracle that cmd_certify calls, once, and its verdict rests on that count
+    report = cli.cmd_certify(2, 3)
+    assert report["items"][0]["bruteforce_orbits"] == 64
+    calls = []
+    monkeypatch.setattr(cli.cz, "twist_orbit_count_bruteforce",
+                        lambda spec: calls.append(spec.size) or 999)
+    assert verify_report(report) == [
+        "bruteforce_orbits differs from the orbit oracle, run again on the config's field",
+        "item 0 (class-count) holds True, but its evidence gives False"]
+    assert calls == [8]
+    # GF(32) has 2^25 maps, past the oracle's limit: no oracle runs
+    calls.clear()
+    assert verify_report(cli.cmd_certify(2, 5)) == [] and calls == []
+
+
 def _family_labels(p, m):
     spec = make_field(p, m)
     maps = (all_linear_maps(spec) if family_mode(p, m) == "all-twists"
@@ -1744,14 +1735,14 @@ def test_verify_derives_the_oracle_agreement_from_the_labels(monkeypatch):
 
 
 def _record_dropped(scan):
-    # one prime of residue degree 3 left out, with every count and flag re-derived
-    del scan["records"][5]
-    count = len(scan["records"])
+    # one prime of residue degree 3 left out of the count, with every flag re-derived
+    count = scan["degree_ell_count"] - 1
     density = Fraction(count, scan["scanned"])
     within = abs(density - Fraction(2, 3)) <= Fraction(1, 50)
     scan.update(degree_ell_count=count, density=str(density), within_tolerance=within,
                 holds=within and scan["implementations_agree"])
-    return "records are not every prime of residue degree ell=3 up to the bound"
+    return ("degree_ell_count or density does not count the primes of residue degree ell=3 up "
+            "to the bound")
 
 
 def _agreement_shortened(scan):
@@ -1780,17 +1771,23 @@ def test_verify_scans_the_places_again(tmp_path, forge):
 # SHA-256 of the report on stdout; a schema bump updates these and says so
 PINNED_REPORTS = {
     ("certify", "--p", "2", "--m", "2"):
-        "18b2a2db44cbbd0ee45f7b114e017e238e161dbaa58067bafee3f9266f915457",
+        "4370f1d64140573b872c663288a10c6e26be8ee1f1417b82c6bdee7db53a7f1a",
     ("certify", "--p", "2", "--m", "3"):
-        "559737699218fd75afc25426994f5e4396ce818c7b5b55655b3b0f9b158c4138",
+        "eba267c4a610b8ab50845282a5d245cf545acf08daf8e3dc3c45d16fa6b0e70a",
     ("certify", "--p", "3", "--m", "2"):
-        "ef3be76ca99bcd672602c8316524f7f2f5ae3bd0e9ae35f7b8814b022927ca3f",
+        "507edd3b7388a2143023d9f9b77ce3ec095d0e443a401304ebc5f8bee126c43c",
     ("certify", "--p", "13", "--m", "1"):
-        "96e4e6a90a1ff7e1e28705fccc96dad036309ce031d01edb80efd28f6965770e",
+        "5bb4a57f6a25f0f64ba6eb57b1edecac52cab051b360f483ddad2f9ebbb6cc9e",
     ("graphs", "--p", "2", "--m", "2"):
-        "445302ea28b1510b6181de3e295189edeec47dab336b16daf14fa936f223871d",
+        "8041882f734bd451379e4233daa991a4d7831b480d2a38cc7ebfe904aa878bc2",
     ("graphs", "--p", "3", "--m", "2"):
-        "a926a48941f282cd2b6fad89d9d18c2388e0bd6688884d780b49d80ca99f4096",
+        "3dd01e37d1a312b7d9b82a42ccd7375d5a06904869548c4c359aea46820d44f9",
+    ("graphs", "--p", "2", "--m", "3"):
+        "4641cb32252a8d5560c2f01d0fee433ac62d45ecd9a4349d3b0385eb932ce2e9",
+    ("tower", "--p", "2", "--j-max", "5"):
+        "cf8c2ef630551b14f82b151c7d52f374b59ce9a33f4c5a2e46be3bbf36b0db06",
+    ("places", "--ell", "3", "--bound", "1000"):
+        "38b4245622903c9335e509a16713bff20a1527360dda13b3438cc457ff6cf0cd",
 }
 
 
@@ -1804,35 +1801,43 @@ def test_reports_keep_their_pinned_bytes(argv, tmp_path):
     assert run_cli("verify", str(path))[0] == 0
 
 
+
+def test_places_jsonl_keeps_its_schema_4_bytes():
+    # the records left the report in schema 5, but the jsonl stream still lists them
+    code, out, _ = run_cli("places", "--ell", "3", "--bound", "1000", "--format", "jsonl")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "45fcca9a2a08f1bda661867c44b7f60afbcf4f3d0891030aebf3ab270cb819e1")
+
 # SHA-256 of one plan report per op, and of the three ops with an optional check
 # (comm-classes --n, nonarith-count --n, min-ell-growth --p --c-1)
 PINNED_PLANS = {
     "twisted-count --p 2 --ell0 37 --dim-g 8":
-        "8c8e251e52ecc519a0dd96e232e1511c567d9efb86e5e3133c36ba1a85ac63f4",
+        "b22fc83fb138e203ab295a2db87e1e928e426e653cc567d39c295fa00503d18f",
     "comm-classes --p 2 --ell0 29 --dim-g 8 --c 1":
-        "5fca9ee6044c2db7427b6929d39fe80d50c2d9b0ce9fa3aac6b506d2ad67fa3c",
+        "5cca156cf712fffd4c103881ef30722ad77ba3d445ed8ba8a536d9c75c842125",
     "comm-classes --p 2 --ell0 29 --dim-g 8 --c 1 --c-x 3 --n 5":
-        "31f05ee47b35a7d64fbdc99ad2cb265c744444ec9e0181d3f1311eafbd1a360e",
+        "62fd01de246f3e2895fe2097df5d0e1555bd31ca86ca9933528bdb8045203f80",
     "conjugates-bound --n-index 64 --x 2 --big-c 3 --group-order 512":
-        "9baffeb446ce3855e61fa533964f3695dc9604a5f78a618464f1cbf78edf1626",
+        "7839c25791a79587bd2554cd03438970f0b3bc50679e3533b4c367acb21d464c",
     "min-ell-sequence --dim-g 8 --c 1 --r 1":
-        "7cb35d485f17997d14aaabfdfed059af688c8c53a7d01e13981df44ba65959a4",
+        "8b68bfce3c3a0c158b1ba227c48314309dd3aae3e39722b61459fa91d1098cbb",
     "min-ell-growth --dim-g 8 --c 1 --r 1":
-        "58190c38d757e7aa6f14e5be7e51a819f50f2667cfc1e977c0b2c4f2b1890639",
+        "1a058d55aee37ac252d331096241ad85d014b5313ba7b7355f600521622e85e7",
     "min-ell-growth --dim-g 8 --c 1 --r 1 --p 2 --c-1 1":
-        "c0a8ad50c654975882c60c3a75b09302d4377ec3cc4e38ab69bf4e56aed9b99f",
+        "20d49a79cdf8438847a2119e00ce97294c514012f73ae3cc9b502910f22e4ab3",
     "nonarith-count --p 2 --ell 11":
-        "688cd04ed4aadd10a0d1028358eb223774240e9f9942d3b0754a7810a745d3d5",
+        "9df5c2f26ffdf7b9e58b7914d3f12baff7ffd4506c5b209caf3ef7c44f0872b3",
     "nonarith-count --p 2 --ell 11 --comm-index 7 --n 3":
-        "acdbba6c662598587a30743d135da7b59eb5e74580837016db3c24330b0f71c7",
+        "cde7adcba49cfd8dd57f0ea98363f435b9db40f988918b0b0a1fcd7032295139",
     "volume-bound --big-c 3 --p 2 --j 4":
-        "b5b479425efeacef55b19d3978031a5d16d9c8ce02145eee749c64cd01b3a365",
+        "1be544d72cc3162cfa7b1f59446b40749ab8d4801a3129aed2b09c2df0c20e4d",
     "growth-constant --p 2 --delta 1 --d-p 0 --j-min 30 --j-max 100":
-        "2606166a55002a4300417dcad2bc587205ef9630817e2fab31907b40a2b6d310",
+        "702c265d7f5bd864a7678fa89ef0a70168c2eb5d86109b468c3e6ab6732c5572",
     "level-count --primes 2,3,5 --j 3 --ell0 2":
-        "203c532422ab3e0ea35b233ae44f9815daf734f6d1e9f511055b6a509ce423a3",
+        "5acaadf639b8641dbc9a9ed1e4942091d96a60ad6f7b501f5506d0292fab91a9",
     "tower-min-k --primes 2,3,5,7 --j 1 --ell0 37 --dim-g 8 --c-x 4 --x 1 --c 1 --r 444":
-        "b7f681abbe568e6b5d07189713233476b6ebb324228f8cf9cea37b5a74475bb9",
+        "36a7d8eac6115fcd18cb7fd6ac0bfcf0492d7962ca1d5b070af061749bdd8598",
 }
 
 
@@ -1947,7 +1952,8 @@ _TWISTED_COUNT = "plan twisted-count --p 2 --ell0 37 --dim-g 8"
     # an op that requires no check, where plan omits the list
     (_TWISTED_COUNT, _adding("items", 0, "required_checks", value=[]), "required_checks"),
     (_TWISTED_COUNT, _adding("items", 0, "required_checks", value=None), "required_checks"),
-    ("places --ell 3 --bound 100", _adding("items", 0, "records", 0, "note", value=1), "note"),
+    # the records list that schema 4 wrote
+    ("places --ell 3 --bound 100", _adding("items", 0, "records", value=[{"p": 2}]), "records"),
     (_TWISTED_COUNT, _deep_config_field, "extra"),
 ], ids=["certify-config", "certify-item", "certify-report", "optional-flag", "schema-2-edges",
         "empty-required-checks", "null-required-checks", "place-record", "deep-plan-config"])

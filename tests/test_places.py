@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,37 @@ from gassmann.places import (
     residue_degree_subgroup,
     scan_places,
 )
-from gassmann.rings import primes_up_to
+from gassmann.rings import is_prime, primes_up_to
 
 
 @pytest.mark.parametrize("ell,q", [(2, 3), (3, 7), (5, 11), (7, 29), (11, 23)])
 def test_choose_modulus(ell, q):
     assert choose_modulus(ell) == q
+
+
+def _least_modulus_by_scan(ell: int) -> int:
+    """The least prime q = 1 (mod ell), found by trying every integer from 2."""
+    q = 2
+    while not (q % ell == 1 and is_prime(q)):
+        q += 1
+    return q
+
+
+def test_choose_modulus_equals_the_scan_over_every_integer():
+    for ell in primes_up_to(999):
+        assert choose_modulus(ell) == _least_modulus_by_scan(ell)
+
+
+def test_choose_modulus_past_the_scan_limit_tests_only_ell(monkeypatch):
+    # 10000019 is prime, and its least candidate 10000020 is past the limit 10^7, so
+    # no integer below the limit is stepped through
+    calls = []
+    monkeypatch.setattr(places, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    started = time.perf_counter()
+    with pytest.raises(SpecMismatch, match="no prime q = 1 mod 10000019 below 10000000"):
+        choose_modulus(10000019)
+    assert time.perf_counter() - started < 0.1
+    assert calls == [10000019]
 
 
 def test_choose_modulus_requires_prime_degree():
@@ -64,20 +90,18 @@ def test_implementations_agree_compares_every_prime_up_to_the_bound(bound, liar,
 
 
 def test_scan_is_empty_below_two():
-    assert scan_places(3, 7, 1).records == ()
+    assert scan_places(3, 7, 1).primes == ()
 
 
 def test_scan_small_bound_contents():
     scan = scan_places(3, 7, 20)
-    ps = [r.p for r in scan.records]
+    ps = list(scan.primes)
     for expected in (2, 3, 5, 17, 19):
         assert expected in ps
     assert 13 not in ps  # degree 1
     assert 7 not in ps   # ramified, excluded entirely
     assert ps == sorted(ps)
-    for r in scan.records:
-        assert r.degree == 3
-        assert r.residue_size == r.p**3
+    assert all(residue_degree(p, 7, 3) == 3 for p in ps)
 
 
 def test_density_at_large_bound():
@@ -85,7 +109,7 @@ def test_density_at_large_bound():
     assert scan.density_gap() <= Fraction(1, 50)
     assert scan.cebotarev_density == Fraction(2, 3)
     # strictly increasing, each characteristic exactly once
-    ps = [r.p for r in scan.records]
+    ps = list(scan.primes)
     assert ps == sorted(set(ps))
 
 

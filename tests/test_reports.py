@@ -126,16 +126,16 @@ def test_verify_report_ties_cospectral_to_the_graph_items():
     group = heisenberg_group(make_field(2, 2))
     other = coset_graph_bruteforce(center_subgroup(group), default_generators(group))
     report = _graphs_2_2()
-    graph, cospectral = _item(report, "coset-graph"), _item(report, "cospectral")
-    assert other.n == graph["vertices"] and other.degree == graph["generators"]
+    family, cospectral = _item(report, "coset-graphs"), _item(report, "cospectral")
+    assert other.n == family["vertices"] and other.degree == family["degree"]
     # the centre fixes every coset of itself, so its free action has rank 0
     charpoly = [encode_count(c) for c in charpoly_by_centre(other.rows, 2, 0).coefficients]
     assert charpoly != cospectral["distinct_charpolys"][0]
     cospectral["distinct_charpolys"] = [charpoly]
     assert cospectral["all_equal"] and cospectral["charpoly_index"] == [0] * 4
     problems = verify_report(report)
-    assert problems == ["distinct_charpolys are not the charpolys of the graphs rebuilt from "
-                        "their labels, each once in order of first appearance"]
+    assert problems == ["distinct_charpolys are not the charpolys of the class reps' graphs, "
+                        "each once in order of first appearance"]
 
 
 def test_verify_report_recomputes_coset_graph_charpolys():
@@ -144,19 +144,19 @@ def test_verify_report_recomputes_coset_graph_charpolys():
     middle = len(coeffs) // 2
     coeffs[middle] = int(coeffs[middle]) + 1  # shape and trace still look right
     problems = verify_report(report)
-    assert any("not the charpolys of the graphs rebuilt" in problem for problem in problems)
+    assert any("not the charpolys of the class reps' graphs" in problem for problem in problems)
 
 
 def test_the_rebuilt_graph_counts_multiplicities():
     # vertex 0 of H[0,0,0,0] over GF(4) has a double loop: both (1, 0, 0) and (t, 0, 0) fix it
     report = _graphs_2_2()
-    rows = reports._Items(report["items"], report["config"]).graph(report["items"][0]).rows
+    rows = reports._Items(report["items"], report["config"]).graphs()[0].rows
     assert rows[0] == ((0, 2), (4, 1), (8, 1))
 
 
 def test_verify_builds_each_graph_once(monkeypatch):
-    # the coset-graph, cospectral and isomorphism-classes items read one build per
-    # label, by the closed form that graphs runs, with no group law
+    # the coset-graphs, cospectral and isomorphism-classes items read one build per
+    # class rep, in catalog order, by the closed form that graphs runs, with no group law
     calls, products = [], []
     build, mul = schreier.build_coset_graph, heisenberg.Heisenberg.mul
     monkeypatch.setattr(schreier, "build_coset_graph",
@@ -166,12 +166,13 @@ def test_verify_builds_each_graph_once(monkeypatch):
     report, _ = cmd_graphs(2, 3)
     calls.clear(), products.clear()
     assert verify_report(report) == []
-    assert calls == [item["subgroup"] for item in report["items"][:-2]]
+    reps = enumerate_class_reps(make_field(2, 3)).reps
+    assert calls == [heisenberg.twist_label(f) for f in reps]
     assert products == []
 
 
 class _TwoSpectra(reports._Items):
-    """The items with the graphs given, not rebuilt from labels."""
+    """The items with the graphs given, not built from the config."""
 
     def __init__(self, graphs):
         super().__init__([], {"p": 2, "m": 0})
@@ -197,8 +198,8 @@ def test_the_distinct_charpolys_come_in_order_of_first_appearance():
     assert problems == []
     item.update(distinct_charpolys=polys, charpoly_index=[1, 0, 1])
     assert reports._verify_cospectral(item, items.config, items, problems) is False
-    assert problems == ["distinct_charpolys are not the charpolys of the graphs rebuilt from "
-                        "their labels, each once in order of first appearance",
+    assert problems == ["distinct_charpolys are not the charpolys of the class reps' graphs, "
+                        "each once in order of first appearance",
                         "charpoly_index does not give each graph's charpoly"]
 
 
@@ -227,7 +228,7 @@ def test_verify_derives_the_centre_action_from_the_config(p, m, monkeypatch):
     monkeypatch.setattr(schreier, "char_poly", lambda graph: calls.append(
         (graph.group.ring.p, graph.rank, len(graph.reps))) or factor(graph))
     assert verify_report(report) == []
-    assert calls == [(p, m, p**m)] * (len(report["items"]) - 2)
+    assert calls == [(p, m, p**m)] * report["items"][0]["count"]
 
 
 @pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2)])
