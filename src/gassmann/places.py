@@ -58,6 +58,10 @@ def _validate(p: int, q: int, ell: int) -> None:
 def residue_degree(p: int, q: int, ell: int) -> int:
     """Power test: degree is ell unless p^((q-1)/ell) = 1 (mod q)."""
     _validate(p, q, ell)
+    return _power_degree(p, q, ell)
+
+
+def _power_degree(p: int, q: int, ell: int) -> int:
     return 1 if pow(p, (q - 1) // ell, q) == 1 else ell
 
 
@@ -73,6 +77,10 @@ def residue_degree_subgroup(p: int, q: int, ell: int) -> int:
     the image order is 1 exactly on the subgroup of ell-th powers.
     """
     _validate(p, q, ell)
+    return _subgroup_degree(p, q, ell)
+
+
+def _subgroup_degree(p: int, q: int, ell: int) -> int:
     return 1 if (p % q) in _index_ell_subgroup(q, ell) else ell
 
 
@@ -82,7 +90,8 @@ AGREEMENT_BOUND = 10**4
 
 def implementations_agree(ell: int, q: int, bound: int) -> tuple[int, bool]:
     """(checked_to, agree): whether the two tests give the same residue degree
-    at every prime up to checked_to = min(bound, AGREEMENT_BOUND) other than q."""
+    at every prime up to checked_to = min(bound, AGREEMENT_BOUND) other than q,
+    each called as any caller calls it, with its checks."""
     checked_to = min(bound, AGREEMENT_BOUND)
     agree = all(residue_degree(p, q, ell) == residue_degree_subgroup(p, q, ell)
                 for p in primes_up_to(checked_to) if p != q)
@@ -114,8 +123,9 @@ class ScanResult(NamedTuple):
         return abs(self.density - self.cebotarev_density)
 
 
-def scan_places(ell: int, q: int, bound: int) -> ScanResult:
-    """All primes p <= bound of full residue degree ell, in increasing order.
+def scan_places(ell: int, q: int, bound: int, subgroup: bool = False) -> ScanResult:
+    """All primes p <= bound of full residue degree ell, in increasing order, by the
+    power test, or by the subgroup test where ``subgroup``.
 
     The ramified prime q is excluded from the scan; distinct primes mean
     each characteristic in the output is realized exactly once.
@@ -125,6 +135,9 @@ def scan_places(ell: int, q: int, bound: int) -> ScanResult:
         raise NotPrime(f"ell={ell} is not prime")
     if not is_prime(q) or (q - 1) % ell != 0:
         raise SpecMismatch(f"q={q} is not a prime = 1 mod {ell}")
+    # ell and q are checked once, and the sieve's primes other than q need no
+    # check of their own, so the degree test runs on them alone
+    degree = _subgroup_degree if subgroup else _power_degree
     primes = [p for p in primes_up_to(bound) if p != q]
     return ScanResult(ell=ell, q=q, bound=bound, scanned=len(primes),
-                      primes=tuple(p for p in primes if residue_degree(p, q, ell) == ell))
+                      primes=tuple(p for p in primes if degree(p, q, ell) == ell))

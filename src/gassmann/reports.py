@@ -29,7 +29,7 @@ from .certify import (bruteforce_subgroup_keys, check_family_config, conjugate_p
                       orbit_oracle_runs)
 from .errors import GassmannError, SpecMismatch
 from .heisenberg import heisenberg_group, twisted_subgroup
-from .rings import make_field, power_within, primes_up_to
+from .rings import make_field, power_within
 
 # A verifier imports the modules of its item kind, so that verify loads only those
 # that the report's kinds need
@@ -102,11 +102,13 @@ def plan_item(op: str, inputs: dict, result: dict, checks: list[tuple[IneqCheck,
 class _Items:
     """A graphs report's coset graphs: the class reps' graphs in catalog order with the
     config's generators, built once, by the routes that graphs runs, for every
-    verifier that reads them."""
+    verifier that reads them.  A build that fails raises the same error at every
+    call, which verify_report lists once."""
 
     def __init__(self, items: list[dict], config):
         self.items, self.config = items, config
         self._graphs: Optional[list[CosetGraph]] = None
+        self._failure: Optional[GassmannError] = None
 
     def generators(self) -> tuple:
         """The config's generator list, each a triple of coefficient tuples."""
@@ -115,17 +117,24 @@ class _Items:
     def graphs(self) -> list[CosetGraph]:
         from .schreier import build_coset_graph
 
+        if self._failure is not None:
+            raise self._failure
         if self._graphs is None:
             p, m, cap = self.config["p"], self.config["m"], self.config["cap"]
-            spec = make_field(p, m, cap=cap)
-            # the stored class_of list bounds the catalog: it has one entry per class rep
-            stored = [len(item["class_of"]) for item in self.items
-                      if item["kind"] == "isomorphism-classes"]
-            if not (len(stored) == 1 and power_within(p, m * (m - 1), stored[0]) == stored[0]):
-                raise SpecMismatch("class_of does not list the p^(m(m-1)) class reps")
-            group = heisenberg_group(spec)
-            self._graphs = [build_coset_graph(twisted_subgroup(f, group), self.generators())
-                            for f in enumerate_class_reps(spec, cap).reps]
+            try:
+                spec = make_field(p, m, cap=cap)
+                # the stored class_of list bounds the catalog: one entry per class rep
+                stored = [len(item["class_of"]) for item in self.items
+                          if item["kind"] == "isomorphism-classes"]
+                if not (len(stored) == 1
+                        and power_within(p, m * (m - 1), stored[0]) == stored[0]):
+                    raise SpecMismatch("class_of does not list the p^(m(m-1)) class reps")
+                group = heisenberg_group(spec)
+                self._graphs = [build_coset_graph(twisted_subgroup(f, group), self.generators())
+                                for f in enumerate_class_reps(spec, cap).reps]
+            except GassmannError as exc:
+                self._failure = exc
+                raise
         return self._graphs
 
 
@@ -316,22 +325,21 @@ def _verify_tower_count(item: dict, config: dict, items: _Items, problems: list[
 
 
 def _verify_place_scan(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
-    from .places import check_scan_limit, implementations_agree, residue_degree_subgroup
+    from .places import implementations_agree, scan_places
 
     ell, q, bound = config["ell"], config["q"], config["bound"]
-    check_scan_limit(q, bound)
-    primes = [p for p in primes_up_to(bound) if p != q]
     # the scan again, by the subgroup test that production does not use for the count
-    degree_ell = sum(residue_degree_subgroup(p, q, ell) == ell for p in primes)
+    rescan = scan_places(ell, q, bound, subgroup=True)
     agree_to, agree = implementations_agree(ell, q, bound)
     if not (_same(item["agreement_checked_to"], agree_to)
             and _same(item["implementations_agree"], agree)):
         problems.append("agreement_checked_to or implementations_agree differs from the two "
                         "residue-degree tests up to min(bound, 10^4)")
-    if not _same(item["scanned"], len(primes)):
+    if not _same(item["scanned"], rescan.scanned):
         problems.append("scanned is not the number of primes up to the bound other than q")
-    density = Fraction(degree_ell, len(primes)) if primes else Fraction(0)
-    if not _same(item["degree_ell_count"], degree_ell) or Fraction(item["density"]) != density:
+    density = rescan.density
+    if not (_same(item["degree_ell_count"], rescan.degree_ell_count)
+            and Fraction(item["density"]) == density):
         problems.append(f"degree_ell_count or density does not count the primes of residue "
                         f"degree ell={ell} up to the bound")
     cebotarev = Fraction(ell - 1, ell)
@@ -473,6 +481,7 @@ def verify_report(report: dict) -> list[str]:
         layout = f"the config is malformed: {type(exc).__name__}: {exc}"
     problems = ([layout] if layout else []) + _unwritten_keys(report)
     grouped = _Items(items, config)
+    failures: list[GassmannError] = []
     for i, item in enumerate(items):
         kind = item["kind"]
         if kind not in _VERIFIERS:
@@ -484,7 +493,11 @@ def verify_report(report: dict) -> list[str]:
             problems.append(f"item {i} ({kind}) is malformed: {type(exc).__name__}: {exc}")
             continue
         except GassmannError as exc:
-            problems.append(f"item {i} ({kind}) fails its check: {type(exc).__name__}: {exc}")
+            # the graphs' build raises one error for every item that reads the graphs
+            if not any(exc is seen for seen in failures):
+                failures.append(exc)
+                problems.append(f"item {i} ({kind}) fails its check: {type(exc).__name__}: "
+                                f"{exc}")
             continue
         if not _same(item.get("holds"), verdict):
             problems.append(f"item {i} ({kind}) holds {item.get('holds')}, "

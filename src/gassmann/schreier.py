@@ -22,15 +22,26 @@ them for the oracles only.  This module is the one place that makes a
 graph: graphs and verify both build through build_coset_graph, and rows
 made outside the closed form, by the oracles or in tests, enter through
 CosetGraph.from_rows, where check_centre certifies every row against the
-translation rule in one pass before anything reads the action.  The
-characteristic polynomial is the product of small blocks, one per orbit
-of characters of Z under Galois conjugation (the voltage-graph
+translation rule in one pass before anything reads the action.  The graphs
+of one ring and generator set share their family's work, made once per
+(group, generators) as the transversal and the modulus are: the skeleton
+of the rows, into which f enters only through f(s0), one value per
+generator, and the reference graph H_0 with its characteristic polynomial.
+That polynomial is the product of small blocks, one per orbit of
+characters of Z under Galois conjugation (the voltage-graph
 factorisation), each split into blocks over Z/ℓ for one ℓ ≡ 1 (mod 2p)
 past a bound on the coefficients and reduced to Hessenberg form; the
 block polynomials multiply by Kronecker substitution, one big-integer
-product each, in a balanced tree.  At rank 0 the same route gives the
-dense polynomial, an oracle like the fraction-free integer determinants
-kept here; the division-free Berkowitz route is in ``gassmann.oracles``.
+product each, in a balanced tree.  Another graph's block for a character
+that is H_0's block relabelled by a translation of the orbit index,
+compared exactly as multiplicities per phase, has H_0's block polynomial;
+only a block that matches no translate takes the Hessenberg pass.  Over a
+field every block matches (Sunada's transplantation), so each graph costs
+one comparison per character.  At rank 0 the same Hessenberg route gives
+the dense polynomial, an oracle like the fraction-free integer
+determinants kept here; charpoly_by_centre, the route on certified rows
+alone, is the oracle of the matches, and the division-free Berkowitz
+route is in ``gassmann.oracles``.
 Isomorphism compares canonical colour-refinement invariants, cached per
 graph and computed on the orbit representatives, since the colours of a
 refinement from one colour are constant on the centre's orbits.  Where
@@ -204,8 +215,10 @@ def build_coset_graph(sub: TwistedSubgroup, gens: Sequence[GroupElement],
     (0, b + s1, c + s2 - f(s0) - s0·(b + s1)).  c enters that target only
     additively, so the row of (0, b, c) is the translate by index(c) of the
     row of (0, b, 0), and only those q representative rows are computed and
-    stored, with the ring's dimension as the rank.  No group element is
-    walked, and no other row is written.
+    stored, with the ring's dimension as the rank.  f enters them only
+    through f(s0), one value per generator: the family's skeleton holds the
+    rest, and each entry is its skeleton entry shifted by index(-f(s0)).  No
+    group element is walked, and no other row is written.
     ``oracles.coset_graph_bruteforce`` labels the cosets of any subgroup by
     walking the whole group.
     """
@@ -217,22 +230,83 @@ def build_coset_graph(sub: TwistedSubgroup, gens: Sequence[GroupElement],
     q = ring.size
     if q * q > cap:
         raise SizeCapExceeded(f"coset count {q * q} exceeds vertex cap {cap}")
-    gens = symmetrize_generators(group, gens)
-    if not gens:
-        raise EmptyGeneratorSet("need at least one generator")
-    els = ring.elements
-    add, times, neg, f = ring.add, ring.mul, ring.neg, sub.f.apply
-    index = {x: i for i, x in enumerate(els)}
-    moves = [(s0, s1, add(s2, neg(f(s0)))) for s0, s1, s2 in gens]
-    reps = []
-    for b in els:
-        moved = []
-        for s0, s1, lift in moves:
-            b1 = add(b, s1)
-            moved.append(index[b1] * q + index[add(lift, neg(times(s0, b1)))])
-        reps.append(tuple(sorted(Counter(moved).items())))
-    return CosetGraph(group=group, subgroup_label=sub.label(), gens=gens,
-                      vertices=transversal(ring), reps=tuple(reps), rank=ring.dim)
+    family = _family(group, tuple(gens))
+    f, neg, index = sub.f.apply, ring.neg, family.index
+    plus = _digit_sums(ring.p, ring.dim)
+    shifts = [plus[index[neg(f(s0))]] for s0 in family.heads]
+    return CosetGraph(group=group, subgroup_label=sub.label(), gens=family.gens,
+                      vertices=transversal(ring), reps=family.reps(shifts), rank=ring.dim)
+
+
+class _Family:
+    """The work that every coset graph of an H_f over one ring with one generator set
+    shares, made once: its skeleton, and the reference H_0 that char_poly matches.
+
+    In the row of (0, b, 0), the generator s = (s0, s1, s2) goes to vertex
+    index(b + s1)·q + index(s2 - s0·(b + s1) - f(s0)).  ``heads`` lists the
+    distinct s0 of the generators, and moves[index(b)] holds, per generator,
+    (k, index(b + s1)·q, index(s2 - s0·(b + s1))) with s0 = heads[k], which
+    does not depend on f; a graph's entry is base + shifts[k][c] for the
+    table shifts[k] = plus[index(-f(s0))] of _digit_sums, which adds -f(s0).
+    """
+
+    def __init__(self, group: Heisenberg, given: tuple[GroupElement, ...]):
+        gens = symmetrize_generators(group, given)
+        if not gens:
+            raise EmptyGeneratorSet("need at least one generator")
+        ring = group.ring
+        q, els = ring.size, ring.elements
+        add, times, neg = ring.add, ring.mul, ring.neg
+        self.ring, self.gens = ring, gens
+        self.index = {x: i for i, x in enumerate(els)}
+        self.heads = tuple(dict.fromkeys(s0 for s0, _, _ in gens))
+        index, head = self.index, {s0: k for k, s0 in enumerate(self.heads)}
+        self.moves = tuple(
+            tuple((head[s0], index[b1] * q, index[add(s2, neg(times(s0, b1)))])
+                  for s0, s1, s2 in gens for b1 in (add(b, s1),))
+            for b in els)
+
+    def reps(self, shifts: Sequence[Sequence[int]]) -> Rows:
+        """The representatives' rows of the graph whose generators with s0 = heads[k]
+        add the shift table shifts[k] to the c-index of their skeleton entries."""
+        return tuple(
+            tuple(sorted(Counter([base + shifts[k][c] for k, base, c in moved]).items()))
+            for moved in self.moves)
+
+    @cached_property
+    def reference(self) -> _Reference:
+        """H_0's characters: per line, its block as _block_rows reads it and its
+        polynomial, and their product."""
+        ring = self.ring
+        p, r = ring.p, ring.dim
+        plus = _digit_sums(p, r)
+        reps = self.reps([plus[0]] * len(self.heads))  # f = 0 shifts nothing
+        chars = _characters(p, r)
+        polys = _line_charpolys(reps, p, r, range(len(chars)))
+        relative = _relative_entries(reps, p, r)
+        lines = []
+        for (_, phase), poly in zip(chars, polys):
+            rows = _block_rows(relative, phase)
+            starts: dict[tuple, list[int]] = {}
+            for x, row in enumerate(rows):
+                starts.setdefault(row, []).append(x)
+            lines.append((rows, starts, poly))
+        return _Reference(tuple(lines), _product(polys))
+
+
+class _Reference(NamedTuple):
+    # per line of _characters: (H_0's block rows, the positions of each of those
+    # rows, the line polynomial)
+    lines: tuple[tuple[tuple, dict, list[int]], ...]
+    product: SpectrumPolynomial
+
+
+@lru_cache(maxsize=16)
+def _family(group: Heisenberg, gens: tuple[GroupElement, ...]) -> _Family:
+    """The family of the group and the generators as given, made once they pass
+    symmetrize_generators's checks.  A set that fails them raises at every call,
+    since a call that raises caches nothing."""
+    return _Family(group, gens)
 
 
 @lru_cache(maxsize=16)
@@ -491,7 +565,20 @@ def charpoly_by_centre(rows: Rows, p: int, r: int) -> SpectrumPolynomial:
     return _charpoly_of_reps(rows[::width], p, r)
 
 
-def _charpoly_of_reps(reps: Rows, p: int, r: int) -> SpectrumPolynomial:
+@lru_cache(maxsize=16)
+def _characters(p: int, r: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(lead, phase) per line through 0 of the characters λ of (Z/p)^r: λ = 0, then
+    per line the λ led by 1, in order of λ's digits; phase[t] = λ·t mod p."""
+    digits = [[t // p**i % p for i in range(r)] for t in range(p**r)]
+    lines = []
+    for lam in digits:
+        lead = next((x for x in lam if x), 0)
+        if lead <= 1:  # keep λ = 0 and, per line through 0, the λ led by 1
+            lines.append((lead, tuple(sum(map(mul, lam, t)) % p for t in digits)))
+    return tuple(lines)
+
+
+def _charpoly_of_reps(reps: Rows, p: int, r: int, known: Sequence = ()) -> SpectrumPolynomial:
     """det(tI - A) as a product of blocks over the characters of a free (Z/p)^r action.
 
     A is the adjacency of the graph whose vertex a·p^r + t has the translate
@@ -505,10 +592,24 @@ def _charpoly_of_reps(reps: Rows, p: int, r: int) -> SpectrumPolynomial:
     A_λ[a, b] = Σ_t A[a·p^r, b·p^r + t] ζ^(λ·t); λ = 0 gives an integer block.
     The p - 1 nonzero multiples of one λ are Galois conjugate, so the
     charpolys of their blocks multiply to an integer polynomial of degree
-    N = Q(p-1).  It is computed modulo one ℓ from _modulus, in which ζ ↦ ω^s
-    sends A_λ to the block B_s of the character sλ, s = 1, ..., p - 1, and
-    lifted to the symmetric range.  The line polynomials multiply in a
-    balanced tree.
+    N = Q(p-1), one per line of _characters.  ``known``, where given, lists
+    them by line, None for each line that _line_charpolys is to compute.
+    The line polynomials multiply in a balanced tree.
+    """
+    lines = list(known) or [None] * len(_characters(p, r))
+    wanted = [i for i, poly in enumerate(lines) if poly is None]
+    for i, poly in zip(wanted, _line_charpolys(reps, p, r, wanted)):
+        lines[i] = poly
+    return _product(lines)
+
+
+def _line_charpolys(reps: Rows, p: int, r: int, wanted: Sequence[int]) -> list[list[int]]:
+    """The integer polynomial of each wanted line of _characters, for the graph whose
+    orbit representatives have these rows, by one Hessenberg pass per block.
+
+    It is computed modulo one ℓ from _modulus, in which ζ ↦ ω^s sends A_λ to
+    the block B_s of the character sλ, s = 1, ..., p - 1, and lifted to the
+    symmetric range.
     """
     width = p**r
     size = len(reps)
@@ -522,13 +623,9 @@ def _charpoly_of_reps(reps: Rows, p: int, r: int) -> SpectrumPolynomial:
     big = size * (p - 1) if r else size
     ell, omega = _modulus(p, max(comb(big, k) * d**k for k in range(big + 1)))
     powers = [pow(omega, j, ell) for j in range(p)]
+    chars = _characters(p, r)
     lines = []
-    digits = [[t // p**i % p for i in range(r)] for t in range(width)]
-    for lam in digits:
-        lead = next((x for x in lam if x), 0)
-        if lead > 1:  # keep λ = 0 and, per line through 0, the λ led by 1
-            continue
-        phase = [sum(map(mul, lam, t)) % p for t in digits]
+    for lead, phase in map(chars.__getitem__, wanted):
         factor = [1]
         for s in range(1, p) if lead else (1,):
             block = [[0] * size for _ in range(size)]
@@ -537,9 +634,64 @@ def _charpoly_of_reps(reps: Rows, p: int, r: int) -> SpectrumPolynomial:
                     block[a][b] += mult * powers[s * phase[t] % p]
             factor = [c % ell for c in _poly_mul(factor, _charpoly_mod(block, ell))]
         lines.append([c - ell if 2 * c > ell else c for c in factor])
-    while len(lines) > 1:  # pairwise, so no product is lopsided
+    return lines
+
+
+def _product(lines: list[list[int]]) -> SpectrumPolynomial:
+    """The product of the line polynomials, pairwise, so that no product is lopsided."""
+    while len(lines) > 1:
         lines = [*map(_poly_mul, lines[::2], lines[1::2]), *lines[len(lines) & ~1:]]
     return SpectrumPolynomial(tuple(lines[0]))
+
+
+def _relative_entries(reps: Rows, p: int, r: int) -> list[list[tuple[int, int, int]]]:
+    """Per representative a, its entries v = b·p^r + t as ((b - a)·p, t, multiplicity),
+    b - a taken in the digit group of _digit_sums, on a graph with p^r of them."""
+    plus = _digit_sums(p, r)
+    width = len(plus)
+    # minus[a][b] = b - a: plus[a] maps a's negative to 0
+    minus = [plus[row.index(0)] for row in plus]
+    return [[(minus[a][v // width] * p, v % width, mult) for v, mult in row]
+            for a, row in enumerate(reps)]
+
+
+def _block_rows(relative, phase: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
+    """The block of the character with this phase table, row a read relative to a:
+    the sorted ((b - a)·p + phase, multiplicity) of its entry at b, each phase of
+    Z/p with the sum of the multiplicities of the voltages t of that phase.
+
+    Row a of one block equals row a + x of another for every a exactly when
+    the first block's entry at (a, b) is the second's at (a + x, b + x), as
+    a vector of multiplicities per phase, for every a and b.
+    """
+    rows = []
+    for entries in relative:
+        acc: dict[int, int] = {}
+        for base, t, mult in entries:
+            key = base + phase[t]
+            acc[key] = acc.get(key, 0) + mult
+        rows.append(tuple(sorted(acc.items())))
+    return rows
+
+
+def _translations(graph: CosetGraph, reference: _Reference) -> list[Optional[int]]:
+    """Per line of _characters, an x such that the graph's block has at (a, b) the
+    entry of H_0's block at (a + x, b + x), for every a and b, or None.
+
+    The graph is one of rank ring.dim with q representatives, and the
+    reference that of its family.  Candidates x are those whose row of H_0's
+    block equals the graph's row 0, and each is checked on every row.
+    """
+    p, r = graph.group.ring.p, graph.rank
+    plus = _digit_sums(p, r)
+    relative = _relative_entries(graph.reps, p, r)
+    found = []
+    for (_, phase), (ref_rows, starts, _) in zip(_characters(p, r), reference.lines):
+        rows = _block_rows(relative, phase)
+        found.append(next((x for x in starts.get(rows[0], ())
+                           if all(row == ref_rows[plus[a][x]] for a, row in enumerate(rows))),
+                          None))
+    return found
 
 
 def char_poly(graph: CosetGraph, cap: Optional[int] = None) -> SpectrumPolynomial:
@@ -548,12 +700,28 @@ def char_poly(graph: CosetGraph, cap: Optional[int] = None) -> SpectrumPolynomia
     Factorised on the representatives' rows through the free action of the
     graph's rank, as charpoly_by_centre factors certified rows: on a coset
     graph of H_f the centre, whose (0, 0, e) adds 1 mod p to one base-p digit
-    of index(c).
+    of index(c).  Where that rank is the ring's dimension and there are q
+    representatives, each character's block is matched first against the
+    block of H_0, the graph of the same generators with f = 0, under a
+    translation of the orbit index (_translations).  A match is a
+    relabelling of the block, so the line polynomial is H_0's, made once per
+    family; a line that matches no translate takes the Hessenberg pass.  Over
+    a field every line matches (Sunada's transplantation: ψ∘f is ψ(a·x) for
+    one a), and the polynomial is H_0's.
     """
     limit = DEFAULT_VERTEX_CAP if cap is None else cap
     if graph.n > limit:
         raise SizeCapExceeded(f"{graph.n} vertices exceed cap {limit}")
-    return _charpoly_of_reps(graph.reps, graph.group.ring.p, graph.rank)
+    ring = graph.group.ring
+    if graph.rank != ring.dim or len(graph.reps) != ring.size:
+        return _charpoly_of_reps(graph.reps, ring.p, graph.rank)
+    reference = _family(graph.group, graph.gens).reference
+    shifts = _translations(graph, reference)
+    if None not in shifts:
+        return reference.product
+    return _charpoly_of_reps(graph.reps, ring.p, graph.rank,
+                             [None if x is None else poly
+                              for x, (_, _, poly) in zip(shifts, reference.lines)])
 
 
 def distinct_charpolys(graphs: Sequence[CosetGraph]) -> tuple[list[tuple[int, ...]], list[int]]:

@@ -804,10 +804,9 @@ def test_verify_bounds_the_catalog_by_the_stored_classes(monkeypatch):
     report["config"].update(m=5, cap=2**40)
     monkeypatch.setattr(reports, "enumerate_class_reps", refuse)
     problems = verify_report(report)
-    assert problems == [f"item {i} ({kind}) fails its check: SpecMismatch: class_of does not "
-                        "list the p^(m(m-1)) class reps"
-                        for i, kind in enumerate(("coset-graphs", "cospectral",
-                                                  "isomorphism-classes"))]
+    # the three items read the same graphs, whose build fails once
+    assert problems == ["item 0 (coset-graphs) fails its check: SpecMismatch: class_of does "
+                        "not list the p^(m(m-1)) class reps"]
 
 
 def test_verify_lists_a_disconnected_graph(tmp_path):

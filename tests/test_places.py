@@ -89,6 +89,28 @@ def test_implementations_agree_compares_every_prime_up_to_the_bound(bound, liar,
     assert implementations_agree(3, 7, bound) == expected
 
 
+def test_a_scan_proves_ell_and_q_prime_once(monkeypatch):
+    # the sieve's primes are not proved again; a public residue-degree call still
+    # checks all three of ell, q and p
+    calls = []
+    monkeypatch.setattr(places, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    scan = scan_places(3, 7, 10**4)
+    assert calls == [3, 7]
+    calls.clear()
+    residue_degree(2, 7, 3)
+    residue_degree_subgroup(2, 7, 3)
+    assert calls == [3, 7, 2] * 2
+    assert scan_places(3, 7, 10**4, subgroup=True) == scan
+
+
+@pytest.mark.parametrize("ell, q, error", [(4, 7, NotPrime), (3, 9, SpecMismatch),
+                                           (3, 11, SpecMismatch)])
+def test_a_scan_checks_ell_and_q(ell, q, error):
+    for subgroup in (False, True):
+        with pytest.raises(error):
+            scan_places(ell, q, 1, subgroup)
+
+
 def test_scan_is_empty_below_two():
     assert scan_places(3, 7, 1).primes == ()
 

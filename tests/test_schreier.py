@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -463,6 +464,146 @@ def test_isospectral_spec_mismatch():
     # graphs of two groups cannot share a generator set
     with pytest.raises(SpecMismatch):
         build_coset_graph(horizontal_subgroup(heisenberg_group(F2)), GENS4)
+
+
+# ---------------------------------------------------------------------------
+# Charpolys by translation onto H_0's blocks
+# ---------------------------------------------------------------------------
+
+
+def _paths(graph):
+    """Per line of characters, the translation that matched H_0's block, or None where
+    the line took the Hessenberg pass."""
+    return schreier._translations(graph, schreier._family(graph.group, graph.gens).reference)
+
+
+def _assert_char_poly_is_the_oracle(graph):
+    assert char_poly(graph) == charpoly_by_centre(graph.rows, graph.group.ring.p, graph.rank)
+
+
+def _with_one_one_one(spec):
+    group = heisenberg_group(spec)
+    one = spec.one()
+    return (*default_generators(group), (one, one, one))
+
+
+@pytest.mark.parametrize("spec", [F4, make_field(2, 3), make_field(3, 2)], ids=repr)
+def test_every_block_of_every_class_rep_is_a_translate_over_a_field(spec):
+    for gens in (default_generators(heisenberg_group(spec)), _with_one_one_one(spec)):
+        for graph in _rep_graphs(spec, gens):
+            assert None not in _paths(graph)
+            _assert_char_poly_is_the_oracle(graph)
+
+
+@pytest.mark.parametrize("spec, sample", [(make_field(2, 4), 12), (make_field(5, 2), 3)],
+                         ids=["GF16", "GF25"])
+def test_char_poly_by_translation_equals_the_oracle_on_sampled_reps(spec, sample):
+    for graph in _rep_graphs(spec, sample=sample):
+        assert None not in _paths(graph)
+        _assert_char_poly_is_the_oracle(graph)
+
+
+# ring -> (lines that match a translate, lines) over the class reps' graphs
+TRUNCATED_MATCHES = {
+    "F2[t]/t^2": (make_trunc_ring(2, 2), 14, 16),
+    "F3[t]/t^2": (make_trunc_ring(3, 2), 39, 45),
+    "F2[t]/t^3": (make_trunc_ring(2, 3), 400, 512),
+}
+
+
+@pytest.mark.parametrize("name", list(TRUNCATED_MATCHES))
+def test_over_a_truncated_ring_some_lines_take_the_hessenberg_pass(name):
+    # a ↦ ψ(a·x) is not onto the characters there, so some blocks are no translates
+    spec, matched, lines = TRUNCATED_MATCHES[name]
+    paths = []
+    for graph in _rep_graphs(spec):
+        paths += _paths(graph)
+        _assert_char_poly_is_the_oracle(graph)
+    assert (sum(x is not None for x in paths), len(paths)) == (matched, lines)
+
+
+def _h0_rows(spec=F4, gens=None):
+    """Every row of H_0's graph over the ring."""
+    group = heisenberg_group(spec)
+    gens = default_generators(group) if gens is None else gens
+    return build_coset_graph(horizontal_subgroup(group), gens).rows
+
+
+def _claiming(rows, gens=GENS4, rank=2, group=G4):
+    """The graph with these rows that claims the generators of GF(4)'s family."""
+    return CosetGraph.from_rows(group, "forged", gens, group.elements[:len(rows)], rows, rank)
+
+
+def test_a_graph_whose_blocks_match_no_translate_falls_back():
+    # the rows of the five-generator graph of H_0, claiming the default generators:
+    # every block has degree 5, H_0's 4
+    graph = _claiming(_h0_rows(gens=_five_generators()))
+    assert _paths(graph) == [None] * 4
+    _assert_char_poly_is_the_oracle(graph)
+    assert char_poly(graph) != char_poly(build_coset_graph(horizontal_subgroup(G4), GENS4))
+
+
+def test_a_match_compares_multiplicities():
+    # H_0 with every edge doubled: its blocks have H_0's entries at every phase, but
+    # twice as many of each, and its polynomial is not H_0's
+    graph = _claiming(tuple(tuple((v, 2 * mult) for v, mult in row) for row in _h0_rows()))
+    assert _paths(graph) == [None] * 4
+    _assert_char_poly_is_the_oracle(graph)
+
+
+def test_a_match_compares_phases():
+    # H_0 with every voltage made trivial: vertex a·4 + t goes wherever its
+    # representative goes, plus t, so each block has H_0's multiplicities at phase 0
+    # alone; only the trivial character's block, the quotient's, is H_0's
+    width = 4
+    plus = schreier._digit_sums(2, 2)
+    reps = [Counter() for _ in range(width)]
+    for a, row in enumerate(_h0_rows()[::width]):
+        for v, mult in row:
+            reps[a][v - v % width] += mult
+    rows = tuple(tuple(sorted((base + plus[t][0], mult) for base, mult in rep.items()))
+                 for rep in reps for t in range(width))
+    graph = _claiming(rows)
+    paths = _paths(graph)
+    assert paths[0] is not None and paths[1:] == [None] * 3
+    _assert_char_poly_is_the_oracle(graph)
+
+
+def test_a_graph_of_another_rank_takes_no_translation():
+    # H_0's quotient by the centre, q vertices at rank 0: as many rows as H_0 has
+    # representatives, but no action of the ring's rank, so its own dense polynomial
+    quotient = Counter()
+    rows = []
+    for a, row in enumerate(_h0_rows()[::4]):
+        quotient.clear()
+        for v, mult in row:
+            quotient[v // 4] += mult
+        rows.append(tuple(sorted(quotient.items())))
+    graph = _claiming(tuple(rows), rank=0)
+    assert len(graph.reps) == F4.size
+    _assert_char_poly_is_the_oracle(graph)
+    assert char_poly(graph).degree == 4
+
+
+def test_a_bad_generator_set_raises_at_every_build():
+    h0 = horizontal_subgroup(G4)
+    build_coset_graph(h0, GENS4)
+    for _ in range(2):
+        with pytest.raises(SpecMismatch):
+            build_coset_graph(h0, [((1,), (0,), (0,))])
+        with pytest.raises(EmptyGeneratorSet):
+            build_coset_graph(h0, [])
+
+
+def test_two_generator_sets_over_one_ring_keep_two_families():
+    five = tuple(_five_generators())
+    assert schreier._family(G4, five) is not schreier._family(G4, GENS4)
+    assert schreier._family(G4, GENS4) is schreier._family(G4, GENS4)
+    # built alternately, each set's graphs are the walk's, and each polynomial its own
+    for f in enumerate_class_reps(F4).reps:
+        for gens in (five, GENS4):
+            fast, _ = _assert_closed_form_equals_the_walk(twisted_subgroup(f, G4), gens)
+            _assert_char_poly_is_the_oracle(fast)
 
 
 # ---------------------------------------------------------------------------
