@@ -522,11 +522,9 @@ def test_over_a_truncated_ring_some_lines_take_the_hessenberg_pass(name):
     assert (sum(x is not None for x in paths), len(paths)) == (matched, lines)
 
 
-def _h0_rows(spec=F4, gens=None):
-    """Every row of H_0's graph over the ring."""
-    group = heisenberg_group(spec)
-    gens = default_generators(group) if gens is None else gens
-    return build_coset_graph(horizontal_subgroup(group), gens).rows
+def _h0_rows(gens=GENS4):
+    """Every row of H_0's graph over GF(4)."""
+    return build_coset_graph(horizontal_subgroup(G4), gens).rows
 
 
 def _claiming(rows, gens=GENS4, rank=2, group=G4):
@@ -572,10 +570,9 @@ def test_a_match_compares_phases():
 def test_a_graph_of_another_rank_takes_no_translation():
     # H_0's quotient by the centre, q vertices at rank 0: as many rows as H_0 has
     # representatives, but no action of the ring's rank, so its own dense polynomial
-    quotient = Counter()
     rows = []
-    for a, row in enumerate(_h0_rows()[::4]):
-        quotient.clear()
+    for row in _h0_rows()[::4]:
+        quotient = Counter()
         for v, mult in row:
             quotient[v // 4] += mult
         rows.append(tuple(sorted(quotient.items())))
