@@ -32,12 +32,12 @@ characters of Z under Galois conjugation (the voltage-graph
 factorisation), each split into blocks over Z/ℓ for one ℓ ≡ 1 (mod 2p)
 past a bound on the coefficients and reduced to Hessenberg form; the
 block polynomials multiply by Kronecker substitution, one big-integer
-product each, in a balanced tree.  Another graph's block for a character
-that is H_0's block relabelled by a translation of the orbit index,
-compared exactly as multiplicities per phase, has H_0's block polynomial;
-only a block that matches no translate takes the Hessenberg pass.  Over a
-field every block matches (Sunada's transplantation), so each graph costs
-one comparison per character.  At rank 0 the same Hessenberg route gives
+product each, in a balanced tree.  A graph whose block for every character
+is H_0's block relabelled by a translation of the orbit index, compared
+exactly as multiplicities per phase, has H_0's polynomial; a graph with a
+block that matches no translate takes the Hessenberg pass.  Over a field
+every block matches (Sunada's transplantation), so each graph costs one
+comparison per character.  At rank 0 the same Hessenberg route gives
 the dense polynomial, an oracle like the fraction-free integer
 determinants kept here; charpoly_by_centre, the route on certified rows
 alone, is the oracle of the matches, and the division-free Berkowitz
@@ -233,7 +233,7 @@ def build_coset_graph(sub: TwistedSubgroup, gens: Sequence[GroupElement],
     family = _family(group, tuple(gens))
     f, neg, index = sub.f.apply, ring.neg, family.index
     plus = _digit_sums(ring.p, ring.dim)
-    shifts = [plus[index[neg(f(s0))]] for s0 in family.heads]
+    shifts = [plus[index[neg(f(s0))]] for s0, _, _ in family.gens]
     return CosetGraph(group=group, subgroup_label=sub.label(), gens=family.gens,
                       vertices=transversal(ring), reps=family.reps(shifts), rank=ring.dim)
 
@@ -243,11 +243,10 @@ class _Family:
     shares, made once: its skeleton, and the reference H_0 that char_poly matches.
 
     In the row of (0, b, 0), the generator s = (s0, s1, s2) goes to vertex
-    index(b + s1)·q + index(s2 - s0·(b + s1) - f(s0)).  ``heads`` lists the
-    distinct s0 of the generators, and moves[index(b)] holds, per generator,
-    (k, index(b + s1)·q, index(s2 - s0·(b + s1))) with s0 = heads[k], which
-    does not depend on f; a graph's entry is base + shifts[k][c] for the
-    table shifts[k] = plus[index(-f(s0))] of _digit_sums, which adds -f(s0).
+    index(b + s1)·q + index(s2 - s0·(b + s1) - f(s0)).  moves[index(b)] holds,
+    per generator gens[k], (k, index(b + s1)·q, index(s2 - s0·(b + s1))), which
+    does not depend on f; a graph's entry is base + shifts[k][c] for the table
+    shifts[k] = plus[index(-f(s0))] of _digit_sums, which adds -f(s0).
     """
 
     def __init__(self, group: Heisenberg, given: tuple[GroupElement, ...]):
@@ -259,45 +258,40 @@ class _Family:
         add, times, neg = ring.add, ring.mul, ring.neg
         self.ring, self.gens = ring, gens
         self.index = {x: i for i, x in enumerate(els)}
-        self.heads = tuple(dict.fromkeys(s0 for s0, _, _ in gens))
-        index, head = self.index, {s0: k for k, s0 in enumerate(self.heads)}
+        index = self.index
         self.moves = tuple(
-            tuple((head[s0], index[b1] * q, index[add(s2, neg(times(s0, b1)))])
-                  for s0, s1, s2 in gens for b1 in (add(b, s1),))
+            tuple((k, index[b1] * q, index[add(s2, neg(times(s0, b1)))])
+                  for k, (s0, s1, s2) in enumerate(gens) for b1 in (add(b, s1),))
             for b in els)
 
     def reps(self, shifts: Sequence[Sequence[int]]) -> Rows:
-        """The representatives' rows of the graph whose generators with s0 = heads[k]
-        add the shift table shifts[k] to the c-index of their skeleton entries."""
+        """The representatives' rows of the graph whose generator k adds the shift
+        table shifts[k] to the c-index of its skeleton entries."""
         return tuple(
             tuple(sorted(Counter([base + shifts[k][c] for k, base, c in moved]).items()))
             for moved in self.moves)
 
     @cached_property
     def reference(self) -> _Reference:
-        """H_0's characters: per line, its block as _block_rows reads it and its
-        polynomial, and their product."""
+        """H_0's blocks, per line of _characters as _block_rows reads them, and its
+        characteristic polynomial."""
         ring = self.ring
         p, r = ring.p, ring.dim
-        plus = _digit_sums(p, r)
-        reps = self.reps([plus[0]] * len(self.heads))  # f = 0 shifts nothing
-        chars = _characters(p, r)
-        polys = _line_charpolys(reps, p, r, range(len(chars)))
+        reps = self.reps([_digit_sums(p, r)[0]] * len(self.gens))  # f = 0 shifts nothing
         relative = _relative_entries(reps, p, r)
         lines = []
-        for (_, phase), poly in zip(chars, polys):
+        for _, phase in _characters(p, r):
             rows = _block_rows(relative, phase)
             starts: dict[tuple, list[int]] = {}
             for x, row in enumerate(rows):
                 starts.setdefault(row, []).append(x)
-            lines.append((rows, starts, poly))
-        return _Reference(tuple(lines), _product(polys))
+            lines.append((rows, starts))
+        return _Reference(tuple(lines), _charpoly_of_reps(reps, p, r))
 
 
 class _Reference(NamedTuple):
-    # per line of _characters: (H_0's block rows, the positions of each of those
-    # rows, the line polynomial)
-    lines: tuple[tuple[tuple, dict, list[int]], ...]
+    # per line of _characters: (H_0's block rows, the positions of each of those rows)
+    lines: tuple[tuple[tuple, dict], ...]
     product: SpectrumPolynomial
 
 
@@ -578,7 +572,7 @@ def _characters(p: int, r: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(lines)
 
 
-def _charpoly_of_reps(reps: Rows, p: int, r: int, known: Sequence = ()) -> SpectrumPolynomial:
+def _charpoly_of_reps(reps: Rows, p: int, r: int) -> SpectrumPolynomial:
     """det(tI - A) as a product of blocks over the characters of a free (Z/p)^r action.
 
     A is the adjacency of the graph whose vertex a·p^r + t has the translate
@@ -592,24 +586,10 @@ def _charpoly_of_reps(reps: Rows, p: int, r: int, known: Sequence = ()) -> Spect
     A_λ[a, b] = Σ_t A[a·p^r, b·p^r + t] ζ^(λ·t); λ = 0 gives an integer block.
     The p - 1 nonzero multiples of one λ are Galois conjugate, so the
     charpolys of their blocks multiply to an integer polynomial of degree
-    N = Q(p-1), one per line of _characters.  ``known``, where given, lists
-    them by line, None for each line that _line_charpolys is to compute.
-    The line polynomials multiply in a balanced tree.
-    """
-    lines = list(known) or [None] * len(_characters(p, r))
-    wanted = [i for i, poly in enumerate(lines) if poly is None]
-    for i, poly in zip(wanted, _line_charpolys(reps, p, r, wanted)):
-        lines[i] = poly
-    return _product(lines)
-
-
-def _line_charpolys(reps: Rows, p: int, r: int, wanted: Sequence[int]) -> list[list[int]]:
-    """The integer polynomial of each wanted line of _characters, for the graph whose
-    orbit representatives have these rows, by one Hessenberg pass per block.
-
-    It is computed modulo one ℓ from _modulus, in which ζ ↦ ω^s sends A_λ to
-    the block B_s of the character sλ, s = 1, ..., p - 1, and lifted to the
-    symmetric range.
+    N = Q(p-1), one per line of _characters.  It is computed modulo one ℓ
+    from _modulus, in which ζ ↦ ω^s sends A_λ to the block B_s of the
+    character sλ, s = 1, ..., p - 1, and lifted to the symmetric range.  The
+    line polynomials multiply in a balanced tree.
     """
     width = p**r
     size = len(reps)
@@ -623,9 +603,8 @@ def _line_charpolys(reps: Rows, p: int, r: int, wanted: Sequence[int]) -> list[l
     big = size * (p - 1) if r else size
     ell, omega = _modulus(p, max(comb(big, k) * d**k for k in range(big + 1)))
     powers = [pow(omega, j, ell) for j in range(p)]
-    chars = _characters(p, r)
     lines = []
-    for lead, phase in map(chars.__getitem__, wanted):
+    for lead, phase in _characters(p, r):
         factor = [1]
         for s in range(1, p) if lead else (1,):
             block = [[0] * size for _ in range(size)]
@@ -634,12 +613,7 @@ def _line_charpolys(reps: Rows, p: int, r: int, wanted: Sequence[int]) -> list[l
                     block[a][b] += mult * powers[s * phase[t] % p]
             factor = [c % ell for c in _poly_mul(factor, _charpoly_mod(block, ell))]
         lines.append([c - ell if 2 * c > ell else c for c in factor])
-    return lines
-
-
-def _product(lines: list[list[int]]) -> SpectrumPolynomial:
-    """The product of the line polynomials, pairwise, so that no product is lopsided."""
-    while len(lines) > 1:
+    while len(lines) > 1:  # pairwise, so no product is lopsided
         lines = [*map(_poly_mul, lines[::2], lines[1::2]), *lines[len(lines) & ~1:]]
     return SpectrumPolynomial(tuple(lines[0]))
 
@@ -686,7 +660,7 @@ def _translations(graph: CosetGraph, reference: _Reference) -> list[Optional[int
     plus = _digit_sums(p, r)
     relative = _relative_entries(graph.reps, p, r)
     found = []
-    for (_, phase), (ref_rows, starts, _) in zip(_characters(p, r), reference.lines):
+    for (_, phase), (ref_rows, starts) in zip(_characters(p, r), reference.lines):
         rows = _block_rows(relative, phase)
         found.append(next((x for x in starts.get(rows[0], ())
                            if all(row == ref_rows[plus[a][x]] for a, row in enumerate(rows))),
@@ -704,24 +678,20 @@ def char_poly(graph: CosetGraph, cap: Optional[int] = None) -> SpectrumPolynomia
     representatives, each character's block is matched first against the
     block of H_0, the graph of the same generators with f = 0, under a
     translation of the orbit index (_translations).  A match is a
-    relabelling of the block, so the line polynomial is H_0's, made once per
-    family; a line that matches no translate takes the Hessenberg pass.  Over
-    a field every line matches (Sunada's transplantation: ψ∘f is ψ(a·x) for
-    one a), and the polynomial is H_0's.
+    relabelling of the block, so where every line matches the polynomial is
+    H_0's, made once per family; a graph with a line that matches no
+    translate takes the Hessenberg pass on all its blocks.  Over a field
+    every line matches (Sunada's transplantation: ψ∘f is ψ(a·x) for one a).
     """
     limit = DEFAULT_VERTEX_CAP if cap is None else cap
     if graph.n > limit:
         raise SizeCapExceeded(f"{graph.n} vertices exceed cap {limit}")
     ring = graph.group.ring
-    if graph.rank != ring.dim or len(graph.reps) != ring.size:
-        return _charpoly_of_reps(graph.reps, ring.p, graph.rank)
-    reference = _family(graph.group, graph.gens).reference
-    shifts = _translations(graph, reference)
-    if None not in shifts:
-        return reference.product
-    return _charpoly_of_reps(graph.reps, ring.p, graph.rank,
-                             [None if x is None else poly
-                              for x, (_, _, poly) in zip(shifts, reference.lines)])
+    if graph.rank == ring.dim and len(graph.reps) == ring.size:
+        reference = _family(graph.group, graph.gens).reference
+        if None not in _translations(graph, reference):
+            return reference.product
+    return _charpoly_of_reps(graph.reps, ring.p, graph.rank)
 
 
 def distinct_charpolys(graphs: Sequence[CosetGraph]) -> tuple[list[tuple[int, ...]], list[int]]:

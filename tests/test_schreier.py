@@ -473,7 +473,7 @@ def test_isospectral_spec_mismatch():
 
 def _paths(graph):
     """Per line of characters, the translation that matched H_0's block, or None where
-    the line took the Hessenberg pass."""
+    none did; a graph with a None takes the Hessenberg pass."""
     return schreier._translations(graph, schreier._family(graph.group, graph.gens).reference)
 
 
@@ -512,7 +512,7 @@ TRUNCATED_MATCHES = {
 
 
 @pytest.mark.parametrize("name", list(TRUNCATED_MATCHES))
-def test_over_a_truncated_ring_some_lines_take_the_hessenberg_pass(name):
+def test_over_a_truncated_ring_some_blocks_match_no_translate(name):
     # a ↦ ψ(a·x) is not onto the characters there, so some blocks are no translates
     spec, matched, lines = TRUNCATED_MATCHES[name]
     paths = []
