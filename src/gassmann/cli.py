@@ -158,12 +158,12 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None, cap: Optional[in
             "holds": all_equal,
         }
     )
-    class_of, witnesses = sg.isomorphism_classes(graphs)
+    class_of, witnesses = sg.orbit_classes(catalog.reps, graphs)
     report["items"].append(
         {
             "kind": "isomorphism-classes",
             "class_of": class_of,
-            "witnesses": [list(w) if w is not None else None for w in witnesses],
+            "witnesses": [rp.encode_witness(w) for w in witnesses],
             "holds": True,
         }
     )

@@ -90,11 +90,17 @@ AGREEMENT_BOUND = 10**4
 
 def implementations_agree(ell: int, q: int, bound: int) -> tuple[int, bool]:
     """(checked_to, agree): whether the two tests give the same residue degree
-    at every prime up to checked_to = min(bound, AGREEMENT_BOUND) other than q,
-    each called as any caller calls it, with its checks."""
+    at every prime up to checked_to = min(bound, AGREEMENT_BOUND) other than q.
+
+    The first prime goes through the public tests, which check ell, q and p, so
+    ell and q are checked once per test; the sieve proved the rest prime, and
+    only their degrees are compared."""
     checked_to = min(bound, AGREEMENT_BOUND)
-    agree = all(residue_degree(p, q, ell) == residue_degree_subgroup(p, q, ell)
-                for p in primes_up_to(checked_to) if p != q)
+    primes = [p for p in primes_up_to(checked_to) if p != q]
+    agree = (all(residue_degree(p, q, ell) == residue_degree_subgroup(p, q, ell)
+                 for p in primes[:1])
+             and all(_power_degree(p, q, ell) == _subgroup_degree(p, q, ell)
+                     for p in primes[1:]))
     return checked_to, agree
 
 

@@ -2,17 +2,18 @@
 
 JSON is the single source of truth; the table rendering is derived from
 it.  Reports carry enough substituted data (profiles, class sizes,
-inequality instances, witness permutations) that verify_report can
+inequality instances, isomorphism witnesses) that verify_report can
 reproduce the verdict from the JSON alone.  Each fact is stated once: a
 family is stated by its definition, which the config fixes.  A certify
 family is its mode and count with the one profile of its members; the
 coset graphs of a graphs report are the class reps' graphs, in catalog
 order, with the config's generators, stated by their mode, count,
-vertices and degree, and verify_report rebuilds them and the classes by
-the routes that graphs runs; a place scan is its counts, not its
-records.  Each distinct charpoly is listed once, and items refer to
-graphs and charpolys by index.  A report holds no key that its command
-does not write.  Large integers travel as decimal strings.
+vertices and degree; verify_report rebuilds them by the route that graphs
+runs, checks every isomorphism witness and searches the classes' first
+members again, as graphs searches its orbit leaders.  A place scan is its
+counts, not its records.  Each distinct charpoly is listed once, and items
+refer to graphs and charpolys by index.  A report holds no key that its
+command does not write.  Large integers travel as decimal strings.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ if TYPE_CHECKING:
     from .planner import IneqCheck
     from .schreier import CosetGraph
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 def encode_count(v: int) -> Any:
@@ -50,6 +51,23 @@ def decode_count(v: Any) -> int:
     if type(v) not in (int, str):
         raise TypeError(f"a count is an integer or a decimal string, not {v!r}")
     return int(v)
+
+
+# an isomorphism witness from an automorphism is stored as an object of its four indices,
+# the fields of schreier.OrbitWitness in order
+_WITNESS_KEYS = ("sigma", "lambda", "mu", "beta")
+
+
+def encode_witness(witness) -> Any:
+    """An isomorphism witness as a report stores it: None for a class's first member,
+    an OrbitWitness as its object, a permutation as a list."""
+    from .schreier import OrbitWitness
+
+    if witness is None:
+        return None
+    if isinstance(witness, OrbitWitness):
+        return dict(zip(_WITNESS_KEYS, witness))
+    return list(witness)
 
 
 def canonical_json(report: dict) -> str:
@@ -285,9 +303,11 @@ def _verify_cospectral(item: dict, config: dict, items: _Items, problems: list[s
 def _verify_isomorphism_classes(item: dict, config: dict, items: _Items,
                                 problems: list[str]) -> bool:
     """Witnesses map each graph onto its class's first member; first members are
-    pairwise non-isomorphic, as the class search that graphs runs finds them.  The
-    classes state facts, not a claim: their evidence always gives true."""
-    from .schreier import isomorphism_classes, maps_onto
+    pairwise non-isomorphic, as the leader search that graphs runs finds them.  An
+    orbit witness is checked on the q representatives' rows, with no graph's rows
+    expanded, and a permutation on every row.  The classes state facts, not a claim:
+    their evidence always gives true."""
+    from .schreier import OrbitWitness, isomorphism_classes, maps_onto, witness_maps_onto
 
     graphs = items.graphs()
     class_of, witnesses = item["class_of"], item["witnesses"]
@@ -301,8 +321,18 @@ def _verify_isomorphism_classes(item: dict, config: dict, items: _Items,
                 problems.append(f"graph {k} opens class {c} out of order or with a witness")
                 return True
             leaders[c] = k
-        elif not (isinstance(witness, list) and _same(sorted(witness), list(range(graphs[k].n)))
-                  and maps_onto(graphs[k].rows, graphs[leaders[c]].rows, witness)):
+            continue
+        first = graphs[leaders[c]]
+        if isinstance(witness, dict):
+            holds = (witness.keys() == set(_WITNESS_KEYS)
+                     and all(type(witness[key]) is int for key in _WITNESS_KEYS)
+                     and witness_maps_onto(graphs[k], first,
+                                           OrbitWitness(*map(witness.get, _WITNESS_KEYS))))
+        else:
+            holds = (isinstance(witness, list)
+                     and _same(sorted(witness), list(range(graphs[k].n)))
+                     and maps_onto(graphs[k].rows, first.rows, witness))
+        if not holds:
             problems.append(f"witness of graph {k} does not map it onto graph {leaders[c]}")
     # a search past its budget raises SizeCapExceeded, which verify_report lists
     firsts = list(leaders.values())

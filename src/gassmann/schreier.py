@@ -42,16 +42,25 @@ the dense polynomial, an oracle like the fraction-free integer
 determinants kept here; charpoly_by_centre, the route on certified rows
 alone, is the oracle of the matches, and the division-free Berkowitz
 route is in ``gassmann.oracles``.
-Isomorphism compares canonical colour-refinement invariants, cached per
-graph and computed on the orbit representatives, since the colours of a
-refinement from one colour are constant on the centre's orbits.  Where
-they agree it searches by individualising and refining, within a budget
-of refinement nodes; at the root, a failed candidate rules out its whole
-orbit, since the centre acts by colour-preserving automorphisms.
-Isomorphism classes bucket graphs by invariant; verify runs them again on
-the first members of a report's classes.  The plain permutation
-search in ``gassmann.oracles`` is the oracle, through the dense match and
-witness checks kept here.
+Isomorphism classes are first the orbits of the automorphisms
+φ(a, b, c) = (λσ(a), μσ(b), λμσ(c)) of the group, λ and μ units and σ a
+power of Frobenius, that map the generators onto themselves, found once
+per family.  Such a φ maps the graph of H_f onto that of φ(H_f), and left
+multiplication by (0, β, 0) maps that onto the graph of its class rep, so
+each graph outside its orbit's first member gets that vertex map, four
+integers, as its witness.  It commutes with the centre up to relabelling
+by λμσ, so it is checked on the q representatives' rows, with no graph's
+rows expanded.  Only the orbits' first members are compared: by canonical
+colour-refinement invariants, cached per graph and computed on the orbit
+representatives, since the colours of a refinement from one colour are
+constant on the centre's orbits, and where they agree by a search that
+individualises and refines, within a budget of refinement nodes; at the
+root, a failed candidate rules out its whole orbit, since the centre acts
+by colour-preserving automorphisms.  isomorphism_classes buckets them by
+invariant, and verify runs it again on the first members of a report's
+classes.  That search over the whole family is the orbits' oracle in the
+tests, and the plain permutation search in ``gassmann.oracles`` the
+search's, through the dense match and witness checks kept here.
 """
 
 from __future__ import annotations
@@ -63,9 +72,10 @@ from math import comb, gcd
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
+from .certify import canonical_twist
 from .errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded, SpecMismatch
 from .heisenberg import GroupElement, Heisenberg, TwistedSubgroup
-from .rings import is_prime
+from .rings import LinearMap, is_prime
 
 DEFAULT_VERTEX_CAP = 4096
 # Refinements per isomorphism search; one between GF(8) or GF(9) coset graphs runs 9 at most.
@@ -240,7 +250,8 @@ def build_coset_graph(sub: TwistedSubgroup, gens: Sequence[GroupElement],
 
 class _Family:
     """The work that every coset graph of an H_f over one ring with one generator set
-    shares, made once: its skeleton, and the reference H_0 that char_poly matches.
+    shares, made once: its skeleton, the reference H_0 that char_poly matches, and
+    the automorphisms that fix the generators, whose orbits orbit_classes joins.
 
     In the row of (0, b, 0), the generator s = (s0, s1, s2) goes to vertex
     index(b + s1)·q + index(s2 - s0·(b + s1) - f(s0)).  moves[index(b)] holds,
@@ -272,6 +283,19 @@ class _Family:
             for moved in self.moves)
 
     @cached_property
+    def automorphisms(self) -> tuple[tuple[int, int, int], ...]:
+        """(e, index(λ), index(μ)) of each automorphism φ of _automorphism that maps
+        the generators onto themselves, in increasing order; the identity is one."""
+        _, units, frobenius = _unit_tables(self.ring)
+        gens = {tuple(self.index[x] for x in s) for s in self.gens}
+        found = []
+        for phi in product(range(len(frobenius)), units, units):
+            a, b, c = _automorphism(self.ring, *phi)
+            if {(a[s0], b[s1], c[s2]) for s0, s1, s2 in gens} == gens:
+                found.append(phi)
+        return tuple(found)
+
+    @cached_property
     def reference(self) -> _Reference:
         """H_0's blocks, per line of _characters as _block_rows reads them, and its
         characteristic polynomial."""
@@ -293,6 +317,48 @@ class _Reference(NamedTuple):
     # per line of _characters: (H_0's block rows, the positions of each of those rows)
     lines: tuple[tuple[tuple, dict], ...]
     product: SpectrumPolynomial
+
+
+class OrbitWitness(NamedTuple):
+    """The vertex map index(b)·q + index(c) ↦ index(β + μσ(b))·q + index(λμσ(c))
+    from the coset graph of H_f onto that of H_f'', f'' = f' - mult(β), where
+    φ(H_f) = H_f' for the automorphism φ of _automorphism; elements by index."""
+    sigma: int  # σ = x ↦ x^(p^sigma)
+    lam: int
+    mu: int
+    beta: int
+
+
+@lru_cache(maxsize=16)
+def _unit_tables(ring) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...],
+                                tuple[tuple[int, ...], ...]]:
+    """(times, units, frobenius) on element indices: times[x][y] = index(x·y); the
+    units; and, per e < ring.dim for which σ = x ↦ x^(p^e) is a bijection, its table,
+    which is every e over a field and e = 0 alone over a truncated ring."""
+    els = ring.elements
+    index = {x: i for i, x in enumerate(els)}
+    q = len(els)
+    times = tuple(tuple(index[ring.mul(x, y)] for y in els) for x in els)
+    units = tuple(x for x in range(q) if len(set(times[x])) == q)
+    frob = list(range(q))
+    for _ in range(ring.p - 1):  # x^p
+        frob = [times[y][x] for x, y in enumerate(frob)]
+    frobenius, table = [], tuple(range(q))
+    for _ in range(ring.dim):
+        if len(set(table)) == q:
+            frobenius.append(table)
+        table = tuple(frob[x] for x in table)
+    return times, units, tuple(frobenius)
+
+
+def _automorphism(ring, e: int, lam: int, mu: int) -> tuple[tuple[int, ...], ...]:
+    """The tables of λσ, μσ and λμσ on element indices, for σ = frobenius[e] of
+    _unit_tables and λ, μ of indices lam and mu: the coordinate maps of
+    φ(a, b, c) = (λσ(a), μσ(b), λμσ(c)), a homomorphism of the group, since σ is one
+    of the ring, and bijective when λ and μ are units."""
+    times, _, frobenius = _unit_tables(ring)
+    return tuple(tuple(times[unit][x] for x in frobenius[e])
+                 for unit in (lam, mu, times[lam][mu]))
 
 
 @lru_cache(maxsize=16)
@@ -877,6 +943,7 @@ def isomorphism_classes(graphs: Sequence[CosetGraph]):
     buckets: dict[tuple, list[int]] = {}
     class_of: list[int] = []
     witnesses: list[Optional[tuple[int, ...]]] = []
+    classes = 0
     for k, graph in enumerate(graphs):
         leaders = buckets.setdefault(graph.refinement[0], [])
         for leader in leaders:
@@ -887,6 +954,114 @@ def isomorphism_classes(graphs: Sequence[CosetGraph]):
                 break
         else:
             leaders.append(k)
-            class_of.append(max(class_of, default=-1) + 1)
+            class_of.append(classes)
+            classes += 1
             witnesses.append(None)
     return class_of, witnesses
+
+
+def orbit_classes(maps: Sequence[LinearMap], graphs: Sequence[CosetGraph]):
+    """(class_of, witnesses) as isomorphism_classes gives them, for the coset graphs
+    of a ring's whole catalog of canonical twists with one generator set: graphs[k]
+    is the graph of H_f for f = maps[k].
+
+    Each automorphism φ of the family maps the graph of H_f onto that of
+    φ(H_f) = H_f', f'(y) = λμσ(f(σ⁻¹(λ⁻¹y))), by Hg ↦ φ(H)φ(g), and left
+    multiplication by (0, β, 0) maps that onto the graph of its class rep
+    H_f'', f'' = f' - mult(β).  So the orbits of these φ on the catalog lie in
+    isomorphism classes.  Each orbit's first member is its leader, and every
+    other graph k gets the OrbitWitness of the first φ that sends maps[k] to
+    the leader's map, checked on the q representatives' rows.  The leaders
+    alone are refined and searched by isomorphism_classes, whose classes,
+    joined with the orbits, are the classes: a class's first member is a
+    leader.  A graph whose leader that search put in an earlier leader's class
+    takes the leader's permutation witness composed with its own vertex map.
+    """
+    group = graphs[0].group
+    ring, family = group.ring, _family(group, graphs[0].gens)
+    index, els, one = family.index, ring.elements, ring.one()
+    position = {f: k for k, f in enumerate(maps)}
+    # f' = c∘f∘a⁻¹ for φ's tables a and c, so f'(e) takes f at a⁻¹(e) for each basis e;
+    # the identity fixes every map, so a set that no other φ fixes leaves each graph a leader
+    points = []
+    identity = (0, index[one], index[one])
+    for phi in family.automorphisms:
+        if phi == identity:
+            continue
+        a, _, c = _automorphism(ring, *phi)
+        inverse = {y: x for x, y in enumerate(a)}
+        points.append((phi, c, [els[inverse[index[e]]] for e in ring.basis()]))
+    leader_of: list[int] = []
+    found: list[Optional[OrbitWitness]] = []
+    for k, f in enumerate(maps):
+        leader, phi, image = k, None, f
+        for candidate, c, at in points:
+            moved = LinearMap.from_columns(ring.p, [els[c[index[f.apply(x)]]] for x in at])
+            j = position[canonical_twist(moved, ring)]
+            if j < leader:
+                leader, phi, image = j, candidate, moved
+        leader_of.append(leader)
+        if phi is None:
+            found.append(None)
+            continue
+        # f' - maps[leader] is mult(β), which takes 1 to β
+        beta = index[ring.add(image.apply(one), ring.neg(maps[leader].apply(one)))]
+        witness = OrbitWitness(*phi, beta)
+        if not witness_maps_onto(graphs[k], graphs[leader], witness):
+            raise SelfCheckFailed("an automorphism's vertex map does not map edges onto edges")
+        found.append(witness)
+    leaders = [k for k, leader in enumerate(leader_of) if leader == k]
+    slot = {leader: i for i, leader in enumerate(leaders)}
+    merged, through = isomorphism_classes([graphs[k] for k in leaders])
+    class_of = [merged[slot[leader]] for leader in leader_of]
+    witnesses: list = []
+    for leader, witness in zip(leader_of, found):
+        onward = through[slot[leader]]
+        if onward is None:
+            witnesses.append(witness)
+        elif witness is None:
+            witnesses.append(onward)
+        else:
+            witnesses.append(tuple(onward[v] for v in witness_permutation(ring, witness)))
+    return class_of, witnesses
+
+
+def _vertex_maps(ring, witness: OrbitWitness) -> Optional[tuple[list[int], tuple[int, ...]]]:
+    """(orbits, centre) of the witness's vertex map a·q + t ↦ orbits[a]·q + centre[t]:
+    index(b) ↦ index(β + μσ(b)) and index(c) ↦ index(λμσ(c)).  None where σ's
+    exponent or β is out of range or λ or μ is no unit."""
+    _, units, frobenius = _unit_tables(ring)
+    sigma, lam, mu, beta = witness
+    if not (0 <= sigma < len(frobenius) and lam in units and mu in units
+            and 0 <= beta < ring.size):
+        return None
+    _, b, c = _automorphism(ring, sigma, lam, mu)
+    plus = _digit_sums(ring.p, ring.dim)[beta]  # index(β + x) for x's index
+    return [plus[x] for x in b], c
+
+
+def witness_maps_onto(g1: CosetGraph, g2: CosetGraph, witness: OrbitWitness) -> bool:
+    """Whether the witness's vertex map takes every edge u-v of g1 to one of g2 with
+    the same multiplicity, checked on the q representatives' rows alone.
+
+    Both are coset graphs of twisted subgroups over one ring, with q
+    representatives and the centre of rank ring.dim, so every row is the
+    translate of its representative's.  The map sends the translate by t of
+    representative a to the translate by λμσ(t) of a's image, and λμσ is
+    additive, so it maps each row of g1 onto the row of g2 it must exactly when
+    it does so on the representatives.  It is a bijection, λ and μ being units.
+    """
+    ring = g1.group.ring
+    maps = _vertex_maps(ring, witness)
+    if maps is None:
+        return False
+    orbits, centre = maps
+    q = ring.size
+    return all(tuple(sorted((orbits[v // q] * q + centre[v % q], mult) for v, mult in row))
+               == g2.reps[orbits[a]] for a, row in enumerate(g1.reps))
+
+
+def witness_permutation(ring, witness: OrbitWitness) -> tuple[int, ...]:
+    """The witness's vertex map as a permutation of the q² vertices."""
+    orbits, centre = _vertex_maps(ring, witness)
+    return tuple(b * ring.size + c for b in orbits for c in centre)

@@ -359,11 +359,31 @@ def test_graphs_3_2_groups_isomorphic_graphs_into_classes():
     assert verify_report(report) == []
 
 
+# GF(9)'s default generators with (0, t, 1 + 2t) and (1 + 2t, 2t, t): only the identity
+# automorphism fixes them, so every class is joined by the leader search
+GF9_SEARCHED = "1,0|0,0|0,0;0,1|0,0|0,0;0,0|1,0|0,0;0,0|0,1|0,0;0,0|0,1|1,2;1,2|0,2|0,1"
+
+
+# and with (1, 0, 2t): four automorphisms fix them, and the leader search merges orbits
+GF9_MERGED = "1,0|0,0|0,0;0,1|0,0|0,0;0,0|1,0|0,0;0,0|0,1|0,0;1,0|0,0|0,2"
+
+
+@pytest.mark.parametrize("gens, kinds", [(GF9_SEARCHED, {"list": 3, "NoneType": 6}),
+                                         (GF9_MERGED, {"dict": 2, "list": 3, "NoneType": 4})],
+                         ids=["searched", "merged"])
+def test_graphs_under_gens_verify_with_each_kind_of_witness(tmp_path, gens, kinds):
+    code, out, _ = run_cli("graphs", "--p", "3", "--m", "2", "--gens", gens)
+    assert code == 0
+    witnesses = json.loads(out)["items"][2]["witnesses"]
+    assert {kind: sum(type(w).__name__ == kind for w in witnesses) for kind in kinds} == kinds
+    assert _verify_json(tmp_path, json.loads(out))[0] == 0
+
+
 def test_graphs_over_the_search_budget_exits_2(monkeypatch, capsys):
-    # graphs 1 and 2 of GF(4) share their refinement invariant and need a search
+    # with GF9_SEARCHED, orbit leaders share their refinement invariant and need a search
     search = cli.sg.are_isomorphic
     monkeypatch.setattr(cli.sg, "are_isomorphic", lambda g1, g2: search(g1, g2, cap=0))
-    assert cli.main(["graphs", "--p", "2", "--m", "2"]) == 2
+    assert cli.main(["graphs", "--p", "3", "--m", "2", "--gens", GF9_SEARCHED]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: SizeCapExceeded: isomorphism search exceeds 0 refinement nodes\n"
@@ -752,6 +772,57 @@ def test_verify_lists_a_split_class_over_the_search_budget(tmp_path, monkeypatch
         "search exceeds 0 refinement nodes"]
 
 
+def _gf9_report() -> dict:
+    report, _ = cli.cmd_graphs(3, 2)
+    classes = report["items"][2]
+    assert classes["class_of"] == [0, 1, 1, 1, 2, 2, 1, 2, 2]
+    assert classes["witnesses"][2] == {"sigma": 0, "lambda": 1, "mu": 3, "beta": 6}
+    return report
+
+
+def _set_witness(**fields):
+    def forge(classes):
+        classes["witnesses"][2].update(fields)
+    return forge
+
+
+def _drop_beta(classes):
+    del classes["witnesses"][2]["beta"]
+
+
+def _merge(classes):
+    classes["class_of"][5] = 1  # its witness maps graph 5 onto graph 4
+
+
+def _split(classes):
+    classes["class_of"] = [0, 1, 2, 1, 3, 3, 1, 3, 3]
+    classes["witnesses"][2] = None
+
+
+_WITNESS_2 = "problem: witness of graph 2 does not map it onto graph 1"
+
+
+@pytest.mark.parametrize("forge, problem", [
+    (_set_witness(mu=4), _WITNESS_2),  # μ = 1 + t: the φ does not fix the generators
+    (_set_witness(beta=7), _WITNESS_2),
+    (_set_witness(sigma=2), _WITNESS_2), (_set_witness(sigma=-1), _WITNESS_2),
+    (_set_witness(**{"lambda": 9}), _WITNESS_2), (_set_witness(mu=0), _WITNESS_2),
+    (_set_witness(beta=-1), _WITNESS_2),
+    (_set_witness(beta="6"), _WITNESS_2), (_set_witness(beta=6.0), _WITNESS_2),
+    (_set_witness(sigma=False), _WITNESS_2), (_drop_beta, _WITNESS_2),
+    (_set_witness(nu=0), _WITNESS_2),
+    (_merge, "problem: witness of graph 5 does not map it onto graph 1"),
+    (_split, "problem: graphs 1 and 2 open two classes but are isomorphic"),
+], ids=["phi-not-fixing-the-generators", "wrong-beta", "sigma-past-m", "sigma-negative",
+        "lambda-past-q", "mu-zero", "beta-negative", "beta-string", "beta-float",
+        "sigma-false", "beta-missing", "extra-key", "class-merged", "class-split"])
+def test_verify_refuses_each_forged_orbit_witness(tmp_path, forge, problem):
+    report = _gf9_report()
+    forge(report["items"][2])
+    code, err = _verify_json(tmp_path, report)
+    assert code == 1 and err.splitlines() == [problem]
+
+
 def _tampered_graph_verify(tmp_path, tamper) -> tuple[int, str]:
     _, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
     report = json.loads(out)
@@ -903,13 +974,14 @@ def test_verify_checks_the_distinct_charpolys_and_their_index(tmp_path, tamper, 
     assert code == 1 and err.splitlines() == problems
 
 
-# From the schema-2 reports of graphs --p 2 --m 2, --p 2 --m 3 and --p 3 --m 2,
-# which stored each graph's charpoly in its own item: SHA-256 of the compact JSON
-# of [the graphs' charpolys as integers in rep order, class_of, witnesses].
+# From the graphs reports of --p 2 --m 2, --p 2 --m 3 and --p 3 --m 2 before schema 6,
+# which stored every witness as a permutation: SHA-256 of the compact JSON of [the
+# graphs' charpolys as integers in rep order, class_of].  Each stored witness, a
+# permutation or the vertex map of an automorphism, is checked on every row.
 SCHEMA_2_GRAPH_FACTS = {
-    (2, 2): "dd17ff7552223bfa2e3cd5f26bc8721b5191a7e4704e3cc88c477b79628f5283",
-    (2, 3): "f27ac9ce3e1e023640e530b853f01ca5aa3a9180d3556eb233f1fd7c2dd62ce9",
-    (3, 2): "78be5171d490a414415d58b06be098040d5fc8329b1f44b15ed355e05a9107a2",
+    (2, 2): "09e2aa8e4c1b825d896f78b849356ad0898bc453287e6bcc489796edba262dca",
+    (2, 3): "2d2dd1b70211aaf60f93c44a3f62a6415fe0589a62d7c28d80a25ee1648e7992",
+    (3, 2): "8a88b81c2cd538aff11a51a65b432183effcb67efe701d9a83f310512d21b3a3",
 }
 
 
@@ -919,8 +991,21 @@ def test_graph_facts_survive_the_schema_bump(p, m):
     cospectral, classes = report["items"][-2:]
     polys = [[int(c) for c in cospectral["distinct_charpolys"][k]]
              for k in cospectral["charpoly_index"]]
-    payload = json.dumps([polys, classes["class_of"], classes["witnesses"]], separators=(",", ":"))
+    payload = json.dumps([polys, classes["class_of"]], separators=(",", ":"))
     assert hashlib.sha256(payload.encode()).hexdigest() == SCHEMA_2_GRAPH_FACTS[p, m]
+    spec = make_field(p, m)
+    group = heisenberg.heisenberg_group(spec)
+    graphs = [schreier.build_coset_graph(heisenberg.twisted_subgroup(f, group),
+                                         schreier.default_generators(group))
+              for f in enumerate_class_reps(spec).reps]
+    class_of = classes["class_of"]
+    for k, witness in enumerate(classes["witnesses"]):
+        first = class_of.index(class_of[k])
+        if isinstance(witness, dict):
+            witness = schreier.witness_permutation(spec, schreier.OrbitWitness(
+                witness["sigma"], witness["lambda"], witness["mu"], witness["beta"]))
+        assert (witness is None) == (k == first)
+        assert k == first or schreier.maps_onto(graphs[k].rows, graphs[first].rows, witness)
 
 
 # From the schema-3 certify reports, which listed every subgroup's label and profile
@@ -1770,23 +1855,23 @@ def test_verify_scans_the_places_again(tmp_path, forge):
 # SHA-256 of the report on stdout; a schema bump updates these and says so
 PINNED_REPORTS = {
     ("certify", "--p", "2", "--m", "2"):
-        "4370f1d64140573b872c663288a10c6e26be8ee1f1417b82c6bdee7db53a7f1a",
+        "dad389bf25bc5cc567cd9ff359e58a00c658144ebb3224ebf9d7b44240dc0cbf",
     ("certify", "--p", "2", "--m", "3"):
-        "eba267c4a610b8ab50845282a5d245cf545acf08daf8e3dc3c45d16fa6b0e70a",
+        "b84718f19440bff9d5f71000c4ed8dd53d472bab496d75cec952b2332c0cdcbc",
     ("certify", "--p", "3", "--m", "2"):
-        "507edd3b7388a2143023d9f9b77ce3ec095d0e443a401304ebc5f8bee126c43c",
+        "d32bad6d2213c973f1885aa0e872f48f4ff93bbd7691fae25970f2aca5e3d162",
     ("certify", "--p", "13", "--m", "1"):
-        "5bb4a57f6a25f0f64ba6eb57b1edecac52cab051b360f483ddad2f9ebbb6cc9e",
+        "65ade1aae7b195b5ef257bc0c5fd6da83009e2e9bda30c2bb213b60d5e2c21f6",
     ("graphs", "--p", "2", "--m", "2"):
-        "8041882f734bd451379e4233daa991a4d7831b480d2a38cc7ebfe904aa878bc2",
+        "79d77d83d91df297fde55341898dac2d7fa7202d32b7bf74d9d4d470854fa31e",
     ("graphs", "--p", "3", "--m", "2"):
-        "3dd01e37d1a312b7d9b82a42ccd7375d5a06904869548c4c359aea46820d44f9",
+        "ad0ede6e7b6e04cef597f1814d40b90babcd2bab3dd838e55767664f02a4fa7d",
     ("graphs", "--p", "2", "--m", "3"):
-        "4641cb32252a8d5560c2f01d0fee433ac62d45ecd9a4349d3b0385eb932ce2e9",
+        "070fac7c6610a30a1669fe6934e432fc6e8df99a3283f75490d4b1861e81f0fe",
     ("tower", "--p", "2", "--j-max", "5"):
-        "cf8c2ef630551b14f82b151c7d52f374b59ce9a33f4c5a2e46be3bbf36b0db06",
+        "f092e481d07325b8c620646dbae4ec650bd7ac9b17b840df08a0cd83b332227e",
     ("places", "--ell", "3", "--bound", "1000"):
-        "38b4245622903c9335e509a16713bff20a1527360dda13b3438cc457ff6cf0cd",
+        "c87ae95d6763b6482b8b03653c7e10bcab583a4bded9557786ea5f5de0ebc559",
 }
 
 
@@ -1812,31 +1897,31 @@ def test_places_jsonl_keeps_its_schema_4_bytes():
 # (comm-classes --n, nonarith-count --n, min-ell-growth --p --c-1)
 PINNED_PLANS = {
     "twisted-count --p 2 --ell0 37 --dim-g 8":
-        "b22fc83fb138e203ab295a2db87e1e928e426e653cc567d39c295fa00503d18f",
+        "96e20df4066d6e871cfb28e4a7dce93ef65d2d5ca11d5687d288aaf1f2727bbb",
     "comm-classes --p 2 --ell0 29 --dim-g 8 --c 1":
-        "5cca156cf712fffd4c103881ef30722ad77ba3d445ed8ba8a536d9c75c842125",
+        "3a0e512e6f2c7e0d0b84a37f51e2b6932a6162805b0af41296db2ced9b83c8e7",
     "comm-classes --p 2 --ell0 29 --dim-g 8 --c 1 --c-x 3 --n 5":
-        "62fd01de246f3e2895fe2097df5d0e1555bd31ca86ca9933528bdb8045203f80",
+        "0ce93fc8867b7f856295e7880bbd5979d9a7e1134deb89c0ca5c4c2f9f39de12",
     "conjugates-bound --n-index 64 --x 2 --big-c 3 --group-order 512":
-        "7839c25791a79587bd2554cd03438970f0b3bc50679e3533b4c367acb21d464c",
+        "eaa64f60280b74ffb6406b09851d18f26d8d8da3fef6e9abcd5f1999e41aa326",
     "min-ell-sequence --dim-g 8 --c 1 --r 1":
-        "8b68bfce3c3a0c158b1ba227c48314309dd3aae3e39722b61459fa91d1098cbb",
+        "568dce2022e6ed171886633bdd653f4c2086afdc2772b6b8e37e0e60b6bcb515",
     "min-ell-growth --dim-g 8 --c 1 --r 1":
-        "1a058d55aee37ac252d331096241ad85d014b5313ba7b7355f600521622e85e7",
+        "729e06699fda29e8355e06dacbdb8da3fecbe16f0983316a6949abbab9d7d3e6",
     "min-ell-growth --dim-g 8 --c 1 --r 1 --p 2 --c-1 1":
-        "20d49a79cdf8438847a2119e00ce97294c514012f73ae3cc9b502910f22e4ab3",
+        "5eed1db50d4f127eb68073701a12157856d9a3bc85e97aa7c518ad0030bd8dc9",
     "nonarith-count --p 2 --ell 11":
-        "9df5c2f26ffdf7b9e58b7914d3f12baff7ffd4506c5b209caf3ef7c44f0872b3",
+        "5f4f2d52bee04b8a5e21079840317fa1f6fc4a770639b16142a873c375cbd7d7",
     "nonarith-count --p 2 --ell 11 --comm-index 7 --n 3":
-        "cde7adcba49cfd8dd57f0ea98363f435b9db40f988918b0b0a1fcd7032295139",
+        "39c49b50566aa3db0cb08a7276f5076bb50084197013448e752aab6f0f0a7be3",
     "volume-bound --big-c 3 --p 2 --j 4":
-        "1be544d72cc3162cfa7b1f59446b40749ab8d4801a3129aed2b09c2df0c20e4d",
+        "a24954072b6ec4660d5273b707a48660f6aa418d77e63f97374a4821fc8e4582",
     "growth-constant --p 2 --delta 1 --d-p 0 --j-min 30 --j-max 100":
-        "702c265d7f5bd864a7678fa89ef0a70168c2eb5d86109b468c3e6ab6732c5572",
+        "ddf878fdd65aa8e11f64e07055ba9d499eef47a4b7d4368dcff0223bc2722ab8",
     "level-count --primes 2,3,5 --j 3 --ell0 2":
-        "5acaadf639b8641dbc9a9ed1e4942091d96a60ad6f7b501f5506d0292fab91a9",
+        "7fb53a1bc3c63617a29871404d6198617dc6a16464c4a2a326ed3cf76fb0d323",
     "tower-min-k --primes 2,3,5,7 --j 1 --ell0 37 --dim-g 8 --c-x 4 --x 1 --c 1 --r 444":
-        "36a7d8eac6115fcd18cb7fd6ac0bfcf0492d7962ca1d5b070af061749bdd8598",
+        "13b1165dac3024b8fa504e6ec1d5581f0440daad4d621ae89d4c0e20cfb03cad",
 }
 
 

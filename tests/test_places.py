@@ -82,8 +82,8 @@ def test_power_test_and_subgroup_test_agree_to_ten_thousand():
 ])
 def test_implementations_agree_compares_every_prime_up_to_the_bound(bound, liar, expected,
                                                                     monkeypatch):
-    subgroup = places.residue_degree_subgroup
-    monkeypatch.setattr(places, "residue_degree_subgroup",
+    subgroup = places._subgroup_degree
+    monkeypatch.setattr(places, "_subgroup_degree",
                         lambda p, q, ell: 4 - subgroup(p, q, ell) if p == liar else
                         subgroup(p, q, ell))
     assert implementations_agree(3, 7, bound) == expected

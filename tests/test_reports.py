@@ -89,16 +89,28 @@ def _item(report: dict, kind: str) -> dict:
     return next(item for item in report["items"] if item["kind"] == kind)
 
 
+def _permutation_witness(report: dict) -> list:
+    """Graph 2's witness, an automorphism's, stored as the permutation it gives: the
+    form of a witness composed through a merged orbit leader, which verify checks on
+    every row."""
+    witnesses = _item(report, "isomorphism-classes")["witnesses"]
+    stored = witnesses[2]
+    witnesses[2] = list(schreier.witness_permutation(make_field(2, 2), schreier.OrbitWitness(
+        stored["sigma"], stored["lambda"], stored["mu"], stored["beta"])))
+    assert verify_report(report) == []
+    return witnesses[2]
+
+
 def test_verify_report_rejects_witness_tampering():
     report = _graphs_2_2()
-    witness = _item(report, "isomorphism-classes")["witnesses"][2]
+    witness = _permutation_witness(report)
     witness[0] = witness[1]  # no longer a permutation
     assert any("witness of graph 2" in problem for problem in verify_report(report))
 
 
 def test_verify_report_rejects_a_corrupted_witness_permutation():
     report = _graphs_2_2()
-    witness = _item(report, "isomorphism-classes")["witnesses"][2]
+    witness = _permutation_witness(report)
     witness[0], witness[1] = witness[1], witness[0]  # a permutation, not an isomorphism
     assert any("witness of graph 2" in problem for problem in verify_report(report))
 
@@ -169,6 +181,21 @@ def test_verify_builds_each_graph_once(monkeypatch):
     reps = enumerate_class_reps(make_field(2, 3)).reps
     assert calls == [heisenberg.twist_label(f) for f in reps]
     assert products == []
+
+
+def test_graphs_and_verify_expand_no_graph_with_an_orbit_witness(monkeypatch):
+    # an automorphism's witness is checked on the q representatives' rows alone
+    expanded = []
+    rows = schreier.CosetGraph.rows
+    monkeypatch.setattr(schreier.CosetGraph, "rows", property(
+        lambda graph: expanded.append(graph.subgroup_label) or rows.func(graph)))
+    report, _ = cmd_graphs(5, 2)
+    assert verify_report(report) == []
+    witnesses = _item(report, "isomorphism-classes")["witnesses"]
+    reps = enumerate_class_reps(make_field(5, 2)).reps
+    witnessed = {heisenberg.twist_label(reps[k]) for k, w in enumerate(witnesses)
+                 if isinstance(w, dict)}
+    assert len(witnessed) == 16 and witnessed.isdisjoint(expanded)
 
 
 class _TwoSpectra(reports._Items):

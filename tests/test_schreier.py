@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gassmann import oracles, schreier
-from gassmann.certify import enumerate_class_reps
+from gassmann.certify import canonical_twist, enumerate_class_reps
 from gassmann.errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded, SpecMismatch
 from gassmann.heisenberg import heisenberg_group, twisted_subgroup
 from gassmann.oracles import (
@@ -31,6 +32,7 @@ from gassmann.oracles import (
 from gassmann.rings import LinearMap, is_prime, make_field, make_trunc_ring
 from gassmann.schreier import (
     CosetGraph,
+    OrbitWitness,
     are_isomorphic,
     bareiss_determinant,
     build_coset_graph,
@@ -40,7 +42,10 @@ from gassmann.schreier import (
     default_generators,
     isomorphism_classes,
     maps_onto,
+    orbit_classes,
     verify_witness,
+    witness_maps_onto,
+    witness_permutation,
 )
 
 F2 = make_field(2, 1)
@@ -823,6 +828,200 @@ def test_isomorphism_classes_search_only_leaders_of_their_bucket(monkeypatch):
     for k, leader in calls:
         assert leader in leaders and leader < k
         assert graphs[k].refinement[0] == graphs[leader].refinement[0]
+
+
+# ---------------------------------------------------------------------------
+# Isomorphism classes as orbits of the automorphisms that fix the generators
+# ---------------------------------------------------------------------------
+
+F8, F9, F25 = make_field(2, 3), make_field(3, 2), make_field(5, 2)
+
+
+def _one_one_t(spec):
+    """The default generators and (1, 1, t): a set that only the identity φ fixes."""
+    group = heisenberg_group(spec)
+    one, t = spec.one(), spec.basis()[1]
+    return schreier.symmetrize_generators(group, [*default_generators(group), (one, one, t)])
+
+
+def _gf9_extra(*extra):
+    """The default GF(9) generators and the given triples of coefficient tuples."""
+    group = heisenberg_group(F9)
+    return schreier.symmetrize_generators(group, [*default_generators(group), *extra])
+
+
+# over GF(9): a set that only the identity fixes, with isomorphic graphs for the leader
+# search to join, and one with 4 automorphisms whose orbits that search merges
+GF9_SEARCHED = ((0, 0), (0, 1), (1, 2)), ((1, 2), (0, 2), (0, 1))
+GF9_MERGED = (((1, 0), (0, 0), (0, 2)),)
+
+
+def _frobenius_power(spec, x, e):
+    """x^(p^e) by multiplication in the ring."""
+    for _ in range(e):
+        y = x
+        for _ in range(spec.p - 1):
+            y = spec.mul(y, x)
+        x = y
+    return x
+
+
+def _fixing_automorphisms(spec, gens):
+    """(e, index(λ), index(μ)) of every φ that maps gens onto itself, each candidate
+    tried by ring arithmetic on the generators."""
+    els = spec.elements
+    units = [x for x in els if spec.one() in (spec.mul(x, y) for y in els)]
+    found = []
+    for e, lam, mu in product(range(spec.dim), units, units):
+        image = {(spec.mul(lam, _frobenius_power(spec, s0, e)),
+                  spec.mul(mu, _frobenius_power(spec, s1, e)),
+                  spec.mul(spec.mul(lam, mu), _frobenius_power(spec, s2, e)))
+                 for s0, s1, s2 in gens}
+        if image == set(gens):
+            found.append((e, els.index(lam), els.index(mu)))
+    return found
+
+
+@pytest.mark.parametrize("spec, default, identity_only", [
+    (F4, 2, 1), (F8, 1, 1), (F9, 32, 1), (F25, 8, 1)], ids=["gf4", "gf8", "gf9", "gf25"])
+def test_the_automorphisms_that_fix_the_generators_equal_a_search_over_every_candidate(
+        spec, default, identity_only):
+    group = heisenberg_group(spec)
+    for gens, count in ((default_generators(group), default), (_one_one_t(spec), identity_only)):
+        found = schreier._family(group, gens).automorphisms
+        assert list(found) == _fixing_automorphisms(spec, gens)
+        assert len(found) == count
+
+
+def _image_class_rep(spec, f, e, lam, mu):
+    """(f'', β) with φ(H_f) = H_f', f'(y) = λμσ(f(σ⁻¹(λ⁻¹y))), and f'' = f' - mult(β) the
+    canonical twist of f', by ring arithmetic; λ and μ by index."""
+    els = spec.elements
+    lam, mu = els[lam], els[mu]
+    lam_inverse = next(y for y in els if spec.mul(lam, y) == spec.one())
+    columns = [spec.mul(spec.mul(lam, mu), _frobenius_power(
+        spec, f.apply(_frobenius_power(spec, spec.mul(lam_inverse, x), spec.dim - e)), e))
+        for x in spec.basis()]
+    image = LinearMap.from_columns(spec.p, columns)
+    rep = canonical_twist(image, spec)
+    return rep, spec.add(image.apply(spec.one()), spec.neg(rep.apply(spec.one())))
+
+
+@pytest.mark.parametrize("spec, witnesses", [(F4, 8), (F8, 64), (F9, 288), (F25, 200)],
+                         ids=["gf4", "gf8", "gf9", "gf25"])
+def test_every_automorphism_maps_each_graph_onto_its_image_class_rep(spec, witnesses):
+    group = heisenberg_group(spec)
+    reps = enumerate_class_reps(spec).reps
+    graphs = _rep_graphs(spec)
+    checked = 0
+    for phi in schreier._family(group, default_generators(group)).automorphisms:
+        for k, f in enumerate(reps):
+            rep, beta = _image_class_rep(spec, f, *phi)
+            witness = OrbitWitness(*phi, spec.elements.index(beta))
+            image = graphs[reps.index(rep)]
+            assert witness_maps_onto(graphs[k], image, witness)
+            assert maps_onto(graphs[k].rows, image.rows, witness_permutation(spec, witness))
+            checked += 1
+    assert checked == witnesses
+
+
+@pytest.mark.parametrize("spec", [F4, F9], ids=["gf4", "gf9"])
+def test_the_check_on_the_representatives_equals_maps_onto_on_every_row(spec):
+    # every σ, β and pair of units, fixing the generators or not, between graphs 0 and 1
+    # and from graph 1 onto itself
+    graphs = _rep_graphs(spec)
+    units = schreier._unit_tables(spec)[1]
+    outcomes = Counter()
+    for e, lam, mu, beta in product(range(spec.dim), units, units, range(spec.size)):
+        witness = OrbitWitness(e, lam, mu, beta)
+        permutation = witness_permutation(spec, witness)
+        for g1, g2 in ((graphs[0], graphs[1]), (graphs[1], graphs[1])):
+            holds = witness_maps_onto(g1, g2, witness)
+            assert holds == maps_onto(g1.rows, g2.rows, permutation)
+            outcomes[holds] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+@pytest.mark.parametrize("witness", [(2, 1, 1, 0), (-1, 1, 1, 0), (0, 0, 1, 0), (0, 1, 4, 0),
+                                     (0, 1, 1, 4), (0, 1, 1, -1)],
+                         ids=["sigma-past-m", "sigma-negative", "lambda-zero", "mu-past-q",
+                              "beta-past-q", "beta-negative"])
+def test_a_witness_out_of_range_maps_nothing(witness):
+    graph = _rep_graphs()[1]
+    assert not witness_maps_onto(graph, graph, OrbitWitness(*witness))
+    assert witness_maps_onto(graph, graph, OrbitWitness(0, 2, 2, 0))  # the identity
+
+
+def _orbit_cases():
+    for name, spec in (("gf4", F4), ("gf8", F8), ("gf9", F9), ("gf25", F25)):
+        group = heisenberg_group(spec)
+        yield pytest.param(spec, default_generators(group), id=f"{name}-default")
+        yield pytest.param(spec, _one_one_t(spec), id=f"{name}-identity-only")
+    yield pytest.param(F9, _gf9_extra(*GF9_SEARCHED), id="gf9-searched")
+    yield pytest.param(F9, _gf9_extra(*GF9_MERGED), id="gf9-merged")
+    # over a truncated ring σ is the identity alone and λ, μ range over the units
+    for name, spec in (("f2-t2", make_trunc_ring(2, 2)), ("f3-t2", make_trunc_ring(3, 2))):
+        yield pytest.param(spec, default_generators(heisenberg_group(spec)), id=name)
+
+
+@pytest.mark.parametrize("spec, gens", list(_orbit_cases()))
+def test_orbit_classes_equal_the_full_search(spec, gens):
+    # today's search over the whole family is the oracle of the classes
+    reps = enumerate_class_reps(spec).reps
+    class_of, witnesses = orbit_classes(reps, _rep_graphs(spec, gens))
+    assert class_of == isomorphism_classes(_rep_graphs(spec, gens))[0]
+    graphs = _rep_graphs(spec, gens)
+    kinds = Counter()
+    for k, witness in enumerate(witnesses):
+        first = class_of.index(class_of[k])
+        if k == first:
+            assert witness is None
+            continue
+        kinds[type(witness).__name__] += 1
+        if isinstance(witness, OrbitWitness):
+            assert witness_maps_onto(graphs[k], graphs[first], witness)
+            witness = witness_permutation(spec, witness)
+        assert maps_onto(graphs[k].rows, graphs[first].rows, witness)
+    if gens == _gf9_extra(*GF9_MERGED):
+        # both an orbit witness and a permutation composed through a merged leader
+        assert kinds == {"OrbitWitness": 2, "tuple": 3}
+    if graphs[0].n <= 16:
+        for i, j in combinations(range(len(graphs)), 2):
+            assert (are_isomorphic_bruteforce(graphs[i], graphs[j]).isomorphic
+                    == (class_of[i] == class_of[j]))
+
+
+def test_a_set_that_only_the_identity_fixes_takes_the_search_alone(monkeypatch):
+    # over GF(8) no other φ fixes the default generators: no map is moved and every
+    # graph is a leader, as isomorphism_classes takes them
+    moved = []
+    twist = schreier.canonical_twist
+    monkeypatch.setattr(schreier, "canonical_twist",
+                        lambda f, spec: moved.append(f) or twist(f, spec))
+    graphs = _rep_graphs(F8)
+    assert orbit_classes(enumerate_class_reps(F8).reps, graphs) == isomorphism_classes(graphs)
+    assert moved == []
+
+
+def test_orbit_classes_refine_and_search_the_orbit_leaders_alone(monkeypatch):
+    # over GF(9) the orbits are the classes, so the leaders are the first members 0,
+    # 1 and 4, and no other graph is refined, searched or expanded
+    graphs = _rep_graphs(F9)
+    refined, searched, expanded = [], [], []
+    refinement, rows = CosetGraph.refinement, CosetGraph.rows
+    search = schreier.are_isomorphic
+    monkeypatch.setattr(CosetGraph, "refinement", property(
+        lambda graph: refined.append(graphs.index(graph)) or refinement.func(graph)))
+    monkeypatch.setattr(CosetGraph, "rows", property(
+        lambda graph: expanded.append(graph) or rows.func(graph)))
+    monkeypatch.setattr(schreier, "are_isomorphic", lambda g1, g2: searched.append(
+        (graphs.index(g1), graphs.index(g2))) or search(g1, g2))
+    class_of, witnesses = orbit_classes(enumerate_class_reps(F9).reps, graphs)
+    assert class_of == [0, 1, 1, 1, 2, 2, 1, 2, 2]
+    assert set(refined) == {0, 1, 4} and expanded == []
+    assert all(i in (0, 1, 4) and j in (0, 1, 4) for i, j in searched)
+    assert [k for k, w in enumerate(witnesses) if isinstance(w, OrbitWitness)] == \
+        [2, 3, 5, 6, 7, 8]
 
 
 def test_colour_refinement_is_the_cached_graph_refinement():
