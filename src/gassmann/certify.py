@@ -29,7 +29,6 @@ from .rings import (
     FieldSpec,
     LinearMap,
     RingSpec,
-    TruncRingSpec,
     all_linear_maps,
     check_order,
     is_mult_map,
@@ -344,40 +343,6 @@ def family_oracles(p: int, m: int, cap: Optional[int], bruteforce_keys) -> bool:
                               "the closed form")
     # with one subgroup there is no pair for the search to compare
     return len(subgroups) < 2 or keyings_agree(keys, bruteforce_keys(group, subgroups))
-
-
-# ---------------------------------------------------------------------------
-# Truncated-ring class counts
-# ---------------------------------------------------------------------------
-
-
-class TowerClassCount(NamedTuple):
-    """Exact class count over GF(p)[t]/t^j next to the cited lower value."""
-
-    p: int
-    j: int
-    exact: int
-    cited_lower: int
-
-    @property
-    def bound_holds(self) -> bool:
-        return self.exact >= self.cited_lower
-
-    @property
-    def gap(self) -> bool:
-        """True when the exact count exceeds the cited value; never hidden."""
-        return self.exact != self.cited_lower
-
-
-def tower_class_count(spec: TruncRingSpec) -> TowerClassCount:
-    """Count twisted-subgroup classes of the truncated-ring group exactly.
-
-    The count is ``class_count``, p^(j^2 - j) for the j pivots.  The cited
-    literature value p^(j(j-1)/2) is reported as a lower bound only, and the
-    discrepancy is surfaced via the gap flag.
-    """
-    cited = spec.p ** (spec.j * (spec.j - 1) // 2)
-    return TowerClassCount(p=spec.p, j=spec.j, exact=class_count(spec), cited_lower=cited)
 
 
 # ---------------------------------------------------------------------------

@@ -42,51 +42,43 @@ def cmd_certify(p: int, m: int, cap: Optional[int] = None) -> dict:
     spec = make_field(p, m, cap=cap)
     report = rp.new_report("certify", {"p": p, "m": m, "cap": cap or size_cap()})
 
-    expected, actual = p ** (m * (m - 1)), cz.class_count(spec)
+    actual = cz.class_count(spec)
     orbits = None
     if cz.orbit_oracle_runs(p, m):
         orbits = cz.twist_orbit_count_bruteforce(spec)
     report["items"].append(
         {
             "kind": "class-count",
-            "expected": rp.encode_count(expected),
             "actual": rp.encode_count(actual),
             "bruteforce_orbits": rp.encode_count(orbits) if orbits is not None else None,
-            "holds": actual == expected and (orbits in (None, actual)),
+            "holds": actual == p ** (m * (m - 1)) and (orbits in (None, actual)),
         }
     )
 
-    # the family is stated by its definition; every H_f meets the class of the
-    # identity, class 0, and each class of an (x, 0, *) once
-    mode, count, q = cz.family_mode(p, m), p ** cz.family_exponent(p, m), p**m
-    pairs = rp.encode_count(count * (count - 1) // 2)
+    # the family is stated by its definition; its one profile and class sizes are
+    # closed forms of q, which verify derives and the oracle block checks
+    count = p ** cz.family_exponent(p, m)
     report["items"].append(
         {
             "kind": "gassmann-family",
-            "mode": mode,
+            "mode": cz.family_mode(p, m),
             "count": rp.encode_count(count),
-            "pair_count": pairs,
-            "identity_class": 0,
-            "class_sizes": cz.family_class_sizes(q),
-            "profile": cz.family_profile(q),
+            "pair_count": rp.encode_count(count * (count - 1) // 2),
             "all_equal": True,
             "holds": True,
         }
     )
 
-    conjugate_pairs = cz.conjugate_pair_count(p, m)
     agreement = cz.family_oracles(p, m, cap, _bruteforce_subgroup_keys)
-    item = {
-        "kind": "conjugacy-dichotomy",
-        "pairs": pairs,
-        "structural_conjugate_pairs": rp.encode_count(conjugate_pairs),
-        "bruteforce_checked": cz.conjugator_oracle_runs(p, m),
-        "structural_equals_bruteforce": agreement,
-        "holds": agreement,
-    }
-    if mode == "class-reps":
-        item["reps_pairwise_nonconjugate"] = conjugate_pairs == 0
-    report["items"].append(item)
+    report["items"].append(
+        {
+            "kind": "conjugacy-dichotomy",
+            "structural_conjugate_pairs": rp.encode_count(cz.conjugate_pair_count(p, m)),
+            "bruteforce_checked": cz.conjugator_oracle_runs(p, m),
+            "structural_equals_bruteforce": agreement,
+            "holds": agreement,
+        }
+    )
     return rp.finalize(report)
 
 
@@ -108,7 +100,7 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None, cap: Optional[in
     group = heisenberg_group(spec)
     gens = (
         parse_generators(gens_text, spec)
-        if gens_text
+        if gens_text is not None
         else sg.default_generators(group)
     )
     gens = sg.symmetrize_generators(group, gens)
@@ -175,17 +167,17 @@ def cmd_tower(p: int, j_max: int, cap: Optional[int] = None) -> dict:
         raise UsageError(f"--j-max must be >= 1, got {j_max}")
     report = rp.new_report("tower", {"p": p, "j_max": j_max, "cap": cap or size_cap()})
     for j in range(1, j_max + 1):
-        spec = make_trunc_ring(p, j, cap=cap)
-        result = cz.tower_class_count(spec)
+        # the exact count next to the cited value p^(j(j-1)/2), a lower bound only; the
+        # gap between them is stated, never hidden
+        exact, cited = cz.class_count(make_trunc_ring(p, j, cap=cap)), p ** (j * (j - 1) // 2)
         report["items"].append(
             {
                 "kind": "tower-count",
                 "j": j,
-                "exact": rp.encode_count(result.exact),
-                "cited_lower": rp.encode_count(result.cited_lower),
-                "bound_holds": result.bound_holds,
-                "gap": result.gap,
-                "holds": result.bound_holds,
+                "exact": rp.encode_count(exact),
+                "cited_lower": rp.encode_count(cited),
+                "gap": exact != cited,
+                "holds": exact >= cited,
             }
         )
     return rp.finalize(report)

@@ -1,14 +1,15 @@
 """Machine-readable reports: canonical JSON, schema, self-verification.
 
 JSON is the single source of truth; the table rendering is derived from
-it.  Reports carry enough substituted data (profiles, class sizes,
-inequality instances, isomorphism witnesses) that verify_report can
-reproduce the verdict from the JSON alone.  Each fact is stated once: a
-family is stated by its definition, which the config fixes.  A certify
-family is its mode and count with the one profile of its members; the
-coset graphs of a graphs report are the class reps' graphs, in catalog
-order, with the config's generators, stated by their mode, count,
-vertices and degree; verify_report rebuilds them by the route that graphs
+it.  Reports carry enough substituted data (inequality instances,
+isomorphism witnesses) that verify_report can reproduce the verdict from
+the JSON alone.  Each fact is stated once: a family is stated by its
+definition, which the config fixes.  A certify family is its mode, count
+and pair count; its one profile and class sizes are closed forms of the
+config, which verify_report derives and no report states; the coset
+graphs of a graphs report are the class reps' graphs, in catalog order,
+with the config's generators, stated by their mode, count, vertices and
+degree; verify_report rebuilds them by the route that graphs
 runs, checks every isomorphism witness and searches the classes' first
 members again, as graphs searches its orbit leaders.  A place scan is its
 counts, not its records.  Each distinct charpoly is listed once, and items
@@ -25,12 +26,11 @@ from itertools import islice
 from typing import TYPE_CHECKING, Any, Optional
 
 from .certify import (bruteforce_subgroup_keys, check_family_config, conjugate_pair_count,
-                      conjugator_oracle_runs, enumerate_class_reps, family_class_sizes,
-                      family_exponent, family_mode, family_oracles, family_profile,
-                      orbit_oracle_runs)
+                      conjugator_oracle_runs, enumerate_class_reps, family_exponent,
+                      family_mode, family_oracles, orbit_oracle_runs)
 from .errors import GassmannError, SpecMismatch
 from .heisenberg import heisenberg_group, twisted_subgroup
-from .rings import make_field, power_within
+from .rings import make_field, make_trunc_ring, power_within
 
 # A verifier imports the modules of its item kind, so that verify loads only those
 # that the report's kinds need
@@ -38,7 +38,7 @@ if TYPE_CHECKING:
     from .planner import IneqCheck
     from .schreier import CosetGraph
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 def encode_count(v: int) -> Any:
@@ -167,35 +167,20 @@ def _same(stored: Any, derived: Any) -> bool:
     return type(stored) is type(derived) and stored == derived
 
 
-def _states_family_pairs(config: dict, stored: Any) -> bool:
-    """Whether stored is n(n-1)/2 for the family's n = p^e, forming n only up to 2·stored + 1."""
-    pairs = decode_count(stored)
-    n = power_within(config["p"], family_exponent(config["p"], config["m"]), 2 * pairs + 1)
-    return n is not None and _same(stored, encode_count(n * (n - 1) // 2))
-
-
-def _verify_profiles(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
-    """The family, its one profile and the class table's shape, each derived from the
-    config; every H_f has that profile, so the evidence always gives true."""
-    # every power and list is bounded by what the item stores, so a forged config
-    # costs no more than the item: the counts by their digits, q by the stored classes
+def _verify_family(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
+    """The family and its pairs, derived from the config; every H_f has the one profile
+    of certify.family_profile, so the evidence always gives true."""
+    # every power is bounded by what the item stores, so a forged config costs no
+    # more than the item: n by the digits of the count and the pair count
     p, m = config["p"], config["m"]
     mode, count = family_mode(p, m), decode_count(item["count"])
     if not (item["mode"] == mode and power_within(p, family_exponent(p, m), count) == count
             and _same(item["count"], encode_count(count))):
         problems.append(f"the family is not the {mode} family of the config: p^(m^2) "
                         "subgroups in all-twists mode, p^(m(m-1)) in class-reps mode")
-    if not _states_family_pairs(config, item["pair_count"]):
+    n = power_within(p, family_exponent(p, m), 2 * decode_count(item["pair_count"]) + 1)
+    if n is None or not _same(item["pair_count"], encode_count(n * (n - 1) // 2)):
         problems.append("pair_count is not n(n-1)/2 for the family's n subgroups")
-    classes = len(item["class_sizes"])
-    q = power_within(p, m, classes)
-    shape = q is not None and classes == q * q + q - 1
-    if not (shape and _same(item["class_sizes"], family_class_sizes(q))):
-        problems.append("class_sizes are not q classes of size 1, then q^2-1 of size q, q = p^m")
-    if not _same(item["identity_class"], 0):
-        problems.append("identity_class is not 0, the class of the identity")
-    if not (shape and _same(item["profile"], family_profile(q))):
-        problems.append("profile is not the one profile that every H_f has over GF(q)")
     if item["all_equal"] is not True:
         problems.append("all_equal is not true, though every H_f has the same profile")
     return True
@@ -205,9 +190,6 @@ def _verify_class_count(item: dict, config: dict, items: _Items, problems: list[
     from . import certify
 
     p, m = config["p"], config["m"]
-    expected = decode_count(item["expected"])
-    if power_within(p, m * (m - 1), expected) != expected:
-        problems.append("class-count expected differs from p^(m(m-1))")
     actual, orbits = decode_count(item["actual"]), item["bruteforce_orbits"]
     ran = orbit_oracle_runs(p, m)
     if (orbits is not None) != ran:
@@ -228,19 +210,9 @@ def _verify_class_count(item: dict, config: dict, items: _Items, problems: list[
 def _verify_conjugacy(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
     # H_f and H_g are conjugate exactly when f - g is a multiplication
     p, m = config["p"], config["m"]
-    conjugate_pairs = conjugate_pair_count(p, m)
-    stored = item["structural_conjugate_pairs"]
-    if not _states_family_pairs(config, item["pairs"]):
-        problems.append("pairs is not n(n-1)/2 for the family's n subgroups")
-    if not _same(stored, encode_count(conjugate_pairs)):
+    if not _same(item["structural_conjugate_pairs"], encode_count(conjugate_pair_count(p, m))):
         problems.append("structural_conjugate_pairs differs from the closed form: 0 among the "
                         "class reps, p^(m(m-1))·q(q-1)/2 among all p^(m^2) maps")
-    if family_mode(p, m) == "all-twists":
-        if "reps_pairwise_nonconjugate" in item:
-            problems.append("reps_pairwise_nonconjugate is stated in all-twists mode, where "
-                            "certify omits it")
-    elif not _same(item["reps_pairwise_nonconjugate"], decode_count(stored) == 0):
-        problems.append("reps_pairwise_nonconjugate disagrees with structural_conjugate_pairs")
     ran = conjugator_oracle_runs(p, m)
     if not _same(item["bruteforce_checked"], ran):
         problems.append("bruteforce_checked differs from whether certify runs the conjugator "
@@ -349,8 +321,8 @@ def _verify_tower_count(item: dict, config: dict, items: _Items, problems: list[
     if not (power_within(p, j * j - j, exact) == exact
             and power_within(p, j * (j - 1) // 2, cited) == cited):
         problems.append("tower-count exact or cited_lower differs from p^(j^2-j) or p^(j(j-1)/2)")
-    if not (_same(item["bound_holds"], exact >= cited) and _same(item["gap"], exact != cited)):
-        problems.append("tower-count flags are inconsistent")
+    if not _same(item["gap"], exact != cited):
+        problems.append("tower-count gap is not whether exact differs from cited_lower")
     return exact >= cited
 
 
@@ -425,7 +397,7 @@ def _verify_plan(item: dict, config: dict, items: _Items, problems: list[str]) -
 
 # fn(item, config, items, problems) -> the verdict the item's evidence gives
 _VERIFIERS = {
-    "gassmann-family": _verify_profiles,
+    "gassmann-family": _verify_family,
     "class-count": _verify_class_count,
     "conjugacy-dichotomy": _verify_conjugacy,
     "coset-graphs": _verify_coset_graphs,
@@ -438,19 +410,19 @@ _VERIFIERS = {
 
 
 # The keys that each command writes in its config, and in each item kind beside kind
-# and holds, optional ones included: the verifier of an item with an optional key
-# checks that the key is there exactly where the command writes it
+# and holds, the optional required_checks included: the plan verifier checks that it
+# is there exactly where plan writes it
 _CONFIG_KEYS = {"certify": "p m cap", "graphs": "p m generators cap", "tower": "p j_max cap",
                 "places": "ell q bound tolerance", "plan": "op"}
 _ITEM_KEYS = {
-    "class-count": "expected actual bruteforce_orbits",
-    "gassmann-family": "mode count pair_count identity_class class_sizes profile all_equal",
-    "conjugacy-dichotomy": "pairs structural_conjugate_pairs bruteforce_checked "
-                           "structural_equals_bruteforce reps_pairwise_nonconjugate",
+    "class-count": "actual bruteforce_orbits",
+    "gassmann-family": "mode count pair_count all_equal",
+    "conjugacy-dichotomy": "structural_conjugate_pairs bruteforce_checked "
+                           "structural_equals_bruteforce",
     "coset-graphs": "mode count vertices degree",
     "cospectral": "pair_count distinct_charpolys charpoly_index all_equal",
     "isomorphism-classes": "class_of witnesses",
-    "tower-count": "j exact cited_lower bound_holds gap",
+    "tower-count": "j exact cited_lower gap",
     "place-scan": "scanned degree_ell_count density cebotarev_density tolerance "
                   "within_tolerance agreement_checked_to implementations_agree",
     "plan": "op inputs result checks required_checks",
@@ -482,6 +454,8 @@ def _layout_problem(command: str, config: dict, items: list[dict]) -> Optional[s
     elif command == "graphs":
         ok = kinds == ["coset-graphs", "cospectral", "isomorphism-classes"]
     elif command == "tower":
+        # the ring of the last level, checked as tower builds it
+        make_trunc_ring(config["p"], config["j_max"], config["cap"])
         ok = (config["j_max"] == n and kinds == ["tower-count"] * n
               and _same([item.get("j") for item in items], list(range(1, n + 1))))
     elif command == "places":

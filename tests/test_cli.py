@@ -13,7 +13,8 @@ import pytest
 from conftest import run_cli
 
 from gassmann import cli, heisenberg, planner, reports, schreier
-from gassmann.certify import enumerate_class_reps, family_mode
+from gassmann.certify import (enumerate_class_reps, family_class_sizes, family_mode,
+                              family_profile)
 from gassmann.oracles import center_subgroup
 from gassmann.reports import render_table, verify_report
 from gassmann.rings import all_linear_maps, make_field
@@ -73,7 +74,7 @@ def test_certify_3_2_class_count():
     items = {item["kind"]: item for item in report["items"]}
     assert items["class-count"]["actual"] == 9
     assert items["gassmann-family"]["mode"] == "class-reps"
-    assert items["conjugacy-dichotomy"]["reps_pairwise_nonconjugate"]
+    assert items["conjugacy-dichotomy"]["structural_conjugate_pairs"] == 0
     assert verify_report(report) == []
 
 
@@ -124,7 +125,7 @@ def test_certify_dichotomy_needs_no_pairwise_test(monkeypatch, p, m, conjugate_p
     assert report["summary"]["verdict"] == "pass"
     dichotomy = report["items"][2]
     assert dichotomy["structural_conjugate_pairs"] == conjugate_pairs
-    assert dichotomy["pairs"] == pairs
+    assert report["items"][1]["pair_count"] == pairs
     assert dichotomy["bruteforce_checked"] and dichotomy["structural_equals_bruteforce"]
 
 
@@ -216,9 +217,8 @@ def test_certify_self_checks_the_closed_forms_against_the_oracle_block(monkeypat
 
 @pytest.mark.parametrize("m", [40, 13, 10**5, 10**9])
 def test_verify_of_a_forged_certify_config_costs_what_the_stored_item_states(tmp_path, m):
-    # a GF(4) report claiming GF(2^m): the derived lists would hold about 2^(2m)
-    # entries, and p^(m^2) would have m^2 bits, so verify measures the stored lists
-    # and counts first
+    # a GF(4) report claiming GF(2^m): p^(m(m-1)) would have about m^2 bits, so verify
+    # measures the stored counts first
     _, out, _ = run_cli("certify", "--p", "2", "--m", "2")
     report = json.loads(out)
     report["config"]["m"] = m
@@ -232,9 +232,9 @@ def test_verify_of_a_forged_certify_config_costs_what_the_stored_item_states(tmp
     assert done.returncode == 1 and done.stdout == "verification failed\n"
     assert "Traceback" not in done.stderr
     problems = done.stderr.splitlines()
-    assert "problem: class_sizes are not q classes of size 1, then q^2-1 of size q, q = p^m" \
-        in problems
-    assert "problem: profile is not the one profile that every H_f has over GF(q)" in problems
+    assert ("problem: the family is not the class-reps family of the config: p^(m^2) "
+            "subgroups in all-twists mode, p^(m(m-1)) in class-reps mode") in problems
+    assert "problem: pair_count is not n(n-1)/2 for the family's n subgroups" in problems
 
 
 def test_verify_of_a_forged_graphs_degree_compares_it_with_the_cap(tmp_path):
@@ -257,9 +257,9 @@ def _restated_for(report: dict, p: int, m: int) -> dict:
     count = p ** (m * (m - 1))  # the class reps
     pairs = count * (count - 1) // 2
     class_count, family, dichotomy = report["items"]
-    class_count.update(expected=count, actual=count, bruteforce_orbits=None)
+    class_count.update(actual=count, bruteforce_orbits=None)
     family.update(mode="class-reps", count=count, pair_count=pairs)
-    dichotomy.update(pairs=pairs, structural_conjugate_pairs=0, bruteforce_checked=False)
+    dichotomy.update(structural_conjugate_pairs=0, bruteforce_checked=False)
     return report
 
 
@@ -288,6 +288,30 @@ def test_verify_checks_the_certify_config_is_a_field_within_its_cap(tmp_path, ar
     assert code == 1 and "Traceback" not in err
     assert (f"problem: the config is malformed: {error}"
             in err.splitlines())
+
+
+def _restated_tower_for(report: dict, p: int) -> dict:
+    """The tower report with its config's p replaced and every level restated for it."""
+    report["config"]["p"] = p
+    for item in report["items"]:
+        j = item["j"]
+        exact, cited = p ** (j * j - j), p ** (j * (j - 1) // 2)
+        item.update(exact=exact, cited_lower=cited, gap=exact != cited)
+    return report
+
+
+@pytest.mark.parametrize("forge, error", [
+    (lambda r: _restated_tower_for(r, 4), "NotPrime: p=4 is not prime"),
+    (lambda r: r["config"].update(cap=1), "SizeCapExceeded: |GF(2)[t]/t^3| = 2^3 exceeds cap 1"),
+], ids=["prime-power-p", "cap-below-the-ring"])
+def test_verify_checks_the_tower_config_as_tower_does(tmp_path, forge, error):
+    # tower refuses both configs; every item agrees with the forged config, so the
+    # check of the ring that the last level builds is the one problem
+    _, out, _ = run_cli("tower", "--p", "2", "--j-max", "3")
+    report = json.loads(out)
+    forge(report)
+    code, err = _verify_json(tmp_path, report)
+    assert code == 1 and err.splitlines() == [f"problem: the config is malformed: {error}"]
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +419,13 @@ def test_graphs_non_generating_set_errors():
     assert code == 2 and "NotGenerating" in err
 
 
+def test_graphs_empty_gens_is_refused():
+    # an empty --gens names no generator; it does not fall back on the default set
+    code, out, err = run_cli("graphs", "--p", "2", "--m", "2", "--gens", "")
+    assert code == 2 and out == ""
+    assert err == "error: SpecMismatch: generator '' is not of the form a|b|c\n"
+
+
 def test_graphs_custom_generating_set():
     gens = "1,0|0,0|0,0;0,1|0,0|0,0;0,0|1,0|0,0;0,0|0,1|0,0;0,0|0,0|1,0"
     code, out, _ = run_cli("graphs", "--p", "2", "--m", "2", "--gens", gens)
@@ -415,7 +446,7 @@ def test_tower_2_3():
     report = _report(out)
     assert [item["exact"] for item in report["items"]] == [1, 4, 64]
     assert [item["cited_lower"] for item in report["items"]] == [1, 2, 8]
-    assert all(item["bound_holds"] for item in report["items"])
+    assert all(item["holds"] for item in report["items"])
     assert [item["gap"] for item in report["items"]] == [False, True, True]
     assert verify_report(report) == []
 
@@ -629,7 +660,7 @@ def test_verify_subcommand_detects_tampering(tmp_path):
     code, msg, _ = run_cli("verify", str(good))
     assert code == 0 and "verified" in msg
     report = json.loads(out)
-    report["items"][1]["profile"][0] += 1
+    report["items"][1]["pair_count"] += 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(report))
     code, msg, err = run_cli("verify", str(bad))
@@ -646,7 +677,7 @@ def test_verify_rejects_tampered_structural_conjugate_pairs(tmp_path):
     bad.write_text(json.dumps(report))
     code, msg, err = run_cli("verify", str(bad))
     assert code == 1 and "failed" in msg
-    assert "reps_pairwise_nonconjugate" in err
+    assert "structural_conjugate_pairs differs from the closed form" in err
 
 
 def _tampered_family_verify(tmp_path, tamper) -> tuple[int, str]:
@@ -660,43 +691,54 @@ def _tampered_family_verify(tmp_path, tamper) -> tuple[int, str]:
 
 
 def test_verify_recomputes_the_expected_class_count(tmp_path):
-    # the three stored counts agree with each other, but 5 is not 2^(2·1)
+    # the two stored counts agree with each other, but 5 is not 2^(2·1)
     _, out, _ = run_cli("certify", "--p", "2", "--m", "2")
     report = json.loads(out)
     count = report["items"][0]
-    assert count["kind"] == "class-count" and count["expected"] == 4
-    count["expected"] = count["actual"] = count["bruteforce_orbits"] = 5
+    assert count["kind"] == "class-count" and count["actual"] == 4
+    count["actual"] = count["bruteforce_orbits"] = 5
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(report))
     code, msg, err = run_cli("verify", str(bad))
     assert code == 1 and "failed" in msg
-    assert "class-count expected differs from p^(m(m-1))" in err
+    assert "problem: item 0 (class-count) holds True, but its evidence gives False" in err
 
 
-def test_verify_recomputes_the_class_sizes(tmp_path):
-    def tamper(family):
-        family["class_sizes"][0] = 99
+# A report states no profile, class sizes or identity class: verify derives them from
+# the config and, where the conjugator oracle runs, checks the class table against them
+# in the oracle block.  Each fault below breaks the table after certify wrote the report.
+_TABLE_PROBLEM = ("problem: item 2 (conjugacy-dichotomy) fails its check: SelfCheckFailed: "
+                  "the class table gives a profile other than the closed form")
 
-    code, err = _tampered_family_verify(tmp_path, tamper)
-    assert code == 1 and "class_sizes are not q classes" in err
+
+def _faulted_table_verify(tmp_path, monkeypatch, fault) -> tuple[int, str]:
+    _, out, _ = run_cli("certify", "--p", "2", "--m", "3")
+    fault(monkeypatch)
+    return _verify_json(tmp_path, json.loads(out))
 
 
-def test_verify_checks_the_identity_class_size(tmp_path):
+def test_verify_recomputes_the_class_sizes(tmp_path, monkeypatch):
+    sizes = heisenberg.ConjugacyClassTable.sizes
+    code, err = _faulted_table_verify(tmp_path, monkeypatch, lambda mp: mp.setattr(
+        heisenberg.ConjugacyClassTable, "sizes", lambda table: (99,) + sizes(table)[1:]))
+    assert code == 1 and err.splitlines() == [_TABLE_PROBLEM]
+
+
+def test_verify_checks_the_identity_class_size(tmp_path, monkeypatch):
     # each subgroup meets a non-central class (x, 0, *) in exactly one element, so
-    # every profile still has a 1 there; only the class index shows the tamper
-    def tamper(family):
-        q = family["class_sizes"].count(1)
-        family["identity_class"] = next(
-            c for c, size in enumerate(family["class_sizes"])
-            if size == q and family["profile"][c] == 1)
-
-    code, err = _tampered_family_verify(tmp_path, tamper)
-    assert code == 1 and "identity_class is not 0" in err
+    # every profile still has a 1 there; only the class index shows the fault
+    q = 8
+    assert family_class_sizes(q)[2 * q - 1] == q and family_profile(q)[2 * q - 1] == 1
+    code, err = _faulted_table_verify(tmp_path, monkeypatch, lambda mp: mp.setattr(
+        heisenberg.ConjugacyClassTable, "identity_class", lambda table: 2 * q - 1))
+    assert code == 1 and err.splitlines() == [_TABLE_PROBLEM]
 
 
-def test_verify_rejects_a_missing_profile(tmp_path):
-    code, err = _tampered_family_verify(tmp_path, lambda family: family["profile"].pop())
-    assert code == 1 and "profile is not the one profile" in err
+def test_verify_rejects_a_missing_profile(tmp_path, monkeypatch):
+    profile = cli.cz.intersection_profile
+    code, err = _faulted_table_verify(tmp_path, monkeypatch, lambda mp: mp.setattr(
+        cli.cz, "intersection_profile", lambda sub, table: profile(sub, table)[:-1]))
+    assert code == 1 and err.splitlines() == [_TABLE_PROBLEM]
 
 
 def test_verify_rejects_a_wrong_pair_count(tmp_path):
@@ -707,50 +749,57 @@ def test_verify_rejects_a_wrong_pair_count(tmp_path):
     assert code == 1 and "pair_count" in err
 
 
-def _second_profile(family):
-    # a second profile, with one element moved between two classes of size q
-    family["profile"] = [family["profile"], _moved_element(family)]
-    family["all_equal"] = family["holds"] = False
-
-
-def _altered_profile(family):
-    family["profile"] = _moved_element(family)
-
-
-def _moved_element(family):
-    q = family["class_sizes"].count(1)
-    moved = list(family["profile"])
+def _moved_element(profile, q=4):
+    moved = list(profile)
     assert moved[2 * q - 1] == 1 and moved[2 * q] == 0  # the classes of (1, 0, *), (1, 1, *)
     moved[2 * q - 1], moved[2 * q] = 0, 1
-    return moved
+    return tuple(moved)
 
 
-def _central_classes_last(family):
-    # rotating classes, identity class and profile together keeps them consistent
-    q = family["class_sizes"].count(1)
-    family["class_sizes"] = family["class_sizes"][q:] + family["class_sizes"][:q]
-    family["identity_class"] = (family["identity_class"] - q) % len(family["class_sizes"])
-    family["profile"] = family["profile"][q:] + family["profile"][:q]
+def _second_profile(monkeypatch, family):
+    # a second profile, the last subgroup's, with one element moved between two
+    # classes of size q
+    profile, last = cli.cz.intersection_profile, list(all_linear_maps(make_field(2, 2)))[-1]
+    monkeypatch.setattr(cli.cz, "intersection_profile", lambda sub, table: (
+        _moved_element(profile(sub, table)) if sub.f == last else profile(sub, table)))
 
 
-def _all_equal_false(family):
+def _altered_profile(monkeypatch, family):
+    profile = cli.cz.intersection_profile
+    monkeypatch.setattr(cli.cz, "intersection_profile",
+                        lambda sub, table: _moved_element(profile(sub, table)))
+
+
+def _central_classes_last(monkeypatch, family):
+    # rotating class sizes, identity class and profiles together keeps them consistent
+    q, table_class = 4, heisenberg.ConjugacyClassTable
+    sizes, identity, profile = (table_class.sizes, table_class.identity_class,
+                                cli.cz.intersection_profile)
+    monkeypatch.setattr(table_class, "sizes", lambda table: sizes(table)[q:] + sizes(table)[:q])
+    monkeypatch.setattr(table_class, "identity_class",
+                        lambda table: (identity(table) - q) % len(sizes(table)))
+    monkeypatch.setattr(cli.cz, "intersection_profile", lambda sub, table: (
+        profile(sub, table)[q:] + profile(sub, table)[:q]))
+
+
+def _all_equal_false(monkeypatch, family):
     family["all_equal"] = False
 
 
-@pytest.mark.parametrize("tamper, message", [
-    (_second_profile, "profile is not the one profile"),
-    (_altered_profile, "profile is not the one profile"),
-    (_central_classes_last, "class_sizes are not q classes of size 1, then"),
-    (_all_equal_false, "all_equal is not true"),
+@pytest.mark.parametrize("fault, message", [
+    (_second_profile, _TABLE_PROBLEM),
+    (_altered_profile, _TABLE_PROBLEM),
+    (_central_classes_last, _TABLE_PROBLEM),
+    (_all_equal_false, "problem: all_equal is not true, though every H_f has the same profile"),
 ], ids=["second-profile", "altered-profile", "central-classes-last", "all-equal-false"])
-def test_verify_derives_the_family_profile(tmp_path, tamper, message):
-    # each profile forgery keeps every profile summing to q with a 1 on the identity
+def test_verify_derives_the_family_profile(tmp_path, monkeypatch, fault, message):
+    # each class-table fault keeps every profile summing to q with a 1 on the identity
     # class, so only the profile derived from the config shows it
     _, out, _ = run_cli("certify", "--p", "2", "--m", "2")
     report = json.loads(out)
-    tamper(report["items"][1])
-    code, err = _verify_json(tmp_path, reports.finalize(report))
-    assert code == 1 and message in err
+    fault(monkeypatch, report["items"][1])
+    code, err = _verify_json(tmp_path, report)
+    assert code == 1 and err.splitlines() == [message]
 
 
 def test_verify_lists_a_split_class_over_the_search_budget(tmp_path, monkeypatch):
@@ -1010,7 +1059,9 @@ def test_graph_facts_survive_the_schema_bump(p, m):
 
 # From the schema-3 certify reports, which listed every subgroup's label and profile
 # index: SHA-256 of the compact JSON of the facts that any layout must keep.  Schema 4
-# states the family by its definition and its one profile as a flat list.
+# states the family by its definition and its one profile as a flat list.  Schema 7
+# drops the facts that restate others or the config; the test rebuilds each from the
+# kept fields and the closed forms, so the hashes prove they were restatements.
 SCHEMA_3_CERTIFY_FACTS = {
     (2, 1): "bacb4dddb3394e0d237bffd5ade826cdf4485e0d5546b759e4a2a46bf48ca28b",
     (2, 2): "60b7cf23d4b90b616238eac534d961a513503f55ea21bd7830fa653d5b8a9ced",
@@ -1025,11 +1076,12 @@ SCHEMA_3_CERTIFY_FACTS = {
 def test_certify_facts_survive_the_schema_bump(p, m):
     report = cli.cmd_certify(p, m)
     count, family, dichotomy = report["items"]
-    facts = [[count["expected"], count["actual"], count["bruteforce_orbits"]],
-             [family["profile"], family["class_sizes"], family["identity_class"]],
-             [family["pair_count"], dichotomy["pairs"], dichotomy["structural_conjugate_pairs"]],
+    q, conjugate_pairs = p**m, dichotomy["structural_conjugate_pairs"]
+    facts = [[p ** (m * (m - 1)), count["actual"], count["bruteforce_orbits"]],
+             [family_profile(q), family_class_sizes(q), 0],
+             [family["pair_count"], family["pair_count"], conjugate_pairs],
              [dichotomy["bruteforce_checked"], dichotomy["structural_equals_bruteforce"],
-              dichotomy.get("reps_pairwise_nonconjugate")],
+              conjugate_pairs == 0 if family["mode"] == "class-reps" else None],
              [item["holds"] for item in report["items"]]]
     payload = json.dumps(facts, separators=(",", ":"))
     assert hashlib.sha256(payload.encode()).hexdigest() == SCHEMA_3_CERTIFY_FACTS[p, m]
@@ -1114,7 +1166,7 @@ def test_verify_recomputes_the_tower_count(tmp_path):
     report = json.loads(out)
     item = report["items"][2]
     assert (item["j"], item["exact"], item["cited_lower"]) == (3, 64, 8)
-    item["exact"], item["gap"] = 8, False  # bound_holds stays true: the flags agree
+    item["exact"], item["gap"] = 8, False  # the gap flag agrees, and 8 >= 8 holds
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(report))
     code, msg, err = run_cli("verify", str(bad))
@@ -1253,12 +1305,10 @@ def test_verify_derives_the_required_checks_of_a_plan(tmp_path):
     assert "required check isometry-headroom is missing" in err
 
 
-def _counts_as_booleans(report):
-    family = report["items"][1]
-    family["profile"][0] = True
-    q = 4
-    assert family["class_sizes"][:q] == [1] * q
-    family["class_sizes"][:q] = [True] * q
+def _class_count_true(report):
+    count = report["items"][0]
+    assert count["actual"] == count["bruteforce_orbits"] == 1
+    count["actual"] = count["bruteforce_orbits"] = True
 
 
 def _charpoly_index_false(report):
@@ -1280,12 +1330,12 @@ def _first_level_count_true(report):
 
 
 @pytest.mark.parametrize("argv, tamper", [
-    (("certify", "--p", "2", "--m", "2"), _counts_as_booleans),
+    (("certify", "--p", "2", "--m", "1"), _class_count_true),
     (("graphs", "--p", "2", "--m", "2"), _charpoly_index_false),
     (("graphs", "--p", "2", "--m", "2"), _first_class_false),
     (("tower", "--p", "2", "--j-max", "3"), _first_level_true),
     (("tower", "--p", "2", "--j-max", "3"), _first_level_count_true),
-], ids=["profile-and-class-sizes", "charpoly-index", "class-of", "tower-level",
+], ids=["class-count", "charpoly-index", "class-of", "tower-level",
         "tower-count"])
 def test_verify_does_not_read_a_boolean_as_a_count(tmp_path, argv, tamper):
     # Python's == takes true for 1 and false for 0; verify compares JSON types too
@@ -1320,11 +1370,9 @@ def test_verify_counts_the_family_from_the_config(tmp_path):
      "item 0 (class-count) holds True, but its evidence gives False"),
     (("certify", "--p", "2", "--m", "2"), 1, "mode", "class-reps",
      "the family is not the all-twists family of the config"),
-    (("certify", "--p", "2", "--m", "2"), 2, "pairs", 105,  # 15·14/2, one subgroup short
-     "pairs is not n(n-1)/2 for the family's n subgroups"),
-    (("certify", "--p", "2", "--m", "3"), 2, "reps_pairwise_nonconjugate", False,
-     "reps_pairwise_nonconjugate disagrees with structural_conjugate_pairs"),
-], ids=["actual", "mode", "pairs", "reps-pairwise-nonconjugate"])
+    (("certify", "--p", "2", "--m", "2"), 1, "pair_count", 105,  # 15·14/2, one subgroup short
+     "pair_count is not n(n-1)/2 for the family's n subgroups"),
+], ids=["actual", "mode", "pairs"])
 def test_verify_rejects_each_forged_certify_field(tmp_path, argv, index, field, value, message):
     _, out, _ = run_cli(*argv)
     report = json.loads(out)
@@ -1349,8 +1397,8 @@ def test_verify_takes_the_dichotomy_verdict_from_the_labels(tmp_path):
     _, out, _ = run_cli("certify", "--p", "2", "--m", "3")
     report = json.loads(out)
     dichotomy = report["items"][2]
-    assert dichotomy["structural_conjugate_pairs"] == 0 and dichotomy["reps_pairwise_nonconjugate"]
-    dichotomy.update(structural_conjugate_pairs=1, reps_pairwise_nonconjugate=False, holds=False)
+    assert dichotomy["structural_conjugate_pairs"] == 0
+    dichotomy.update(structural_conjugate_pairs=1, holds=False)
     code, err = _verify_json(tmp_path, reports.finalize(report))
     assert code == 1
     assert "item 2 (conjugacy-dichotomy) holds False, but its evidence gives True" in err
@@ -1855,23 +1903,23 @@ def test_verify_scans_the_places_again(tmp_path, forge):
 # SHA-256 of the report on stdout; a schema bump updates these and says so
 PINNED_REPORTS = {
     ("certify", "--p", "2", "--m", "2"):
-        "dad389bf25bc5cc567cd9ff359e58a00c658144ebb3224ebf9d7b44240dc0cbf",
+        "ced19a9bd3b961f302588ed6736b31f71fb32c3a57731970e7df16ad3b57133b",
     ("certify", "--p", "2", "--m", "3"):
-        "b84718f19440bff9d5f71000c4ed8dd53d472bab496d75cec952b2332c0cdcbc",
+        "a249f16ea9537055ab57462b6915ae2021c816019c19715aa361bb7e58809a39",
     ("certify", "--p", "3", "--m", "2"):
-        "d32bad6d2213c973f1885aa0e872f48f4ff93bbd7691fae25970f2aca5e3d162",
+        "dd6c1ad850afb7203eb35d117691407c376d655c3db96ed09c4ba31b1f034fed",
     ("certify", "--p", "13", "--m", "1"):
-        "65ade1aae7b195b5ef257bc0c5fd6da83009e2e9bda30c2bb213b60d5e2c21f6",
+        "fcb20f5a296c4e62c5a13a715507dbe44810fc69b79c6dd83148bb9eca562672",
     ("graphs", "--p", "2", "--m", "2"):
-        "79d77d83d91df297fde55341898dac2d7fa7202d32b7bf74d9d4d470854fa31e",
+        "427aee900b9f93845f9292a25fefcebc32bfb85d7fd75a9db0f80d31b6127f64",
     ("graphs", "--p", "3", "--m", "2"):
-        "ad0ede6e7b6e04cef597f1814d40b90babcd2bab3dd838e55767664f02a4fa7d",
+        "3a23a99dbf695e43d240b69e527ae6ea93890663706ba576bdc0b1a2570e78cc",
     ("graphs", "--p", "2", "--m", "3"):
-        "070fac7c6610a30a1669fe6934e432fc6e8df99a3283f75490d4b1861e81f0fe",
+        "ad1a69f4ad9b3146a4089b1f8a7412fed36366d348649173207639c0c215b6f2",
     ("tower", "--p", "2", "--j-max", "5"):
-        "f092e481d07325b8c620646dbae4ec650bd7ac9b17b840df08a0cd83b332227e",
+        "d7b608f8fb06a91868993c68985f80227d09cd876199e3f1221bbc8f311f7bab",
     ("places", "--ell", "3", "--bound", "1000"):
-        "c87ae95d6763b6482b8b03653c7e10bcab583a4bded9557786ea5f5de0ebc559",
+        "58f2e675fd13b92b043a98af0454cae7e739ad96aeb7e6fed33eed35a1c59c5c",
 }
 
 
@@ -1897,31 +1945,31 @@ def test_places_jsonl_keeps_its_schema_4_bytes():
 # (comm-classes --n, nonarith-count --n, min-ell-growth --p --c-1)
 PINNED_PLANS = {
     "twisted-count --p 2 --ell0 37 --dim-g 8":
-        "96e20df4066d6e871cfb28e4a7dce93ef65d2d5ca11d5687d288aaf1f2727bbb",
+        "299cda943a48dd7ee26fa956bc22f89759b2cb9f061dd4da270b44c2bd7b0d41",
     "comm-classes --p 2 --ell0 29 --dim-g 8 --c 1":
-        "3a0e512e6f2c7e0d0b84a37f51e2b6932a6162805b0af41296db2ced9b83c8e7",
+        "2e61519a6b9bf4cd4345abac8968d56862ff15e255c85378bfcd3aff0290ece4",
     "comm-classes --p 2 --ell0 29 --dim-g 8 --c 1 --c-x 3 --n 5":
-        "0ce93fc8867b7f856295e7880bbd5979d9a7e1134deb89c0ca5c4c2f9f39de12",
+        "e9ee37a98a28c579422da29365f61423df88f0773334e4c26ec52f2dbc8e8181",
     "conjugates-bound --n-index 64 --x 2 --big-c 3 --group-order 512":
-        "eaa64f60280b74ffb6406b09851d18f26d8d8da3fef6e9abcd5f1999e41aa326",
+        "fa0e941ad259e038acada06753dd2cc2cc1b6bd4e0cc5a86d21c37c69e512754",
     "min-ell-sequence --dim-g 8 --c 1 --r 1":
-        "568dce2022e6ed171886633bdd653f4c2086afdc2772b6b8e37e0e60b6bcb515",
+        "61ff54647399b4523051883c34b45bcacf489a99a4228445089f826fa311c060",
     "min-ell-growth --dim-g 8 --c 1 --r 1":
-        "729e06699fda29e8355e06dacbdb8da3fecbe16f0983316a6949abbab9d7d3e6",
+        "fc0a03d6ecd30adb8da55efb12fd95cef2c67b1931d46a9815931dae62802d15",
     "min-ell-growth --dim-g 8 --c 1 --r 1 --p 2 --c-1 1":
-        "5eed1db50d4f127eb68073701a12157856d9a3bc85e97aa7c518ad0030bd8dc9",
+        "477e492fe14c10edfcc4021689def2a77b1220eb0cb9e70b7db4d12a2bee0c1b",
     "nonarith-count --p 2 --ell 11":
-        "5f4f2d52bee04b8a5e21079840317fa1f6fc4a770639b16142a873c375cbd7d7",
+        "b67e4131bfde02afb0964b60c8be4e32047639ba88c6e2e27aacac741e4bd8bc",
     "nonarith-count --p 2 --ell 11 --comm-index 7 --n 3":
-        "39c49b50566aa3db0cb08a7276f5076bb50084197013448e752aab6f0f0a7be3",
+        "64a812eef34a5e5cd4e98272a886e63c1920832622eec0d5ba19889251fd5752",
     "volume-bound --big-c 3 --p 2 --j 4":
-        "a24954072b6ec4660d5273b707a48660f6aa418d77e63f97374a4821fc8e4582",
+        "07044d77e63a63ce2c67fdc021c79e7f8ae8838936ed1bc3b192319b57ddaa13",
     "growth-constant --p 2 --delta 1 --d-p 0 --j-min 30 --j-max 100":
-        "ddf878fdd65aa8e11f64e07055ba9d499eef47a4b7d4368dcff0223bc2722ab8",
+        "2fbb99900d18d1cdae7874ae3ab695eae0529cfd970c78ce8ac018bc42db8c45",
     "level-count --primes 2,3,5 --j 3 --ell0 2":
-        "7fb53a1bc3c63617a29871404d6198617dc6a16464c4a2a326ed3cf76fb0d323",
+        "f9940cdbe06fab209d6cd7f61d3c1eada3cbcac89a33b24b2ee012e23ec4dd37",
     "tower-min-k --primes 2,3,5,7 --j 1 --ell0 37 --dim-g 8 --c-x 4 --x 1 --c 1 --r 444":
-        "13b1165dac3024b8fa504e6ec1d5581f0440daad4d621ae89d4c0e20cfb03cad",
+        "a06c70c63fe35dd403eb391bfd772d0918ebbf845c730b88d162a31f6c2aa693",
 }
 
 
@@ -2028,9 +2076,20 @@ _TWISTED_COUNT = "plan twisted-count --p 2 --ell0 37 --dim-g 8"
     ("certify --p 2 --m 2", _adding("config", "extra", value=5), "extra"),
     ("certify --p 2 --m 2", _adding("items", 0, "note", value="n"), "note"),
     ("certify --p 2 --m 2", _adding("note", value="n"), "note"),
-    # an all-twists family, where certify omits the flag
+    # the flag that schema 6 wrote in class-reps mode only
     ("certify --p 2 --m 2", _adding("items", 2, "reps_pairwise_nonconjugate", value=True),
      "reps_pairwise_nonconjugate"),
+    # each key that schema 6 wrote and schema 7 drops, with the value it had: a
+    # restatement of another field or a closed form of the config
+    ("certify --p 2 --m 3", _adding("items", 0, "expected", value=64), "expected"),
+    ("certify --p 2 --m 3", _adding("items", 1, "identity_class", value=0), "identity_class"),
+    ("certify --p 2 --m 3", _adding("items", 1, "class_sizes", value=family_class_sizes(8)),
+     "class_sizes"),
+    ("certify --p 2 --m 3", _adding("items", 1, "profile", value=family_profile(8)), "profile"),
+    ("certify --p 2 --m 3", _adding("items", 2, "pairs", value=2016), "pairs"),
+    ("certify --p 2 --m 3", _adding("items", 2, "reps_pairwise_nonconjugate", value=True),
+     "reps_pairwise_nonconjugate"),
+    ("tower --p 2 --j-max 3", _adding("items", 2, "bound_holds", value=True), "bound_holds"),
     # the edges list that schema 2 wrote
     ("graphs --p 2 --m 2", _adding("items", 0, "edges", value=[[0, 0, 2], [0, 4, 1]]), "edges"),
     # an op that requires no check, where plan omits the list
@@ -2039,8 +2098,11 @@ _TWISTED_COUNT = "plan twisted-count --p 2 --ell0 37 --dim-g 8"
     # the records list that schema 4 wrote
     ("places --ell 3 --bound 100", _adding("items", 0, "records", value=[{"p": 2}]), "records"),
     (_TWISTED_COUNT, _deep_config_field, "extra"),
-], ids=["certify-config", "certify-item", "certify-report", "optional-flag", "schema-2-edges",
-        "empty-required-checks", "null-required-checks", "place-record", "deep-plan-config"])
+], ids=["certify-config", "certify-item", "certify-report", "optional-flag",
+        "schema-6-expected", "schema-6-identity-class", "schema-6-class-sizes",
+        "schema-6-profile", "schema-6-pairs", "schema-6-reps-pairwise-nonconjugate",
+        "schema-6-bound-holds", "schema-2-edges", "empty-required-checks",
+        "null-required-checks", "place-record", "deep-plan-config"])
 def test_verify_refuses_a_key_that_the_command_does_not_write(tmp_path, argv, forge, key):
     # verify runs in a fresh interpreter, whose stack leaves room for the deep field
     _, out, _ = run_cli(*argv.split())
@@ -2076,7 +2138,7 @@ def test_verify_malformed_item_reports_one_problem(tmp_path):
     _, out, _ = run_cli("certify", "--p", "2", "--m", "1")
     report = json.loads(out)
     family = next(item for item in report["items"] if item["kind"] == "gassmann-family")
-    del family["profile"]
+    del family["pair_count"]
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(report))
     code, out, err = run_cli("verify", str(path))

@@ -46,10 +46,10 @@ def test_canonical_json_is_sorted_and_stable():
 
 def test_finalize_flags_failed_items():
     report = new_report("demo", {})
-    report["items"].append({"kind": "class-count", "expected": 1, "actual": 1,
-                            "bruteforce_orbits": None, "holds": True})
-    report["items"].append({"kind": "class-count", "expected": 2, "actual": 1,
-                            "bruteforce_orbits": None, "holds": False})
+    report["items"].append({"kind": "class-count", "actual": 1, "bruteforce_orbits": None,
+                            "holds": True})
+    report["items"].append({"kind": "class-count", "actual": 2, "bruteforce_orbits": None,
+                            "holds": False})
     finalize(report)
     assert report["summary"]["verdict"] == "fail"
     assert report["summary"]["failed_items"] == [1]
@@ -233,12 +233,11 @@ def test_the_distinct_charpolys_come_in_order_of_first_appearance():
 def test_verify_report_bounds_structural_conjugate_pairs():
     code, out, _ = run_cli("certify", "--p", "2", "--m", "2")
     assert code == 0
-    pairs = json.loads(out)["items"][2]["pairs"]
+    pairs = json.loads(out)["items"][1]["pair_count"]
     for tampered in (-1, pairs + 1):
         report = json.loads(out)
         dichotomy = report["items"][2]
         assert dichotomy["kind"] == "conjugacy-dichotomy"
-        assert "reps_pairwise_nonconjugate" not in dichotomy  # all-twists mode
         dichotomy["structural_conjugate_pairs"] = tampered
         problems = verify_report(report)
         assert any("structural_conjugate_pairs differs from the closed form" in problem
