@@ -33,10 +33,6 @@ class UsageError(GassmannError):
     """Command-line options that do not fit together or are missing."""
 
 
-class NotClosed(GassmannError):
-    """A candidate subgroup failed its closure self-check (internal)."""
-
-
 class EmptyGeneratorSet(GassmannError):
     pass
 

@@ -2,18 +2,23 @@
 
 Group elements are coordinate triples (a, b, c) of ring elements standing
 for the matrix [[1, a, c], [0, 1, b], [0, 0, 1]]; the group law is
-evaluated on the triples by lookups in the ring's op tables.  Conjugacy classes come from a closed
-form in O(|G|) with no conjugation (see ``class_key``); the orbit
-expansion ``oracles.conjugacy_partition`` is its oracle.
+evaluated on the triples by lookups in the ring's op tables.  Conjugacy
+classes come from a closed form with no conjugation (see ``class_key``):
+each class is a run of the lex order of the elements, so the table costs
+q^2 key readings and one slice per class; the orbit expansion
+``oracles.conjugacy_partition`` is its oracle.  A twisted subgroup's
+elements are built from its map's columns by additivity, one ring add per
+element; ``LinearMap.apply`` is their oracle.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from functools import cached_property
 from typing import Optional
 
-from .errors import DimensionMismatch, NotClosed, SpecMismatch
+from .errors import DimensionMismatch, SpecMismatch
 from .rings import Element, LinearMap, RingSpec, check_order
 
 GroupElement = tuple[Element, Element, Element]
@@ -132,22 +137,22 @@ def class_key(ring: RingSpec, g: GroupElement) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _class_table_cached(group: Heisenberg) -> ConjugacyClassTable:
-    # Elements are walked in lex order and a class id opens at the first
-    # sighting of its key, so ids follow the class minima and each member
-    # tuple comes out sorted: the same table as oracles.conjugacy_partition.
+    # class_key fixes (a, b) and the first v coefficients of c, and c runs
+    # innermost in the lex order of group.elements, so each block of q
+    # elements with one (a, b) splits into runs of p^(n - v) elements, one
+    # class each.  The key is read once per block, on its first element,
+    # and every class is a slice; ids follow the class minima and each
+    # member tuple comes out sorted: the same table as
+    # oracles.conjugacy_partition.
     ring = group.ring
-    ids: dict = {}
-    members: list[list] = []
-    index: dict = {}
-    for g in group.elements:
-        key = class_key(ring, g)
-        cid = ids.get(key)
-        if cid is None:
-            cid = ids[key] = len(members)
-            members.append([])
-        members[cid].append(g)
-        index[g] = cid
-    return ConjugacyClassTable(group, tuple(map(tuple, members)), index)
+    els, q = group.elements, ring.size
+    classes: list = []
+    for start in range(0, len(els), q):
+        run = ring.p ** (ring.dim - len(class_key(ring, els[start])[2]))
+        classes.extend(els[s : s + run] for s in range(start, start + q, run))
+    ids = itertools.chain.from_iterable(
+        itertools.repeat(cid, len(cls)) for cid, cls in enumerate(classes))
+    return ConjugacyClassTable(group, tuple(classes), dict(zip(els, ids)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +168,20 @@ class TwistedSubgroup:
 
     @cached_property
     def elements(self) -> frozenset:
+        # f's values in the lex order of x, by additivity from its columns:
+        # the values on the x whose first k coordinates vanish are those with
+        # x_k = 0 too, then for each nonzero x_k the same values plus
+        # x_k f(e_k).  That is one ring add per nonzero x, and n(p - 1) for
+        # the multiples of the columns.  LinearMap.apply is the oracle.
         ring = self.group.ring
-        zero = ring.zero()
-        members = frozenset((x, zero, self.f.apply(x)) for x in ring.elements)
-        if len(members) != ring.size:
-            raise NotClosed("twisted subgroup lost elements; additive map broken")
-        return members
-
-    @cached_property
-    def sorted_elements(self) -> tuple[GroupElement, ...]:
-        return tuple(sorted(self.elements))
+        add, zero = ring._add_table, ring.zero()
+        values = [zero]
+        for k in reversed(range(ring.dim)):
+            column, shift, block = self.f.column(k), zero, tuple(values)
+            for _ in range(ring.p - 1):
+                shift = add[shift, column]
+                values.extend(add[shift, v] for v in block)
+        return frozenset(zip(ring.elements, itertools.repeat(zero), values))
 
     @property
     def size(self) -> int:

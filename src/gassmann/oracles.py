@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from . import schreier
 from .certify import GassmannCertificate, ProductFamily
-from .errors import EmptyGeneratorSet, NotClosed, SelfCheckFailed, SizeCapExceeded
+from .errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded
 from .heisenberg import ConjugacyClassTable, GroupElement, Heisenberg, TwistedSubgroup
 from .rings import LinearMap, mult_matrix, size_cap
 from .schreier import (DEFAULT_VERTEX_CAP, CosetGraph, IsomorphismResult, SpectrumPolynomial,
@@ -34,10 +34,6 @@ class PlainSubgroup:
 
     def __init__(self, group: Heisenberg, members: frozenset, name: str = "subgroup"):
         self.group, self.elements, self.name = group, members, name
-
-    @cached_property
-    def sorted_elements(self) -> tuple[GroupElement, ...]:
-        return tuple(sorted(self.elements))
 
     @property
     def size(self) -> int:
@@ -74,7 +70,7 @@ def conjugate_subgroup(g: GroupElement, sub: TwistedSubgroup) -> TwistedSubgroup
     result = TwistedSubgroup(group, sub.f - mult_matrix(g[1], group.ring))
     conjugated = frozenset(group.conjugate(g, h) for h in sub.elements)
     if conjugated != result.elements:
-        raise NotClosed("structural conjugate disagrees with elementwise conjugation")
+        raise SelfCheckFailed("structural conjugate disagrees with elementwise conjugation")
     return result
 
 
@@ -254,7 +250,7 @@ def product_profile_direct(fams: ProductFamily, partition_index: dict,
                            class_count: int) -> tuple[int, ...]:
     """Profile of the product subgroup counted directly, no tensor identity."""
     counts = [0] * class_count
-    for combo in itertools.product(*(sub.sorted_elements for sub in fams.subgroups)):
+    for combo in itertools.product(*(tuple(sorted(sub.elements)) for sub in fams.subgroups)):
         counts[partition_index[combo]] += 1
     return tuple(counts)
 

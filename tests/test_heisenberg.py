@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gassmann.certify import enumerate_class_reps
 from gassmann.errors import DimensionMismatch, SizeCapExceeded, SpecMismatch
 from gassmann.heisenberg import class_key, heisenberg_group, twisted_subgroup
-from gassmann import rings
+from gassmann import heisenberg, rings
 from gassmann.oracles import (center_subgroup, conjugacy_partition, conjugate_subgroup,
                               horizontal_subgroup)
 from gassmann.rings import LinearMap, all_linear_maps, make_field, make_trunc_ring, mult_matrix
@@ -192,11 +193,19 @@ def test_class_counts(spec, count):
     assert table.class_count == count
 
 
+# Rings whose orbit-expansion oracle takes seconds: their tables are checked by the
+# partition properties and by conjugation invariance instead.
+PAST_ORACLE_RINGS = [make_field(2, 4), make_field(17, 1), make_trunc_ring(2, 4)]
+
+
 def test_class_partition_properties():
-    for spec in (F2, F3, F4, make_trunc_ring(2, 2)):
+    for spec in (F2, F3, F4, make_trunc_ring(2, 2), *PAST_ORACLE_RINGS):
         group = heisenberg_group(spec)
         table = group.conjugacy_classes()
         assert sum(table.sizes()) == group.order
+        if spec.kind == "field":
+            q = spec.size
+            assert table.class_count == q * q + q - 1
         # every central element is a singleton class
         for z in group.center_elements():
             assert len(table.classes[table.index[z]]) == 1
@@ -240,6 +249,33 @@ def test_class_key_is_conjugation_invariant(spec, data):
     g, h = data.draw(triple), data.draw(triple)
     group = heisenberg_group(spec)
     assert class_key(spec, group.conjugate(h, g)) == class_key(spec, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PAST_ORACLE_RINGS), st.data())
+def test_class_table_index_is_constant_on_conjugates(spec, data):
+    els = spec.elements
+    triple = st.tuples(*[st.sampled_from(els)] * 3)
+    g, h = data.draw(triple), data.draw(triple)
+    group = heisenberg_group(spec)
+    index = group.conjugacy_classes().index
+    assert index[group.conjugate(h, g)] == index[g]
+
+
+def test_class_table_reads_the_key_once_per_pair(monkeypatch):
+    # each (a, b) fixes the key's prefix length, so the table reads class_key
+    # once per pair, q^2 = 289 times over GF(17), not once per element (4,913)
+    spec = make_field(17, 1)
+    group = heisenberg_group(spec)
+    calls = []
+
+    def counted(ring, g):
+        calls.append(g)
+        return class_key(ring, g)
+
+    monkeypatch.setattr(heisenberg, "class_key", counted)
+    heisenberg._class_table_cached.__wrapped__(group)
+    assert len(calls) <= spec.size**2
 
 
 def test_class_table_size_cap():
@@ -313,3 +349,39 @@ def test_center_subgroup():
     g4 = heisenberg_group(F4)
     c = center_subgroup(g4)
     assert c.size == 4 and all(g[0] == F4.zero() and g[1] == F4.zero() for g in c.elements)
+
+
+def _applied(f, spec):
+    zero = spec.zero()
+    return frozenset((x, zero, f.apply(x)) for x in spec.elements)
+
+
+@pytest.mark.parametrize("spec", [F4, make_trunc_ring(2, 2), make_trunc_ring(3, 2)], ids=repr)
+def test_additive_subgroup_elements_equal_the_applied_map(spec):
+    group = heisenberg_group(spec)
+    for f in all_linear_maps(spec):
+        assert twisted_subgroup(f, group).elements == _applied(f, spec)
+
+
+def test_additive_subgroup_elements_on_the_class_reps_and_past_the_table_limit(monkeypatch):
+    spec = make_field(2, 3)
+    group = heisenberg_group(spec)
+    reps = enumerate_class_reps(spec).reps
+    assert len(reps) == 64
+    # one ring add per element builds f's values: apply is the oracle only
+    calls = []
+    apply = LinearMap.apply
+    monkeypatch.setattr(LinearMap, "apply", lambda f, vec: calls.append(vec) or apply(f, vec))
+    subs = [twisted_subgroup(f, group) for f in reps]
+    assert all(len(sub.elements) == spec.size for sub in subs)
+    assert calls == []
+    monkeypatch.undo()
+    for f, sub in zip(reps, subs):
+        assert sub.elements == _applied(f, spec)
+    # past _TABLE_LIMIT the ring's add computes and checks each sum
+    group = heisenberg_group(LARGE_RING)
+    rng = random.Random(20261020)
+    n = LARGE_RING.dim
+    for _ in range(4):
+        f = LinearMap.from_flat(2, tuple(rng.randrange(2) for _ in range(n * n)), n)
+        assert twisted_subgroup(f, group).elements == _applied(f, LARGE_RING)
