@@ -38,7 +38,10 @@ class EmptyGeneratorSet(GassmannError):
 
 
 class NotGenerating(GassmannError):
-    """The supplied generators leave a coset graph disconnected."""
+    """The supplied generators do not generate the group: by the Burnside basis
+    theorem, their (a, b) parts do not span R² over F_p.  A generating set makes
+    every coset graph connected; a set that does not may still leave them all
+    connected, and is refused all the same."""
 
 
 class RamifiedPlace(GassmannError):

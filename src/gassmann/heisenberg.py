@@ -8,7 +8,9 @@ each class is a run of the lex order of the elements, so the table costs
 q^2 key readings and one slice per class; the orbit expansion
 ``oracles.conjugacy_partition`` is its oracle.  A twisted subgroup's
 elements are built from its map's columns by additivity, one ring add per
-element; ``LinearMap.apply`` is their oracle.
+element; ``LinearMap.apply`` is their oracle.  Whether a set generates the
+group is one rank over F_p (``generates``, by the Burnside basis theorem);
+the connectivity of every coset graph, ``oracles.connected``, is its oracle.
 """
 
 from __future__ import annotations
@@ -99,6 +101,29 @@ class Heisenberg:
 @functools.lru_cache(maxsize=None)
 def heisenberg_group(ring: RingSpec) -> Heisenberg:
     return Heisenberg(ring)
+
+
+def generates(group: Heisenberg, gens) -> bool:
+    """Whether the elements generate the group, by the Burnside basis theorem.
+
+    The group is a p-group whose Frattini subgroup [H, H]·H^p is the centre
+    Z: the commutator of (a, 0, 0) and (0, b, 0) is (0, 0, ab), which gives
+    every (0, 0, c) at a = 1, and p-th powers are central.  So a set
+    generates H exactly when its image in H/Z = R², the (a, b) parts, spans
+    R² over F_p, a rank of 2·dim.
+    """
+    p, width = group.ring.p, 2 * group.ring.dim
+    echelon: dict[int, list[int]] = {}  # pivot -> a row that is 1 there, 0 left of it
+    for a, b, _ in gens:
+        vec = [*a, *b]
+        for pivot in sorted(echelon):
+            if vec[pivot]:
+                vec = [(x - vec[pivot] * y) % p for x, y in zip(vec, echelon[pivot])]
+        pivot = next((i for i, x in enumerate(vec) if x), None)
+        if pivot is not None:
+            inv = pow(vec[pivot], -1, p)
+            echelon[pivot] = [x * inv % p for x in vec]
+    return len(echelon) == width
 
 
 class ConjugacyClassTable:

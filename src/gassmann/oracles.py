@@ -3,6 +3,9 @@
 Each function here answers a question that a production route answers
 another way, by the most direct computation at hand: the Berkowitz
 characteristic polynomial and the schoolbook product of polynomials, the
+polynomial of each coset graph of a family by its own blocks, where Sunada's
+theorem gives one for all, a search of each coset graph for connectivity,
+where the Burnside basis theorem reads generation off a rank, the
 coset graph of any subgroup by a walk over the whole group, a plain
 permutation search for graph isomorphism, the orbit expansion of a
 conjugacy-class partition, and the profile of a product subgroup counted
@@ -86,6 +89,42 @@ def evaluate(poly: SpectrumPolynomial, t: int) -> int:
     for c in poly.coefficients:
         acc = acc * t + c
     return acc
+
+
+def connected(graph: CosetGraph) -> bool:
+    """Whether a search from vertex 0 reaches every vertex, reading the row of
+    a·p^r + t as the translate by t of reps[a], with no rows expanded: the oracle
+    of heisenberg.generates, which makes every coset graph connected."""
+    n, width, reps = graph.n, graph.centre_width, graph.reps
+    if n == 0:
+        return True
+    plus = schreier._digit_sums(graph.group.ring.p, graph.rank)
+    seen = bytearray(n)
+    seen[0] = reached = 1
+    frontier = [0]
+    while frontier:
+        a, t = divmod(frontier.pop(), width)
+        shift = plus[t]
+        for v, _ in reps[a]:
+            d = v % width
+            w = v - d + shift[d]
+            if not seen[w]:
+                seen[w] = 1
+                reached += 1
+                frontier.append(w)
+    return reached == n
+
+
+def distinct_charpolys(graphs: Sequence[CosetGraph]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """(distinct, charpoly_index): each distinct charpoly's coefficients once, numbered
+    in order of first appearance, and each graph's charpoly by its number, each from
+    schreier.char_poly on the graph itself: the oracle of Sunada's theorem, by which
+    the graphs of one family over a field have H_0's polynomial alone."""
+    index_of: dict[tuple, int] = {}
+    charpoly_index = [index_of.setdefault(schreier.char_poly(graph).coefficients,
+                                          len(index_of))
+                      for graph in graphs]
+    return list(index_of), charpoly_index
 
 
 def loop_count(graph: CosetGraph) -> int:

@@ -30,7 +30,7 @@ from .errors import (
     PrimesExhausted,
     SelfCheckFailed,
 )
-from .rings import is_prime, next_prime
+from .rings import PRIME_EXACT_LIMIT, is_prime, next_prime
 
 Exact = Union[int, Fraction]
 
@@ -333,8 +333,8 @@ def _growth_args(i: dict) -> tuple:
 def _check_growth_inputs(i: dict) -> None:
     """The inputs of growth-constant, of which delta takes any value."""
     p, _, d_p, j_min, j_max, margin = _growth_args(i)
-    if p < 2 or not is_prime(p):
-        raise ValueError("p must be prime")
+    if not _proved_prime(p):
+        raise ValueError("p must be a prime below 3.3e24, where it is proved prime")
     if j_min < 1 or j_max < j_min:
         raise ValueError("need 1 <= j_min <= j_max")
     if margin < 0 or margin >= 1:
@@ -396,9 +396,16 @@ def _search_growth_constant(i: dict) -> tuple[dict, dict]:
 # ---------------------------------------------------------------------------
 
 
+def _proved_prime(p: int) -> bool:
+    """Whether a stated p is prime, proved: is_prime is exact below PRIME_EXACT_LIMIT,
+    and a p at or past it is refused by its size before any Miller-Rabin round, so a
+    forged prime of many digits costs a comparison."""
+    return 2 <= p < PRIME_EXACT_LIMIT and is_prime(p)
+
+
 def _validate_primes(primes: Sequence[int]) -> None:
-    if any(p < 2 or not is_prime(p) for p in primes):
-        raise ValueError("tower places must be primes")
+    if not all(map(_proved_prime, primes)):
+        raise ValueError("tower places must be primes below 3.3e24, where they are proved prime")
     if any(a >= b for a, b in zip(primes, primes[1:])):
         raise ValueError("tower primes must be strictly increasing")
 

@@ -33,13 +33,17 @@ def size_cap() -> int:
     return int(raw) if raw else DEFAULT_SIZE_CAP
 
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to every base of _MR_WITNESSES (3.3e24): below it
+# is_prime is exact, so a number it accepts there is proved prime
+PRIME_EXACT_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the first twelve prime bases: exact below 3.3e24, and a
-    probable-prime test past it, where it only steers the search for a charpoly
-    modulus (schreier._modulus checks the roots and pivots it relies on)."""
+    """Miller-Rabin to the first thirteen prime bases: exact below PRIME_EXACT_LIMIT,
+    and a probable-prime test past it, where it only steers the search for a charpoly
+    modulus (schreier._modulus checks the roots and pivots it relies on).  Twelve
+    bases are exact only below 3.2e23: 318665857834031151167461 passes them all."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:

@@ -14,8 +14,8 @@ action, (0, 0, e) adding 1 mod p to one base-p digit of index(c), and a
 graph states the rank r of the (Z/p)^r it carries.  So a graph is the
 sorted neighbour rows of its q orbit representatives (0, b, 0), its
 voltage graph, each other row a translate of its representative's: the
-build, the connectivity search, the characteristic polynomial, the
-refinement and the non-isomorphism verdicts read those q rows alone.  All
+build, the characteristic polynomial, the refinement and the
+non-isomorphism verdicts read those q rows alone.  All
 q² rows are expanded on demand, for the search below the root, the
 witness checks and the exports; the dense adjacency matrix is a view of
 them for the oracles only.  This module is the one place that makes a
@@ -36,8 +36,11 @@ product each, in a balanced tree.  A graph whose block for every character
 is H_0's block relabelled by a translation of the orbit index, compared
 exactly as multiplicities per phase, has H_0's polynomial; a graph with a
 block that matches no translate takes the Hessenberg pass.  Over a field
-every block matches (Sunada's transplantation), so each graph costs one
-comparison per character.  At rank 0 the same Hessenberg route gives
+every block matches (Sunada's transplantation), and every H_f has the one
+profile, so the graphs of a family are cospectral (Sunada's theorem):
+graphs and verify ask char_poly for H_0's graph alone, and the matches of
+every graph, ``oracles.distinct_charpolys``, are the theorem's oracle in
+the tests.  At rank 0 the same Hessenberg route gives
 the dense polynomial, an oracle like the fraction-free integer
 determinants kept here; charpoly_by_centre, the route on certified rows
 alone, is the oracle of the matches, and the division-free Berkowitz
@@ -171,29 +174,6 @@ class CosetGraph:
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """The dense n x n adjacency matrix, derived from the rows for the oracles."""
         return tuple(tuple(dict(row).get(v, 0) for v in range(self.n)) for row in self.rows)
-
-    @cached_property
-    def connected(self) -> bool:
-        """Whether a search from vertex 0 reaches every vertex, reading the row of
-        a·p^r + t as the translate by t of reps[a], with no rows expanded."""
-        n, width, reps = self.n, self.centre_width, self.reps
-        if n == 0:
-            return True
-        plus = _digit_sums(self.group.ring.p, self.rank)
-        seen = bytearray(n)
-        seen[0] = reached = 1
-        frontier = [0]
-        while frontier:
-            a, t = divmod(frontier.pop(), width)
-            shift = plus[t]
-            for v, _ in reps[a]:
-                d = v % width
-                w = v - d + shift[d]
-                if not seen[w]:
-                    seen[w] = 1
-                    reached += 1
-                    frontier.append(w)
-        return reached == n
 
     @cached_property
     def refinement(self) -> tuple[tuple, tuple[int, ...]]:
@@ -758,16 +738,6 @@ def char_poly(graph: CosetGraph, cap: Optional[int] = None) -> SpectrumPolynomia
         if None not in _translations(graph, reference):
             return reference.product
     return _charpoly_of_reps(graph.reps, ring.p, graph.rank)
-
-
-def distinct_charpolys(graphs: Sequence[CosetGraph]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """(distinct, charpoly_index): each distinct charpoly's coefficients once, numbered
-    in order of first appearance, and each graph's charpoly by its number.  A graph's
-    own copy is dropped once it is interned."""
-    index_of: dict[tuple, int] = {}
-    charpoly_index = [index_of.setdefault(char_poly(graph).coefficients, len(index_of))
-                      for graph in graphs]
-    return list(index_of), charpoly_index
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ from conftest import run_cli
 from gassmann import cli, heisenberg, planner, reports, schreier
 from gassmann.certify import (enumerate_class_reps, family_class_sizes, family_mode,
                               family_profile)
-from gassmann.oracles import center_subgroup
+from gassmann.oracles import center_subgroup, connected
 from gassmann.reports import render_table, verify_report
-from gassmann.rings import all_linear_maps, make_field
+from gassmann.rings import PRIME_EXACT_LIMIT, all_linear_maps, make_field
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -340,7 +340,7 @@ def test_graphs_2_2_default_generators(tmp_path):
 
 def test_graphs_lists_each_graph_edges_once(monkeypatch):
     # the .edges export lists each graph's edges, which its class rep and the config
-    # fix, so no report item carries edges or a charpoly of its own
+    # fix, so no report item carries edges, and only the family's one charpoly is stated
     calls = [0]
     edge_list = cli.sg.CosetGraph.edge_list
 
@@ -354,7 +354,11 @@ def test_graphs_lists_each_graph_edges_once(monkeypatch):
     report, exports = cli.cmd_graphs(2, 2, exports=True)
     count = report["items"][0]["count"]
     assert count == 4 and calls[0] <= 2 * count
-    assert all("edges" not in item and "charpoly" not in item for item in report["items"])
+    assert all("edges" not in item for item in report["items"])
+    assert [(item["kind"], key) for item in report["items"] for key in item
+            if "charpoly" in key] == [("cospectral", "charpoly")]
+    assert all(exports[f"rep_{k}.charpoly.json"] == exports["rep_0.charpoly.json"]
+               for k in range(count))
     spec = make_field(2, 2)
     f = enumerate_class_reps(spec).reps[1]
     sub = heisenberg.twisted_subgroup(f, heisenberg.heisenberg_group(spec))
@@ -417,6 +421,22 @@ def test_graphs_non_generating_set_errors():
     # a single a-coordinate generator leaves the coset graph disconnected
     code, _, err = run_cli("graphs", "--p", "2", "--m", "2", "--gens", "1,0|0,0|0,0")
     assert code == 2 and "NotGenerating" in err
+
+
+def test_graphs_refuses_a_set_that_connects_every_graph_but_does_not_generate():
+    # over GF(3), (0, 1, 0) and (0, 0, 1) generate only the abelian normal subgroup
+    # {(0, b, c)} of order 9, and H_f·<S> = G for every f, so every coset graph is
+    # connected; the (a, b) parts span a line of F_3^2, so graphs exits 2
+    gens = "0|1|0;0|0|1"
+    code, out, err = run_cli("graphs", "--p", "3", "--m", "1", "--gens", gens)
+    assert code == 2 and out == ""
+    assert err == ("error: NotGenerating: the generators do not generate H(GF(3^1)): their "
+                   "(a, b) parts do not span F_3^2\n")
+    spec = make_field(3, 1)
+    group = heisenberg.heisenberg_group(spec)
+    given = schreier.symmetrize_generators(group, cli.parse_generators(gens, spec))
+    assert all(connected(schreier.build_coset_graph(
+        heisenberg.twisted_subgroup(f, group), given)) for f in enumerate_class_reps(spec).reps)
 
 
 def test_graphs_empty_gens_is_refused():
@@ -931,15 +951,16 @@ def test_verify_bounds_the_catalog_by_the_stored_classes(monkeypatch):
 
 def test_verify_lists_a_disconnected_graph(tmp_path):
     # the config's one generator (1, 0, 0) is its own inverse, but it does not
-    # generate: each coset graph falls apart
+    # generate, and each coset graph falls apart; verify reads that off the rank of
+    # the (a, b) parts, as graphs does, with no graph searched
     _, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
     report = json.loads(out)
     report["config"]["generators"] = [[[1, 0], [0, 0], [0, 0]]]
     report["items"][0]["degree"] = 1
     code, err = _verify_json(tmp_path, report)
     assert code == 1
-    assert "problem: graph 0 is disconnected: the config's generators do not generate" \
-        in err.splitlines()
+    assert ("problem: the config's generators do not generate the group: their (a, b) parts "
+            "do not span F_p^(2m)") in err.splitlines()
 
 
 @pytest.mark.parametrize("tamper", [list.pop, list.reverse], ids=["inverse-dropped", "unsorted"])
@@ -959,66 +980,60 @@ def _tampered_cospectral_verify(tmp_path, tamper) -> tuple[int, str]:
     _, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
     report = json.loads(out)
     cospectral = report["items"][-2]
-    assert cospectral["kind"] == "cospectral" and cospectral["charpoly_index"] == [0] * 4
+    assert cospectral.keys() == {"kind", "charpoly", "all_equal", "holds"}
     tamper(cospectral)
     return _verify_json(tmp_path, reports.finalize(report))
 
 
-def _other_charpoly(cospectral):
-    poly = list(cospectral["distinct_charpolys"][0])
-    poly[2] += 1
-    return poly
-
-
-def _unused_charpoly(cospectral):
-    cospectral["distinct_charpolys"].append(_other_charpoly(cospectral))
-
-
-def _repeated_charpoly(cospectral):
-    # graph 3 points at a second copy, which would make all_equal look false
-    cospectral["distinct_charpolys"].append(list(cospectral["distinct_charpolys"][0]))
-    cospectral["charpoly_index"][3] = 1
-    cospectral["all_equal"] = cospectral["holds"] = False
-
-
-def _charpoly_out_of_order(cospectral):
-    # a first entry that no graph uses, so the graphs' own charpoly comes second
-    cospectral["distinct_charpolys"].insert(0, _other_charpoly(cospectral))
-    cospectral["charpoly_index"] = [1] * 4
-
-
-def _true_index(cospectral):
-    # true reads as 1 in Python, and a second copy of the one charpoly is there
-    cospectral["distinct_charpolys"].append(list(cospectral["distinct_charpolys"][0]))
-    cospectral["charpoly_index"][1] = True
-
-
-def _index_setter(value):
+def _stale_key(key, value):
+    # schema 7 stated each graph's charpoly by its index into the distinct ones, and the
+    # pair count of the family; Sunada's theorem leaves one polynomial, so neither is read
     def tamper(cospectral):
-        cospectral["charpoly_index"][2] = value
+        cospectral[key] = value
     return tamper
 
 
-_DISTINCT = ("problem: distinct_charpolys are not the charpolys of the class reps' graphs, each "
-             "once in order of first appearance")
-_INDEX = "problem: charpoly_index does not give each graph's charpoly"
+def _other_charpoly(cospectral):
+    cospectral["charpoly"][2] += 1
+
+
+def _all_equal_false(cospectral):
+    cospectral["all_equal"] = cospectral["holds"] = False
+
+
+def _stale_distinct_charpolys(cospectral):
+    cospectral["distinct_charpolys"] = [cospectral.pop("charpoly")]
+
+
+def _stale(key):
+    return f"problem: item 1 (cospectral) has a key that graphs does not write: {key!r}"
+
+
+_OTHER = ("problem: charpoly is not the characteristic polynomial of H_0's coset graph, built "
+          "from the config")
 
 
 @pytest.mark.parametrize("tamper, problems", [
-    (_index_setter(1), [_INDEX]),
-    (_index_setter(-1), [_INDEX]),
-    (_index_setter("0"), [_INDEX]),
-    (_index_setter(0.0), [_INDEX]),
-    (_index_setter(False), [_INDEX]),
-    (_true_index, [_DISTINCT, _INDEX]),
-    (_unused_charpoly, [_DISTINCT]),
-    (_repeated_charpoly, [_DISTINCT, _INDEX,
-                          "problem: cospectral flags contradict the coset-graph charpolys",
-                          "problem: item 1 (cospectral) holds False, but its evidence gives True"]),
-    (_charpoly_out_of_order, [_DISTINCT, _INDEX]),
+    (_stale_key("charpoly_index", [0, 0, 1, 0]), [_stale("charpoly_index")]),
+    (_stale_key("charpoly_index", [0, 0, -1, 0]), [_stale("charpoly_index")]),
+    (_stale_key("charpoly_index", ["0"] * 4), [_stale("charpoly_index")]),
+    (_stale_key("charpoly_index", [0.0] * 4), [_stale("charpoly_index")]),
+    (_stale_key("charpoly_index", [False] * 4), [_stale("charpoly_index")]),
+    (_stale_key("charpoly_index", [True] * 4), [_stale("charpoly_index")]),
+    (_stale_distinct_charpolys, [_stale("distinct_charpolys"),
+                                 "problem: item 1 (cospectral) is malformed: KeyError: "
+                                 "'charpoly'"]),
+    (_all_equal_false, ["problem: all_equal is not true, though every H_f over a field has "
+                        "the one profile, and so the one spectrum",
+                        "problem: item 1 (cospectral) holds False, but its evidence gives True"]),
+    (_other_charpoly, [_OTHER]),
+    (_stale_key("pair_count", 6), [_stale("pair_count")]),
 ], ids=["index-out-of-range", "index-negative", "index-string", "index-float", "index-false",
-        "index-true", "unused-charpoly", "repeated-charpoly", "charpoly-out-of-order"])
+        "index-true", "unused-charpoly", "repeated-charpoly", "charpoly-out-of-order",
+        "stale-pair-count"])
 def test_verify_checks_the_distinct_charpolys_and_their_index(tmp_path, tamper, problems):
+    # the schema-7 forgeries of the distinct charpolys and their index: each stale key
+    # is refused, and so are a forged polynomial and all_equal false
     code, err = _tampered_cospectral_verify(tmp_path, tamper)
     assert code == 1 and err.splitlines() == problems
 
@@ -1038,8 +1053,8 @@ SCHEMA_2_GRAPH_FACTS = {
 def test_graph_facts_survive_the_schema_bump(p, m):
     report, _ = cli.cmd_graphs(p, m)
     cospectral, classes = report["items"][-2:]
-    polys = [[int(c) for c in cospectral["distinct_charpolys"][k]]
-             for k in cospectral["charpoly_index"]]
+    # schema 8 states the one polynomial that Sunada's theorem gives every graph
+    polys = [[int(c) for c in cospectral["charpoly"]]] * len(classes["class_of"])
     payload = json.dumps([polys, classes["class_of"]], separators=(",", ":"))
     assert hashlib.sha256(payload.encode()).hexdigest() == SCHEMA_2_GRAPH_FACTS[p, m]
     spec = make_field(p, m)
@@ -1311,8 +1326,9 @@ def _class_count_true(report):
     count["actual"] = count["bruteforce_orbits"] = True
 
 
-def _charpoly_index_false(report):
-    report["items"][-2]["charpoly_index"][0] = False
+def _charpoly_lead_true(report):
+    # the leading coefficient 1 of the one charpoly
+    report["items"][-2]["charpoly"][0] = True
 
 
 def _first_class_false(report):
@@ -1331,11 +1347,11 @@ def _first_level_count_true(report):
 
 @pytest.mark.parametrize("argv, tamper", [
     (("certify", "--p", "2", "--m", "1"), _class_count_true),
-    (("graphs", "--p", "2", "--m", "2"), _charpoly_index_false),
+    (("graphs", "--p", "2", "--m", "2"), _charpoly_lead_true),
     (("graphs", "--p", "2", "--m", "2"), _first_class_false),
     (("tower", "--p", "2", "--j-max", "3"), _first_level_true),
     (("tower", "--p", "2", "--j-max", "3"), _first_level_count_true),
-], ids=["class-count", "charpoly-index", "class-of", "tower-level",
+], ids=["class-count", "charpoly", "class-of", "tower-level",
         "tower-count"])
 def test_verify_does_not_read_a_boolean_as_a_count(tmp_path, argv, tamper):
     # Python's == takes true for 1 and false for 0; verify compares JSON types too
@@ -1648,6 +1664,42 @@ def test_verify_of_a_forged_plan_costs_what_the_stored_item_states(tmp_path, arg
     assert code == 1 and time.perf_counter() - started < 1.0
 
 
+_MERSENNE = [2**2203 - 1, 2**2281 - 1, 2**3217 - 1]  # primes past 2^2000
+_PAST_EXACT = ("must be a prime below 3.3e24, where it is proved prime",
+               "must be primes below 3.3e24, where they are proved prime")
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    (("plan", "level-count", "--primes", "2,3,5", "--j", "3", "--ell0", "2"), "primes",
+     _MERSENNE),
+    (("plan",) + _TOWER_MIN_K, "primes", [2, 3, 5, _MERSENNE[0]]),
+    (_GROWTH, "p", _MERSENNE[2]),
+    (_GROWTH, "p", PRIME_EXACT_LIMIT),
+], ids=["level-count-mersenne", "tower-min-k-mersenne", "growth-constant-mersenne",
+        "growth-constant-at-the-limit"])
+def test_verify_refuses_a_stated_prime_past_the_exact_range_at_once(tmp_path, argv, name,
+                                                                     value):
+    # is_prime proves a prime only below PRIME_EXACT_LIMIT, so a prime at or past it is
+    # refused by its size, before any Miller-Rabin round
+    _, out, _ = run_cli(*argv)
+    report = json.loads(out)
+    report["items"][0]["inputs"][name] = value
+    started = time.perf_counter()
+    code, err = _verify_json(tmp_path, report)
+    assert code == 1 and time.perf_counter() - started < 0.5
+    assert any(message in err for message in _PAST_EXACT)
+
+
+def test_plan_proves_a_prime_just_below_the_exact_range():
+    largest = 3317044064679887385961813  # the largest prime below PRIME_EXACT_LIMIT
+    code, out, _ = run_cli("plan", "level-count", "--primes", f"2,3,{largest}", "--j", "3",
+                           "--ell0", "2")
+    assert code == 0 and verify_report(json.loads(out)) == []
+    code, _, err = run_cli("plan", "level-count", "--primes", f"2,3,{largest + 2}", "--j", "3",
+                           "--ell0", "2")
+    assert code == 2 and "must be primes below 3.3e24" in err
+
+
 @pytest.mark.parametrize("argv, name, value", [
     (("plan", "twisted-count", "--p", "2", "--ell0", "37", "--dim-g", "1"), "dim_g", True),
     (_GROWTH, "delta", 1),
@@ -1903,23 +1955,23 @@ def test_verify_scans_the_places_again(tmp_path, forge):
 # SHA-256 of the report on stdout; a schema bump updates these and says so
 PINNED_REPORTS = {
     ("certify", "--p", "2", "--m", "2"):
-        "ced19a9bd3b961f302588ed6736b31f71fb32c3a57731970e7df16ad3b57133b",
+        "7f5c7d0e922df68d9364f33e43928160412344f5066539b2ce806f23eaf627dc",
     ("certify", "--p", "2", "--m", "3"):
-        "a249f16ea9537055ab57462b6915ae2021c816019c19715aa361bb7e58809a39",
+        "f30dfe4313f6b0810daa2ae6367901b44a187f110e98b0569801ef334ee83546",
     ("certify", "--p", "3", "--m", "2"):
-        "dd6c1ad850afb7203eb35d117691407c376d655c3db96ed09c4ba31b1f034fed",
+        "b97ff7a1b0a55be0b724bd4132241e392c7a448c93328a2ed7c9ce2a9d3bf3c1",
     ("certify", "--p", "13", "--m", "1"):
-        "fcb20f5a296c4e62c5a13a715507dbe44810fc69b79c6dd83148bb9eca562672",
+        "a8bed1ec1aa162e782a075e8d29a18caab855d53e412b7abe4f46dcaab30962b",
     ("graphs", "--p", "2", "--m", "2"):
-        "427aee900b9f93845f9292a25fefcebc32bfb85d7fd75a9db0f80d31b6127f64",
+        "067699a029a57bd7e05a0391bb88617933a406d5e6af5d3e5ff14b3f9d073abf",
     ("graphs", "--p", "3", "--m", "2"):
-        "3a23a99dbf695e43d240b69e527ae6ea93890663706ba576bdc0b1a2570e78cc",
+        "eaa34eb0833ecce627bd0b5d4de34b1fb76d5b0e9d04f158692a868fb1561344",
     ("graphs", "--p", "2", "--m", "3"):
-        "ad1a69f4ad9b3146a4089b1f8a7412fed36366d348649173207639c0c215b6f2",
+        "1d713c5fd7424af04b8499f7abc791aa798dd28a26b67e89ec5dd959dbdf4442",
     ("tower", "--p", "2", "--j-max", "5"):
-        "d7b608f8fb06a91868993c68985f80227d09cd876199e3f1221bbc8f311f7bab",
+        "0c86d0c23e651727f641feaf827904e876150ec5395b980866941e123c263a5d",
     ("places", "--ell", "3", "--bound", "1000"):
-        "58f2e675fd13b92b043a98af0454cae7e739ad96aeb7e6fed33eed35a1c59c5c",
+        "8bfee99890c4cfea9be587da4399a15b60f46b85d4052b9a53288b7e8f08fb39",
 }
 
 
@@ -1945,31 +1997,31 @@ def test_places_jsonl_keeps_its_schema_4_bytes():
 # (comm-classes --n, nonarith-count --n, min-ell-growth --p --c-1)
 PINNED_PLANS = {
     "twisted-count --p 2 --ell0 37 --dim-g 8":
-        "299cda943a48dd7ee26fa956bc22f89759b2cb9f061dd4da270b44c2bd7b0d41",
+        "bddaa43f785ce98e1461509bd3b3585f5252db3186d0dd3d67cdca3775e68108",
     "comm-classes --p 2 --ell0 29 --dim-g 8 --c 1":
-        "2e61519a6b9bf4cd4345abac8968d56862ff15e255c85378bfcd3aff0290ece4",
+        "352a65d218bdbe9a5d05a23704a3127bc737afe94f853abdd0f3cf1f32fa8dec",
     "comm-classes --p 2 --ell0 29 --dim-g 8 --c 1 --c-x 3 --n 5":
-        "e9ee37a98a28c579422da29365f61423df88f0773334e4c26ec52f2dbc8e8181",
+        "346cd2df4ea21b96eb02573d23c98fd3cdbc7e3063a5155bdfc35ca0288d692e",
     "conjugates-bound --n-index 64 --x 2 --big-c 3 --group-order 512":
-        "fa0e941ad259e038acada06753dd2cc2cc1b6bd4e0cc5a86d21c37c69e512754",
+        "77204c17d7ad98db4829ff25ff9e6574f488bcad1f18d3da3b9fabd9103a5456",
     "min-ell-sequence --dim-g 8 --c 1 --r 1":
-        "61ff54647399b4523051883c34b45bcacf489a99a4228445089f826fa311c060",
+        "cec89b47ddb140d67964f77db6600b55e930fd798225ab3c28703561c2239764",
     "min-ell-growth --dim-g 8 --c 1 --r 1":
-        "fc0a03d6ecd30adb8da55efb12fd95cef2c67b1931d46a9815931dae62802d15",
+        "2b44412b58021379cca73a436e69813b3ce606b98619ad1b382d963744d71041",
     "min-ell-growth --dim-g 8 --c 1 --r 1 --p 2 --c-1 1":
-        "477e492fe14c10edfcc4021689def2a77b1220eb0cb9e70b7db4d12a2bee0c1b",
+        "4f518ff711f9aa11a2a8bc7b273efc438cde3d21c2da1c3d37c30b5c4f474d71",
     "nonarith-count --p 2 --ell 11":
-        "b67e4131bfde02afb0964b60c8be4e32047639ba88c6e2e27aacac741e4bd8bc",
+        "277a5ed08dafb3a3ea029c920c3f9cbbe4d251a6dab29bdf60d802a985d98c45",
     "nonarith-count --p 2 --ell 11 --comm-index 7 --n 3":
-        "64a812eef34a5e5cd4e98272a886e63c1920832622eec0d5ba19889251fd5752",
+        "9775838c3bb20a630925af7fe8d7729dac3f8680191f3f992e94d0e1f845a933",
     "volume-bound --big-c 3 --p 2 --j 4":
-        "07044d77e63a63ce2c67fdc021c79e7f8ae8838936ed1bc3b192319b57ddaa13",
+        "7856029291ca49ecd46378163cb07b4b7ce978e7ac093f6d0cdc9bcae3cca523",
     "growth-constant --p 2 --delta 1 --d-p 0 --j-min 30 --j-max 100":
-        "2fbb99900d18d1cdae7874ae3ab695eae0529cfd970c78ce8ac018bc42db8c45",
+        "e2a3092b7daf1feb560445f0e383d0d593466e4e24a5df4c9f44e1ab080b28fb",
     "level-count --primes 2,3,5 --j 3 --ell0 2":
-        "f9940cdbe06fab209d6cd7f61d3c1eada3cbcac89a33b24b2ee012e23ec4dd37",
+        "2e804af51297a39359e0f7de06993c9653c17decd30f2a62d48dd60e5c3f7e66",
     "tower-min-k --primes 2,3,5,7 --j 1 --ell0 37 --dim-g 8 --c-x 4 --x 1 --c 1 --r 444":
-        "a06c70c63fe35dd403eb391bfd772d0918ebbf845c730b88d162a31f6c2aa693",
+        "27733a1d23e4b5d85ebe1d851e1f8a18bbea16cf0f9d439e4b3c8fd1a24df1d3",
 }
 
 

@@ -17,7 +17,8 @@ from gassmann.certify import (
 )
 from gassmann.errors import SizeCapExceeded
 from gassmann.heisenberg import heisenberg_group, twisted_subgroup
-from gassmann.oracles import center_subgroup, coset_graph_bruteforce, horizontal_subgroup
+from gassmann.oracles import (center_subgroup, coset_graph_bruteforce, distinct_charpolys,
+                              horizontal_subgroup)
 from gassmann.cli import cmd_graphs
 from gassmann.reports import (
     canonical_json,
@@ -142,21 +143,22 @@ def test_verify_report_ties_cospectral_to_the_graph_items():
     assert other.n == family["vertices"] and other.degree == family["degree"]
     # the centre fixes every coset of itself, so its free action has rank 0
     charpoly = [encode_count(c) for c in charpoly_by_centre(other.rows, 2, 0).coefficients]
-    assert charpoly != cospectral["distinct_charpolys"][0]
-    cospectral["distinct_charpolys"] = [charpoly]
-    assert cospectral["all_equal"] and cospectral["charpoly_index"] == [0] * 4
+    assert charpoly != cospectral["charpoly"]
+    cospectral["charpoly"] = charpoly
+    assert cospectral["all_equal"]
     problems = verify_report(report)
-    assert problems == ["distinct_charpolys are not the charpolys of the class reps' graphs, "
-                        "each once in order of first appearance"]
+    assert problems == ["charpoly is not the characteristic polynomial of H_0's coset graph, "
+                        "built from the config"]
 
 
 def test_verify_report_recomputes_coset_graph_charpolys():
     report = _graphs_2_2()
-    coeffs = _item(report, "cospectral")["distinct_charpolys"][0]
+    coeffs = _item(report, "cospectral")["charpoly"]
     middle = len(coeffs) // 2
     coeffs[middle] = int(coeffs[middle]) + 1  # shape and trace still look right
     problems = verify_report(report)
-    assert any("not the charpolys of the class reps' graphs" in problem for problem in problems)
+    assert any("not the characteristic polynomial of H_0's coset graph" in problem
+               for problem in problems)
 
 
 def test_the_rebuilt_graph_counts_multiplicities():
@@ -210,24 +212,23 @@ class _TwoSpectra(reports._Items):
 
 
 def test_the_distinct_charpolys_come_in_order_of_first_appearance():
-    # GF(4) graphs are cospectral, so two spectra come from the centre's graph
+    # GF(4) coset graphs of twisted subgroups are cospectral, so two spectra come from
+    # the centre's graph; the oracle numbers them in order of first appearance
     group = heisenberg_group(make_field(2, 2))
     gens = default_generators(group)
     twisted = build_coset_graph(horizontal_subgroup(group), gens)
     centre = coset_graph_bruteforce(center_subgroup(group), gens)
-    polys = [[encode_count(c) for c in charpoly_by_centre(g.rows, 2, 0).coefficients]
-             for g in (centre, twisted)]
-    items = _TwoSpectra([twisted, centre, twisted])
-    item = {"pair_count": 3, "distinct_charpolys": polys[::-1], "charpoly_index": [0, 1, 0],
-            "all_equal": False}
+    polys = [charpoly_by_centre(g.rows, 2, 0).coefficients for g in (centre, twisted)]
+    assert distinct_charpolys([twisted, centre, twisted]) == (polys[::-1], [0, 1, 0])
+    assert distinct_charpolys([centre, twisted]) == (polys, [0, 1])
+    # the verifier reads the first graph's alone, which a report's catalog puts first
+    items = _TwoSpectra([centre, twisted])
     problems = []
-    assert reports._verify_cospectral(item, items.config, items, problems) is False
-    assert problems == []
-    item.update(distinct_charpolys=polys, charpoly_index=[1, 0, 1])
-    assert reports._verify_cospectral(item, items.config, items, problems) is False
-    assert problems == ["distinct_charpolys are not the charpolys of the class reps' graphs, "
-                        "each once in order of first appearance",
-                        "charpoly_index does not give each graph's charpoly"]
+    for first in polys:
+        item = {"charpoly": [encode_count(c) for c in first], "all_equal": True}
+        assert reports._verify_cospectral(item, items.config, items, problems) is True
+    assert problems == ["charpoly is not the characteristic polynomial of H_0's coset graph, "
+                        "built from the config"]
 
 
 def test_verify_report_bounds_structural_conjugate_pairs():
@@ -246,15 +247,16 @@ def test_verify_report_bounds_structural_conjugate_pairs():
 
 @pytest.mark.parametrize("p, m", [(3, 1), (2, 2), (2, 3), (3, 2)])
 def test_verify_derives_the_centre_action_from_the_config(p, m, monkeypatch):
-    # vertex index(b)·q + index(c) is the coset of (0, b, c), so verify factors each
-    # charpoly over the centre of rank m, taken from the config, as production does
+    # vertex index(b)·q + index(c) is the coset of (0, b, c), so verify factors H_0's
+    # charpoly over the centre of rank m, taken from the config, as production does;
+    # by Sunada's theorem it is every graph's, so no other graph's is computed
     calls = []
     report, _ = cmd_graphs(p, m)
     factor = schreier.char_poly
     monkeypatch.setattr(schreier, "char_poly", lambda graph: calls.append(
         (graph.group.ring.p, graph.rank, len(graph.reps))) or factor(graph))
     assert verify_report(report) == []
-    assert calls == [(p, m, p**m)] * report["items"][0]["count"]
+    assert calls == [(p, m, p**m)]
 
 
 @pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2)])

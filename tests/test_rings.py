@@ -5,6 +5,7 @@ import pytest
 
 from gassmann.errors import DimensionMismatch, NotPrime, SizeCapExceeded, SpecMismatch
 from gassmann.rings import (
+    PRIME_EXACT_LIMIT,
     LinearMap,
     all_linear_maps,
     is_mult_map,
@@ -22,6 +23,15 @@ def test_prime_helpers():
     assert primes_up_to(30)[-1] == 29
     assert next_prime(31) == 37
     assert not is_prime(1) and not is_prime(561)  # Carmichael number
+
+
+def test_is_prime_is_exact_below_its_stated_limit():
+    # the least strong pseudoprimes to the first twelve and thirteen prime bases: the
+    # thirteenth base, 41, refuses the first, and the second is the limit itself, past
+    # which a number that is_prime accepts is not proved prime
+    assert not is_prime(399165290221 * 798330580441)
+    assert PRIME_EXACT_LIMIT == 1287836182261 * 2575672364521 and is_prime(PRIME_EXACT_LIMIT)
+    assert is_prime(3317044064679887385961813)  # the largest prime below the limit
 
 
 # ---------------------------------------------------------------------------

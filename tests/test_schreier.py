@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from gassmann import oracles, schreier
 from gassmann.certify import canonical_twist, enumerate_class_reps
 from gassmann.errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded, SpecMismatch
-from gassmann.heisenberg import heisenberg_group, twisted_subgroup
+from gassmann.heisenberg import generates, heisenberg_group, twisted_subgroup
 from gassmann.oracles import (
     are_isomorphic_bruteforce,
     center_subgroup,
@@ -127,13 +127,13 @@ def test_twisted_subgroup_graph_shape():
         for u in range(16)
         for v in range(16)
     )
-    assert graph.connected
+    assert oracles.connected(graph)
 
 
 def test_trivial_subgroup_gives_cayley_graph():
     graph = coset_graph_bruteforce(trivial_subgroup(G4), GENS4)
     assert graph.n == G4.order
-    assert graph.connected  # the default generators generate the group
+    assert oracles.connected(graph)  # the default generators generate the group
 
 
 def test_vertices_are_canonical_minima():
@@ -215,8 +215,39 @@ def test_connectivity_on_the_representatives_equals_a_search_over_the_rows(spec)
                  [(zero, e, zero) for e in basis]):
         for f in enumerate_class_reps(spec).reps:
             graph = build_coset_graph(twisted_subgroup(f, group), gens)
-            assert graph.connected == _reaches_all(graph.rows)
-            assert graph.connected == (gens == default_generators(group))
+            assert oracles.connected(graph) == _reaches_all(graph.rows)
+            assert oracles.connected(graph) == (gens == default_generators(group))
+        assert generates(group, gens) == (gens == default_generators(group))
+
+
+def _random_generators(rng: random.Random, spec, count: int) -> list:
+    """count random elements of the group over the ring, as generators."""
+    return [tuple(rng.choice(spec.elements) for _ in range(3)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)],
+                         ids=["GF4", "GF8", "GF9", "GF16", "GF25", "GF27"])
+def test_each_class_reps_graph_has_h0s_polynomial_and_a_generating_set_connects_it(p, m):
+    # Sunada's theorem: every H_f over a field has the one profile, so its coset graph
+    # has H_0's polynomial, for every generator multiset, against the per-graph
+    # translations and a Hessenberg pass on a sample; the Burnside basis theorem: a set
+    # that passes the rank makes every graph connected, against the per-graph search
+    spec = make_field(p, m)
+    group = heisenberg_group(spec)
+    reps = enumerate_class_reps(spec).reps
+    assert reps[0] == LinearMap.zero(p, m)  # so graphs[0] is H_0's graph
+    rng = random.Random(2 * p + m)
+    # 2m random elements may generate; m never do, since their (a, b) parts span m dimensions
+    for gens in (default_generators(group), _random_generators(rng, spec, 2 * m),
+                 _random_generators(rng, spec, m)):
+        graphs = [build_coset_graph(twisted_subgroup(f, group), gens) for f in reps]
+        h0 = schreier._charpoly_of_reps(graphs[0].reps, p, m)
+        assert oracles.distinct_charpolys(graphs) == ([h0.coefficients], [0] * len(graphs))
+        for graph in rng.sample(graphs, min(2, len(graphs))):
+            assert schreier._charpoly_of_reps(graph.reps, p, m) == h0
+        assert not generates(group, gens) or all(map(oracles.connected, graphs))
+    assert generates(group, default_generators(group))
+    assert not generates(group, _random_generators(rng, spec, m))
 
 
 def test_the_graph_layer_reads_the_representatives_rows_alone():
@@ -226,7 +257,7 @@ def test_the_graph_layer_reads_the_representatives_rows_alone():
     for graph in graphs:
         assert len(graph.reps) == 8 and graph.n == 64
         char_poly(graph)
-        assert graph.connected and graph.refinement
+        assert oracles.connected(graph) and graph.refinement
     apart = [(g1, g2) for g1 in graphs for g2 in graphs
              if g1.refinement[0] != g2.refinement[0]]
     assert apart and not any(are_isomorphic(g1, g2).isomorphic for g1, g2 in apart)
