@@ -43,6 +43,10 @@ def choose_modulus(ell: int) -> int:
 
 
 def _validate(p: int, q: int, ell: int) -> None:
+    # a valid ell divides q - 1, so it is below q; comparing them first keeps a forged
+    # ell of thousands of digits from reaching Miller-Rabin
+    if ell >= q:
+        raise SpecMismatch(f"q={q} is not 1 mod ell={ell}")
     if not is_prime(ell):
         raise NotPrime(f"ell={ell} is not prime")
     if not is_prime(q):
@@ -137,6 +141,10 @@ def scan_places(ell: int, q: int, bound: int, subgroup: bool = False) -> ScanRes
     each characteristic in the output is realized exactly once.
     """
     check_scan_limit(q, bound)
+    # a valid ell divides q - 1 <= SCAN_LIMIT, so ell is compared with q before any
+    # primality test
+    if ell >= q:
+        raise SpecMismatch(f"q={q} is not a prime = 1 mod {ell}")
     if not is_prime(ell):
         raise NotPrime(f"ell={ell} is not prime")
     if not is_prime(q) or (q - 1) % ell != 0:

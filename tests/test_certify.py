@@ -1,4 +1,6 @@
+import ast
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -23,13 +25,14 @@ from gassmann.certify import (
     tensor_profiles,
     twist_orbit_count_bruteforce,
 )
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from gassmann import cli
+from gassmann import certify, cli
 from gassmann.errors import SizeCapExceeded, SpecMismatch
 from gassmann.heisenberg import Heisenberg, heisenberg_group, twisted_subgroup
 from gassmann.oracles import (
+    PlainSubgroup,
     ProductGroup,
     center_subgroup,
     conjugate_subgroup,
@@ -214,7 +217,8 @@ def _definition_key(group, sub):
     return min(tuple(sorted(group.conjugate(g, h) for h in sub.elements)) for g in group.elements)
 
 
-@pytest.mark.parametrize("spec", [F4, make_trunc_ring(2, 2), F8], ids=repr)
+@pytest.mark.parametrize(
+    "spec", [F4, make_trunc_ring(2, 2), F8, F9, make_trunc_ring(3, 2)], ids=repr)
 def test_oracle_keys_are_the_least_conjugate_of_each_subgroup(spec):
     # twisted subgroups in conjugate pairs beside normal ones; the whole group
     # makes <U> = G non-abelian, so the span is closed over commutators too
@@ -224,6 +228,29 @@ def test_oracle_keys_are_the_least_conjugate_of_each_subgroup(spec):
     reps = [twisted_subgroup(f, group) for f in enumerate_class_reps(spec).reps]
     subs = (reps + [conjugate_subgroup(g, sub) for sub in reps]
             + [center_subgroup(group), whole_group(group), trivial_subgroup(group)])
+    assert bruteforce_subgroup_keys(group, subs) == [_definition_key(group, sub) for sub in subs]
+
+
+@seed(2006)
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_HYPOTHESIS_RINGS), st.data())
+def test_oracle_keys_of_random_subfamilies_are_the_least_conjugates(spec, data):
+    # a few maps, each subgroup beside a conjugated copy: a small union U leaves a
+    # large kernel K, so the walk skips most of G, and a skip that missed an action
+    # would leave some key above the least conjugate.  The kernel of a twisted
+    # family is {(a, 0, c)}, which the lex order meets before any element that acts
+    # like another; a cyclic subgroup <h> moves K off the coordinate axes, so the
+    # walk also finds kernel elements as r^-1 g for a representative r other than 1
+    group = heisenberg_group(spec)
+    maps = data.draw(st.lists(st.sampled_from(list(all_linear_maps(spec))),
+                              min_size=1, max_size=4))
+    elements = st.sampled_from(group.elements)
+    subs = []
+    for f in maps:
+        sub = twisted_subgroup(f, group)
+        subs += [sub, conjugate_subgroup(data.draw(elements), sub)]
+    for h in data.draw(st.lists(elements, max_size=2)):
+        subs.append(PlainSubgroup(group, frozenset(_span(group, [h])), "cyclic"))
     assert bruteforce_subgroup_keys(group, subs) == [_definition_key(group, sub) for sub in subs]
 
 
@@ -237,12 +264,15 @@ def _span(group, gens):
 
 
 @pytest.mark.parametrize("spec,family", [
-    (F8, "class reps"), (F9, "class reps"), (F3, "whole group")],
-    ids=["gf8-class-reps", "gf9-class-reps", "gf3-whole-group"])
+    (F8, "class reps"), (F9, "class reps"), (make_trunc_ring(2, 3), "class reps"),
+    (F3, "whole group")],
+    ids=["gf8-class-reps", "gf9-class-reps", "f2t3-class-reps", "gf3-whole-group"])
 def test_oracle_conjugates_the_union_once_per_distinct_action(monkeypatch, spec, family):
-    # the span of S costs at most |<S>|.|S| products, every g conjugates S at
-    # two products each plus one inverse, and one g per distinct action
-    # conjugates the union U; |G|.|U| conjugations at GF(8) would be 30,208 calls
+    # the spans of S and of the kernel K cost at most |<S>|.(|S| + 1) and
+    # |K|.(log2 |K| + 1) products, covering the cosets of K at most |G|; the walk
+    # conjugates S, at two products each plus one inverse, by at most
+    # |A| + log2 |K| elements, and one element per distinct action conjugates
+    # the union U; |G|.|U| conjugations at GF(8) would be 30,208 calls
     group = heisenberg_group(spec)
     subs = ([twisted_subgroup(f, group) for f in enumerate_class_reps(spec).reps]
             if family == "class reps" else [whole_group(group), trivial_subgroup(group)])
@@ -252,7 +282,11 @@ def test_oracle_conjugates_the_union_once_per_distinct_action(monkeypatch, spec,
         if u not in _span(group, gens):
             gens.append(u)
     actions = {tuple(group.conjugate(g, u) for u in pool) for g in group.elements}
-    bound = (len(_span(group, gens)) * len(gens) + group.order * (2 * len(gens) + 1)
+    kernel = [g for g in group.elements if all(group.conjugate(g, s) == s for s in gens)]
+    log_kernel = len(kernel).bit_length() - 1
+    assert len(actions) * len(kernel) == group.order
+    bound = (len(_span(group, gens)) * (len(gens) + 1) + len(kernel) * (log_kernel + 1)
+             + group.order + (len(actions) + log_kernel) * (2 * len(gens) + 1)
              + len(actions) * (2 * len(pool) + 1))
     calls = [0]
 
@@ -267,10 +301,76 @@ def test_oracle_conjugates_the_union_once_per_distinct_action(monkeypatch, spec,
     keys = bruteforce_subgroup_keys(group, subs)
     assert len(set(keys)) == len(subs)
     assert 0 < calls[0] <= bound
+    if family == "whole group":
+        # <U> = G is non-abelian, and what fixes it is the centre
+        assert len(actions) > 1 and sorted(kernel) == sorted(group.center_elements())
     if spec == F8:
         old_work = 2 * group.order * len(pool) + group.order
         assert (len(gens), len(actions), old_work) == (5, 8, 30_208)
-        assert calls[0] < old_work / 4
+        # the walk before the cosets of K were skipped made 6,256 calls
+        assert calls[0] <= 1_700 < 6_256 / 3
+
+
+# the only reads of the group and of the subgroups that the conjugator oracle may
+# make, and names of the structure that it must not touch
+ORACLE_GROUP_READS = {"mul", "inv", "identity", "elements"}
+ORACLE_SUBGROUP_READS = {"elements"}
+ORACLE_STRUCTURE = ({"class_key", "canonical_twist", "is_mult_map", "mult_matrix", "_tables",
+                     "ring", "conjugate", "conjugacy_classes", "center_elements", "f"}
+                    | {name for name in dir(F4) if not name.startswith("__")})
+_CONTAINER_METHODS = {name for kind in (set, list, dict, tuple) for name in dir(kind)}
+
+
+def _oracle_reads(tree: ast.Module, name: str) -> list[str]:
+    """What the function and the module's functions it calls read beyond the group's
+    ORACLE_GROUP_READS, the subgroups' elements and containers of their own."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo, seen, problems = [name], set(), []
+    while todo:
+        fn = defs[todo.pop()]
+        seen.add(fn.name)
+        parents = {child: node for node in ast.walk(fn) for child in ast.iter_child_nodes(node)}
+        loops = [node for node in ast.walk(fn) if isinstance(node, (ast.For, ast.comprehension))]
+        members = {target.id for node in loops if isinstance(node.iter, ast.Name)
+                   and node.iter.id == "subgroups" for target in ast.walk(node.target)
+                   if isinstance(target, ast.Name)}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                if node.id in ORACLE_STRUCTURE - {"mul", "elements"}:
+                    problems.append(f"{fn.name} names {node.id}")
+                elif node.id == "group" and not isinstance(parents[node], ast.Attribute):
+                    problems.append(f"{fn.name} hands the group on whole")
+                elif node.id == "subgroups" and parents[node] not in loops:
+                    problems.append(f"{fn.name} reads the subgroups other than by iterating")
+                elif node.id in defs and node.id not in seen and isinstance(parents[node], ast.Call):
+                    todo.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                base = node.value.id if isinstance(node.value, ast.Name) else None
+                allowed = (ORACLE_GROUP_READS if base == "group"
+                           else ORACLE_SUBGROUP_READS if base in members
+                           else _CONTAINER_METHODS)
+                if node.attr not in allowed:
+                    problems.append(f"{fn.name} reads {base or '(...)'}.{node.attr}")
+    return problems
+
+
+def test_the_conjugator_oracle_reads_the_group_law_alone():
+    # a speed-up may not slip structure into the oracle: the group is read through
+    # its law and its elements, each subgroup through its elements
+    sample = ast.parse(
+        "def oracle(group, subgroups):\n"
+        "    helper(group.mul, group.ring)\n"
+        "    keys = [sub.f for sub in subgroups]\n"
+        "    return canonical_twist(keys), subgroups[0], group, set().union(x.val)\n"
+        "def helper(mul, ring):\n"
+        "    return mul._tables, ring\n")
+    assert sorted(_oracle_reads(sample, "oracle")) == [
+        "helper names ring", "helper reads mul._tables", "oracle hands the group on whole",
+        "oracle names canonical_twist", "oracle reads group.ring",
+        "oracle reads sub.f", "oracle reads the subgroups other than by iterating",
+        "oracle reads x.val"]
+    source = Path(certify.__file__).read_text()
+    assert _oracle_reads(ast.parse(source), "bruteforce_subgroup_keys") == []
 
 
 # ---------------------------------------------------------------------------

@@ -1952,6 +1952,25 @@ def test_verify_scans_the_places_again(tmp_path, forge):
     assert code == 1 and f"problem: {message}" in err.splitlines()
 
 
+def test_verify_of_a_forged_place_ell_compares_it_with_q_before_any_primality_test(tmp_path):
+    # a valid ell divides q - 1, so a Mersenne prime of 969 digits as ell is refused
+    # by comparing it with q = 7, before Miller-Rabin would take about a second on it
+    _, out, _ = run_cli("places", "--ell", "3", "--bound", "1000")
+    report = json.loads(out)
+    report["config"]["ell"] = 2**3217 - 1
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(report))
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    started = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "gassmann.cli", "verify", str(path)], env=env,
+                          capture_output=True, text=True)
+    assert time.perf_counter() - started < 0.3
+    assert done.returncode == 1 and done.stdout == "verification failed\n"
+    [problem] = done.stderr.splitlines()
+    assert problem.startswith("problem: item 0 (place-scan) fails its check: SpecMismatch: "
+                              "q=7 is not a prime = 1 mod 2591170860")
+
+
 # SHA-256 of the report on stdout; a schema bump updates these and says so
 PINNED_REPORTS = {
     ("certify", "--p", "2", "--m", "2"):
