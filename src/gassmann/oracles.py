@@ -3,8 +3,11 @@
 Each function here answers a question that a production route answers
 another way, by the most direct computation at hand: the Berkowitz
 characteristic polynomial and the schoolbook product of polynomials, the
-polynomial of each coset graph of a family by its own blocks, where Sunada's
-theorem gives one for all, a search of each coset graph for connectivity,
+centre factorisation of rows made outside the closed form once their
+action is certified, the polynomial of each coset graph of a family by
+matching its blocks against H_0's under translations of the orbit index,
+where Sunada's theorem gives H_0's for all and production computes that
+one alone, a search of each coset graph for connectivity,
 where the Burnside basis theorem reads generation off a rank, the
 coset graph of any subgroup by a walk over the whole group, a plain
 permutation search for graph isomorphism, the orbit expansion of a
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from . import schreier
@@ -115,16 +118,107 @@ def connected(graph: CosetGraph) -> bool:
     return reached == n
 
 
+@lru_cache(maxsize=16)
+def _sunada_reference(group: Heisenberg,
+                      gens: tuple[GroupElement, ...]) -> tuple[tuple, SpectrumPolynomial]:
+    """(blocks, product) of the family of H_f over the group's ring with these
+    generators: H_0's block rows per line of schreier._characters, as _block_rows
+    reads them, and schreier.char_poly of H_0's graph."""
+    h0 = schreier.build_coset_graph(horizontal_subgroup(group), gens)
+    p, r = group.ring.p, h0.rank
+    relative = _relative_entries(h0.reps, p, r)
+    blocks = tuple(_block_rows(relative, phase) for _, phase in schreier._characters(p, r))
+    return blocks, schreier.char_poly(h0)
+
+
+def _relative_entries(reps, p: int, r: int) -> list[list[tuple[int, int, int]]]:
+    """Per representative a, its entries v = b·p^r + t as ((b - a)·p, t, multiplicity),
+    b - a taken in the digit group of schreier._digit_sums, on a graph with p^r of them."""
+    plus = schreier._digit_sums(p, r)
+    width = len(plus)
+    # minus[a][b] = b - a: plus[a] maps a's negative to 0
+    minus = [plus[row.index(0)] for row in plus]
+    return [[(minus[a][v // width] * p, v % width, mult) for v, mult in row]
+            for a, row in enumerate(reps)]
+
+
+def _block_rows(relative, phase: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
+    """The block of the character with this phase table, row a read relative to a:
+    the sorted ((b - a)·p + phase, multiplicity) of its entry at b, each phase of
+    Z/p with the sum of the multiplicities of the voltages t of that phase.
+
+    Row a of one block equals row a + x of another for every a exactly when
+    the first block's entry at (a, b) is the second's at (a + x, b + x), as
+    a vector of multiplicities per phase, for every a and b.
+    """
+    rows = []
+    for entries in relative:
+        acc: dict[int, int] = {}
+        for base, t, mult in entries:
+            key = base + phase[t]
+            acc[key] = acc.get(key, 0) + mult
+        rows.append(tuple(sorted(acc.items())))
+    return rows
+
+
+def translations(graph: CosetGraph) -> list[Optional[int]]:
+    """Per line of schreier._characters, an x such that the graph's block has at (a, b)
+    the entry of H_0's block at (a + x, b + x), for every a and b, or None.
+
+    The graph is one of rank ring.dim with q representatives, compared with
+    the blocks of _sunada_reference for its family, each x row by row.  A
+    match relabels the block, so a graph whose every line matches has H_0's
+    polynomial; over a field every line matches (Sunada's transplantation:
+    ψ∘f is ψ(a·x) for one a).
+    """
+    p, r = graph.group.ring.p, graph.rank
+    plus = schreier._digit_sums(p, r)
+    relative = _relative_entries(graph.reps, p, r)
+    blocks, _ = _sunada_reference(graph.group, graph.gens)
+    found = []
+    for (_, phase), h0_rows in zip(schreier._characters(p, r), blocks):
+        rows = _block_rows(relative, phase)
+        # row 0 against H_0's row x first, which rules out most x before any other row
+        found.append(next((x for x, h0_row in enumerate(h0_rows) if h0_row == rows[0]
+                           and all(row == h0_rows[plus[a][x]] for a, row in enumerate(rows))),
+                          None))
+    return found
+
+
+def charpoly_by_translation(graph: CosetGraph) -> Optional[SpectrumPolynomial]:
+    """H_0's polynomial where the graph has its family's shape, rank ring.dim and q
+    representatives, and translations matches every line; else None."""
+    ring = graph.group.ring
+    if graph.rank != ring.dim or len(graph.reps) != ring.size or None in translations(graph):
+        return None
+    return _sunada_reference(graph.group, graph.gens)[1]
+
+
 def distinct_charpolys(graphs: Sequence[CosetGraph]) -> tuple[list[tuple[int, ...]], list[int]]:
     """(distinct, charpoly_index): each distinct charpoly's coefficients once, numbered
-    in order of first appearance, and each graph's charpoly by its number, each from
-    schreier.char_poly on the graph itself: the oracle of Sunada's theorem, by which
-    the graphs of one family over a field have H_0's polynomial alone."""
+    in order of first appearance, and each graph's charpoly by its number: the oracle
+    of Sunada's theorem, by which the graphs of one family over a field have H_0's
+    polynomial alone.  Each is charpoly_by_translation's, or schreier.char_poly's on
+    a graph that matches no translate on some line."""
     index_of: dict[tuple, int] = {}
-    charpoly_index = [index_of.setdefault(schreier.char_poly(graph).coefficients,
-                                          len(index_of))
-                      for graph in graphs]
+    charpoly_index = []
+    for graph in graphs:
+        poly = charpoly_by_translation(graph) or schreier.char_poly(graph)
+        charpoly_index.append(index_of.setdefault(poly.coefficients, len(index_of)))
     return list(index_of), charpoly_index
+
+
+def charpoly_by_centre(rows, p: int, r: int) -> SpectrumPolynomial:
+    """det(tI - A) for the adjacency A of the graph with these neighbour rows,
+    factored through a free (Z/p)^r action on the vertex numbers.
+
+    schreier.check_centre certifies the action first, that p^r divides n and
+    that each translation is an automorphism of A, raising SelfCheckFailed;
+    then the orbit representatives' rows take char_poly's factorisation.
+    r = 0 gives the dense polynomial.
+    """
+    width = schreier.check_centre(rows, p, r)
+    return schreier._charpoly_of_reps(rows[::width], p, r)
 
 
 def loop_count(graph: CosetGraph) -> int:

@@ -31,10 +31,11 @@ def check_scan_limit(q: int, bound: int) -> None:
 
 def choose_modulus(ell: int) -> int:
     """Smallest prime q = 1 (mod ell), tried as q = k·ell + 1; Dirichlet guarantees one
-    exists."""
-    if not is_prime(ell):
-        raise NotPrime(f"ell={ell} is not prime")
+    exists.  The least candidate ell + 1 is compared with SCAN_LIMIT before ell is
+    tested, so an ell of thousands of digits never reaches Miller-Rabin."""
     q = ell + 1
+    if q <= SCAN_LIMIT and not is_prime(ell):
+        raise NotPrime(f"ell={ell} is not prime")
     while q <= SCAN_LIMIT:
         if is_prime(q):
             return q

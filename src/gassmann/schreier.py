@@ -26,25 +26,21 @@ translation rule in one pass before anything reads the action.  The graphs
 of one ring and generator set share their family's work, made once per
 (group, generators) as the transversal and the modulus are: the skeleton
 of the rows, into which f enters only through f(s0), one value per
-generator, and the reference graph H_0 with its characteristic polynomial.
-That polynomial is the product of small blocks, one per orbit of
-characters of Z under Galois conjugation (the voltage-graph
-factorisation), each split into blocks over Z/ℓ for one ℓ ≡ 1 (mod 2p)
-past a bound on the coefficients and reduced to Hessenberg form; the
-block polynomials multiply by Kronecker substitution, one big-integer
-product each, in a balanced tree.  A graph whose block for every character
-is H_0's block relabelled by a translation of the orbit index, compared
-exactly as multiplicities per phase, has H_0's polynomial; a graph with a
-block that matches no translate takes the Hessenberg pass.  Over a field
-every block matches (Sunada's transplantation), and every H_f has the one
-profile, so the graphs of a family are cospectral (Sunada's theorem):
-graphs and verify ask char_poly for H_0's graph alone, and the matches of
-every graph, ``oracles.distinct_charpolys``, are the theorem's oracle in
-the tests.  At rank 0 the same Hessenberg route gives
-the dense polynomial, an oracle like the fraction-free integer
-determinants kept here; charpoly_by_centre, the route on certified rows
-alone, is the oracle of the matches, and the division-free Berkowitz
-route is in ``gassmann.oracles``.
+generator, and the automorphisms that fix the generators.
+A graph's characteristic polynomial has one route, char_poly: the product
+of small blocks, one per orbit of characters of its free action under
+Galois conjugation (the voltage-graph factorisation), each split into
+blocks over Z/ℓ for one ℓ ≡ 1 (mod 2p) past a bound on the coefficients
+and reduced to Hessenberg form; the block polynomials multiply by
+Kronecker substitution, one big-integer product each, in a balanced tree.
+Over a field every H_f has the one profile, so the graphs of a family are
+cospectral (Sunada's theorem): graphs and verify ask char_poly for H_0's
+graph alone.  The theorem's oracle, ``oracles.distinct_charpolys``, matches
+every graph's blocks against H_0's under translations of the orbit index.
+At rank 0 the same route gives the dense polynomial, an oracle like the
+fraction-free integer determinants kept here; the division-free Berkowitz
+route and charpoly_by_centre, the route on certified rows alone, are in
+``gassmann.oracles``.
 Isomorphism classes are first the orbits of the automorphisms
 φ(a, b, c) = (λσ(a), μσ(b), λμσ(c)) of the group, λ and μ units and σ a
 power of Frobenius, that map the generators onto themselves, found once
@@ -230,8 +226,8 @@ def build_coset_graph(sub: TwistedSubgroup, gens: Sequence[GroupElement],
 
 class _Family:
     """The work that every coset graph of an H_f over one ring with one generator set
-    shares, made once: its skeleton, the reference H_0 that char_poly matches, and
-    the automorphisms that fix the generators, whose orbits orbit_classes joins.
+    shares, made once: its skeleton and the automorphisms that fix the generators,
+    whose orbits orbit_classes joins.
 
     In the row of (0, b, 0), the generator s = (s0, s1, s2) goes to vertex
     index(b + s1)·q + index(s2 - s0·(b + s1) - f(s0)).  moves[index(b)] holds,
@@ -274,29 +270,6 @@ class _Family:
             if {(a[s0], b[s1], c[s2]) for s0, s1, s2 in gens} == gens:
                 found.append(phi)
         return tuple(found)
-
-    @cached_property
-    def reference(self) -> _Reference:
-        """H_0's blocks, per line of _characters as _block_rows reads them, and its
-        characteristic polynomial."""
-        ring = self.ring
-        p, r = ring.p, ring.dim
-        reps = self.reps([_digit_sums(p, r)[0]] * len(self.gens))  # f = 0 shifts nothing
-        relative = _relative_entries(reps, p, r)
-        lines = []
-        for _, phase in _characters(p, r):
-            rows = _block_rows(relative, phase)
-            starts: dict[tuple, list[int]] = {}
-            for x, row in enumerate(rows):
-                starts.setdefault(row, []).append(x)
-            lines.append((rows, starts))
-        return _Reference(tuple(lines), _charpoly_of_reps(reps, p, r))
-
-
-class _Reference(NamedTuple):
-    # per line of _characters: (H_0's block rows, the positions of each of those rows)
-    lines: tuple[tuple[tuple, dict], ...]
-    product: SpectrumPolynomial
 
 
 class OrbitWitness(NamedTuple):
@@ -592,19 +565,6 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def charpoly_by_centre(rows: Rows, p: int, r: int) -> SpectrumPolynomial:
-    """det(tI - A) for the adjacency A of the graph with these neighbour rows,
-    factored through a free (Z/p)^r action on the vertex numbers.
-
-    check_centre certifies the action first, that p^r divides n and that each
-    translation is an automorphism of A, raising SelfCheckFailed; then
-    _charpoly_of_reps factors the orbit representatives' rows.  r = 0 gives
-    the dense polynomial.
-    """
-    width = check_centre(rows, p, r)
-    return _charpoly_of_reps(rows[::width], p, r)
-
-
 @lru_cache(maxsize=16)
 def _characters(p: int, r: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(lead, phase) per line through 0 of the characters λ of (Z/p)^r: λ = 0, then
@@ -664,80 +624,19 @@ def _charpoly_of_reps(reps: Rows, p: int, r: int) -> SpectrumPolynomial:
     return SpectrumPolynomial(tuple(lines[0]))
 
 
-def _relative_entries(reps: Rows, p: int, r: int) -> list[list[tuple[int, int, int]]]:
-    """Per representative a, its entries v = b·p^r + t as ((b - a)·p, t, multiplicity),
-    b - a taken in the digit group of _digit_sums, on a graph with p^r of them."""
-    plus = _digit_sums(p, r)
-    width = len(plus)
-    # minus[a][b] = b - a: plus[a] maps a's negative to 0
-    minus = [plus[row.index(0)] for row in plus]
-    return [[(minus[a][v // width] * p, v % width, mult) for v, mult in row]
-            for a, row in enumerate(reps)]
-
-
-def _block_rows(relative, phase: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
-    """The block of the character with this phase table, row a read relative to a:
-    the sorted ((b - a)·p + phase, multiplicity) of its entry at b, each phase of
-    Z/p with the sum of the multiplicities of the voltages t of that phase.
-
-    Row a of one block equals row a + x of another for every a exactly when
-    the first block's entry at (a, b) is the second's at (a + x, b + x), as
-    a vector of multiplicities per phase, for every a and b.
-    """
-    rows = []
-    for entries in relative:
-        acc: dict[int, int] = {}
-        for base, t, mult in entries:
-            key = base + phase[t]
-            acc[key] = acc.get(key, 0) + mult
-        rows.append(tuple(sorted(acc.items())))
-    return rows
-
-
-def _translations(graph: CosetGraph, reference: _Reference) -> list[Optional[int]]:
-    """Per line of _characters, an x such that the graph's block has at (a, b) the
-    entry of H_0's block at (a + x, b + x), for every a and b, or None.
-
-    The graph is one of rank ring.dim with q representatives, and the
-    reference that of its family.  Candidates x are those whose row of H_0's
-    block equals the graph's row 0, and each is checked on every row.
-    """
-    p, r = graph.group.ring.p, graph.rank
-    plus = _digit_sums(p, r)
-    relative = _relative_entries(graph.reps, p, r)
-    found = []
-    for (_, phase), (ref_rows, starts) in zip(_characters(p, r), reference.lines):
-        rows = _block_rows(relative, phase)
-        found.append(next((x for x in starts.get(rows[0], ())
-                           if all(row == ref_rows[plus[a][x]] for a, row in enumerate(rows))),
-                          None))
-    return found
-
-
 def char_poly(graph: CosetGraph, cap: Optional[int] = None) -> SpectrumPolynomial:
     """Exact characteristic polynomial of the adjacency matrix of a coset graph.
 
-    Factorised on the representatives' rows through the free action of the
-    graph's rank, as charpoly_by_centre factors certified rows: on a coset
-    graph of H_f the centre, whose (0, 0, e) adds 1 mod p to one base-p digit
-    of index(c).  Where that rank is the ring's dimension and there are q
-    representatives, each character's block is matched first against the
-    block of H_0, the graph of the same generators with f = 0, under a
-    translation of the orbit index (_translations).  A match is a
-    relabelling of the block, so where every line matches the polynomial is
-    H_0's, made once per family; a graph with a line that matches no
-    translate takes the Hessenberg pass on all its blocks.  Over a field
-    every line matches (Sunada's transplantation: ψ∘f is ψ(a·x) for one a).
+    _charpoly_of_reps factors it on the representatives' rows through the free
+    action of the graph's rank: on a coset graph of H_f the centre, whose
+    (0, 0, e) adds 1 mod p to one base-p digit of index(c), at rank 0 the dense
+    polynomial.  It is the one route; ``oracles.distinct_charpolys`` matches a
+    family's blocks against H_0's as the oracle of Sunada's theorem.
     """
     limit = DEFAULT_VERTEX_CAP if cap is None else cap
     if graph.n > limit:
         raise SizeCapExceeded(f"{graph.n} vertices exceed cap {limit}")
-    ring = graph.group.ring
-    if graph.rank == ring.dim and len(graph.reps) == ring.size:
-        reference = _family(graph.group, graph.gens).reference
-        if None not in _translations(graph, reference):
-            return reference.product
-    return _charpoly_of_reps(graph.reps, ring.p, graph.rank)
+    return _charpoly_of_reps(graph.reps, graph.group.ring.p, graph.rank)
 
 
 # ---------------------------------------------------------------------------

@@ -512,6 +512,17 @@ def test_places_past_the_scan_limit_exits_2(argv, message):
     assert run.stderr == f"error: SizeCapExceeded: {message}\n"
 
 
+def test_places_with_an_ell_past_the_scan_limit_exits_2_before_any_primality_test():
+    # the least candidate q = ell + 1 is past the limit, so a Mersenne prime of 969
+    # digits is refused at once, where Miller-Rabin on it would take about a second
+    ell = 2**3217 - 1
+    started = time.perf_counter()
+    run = _capped_cli("places", "--ell", str(ell), "--bound", "100")
+    assert time.perf_counter() - started < 0.3
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == f"error: SpecMismatch: no prime q = 1 mod {ell} below 10000000\n"
+
+
 @pytest.mark.parametrize("field, value", [("bound", 10**11), ("q", 1000000009)])
 def test_verify_of_a_place_scan_past_the_scan_limit_lists_one_problem(tmp_path, field, value):
     _, out, _ = run_cli("places", "--ell", "3", "--bound", "100")

@@ -41,11 +41,9 @@ BENCH_BINDINGS = [
     ("gassmann.rings", "_RingOps.neg"),
 ]
 
-# library entry points that no command runs: the paper's product construction and
-# the centre factorisation of rows that a caller made
+# library entry points that no command runs: the paper's product construction
 LIBRARY_ENTRY_POINTS = [
     ("gassmann.certify", "product_certificate"),
-    ("gassmann.schreier", "charpoly_by_centre"),
 ]
 
 # certify and graphs over GF(4) through cli.main, then verify on both reports

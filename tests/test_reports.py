@@ -17,8 +17,8 @@ from gassmann.certify import (
 )
 from gassmann.errors import SizeCapExceeded
 from gassmann.heisenberg import heisenberg_group, twisted_subgroup
-from gassmann.oracles import (center_subgroup, coset_graph_bruteforce, distinct_charpolys,
-                              horizontal_subgroup)
+from gassmann.oracles import (center_subgroup, charpoly_by_centre, coset_graph_bruteforce,
+                              distinct_charpolys, horizontal_subgroup)
 from gassmann.cli import cmd_graphs
 from gassmann.reports import (
     canonical_json,
@@ -28,7 +28,7 @@ from gassmann.reports import (
     verify_report,
 )
 from gassmann.rings import LinearMap, make_field
-from gassmann.schreier import build_coset_graph, charpoly_by_centre, default_generators
+from gassmann.schreier import build_coset_graph, default_generators
 
 
 def test_encode_count_thresholds():
