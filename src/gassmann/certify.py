@@ -35,6 +35,7 @@ from .rings import (
     mult_matrix,
     make_field,
     power_within,
+    reduced_echelon,
 )
 
 
@@ -214,34 +215,13 @@ def mult_subspace_echelon(spec: RingSpec) -> tuple[tuple[int, tuple[int, ...]], 
     Returns (pivot_position, row_vector) pairs in fixed leftmost-pivot
     order; the span always has dimension equal to the ring dimension.
     """
-    p = spec.p
     n2 = spec.dim * spec.dim
-    rows: list[list[int]] = [
-        list(mult_matrix(e, spec).flatten()) for e in spec.basis()
-    ]
-    echelon: list[tuple[int, list[int]]] = []
-    for row in rows:
-        vec = row[:]
-        for pivot, basis_row in echelon:
-            c = vec[pivot]
-            if c:
-                vec = [(x - c * y) % p for x, y in zip(vec, basis_row)]
-        pivot = next((i for i, c in enumerate(vec) if c), None)
-        if pivot is None:
-            continue
-        inv = pow(vec[pivot], -1, p)
-        vec = [(x * inv) % p for x in vec]
-        for k, (piv2, row2) in enumerate(echelon):
-            c = row2[pivot]
-            if c:
-                echelon[k] = (piv2, [(x - c * y) % p for x, y in zip(row2, vec)])
-        echelon.append((pivot, vec))
-    echelon.sort(key=lambda pr: pr[0])
+    echelon = reduced_echelon((mult_matrix(e, spec).flatten() for e in spec.basis()), spec.p)
     if len(echelon) != spec.dim:
         raise SelfCheckFailed("multiplication matrices are dependent")
     if not all(0 <= piv < n2 for piv, _ in echelon):
         raise SelfCheckFailed("echelon pivot out of range")
-    return tuple((piv, tuple(vec)) for piv, vec in echelon)
+    return echelon
 
 
 def canonical_twist(f: LinearMap, spec: RingSpec) -> LinearMap:
@@ -344,11 +324,12 @@ def conjugate_pair_count(p: int, m: int) -> int:
     return p ** (m * (m - 1)) * (q * (q - 1) // 2)
 
 
-def family_oracles(p: int, m: int, cap: Optional[int], bruteforce_keys) -> bool:
+def family_oracles(p: int, m: int, cap: Optional[int]) -> bool:
     """The oracle block of certify and verify, run while ``conjugator_oracle_runs``
     and true elsewhere: whether the canonical-twist keys of the family's subgroups,
-    built once, partition them as ``bruteforce_keys`` does.  A class table or keys
-    that disagree with the closed forms raise SelfCheckFailed."""
+    built once, partition them as ``bruteforce_subgroup_keys`` does, looked up in this
+    module at each call, so a caller that replaces it replaces it for both.  A class
+    table or keys that disagree with the closed forms raise SelfCheckFailed."""
     if not conjugator_oracle_runs(p, m):
         return True
     spec = make_field(p, m, cap=cap)
@@ -366,7 +347,7 @@ def family_oracles(p: int, m: int, cap: Optional[int], bruteforce_keys) -> bool:
         raise SelfCheckFailed("the canonical twists give a conjugate-pair count other than "
                               "the closed form")
     # with one subgroup there is no pair for the search to compare
-    return len(subgroups) < 2 or keyings_agree(keys, bruteforce_keys(group, subgroups))
+    return len(subgroups) < 2 or keyings_agree(keys, bruteforce_subgroup_keys(group, subgroups))
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,8 @@ from .rings import make_field, make_trunc_ring, size_cap
 # scans it again, so none of its young objects is left for a collection during a command.
 gc.freeze()
 
-# The conjugator oracle of certify.bruteforce_subgroup_keys, bound here so that
-# cmd_certify and verify look it up through this module, and a caller that
-# replaces it replaces it for both.
+# The conjugator oracle, by the name that bench/child.py binds; cmd_certify and verify
+# call it through certify.family_oracles
 _bruteforce_subgroup_keys = cz.bruteforce_subgroup_keys
 
 
@@ -69,7 +68,7 @@ def cmd_certify(p: int, m: int, cap: Optional[int] = None) -> dict:
         }
     )
 
-    agreement = cz.family_oracles(p, m, cap, _bruteforce_subgroup_keys)
+    agreement = cz.family_oracles(p, m, cap)
     report["items"].append(
         {
             "kind": "conjugacy-dichotomy",
@@ -178,28 +177,22 @@ def cmd_places(ell: int, bound: int, q: Optional[int] = None,
                tol: Fraction = Fraction(1, 50)) -> tuple[dict, Iterator[dict]]:
     """The places report, and the records of the primes of residue degree ell, which
     the report counts and --format jsonl lists, each made only when it is read."""
-    from .places import choose_modulus, implementations_agree, scan_places
+    from .places import choose_modulus, scan_places
 
     if q is None:
         q = choose_modulus(ell)
     scan = scan_places(ell, q, bound)
-    agree_to, agree = implementations_agree(ell, q, bound)
-    within = scan.density_gap() <= tol
     report = rp.new_report(
         "places", {"ell": ell, "q": q, "bound": bound, "tolerance": str(Fraction(tol))}
     )
+    # the density and its target (ell-1)/ell are closed forms of the counts and the
+    # config, which verify derives; the verdict is the density within the tolerance
     report["items"].append(
         {
             "kind": "place-scan",
             "scanned": scan.scanned,
             "degree_ell_count": scan.degree_ell_count,
-            "density": str(scan.density),
-            "cebotarev_density": str(scan.cebotarev_density),
-            "tolerance": str(Fraction(tol)),
-            "within_tolerance": within,
-            "agreement_checked_to": agree_to,
-            "implementations_agree": agree,
-            "holds": within and agree,
+            "holds": scan.density_gap() <= tol,
         }
     )
     records = ({"p": p, "q": q, "ell": ell, "degree": ell, "residue_size": str(p**ell)}

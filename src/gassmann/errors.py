@@ -44,10 +44,6 @@ class NotGenerating(GassmannError):
     connected, and is refused all the same."""
 
 
-class RamifiedPlace(GassmannError):
-    """Residue degree requested at the one excluded (ramified) prime."""
-
-
 class NoValidD(GassmannError):
     """No positive growth constant exists on the requested level range."""
 

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import DimensionMismatch, SpecMismatch
-from .rings import Element, LinearMap, RingSpec, check_order
+from .rings import Element, LinearMap, RingSpec, check_order, reduced_echelon
 
 GroupElement = tuple[Element, Element, Element]
 
@@ -112,18 +112,8 @@ def generates(group: Heisenberg, gens) -> bool:
     generates H exactly when its image in H/Z = R², the (a, b) parts, spans
     R² over F_p, a rank of 2·dim.
     """
-    p, width = group.ring.p, 2 * group.ring.dim
-    echelon: dict[int, list[int]] = {}  # pivot -> a row that is 1 there, 0 left of it
-    for a, b, _ in gens:
-        vec = [*a, *b]
-        for pivot in sorted(echelon):
-            if vec[pivot]:
-                vec = [(x - vec[pivot] * y) % p for x, y in zip(vec, echelon[pivot])]
-        pivot = next((i for i, x in enumerate(vec) if x), None)
-        if pivot is not None:
-            inv = pow(vec[pivot], -1, p)
-            echelon[pivot] = [x * inv % p for x in vec]
-    return len(echelon) == width
+    ring = group.ring
+    return len(reduced_echelon(([*a, *b] for a, b, _ in gens), ring.p)) == 2 * ring.dim
 
 
 class ConjugacyClassTable:

@@ -11,10 +11,12 @@ one alone, a search of each coset graph for connectivity,
 where the Burnside basis theorem reads generation off a rank, the
 coset graph of any subgroup by a walk over the whole group, a plain
 permutation search for graph isomorphism, the orbit expansion of a
-conjugacy-class partition, and the profile of a product subgroup counted
-inside the direct product.  The subgroups given by their element sets,
-the untwisted subgroup, elementwise conjugation and the small readings of
-certificates, spectra and graphs that only the tests make are here too.
+conjugacy-class partition, the profile of a product subgroup counted
+inside the direct product, and the residue degree of a prime by the
+subgroup of ell-th powers mod q, where the place scan takes one power.
+The subgroups given by their element sets, the untwisted subgroup,
+elementwise conjugation and the small readings of certificates, spectra
+and graphs that only the tests make are here too.
 This module may import the production modules; none of them imports it,
 so the CLI never loads it.
 """
@@ -395,3 +397,17 @@ def product_classes_from_factors(factor_tables: Sequence[ConjugacyClassTable]):
         members = frozenset(itertools.product(*combo))
         partitions.append(members)
     return partitions
+
+
+@lru_cache(maxsize=None)
+def _index_ell_subgroup(q: int, ell: int) -> frozenset:
+    return frozenset(pow(x, ell, q) for x in range(1, q))
+
+
+def residue_degree_subgroup(p: int, q: int, ell: int) -> int:
+    """The residue degree of a prime p != q by the subgroup test, for a prime q = 1 mod
+    the prime ell: membership in the unique index-ell subgroup of (Z/q)*, listed as
+    the ell-th powers of all q - 1 units.  The quotient has prime order ell, so the
+    image of p has order 1 exactly on that subgroup; the scan's power test never
+    lists it."""
+    return 1 if p % q in _index_ell_subgroup(q, ell) else ell

@@ -119,15 +119,25 @@ def twisted_count_bound(p: int, ell0: int, dim_g: int) -> CountBound:
     return CountBound("twisted-count", p, e, exact_power(p, e), e <= 0)
 
 
+def _comm_exponent(ell: int, dim_g: int, c: int) -> int:
+    """ell(ell-1) - ell(3 dim_g + c), the exponent of the commensurator-distinct count."""
+    return ell * (ell - 1) - ell * (3 * dim_g + c)
+
+
+def _nonarith_exponent(ell: int) -> int:
+    """ell(ell-1) - 8 ell, the exponent of the non-arithmetic pullback count."""
+    return ell * (ell - 1) - 8 * ell
+
+
 def distinct_comm_classes(p: int, ell0: int, dim_g: int, c: int) -> CountBound:
     """p^(ell0(ell0-1) - ell0(3*dim_g + c)), commensurator-distinct count."""
-    e = ell0 * (ell0 - 1) - ell0 * (3 * dim_g + c)
+    e = _comm_exponent(ell0, dim_g, c)
     return CountBound("comm-classes", p, e, exact_power(p, e), e <= 0)
 
 
 def nonarith_count(p: int, ell: int) -> CountBound:
     """p^(ell(ell-1) - 8*ell), the non-arithmetic pullback count."""
-    e = ell * (ell - 1) - 8 * ell
+    e = _nonarith_exponent(ell)
     return CountBound("nonarith-count", p, e, exact_power(p, e), e <= 0)
 
 
@@ -149,14 +159,14 @@ def tower_volume_bound(big_c: int, p: int, j: int) -> int:
 def isometry_headroom(p: int, ell: int, dim_g: int, c: int, c_x: int,
                       n: int) -> IneqCheck:
     """The pigeonhole condition p^(ell(ell-1)-ell(3 dim_g+c)) > c_x * n."""
-    e = ell * (ell - 1) - ell * (3 * dim_g + c)
-    return IneqCheck("isometry-headroom", exact_power(p, e), ">", c_x * n)
+    return IneqCheck("isometry-headroom", exact_power(p, _comm_exponent(ell, dim_g, c)), ">",
+                     c_x * n)
 
 
 def nonarith_headroom(p: int, ell: int, comm_index: int, n: int) -> IneqCheck:
     """The non-arithmetic condition p^(ell(ell-1)-8ell) > [Comm:G0] * n."""
-    e = ell * (ell - 1) - 8 * ell
-    return IneqCheck("nonarith-headroom", exact_power(p, e), ">", comm_index * n)
+    return IneqCheck("nonarith-headroom", exact_power(p, _nonarith_exponent(ell)), ">",
+                     comm_index * n)
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +176,13 @@ def nonarith_headroom(p: int, ell: int, comm_index: int, n: int) -> IneqCheck:
 
 def _sequence_condition(dim_g: int, c: int, r: int):
     """(label, lhs, rhs) of ell(ell-1) - ell(3 dim_g + c) > r, lhs a function of ell."""
-    return "min-ell-sequence", lambda ell: ell * (ell - 1) - ell * (3 * dim_g + c), r
+    return "min-ell-sequence", lambda ell: _comm_exponent(ell, dim_g, c), r
 
 
 def _growth_condition(dim_g: int, c: int, r: int):
     """(label, lhs, rhs) of ell(ell-1) - ell(3 dim_g+c) - r*ell*dim_g - r > 0."""
     return ("min-ell-growth",
-            lambda ell: ell * (ell - 1) - ell * (3 * dim_g + c) - r * ell * dim_g - r, 0)
+            lambda ell: _comm_exponent(ell, dim_g, c) - r * ell * dim_g - r, 0)
 
 
 def _least_prime(lhs_at, rhs: Exact) -> int:
@@ -233,7 +243,7 @@ def growth_chain_check(p: int, c_1: int, ell0: int, r: int, dim_g: int,
     precondition = IneqCheck("p^r > C_1^r", exact_power(p, r), ">", exact_power(c_1, r))
     lhs = exact_power(c_1, r) * exact_power(p, r * ell0 * dim_g)
     mid = exact_power(p, r + r * ell0 * dim_g)
-    rhs = exact_power(p, ell0 * (ell0 - 1) - ell0 * (3 * dim_g + c))
+    rhs = exact_power(p, _comm_exponent(ell0, dim_g, c))
     return (
         precondition,
         IneqCheck("chain-left", lhs, "<", mid),
@@ -434,7 +444,7 @@ def _check_tower_inputs(i: dict) -> None:
     if i["j"] < 0 or i["j"] > len(i["primes"]):
         raise ValueError("invalid start level")
     ell0, r = i["ell0"], i["r"]
-    margin = ell0 * (ell0 - 1) - 3 * ell0 * i["dim_g"]
+    margin = _comm_exponent(ell0, i["dim_g"], 0)
     if margin < r:
         raise ExponentMarginNonpositive(
             f"need ell0(ell0-1) - 3 ell0 dim_g = {margin} >= r = {r} > 0"

@@ -15,22 +15,23 @@ members again, as graphs searches its orbit leaders.  Their one spectrum
 is a closed form of the config too: over a field every H_f has the one
 profile, so by Sunada's theorem every graph has the polynomial of H_0,
 which the report states once and verify_report computes again on H_0's
-graph.  A place scan is its counts, not its records.  Items refer to
-graphs by index.  A report holds no key that its command does not write.
-Large integers travel as decimal strings.
+graph.  A place scan is its two counts, not its records: its density, the
+target (ell-1)/ell and the tolerance are closed forms of them and the config,
+and verify_report scans again by the power test that places runs.  Items
+refer to graphs by index.  A report holds no key that its command does
+not write.  Large integers travel as decimal strings.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Optional
 
-from .certify import (bruteforce_subgroup_keys, check_family_config, conjugate_pair_count,
-                      conjugator_oracle_runs, enumerate_class_reps, family_exponent,
-                      family_mode, family_oracles, orbit_oracle_runs)
+from .certify import (check_family_config, conjugate_pair_count, conjugator_oracle_runs,
+                      enumerate_class_reps, family_exponent, family_mode, family_oracles,
+                      orbit_oracle_runs)
 from .errors import GassmannError, SpecMismatch
 from .heisenberg import generates, heisenberg_group, twisted_subgroup
 from .rings import make_field, make_trunc_ring, power_within
@@ -41,7 +42,7 @@ if TYPE_CHECKING:
     from .planner import IneqCheck
     from .schreier import CosetGraph
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 def encode_count(v: int) -> Any:
@@ -220,11 +221,8 @@ def _verify_conjugacy(item: dict, config: dict, items: _Items, problems: list[st
     if not _same(item["bruteforce_checked"], ran):
         problems.append("bruteforce_checked differs from whether certify runs the conjugator "
                         "oracle at this p and m")
-    # the oracle block again, as cmd_certify runs it, with the binding it calls, so a
-    # replaced oracle is re-run too; where cli is not loaded, nothing replaced it
-    cli = sys.modules.get(f"{__package__}.cli")
-    oracle = cli._bruteforce_subgroup_keys if cli else bruteforce_subgroup_keys
-    agreement = family_oracles(p, m, config["cap"], oracle)
+    # the oracle block again, as cmd_certify runs it, so a replaced oracle is re-run too
+    agreement = family_oracles(p, m, config["cap"])
     claimed = item["structural_equals_bruteforce"]
     if not _same(claimed, agreement):
         problems.append("structural_equals_bruteforce differs from the conjugator oracle, run "
@@ -327,30 +325,17 @@ def _verify_tower_count(item: dict, config: dict, items: _Items, problems: list[
 
 
 def _verify_place_scan(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
-    from .places import implementations_agree, scan_places
+    """The scan again, by the power test that places runs; the verdict is the rescan's
+    density within the config's tolerance of (ell-1)/ell."""
+    from .places import scan_places
 
-    ell, q, bound = config["ell"], config["q"], config["bound"]
-    # the scan again, by the subgroup test that production does not use for the count
-    rescan = scan_places(ell, q, bound, subgroup=True)
-    agree_to, agree = implementations_agree(ell, q, bound)
-    if not (_same(item["agreement_checked_to"], agree_to)
-            and _same(item["implementations_agree"], agree)):
-        problems.append("agreement_checked_to or implementations_agree differs from the two "
-                        "residue-degree tests up to min(bound, 10^4)")
+    rescan = scan_places(config["ell"], config["q"], config["bound"])
     if not _same(item["scanned"], rescan.scanned):
         problems.append("scanned is not the number of primes up to the bound other than q")
-    density = rescan.density
-    if not (_same(item["degree_ell_count"], rescan.degree_ell_count)
-            and Fraction(item["density"]) == density):
-        problems.append(f"degree_ell_count or density does not count the primes of residue "
-                        f"degree ell={ell} up to the bound")
-    cebotarev = Fraction(ell - 1, ell)
-    if Fraction(item["cebotarev_density"]) != cebotarev or item["tolerance"] != config["tolerance"]:
-        problems.append("cebotarev_density or tolerance differs from the config")
-    within = abs(density - cebotarev) <= Fraction(config["tolerance"])
-    if not _same(item["within_tolerance"], within):
-        problems.append("within_tolerance contradicts the density")
-    return within and agree
+    if not _same(item["degree_ell_count"], rescan.degree_ell_count):
+        problems.append(f"degree_ell_count does not count the primes of residue degree "
+                        f"ell={config['ell']} up to the bound")
+    return rescan.density_gap() <= Fraction(config["tolerance"])
 
 
 def _verify_plan(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
@@ -423,8 +408,7 @@ _ITEM_KEYS = {
     "cospectral": "charpoly all_equal",
     "isomorphism-classes": "class_of witnesses",
     "tower-count": "j exact cited_lower gap",
-    "place-scan": "scanned degree_ell_count density cebotarev_density tolerance "
-                  "within_tolerance agreement_checked_to implementations_agree",
+    "place-scan": "scanned degree_ell_count",
     "plan": "op inputs result checks required_checks",
 }
 

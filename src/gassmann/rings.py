@@ -454,6 +454,30 @@ class LinearMap:
         return f"LinearMap(p={self.p}, rows={self.rows})"
 
 
+def reduced_echelon(rows, p: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The reduced row echelon basis of the rows' span over F_p: (pivot, row) pairs in
+    increasing pivot order, each row 1 at its pivot and 0 at every other pivot.  The
+    basis is unique to the span, so its length is the rank."""
+    echelon: list[tuple[int, list[int]]] = []
+    for row in rows:
+        vec = [x % p for x in row]
+        for pivot, basis_row in echelon:
+            c = vec[pivot]
+            if c:
+                vec = [(x - c * y) % p for x, y in zip(vec, basis_row)]
+        pivot = next((i for i, c in enumerate(vec) if c), None)
+        if pivot is None:
+            continue
+        inv = pow(vec[pivot], -1, p)
+        vec = [x * inv % p for x in vec]
+        for k, (other, basis_row) in enumerate(echelon):
+            c = basis_row[pivot]
+            if c:
+                echelon[k] = (other, [(x - c * y) % p for x, y in zip(basis_row, vec)])
+        echelon.append((pivot, vec))
+    return tuple(sorted((pivot, tuple(vec)) for pivot, vec in echelon))
+
+
 def all_linear_maps(spec: RingSpec) -> Iterator[LinearMap]:
     """All p^(n^2) additive self-maps of the ring, in flat lexicographic order."""
     n = spec.dim

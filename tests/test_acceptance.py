@@ -15,8 +15,9 @@ from conftest import run_cli
 from gassmann.certify import ProductFamily, product_certificate
 from gassmann.cli import cmd_certify, cmd_graphs, cmd_tower
 from gassmann.heisenberg import heisenberg_group
-from gassmann.oracles import ProductGroup, charpoly_berkowitz, product_profile_direct
-from gassmann.places import residue_degree, residue_degree_subgroup, scan_places
+from gassmann.oracles import (ProductGroup, charpoly_berkowitz, product_profile_direct,
+                              residue_degree_subgroup)
+from gassmann.places import scan_places
 from gassmann.reports import verify_report
 from gassmann.rings import LinearMap, make_field, primes_up_to
 
@@ -184,16 +185,13 @@ def test_criterion_5_product_gassmann():
 def test_criterion_6_place_scanner():
     scan = scan_places(3, 7, 10**5)
     gap = scan.density_gap()
-    agree = all(
-        residue_degree(p, 7, 3) == residue_degree_subgroup(p, 7, 3)
-        for p in primes_up_to(10**4)
-        if p != 7
-    )
+    agree = scan_places(3, 7, 10**4).primes == tuple(
+        p for p in primes_up_to(10**4) if p != 7 and residue_degree_subgroup(p, 7, 3) == 3)
     ok = gap <= Fraction(1, 50) and agree
     _criterion(
         6,
-        f"density {float(scan.density):.4f} within 0.02 of 2/3; power test and "
-        f"subgroup test agree on all primes <= 10^4",
+        f"density {float(scan.density):.4f} within 0.02 of 2/3; the scan's power test "
+        f"and the oracle's subgroup test agree on all primes <= 10^4",
         ok,
     )
 

@@ -46,14 +46,17 @@ LIBRARY_ENTRY_POINTS = [
     ("gassmann.certify", "product_certificate"),
 ]
 
-# certify and graphs over GF(4) through cli.main, then verify on both reports
+# certify and graphs over GF(4) and a place scan through cli.main, then verify on
+# each report
 CLI_RUN = """
 import contextlib, io, sys
 from gassmann import cli
 runs = [["certify", "--p", "2", "--m", "2", "--out", sys.argv[1] + "/certify.json"],
         ["graphs", "--p", "2", "--m", "2", "--out", sys.argv[1] + "/graphs"],
+        ["places", "--ell", "3", "--bound", "1000", "--out", sys.argv[1] + "/places.json"],
         ["verify", sys.argv[1] + "/certify.json"],
-        ["verify", sys.argv[1] + "/graphs/report.json"]]
+        ["verify", sys.argv[1] + "/graphs/report.json"],
+        ["verify", sys.argv[1] + "/places.json"]]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in runs]
 print(codes, "gassmann.oracles" in sys.modules)
@@ -122,7 +125,7 @@ def test_oracles_stay_out_of_production_and_bench_bindings_resolve(tmp_path):
     assert importers == []
     assert _imports(ast.parse("from . import oracles, schreier"), "oracles")
     # (b) so the CLI and verify never load it
-    assert _run(CLI_RUN, str(tmp_path)) == "[0, 0, 0, 0] False\n"
+    assert _run(CLI_RUN, str(tmp_path)) == "[0, 0, 0, 0, 0, 0] False\n"
     # (c) every name the benchmark binds is still where it looks it up
     for module, path in BENCH_BINDINGS:
         functools.reduce(getattr, path.split("."), importlib.import_module(module))

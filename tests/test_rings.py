@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -15,6 +16,7 @@ from gassmann.rings import (
     mult_matrix,
     next_prime,
     primes_up_to,
+    reduced_echelon,
 )
 
 
@@ -219,3 +221,27 @@ def test_mult_images_span_a_subspace_of_ring_dimension():
         images = {mult_matrix(b, spec).flatten() for b in spec.elements}
         assert len(images) == spec.size
         assert len(mult_subspace_echelon(spec)) == spec.dim
+
+
+def _span(rows, p: int, width: int) -> set:
+    """Every F_p-combination of the rows, by enumeration."""
+    return {tuple(sum(c * row[i] for c, row in zip(coeffs, rows)) % p for i in range(width))
+            for coeffs in itertools.product(range(p), repeat=len(rows))}
+
+
+@pytest.mark.parametrize("p, width", [(2, 5), (3, 4), (5, 3)])
+def test_reduced_echelon_is_the_reduced_basis_of_the_span(p, width):
+    # seeded rows, some dependent or zero: the echelon basis spans what they span, and
+    # each of its rows is 1 at its pivot, 0 left of it and 0 at every other pivot
+    rng = random.Random(p * 100 + width)
+    for count in range(5):
+        rows = [[rng.randrange(3 * p) - p for _ in range(width)] for _ in range(count)]
+        echelon = reduced_echelon(rows, p)
+        pivots = [pivot for pivot, _ in echelon]
+        assert pivots == sorted(set(pivots))
+        for pivot, row in echelon:
+            assert row[pivot] == 1 and not any(row[:pivot])
+            assert all(row[other] == 0 for other in pivots if other != pivot)
+        span = _span([row for _, row in echelon], p, width)
+        assert span == _span(rows, p, width) and len(span) == p ** len(echelon)
+
