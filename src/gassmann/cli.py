@@ -133,9 +133,9 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None, cap: Optional[in
         spectrum = json.dumps({"degree": len(charpoly) - 1, "coefficients": charpoly},
                               sort_keys=True) + "\n"
         for k, graph in enumerate(graphs):
-            files[f"rep_{k}.dot"] = graph.to_dot(f"rep_{k}")
-            files[f"rep_{k}.edges"] = "".join(
-                f"{u} {v} {mult}\n" for u, v, mult in graph.edge_list())
+            edges = graph.edge_list()  # rows are not kept, so expand them once for both
+            files[f"rep_{k}.dot"] = sg.to_dot(edges, f"rep_{k}")
+            files[f"rep_{k}.edges"] = "".join(f"{u} {v} {mult}\n" for u, v, mult in edges)
             files[f"rep_{k}.charpoly.json"] = spectrum
 
     report["items"].append({"kind": "cospectral", "charpoly": charpoly, "all_equal": True,

@@ -10,7 +10,9 @@ where Sunada's theorem gives H_0's for all and production computes that
 one alone, a search of each coset graph for connectivity,
 where the Burnside basis theorem reads generation off a rank, the
 coset graph of any subgroup by a walk over the whole group, a plain
-permutation search for graph isomorphism, the orbit expansion of a
+permutation search for graph isomorphism, the colour refinement by
+(colour, multiplicity) pairs with its invariant kept whole, where the
+search digests packed signatures, the orbit expansion of a
 conjugacy-class partition, the profile of a product subgroup counted
 inside the direct product, and the residue degree of a prime by the
 subgroup of ell-th powers mod q, where the place scan takes one power.
@@ -328,6 +330,34 @@ def are_isomorphic_bruteforce(g1: CosetGraph, g2: CosetGraph,
             raise SelfCheckFailed("isomorphism witness does not map edges onto edges")
         return IsomorphismResult(True, witness)
     return IsomorphismResult(False, None)
+
+
+def refine_by_pairs(reps, colors: Sequence[int], width: int = 1) -> tuple[tuple, tuple[int, ...]]:
+    """(invariant, colours) of the colour refinement that schreier._refine digests,
+    with its signatures the flattened sorted (neighbour colour, multiplicity) pairs
+    and its invariant kept whole: every round's sorted distinct signatures, then the
+    colour histogram.  It takes the same rows, colours and orbit width."""
+    loops = [next((mult for u, mult in row if u == a * width), 0) for a, row in enumerate(reps)]
+    if width > 1:
+        reps = [[(v // width, mult) for v, mult in row] for row in reps]
+    rounds = []
+    classes = len(set(colors))
+    while True:
+        signatures = []
+        for a, row in enumerate(reps):
+            pairs = sorted([(colors[u], mult) for u, mult in row])
+            signatures.append((colors[a], loops[a], *itertools.chain.from_iterable(pairs)))
+        distinct = sorted(set(signatures))
+        rounds.append(tuple(distinct))
+        ids = {sig: i for i, sig in enumerate(distinct)}
+        colors = [ids[sig] for sig in signatures]
+        if len(distinct) == classes:
+            break
+        classes = len(distinct)
+    histogram = [0] * classes
+    for c in colors:
+        histogram[c] += width
+    return (tuple(rounds), tuple(histogram)), tuple(c for c in colors for _ in range(width))
 
 
 def conjugacy_partition(elements, mul, inv):

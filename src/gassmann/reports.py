@@ -275,8 +275,8 @@ def _verify_isomorphism_classes(item: dict, config: dict, items: _Items,
     """Witnesses map each graph onto its class's first member; first members are
     pairwise non-isomorphic, as the leader search that graphs runs finds them.  An
     orbit witness is checked on the q representatives' rows, with no graph's rows
-    expanded, and a permutation on every row.  The classes state facts, not a claim:
-    their evidence always gives true."""
+    expanded, and a permutation on every row, each class's first member expanded
+    once.  The classes state facts, not a claim: their evidence always gives true."""
     from .schreier import OrbitWitness, isomorphism_classes, maps_onto, witness_maps_onto
 
     graphs = items.graphs()
@@ -285,6 +285,7 @@ def _verify_isomorphism_classes(item: dict, config: dict, items: _Items,
         problems.append("class_of and witnesses do not give one entry per coset graph")
         return True
     leaders: dict[int, int] = {}
+    first_rows: dict = {}  # class -> its first member's rows, expanded once
     for k, (c, witness) in enumerate(zip(class_of, witnesses)):
         if c not in leaders:
             if not _same(c, len(leaders)) or witness is not None:
@@ -301,7 +302,9 @@ def _verify_isomorphism_classes(item: dict, config: dict, items: _Items,
         else:
             holds = (isinstance(witness, list)
                      and _same(sorted(witness), list(range(graphs[k].n)))
-                     and maps_onto(graphs[k].rows, first.rows, witness))
+                     and maps_onto(graphs[k].rows,
+                                   first_rows.get(c) or first_rows.setdefault(c, first.rows),
+                                   witness))
         if not holds:
             problems.append(f"witness of graph {k} does not map it onto graph {leaders[c]}")
     # a search past its budget raises SizeCapExceeded, which verify_report lists

@@ -15,18 +15,20 @@ graph states the rank r of the (Z/p)^r it carries.  So a graph is the
 sorted neighbour rows of its q orbit representatives (0, b, 0), its
 voltage graph, each other row a translate of its representative's: the
 build, the characteristic polynomial, the refinement and the
-non-isomorphism verdicts read those q rows alone.  All
-q² rows are expanded on demand, for the search below the root, the
-witness checks and the exports; the dense adjacency matrix is a view of
-them for the oracles only.  This module is the one place that makes a
-graph: graphs and verify both build through build_coset_graph, and rows
-made outside the closed form, by the oracles or in tests, enter through
-CosetGraph.from_rows, where check_centre certifies every row against the
-translation rule in one pass before anything reads the action.  The graphs
+non-isomorphism verdicts read those q rows alone.  All q² rows are
+expanded at each read, for the search below the root, the witness checks
+and the exports, and no graph keeps them; the dense adjacency matrix is a
+view of them for the oracles only.  This module is the one place that
+makes a graph: graphs and verify both build through build_coset_graph,
+and rows made outside the closed form, by the oracles or in tests, enter
+through CosetGraph.from_rows, where check_centre certifies every row
+against the translation rule in one pass before anything reads the
+action.  The graphs
 of one ring and generator set share their family's work, made once per
 (group, generators) as the transversal and the modulus are: the skeleton
 of the rows, into which f enters only through f(s0), one value per
-generator, and the automorphisms that fix the generators.
+distinct first coordinate s0 of a generator, and the automorphisms that
+fix the generators.
 A graph's characteristic polynomial has one route, char_poly: the product
 of small blocks, one per orbit of characters of its free action under
 Galois conjugation (the voltage-graph factorisation), each split into
@@ -49,22 +51,23 @@ multiplication by (0, β, 0) maps that onto the graph of its class rep, so
 each graph outside its orbit's first member gets that vertex map, four
 integers, as its witness.  It commutes with the centre up to relabelling
 by λμσ, so it is checked on the q representatives' rows, with no graph's
-rows expanded.  Only the orbits' first members are compared: by canonical
-colour-refinement invariants, cached per graph and computed on the orbit
-representatives, since the colours of a refinement from one colour are
-constant on the centre's orbits, and where they agree by a search that
-individualises and refines, within a budget of refinement nodes; at the
-root, a failed candidate rules out its whole orbit, since the centre acts
-by colour-preserving automorphisms.  isomorphism_classes buckets them by
-invariant, and verify runs it again on the first members of a report's
-classes.  That search over the whole family is the orbits' oracle in the
-tests, and the plain permutation search in ``gassmann.oracles`` the
-search's, through the dense match and witness checks kept here.
+rows expanded.  Only the orbits' first members are compared: by the
+digests of canonical colour-refinement invariants, cached per graph and
+computed on the orbit representatives, since the colours of a refinement
+from one colour are constant on the centre's orbits, and where they agree
+by a search that individualises and refines, within a budget of
+refinement nodes; at the root, a failed candidate rules out its whole
+orbit, since the centre acts by colour-preserving automorphisms.  A
+digest collision only lets a search run, whose witness is checked.
+isomorphism_classes buckets them by digest, and verify runs it again on
+the first members of a report's classes.  That search over the whole
+family is the orbits' oracle in the tests, and the plain permutation
+search in ``gassmann.oracles`` the search's, through the dense match and
+witness checks kept here.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import chain, product
 from math import comb, gcd
@@ -121,11 +124,11 @@ class CosetGraph:
     (v, multiplicity) pairs of the neighbours v of vertex a·p^r in
     increasing v, loops included, and every other row is a translate.  At
     rank 0 they are all the rows.  ``rows``, every vertex's row, is expanded
-    from them for the search below the root, the witness checks and the
-    exports; ``adjacency`` is the dense matrix derived from the rows, for the
-    oracles only.  build_coset_graph makes the representatives' rows in
-    closed form; from_rows takes rows made elsewhere, once check_centre has
-    certified them.
+    from them at each read and not kept, for a search below the root, the
+    witness checks and the exports; ``adjacency`` is the dense matrix derived
+    from the rows, for the oracles only.  build_coset_graph makes the
+    representatives' rows in closed form; from_rows takes rows made
+    elsewhere, once check_centre has certified them.
     """
 
     def __init__(self, group: Heisenberg, subgroup_label: str, gens: tuple[GroupElement, ...],
@@ -158,7 +161,7 @@ class CosetGraph:
         """p^rank, the size of the orbits of the graph's free action."""
         return self.group.ring.p ** self.rank
 
-    @cached_property
+    @property
     def rows(self) -> Rows:
         """Every vertex's row: each representative's own, then its translates by t = 1, 2, ..."""
         plus = _digit_sums(self.group.ring.p, self.rank)[1:]  # plus[0] is the identity
@@ -172,21 +175,23 @@ class CosetGraph:
         return tuple(tuple(dict(row).get(v, 0) for v in range(self.n)) for row in self.rows)
 
     @cached_property
-    def refinement(self) -> tuple[tuple, tuple[int, ...]]:
-        """colour_refinement on the representatives' rows, cached: (invariant, colours)."""
+    def refinement(self) -> tuple[int, tuple[int, ...]]:
+        """colour_refinement on the representatives' rows, cached: (digest, colours)."""
         return colour_refinement(self.reps, self.centre_width)
 
     def edge_list(self) -> list[tuple[int, int, int]]:
         """(u, v, multiplicity) with u <= v, loops included."""
         return [(u, v, mult) for u, row in enumerate(self.rows) for v, mult in row if u <= v]
 
-    def to_dot(self, name: str = "coset_graph") -> str:
-        lines = [f"graph {name} {{"]
-        for u, v, mult in self.edge_list():
-            suffix = f' [label="{mult}"]' if mult > 1 else ""
-            lines.append(f"  {u} -- {v}{suffix};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+
+def to_dot(edges: Sequence[tuple[int, int, int]], name: str = "coset_graph") -> str:
+    """The graph of these CosetGraph.edge_list edges in DOT."""
+    lines = [f"graph {name} {{"]
+    for u, v, mult in edges:
+        suffix = f' [label="{mult}"]' if mult > 1 else ""
+        lines.append(f"  {u} -- {v}{suffix};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def build_coset_graph(sub: TwistedSubgroup, gens: Sequence[GroupElement],
@@ -202,7 +207,7 @@ def build_coset_graph(sub: TwistedSubgroup, gens: Sequence[GroupElement],
     additively, so the row of (0, b, c) is the translate by index(c) of the
     row of (0, b, 0), and only those q representative rows are computed and
     stored, with the ring's dimension as the rank.  f enters them only
-    through f(s0), one value per generator: the family's skeleton holds the
+    through f(s0), one value per distinct s0: the family's skeleton holds the
     rest, and each entry is its skeleton entry shifted by index(-f(s0)).  No
     group element is walked, and no other row is written.
     ``oracles.coset_graph_bruteforce`` labels the cosets of any subgroup by
@@ -219,7 +224,7 @@ def build_coset_graph(sub: TwistedSubgroup, gens: Sequence[GroupElement],
     family = _family(group, tuple(gens))
     f, neg, index = sub.f.apply, ring.neg, family.index
     plus = _digit_sums(ring.p, ring.dim)
-    shifts = [plus[index[neg(f(s0))]] for s0, _, _ in family.gens]
+    shifts = [plus[index[neg(f(s0))]] for s0 in family.firsts]
     return CosetGraph(group=group, subgroup_label=sub.label(), gens=family.gens,
                       vertices=transversal(ring), reps=family.reps(shifts), rank=ring.dim)
 
@@ -231,9 +236,10 @@ class _Family:
 
     In the row of (0, b, 0), the generator s = (s0, s1, s2) goes to vertex
     index(b + s1)·q + index(s2 - s0·(b + s1) - f(s0)).  moves[index(b)] holds,
-    per generator gens[k], (k, index(b + s1)·q, index(s2 - s0·(b + s1))), which
-    does not depend on f; a graph's entry is base + shifts[k][c] for the table
-    shifts[k] = plus[index(-f(s0))] of _digit_sums, which adds -f(s0).
+    per generator, (k, index(b + s1)·q, index(s2 - s0·(b + s1))) for s0 = firsts[k],
+    the distinct first coordinates of the generators, which does not depend on f;
+    a graph's entry is base + shifts[k][c] for the table shifts[k] =
+    plus[index(-f(s0))] of _digit_sums, which adds -f(s0).
     """
 
     def __init__(self, group: Heisenberg, given: tuple[GroupElement, ...]):
@@ -245,18 +251,29 @@ class _Family:
         add, times, neg = ring.add, ring.mul, ring.neg
         self.ring, self.gens = ring, gens
         self.index = {x: i for i, x in enumerate(els)}
-        index = self.index
+        self.firsts = tuple(sorted({s0 for s0, _, _ in gens}))
+        index, slot = self.index, {s0: k for k, s0 in enumerate(self.firsts)}
         self.moves = tuple(
-            tuple((k, index[b1] * q, index[add(s2, neg(times(s0, b1)))])
-                  for k, (s0, s1, s2) in enumerate(gens) for b1 in (add(b, s1),))
+            tuple((slot[s0], index[b1] * q, index[add(s2, neg(times(s0, b1)))])
+                  for s0, s1, s2 in gens for b1 in (add(b, s1),))
             for b in els)
 
     def reps(self, shifts: Sequence[Sequence[int]]) -> Rows:
-        """The representatives' rows of the graph whose generator k adds the shift
-        table shifts[k] to the c-index of its skeleton entries."""
-        return tuple(
-            tuple(sorted(Counter([base + shifts[k][c] for k, base, c in moved]).items()))
-            for moved in self.moves)
+        """The representatives' rows of the graph whose generators with first
+        coordinate firsts[k] add the shift table shifts[k] to the c-index of their
+        skeleton entries; each row's sorted targets merge into (v, multiplicity)."""
+        rows = []
+        for moved in self.moves:
+            row: list[tuple[int, int]] = []
+            last = -1
+            for v in sorted([base + shifts[k][c] for k, base, c in moved]):
+                if v == last:
+                    row[-1] = (v, row[-1][1] + 1)
+                else:
+                    row.append((v, 1))
+                    last = v
+            rows.append(tuple(row))
+        return tuple(rows)
 
     @cached_property
     def automorphisms(self) -> tuple[tuple[int, int, int], ...]:
@@ -644,11 +661,11 @@ def char_poly(graph: CosetGraph, cap: Optional[int] = None) -> SpectrumPolynomia
 # ---------------------------------------------------------------------------
 
 
-def colour_refinement(reps: Rows, width: int = 1) -> tuple[tuple, tuple[int, ...]]:
-    """(invariant, colours) of canonical colour refinement from a single colour.
+def colour_refinement(reps: Rows, width: int = 1) -> tuple[int, tuple[int, ...]]:
+    """(digest, colours) of canonical colour refinement from a single colour.
 
-    Isomorphic graphs have equal invariants, so distinct invariants prove
-    two graphs non-isomorphic.  ``width`` is the size of the orbits of a
+    Isomorphic graphs have equal invariants, so distinct digests prove two
+    graphs non-isomorphic.  ``width`` is the size of the orbits of a
     certified free action by automorphisms, and ``reps`` the rows of their
     representatives a·width, as a CosetGraph keeps them; at width 1 they are
     all the rows.  One colour per orbit is refined, with the same result as
@@ -657,15 +674,17 @@ def colour_refinement(reps: Rows, width: int = 1) -> tuple[tuple, tuple[int, ...
     return _refine(reps, [0] * len(reps), width)
 
 
-def _refine(reps: Rows, colors: Sequence[int], width: int = 1) -> tuple[tuple, tuple[int, ...]]:
+def _refine(reps: Rows, colors: Sequence[int], width: int = 1) -> tuple[int, tuple[int, ...]]:
     """Canonical colour refinement (1-WL with multiplicities and loops).
 
     Each round colours a vertex by the index of its signature (own colour,
-    loop count, then its sorted (neighbour colour, multiplicity) pairs) in the
+    loop count, then the sorted colour(u)·S + multiplicity over neighbours
+    u, S above every multiplicity, which sorts as the pairs do) in the
     round's sorted list of distinct signatures, until no class splits.  Ids
     depend on signatures alone, so when two graphs give equal invariants
-    (the per-round signature lists plus the final colour histogram) a
-    colour id means the same in both.  Returns (invariant, colours).
+    (the per-round signature lists, the final colour histogram and S) a
+    colour id means the same in both.  Returns (digest, colours), the
+    digest Python's hash of the invariant.
 
     ``colors`` holds one colour per orbit a·width, ..., a·width + width - 1
     of automorphisms that fix every colour, and ``reps`` the rows of the
@@ -676,16 +695,14 @@ def _refine(reps: Rows, colors: Sequence[int], width: int = 1) -> tuple[tuple, t
     loops = [next((mult for u, mult in row if u == a * width), 0) for a, row in enumerate(reps)]
     if width > 1:
         reps = [[(v // width, mult) for v, mult in row] for row in reps]
+    scale = 1 + max((mult for row in reps for _, mult in row), default=0)
     rounds = []
     classes = len(set(colors))
     while True:
-        signatures = []
-        for a, row in enumerate(reps):
-            pairs = sorted([(colors[u], mult) for u, mult in row])
-            # flat rather than nested pairs: a third of the memory kept per graph
-            signatures.append((colors[a], loops[a], *chain.from_iterable(pairs)))
+        signatures = [(colors[a], loops[a], *sorted([colors[u] * scale + mult for u, mult in row]))
+                      for a, row in enumerate(reps)]
         distinct = sorted(set(signatures))
-        rounds.append(tuple(distinct))
+        rounds.append(hash(tuple(distinct)))
         ids = {sig: i for i, sig in enumerate(distinct)}
         colors = [ids[sig] for sig in signatures]
         if len(distinct) == classes:
@@ -694,7 +711,8 @@ def _refine(reps: Rows, colors: Sequence[int], width: int = 1) -> tuple[tuple, t
     histogram = [0] * classes
     for c in colors:
         histogram[c] += width
-    return (tuple(rounds), tuple(histogram)), tuple(c for c in colors for _ in range(width))
+    return (hash((tuple(rounds), tuple(histogram), scale)),
+            tuple(c for c in colors for _ in range(width)))
 
 
 def _individualize(colors: Sequence[int], v: int) -> list[int]:
@@ -706,11 +724,11 @@ def _search(rows1: Rows, rows2: Rows, colors1: Sequence[int], colors2: Sequence[
             refine, width: int = 1) -> Optional[list[int]]:
     """Individualise-and-refine search for an isomorphism respecting the colours.
 
-    The colourings come from refinements with equal invariants.  At a
+    The colourings come from refinements with equal digests.  At a
     discrete colouring the matching is forced and checked on the edges;
     otherwise one vertex v of the smallest non-singleton cell of g1 is
     individualised against each vertex u of the same cell of g2, and a branch
-    survives only if both refinements give the same invariant.  ``refine``
+    survives only if both refinements give the same digest.  ``refine``
     is ``_refine`` behind the search's node budget.  ``width`` is the orbit
     size of the translations of check_centre when they are automorphisms of
     g2 that fix colors2, as the centre's fix its refinement from one colour.
@@ -723,16 +741,17 @@ def _search(rows1: Rows, rows2: Rows, colors1: Sequence[int], colors2: Sequence[
         cells.setdefault(c, []).append(v)
     if len(cells) == len(colors1):
         position = {c: u for u, c in enumerate(colors2)}
-        witness = [position[c] for c in colors1]
+        # -1 where colors2 lacks a colour, as after a digest collision
+        witness = [position.get(c, -1) for c in colors1]
         return witness if maps_onto(rows1, rows2, witness) else None
     _, target = min((len(cell), c) for c, cell in cells.items() if len(cell) > 1)
-    invariant, refined1 = refine(rows1, _individualize(colors1, cells[target][0]))
+    digest, refined1 = refine(rows1, _individualize(colors1, cells[target][0]))
     failed = set()  # orbits of g2 with a failed branch
     for u, c in enumerate(colors2):
         if c != target or u // width in failed:
             continue
         other, refined2 = refine(rows2, _individualize(colors2, u))
-        if other == invariant:
+        if other == digest:
             # individualised colourings are not fixed by the centre: width 1 below the root
             witness = _search(rows1, rows2, refined1, refined2, refine)
             if witness is not None:
@@ -769,12 +788,13 @@ def are_isomorphic(g1: CosetGraph, g2: CosetGraph,
                    cap: int = DEFAULT_ISO_NODES) -> IsomorphismResult:
     """Exact isomorphism, with a witness w that maps_onto(g1.rows, g2.rows, w).
 
-    Different vertex counts or refinement invariants rule it out, and equal
+    Different vertex counts or refinement digests rule it out, and equal
     representatives' rows give the identity, before either graph's rows are
     expanded: with n = len(reps)·p^r equal, the orbits have one width p^r,
     which fixes p and r, so the rows are equal too.  Otherwise the search
-    runs on the rows, its root pruned by the second graph's action.  It runs
-    at most ``cap`` refinements and raises SizeCapExceeded past them.
+    runs on the rows, expanded for it alone, its root pruned by the second
+    graph's action.  It runs at most ``cap`` refinements and raises
+    SizeCapExceeded past them.
     """
     if g1.n != g2.n:
         return IsomorphismResult(False, None)
@@ -806,10 +826,10 @@ def isomorphism_classes(graphs: Sequence[CosetGraph]):
     class_of[k] is the class id of graph k, ids in order of first
     appearance; witnesses[k] maps graph k onto the first member of its
     class, and is None for that first member.  Isomorphic graphs share
-    their refinement invariant, so the graphs are bucketed by it, and each
+    their refinement digest, so the graphs are bucketed by it, and each
     graph is searched only against the first members in its bucket.
     """
-    buckets: dict[tuple, list[int]] = {}
+    buckets: dict[int, list[int]] = {}
     class_of: list[int] = []
     witnesses: list[Optional[tuple[int, ...]]] = []
     classes = 0

@@ -133,12 +133,16 @@ def test_oracles_stay_out_of_production_and_bench_bindings_resolve(tmp_path):
 
 def test_certify_and_its_verify_load_only_what_they_run(tmp_path):
     # (a) no production module imports dataclasses, whose code generation and imports
-    # (inspect, ast, dis, tokenize) cost more start-up than the work of small commands
-    importers = [path.name for path in PRODUCTION
-                 if _imports(ast.parse(path.read_text(), str(path)), "dataclasses")]
-    assert importers == []
+    # (inspect, ast, dis, tokenize) cost more start-up than the work of small commands,
+    # nor hashlib, a few ms to import where Python's hash of int tuples digests the
+    # refinement invariants
+    for module in ("dataclasses", "hashlib"):
+        importers = [path.name for path in PRODUCTION
+                     if _imports(ast.parse(path.read_text(), str(path)), module)]
+        assert importers == []
     assert _imports(ast.parse("from dataclasses import dataclass"), "dataclasses")
     assert _imports(ast.parse("import dataclasses"), "dataclasses")
+    assert _imports(ast.parse("from hashlib import sha256"), "hashlib")
     # (b) certify loads neither those nor the place scanner, and verify of its report
     # not the coset graphs either: each item kind imports what its verifier runs
     report = str(tmp_path / "certify.json")

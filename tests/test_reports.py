@@ -190,7 +190,7 @@ def test_graphs_and_verify_expand_no_graph_with_an_orbit_witness(monkeypatch):
     expanded = []
     rows = schreier.CosetGraph.rows
     monkeypatch.setattr(schreier.CosetGraph, "rows", property(
-        lambda graph: expanded.append(graph.subgroup_label) or rows.func(graph)))
+        lambda graph: expanded.append(graph.subgroup_label) or rows.fget(graph)))
     report, _ = cmd_graphs(5, 2)
     assert verify_report(report) == []
     witnesses = _item(report, "isomorphism-classes")["witnesses"]
@@ -198,6 +198,36 @@ def test_graphs_and_verify_expand_no_graph_with_an_orbit_witness(monkeypatch):
     witnessed = {heisenberg.twist_label(reps[k]) for k, w in enumerate(witnesses)
                  if isinstance(w, dict)}
     assert len(witnessed) == 16 and witnessed.isdisjoint(expanded)
+
+
+def test_each_reader_expands_a_graph_once(monkeypatch):
+    # no graph keeps its rows, so each reader expands them once: the exports once per
+    # graph for both files, and verify once per permutation witness and per first
+    # member of its class, however many members the class has
+    expanded = []
+    rows = schreier.CosetGraph.rows
+    monkeypatch.setattr(schreier.CosetGraph, "rows", property(
+        lambda graph: expanded.append(graph.subgroup_label) or rows.fget(graph)))
+    cmd_graphs(3, 2)
+    searched = list(expanded)
+    report, exports = cmd_graphs(3, 2, exports=True)
+    spec = make_field(3, 2)
+    labels = [heisenberg.twist_label(f) for f in enumerate_class_reps(spec).reps]
+    assert len(exports) == 3 * len(labels)
+    assert sorted(expanded[len(searched):]) == sorted(searched + labels)
+    # classes {1, 2, 3, 6} and {4, 5, 7, 8}, each member's orbit witness made a permutation
+    classes = _item(report, "isomorphism-classes")
+    for k, witness in enumerate(classes["witnesses"]):
+        if isinstance(witness, dict):
+            orbit = schreier.OrbitWitness(*map(witness.get, reports._WITNESS_KEYS))
+            classes["witnesses"][k] = list(schreier.witness_permutation(spec, orbit))
+    assert classes["class_of"] == [0, 1, 1, 1, 2, 2, 1, 2, 2]
+    # the first members' search apart, which isomorphism_classes runs
+    monkeypatch.setattr(schreier, "isomorphism_classes",
+                        lambda graphs: (list(range(len(graphs))), [None] * len(graphs)))
+    expanded.clear()
+    assert verify_report(report) == []
+    assert sorted(expanded) == sorted(labels[1:])
 
 
 class _TwoSpectra(reports._Items):

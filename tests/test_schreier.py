@@ -258,16 +258,18 @@ def test_the_graph_layer_reads_the_representatives_rows_alone():
         assert len(graph.reps) == 8 and graph.n == 64
         char_poly(graph)
         assert oracles.connected(graph) and graph.refinement
+        # the invariant is kept as one digest
+        assert type(graph.refinement[0]) is int
     apart = [(g1, g2) for g1 in graphs for g2 in graphs
              if g1.refinement[0] != g2.refinement[0]]
     assert apart and not any(are_isomorphic(g1, g2).isomorphic for g1, g2 in apart)
     assert are_isomorphic(graphs[0], graphs[0]).witness == tuple(range(64))
     assert not any("rows" in vars(graph) for graph in graphs)
-    # the search between graphs with equal invariants reads the rows, and keeps them
+    # the search between graphs with equal invariants reads the rows, and drops them
     g1, g2 = next((g1, g2) for g1 in graphs for g2 in graphs
                   if g1 is not g2 and g1.refinement[0] == g2.refinement[0])
     are_isomorphic(g1, g2)
-    assert "rows" in vars(g1) and "rows" in vars(g2)
+    assert "rows" not in vars(g1) and "rows" not in vars(g2)
 
 
 def test_default_generators_reduce_to_classic_pair_at_m1():
@@ -279,7 +281,7 @@ def test_default_generators_reduce_to_classic_pair_at_m1():
 
 def test_exports():
     graph = build_coset_graph(horizontal_subgroup(G4), GENS4)
-    dot = graph.to_dot()
+    dot = schreier.to_dot(graph.edge_list())
     assert dot.startswith("graph") and "--" in dot
     edges = graph.edge_list()
     assert all(u <= v and mult >= 1 for u, v, mult in edges)
@@ -1063,7 +1065,7 @@ def test_orbit_classes_refine_and_search_the_orbit_leaders_alone(monkeypatch):
     monkeypatch.setattr(CosetGraph, "refinement", property(
         lambda graph: refined.append(graphs.index(graph)) or refinement.func(graph)))
     monkeypatch.setattr(CosetGraph, "rows", property(
-        lambda graph: expanded.append(graph) or rows.func(graph)))
+        lambda graph: expanded.append(graph) or rows.fget(graph)))
     monkeypatch.setattr(schreier, "are_isomorphic", lambda g1, g2: searched.append(
         (graphs.index(g1), graphs.index(g2))) or search(g1, g2))
     class_of, witnesses = orbit_classes(enumerate_class_reps(F9).reps, graphs)
@@ -1084,6 +1086,51 @@ def test_colour_refinement_is_the_cached_graph_refinement():
             assert graph.centre_width == spec.size
             assert colour_refinement(graph.rows) == graph.refinement
             assert schreier._refine(graph.rows, [0] * graph.n) == graph.refinement
+
+
+def test_packed_refinement_keeps_the_pair_refinement():
+    # the reference refinement by (colour, multiplicity) pairs gives the same colours,
+    # and its whole invariants are equal exactly where the digests are, pair by pair:
+    # at the root on the representatives' rows (width q), and below it on all the rows
+    # with each vertex of the smallest non-singleton root cell individualised (width 1)
+    for spec, sample in ((F4, None), (make_field(2, 3), None), (make_field(3, 2), None),
+                         (make_trunc_ring(2, 2), None), (make_trunc_ring(3, 2), None),
+                         (make_field(2, 4), 6), (make_field(5, 2), 3)):
+        root, below = [], []
+        for graph in _rep_graphs(spec, sample=sample):
+            start = [0] * len(graph.reps)
+            root.append((schreier._refine(graph.reps, start, spec.size),
+                         oracles.refine_by_pairs(graph.reps, start, spec.size)))
+            colours, rows = root[-1][0][1], graph.rows
+            _, target = min((size, c) for c, size in Counter(colours).items() if size > 1)
+            for v in (v for v, c in enumerate(colours) if c == target):
+                split = schreier._individualize(colours, v)
+                below.append((schreier._refine(rows, split), oracles.refine_by_pairs(rows, split)))
+        for results in (root, below):
+            assert all(packed[1] == pairs[1] for packed, pairs in results)
+            # equal digests exactly where the invariants are equal: the pairs of
+            # (digest, invariant) are as many as the distinct digests and invariants
+            digests, invariants = ([r[0] for r in side] for side in zip(*results))
+            assert (len(set(digests)) == len(set(invariants))
+                    == len(set(zip(digests, invariants))))
+        # below the root some invariants agree and some differ
+        assert 1 < len(set(digests)) < len(digests)
+
+
+def test_colliding_digests_only_let_a_search_run(monkeypatch):
+    # were every digest equal, every pair would be searched, to the same classes, and
+    # a leaf whose colourings differ would be no witness rather than an error
+    refine = schreier._refine
+    for spec in (F4, make_field(3, 2), make_trunc_ring(2, 2), make_trunc_ring(3, 2)):
+        class_of, _ = isomorphism_classes(_rep_graphs(spec))
+        monkeypatch.setattr(schreier, "_refine", lambda *args: (0, refine(*args)[1]))
+        graphs = _rep_graphs(spec)
+        collided, witnesses = isomorphism_classes(graphs)
+        monkeypatch.setattr(schreier, "_refine", refine)
+        assert collided == class_of
+        firsts = [graphs[class_of.index(c)] for c in class_of]
+        assert all(w is None or maps_onto(graph.rows, first.rows, w)
+                   for graph, first, w in zip(graphs, firsts, witnesses))
 
 
 # field -> refinement nodes of the searches between its class-rep graphs, with the
