@@ -13,13 +13,12 @@ import gc
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from . import certify as cz
-from . import planner as pl
 from . import reports as rp
+# at the top, not in cmd_graphs: bench/child.py's tracer patches it before main runs
 from . import schreier as sg
 from .errors import GassmannError, NotGenerating, SpecMismatch, UsageError
 from .heisenberg import generates, heisenberg_group, twisted_subgroup
@@ -174,16 +173,20 @@ def cmd_tower(p: int, j_max: int, cap: Optional[int] = None) -> dict:
 
 
 def cmd_places(ell: int, bound: int, q: Optional[int] = None,
-               tol: Fraction = Fraction(1, 50)) -> tuple[dict, Iterator[dict]]:
+               tol: str = "1/50") -> tuple[dict, Iterator[dict]]:
     """The places report, and the records of the primes of residue degree ell, which
-    the report counts and --format jsonl lists, each made only when it is read."""
+    the report counts and --format jsonl lists, each made only when it is read; tol is
+    a decimal or a fraction."""
+    from fractions import Fraction
+
     from .places import choose_modulus, scan_places
 
+    tolerance = Fraction(tol)
     if q is None:
         q = choose_modulus(ell)
     scan = scan_places(ell, q, bound)
     report = rp.new_report(
-        "places", {"ell": ell, "q": q, "bound": bound, "tolerance": str(Fraction(tol))}
+        "places", {"ell": ell, "q": q, "bound": bound, "tolerance": str(tolerance)}
     )
     # the density and its target (ell-1)/ell are closed forms of the counts and the
     # config, which verify derives; the verdict is the density within the tolerance
@@ -192,7 +195,7 @@ def cmd_places(ell: int, bound: int, q: Optional[int] = None,
             "kind": "place-scan",
             "scanned": scan.scanned,
             "degree_ell_count": scan.degree_ell_count,
-            "holds": scan.density_gap() <= tol,
+            "holds": scan.density_gap() <= tolerance,
         }
     )
     records = ({"p": p, "q": q, "ell": ell, "degree": ell, "residue_size": str(p**ell)}
@@ -206,8 +209,10 @@ def cmd_places(ell: int, bound: int, q: Optional[int] = None,
 
 
 def cmd_plan(args: argparse.Namespace) -> dict:
+    from .planner import PLAN_OPS
+
     name, options = args.plan_op, vars(args)
-    op = pl.PLAN_OPS[name]
+    op = PLAN_OPS[name]
     # an option without a default is None until given, and an op needs those it always reads
     missing = [option for option in op.reads if options[option] is None]
     if missing:
@@ -227,7 +232,9 @@ def cmd_plan(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The gassmann parser; the plan subparser gets its op and options, which the
+    planner lists, only where the command is plan."""
     parser = argparse.ArgumentParser(
         prog="gassmann",
         description="Exact certification of almost-conjugate subgroup families, "
@@ -265,10 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="density tolerance, decimal or fraction")
 
     p_plan = sub.add_parser("plan", parents=[common], help="exact inequality certification")
-    p_plan.add_argument("plan_op", choices=list(pl.PLAN_OPS))
-    for name, (default, form) in pl.PLAN_OPTIONS.items():
-        p_plan.add_argument("--" + name.replace("_", "-"), default=default,
-                            type=int if form is int else str)
+    if command == "plan":
+        from .planner import PLAN_OPS, PLAN_OPTIONS
+
+        p_plan.add_argument("plan_op", choices=list(PLAN_OPS))
+        for name, (default, form) in PLAN_OPTIONS.items():
+            p_plan.add_argument("--" + name.replace("_", "-"), default=default,
+                                type=int if form is int else str)
 
     p_verify = sub.add_parser("verify", parents=[common], help="re-run the certificates in a report")
     p_verify.add_argument("report", type=Path)
@@ -290,7 +300,9 @@ def _write_outputs(args, report: dict, exports: dict[str, str]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser has no option but --help, so the command comes first
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     started = time.perf_counter()
     exports: dict[str, str] = {}
@@ -306,8 +318,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "tower":
             report = cmd_tower(args.p, args.j_max, cap=args.cap)
         elif args.command == "places":
-            report, records = cmd_places(args.ell, args.bound, q=args.q,
-                                         tol=Fraction(args.tol))
+            report, records = cmd_places(args.ell, args.bound, q=args.q, tol=args.tol)
         elif args.command == "plan":
             report = cmd_plan(args)
         elif args.command == "verify":

@@ -14,19 +14,23 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NotPrime, SizeCapExceeded, SpecMismatch
-from .rings import is_prime, primes_up_to
+from .rings import PRIME_EXACT_LIMIT, is_prime, primes_up_to
 
 
-# The modulus search, the scan and its verification go no further than this: the
-# scan sieves the primes up to its bound, and the search tries the candidates for q
+# The modulus search and the scan's bound go no further than this: the scan sieves
+# the primes up to its bound, and the search tries the candidates for q
 SCAN_LIMIT = 10**7
 
 
 def check_scan_limit(q: int, bound: int) -> None:
-    """Raise SizeCapExceeded unless the modulus and the bound are within SCAN_LIMIT."""
-    for name, value in (("bound", bound), ("q", q)):
-        if value > SCAN_LIMIT:
-            raise SizeCapExceeded(f"{name}={value} exceeds the scan limit {SCAN_LIMIT}")
+    """Raise SizeCapExceeded unless the bound is within SCAN_LIMIT and q is below
+    PRIME_EXACT_LIMIT, where is_prime proves a prime: the power test costs one pow
+    mod q per sieved prime, whatever q is."""
+    if bound > SCAN_LIMIT:
+        raise SizeCapExceeded(f"bound={bound} exceeds the scan limit {SCAN_LIMIT}")
+    if q >= PRIME_EXACT_LIMIT:
+        raise SizeCapExceeded(f"q={q} is not below {PRIME_EXACT_LIMIT}, where is_prime "
+                              "proves a prime")
 
 
 def choose_modulus(ell: int) -> int:
@@ -76,8 +80,8 @@ def scan_places(ell: int, q: int, bound: int) -> ScanResult:
     each characteristic in the output is realized exactly once.
     """
     check_scan_limit(q, bound)
-    # a valid ell divides q - 1 <= SCAN_LIMIT, so ell is compared with q before any
-    # primality test
+    # a valid ell divides q - 1 < PRIME_EXACT_LIMIT, so ell is compared with q before
+    # any primality test
     if ell >= q:
         raise SpecMismatch(f"q={q} is not a prime = 1 mod {ell}")
     if not is_prime(ell):

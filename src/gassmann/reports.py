@@ -25,7 +25,6 @@ not write.  Large integers travel as decimal strings.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -330,6 +329,8 @@ def _verify_tower_count(item: dict, config: dict, items: _Items, problems: list[
 def _verify_place_scan(item: dict, config: dict, items: _Items, problems: list[str]) -> bool:
     """The scan again, by the power test that places runs; the verdict is the rescan's
     density within the config's tolerance of (ell-1)/ell."""
+    from fractions import Fraction
+
     from .places import scan_places
 
     rescan = scan_places(config["ell"], config["q"], config["bound"])
@@ -345,6 +346,8 @@ def _verify_plan(item: dict, config: dict, items: _Items, problems: list[str]) -
     """The op's validation and certificate run on the stored inputs, read in the form
     plan writes them, and result, so every closed-form result field and every check
     is derived, not read."""
+    from fractions import Fraction
+
     from .planner import PLAN_OPS, power_bits
 
     name, stored = item["op"], item["checks"]

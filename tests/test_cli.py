@@ -503,10 +503,15 @@ def _capped_cli(*argv: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-# 1000000009 is a prime = 1 mod 3
+# PRIME_EXACT_LIMIT = 1 mod 3 is the least composite that is_prime accepts, so a q at
+# it is refused by its size before any Miller-Rabin round
+_PAST_PROVED = (f"q={PRIME_EXACT_LIMIT} is not below {PRIME_EXACT_LIMIT}, where is_prime "
+                "proves a prime")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--bound", str(10**11)), "bound=100000000000 exceeds the scan limit 10000000"),
-    (("--bound", "100", "--q", "1000000009"), "q=1000000009 exceeds the scan limit 10000000"),
+    (("--bound", "100", "--q", str(PRIME_EXACT_LIMIT)), _PAST_PROVED),
 ], ids=["bound", "q"])
 def test_places_past_the_scan_limit_exits_2(argv, message):
     run = _capped_cli("places", "--ell", "3", *argv)
@@ -562,8 +567,10 @@ def test_places_near_the_scan_limit_costs_its_scan_alone(tmp_path):
     assert (code, out) == (0, "verified\n") and wall < 0.5 and rss < 60
 
 
-@pytest.mark.parametrize("field, value", [("bound", 10**11), ("q", 1000000009)])
+@pytest.mark.parametrize("field, value", [("bound", 10**11), ("q", PRIME_EXACT_LIMIT)])
 def test_verify_of_a_place_scan_past_the_scan_limit_lists_one_problem(tmp_path, field, value):
+    message = {"bound": f"bound={value} exceeds the scan limit 10000000",
+               "q": _PAST_PROVED}[field]
     _, out, _ = run_cli("places", "--ell", "3", "--bound", "100")
     report = json.loads(out)
     report["config"][field] = value
@@ -572,7 +579,17 @@ def test_verify_of_a_place_scan_past_the_scan_limit_lists_one_problem(tmp_path, 
     run = _capped_cli("verify", str(path))
     assert run.returncode == 1 and run.stdout == "verification failed\n"
     assert run.stderr == ("problem: item 0 (place-scan) fails its check: SizeCapExceeded: "
-                          f"{field}={value} exceeds the scan limit 10000000\n")
+                          f"{message}\n")
+
+
+def test_places_past_the_modulus_search_limit_scans_by_the_power_test():
+    # a stated q is bounded by where is_prime proves it, not by the modulus search's
+    # limit: 1000000009 is a prime = 1 mod 3, and the 25 primes up to 100 cost one
+    # power each
+    code, out, _ = run_cli("places", "--ell", "3", "--q", "1000000009", "--bound", "100")
+    report = json.loads(out)
+    assert code in (0, 1) and report["items"][0]["scanned"] == 25
+    assert verify_report(report) == []
 
 
 def test_places_jsonl_format():
@@ -2158,6 +2175,34 @@ def test_reports_are_byte_identical_across_runs():
 def _one_line_error(err: str, name: str) -> None:
     assert err.startswith(f"error: {name}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _parser_exit(capsys, *argv: str) -> tuple[int, str, str]:
+    """The status, stdout and stderr with which argparse ends cli.main(argv)."""
+    with pytest.raises(SystemExit) as ended:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return ended.value.code, out, err
+
+
+def test_help_lists_the_six_commands(capsys):
+    code, out, _ = _parser_exit(capsys, "--help")
+    assert code == 0 and "{certify,graphs,tower,places,plan,verify}" in out
+
+
+def test_plan_help_lists_every_op_and_option(capsys):
+    # the plan subparser takes its op and options from the planner only for plan
+    code, out, _ = _parser_exit(capsys, "plan", "--help")
+    flags = {line.split()[0] for line in out.splitlines() if line.strip().startswith("--")}
+    assert code == 0 and "{" + ",".join(planner.PLAN_OPS) + "}" in out
+    assert flags == {"--format", "--out"} | {"--" + name.replace("_", "-")
+                                            for name in planner.PLAN_OPTIONS}
+
+
+def test_plan_with_an_unknown_op_exits_2(capsys):
+    code, out, err = _parser_exit(capsys, "plan", "no-such-op")
+    assert code == 2 and out == ""
+    assert "error: argument plan_op: invalid choice: 'no-such-op'" in err
 
 
 def test_plan_missing_required_option_exits_2():

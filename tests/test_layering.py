@@ -1,6 +1,7 @@
 import ast
 import functools
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -62,13 +63,14 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(codes, "gassmann.oracles" in sys.modules)
 """
 
-# certify over GF(4) through cli.main, and verify of its report through reports alone;
-# each prints its result and which of the modules named after the report path it loaded
-CERTIFY_RUN = """
-import contextlib, io, sys
+# a command through cli.main, its argv given as JSON, and verify of a report through
+# reports alone; each prints its result and which of the modules named after its first
+# argument it loaded
+COMMAND_RUN = """
+import contextlib, io, json, sys
 from gassmann import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["certify", "--p", "2", "--m", "2", "--out", sys.argv[1]])
+    code = cli.main(json.loads(sys.argv[1]))
 print(code, sorted(set(sys.argv[2:]) & set(sys.modules)))
 """
 VERIFY_RUN = """
@@ -143,12 +145,30 @@ def test_certify_and_its_verify_load_only_what_they_run(tmp_path):
     assert _imports(ast.parse("from dataclasses import dataclass"), "dataclasses")
     assert _imports(ast.parse("import dataclasses"), "dataclasses")
     assert _imports(ast.parse("from hashlib import sha256"), "hashlib")
-    # (b) certify loads neither those nor the place scanner, and verify of its report
-    # not the coset graphs either: each item kind imports what its verifier runs
+    # (b) certify loads neither those nor the place scanner, nor the planner and the
+    # fractions that only places and plan use, and verify of its report not the coset
+    # graphs either: each item kind imports what its verifier runs
     report = str(tmp_path / "certify.json")
-    unused = ["dataclasses", "inspect", "gassmann.places"]
-    assert _run(CERTIFY_RUN, report, *unused) == "0 []\n"
+    unused = ["dataclasses", "inspect", "gassmann.places", "gassmann.planner", "fractions",
+              "decimal"]
+    argv = ["certify", "--p", "2", "--m", "2", "--out", report]
+    assert _run(COMMAND_RUN, json.dumps(argv), *unused) == "0 []\n"
     assert _run(VERIFY_RUN, report, *unused, "gassmann.schreier") == "[] []\n"
+
+
+def test_graphs_tower_and_their_verify_load_neither_the_planner_nor_the_place_scanner(
+        tmp_path):
+    unused = ["gassmann.planner", "gassmann.places", "fractions", "decimal"]
+    for argv, report in ((["graphs", "--p", "2", "--m", "2", "--out", str(tmp_path / "graphs")],
+                          tmp_path / "graphs" / "report.json"),
+                         (["tower", "--p", "2", "--j-max", "3", "--out", str(tmp_path / "tower")],
+                          tmp_path / "tower")):
+        assert _run(COMMAND_RUN, json.dumps(argv), *unused) == "0 []\n"
+        assert _run(VERIFY_RUN, str(report), *unused) == "[] []\n"
+    # plan does load the planner, so the check above can fail
+    argv = ["plan", "twisted-count", "--p", "2", "--ell0", "37", "--dim-g", "8"]
+    loaded = "0 ['decimal', 'fractions', 'gassmann.planner']\n"
+    assert _run(COMMAND_RUN, json.dumps(argv), *unused) == loaded
 
 
 def test_every_production_definition_is_used_by_production_code():
