@@ -21,7 +21,7 @@ from . import reports as rp
 # at the top, not in cmd_graphs: bench/child.py's tracer patches it before main runs
 from . import schreier as sg
 from .errors import GassmannError, NotGenerating, SpecMismatch, UsageError
-from .heisenberg import generates, heisenberg_group, twisted_subgroup
+from .heisenberg import generates, heisenberg_group
 from .rings import make_field, make_trunc_ring, size_cap
 
 # Everything the imports made lives as long as the process; frozen, no later collection
@@ -94,6 +94,7 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None, cap: Optional[in
                exports: bool = False) -> tuple[dict, dict[str, str]]:
     """The graphs report, and the .dot, .edges and .charpoly.json files of each
     graph by name if ``exports``, else no files."""
+    sg.check_graphs_config(p, m, cap)
     spec = make_field(p, m, cap=cap)
     group = heisenberg_group(spec)
     gens = (
@@ -116,9 +117,7 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None, cap: Optional[in
             "cap": cap or size_cap(),
         },
     )
-    catalog = cz.enumerate_class_reps(spec, cap=cap)
-    subgroups = [twisted_subgroup(f, group) for f in catalog.reps]
-    graphs = [sg.build_coset_graph(sub, gens) for sub in subgroups]
+    maps, graphs = sg.class_rep_graphs(spec, gens, cap)
     # the family is stated by its definition: the class reps in catalog order, each
     # graph's vertices the q^2 cosets and its degree the config's generator count
     report["items"].append({"kind": "coset-graphs", "mode": "class-reps", "count": len(graphs),
@@ -139,7 +138,7 @@ def cmd_graphs(p: int, m: int, gens_text: Optional[str] = None, cap: Optional[in
 
     report["items"].append({"kind": "cospectral", "charpoly": charpoly, "all_equal": True,
                             "holds": True})
-    class_of, witnesses = sg.orbit_classes(catalog.reps, graphs)
+    class_of, witnesses = sg.orbit_classes(maps, graphs)
     report["items"].append(
         {
             "kind": "isomorphism-classes",

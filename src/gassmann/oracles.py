@@ -9,7 +9,8 @@ matching its blocks against H_0's under translations of the orbit index,
 where Sunada's theorem gives H_0's for all and production computes that
 one alone, a search of each coset graph for connectivity,
 where the Burnside basis theorem reads generation off a rank, the
-coset graph of any subgroup by a walk over the whole group, a plain
+least coset members and the coset graph of any subgroup by a walk over
+the whole group, where the closed form numbers the cosets, a plain
 permutation search for graph isomorphism, the colour refinement by
 (colour, multiplicity) pairs with its invariant kept whole, where the
 search digests packed signatures, the orbit expansion of a
@@ -264,38 +265,47 @@ def poly_mul_schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def coset_graph_bruteforce(sub, gens: Sequence[GroupElement],
-                           cap: int = DEFAULT_VERTEX_CAP) -> CosetGraph:
-    """Schreier graph on the right cosets of any subgroup, by a walk over the group.
+def coset_minima(sub, cap: int = DEFAULT_VERTEX_CAP) -> tuple[list[GroupElement], dict]:
+    """(minima, coset_of): the least member of each right coset of any subgroup, in lex
+    order, and the number in that list of the coset of every group element, by a walk.
 
     Elements are walked in lex order; the first one seen of each coset is
-    its least member, which becomes the vertex label, and the whole coset
-    is found by multiplying it by every subgroup member: |G| products.
+    its least member, and the whole coset is found by multiplying it by
+    every subgroup member: |G| products.
     """
     group = sub.group
-    gens = symmetrize_generators(group, gens)
-    if not gens:
-        raise EmptyGeneratorSet("need at least one generator")
     members = sub.elements
     index = group.order // len(members)
     if index > cap:
         raise SizeCapExceeded(f"coset count {index} exceeds vertex cap {cap}")
     coset_of: dict[GroupElement, int] = {}
-    vertices: list[GroupElement] = []
+    minima: list[GroupElement] = []
     for g in group.elements:
         if g in coset_of:
             continue
-        vid = len(vertices)
-        vertices.append(g)
+        vid = len(minima)
+        minima.append(g)
         for h in members:
             coset_of[group.mul(h, g)] = vid
-    if len(vertices) != index:
-        raise SelfCheckFailed(f"found {len(vertices)} cosets, expected {index}")
+    if len(minima) != index:
+        raise SelfCheckFailed(f"found {len(minima)} cosets, expected {index}")
+    return minima, coset_of
+
+
+def coset_graph_bruteforce(sub, gens: Sequence[GroupElement],
+                           cap: int = DEFAULT_VERTEX_CAP) -> CosetGraph:
+    """Schreier graph on the right cosets of any subgroup, by a walk over the group:
+    vertex k is the coset whose least member is coset_minima's k-th."""
+    group = sub.group
+    gens = symmetrize_generators(group, gens)
+    if not gens:
+        raise EmptyGeneratorSet("need at least one generator")
+    minima, coset_of = coset_minima(sub, cap)
     rows = tuple(
         tuple(sorted(Counter(coset_of[group.mul(rep, s)] for s in gens).items()))
-        for rep in vertices
+        for rep in minima
     )
-    return CosetGraph.from_rows(group, sub.label(), gens, vertices, rows, 0)
+    return CosetGraph.from_rows(group, gens, rows, 0)
 
 
 def are_isomorphic_bruteforce(g1: CosetGraph, g2: CosetGraph,
@@ -336,7 +346,8 @@ def refine_by_pairs(reps, colors: Sequence[int], width: int = 1) -> tuple[tuple,
     """(invariant, colours) of the colour refinement that schreier._refine digests,
     with its signatures the flattened sorted (neighbour colour, multiplicity) pairs
     and its invariant kept whole: every round's sorted distinct signatures, then the
-    colour histogram.  It takes the same rows, colours and orbit width."""
+    colour histogram.  It takes the same rows, colours and orbit width, and gives the
+    colours per orbit too."""
     loops = [next((mult for u, mult in row if u == a * width), 0) for a, row in enumerate(reps)]
     if width > 1:
         reps = [[(v // width, mult) for v, mult in row] for row in reps]
@@ -357,7 +368,7 @@ def refine_by_pairs(reps, colors: Sequence[int], width: int = 1) -> tuple[tuple,
     histogram = [0] * classes
     for c in colors:
         histogram[c] += width
-    return (tuple(rounds), tuple(histogram)), tuple(c for c in colors for _ in range(width))
+    return (tuple(rounds), tuple(histogram)), tuple(colors)
 
 
 def conjugacy_partition(elements, mul, inv):

@@ -29,10 +29,9 @@ from itertools import islice
 from typing import TYPE_CHECKING, Any, Optional
 
 from .certify import (check_family_config, conjugate_pair_count, conjugator_oracle_runs,
-                      enumerate_class_reps, family_exponent, family_mode, family_oracles,
-                      orbit_oracle_runs)
+                      family_exponent, family_mode, family_oracles, orbit_oracle_runs)
 from .errors import GassmannError, SpecMismatch
-from .heisenberg import generates, heisenberg_group, twisted_subgroup
+from .heisenberg import generates
 from .rings import make_field, make_trunc_ring, power_within
 
 # A verifier imports the modules of its item kind, so that verify loads only those
@@ -122,9 +121,9 @@ def plan_item(op: str, inputs: dict, result: dict, checks: list[tuple[IneqCheck,
 
 class _Items:
     """A graphs report's coset graphs: the class reps' graphs in catalog order with the
-    config's generators, built once, by the routes that graphs runs, for every
-    verifier that reads them.  A build that fails raises the same error at every
-    call, which verify_report lists once."""
+    config's generators, built once, by schreier.class_rep_graphs as graphs builds
+    them, for every verifier that reads them.  A build that fails raises the same
+    error at every call, which verify_report lists once."""
 
     def __init__(self, items: list[dict], config):
         self.items, self.config = items, config
@@ -136,23 +135,22 @@ class _Items:
         return tuple(tuple(map(tuple, s)) for s in self.config["generators"])
 
     def graphs(self) -> list[CosetGraph]:
-        from .schreier import build_coset_graph
+        from .schreier import class_rep_graphs
 
         if self._failure is not None:
             raise self._failure
         if self._graphs is None:
             p, m, cap = self.config["p"], self.config["m"], self.config["cap"]
             try:
-                spec = make_field(p, m, cap=cap)
-                # the stored class_of list bounds the catalog: one entry per class rep
+                # the stored class_of list bounds the catalog, one entry per class rep,
+                # before the field is made
                 stored = [len(item["class_of"]) for item in self.items
                           if item["kind"] == "isomorphism-classes"]
                 if not (len(stored) == 1
                         and power_within(p, m * (m - 1), stored[0]) == stored[0]):
                     raise SpecMismatch("class_of does not list the p^(m(m-1)) class reps")
-                group = heisenberg_group(spec)
-                self._graphs = [build_coset_graph(twisted_subgroup(f, group), self.generators())
-                                for f in enumerate_class_reps(spec, cap).reps]
+                _, self._graphs = class_rep_graphs(make_field(p, m, cap), self.generators(),
+                                                   cap)
             except GassmannError as exc:
                 self._failure = exc
                 raise
@@ -442,6 +440,9 @@ def _layout_problem(command: str, config: dict, items: list[dict]) -> Optional[s
         check_family_config(config["p"], config["m"], config["cap"])
         ok = kinds == ["class-count", "gassmann-family", "conjugacy-dichotomy"]
     elif command == "graphs":
+        from .schreier import check_graphs_config
+
+        check_graphs_config(config["p"], config["m"], config["cap"])
         ok = kinds == ["coset-graphs", "cospectral", "isomorphism-classes"]
     elif command == "tower":
         # the ring of the last level, checked as tower builds it
@@ -472,7 +473,8 @@ def verify_report(report: dict) -> list[str]:
     try:
         layout = _layout_problem(report.get("command"), config, items)
     except (KeyError, TypeError, ValueError, GassmannError) as exc:
-        layout = f"the config is malformed: {type(exc).__name__}: {exc}"
+        # every item reads the config, so no item verifier runs on one that fails its check
+        return [f"the config is malformed: {type(exc).__name__}: {exc}"]
     problems = ([layout] if layout else []) + _unwritten_keys(report)
     grouped = _Items(items, config)
     failures: list[GassmannError] = []

@@ -3,15 +3,16 @@
 Cosets are right cosets Hg of a twisted subgroup H_f = {(x, 0, f(x))},
 acted on by g -> gs.  The elements (0, b, c) form a transversal: the
 coset of (a, b, c) holds exactly one of them, (0, b, c - f(a) - ab), which
-is also its lexicographically least member and so its vertex label.  A
-generator s = (s0, s1, s2) sends the coset of (0, b, c) to that of
-(0, b + s1, c + s2 - f(s0) - s0·(b + s1)); ``gassmann.oracles`` keeps the
-walk over the group, which labels the cosets of any subgroup, as the
-oracle.  The centre Z = {(0, 0, c)} acts freely on the cosets by
-Hg -> Hgz, which sends (0, b, c) to (0, b, c + z), and commutes with every
-generator, so a coset graph is a regular cover.  The numbering fixes that
-action, (0, 0, e) adding 1 mod p to one base-p digit of index(c), and a
-graph states the rank r of the (Z/p)^r it carries.  So a graph is the
+is also its least member: vertex k = index(b)·q + index(c), by formula, and
+no graph lists labels.  A generator s = (s0, s1, s2) sends the coset of
+(0, b, c) to that of (0, b + s1, c + s2 - f(s0) - s0·(b + s1));
+``gassmann.oracles`` keeps the walk over the group, which finds the least
+members of the cosets of any subgroup, as the oracle.  The centre
+Z = {(0, 0, c)} acts freely on the cosets by Hg -> Hgz, which sends
+(0, b, c) to (0, b, c + z), and commutes with every generator, so a
+coset graph is a regular cover.  The numbering fixes that action,
+(0, 0, e) adding 1 mod p to one base-p digit of index(c), and a graph
+states the rank r of the (Z/p)^r it carries.  So a graph is the
 sorted neighbour rows of its q orbit representatives (0, b, 0), its
 voltage graph, each other row a translate of its representative's: the
 build, the characteristic polynomial, the refinement and the
@@ -19,16 +20,16 @@ non-isomorphism verdicts read those q rows alone.  All q² rows are
 expanded at each read, for the search below the root, the witness checks
 and the exports, and no graph keeps them; the dense adjacency matrix is a
 view of them for the oracles only.  This module is the one place that
-makes a graph: graphs and verify both build through build_coset_graph,
-and rows made outside the closed form, by the oracles or in tests, enter
-through CosetGraph.from_rows, where check_centre certifies every row
-against the translation rule in one pass before anything reads the
-action.  The graphs
-of one ring and generator set share their family's work, made once per
-(group, generators) as the transversal and the modulus are: the skeleton
-of the rows, into which f enters only through f(s0), one value per
-distinct first coordinate s0 of a generator, and the automorphisms that
-fix the generators.
+makes a graph: graphs and verify both make a family's graphs by
+class_rep_graphs, which builds the catalog's class reps by
+build_coset_graph in catalog order, and rows made outside the closed
+form, by the oracles or in tests, enter through CosetGraph.from_rows,
+where check_centre certifies every row against the translation rule in
+one pass before anything reads the action.  The graphs of one ring and
+generator set share their family's work, made once per (group,
+generators) as the modulus is: the skeleton of the rows, into which f
+enters only through f(s0), one value per distinct first coordinate s0 of
+a generator, and the automorphisms that fix the generators.
 A graph's characteristic polynomial has one route, char_poly: the product
 of small blocks, one per orbit of characters of its free action under
 Galois conjugation (the voltage-graph factorisation), each split into
@@ -54,10 +55,11 @@ by λμσ, so it is checked on the q representatives' rows, with no graph's
 rows expanded.  Only the orbits' first members are compared: by the
 digests of canonical colour-refinement invariants, cached per graph and
 computed on the orbit representatives, since the colours of a refinement
-from one colour are constant on the centre's orbits, and where they agree
-by a search that individualises and refines, within a budget of
-refinement nodes; at the root, a failed candidate rules out its whole
-orbit, since the centre acts by colour-preserving automorphisms.  A
+from one colour are constant on the centre's orbits (one kept per
+orbit), and where they agree by a search that individualises and
+refines, within a budget of refinement nodes; at the root, a failed
+candidate rules out its whole orbit, since the centre acts by
+colour-preserving automorphisms.  A
 digest collision only lets a search run, whose witness is checked.
 isomorphism_classes buckets them by digest, and verify runs it again on
 the first members of a report's classes.  That search over the whole
@@ -74,10 +76,11 @@ from math import comb, gcd
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .certify import canonical_twist
+from .certify import canonical_twist, enumerate_class_reps
 from .errors import EmptyGeneratorSet, SelfCheckFailed, SizeCapExceeded, SpecMismatch
-from .heisenberg import GroupElement, Heisenberg, TwistedSubgroup
-from .rings import LinearMap, is_prime
+from .heisenberg import (GroupElement, Heisenberg, TwistedSubgroup, heisenberg_group,
+                         twisted_subgroup)
+from .rings import LinearMap, RingSpec, check_order, is_prime, power_within
 
 DEFAULT_VERTEX_CAP = 4096
 # Refinements per isomorphism search; one between GF(8) or GF(9) coset graphs runs 9 at most.
@@ -131,26 +134,22 @@ class CosetGraph:
     elsewhere, once check_centre has certified them.
     """
 
-    def __init__(self, group: Heisenberg, subgroup_label: str, gens: tuple[GroupElement, ...],
-                 vertices: tuple[GroupElement, ...], reps: Rows, rank: int):
-        self.group, self.subgroup_label, self.gens = group, subgroup_label, gens
-        self.vertices, self.reps, self.rank = vertices, reps, rank
+    def __init__(self, group: Heisenberg, gens: tuple[GroupElement, ...], reps: Rows, rank: int):
+        self.group, self.gens, self.reps, self.rank = group, gens, reps, rank
 
     @classmethod
-    def from_rows(cls, group: Heisenberg, subgroup_label: str, gens, vertices, rows: Rows,
-                  rank: int) -> CosetGraph:
+    def from_rows(cls, group: Heisenberg, gens, rows: Rows, rank: int) -> CosetGraph:
         """The graph with these rows, once check_centre has certified its rank's action.
 
         It raises SelfCheckFailed where a row is not the translate of its
         representative's, and keeps the representatives' rows only.
         """
         width = check_centre(rows, group.ring.p, rank)
-        return cls(group, subgroup_label, tuple(gens), tuple(vertices), tuple(rows[::width]),
-                   rank)
+        return cls(group, tuple(gens), tuple(rows[::width]), rank)
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.reps) * self.centre_width
 
     @property
     def degree(self) -> int:
@@ -176,8 +175,8 @@ class CosetGraph:
 
     @cached_property
     def refinement(self) -> tuple[int, tuple[int, ...]]:
-        """colour_refinement on the representatives' rows, cached: (digest, colours)."""
-        return colour_refinement(self.reps, self.centre_width)
+        """_refine from one colour on the representatives' rows, cached: colours per orbit."""
+        return _refine(self.reps, [0] * len(self.reps), self.centre_width)
 
     def edge_list(self) -> list[tuple[int, int, int]]:
         """(u, v, multiplicity) with u <= v, loops included."""
@@ -225,8 +224,26 @@ def build_coset_graph(sub: TwistedSubgroup, gens: Sequence[GroupElement],
     f, neg, index = sub.f.apply, ring.neg, family.index
     plus = _digit_sums(ring.p, ring.dim)
     shifts = [plus[index[neg(f(s0))]] for s0 in family.firsts]
-    return CosetGraph(group=group, subgroup_label=sub.label(), gens=family.gens,
-                      vertices=transversal(ring), reps=family.reps(shifts), rank=ring.dim)
+    return CosetGraph(group, family.gens, family.reps(shifts), ring.dim)
+
+
+def check_graphs_config(p: int, m: int, cap: Optional[int]) -> None:
+    """Raise unless GF(p^m) is a field within the cap whose q² cosets are within the
+    vertex cap, each power compared with its bound before it is formed: graphs makes
+    no field before it, and verify reads no item of a config that fails it."""
+    check_order(p, m, m, cap, f"GF({p}^{m})")
+    if power_within(p, 2 * m, DEFAULT_VERTEX_CAP) is None:
+        raise SizeCapExceeded(f"coset count {p}^{2 * m} exceeds vertex cap {DEFAULT_VERTEX_CAP}")
+
+
+def class_rep_graphs(spec: RingSpec, gens: Sequence[GroupElement],
+                     cap: Optional[int] = None) -> tuple[tuple[LinearMap, ...], list[CosetGraph]]:
+    """(maps, graphs): the class reps under the cap in catalog order, and graphs[k] the
+    coset graph of H_f, f = maps[k], with these generators: the one route from a
+    graphs config to its family, which graphs and verify both run."""
+    group = heisenberg_group(spec)
+    maps = enumerate_class_reps(spec, cap).reps
+    return maps, [build_coset_graph(twisted_subgroup(f, group), gens) for f in maps]
 
 
 class _Family:
@@ -337,14 +354,6 @@ def _family(group: Heisenberg, gens: tuple[GroupElement, ...]) -> _Family:
     symmetrize_generators's checks.  A set that fails them raises at every call,
     since a call that raises caches nothing."""
     return _Family(group, gens)
-
-
-@lru_cache(maxsize=16)
-def transversal(ring) -> tuple[GroupElement, ...]:
-    """The elements (0, b, c), vertex k = index(b)·q + index(c) of every coset graph of
-    an H_f over the ring, one copy shared by all of them."""
-    zero, els = ring.zero(), ring.elements
-    return tuple((zero, b, c) for b in els for c in els)
 
 
 @lru_cache(maxsize=16)
@@ -661,19 +670,6 @@ def char_poly(graph: CosetGraph, cap: Optional[int] = None) -> SpectrumPolynomia
 # ---------------------------------------------------------------------------
 
 
-def colour_refinement(reps: Rows, width: int = 1) -> tuple[int, tuple[int, ...]]:
-    """(digest, colours) of canonical colour refinement from a single colour.
-
-    Isomorphic graphs have equal invariants, so distinct digests prove two
-    graphs non-isomorphic.  ``width`` is the size of the orbits of a
-    certified free action by automorphisms, and ``reps`` the rows of their
-    representatives a·width, as a CosetGraph keeps them; at width 1 they are
-    all the rows.  One colour per orbit is refined, with the same result as
-    on all the rows at width 1.
-    """
-    return _refine(reps, [0] * len(reps), width)
-
-
 def _refine(reps: Rows, colors: Sequence[int], width: int = 1) -> tuple[int, tuple[int, ...]]:
     """Canonical colour refinement (1-WL with multiplicities and loops).
 
@@ -690,7 +686,7 @@ def _refine(reps: Rows, colors: Sequence[int], width: int = 1) -> tuple[int, tup
     of automorphisms that fix every colour, and ``reps`` the rows of the
     representatives a·width, which alone get signatures, neighbour v taking
     the colour of orbit v // width; counts are width times the orbits', and
-    the colours come back per vertex.  At width 1 ``reps`` are all the rows.
+    the colours come back per orbit.  At width 1 ``reps`` are all the rows.
     """
     loops = [next((mult for u, mult in row if u == a * width), 0) for a, row in enumerate(reps)]
     if width > 1:
@@ -711,8 +707,7 @@ def _refine(reps: Rows, colors: Sequence[int], width: int = 1) -> tuple[int, tup
     histogram = [0] * classes
     for c in colors:
         histogram[c] += width
-    return (hash((tuple(rounds), tuple(histogram), scale)),
-            tuple(c for c in colors for _ in range(width)))
+    return hash((tuple(rounds), tuple(histogram), scale)), tuple(colors)
 
 
 def _individualize(colors: Sequence[int], v: int) -> list[int]:
@@ -792,8 +787,8 @@ def are_isomorphic(g1: CosetGraph, g2: CosetGraph,
     representatives' rows give the identity, before either graph's rows are
     expanded: with n = len(reps)·p^r equal, the orbits have one width p^r,
     which fixes p and r, so the rows are equal too.  Otherwise the search
-    runs on the rows, expanded for it alone, its root pruned by the second
-    graph's action.  It runs at most ``cap`` refinements and raises
+    runs on the rows and the root colours per vertex, expanded for it alone,
+    its root pruned by the second graph's action.  It runs at most ``cap`` refinements and raises
     SizeCapExceeded past them.
     """
     if g1.n != g2.n:
@@ -812,7 +807,9 @@ def are_isomorphic(g1: CosetGraph, g2: CosetGraph,
         return _refine(rows, colors)
 
     rows1, rows2 = g1.rows, g2.rows
-    found = _search(rows1, rows2, g1.refinement[1], g2.refinement[1], refine, g2.centre_width)
+    colors1, colors2 = ([c for c in g.refinement[1] for _ in range(g.centre_width)]
+                        for g in (g1, g2))
+    found = _search(rows1, rows2, colors1, colors2, refine, g2.centre_width)
     if found is None:
         return IsomorphismResult(False, None)
     if not maps_onto(rows1, rows2, found):

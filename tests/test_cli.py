@@ -217,30 +217,46 @@ def test_certify_self_checks_the_closed_forms_against_the_oracle_block(monkeypat
     assert message in err
 
 
+def _verify_in_a_fresh_process(path: Path, seconds: float) -> list[str]:
+    """The problems that verify lists for the report at path, in a fresh process that
+    must refuse it within the seconds given."""
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    started = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "gassmann.cli", "verify", str(path)], env=env,
+                          capture_output=True, text=True)
+    assert time.perf_counter() - started < seconds
+    assert done.returncode == 1 and done.stdout == "verification failed\n"
+    assert "Traceback" not in done.stderr
+    return done.stderr.splitlines()
+
+
 @pytest.mark.parametrize("m", [40, 13, 10**5, 10**9])
 def test_verify_of_a_forged_certify_config_costs_what_the_stored_item_states(tmp_path, m):
-    # a GF(4) report claiming GF(2^m): p^(m(m-1)) would have about m^2 bits, so verify
-    # measures the stored counts first
+    # a GF(4) report claiming GF(2^m): p^(m(m-1)) would have about m^2 bits.  Past the
+    # cap, the config check compares the group's exponent with the cap's bits and no
+    # item is read; with a cap that admits the group, verify measures the stored
+    # counts first
     _, out, _ = run_cli("certify", "--p", "2", "--m", "2")
     report = json.loads(out)
     report["config"]["m"] = m
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(report))
-    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    started = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "gassmann.cli", "verify", str(path)], env=env,
-                          capture_output=True, text=True)
-    assert time.perf_counter() - started < 1.0
-    assert done.returncode == 1 and done.stdout == "verification failed\n"
-    assert "Traceback" not in done.stderr
-    problems = done.stderr.splitlines()
+    assert _verify_in_a_fresh_process(path, 1.0) == [
+        f"problem: the config is malformed: SizeCapExceeded: |H(GF(2^{m}))| = 2^{3 * m} "
+        "exceeds cap 1048576"]
+    if m > 1000:
+        return  # a cap of 2^(3m) has more digits than Python's JSON reads
+    report["config"]["cap"] = 2 ** (3 * m)
+    path.write_text(json.dumps(report))
+    problems = _verify_in_a_fresh_process(path, 1.0)
     assert ("problem: the family is not the class-reps family of the config: p^(m^2) "
             "subgroups in all-twists mode, p^(m(m-1)) in class-reps mode") in problems
     assert "problem: pair_count is not n(n-1)/2 for the family's n subgroups" in problems
 
 
 def test_verify_of_a_forged_graphs_degree_compares_it_with_the_cap(tmp_path):
-    # every graphs verifier builds the field from the config; 2^(10^8) is not formed
+    # the graphs config check compares the field's exponent with the cap's bits;
+    # 2^(10^8) is not formed
     _, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
     report = json.loads(out)
     report["config"]["m"] = 10**8
@@ -248,8 +264,52 @@ def test_verify_of_a_forged_graphs_degree_compares_it_with_the_cap(tmp_path):
     code, err = _verify_json(tmp_path, report)
     assert time.perf_counter() - started < 1.0
     assert code == 1 and "Traceback" not in err
-    assert ("problem: item 0 (coset-graphs) fails its check: SizeCapExceeded: "
-            "|GF(2^100000000)| = 2^100000000 exceeds cap 1048576") in err.splitlines()
+    assert err.splitlines() == ["problem: the config is malformed: SizeCapExceeded: "
+                                "|GF(2^100000000)| = 2^100000000 exceeds cap 1048576"]
+
+
+@pytest.mark.parametrize("m", [20, 24])
+def test_verify_of_a_forged_graphs_field_makes_no_field(tmp_path, m):
+    # a GF(4) report claiming GF(2^m) with a cap that admits the field: the search
+    # for its modulus would take seconds at m = 20 and minutes at 24, so the vertex cap
+    # on its q^2 cosets is checked before any field is made
+    _, out, _ = run_cli("graphs", "--p", "2", "--m", "2")
+    report = json.loads(out)
+    report["config"].update(m=m, cap=2**m)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(report))
+    assert _verify_in_a_fresh_process(path, 2.0) == [
+        f"problem: the config is malformed: SizeCapExceeded: coset count 2^{2 * m} exceeds "
+        "vertex cap 4096"]
+
+
+def test_graphs_past_the_vertex_cap_exits_2_before_it_makes_a_field():
+    # the default cap admits GF(2^20), whose modulus takes seconds to find
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    started = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "gassmann.cli", "graphs", "--p", "2", "--m",
+                           "20"], env=env, capture_output=True, text=True)
+    assert time.perf_counter() - started < 2.0
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: SizeCapExceeded: coset count 2^40 exceeds vertex cap 4096\n")
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("certify", ("--p", "2", "--m", "2")),
+    ("tower", ("--p", "2", "--j-max", "3")),
+    ("graphs", ("--p", "2", "--m", "2")),
+], ids=["certify", "tower", "graphs"])
+@pytest.mark.parametrize("forge", [lambda c: c.update(p="x"), lambda c: c.update(cap=4096.0)],
+                         ids=["p-a-string", "float-cap"])
+def test_a_malformed_config_is_one_problem(tmp_path, command, argv, forge):
+    # every item reads the config, so once its check fails no item is verified
+    _, out, _ = run_cli(command, *argv)
+    report = json.loads(out)
+    forge(report["config"])
+    code, err = _verify_json(tmp_path, report)
+    assert code == 1 and "Traceback" not in err
+    (problem,) = err.splitlines()
+    assert problem.startswith("problem: the config is malformed: TypeError: ")
 
 
 def _restated_for(report: dict, p: int, m: int) -> dict:
@@ -1009,7 +1069,9 @@ def test_verify_bounds_the_catalog_by_the_stored_classes(monkeypatch):
 
     report, _ = cli.cmd_graphs(2, 2)
     report["config"].update(m=5, cap=2**40)
-    monkeypatch.setattr(reports, "enumerate_class_reps", refuse)
+    monkeypatch.setattr(schreier, "enumerate_class_reps", refuse)
+    # the bound comes before the field is made
+    monkeypatch.setattr(reports, "make_field", refuse)
     problems = verify_report(report)
     # the three items read the same graphs, whose build fails once
     assert problems == ["item 0 (coset-graphs) fails its check: SpecMismatch: class_of does "
@@ -1238,7 +1300,7 @@ def test_graphs_never_enumerate_the_group_or_a_subgroup(monkeypatch):
 
 def test_a_subgroup_that_is_not_twisted_exits_2(monkeypatch, capsys):
     # production builds coset graphs of H_f only; any other subgroup is a spec mismatch
-    monkeypatch.setattr(cli, "twisted_subgroup", lambda f, group: center_subgroup(group))
+    monkeypatch.setattr(schreier, "twisted_subgroup", lambda f, group: center_subgroup(group))
     assert cli.main(["graphs", "--p", "2", "--m", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == ""

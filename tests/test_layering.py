@@ -182,24 +182,41 @@ def test_every_production_definition_is_used_by_production_code():
     assert [name for name in _unreferenced(sources) if name not in kept] == []
 
 
-# the constructors of coset graphs and of the rows they certify; the closed-form build
-# and the certified constructor live in schreier, so graphs and verify share one build
-GRAPH_CONSTRUCTORS = {"CosetGraph", "from_rows", "check_centre", "transversal"}
+# the constructors of coset graphs and of the rows they certify, and the closed-form
+# build; they live in schreier, whose class_rep_graphs is the one route from a graphs
+# config to its family, so graphs and verify share one build
+GRAPH_CONSTRUCTORS = {"CosetGraph", "from_rows", "check_centre", "build_coset_graph"}
+
+
+def _called(tree: ast.AST) -> list[str]:
+    """The names of the functions that the tree calls, by name or attribute."""
+    called = (node.func for node in ast.walk(tree) if isinstance(node, ast.Call))
+    return [func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            for func in called]
 
 
 def _graph_constructions(tree: ast.AST) -> list[str]:
     """The sorted names of the graph constructors that the tree calls, by name or attribute."""
-    called = (node.func for node in ast.walk(tree) if isinstance(node, ast.Call))
-    names = (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-             for func in called)
-    return sorted(name for name in names if name in GRAPH_CONSTRUCTORS)
+    return sorted(name for name in _called(tree) if name in GRAPH_CONSTRUCTORS)
 
 
 def test_only_schreier_constructs_coset_graphs():
     sample = ("CosetGraph(g)\nsg.CosetGraph.from_rows(r)\ncheck_centre(r, 2, 1)\n"
-              "sg.transversal(s)\nbuild_coset_graph(h, g)\nCosetGraph.rows")
+              "sg.build_coset_graph(h, g)\nclass_rep_graphs(s, g, c)\nCosetGraph.rows")
     assert _graph_constructions(ast.parse(sample)) == [
-        "CosetGraph", "check_centre", "from_rows", "transversal"]
-    makers = {path.name: _graph_constructions(ast.parse(path.read_text(), str(path)))
-              for path in PRODUCTION if path.name != "schreier.py"}
+        "CosetGraph", "build_coset_graph", "check_centre", "from_rows"]
+    # a family's graphs made outside the one route, by a loop over its subgroups, are caught
+    loop = ("subgroups = [twisted_subgroup(f, group) for f in catalog.reps]\n"
+            "graphs = [sg.build_coset_graph(sub, gens) for sub in subgroups]")
+    assert _graph_constructions(ast.parse(loop)) == ["build_coset_graph"]
+    assert "twisted_subgroup" in _called(ast.parse(loop))
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in PRODUCTION}
+    makers = {name: _graph_constructions(tree) for name, tree in trees.items()
+              if name != "schreier.py"}
     assert {name: calls for name, calls in makers.items() if calls} == {}
+    # certify makes H_f for its profiles and conjugator oracle, no graph; the commands
+    # make no subgroup, and reach the family's graphs through class_rep_graphs alone
+    assert sorted(name for name, tree in trees.items()
+                  if "twisted_subgroup" in _called(tree)) == ["certify.py", "schreier.py"]
+    assert sorted(name for name, tree in trees.items()
+                  if "class_rep_graphs" in _called(tree)) == ["cli.py", "reports.py"]

@@ -11,7 +11,7 @@ import pytest
 from gassmann.certify import mult_subspace_echelon
 from gassmann.heisenberg import heisenberg_group
 from gassmann.rings import FieldSpec, LinearMap, TruncRingSpec, make_field, make_trunc_ring
-from gassmann.schreier import transversal
+from gassmann.schreier import _unit_tables
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -19,14 +19,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def test_specs_built_twice_are_equal_and_share_the_cached_group():
     # make_field hands out one object per (p, m); a spec built again from its fields
     # is another object, which must find the same cached group, echelon basis and
-    # transversal
+    # element tables
     spec = make_field(2, 3)
     again = FieldSpec(spec.p, spec.m, spec.modulus)
     assert make_field(2, 3) is spec and again is not spec
     assert again == spec and hash(again) == hash(spec)
     assert heisenberg_group(again) is heisenberg_group(spec)
     assert mult_subspace_echelon(again) is mult_subspace_echelon(spec)
-    assert transversal(again) is transversal(spec)
+    assert _unit_tables(again) is _unit_tables(spec)
     ring = make_trunc_ring(3, 2)
     assert TruncRingSpec(3, 2) == ring and hash(TruncRingSpec(3, 2)) == hash(ring)
     assert heisenberg_group(TruncRingSpec(3, 2)) is heisenberg_group(ring)

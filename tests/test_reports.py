@@ -185,12 +185,26 @@ def test_verify_builds_each_graph_once(monkeypatch):
     assert products == []
 
 
+def _expansions(monkeypatch) -> list[str]:
+    """The twist label of f for each read of the rows of H_f's graph, which the list
+    returned collects: each graph that class_rep_graphs builds is labelled by its map."""
+    expanded, label = [], {}
+    rows, build = schreier.CosetGraph.rows, schreier.class_rep_graphs
+
+    def labelled(*args):
+        maps, graphs = build(*args)
+        label.update((id(graph), heisenberg.twist_label(f)) for f, graph in zip(maps, graphs))
+        return maps, graphs
+
+    monkeypatch.setattr(schreier, "class_rep_graphs", labelled)
+    monkeypatch.setattr(schreier.CosetGraph, "rows", property(
+        lambda graph: expanded.append(label[id(graph)]) or rows.fget(graph)))
+    return expanded
+
+
 def test_graphs_and_verify_expand_no_graph_with_an_orbit_witness(monkeypatch):
     # an automorphism's witness is checked on the q representatives' rows alone
-    expanded = []
-    rows = schreier.CosetGraph.rows
-    monkeypatch.setattr(schreier.CosetGraph, "rows", property(
-        lambda graph: expanded.append(graph.subgroup_label) or rows.fget(graph)))
+    expanded = _expansions(monkeypatch)
     report, _ = cmd_graphs(5, 2)
     assert verify_report(report) == []
     witnesses = _item(report, "isomorphism-classes")["witnesses"]
@@ -204,10 +218,7 @@ def test_each_reader_expands_a_graph_once(monkeypatch):
     # no graph keeps its rows, so each reader expands them once: the exports once per
     # graph for both files, and verify once per permutation witness and per first
     # member of its class, however many members the class has
-    expanded = []
-    rows = schreier.CosetGraph.rows
-    monkeypatch.setattr(schreier.CosetGraph, "rows", property(
-        lambda graph: expanded.append(graph.subgroup_label) or rows.fget(graph)))
+    expanded = _expansions(monkeypatch)
     cmd_graphs(3, 2)
     searched = list(expanded)
     report, exports = cmd_graphs(3, 2, exports=True)

@@ -38,7 +38,6 @@ from gassmann.schreier import (
     bareiss_determinant,
     build_coset_graph,
     char_poly,
-    colour_refinement,
     default_generators,
     isomorphism_classes,
     maps_onto,
@@ -86,14 +85,18 @@ def _synthetic(adjacency, group=G4, rank=0):
     """A CosetGraph with the rows of an arbitrary adjacency matrix (up to |group| vertices),
     claiming a free action of rank ``rank`` over the group's prime, which the certified
     constructor checks."""
-    return CosetGraph.from_rows(group, "synthetic", GENS4[:2], group.elements[:len(adjacency)],
-                                _rows(adjacency), rank)
+    return CosetGraph.from_rows(group, GENS4[:2], _rows(adjacency), rank)
+
+
+def _per_vertex(colours, width):
+    """Colours kept one per orbit of width vertices, one per vertex."""
+    return tuple(c for c in colours for _ in range(width))
 
 
 def _unpruned(g1, g2):
     """The witness of the search with no pruning at its root (width 1), or None."""
-    found = schreier._search(g1.rows, g2.rows, g1.refinement[1], g2.refinement[1],
-                             schreier._refine)
+    colors1, colors2 = (_per_vertex(g.refinement[1], g.centre_width) for g in (g1, g2))
+    found = schreier._search(g1.rows, g2.rows, colors1, colors2, schreier._refine)
     return None if found is None else tuple(found)
 
 
@@ -136,19 +139,30 @@ def test_trivial_subgroup_gives_cayley_graph():
     assert oracles.connected(graph)  # the default generators generate the group
 
 
+def _closed_form_labels(ring):
+    """The elements (0, b, c), vertex k = index(b)·q + index(c) of the closed form."""
+    zero, els = ring.zero(), ring.elements
+    return [(zero, b, c) for b in els for c in els]
+
+
 def test_vertices_are_canonical_minima():
-    graph = build_coset_graph(horizontal_subgroup(G4), GENS4)
-    assert list(graph.vertices) == sorted(graph.vertices)
-    members = horizontal_subgroup(G4).elements
-    for rep in graph.vertices:
-        assert rep == min(G4.mul(h, rep) for h in members)
+    # the walk numbers the cosets by their least members, in lex order, and those are
+    # the closed form's labels (0, b, c)
+    sub = horizontal_subgroup(G4)
+    minima, _ = oracles.coset_minima(sub)
+    assert minima == sorted(minima) == _closed_form_labels(F4)
+    for rep in minima:
+        assert rep == min(G4.mul(h, rep) for h in sub.elements)
+    assert build_coset_graph(sub, GENS4).n == len(minima)
 
 
 def _assert_closed_form_equals_the_walk(sub, gens):
     fast, slow = build_coset_graph(sub, gens), coset_graph_bruteforce(sub, gens)
+    # the walk numbers vertex k by the coset's least member, which is the closed form's
+    # label of vertex k
     assert fast.rows == slow.rows
-    assert fast.vertices == slow.vertices
-    assert (fast.subgroup_label, fast.gens) == (slow.subgroup_label, slow.gens)
+    assert oracles.coset_minima(sub)[0] == _closed_form_labels(sub.group.ring)
+    assert fast.gens == slow.gens
     # the closed form claims the centre's action, which the walk does not
     assert (fast.rank, slow.rank) == (sub.group.ring.dim, 0)
     return fast, slow
@@ -580,7 +594,7 @@ def _h0_rows(gens=GENS4):
 
 def _claiming(rows, gens=GENS4, rank=2, group=G4):
     """The graph with these rows that claims the generators of GF(4)'s family."""
-    return CosetGraph.from_rows(group, "forged", gens, group.elements[:len(rows)], rows, rank)
+    return CosetGraph.from_rows(group, gens, rows, rank)
 
 
 H0_POLY = char_poly(build_coset_graph(horizontal_subgroup(G4), GENS4))
@@ -1076,16 +1090,18 @@ def test_orbit_classes_refine_and_search_the_orbit_leaders_alone(monkeypatch):
         [2, 3, 5, 6, 7, 8]
 
 
-def test_colour_refinement_is_the_cached_graph_refinement():
-    # the cached refinement runs on the centre's orbits; vertex by vertex, from the
-    # rows, the same helper gives the same invariant and colours
+def test_the_root_refinement_keeps_one_colour_per_orbit():
+    # the cached refinement runs on the centre's orbits and keeps q colours; expanded
+    # per vertex they are those that the same helper gives vertex by vertex, from the
+    # rows, with the same digest
     for spec, sample in ((F4, None), (make_field(2, 3), None), (make_field(3, 2), None),
                          (make_trunc_ring(2, 2), None), (make_trunc_ring(3, 2), None),
                          (make_field(2, 4), 6), (make_field(5, 2), 6)):
         for graph in _rep_graphs(spec, sample=sample):
-            assert graph.centre_width == spec.size
-            assert colour_refinement(graph.rows) == graph.refinement
-            assert schreier._refine(graph.rows, [0] * graph.n) == graph.refinement
+            digest, colours = graph.refinement
+            assert graph.centre_width == len(colours) == spec.size
+            assert schreier._refine(graph.rows, [0] * graph.n) == (
+                digest, _per_vertex(colours, spec.size))
 
 
 def test_packed_refinement_keeps_the_pair_refinement():
@@ -1101,7 +1117,7 @@ def test_packed_refinement_keeps_the_pair_refinement():
             start = [0] * len(graph.reps)
             root.append((schreier._refine(graph.reps, start, spec.size),
                          oracles.refine_by_pairs(graph.reps, start, spec.size)))
-            colours, rows = root[-1][0][1], graph.rows
+            colours, rows = _per_vertex(root[-1][0][1], spec.size), graph.rows
             _, target = min((size, c) for c, size in Counter(colours).items() if size > 1)
             for v in (v for v, c in enumerate(colours) if c == target):
                 split = schreier._individualize(colours, v)
@@ -1177,8 +1193,7 @@ def test_rejected_witness_raises_even_under_optimization(search, monkeypatch):
     graph = _rep_graphs()[1]
     shift = [(v + 1) % graph.n for v in range(graph.n)]
     # the relabelling moves the centre's orbits, so the copy claims no action
-    relabelled = CosetGraph(graph.group, graph.subgroup_label, graph.gens, graph.vertices,
-                            _rows(_relabel(graph.adjacency, shift)), 0)
+    relabelled = CosetGraph(graph.group, graph.gens, _rows(_relabel(graph.adjacency, shift)), 0)
     assert relabelled.rows != graph.rows
     home, patch = REJECTED_WITNESS[search]
     assert getattr(home, search)(graph, relabelled).isomorphic
@@ -1321,9 +1336,8 @@ def test_broken_centre_actions_raise_even_under_optimization():
         "for name, (adjacency, p, r, message) in json.loads(sys.argv[1]).items():\n"
         "    rows = tuple(tuple((v, m) for v, m in enumerate(row) if m) for row in adjacency)\n"
         "    group = heisenberg_group(make_field(p, 2))\n"
-        "    vertices = group.elements[:len(rows)]\n"
         "    for check in (lambda: charpoly_by_centre(rows, p, r),\n"
-        "                  lambda: CosetGraph.from_rows(group, name, (), vertices, rows, r)):\n"
+        "                  lambda: CosetGraph.from_rows(group, (), rows, r)):\n"
         "        try:\n"
         "            check()\n"
         "        except SelfCheckFailed as exc:\n"
@@ -1365,13 +1379,14 @@ def test_the_centre_adds_one_to_a_digit_of_the_vertex_number(spec):
         digit = k // w % p
         return k + w * ((digit + 1) % p - digit)
 
-    gens = default_generators(group)
     for f in enumerate_class_reps(spec).reps:
         sub = twisted_subgroup(f, group)
-        graph = build_coset_graph(sub, gens)
-        number = {v: k for k, v in enumerate(graph.vertices)}
+        # the walk's least members, vertex k the closed form's label of vertex k
+        minima, _ = oracles.coset_minima(sub)
+        assert minima == _closed_form_labels(spec)
+        number = {v: k for k, v in enumerate(minima)}
         # index(c) reads c's coefficients as a base-p number, the first one highest
         for i, e in enumerate(reversed(spec.basis())):
-            for k, (a, b, c) in enumerate(graph.vertices):
+            for k, (a, b, c) in enumerate(minima):
                 least = min(group.mul(h, (a, b, spec.add(c, e))) for h in sub.elements)
                 assert number[least] == sigma(i, k)
